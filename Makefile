@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test race bench bench-smoke bench-json bench-diff bench-sharded chaos cluster-e2e check experiments examples vet vuln profile
+.PHONY: build test race stress bench bench-smoke bench-json bench-diff bench-sharded bench-harness-build chaos cluster-e2e check experiments examples vet vuln profile
 
 build:
 	go build ./...
@@ -24,14 +24,30 @@ vuln:
 		echo "vuln: govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-# Static analysis, the vulnerability scan, the full suite under the race
-# detector, and one iteration of every hot-path benchmark so a compile- or
-# panic-level regression in the benchmarked paths cannot land silently.
+# Static analysis, the vulnerability scan, a compile of the frozen benchmark
+# harness, the full suite under the race detector, and one iteration of every
+# hot-path benchmark so a compile- or panic-level regression in the
+# benchmarked paths cannot land silently.
 check:
 	go vet ./...
+	$(MAKE) bench-harness-build
 	$(MAKE) vuln
 	go test -race ./...
 	$(MAKE) bench-smoke
+
+# bench/ is its own module (repro/bench), so `go build ./...` cannot see it
+# and an API change that breaks the harness would surface only when the
+# benchmark runs. Compile and vet it against this tree; -o /dev/null keeps
+# the build from leaving a binary under bench/.
+bench-harness-build:
+	go -C bench build -o /dev/null ./...
+	go -C bench vet ./...
+
+# The packages whose tests involve timers, background goroutines, disks and
+# networks, twenty times over under the race detector: a test that fails one
+# run in three cannot get through.
+stress:
+	go test -race -count=20 ./internal/engine/ ./internal/cluster/ ./internal/sim/chaos/
 
 # Chaos scenarios in short mode: crash-at-random-points, per-shard
 # disk-fault schedules (quarantine + heal), and two-node peer faults

@@ -8,13 +8,22 @@
 //	server -addr :9000 -plan my-building.json -readers 24 -range 1.5
 //	server -demo                  # also run a built-in simulator feeding readings
 //	server -data-dir ./data       # durable: WAL + snapshots, recover on restart
+//	server -shards 4 -data-dir ./data       # four independently locked shards
 //	server -addr :8080 -node-id 10.0.0.1:8080 \
 //	       -peers 10.0.0.1:8080,10.0.0.2:8080   # one node of a static cluster
 //
-// With -data-dir set the server opens (or creates) a write-ahead log and
-// snapshot store there, recovers any prior state on startup, and on SIGINT or
-// SIGTERM drains in-flight requests, flushes the reorder buffer, and writes a
-// final snapshot before exiting.
+// The engine is always the router (engine.OpenSharded) over -shards in-memory
+// kernels; -shards 1, the default, is one kernel behind it and answers
+// bit-for-bit like any other count.
+//
+// With -data-dir set the server opens (or creates) one write-ahead log per
+// shard and the snapshot store there (SHARDS guard file, shard-%04d/
+// directories), recovers any prior state on startup, and on SIGINT or SIGTERM
+// drains in-flight requests, flushes the reorder buffer, and writes a final
+// snapshot before exiting. The directory is pinned to its shard count, and a
+// directory in the flat layout older single-engine builds wrote (segments and
+// snapshots at the top level, no SHARDS file) is refused, not overwritten;
+// cmd/walctl still reads it.
 //
 // With -peers set the node joins a static cluster: every node is given the
 // same member list, owns the objects the shared jump hash assigns it, and
@@ -63,7 +72,7 @@ func run() error {
 		seed     = flag.Int64("seed", 1, "random seed")
 		pprofOn  = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		slowQ    = flag.Duration("slow-query", 100*time.Millisecond, "slow-query log threshold (0 disables the log)")
-		shards   = flag.Int("shards", 1, "engine shards; >1 partitions objects across independently locked shards")
+		shards   = flag.Int("shards", 1, "shards behind the engine's router: objects partition across this many independently locked shards, each with its own WAL stream; answers are identical at any count, and a -data-dir is pinned to the count that created it")
 		traceSmp = flag.Float64("trace-sample", 0.01, "probability an unremarkable request trace is kept at /debug/traces (slow/shed/deadline/errored traces are always kept; negative disables tracing)")
 
 		healthOn    = flag.Bool("reader-health", true, "infer per-reader liveness and compensate the sensing model for SUSPECT/DEAD readers")
@@ -118,19 +127,12 @@ func run() error {
 			SnapshotEvery: *snapEvery,
 		}
 	}
-	var sys server.Engine
-	var eng cluster.Local
-	if *shards > 1 {
-		cfg.Shards = *shards
-		sh, serr := engine.OpenSharded(plan, dep, cfg)
-		sys, eng, err = sh, sh, serr
-	} else {
-		sg, serr := engine.Open(plan, dep, cfg)
-		sys, eng, err = sg, sg, serr
-	}
+	cfg.Shards = *shards
+	eng, err := engine.OpenSharded(plan, dep, cfg)
 	if err != nil {
 		return err
 	}
+	var sys server.Engine = eng
 	if *peersFlag != "" {
 		var members []string
 		for _, p := range strings.Split(*peersFlag, ",") {

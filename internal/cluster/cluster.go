@@ -51,12 +51,11 @@ type Transport interface {
 	Send(ctx context.Context, addr string, req *Request) (*Response, error)
 }
 
-// Local is the engine surface a Node wraps: the single-shard *engine.System
-// and the in-process sharded *engine.Sharded both implement it. The first
+// Local is the engine surface a Node wraps: the router *engine.Sharded and
+// the bare in-memory kernel *engine.System both implement it. The first
 // block is the server-facing API the node mostly delegates; the second is
 // the piecewise query pipeline the distributed coordinator drives.
 type Local interface {
-	Ingest(t model.Time, raws []model.RawReading) error
 	IngestContext(ctx context.Context, t model.Time, raws []model.RawReading) error
 	Now() model.Time
 	KnownObjects() []model.ObjectID
@@ -99,9 +98,9 @@ type Config struct {
 	// test).
 	Transport Transport
 	// Retry bounds per-forward retransmissions: exponential backoff from
-	// BaseDelay to MaxDelay with deterministic per-peer jitter, mirroring
-	// the durability retry shape.
-	Retry RetryConfig
+	// BaseDelay to MaxDelay with deterministic per-peer jitter — the same
+	// loop shape and zero-value defaults as the durability retry.
+	Retry engine.RetryConfig
 	// ForwardTimeout caps one forward attempt (default 2s). Query forwards
 	// are additionally bounded by the client's propagated deadline.
 	ForwardTimeout time.Duration

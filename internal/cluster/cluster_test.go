@@ -115,7 +115,7 @@ func TestForwardingRoutesToOwner(t *testing.T) {
 // must re-ack instead of double-counting.
 func TestIdempotentForwardRetry(t *testing.T) {
 	net, n0, _, _, e1 := twoNodes(t, 7, func(c *cluster.Config) {
-		c.Retry = cluster.RetryConfig{Max: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
+		c.Retry = engine.RetryConfig{Max: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
 	})
 	objs := objectsOwnedBy(1, 4)
 	net.Install(netsim.Rule{From: "node-0", To: "node-1", DropReply: true, Times: 1})

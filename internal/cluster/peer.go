@@ -11,59 +11,6 @@ import (
 	"repro/internal/obs"
 )
 
-// RetryConfig bounds forward retransmissions, mirroring the durability
-// layer's retry shape (engine.RetryConfig): exponential backoff with a cap
-// and deterministic splitmix64 jitter in [d/2, d).
-type RetryConfig struct {
-	// Max is the number of re-attempts after the first failure. 0 means the
-	// default (3); negative disables retries.
-	Max int
-	// BaseDelay is the wait before the first retry, doubled per attempt up
-	// to MaxDelay, with deterministic ±50% jitter. 0 means 2ms and 100ms.
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-}
-
-func (rc RetryConfig) max() int {
-	if rc.Max < 0 {
-		return 0
-	}
-	if rc.Max == 0 {
-		return 3
-	}
-	return rc.Max
-}
-
-// delay returns the backoff before retry attempt (0-based), salted per peer
-// so lockstep retries across peers spread out without a shared randomness
-// source.
-func (rc RetryConfig) delay(attempt int, salt uint64) time.Duration {
-	base, cap := rc.BaseDelay, rc.MaxDelay
-	if base <= 0 {
-		base = 2 * time.Millisecond
-	}
-	if cap <= 0 {
-		cap = 100 * time.Millisecond
-	}
-	d := base
-	for i := 0; i < attempt && d < cap; i++ {
-		d *= 2
-	}
-	if d > cap {
-		d = cap
-	}
-	x := salt + uint64(attempt)*0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	if d > 1 {
-		d = d/2 + time.Duration(x%uint64(d))/2
-	}
-	return d
-}
-
 // splitmix64 finalizes x into a well-mixed 64-bit value (same mixer as the
 // partition map's).
 func splitmix64(x uint64) uint64 {

@@ -148,7 +148,7 @@ func (n *Node) send(ctx context.Context, p *peer, req *Request) (*Response, erro
 		}
 		p.mErr.Inc()
 		last = err
-		if attempt >= rc.max() || ctx.Err() != nil {
+		if attempt >= rc.Attempts() || ctx.Err() != nil {
 			return nil, last
 		}
 		p.mu.Lock()
@@ -157,7 +157,7 @@ func (n *Node) send(ctx context.Context, p *peer, req *Request) (*Response, erro
 		select {
 		case <-ctx.Done():
 			return nil, last
-		case <-time.After(rc.delay(attempt, p.salt)):
+		case <-time.After(rc.Delay(attempt, p.salt)):
 		}
 	}
 }

@@ -33,7 +33,7 @@ func (s *System) ObjectInfosAt(t model.Time) []query.ObjectInfo { return s.objec
 // the single-process candidate set bit for bit.
 func (s *System) PruneRangeContext(ctx context.Context, infos []query.ObjectInfo, windows []geom.Rect, now model.Time) ([]model.ObjectID, error) {
 	if !s.cfg.UsePruning {
-		return infoIDs(infos), nil
+		return infosToIDs(infos), nil
 	}
 	return s.pruner.RangeCandidatesContext(ctx, infos, windows, now)
 }
@@ -43,17 +43,9 @@ func (s *System) PruneRangeContext(ctx context.Context, infos []query.ObjectInfo
 // why the distributed pipeline prunes on the coordinator and not per owner.
 func (s *System) PruneKNNContext(ctx context.Context, infos []query.ObjectInfo, q geom.Point, k int, now model.Time) ([]model.ObjectID, error) {
 	if !s.cfg.UsePruning {
-		return infoIDs(infos), nil
+		return infosToIDs(infos), nil
 	}
 	return s.pruner.KNNCandidatesContext(ctx, infos, q, k, now)
-}
-
-func infoIDs(infos []query.ObjectInfo) []model.ObjectID {
-	out := make([]model.ObjectID, len(infos))
-	for i, in := range infos {
-		out[i] = in.Object
-	}
-	return out
 }
 
 // NoteTransportDrops accounts n readings dropped by the cluster forwarder
@@ -110,7 +102,7 @@ func (e *Sharded) Evaluator() *query.Evaluator { return e.shards[0].eval }
 // the pruner's unhealthy-reader set against a concurrent health refresh.
 func (e *Sharded) PruneRangeContext(ctx context.Context, infos []query.ObjectInfo, windows []geom.Rect, now model.Time) ([]model.ObjectID, error) {
 	if !e.cfg.UsePruning {
-		return infoIDs(infos), nil
+		return infosToIDs(infos), nil
 	}
 	e.healthMu.RLock()
 	defer e.healthMu.RUnlock()
@@ -120,7 +112,7 @@ func (e *Sharded) PruneRangeContext(ctx context.Context, infos []query.ObjectInf
 // PruneKNNContext mirrors System.PruneKNNContext under the same fence.
 func (e *Sharded) PruneKNNContext(ctx context.Context, infos []query.ObjectInfo, q geom.Point, k int, now model.Time) ([]model.ObjectID, error) {
 	if !e.cfg.UsePruning {
-		return infoIDs(infos), nil
+		return infosToIDs(infos), nil
 	}
 	e.healthMu.RLock()
 	defer e.healthMu.RUnlock()

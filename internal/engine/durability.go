@@ -1,25 +1,19 @@
 package engine
 
 import (
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"log"
 	"time"
 
-	"repro/internal/cache"
-	"repro/internal/collector"
 	"repro/internal/floorplan"
-	"repro/internal/ingest"
-	"repro/internal/model"
 	"repro/internal/obs/trace"
 	"repro/internal/rfid"
 	"repro/internal/wal"
 )
 
-// DurabilityConfig configures the write-ahead log and snapshot store.
+// DurabilityConfig configures the router's write-ahead logs and snapshot
+// store (OpenSharded; the in-memory kernel System touches no disk).
 type DurabilityConfig struct {
 	// Dir is the data directory holding segments and snapshots. Empty
 	// disables durability.
@@ -43,22 +37,24 @@ type DurabilityConfig struct {
 	// segments only they need) are pruned. 0 means 2.
 	KeepSnapshots int
 	// Retry bounds the transient-error retries on WAL appends and fsyncs.
-	// Only transient failures (wal.IsTransient) are retried; permanent ones
-	// fail stop immediately (single engine) or quarantine the shard
-	// (sharded engine).
+	// Only transient failures (wal.IsTransient) are retried; a permanent one
+	// quarantines the shard at once, or fail-stops the engine when it is the
+	// last live shard.
 	Retry RetryConfig
 	// FS is the filesystem every WAL and snapshot byte goes through. nil
 	// means the real OS filesystem; tests inject fault-wrapped filesystems
 	// (internal/sim/errfs).
 	FS wal.FS
-	// HealBaseDelay and HealMaxDelay pace the sharded engine's background
-	// self-heal loop: attempts to re-open a quarantined shard back off
-	// exponentially between them. 0 means 500ms and 15s.
+	// HealBaseDelay and HealMaxDelay pace the background self-heal loop:
+	// attempts to re-open a quarantined shard, the first included, wait
+	// HealBaseDelay and back off exponentially up to HealMaxDelay. 0 means
+	// 500ms and 15s.
 	HealBaseDelay time.Duration
 	HealMaxDelay  time.Duration
 }
 
-// RetryConfig bounds the exponential-backoff retry of transient WAL errors.
+// RetryConfig bounds an exponential-backoff retry loop: transient WAL errors
+// here, forward retransmissions in internal/cluster.
 type RetryConfig struct {
 	// Max is the number of re-attempts after the first failure. 0 means the
 	// default (3); negative disables retries.
@@ -69,7 +65,8 @@ type RetryConfig struct {
 	MaxDelay  time.Duration
 }
 
-func (rc RetryConfig) max() int {
+// Attempts returns the number of re-attempts after the first failure.
+func (rc RetryConfig) Attempts() int {
 	if rc.Max < 0 {
 		return 0
 	}
@@ -79,10 +76,10 @@ func (rc RetryConfig) max() int {
 	return rc.Max
 }
 
-// delay returns the backoff before retry attempt (0-based). salt
-// deterministically perturbs the wait so lockstep retries across shards
-// spread out, without any global randomness source.
-func (rc RetryConfig) delay(attempt int, salt uint64) time.Duration {
+// Delay returns the backoff before retry attempt (0-based). salt
+// deterministically perturbs the wait so lockstep retries across shards or
+// peers spread out, without any global randomness source.
+func (rc RetryConfig) Delay(attempt int, salt uint64) time.Duration {
 	base, cap := rc.BaseDelay, rc.MaxDelay
 	if base <= 0 {
 		base = 2 * time.Millisecond
@@ -163,9 +160,9 @@ const snapFailBackoff = 3
 func retryTransient(rc RetryConfig, tel *Telemetry, tr *trace.Context, shard int, salt uint64,
 	reset func() error, op func() error) error {
 	err := op()
-	for attempt, max := 0, rc.max(); err != nil && attempt < max && wal.IsTransient(err); attempt++ {
+	for attempt, max := 0, rc.Attempts(); err != nil && attempt < max && wal.IsTransient(err); attempt++ {
 		wstart := time.Now()
-		time.Sleep(rc.delay(attempt, salt))
+		time.Sleep(rc.Delay(attempt, salt))
 		tel.walRetries.Inc()
 		tr.Since("wal-retry", shard, wstart)
 		if reset != nil {
@@ -178,9 +175,10 @@ func retryTransient(rc RetryConfig, tel *Telemetry, tr *trace.Context, shard int
 	return err
 }
 
-// RecoveryInfo describes what Open found and did in the data directory.
+// RecoveryInfo describes what OpenSharded found and did in the data
+// directory.
 type RecoveryInfo struct {
-	// Enabled is false when the system was built without durability.
+	// Enabled is false when the engine was built without durability.
 	Enabled bool `json:"enabled"`
 	// SnapshotRestored reports whether a snapshot was loaded; SnapshotSeq is
 	// the last WAL sequence it covered. SnapshotsSkipped counts corrupt
@@ -200,17 +198,6 @@ type RecoveryInfo struct {
 	// LastSeq is the WAL position appends continue from.
 	LastSeq uint64 `json:"lastSeq"`
 }
-
-// Recovery returns what Open found in the data directory (zero for systems
-// built with New).
-func (s *System) Recovery() RecoveryInfo { return s.recovery }
-
-// DurabilityEnabled reports whether this system writes a WAL.
-func (s *System) DurabilityEnabled() bool { return s.wal != nil }
-
-// WALError returns the sticky WAL failure that fail-stopped ingestion, or
-// nil while the log is healthy.
-func (s *System) WALError() error { return s.walErr }
 
 // StreamID derives the durability stream identity: an FNV-64a hash over the
 // floor plan, the reader deployment, the seed, and the history mode. A WAL
@@ -233,311 +220,4 @@ func (c Config) StreamID(plan *floorplan.Plan, dep *rfid.Deployment) (uint64, er
 		return 0, fmt.Errorf("engine: hash stream identity: %w", err)
 	}
 	return h.Sum64(), nil
-}
-
-// engineSnap is the gob-encoded snapshot payload: everything needed to
-// resume ingestion and answer queries identically. The system's free-running
-// Monte Carlo source (PTKNN, symbolic kNN) is deliberately absent — query
-// determinism rests on per-object streams derived from (Seed, object, last
-// reading time), which the restored collector state reproduces exactly.
-type engineSnap struct {
-	Stats          Stats
-	Collector      collector.Snapshot
-	CacheEntries   []cache.Entry
-	CacheHits      int
-	CacheMisses    int
-	Events         []model.Event
-	EventOff       int
-	ReorderStarted bool
-	Watermark      model.Time
-	MaxSeen        model.Time
-	Drops          ingest.Drops
-	Forced         int
-}
-
-// Open assembles a System like New and, when cfg.Durability is enabled,
-// recovers it from the data directory: the newest readable snapshot is
-// restored, the WAL replayed from there (repairing a torn or corrupt tail
-// in place), and every subsequent acked second is logged. Recovery is
-// deterministic — the recovered system answers queries bit-for-bit like an
-// uncrashed one over the same acked prefix. A directory written by a
-// different floor plan, deployment, or seed refuses to load with a
-// *wal.MismatchError.
-func Open(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*System, error) {
-	s, err := New(plan, dep, cfg)
-	if err != nil {
-		return nil, err
-	}
-	d := cfg.Durability
-	if !d.Enabled() {
-		return s, nil
-	}
-	sid, err := cfg.StreamID(plan, dep)
-	if err != nil {
-		return nil, err
-	}
-	s.streamID = sid
-	rec := RecoveryInfo{Enabled: true}
-
-	snapSeq, payload, ok, skipped, err := wal.ReadLatestSnapshotFS(d.fsys(), d.Dir, sid)
-	if err != nil {
-		return nil, err
-	}
-	rec.SnapshotsSkipped = skipped
-	var snap engineSnap
-	if ok {
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
-			return nil, fmt.Errorf("engine: decode snapshot: %w", err)
-		}
-		s.restoreSnap(&snap)
-		rec.SnapshotRestored = true
-		rec.SnapshotSeq = snapSeq
-		s.walSeq = snapSeq
-	}
-
-	// Replay the log on top. Records at or below the snapshot are skipped;
-	// above it the sequence must be gapless, or the directory lost acked
-	// records some other way than a torn tail and must not pretend otherwise.
-	var lastBatch *wal.Batch
-	expected := snapSeq + 1
-	l, report, err := wal.Open(d.Dir, wal.Options{StreamID: sid, SegmentBytes: d.SegmentBytes, FS: d.FS},
-		func(seq uint64, payload []byte) error {
-			if seq <= snapSeq {
-				return nil
-			}
-			if seq != expected {
-				return fmt.Errorf("engine: WAL gap: snapshot covers seq %d but next record is %d (want %d)",
-					snapSeq, seq, expected)
-			}
-			b, err := wal.DecodeBatch(payload)
-			if err != nil {
-				return err
-			}
-			s.applySecond(b.Time, b.Readings)
-			lastBatch = &b
-			rec.RecordsReplayed++
-			rec.ReadingsReplayed += len(b.Readings)
-			expected++
-			s.walSeq = seq
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	rec.Corrupt = report.Corrupt
-	rec.TruncatedBytes = report.TruncatedBytes
-	rec.SegmentsRemoved = report.RemovedSegments
-	rec.LastSeq = s.walSeq
-
-	// Position the reorder buffer at the recovered stream point. The last
-	// record's view wins over the snapshot's; restoring its exact watermark
-	// (rather than re-deriving maxSeen-horizon) errs toward re-accepting a
-	// retransmission of a flushed-but-unacked crash-window second instead of
-	// refusing it as late.
-	switch {
-	case lastBatch != nil:
-		s.reorder.Restore(lastBatch.Time, lastBatch.MaxSeen, lastBatch.Drops, lastBatch.Forced)
-	case rec.SnapshotRestored && snap.ReorderStarted:
-		s.reorder.Restore(snap.Watermark, snap.MaxSeen, snap.Drops, snap.Forced)
-	}
-
-	s.wal = l
-	s.recovery = rec
-	s.lastSync = time.Now()
-	s.tel.walReplayed.Set(uint64(rec.RecordsReplayed))
-	s.tel.walTruncatedBytes.Set(uint64(rec.TruncatedBytes))
-	s.tel.walSnapshotsSkipped.Set(uint64(rec.SnapshotsSkipped))
-	if rec.Corrupt {
-		log.Printf("engine: repaired WAL tail in %s: %d bytes truncated, %d segments removed",
-			d.Dir, rec.TruncatedBytes, rec.SegmentsRemoved)
-	}
-	// If the replay itself was long, snapshot now so the next recovery is
-	// bounded again.
-	if d.SnapshotEvery > 0 && rec.RecordsReplayed >= d.SnapshotEvery {
-		s.writeSnapshot()
-	}
-	return s, nil
-}
-
-// appendWAL logs one flushed second. On failure the error is sticky:
-// ingestion fail-stops rather than silently running memory-only.
-func (s *System) appendWAL(t model.Time, raws []model.RawReading) {
-	wm, _ := s.reorder.Watermark()
-	ms, _ := s.reorder.MaxSeen()
-	b := wal.Batch{
-		Time:     t,
-		MaxSeen:  ms,
-		Forced:   s.reorder.ForcedFlushes(),
-		Drops:    s.reorder.Drops(),
-		Readings: raws,
-	}
-	// The incremental flush contract guarantees the watermark equals the
-	// second being flushed here; if that ever breaks, the record would lie
-	// about the recovery position, so refuse to write it.
-	if wm != t {
-		s.failWAL(fmt.Errorf("engine: flush watermark %d disagrees with flushed second %d", wm, t))
-		return
-	}
-	s.walBuf = b.Encode(s.walBuf[:0])
-	err := retryTransient(s.cfg.Durability.Retry, s.tel, s.curTrace, s.shardID,
-		s.streamID^s.walSeq, s.wal.ResetTail, func() error {
-			return s.wal.Append(s.walSeq+1, s.walBuf)
-		})
-	if err != nil {
-		s.failWAL(err)
-		return
-	}
-	s.walSeq++
-	s.sinceSnap++
-	s.tel.walRecords.Inc()
-}
-
-// syncWAL applies the fsync policy after an ingest step; force bypasses the
-// interval pacing (flushes, shutdown). The returned error is also sticky.
-func (s *System) syncWAL(force bool) error {
-	if s.wal == nil || s.walErr != nil {
-		return s.walErr
-	}
-	switch s.cfg.Durability.Fsync {
-	case wal.SyncOff:
-		if !force {
-			return nil
-		}
-	case wal.SyncInterval:
-		if !force && time.Since(s.lastSync) < s.cfg.Durability.fsyncInterval() {
-			return nil
-		}
-	}
-	fstart := time.Now()
-	err := retryTransient(s.cfg.Durability.Retry, s.tel, s.curTrace, s.shardID,
-		s.streamID^s.walSeq, nil, s.wal.Sync)
-	if err != nil {
-		s.failWAL(err)
-		return s.walErr
-	}
-	s.shardTel.walFsync.Observe(time.Since(fstart).Seconds())
-	s.curTrace.Since("wal-fsync", s.shardID, fstart)
-	s.lastSync = time.Now()
-	s.tel.walSyncs.Inc()
-	return nil
-}
-
-func (s *System) failWAL(err error) {
-	if s.walErr == nil {
-		s.walErr = fmt.Errorf("engine: WAL failed, ingestion stopped: %w", err)
-		s.tel.walErrors.Inc()
-		log.Printf("%v", s.walErr)
-	}
-}
-
-// maybeSnapshot writes a snapshot when enough seconds accumulated since the
-// last one.
-func (s *System) maybeSnapshot() {
-	if s.wal == nil || s.walErr != nil {
-		return
-	}
-	if n := s.cfg.Durability.SnapshotEvery; n > 0 && s.sinceSnap >= n {
-		s.writeSnapshot()
-	}
-}
-
-// writeSnapshot captures the engine state covering every record up to
-// walSeq, then prunes snapshots and the segments only they needed. Failures
-// are logged and counted but not sticky: the WAL still has everything, so
-// recovery just replays more.
-func (s *System) writeSnapshot() {
-	hits, misses := s.cache.Stats()
-	wm, started := s.reorder.Watermark()
-	ms, _ := s.reorder.MaxSeen()
-	snap := engineSnap{
-		Stats:          s.stats,
-		Collector:      s.col.Snapshot(),
-		CacheEntries:   s.cache.Dump(),
-		CacheHits:      hits,
-		CacheMisses:    misses,
-		Events:         s.eventLog,
-		EventOff:       s.eventOff,
-		ReorderStarted: started,
-		Watermark:      wm,
-		MaxSeen:        ms,
-		Drops:          s.reorder.Drops(),
-		Forced:         s.reorder.ForcedFlushes(),
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
-		s.snapFailed(fmt.Errorf("engine: encode snapshot: %w", err))
-		return
-	}
-	// An unsynced tail record would let a surviving snapshot claim coverage
-	// of a second the log lost; sync first so the claim is always true.
-	if err := s.syncWAL(true); err != nil {
-		return
-	}
-	d := s.cfg.Durability
-	_, err := wal.WriteSnapshotFS(d.fsys(), d.Dir, s.streamID, s.walSeq, buf.Bytes())
-	if err != nil {
-		s.snapFailed(fmt.Errorf("engine: write snapshot: %w", err))
-		return
-	}
-	s.sinceSnap = 0
-	s.snapFails = 0
-	s.tel.walSnapshots.Inc()
-	oldest, _, err := wal.PruneSnapshotsFS(d.fsys(), d.Dir, d.keepSnapshots())
-	if err != nil {
-		log.Printf("engine: prune snapshots: %v", err)
-		return
-	}
-	if _, err := s.wal.PruneSegments(oldest); err != nil {
-		log.Printf("engine: prune segments: %v", err)
-	}
-}
-
-// snapFailed counts one failed snapshot attempt and paces retries: the next
-// few flushed seconds retry immediately (sinceSnap stays over the threshold),
-// then the schedule backs off a full SnapshotEvery window so a persistently
-// broken snapshot store doesn't turn every flush into a doomed write. The WAL
-// still has everything, so nothing is sticky — recovery just replays more.
-func (s *System) snapFailed(err error) {
-	s.tel.walSnapshotErrors.Inc()
-	s.tel.snapshotFailures.Inc()
-	s.snapFails++
-	if s.snapFails >= snapFailBackoff {
-		s.sinceSnap = 0
-		s.snapFails = 0
-	}
-	log.Printf("%v", err)
-}
-
-// restoreSnap replaces the engine's mutable state with the snapshot's.
-func (s *System) restoreSnap(snap *engineSnap) {
-	s.stats = snap.Stats
-	s.col.Restore(snap.Collector)
-	s.cache.RestoreEntries(snap.CacheEntries)
-	s.cache.RestoreStats(snap.CacheHits, snap.CacheMisses)
-	s.eventLog = snap.Events
-	s.eventOff = snap.EventOff
-}
-
-// Close shuts the durability layer down cleanly: buffered seconds are
-// flushed (and logged), a final snapshot written, and the WAL fsynced and
-// closed. Close is a no-op for systems built with New. The System must not
-// be used after Close.
-func (s *System) Close() error {
-	if s.wal == nil {
-		return nil
-	}
-	s.reorder.FlushAll()
-	if s.walErr == nil {
-		s.writeSnapshot()
-	}
-	syncErr := s.syncWAL(true)
-	closeErr := s.wal.Close()
-	s.wal = nil
-	if s.walErr != nil && syncErr == nil {
-		syncErr = s.walErr
-	}
-	if syncErr != nil {
-		return syncErr
-	}
-	return closeErr
 }

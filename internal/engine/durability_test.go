@@ -2,22 +2,28 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/floorplan"
 	"repro/internal/geom"
+	"repro/internal/ingest"
 	"repro/internal/model"
 	"repro/internal/rfid"
 	"repro/internal/sim"
+	"repro/internal/sim/errfs"
 	"repro/internal/wal"
 )
 
 // durableFixture is the shared small world for the recovery tests: a few
-// objects over the default office so each engine.Open stays cheap.
+// objects over the default office so each OpenSharded stays cheap. The
+// durable engine under test is the router at Shards: 1 — one kernel, one
+// WAL stream under shard-0000/ — and the oracle is the bare in-memory kernel.
 type durableFixture struct {
 	plan *floorplan.Plan
 	dep  *rfid.Deployment
@@ -58,8 +64,37 @@ func newDurableFixture(t *testing.T, seconds int) *durableFixture {
 
 func (f *durableFixture) config(dir string) Config {
 	cfg := f.cfg
+	cfg.Shards = 1
 	cfg.Durability = DurabilityConfig{Dir: dir, Fsync: wal.SyncAlways}
 	return cfg
+}
+
+// crashDir returns a fresh one-shard data directory — SHARDS guard written,
+// shard-0000/ empty — for tests that assemble a crashed directory file by
+// file.
+func crashDir(t *testing.T) (dir, shard0 string) {
+	t.Helper()
+	dir = t.TempDir()
+	if err := checkShardGuard(wal.OS, dir, 1); err != nil {
+		t.Fatal(err)
+	}
+	shard0 = shardDir(dir, 0)
+	if err := os.Mkdir(shard0, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	return dir, shard0
+}
+
+// copyFile copies src into dstDir under its own base name.
+func copyFile(t *testing.T, src, dstDir string) {
+	t.Helper()
+	data, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dstDir, filepath.Base(src)), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // oracle builds an uncrashed, memory-only system fed the first n deliveries.
@@ -77,9 +112,9 @@ var (
 	probePoint  = geom.Point{X: 15, Y: 10}
 )
 
-// mustMatchOracle asserts the recovered system is bit-for-bit the oracle:
-// Stats, collector view, and the query results themselves.
-func mustMatchOracle(t *testing.T, label string, got, want *System, queries bool) {
+// mustMatchOracle asserts the one-shard durable engine is bit-for-bit the
+// in-memory oracle: Stats, collector view, and the query results themselves.
+func mustMatchOracle(t *testing.T, label string, got *Sharded, want *System, queries bool) {
 	t.Helper()
 	if gs, ws := got.Stats(), want.Stats(); !reflect.DeepEqual(gs, ws) {
 		t.Fatalf("%s: Stats diverged:\n  got  %+v\n  want %+v", label, gs, ws)
@@ -87,7 +122,10 @@ func mustMatchOracle(t *testing.T, label string, got, want *System, queries bool
 	if got.Now() != want.Now() {
 		t.Fatalf("%s: Now %d != %d", label, got.Now(), want.Now())
 	}
-	if gc, wc := got.Collector().Snapshot(), want.Collector().Snapshot(); !reflect.DeepEqual(gc, wc) {
+	if got.NumShards() != 1 {
+		t.Fatalf("%s: mustMatchOracle compares one shard's collector, engine has %d", label, got.NumShards())
+	}
+	if gc, wc := got.shards[0].col.Snapshot(), want.Collector().Snapshot(); !reflect.DeepEqual(gc, wc) {
 		for i := range wc.Objects {
 			if i < len(gc.Objects) && !reflect.DeepEqual(gc.Objects[i], wc.Objects[i]) {
 				t.Logf("%s: object %d state:\n  got  %+v\n  want %+v", label, wc.Objects[i].Object, gc.Objects[i], wc.Objects[i])
@@ -117,9 +155,9 @@ func mustMatchOracle(t *testing.T, label string, got, want *System, queries bool
 func TestOpenEmptyDataDir(t *testing.T) {
 	f := newDurableFixture(t, 6)
 	dir := t.TempDir()
-	sys, err := Open(f.plan, f.dep, f.config(dir))
+	sys, err := OpenSharded(f.plan, f.dep, f.config(dir))
 	if err != nil {
-		t.Fatalf("Open on empty dir: %v", err)
+		t.Fatalf("OpenSharded on empty dir: %v", err)
 	}
 	rec := sys.Recovery()
 	if !rec.Enabled || rec.SnapshotRestored || rec.RecordsReplayed != 0 || rec.Corrupt {
@@ -147,7 +185,7 @@ func TestCrashRecoveryAtArbitraryOffsets(t *testing.T) {
 	f := newDurableFixture(t, 18)
 	dir := t.TempDir()
 	cfg := f.config(dir)
-	sys, err := Open(f.plan, f.dep, cfg)
+	sys, err := OpenSharded(f.plan, f.dep, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +196,7 @@ func TestCrashRecoveryAtArbitraryOffsets(t *testing.T) {
 	}
 	// Simulated crash: the process dies here. No Close, no final snapshot;
 	// the fsynced segment bytes are all that survives.
-	segs, err := wal.SegmentInfos(dir)
+	segs, err := wal.SegmentInfos(shardDir(dir, 0))
 	if err != nil || len(segs) != 1 {
 		t.Fatalf("want one segment, got %v (%v)", segs, err)
 	}
@@ -205,13 +243,13 @@ func TestCrashRecoveryAtArbitraryOffsets(t *testing.T) {
 				n = b.recs
 			}
 		}
-		cdir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(cdir, filepath.Base(segs[0].Path)), full[:off], 0o644); err != nil {
+		cdir, cshard := crashDir(t)
+		if err := os.WriteFile(filepath.Join(cshard, filepath.Base(segs[0].Path)), full[:off], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		recovered, err := Open(f.plan, f.dep, f.config(cdir))
+		recovered, err := OpenSharded(f.plan, f.dep, f.config(cdir))
 		if err != nil {
-			t.Fatalf("offset %d: Open: %v", off, err)
+			t.Fatalf("offset %d: OpenSharded: %v", off, err)
 		}
 		rec := recovered.Recovery()
 		if rec.RecordsReplayed != n {
@@ -257,13 +295,15 @@ func itoa(v int64) string {
 // recover identically whether it lands before or after a snapshot. Snapshot
 // files claiming seconds past the crash point are removed, mirroring the
 // real ordering guarantee (a snapshot is only written after its covered
-// records are fsynced, so it can never survive a crash they did not).
+// records are fsynced, so it can never survive a crash they did not). A
+// barrier is the router snapshot plus the shard's at one sequence; both
+// halves are copied or dropped together.
 func TestCrashRecoveryWithSnapshots(t *testing.T) {
 	f := newDurableFixture(t, 17)
 	dir := t.TempDir()
 	cfg := f.config(dir)
 	cfg.Durability.SnapshotEvery = 5
-	sys, err := Open(f.plan, f.dep, cfg)
+	sys, err := OpenSharded(f.plan, f.dep, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,30 +314,26 @@ func TestCrashRecoveryWithSnapshots(t *testing.T) {
 	}
 	snaps, err := wal.ListSnapshots(dir)
 	if err != nil || len(snaps) == 0 {
-		t.Fatalf("expected periodic snapshots, got %v (%v)", snaps, err)
+		t.Fatalf("expected periodic router snapshots, got %v (%v)", snaps, err)
 	}
-	segs, _ := wal.SegmentInfos(dir)
+	shardSnaps, err := wal.ListSnapshots(shardDir(dir, 0))
+	if err != nil || len(shardSnaps) != len(snaps) {
+		t.Fatalf("shard-0000 holds %d snapshots for %d router snapshots (%v)", len(shardSnaps), len(snaps), err)
+	}
+	segs, _ := wal.SegmentInfos(shardDir(dir, 0))
+	if len(segs) == 0 {
+		t.Fatal("no segments to copy")
+	}
 	// Snapshot pruning may have removed early segments; recovery must still
 	// work from what remains.
 	for _, n := range []int{3, 5, 9, 10, 14, 17} {
-		cdir := t.TempDir()
-		copied := false
+		cdir, cshard := crashDir(t)
 		for _, seg := range segs {
-			data, err := os.ReadFile(seg.Path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(cdir, filepath.Base(seg.Path)), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			copied = true
-		}
-		if !copied {
-			t.Fatal("no segments to copy")
+			copyFile(t, seg.Path, cshard)
 		}
 		// Truncate the log copy to exactly n records.
 		var cut int64 = -1
-		csegs, _ := wal.SegmentInfos(cdir)
+		csegs, _ := wal.SegmentInfos(cshard)
 		remaining := n
 		for _, seg := range csegs {
 			if cut >= 0 {
@@ -321,22 +357,15 @@ func TestCrashRecoveryWithSnapshots(t *testing.T) {
 				}
 			}
 		}
-		for _, sn := range snaps {
-			if int(sn.Seq) > n {
-				os.Remove(filepath.Join(cdir, filepath.Base(sn.Path)))
-			} else {
-				data, err := os.ReadFile(sn.Path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(filepath.Join(cdir, filepath.Base(sn.Path)), data, 0o644); err != nil {
-					t.Fatal(err)
-				}
+		for k, sn := range snaps {
+			if int(sn.Seq) <= n {
+				copyFile(t, sn.Path, cdir)
+				copyFile(t, shardSnaps[k].Path, cshard)
 			}
 		}
-		recovered, err := Open(f.plan, f.dep, f.config(cdir))
+		recovered, err := OpenSharded(f.plan, f.dep, f.config(cdir))
 		if err != nil {
-			t.Fatalf("n=%d: Open: %v", n, err)
+			t.Fatalf("n=%d: OpenSharded: %v", n, err)
 		}
 		rec := recovered.Recovery()
 		// The newest surviving snapshot at or below the crash point must be
@@ -365,7 +394,7 @@ func TestCrashRecoveryWithSnapshots(t *testing.T) {
 func TestGracefulCloseThenResume(t *testing.T) {
 	f := newDurableFixture(t, 14)
 	dir := t.TempDir()
-	sys, err := Open(f.plan, f.dep, f.config(dir))
+	sys, err := OpenSharded(f.plan, f.dep, f.config(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +405,7 @@ func TestGracefulCloseThenResume(t *testing.T) {
 	if err := sys.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	restarted, err := Open(f.plan, f.dep, f.config(dir))
+	restarted, err := OpenSharded(f.plan, f.dep, f.config(dir))
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -401,14 +430,14 @@ func TestGracefulCloseThenResume(t *testing.T) {
 // gob-snapshotted, and recovered must continue bit-for-bit — the recovered
 // system re-enters the kernel (AoS state loaded back into pool arrays) and
 // answers every query exactly like an uncrashed system that did the same
-// interleaved preprocessing. The final snapshotBytes comparison additionally
-// asserts the durable encodings themselves are identical.
+// interleaved preprocessing. The final snapshot-bytes comparison
+// additionally asserts the durable encodings themselves are identical.
 func TestSoAStateRecoveryRoundTrip(t *testing.T) {
 	f := newDurableFixture(t, 24)
 	dir := t.TempDir()
 	cfg := f.config(dir)
 	cfg.Durability.SnapshotEvery = 4
-	sys, err := Open(f.plan, f.dep, cfg)
+	sys, err := OpenSharded(f.plan, f.dep, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +451,7 @@ func TestSoAStateRecoveryRoundTrip(t *testing.T) {
 		// Preprocess mid-stream on both sides so the periodic snapshots
 		// carry kernel-produced cached states, not just raw readings.
 		if (i+1)%6 == 0 {
-			objs := sys.Collector().KnownObjects()
+			objs := sys.KnownObjects()
 			if len(objs) > 0 {
 				preprocessed = true
 			}
@@ -436,7 +465,7 @@ func TestSoAStateRecoveryRoundTrip(t *testing.T) {
 	if err := sys.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	recovered, err := Open(f.plan, f.dep, f.config(dir))
+	recovered, err := OpenSharded(f.plan, f.dep, f.config(dir))
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -445,7 +474,7 @@ func TestSoAStateRecoveryRoundTrip(t *testing.T) {
 		t.Fatalf("clean shutdown should leave a snapshot: %+v", recovered.Recovery())
 	}
 	mustMatchOracle(t, "soa round trip", recovered, oracle, true)
-	if got, want := snapshotBytes(t, recovered), snapshotBytes(t, oracle); !bytes.Equal(got, want) {
+	if got, want := routerSnapshotBytes(t, recovered), snapshotBytes(t, oracle); !bytes.Equal(got, want) {
 		t.Fatalf("recovered snapshot encoding diverged from uncrashed (%d vs %d bytes)", len(got), len(want))
 	}
 }
@@ -455,11 +484,11 @@ func TestSoAStateRecoveryRoundTrip(t *testing.T) {
 func TestRecoveryTornFinalRecord(t *testing.T) {
 	f := newDurableFixture(t, 8)
 	dir := t.TempDir()
-	sys, _ := Open(f.plan, f.dep, f.config(dir))
+	sys, _ := OpenSharded(f.plan, f.dep, f.config(dir))
 	for _, d := range f.deliveries {
 		sys.Ingest(d.t, d.raws)
 	}
-	segs, _ := wal.SegmentInfos(dir)
+	segs, _ := wal.SegmentInfos(shardDir(dir, 0))
 	st, err := os.Stat(segs[0].Path)
 	if err != nil {
 		t.Fatal(err)
@@ -467,9 +496,9 @@ func TestRecoveryTornFinalRecord(t *testing.T) {
 	if err := os.Truncate(segs[0].Path, st.Size()-7); err != nil {
 		t.Fatal(err)
 	}
-	recovered, err := Open(f.plan, f.dep, f.config(dir))
+	recovered, err := OpenSharded(f.plan, f.dep, f.config(dir))
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		t.Fatalf("OpenSharded: %v", err)
 	}
 	rec := recovered.Recovery()
 	if !rec.Corrupt || rec.TruncatedBytes == 0 {
@@ -485,11 +514,11 @@ func TestRecoveryTornFinalRecord(t *testing.T) {
 func TestRecoveryCRCCorruptionMidSegment(t *testing.T) {
 	f := newDurableFixture(t, 8)
 	dir := t.TempDir()
-	sys, _ := Open(f.plan, f.dep, f.config(dir))
+	sys, _ := OpenSharded(f.plan, f.dep, f.config(dir))
 	for _, d := range f.deliveries {
 		sys.Ingest(d.t, d.raws)
 	}
-	segs, _ := wal.SegmentInfos(dir)
+	segs, _ := wal.SegmentInfos(shardDir(dir, 0))
 	var target wal.Rec
 	if _, err := wal.ScanSegment(segs[0].Path, func(r wal.Rec) error {
 		if r.Seq == 4 {
@@ -507,9 +536,9 @@ func TestRecoveryCRCCorruptionMidSegment(t *testing.T) {
 	if err := os.WriteFile(segs[0].Path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	recovered, err := Open(f.plan, f.dep, f.config(dir))
+	recovered, err := OpenSharded(f.plan, f.dep, f.config(dir))
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		t.Fatalf("OpenSharded: %v", err)
 	}
 	rec := recovered.Recovery()
 	if !rec.Corrupt || rec.RecordsReplayed != 3 {
@@ -525,22 +554,22 @@ func TestRecoveryCRCCorruptionMidSegment(t *testing.T) {
 func TestSnapshotWithEmptyWAL(t *testing.T) {
 	f := newDurableFixture(t, 6)
 	dir := t.TempDir()
-	sys, _ := Open(f.plan, f.dep, f.config(dir))
+	sys, _ := OpenSharded(f.plan, f.dep, f.config(dir))
 	for _, d := range f.deliveries {
 		sys.Ingest(d.t, d.raws)
 	}
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, _ := wal.SegmentInfos(dir)
+	segs, _ := wal.SegmentInfos(shardDir(dir, 0))
 	for _, seg := range segs {
 		if err := os.Remove(seg.Path); err != nil {
 			t.Fatal(err)
 		}
 	}
-	recovered, err := Open(f.plan, f.dep, f.config(dir))
+	recovered, err := OpenSharded(f.plan, f.dep, f.config(dir))
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		t.Fatalf("OpenSharded: %v", err)
 	}
 	rec := recovered.Recovery()
 	if !rec.SnapshotRestored || rec.RecordsReplayed != 0 {
@@ -559,7 +588,7 @@ func TestSnapshotWithEmptyWAL(t *testing.T) {
 func TestStreamIdentityMismatch(t *testing.T) {
 	f := newDurableFixture(t, 4)
 	dir := t.TempDir()
-	sys, _ := Open(f.plan, f.dep, f.config(dir))
+	sys, _ := OpenSharded(f.plan, f.dep, f.config(dir))
 	for _, d := range f.deliveries {
 		sys.Ingest(d.t, d.raws)
 	}
@@ -568,9 +597,151 @@ func TestStreamIdentityMismatch(t *testing.T) {
 	}
 	other := f.config(dir)
 	other.Seed = f.cfg.Seed + 1
-	_, err := Open(f.plan, f.dep, other)
+	_, err := OpenSharded(f.plan, f.dep, other)
 	var me *wal.MismatchError
 	if !errors.As(err, &me) {
 		t.Fatalf("Open with foreign seed returned %v, want *wal.MismatchError", err)
+	}
+}
+
+// TestOpenShardedRefusesLegacyFlatDir: a data directory in the flat layout
+// the pre-router single engine wrote — segments or snapshots at the top
+// level, no SHARDS guard — must be refused with an error naming the layout,
+// and left untouched. Stamping it as new would come up empty and ack fresh
+// writes over the old state.
+func TestOpenShardedRefusesLegacyFlatDir(t *testing.T) {
+	f := newDurableFixture(t, 1)
+	sid, err := f.cfg.StreamID(f.plan, f.dep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layouts := map[string]func(dir string){
+		"segments": func(dir string) {
+			l, _, err := wal.Open(dir, wal.Options{StreamID: sid}, func(uint64, []byte) error { return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := wal.Batch{Time: f.deliveries[0].t, MaxSeen: f.deliveries[0].t, Readings: f.deliveries[0].raws}
+			if err := l.Append(1, b.Encode(nil)); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"snapshot-only": func(dir string) {
+			if _, err := wal.WriteSnapshot(dir, sid, 1, []byte("legacy engine snapshot")); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for name, write := range layouts {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			write(dir)
+			before, _ := os.ReadDir(dir)
+			for _, shards := range []int{1, 4} {
+				cfg := f.config(dir)
+				cfg.Shards = shards
+				sh, err := OpenSharded(f.plan, f.dep, cfg)
+				if err == nil {
+					sh.Close()
+					t.Fatalf("shards=%d: OpenSharded accepted a legacy flat directory", shards)
+				}
+				if !strings.Contains(err.Error(), "legacy flat") || !strings.Contains(err.Error(), shardGuardFile) {
+					t.Errorf("shards=%d: refusal does not name the layout: %v", shards, err)
+				}
+			}
+			after, _ := os.ReadDir(dir)
+			if len(after) != len(before) {
+				t.Errorf("refused open changed the directory: %d entries before, %d after", len(before), len(after))
+			}
+		})
+	}
+}
+
+// TestSingleShardPermanentFaultFailStops: at Shards: 1 there is no healthy
+// shard to keep serving beside a broken one, so a permanent WAL fault is not
+// a quarantine — it is a sticky engine-wide WALError, with no partial answers
+// and no marker left behind — and once the fault clears the directory
+// reopens bit-for-bit equal to the oracle over the acked prefix and resumes.
+func TestSingleShardPermanentFaultFailStops(t *testing.T) {
+	const faultAt = 9
+	f := newDurableFixture(t, 16)
+	fsys := errfs.New(nil, 23)
+	dir := t.TempDir()
+	cfg := f.config(dir)
+	cfg.Durability.FS = fsys
+	cfg.Durability.Retry = fastRetry
+	sh, err := OpenSharded(f.plan, f.dep, cfg)
+	if err != nil {
+		t.Fatalf("OpenSharded: %v", err)
+	}
+	for _, d := range f.deliveries[:faultAt] {
+		if err := sh.Ingest(d.t, d.raws); err != nil {
+			t.Fatalf("clean ingest: %v", err)
+		}
+	}
+	h := fsys.Fail(errfs.Rule{Ops: errfs.OpWrite, Path: "shard-0000"})
+	first := sh.Ingest(f.deliveries[faultAt].t, f.deliveries[faultAt].raws)
+	if first == nil || h.Fired() == 0 {
+		t.Fatalf("ingest over a permanently failing log returned %v (fault fired %d times)", first, h.Fired())
+	}
+	var ie *ingest.Error
+	if errors.As(first, &ie) {
+		t.Fatalf("fail-stop surfaced as a typed partial drop, not an engine failure: %v", first)
+	}
+	if werr := sh.WALError(); werr == nil || werr.Error() != first.Error() {
+		t.Fatalf("WALError = %v, want the ingest error %v", werr, first)
+	}
+	if again := sh.Ingest(f.deliveries[faultAt+1].t, f.deliveries[faultAt+1].raws); again == nil || again.Error() != first.Error() {
+		t.Fatalf("WAL error is not sticky: second ingest returned %v", again)
+	}
+	if ds := sh.DegradedShards(); len(ds) != 0 {
+		t.Errorf("DegradedShards = %v; the only shard must fail-stop, not quarantine", ds)
+	}
+	if _, err := os.Stat(quarMarkerPath(dir, 0)); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("fail-stop left a quarantine marker (stat: %v)", err)
+	}
+	ctx := context.Background()
+	if rs, qerr := sh.RangeQueryContext(ctx, probeWindow); qerr != nil || len(rs) == 0 {
+		t.Errorf("range query after fail-stop: %d rows, err %v; want the full in-memory answer", len(rs), qerr)
+	}
+	if _, qerr := sh.KNNQueryContext(ctx, probePoint, 3); qerr != nil {
+		t.Errorf("kNN query after fail-stop is partial: %v", qerr)
+	}
+	if _, qerr := sh.OccupancyContext(ctx); qerr != nil {
+		t.Errorf("occupancy after fail-stop is partial: %v", qerr)
+	}
+	if err := sh.HealNow(); err != nil {
+		t.Errorf("HealNow on a fail-stopped engine: %v", err)
+	}
+	if sh.WALError() == nil {
+		t.Error("HealNow cleared a fail-stop; only a restart may")
+	}
+	fsys.Clear()
+	if err := sh.Close(); err == nil {
+		t.Error("Close of a fail-stopped engine reported success")
+	}
+
+	re, err := OpenSharded(f.plan, f.dep, cfg)
+	if err != nil {
+		t.Fatalf("reopen after the fault cleared: %v", err)
+	}
+	if werr := re.WALError(); werr != nil {
+		t.Fatalf("reopened engine is still failed: %v", werr)
+	}
+	if ds := re.DegradedShards(); len(ds) != 0 {
+		t.Fatalf("reopened engine is degraded: %v", ds)
+	}
+	mustMatchOracle(t, "reopen after fail-stop", re, f.oracle(t, faultAt), true)
+	// The stream resumes at the first unacked second.
+	for _, d := range f.deliveries[faultAt:] {
+		if err := re.Ingest(d.t, d.raws); err != nil {
+			t.Fatalf("post-restart ingest t=%d: %v", d.t, err)
+		}
+	}
+	if err := re.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 }

@@ -7,6 +7,10 @@
 // and the query evaluation module answers range and kNN queries from the
 // hash table. The symbolic model baseline is exposed through the same
 // surface for side-by-side comparison.
+//
+// System is that pipeline as a pure in-memory kernel. Sharded is the router
+// over one or more kernels and the only type that touches a disk: write-ahead
+// logs, snapshots, recovery, quarantine and self-heal all live there.
 package engine
 
 import (
@@ -33,7 +37,6 @@ import (
 	"repro/internal/rfid"
 	"repro/internal/rng"
 	"repro/internal/symbolic"
-	"repro/internal/wal"
 	"repro/internal/walkgraph"
 )
 
@@ -95,13 +98,14 @@ type Config struct {
 	Seed int64
 	// Shards partitions object state into this many in-process shards, each
 	// owning its lock, collector slice, cache, particle workers, and WAL
-	// segment stream (NewSharded/OpenSharded; New ignores it). 0 or 1 keeps
-	// the single-shard engine. Answers, Stats, and recovered state are
+	// segment stream (NewSharded/OpenSharded; New ignores it). 0 or 1 means
+	// one shard behind the router. Answers, Stats, and recovered state are
 	// bit-for-bit identical at any shard count.
 	Shards int
-	// Durability configures the write-ahead log and snapshot store. The zero
+	// Durability configures the write-ahead logs and snapshot store. The zero
 	// value disables durability entirely (the historical in-memory contract);
-	// a non-empty Dir enables it, but only through Open — New ignores it.
+	// a non-empty Dir enables it, but only through OpenSharded — New and
+	// NewSharded ignore it, and Open refuses it.
 	Durability DurabilityConfig
 }
 
@@ -193,9 +197,9 @@ type System struct {
 	// shardID is this engine's position in a sharded router (0 standalone);
 	// it labels filter traces, spans, and the shardTel metric handles.
 	// curTrace is the request trace of the in-flight IngestContext call, read
-	// by the reorder sink so flush-time work (WAL append/fsync, collect)
-	// attributes to the delivery that triggered it. Both are written under
-	// the same exclusion the rest of the System requires.
+	// by the reorder sink so flush-time work (collect) attributes to the
+	// delivery that triggered it. Both are written under the same exclusion
+	// the rest of the System requires.
 	shardID  int
 	shardTel *shardMetrics
 	curTrace *trace.Context
@@ -209,22 +213,6 @@ type System struct {
 	// historical-query path's dedicated pool.
 	pools    sync.Pool
 	histPool *particle.Pool
-
-	// Durability state; all nil/zero when Config.Durability is disabled or
-	// the system was built with New instead of Open.
-	wal      *wal.Log
-	walSeq   uint64
-	walBuf   []byte
-	walErr   error
-	streamID uint64
-	lastSync time.Time
-	// sinceSnap counts acked seconds since the last snapshot; replaying
-	// counts as true so recovery never re-replays an unbounded log.
-	// snapFails counts consecutive snapshot-write failures, pacing retries
-	// (see snapFailed).
-	sinceSnap int
-	snapFails int
-	recovery  RecoveryInfo
 }
 
 // Stats returns the system's cumulative work counters, with the drop
@@ -311,6 +299,33 @@ func MustNew(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) *System {
 	return s
 }
 
+// Open assembles the in-memory kernel, exactly like New. The kernel touches
+// no disk: a configured data directory is an error here, never a silent drop
+// to memory-only — durable engines are opened with OpenSharded, where
+// Shards: 1 is the single-engine layout.
+func Open(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*System, error) {
+	if cfg.Durability.Enabled() {
+		return nil, fmt.Errorf("engine: Open builds the in-memory kernel and cannot use data directory %s; open it with OpenSharded (Shards: 1 for a single engine)", cfg.Durability.Dir)
+	}
+	return New(plan, dep, cfg)
+}
+
+// The kernel has no durability layer; these zero-value answers let a bare
+// System stand in wherever a durable engine's surface is expected
+// (server.Engine, cluster.Local).
+
+// Close is a no-op: the kernel holds no files.
+func (s *System) Close() error { return nil }
+
+// WALError is always nil: the kernel writes no log.
+func (s *System) WALError() error { return nil }
+
+// Recovery is always the zero RecoveryInfo: the kernel recovers nothing.
+func (s *System) Recovery() RecoveryInfo { return RecoveryInfo{} }
+
+// DegradedShards is always nil: the kernel has no shards to quarantine.
+func (s *System) DegradedShards() []int { return nil }
+
 // Accessors for the assembled components.
 
 // Graph returns the indoor walking graph.
@@ -350,32 +365,17 @@ func (s *System) KnownObjects() []model.ObjectID { return s.col.KnownObjects() }
 // *ingest.Error and counts the loss in Stats — nothing is dropped
 // silently. Unless the error's Rejected flag is set, the rest of the
 // delivery was still accepted.
-// With durability enabled (Open), every flushed second is appended to the
-// write-ahead log before it is applied, and the log is fsynced per the
-// configured policy before Ingest returns. A WAL failure is sticky: the
-// first append or sync error fail-stops ingestion (every later Ingest
-// returns the same error) rather than silently degrading to memory-only.
 func (s *System) Ingest(t model.Time, raws []model.RawReading) error {
-	if s.walErr != nil {
-		return s.walErr
-	}
 	rstart := time.Now()
 	err := s.reorder.Offer(t, raws)
 	s.curTrace.Since("reorder", s.shardID, rstart)
-	if serr := s.syncWAL(false); serr != nil {
-		return serr
-	}
-	if s.walErr != nil {
-		// The append inside the sink failed; the delivery is not durable.
-		return s.walErr
-	}
 	return err
 }
 
 // IngestContext is Ingest carrying a request trace: flush-time spans
-// (reorder, WAL append/fsync, collect) recorded while this delivery is in
-// flight attach to the trace in ctx. Callers provide the same exclusion
-// Ingest requires, so stashing the trace in the System is race-free.
+// (reorder, collect) recorded while this delivery is in flight attach to the
+// trace in ctx. Callers provide the same exclusion Ingest requires, so
+// stashing the trace in the System is race-free.
 func (s *System) IngestContext(ctx context.Context, t model.Time, raws []model.RawReading) error {
 	s.curTrace = trace.From(ctx)
 	defer func() { s.curTrace = nil }()
@@ -384,55 +384,63 @@ func (s *System) IngestContext(ctx context.Context, t model.Time, raws []model.R
 
 // FlushIngest drains every second still buffered in the reorder buffer,
 // regardless of the lateness horizon. Call it at end of stream or before
-// final queries when a non-zero horizon is configured. With durability
-// enabled the drained seconds are logged and fsynced like any others.
-func (s *System) FlushIngest() {
-	s.reorder.FlushAll()
-	s.syncWAL(true)
-}
+// final queries when a non-zero horizon is configured.
+func (s *System) FlushIngest() { s.reorder.FlushAll() }
 
-// ingestSecond is the reorder buffer's sink. With durability enabled it
-// first appends the second to the write-ahead log — together with the
-// reorder buffer's position and drop accounting, so recovery restores
-// Stats exactly — then applies it, then schedules a snapshot when due.
+// ingestSecond is the reorder buffer's sink: it applies one flushed second
+// and records how long that took.
 func (s *System) ingestSecond(t model.Time, raws []model.RawReading) {
 	if maxSeen, ok := s.reorder.MaxSeen(); ok && maxSeen > t {
 		s.tel.reorderLag.Observe(float64(maxSeen - t))
 	} else {
 		s.tel.reorderLag.Observe(0)
 	}
-	if s.wal != nil && s.walErr == nil {
-		wstart := time.Now()
-		s.appendWAL(t, raws)
-		s.shardTel.walAppend.Observe(time.Since(wstart).Seconds())
-		s.curTrace.Since("wal-append", s.shardID, wstart)
-	}
 	astart := time.Now()
 	s.applySecond(t, raws)
 	s.shardTel.step.Observe(time.Since(astart).Seconds())
 	s.shardTel.queueDepth.Set(float64(len(raws)))
 	s.curTrace.Since("collect", s.shardID, astart)
-	s.maybeSnapshot()
 }
 
-// applySecond feeds one flushed second into the collector, applying the
-// cache invalidation rule to every ENTER event. It is the recovery replay
-// path too, so it must not touch the WAL.
+// collectSecond feeds one second's readings into the collector, counts the
+// accepted ones, applies the cache invalidation rule to every ENTER event,
+// and returns the second's ENTER/LEAVE events sorted by (Time, Object). It is
+// the kernel step the router drives per shard — live, on recovery replay, and
+// when a healed shard catches up.
+func (s *System) collectSecond(t model.Time, raws []model.RawReading) []model.Event {
+	dropped := s.col.Drops().Readings()
+	s.col.IngestSecond(t, raws)
+	s.stats.ReadingsIngested += len(raws) - (s.col.Drops().Readings() - dropped)
+	evs := s.col.DrainEvents()
+	for _, ev := range evs {
+		if ev.Kind == model.Enter {
+			s.cache.Invalidate(ev.Object, ev.Reader)
+		}
+	}
+	return evs
+}
+
+// restoreShard replaces the kernel's mutable state with a shard snapshot's
+// (the router's recovery and heal paths); the zero shardSnap resets it to
+// empty.
+func (s *System) restoreShard(ss *shardSnap) {
+	s.stats = ss.Stats
+	s.col.Restore(ss.Collector)
+	s.cache.RestoreEntries(ss.CacheEntries)
+	s.cache.RestoreStats(ss.CacheHits, ss.CacheMisses)
+}
+
+// applySecond is the standalone kernel's whole flush step: reader-health
+// observation, collectSecond, and the retained event log.
 func (s *System) applySecond(t model.Time, raws []model.RawReading) {
 	if s.monitor != nil && s.monitor.ObserveSecond(t, raws) {
 		s.refreshHealth()
 	}
-	dropped := s.col.Drops().Readings()
-	s.col.IngestSecond(t, raws)
-	s.stats.ReadingsIngested += len(raws) - (s.col.Drops().Readings() - dropped)
-	for _, ev := range s.col.DrainEvents() {
-		if ev.Kind == model.Enter {
-			s.cache.Invalidate(ev.Object, ev.Reader)
-			if s.monitor != nil {
-				// The ENTER explains the object's coming silence (rooms are
-				// uncovered): its reader should not expect more detections.
-				s.monitor.Release(ev.Object)
-			}
+	for _, ev := range s.collectSecond(t, raws) {
+		if ev.Kind == model.Enter && s.monitor != nil {
+			// The ENTER explains the object's coming silence (rooms are
+			// uncovered): its reader should not expect more detections.
+			s.monitor.Release(ev.Object)
 		}
 		s.eventLog = append(s.eventLog, ev)
 	}

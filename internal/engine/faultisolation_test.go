@@ -20,7 +20,7 @@ import (
 var fastRetry = RetryConfig{Max: 4, BaseDelay: 50 * time.Microsecond, MaxDelay: 200 * time.Microsecond}
 
 // TestTransientWALFaultsAbsorbed injects bounded transient write and fsync
-// faults into a single durable engine: the retry loop must absorb every one —
+// faults into a one-shard durable engine: the retry loop must absorb every one —
 // no ingest error, no WAL error, retry telemetry incremented — and the final
 // state must be bit-for-bit the unfaulted oracle.
 func TestTransientWALFaultsAbsorbed(t *testing.T) {
@@ -30,9 +30,9 @@ func TestTransientWALFaultsAbsorbed(t *testing.T) {
 	cfg := f.config(dir)
 	cfg.Durability.FS = fsys
 	cfg.Durability.Retry = fastRetry
-	sys, err := Open(f.plan, f.dep, cfg)
+	sys, err := OpenSharded(f.plan, f.dep, cfg)
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		t.Fatalf("OpenSharded: %v", err)
 	}
 	wh := fsys.Fail(errfs.Rule{Ops: errfs.OpWrite, After: 4, Times: 2, Transient: true})
 	sh := fsys.Fail(errfs.Rule{Ops: errfs.OpSync, After: 9, Times: 2, Transient: true})
@@ -70,7 +70,7 @@ func TestCrashRecoveryWithTransientSyncFaults(t *testing.T) {
 	cfg := f.config(dir)
 	cfg.Durability.FS = fsys
 	cfg.Durability.Retry = fastRetry
-	sys, err := Open(f.plan, f.dep, cfg)
+	sys, err := OpenSharded(f.plan, f.dep, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestCrashRecoveryWithTransientSyncFaults(t *testing.T) {
 		t.Fatal("no sync fault fired; raise Prob or the stream length")
 	}
 	// Crash: no Close. Recovery below runs on the real filesystem.
-	segs, err := wal.SegmentInfos(dir)
+	segs, err := wal.SegmentInfos(shardDir(dir, 0))
 	if err != nil || len(segs) != 1 {
 		t.Fatalf("want one segment, got %v (%v)", segs, err)
 	}
@@ -110,13 +110,13 @@ func TestCrashRecoveryWithTransientSyncFaults(t *testing.T) {
 		t.Fatalf("%d records for %d acked deliveries", len(bounds), len(f.deliveries))
 	}
 	for _, b := range bounds {
-		cdir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(cdir, filepath.Base(segs[0].Path)), full[:b.end], 0o644); err != nil {
+		cdir, cshard := crashDir(t)
+		if err := os.WriteFile(filepath.Join(cshard, filepath.Base(segs[0].Path)), full[:b.end], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		recovered, err := Open(f.plan, f.dep, f.config(cdir))
+		recovered, err := OpenSharded(f.plan, f.dep, f.config(cdir))
 		if err != nil {
-			t.Fatalf("record %d: Open: %v", b.recs, err)
+			t.Fatalf("record %d: OpenSharded: %v", b.recs, err)
 		}
 		if got := recovered.Recovery().RecordsReplayed; got != b.recs {
 			t.Fatalf("record %d: replayed %d", b.recs, got)
@@ -137,7 +137,7 @@ func TestSnapshotFailureDoesNotStallSchedule(t *testing.T) {
 	cfg := f.config(dir)
 	cfg.Durability.FS = fsys
 	cfg.Durability.SnapshotEvery = 3
-	sys, err := Open(f.plan, f.dep, cfg)
+	sys, err := OpenSharded(f.plan, f.dep, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,6 +432,82 @@ func testQuarantineRestart(t *testing.T, clean bool) {
 	}
 	re.FlushIngest()
 	mustMatchShardedOracle(t, "restart+heal", re, quarantineOracle(t, f, 1, faultAt, restartAt))
+	if err := re.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestAllShardsMarkedRecoversLastLive opens a directory in which every shard
+// carries a quarantine marker — what builds that quarantined their last live
+// shard left behind; this one fail-stops instead. The shard marked at the
+// highest sequence was the last one standing and must recover as the live
+// lockstep reference: no sticky failure, no acked record cut, the others heal
+// against it, and the engine ends bit-for-bit on the effective-stream oracle.
+func TestAllShardsMarkedRecoversLastLive(t *testing.T) {
+	const faultAt, failAt = 8, 14
+	f := newDurableFixture(t, 22)
+	fsys := errfs.New(nil, 31)
+	dir := t.TempDir()
+	cfg := quarantineFixtureCfg(f, dir, fsys)
+	sh, err := OpenSharded(f.plan, f.dep, cfg)
+	if err != nil {
+		t.Fatalf("OpenSharded: %v", err)
+	}
+	for i, d := range f.deliveries[:failAt] {
+		if i == faultAt {
+			fsys.Fail(errfs.Rule{Ops: errfs.OpWrite, Path: "shard-0001"})
+		}
+		if err := sh.Ingest(d.t, d.raws); err != nil && i < faultAt {
+			t.Fatalf("clean ingest: %v", err)
+		}
+	}
+	// Every remaining disk dies in the same second: two more shards
+	// quarantine and the last one fail-stops the engine.
+	fsys.Fail(errfs.Rule{Ops: errfs.OpWrite, Path: "shard-"})
+	if err := sh.Ingest(f.deliveries[failAt].t, f.deliveries[failAt].raws); err == nil || sh.WALError() == nil {
+		t.Fatalf("ingest with every log failing: err %v, WALError %v; want a fail-stop", err, sh.WALError())
+	}
+	if ds := sh.DegradedShards(); len(ds) != 3 {
+		t.Fatalf("DegradedShards = %v, want three quarantined and one fail-stopped LIVE shard", ds)
+	}
+	fsys.Clear()
+	sh.Close() // reports the sticky failure; the files are what matters
+	// The older behaviour: the last shard got a marker too.
+	for i := 0; i < 4; i++ {
+		if _, err := os.Stat(quarMarkerPath(dir, i)); errors.Is(err, os.ErrNotExist) {
+			if err := writeQuarMarker(wal.OS, dir, i, sh.walSeq); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	re, err := OpenSharded(f.plan, f.dep, cfg)
+	if err != nil {
+		t.Fatalf("reopen with every shard marked: %v", err)
+	}
+	if werr := re.WALError(); werr != nil {
+		t.Fatalf("reopened engine is failed: %v", werr)
+	}
+	if got := re.Recovery().LastSeq; got != sh.walSeq {
+		t.Fatalf("recovered to seq %d, acked prefix ends at %d (acked records cut?)", got, sh.walSeq)
+	}
+	if ds := re.DegradedShards(); len(ds) != 3 {
+		t.Fatalf("DegradedShards = %v after reopen, want three (one marked shard promoted to live)", ds)
+	}
+	if err := re.HealNow(); err != nil {
+		t.Fatalf("HealNow: %v", err)
+	}
+	if ds := re.DegradedShards(); len(ds) != 0 {
+		t.Fatalf("DegradedShards = %v after heal", ds)
+	}
+	// The failed second was never acked; the gateway re-sends from there.
+	for _, d := range f.deliveries[failAt:] {
+		if err := re.Ingest(d.t, d.raws); err != nil {
+			t.Fatalf("post-heal ingest: %v", err)
+		}
+	}
+	re.FlushIngest()
+	mustMatchShardedOracle(t, "all-marked reopen", re, quarantineOracle(t, f, 1, faultAt, failAt))
 	if err := re.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/floorplan"
 	"repro/internal/geom"
+	"repro/internal/ingest"
 	"repro/internal/model"
 	"repro/internal/rfid"
 	"repro/internal/sim"
@@ -58,34 +59,67 @@ func TestParallelPreprocessDeterministic(t *testing.T) {
 	}
 }
 
-// snapshotBytes encodes exactly the payload writeSnapshot would, so tests
-// can compare two systems' durable state byte for byte without a WAL
+// durableState is everything one snapshot barrier persists for a one-shard
+// engine — the shard's share plus the router's — flattened into one value so
+// tests can compare two engines' durable state byte for byte without a WAL
 // directory. Collector.Snapshot and Cache.Dump both emit object-ID-sorted
 // slices, so equal logical state means equal bytes.
-func snapshotBytes(t *testing.T, s *System) []byte {
+type durableState struct {
+	Shard          shardSnap
+	Events         []model.Event
+	EventOff       int
+	ReorderStarted bool
+	Watermark      model.Time
+	MaxSeen        model.Time
+	Drops          ingest.Drops
+	Forced         int
+}
+
+func encodeDurableState(t *testing.T, shard *System, stats Stats, events []model.Event, eventOff int, reorder *ingest.Reorder) []byte {
 	t.Helper()
-	hits, misses := s.cache.Stats()
-	wm, started := s.reorder.Watermark()
-	ms, _ := s.reorder.MaxSeen()
-	snap := engineSnap{
-		Stats:          s.stats,
-		Collector:      s.col.Snapshot(),
-		CacheEntries:   s.cache.Dump(),
-		CacheHits:      hits,
-		CacheMisses:    misses,
-		Events:         s.eventLog,
-		EventOff:       s.eventOff,
+	hits, misses := shard.cache.Stats()
+	wm, started := reorder.Watermark()
+	ms, _ := reorder.MaxSeen()
+	state := durableState{
+		Shard: shardSnap{
+			Stats:        stats,
+			Collector:    shard.col.Snapshot(),
+			CacheEntries: shard.cache.Dump(),
+			CacheHits:    hits,
+			CacheMisses:  misses,
+		},
+		Events:         events,
+		EventOff:       eventOff,
 		ReorderStarted: started,
 		Watermark:      wm,
 		MaxSeen:        ms,
-		Drops:          s.reorder.Drops(),
-		Forced:         s.reorder.ForcedFlushes(),
+		Drops:          reorder.Drops(),
+		Forced:         reorder.ForcedFlushes(),
 	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
-		t.Fatalf("encode snapshot: %v", err)
+	if err := gob.NewEncoder(&buf).Encode(&state); err != nil {
+		t.Fatalf("encode durable state: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// snapshotBytes is the in-memory kernel's durable state.
+func snapshotBytes(t *testing.T, s *System) []byte {
+	t.Helper()
+	return encodeDurableState(t, s, s.stats, s.eventLog, s.eventOff, s.reorder)
+}
+
+// routerSnapshotBytes is a one-shard router's durable state, laid out like
+// snapshotBytes: the router counts queries itself, so they are folded into
+// the shard's counters the way Stats() reports them.
+func routerSnapshotBytes(t *testing.T, e *Sharded) []byte {
+	t.Helper()
+	if e.n != 1 {
+		t.Fatalf("routerSnapshotBytes needs one shard, engine has %d", e.n)
+	}
+	stats := e.shards[0].stats
+	stats.RangeQueries, stats.KNNQueries = int(e.rangeQ.Load()), int(e.knnQ.Load())
+	return encodeDurableState(t, e.shards[0], stats, e.eventLog, e.eventOff, e.reorder)
 }
 
 // TestParallelPreprocessDeterministicAtScale drives 1000 objects through the

@@ -149,11 +149,6 @@ func firstDeadline(errs ...error) error {
 	return nil
 }
 
-// DegradedShards reports the quarantined shards; the single engine has no
-// shards to degrade, so the answer is always nil. It exists so the server
-// can treat both engines uniformly.
-func (s *System) DegradedShards() []int { return nil }
-
 // IsDeadline reports whether err is a query deadline overrun and extracts
 // the typed error.
 func IsDeadline(err error) (*query.DeadlineError, bool) {

@@ -32,9 +32,11 @@ import (
 // rather than allocate a hundred thousand collectors.
 const MaxShards = 256
 
-// Sharded partitions object state across N independent single-shard engines
-// by consistent hash of the object ID (internal/shardmap) and routes every
-// operation through a thin deterministic layer:
+// Sharded partitions object state across N independent in-memory kernels
+// (System) by consistent hash of the object ID (internal/shardmap) and routes
+// every operation through a thin deterministic layer. It is also the only
+// durable engine (OpenSharded, sharded_durability.go); N = 1 is the
+// single-engine shape. The routing layer:
 //
 //   - Ingestion runs through ONE reorder buffer and ONE reader-health
 //     monitor owned by the router; each flushed second is split into
@@ -51,7 +53,7 @@ const MaxShards = 256
 // Because every per-object computation is keyed by (Seed, object, last
 // reading time) — never by which other objects share the engine — a Sharded
 // engine's answers, Stats, and recovered state are bit-for-bit identical to
-// the single-shard engine at any shard count (DESIGN.md §14).
+// the bare kernel's at any shard count (DESIGN.md §14).
 //
 // Sharded synchronizes internally (unlike System): ingest, queries, and
 // stats reads may run concurrently. The lock hierarchy is
@@ -123,7 +125,6 @@ type Sharded struct {
 	// the barrier is durable, so lock-free readers never see an uncommitted
 	// rejoin). -1 outside tryHeal.
 	rejoining int
-	healKick  chan struct{}
 	healStop  chan struct{}
 	healDone  chan struct{}
 	healerOn  bool
@@ -144,8 +145,8 @@ func NewSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Sharde
 	}
 	shardCfg := cfg
 	shardCfg.Shards = 0
-	shardCfg.Ingest = ingest.Config{}       // router owns the reorder buffer
-	shardCfg.Health = health.Config{}       // router owns the monitor
+	shardCfg.Ingest = ingest.Config{}        // router owns the reorder buffer
+	shardCfg.Health = health.Config{}        // router owns the monitor
 	shardCfg.Durability = DurabilityConfig{} // router owns the WAL streams
 	// Split the preprocessing worker budget across shards: a scatter runs
 	// all shards' phase-2 pools at once, and n*Workers goroutines would
@@ -249,12 +250,16 @@ func (e *Sharded) Now() model.Time {
 // Ingestion: one reorder buffer, scatter per second, deterministic event merge.
 
 // Ingest feeds one delivery through the router's reorder buffer; flushed
-// seconds are partitioned by object and applied to every shard. The error
-// contract matches System.Ingest, including sticky WAL fail-stop.
+// seconds are partitioned by object and applied to every shard. The typed
+// *ingest.Error contract matches System.Ingest. With durability enabled
+// (OpenSharded), every flushed second is appended to the live shards'
+// write-ahead logs before it is applied, and the logs are fsynced per the
+// configured policy before Ingest returns; readings owed to a quarantined
+// shard come back as a KindQuarantined drop, and a fail-stop (the last live
+// shard's log failing) is sticky: every later Ingest returns the same error
+// rather than silently degrading to memory-only.
 func (e *Sharded) Ingest(t model.Time, raws []model.RawReading) error {
-	e.ingestMu.Lock()
-	defer e.ingestMu.Unlock()
-	return e.ingestLocked(t, raws)
+	return e.IngestContext(context.Background(), t, raws)
 }
 
 // IngestContext is Ingest carrying a request trace: the reorder wait, the
@@ -265,10 +270,6 @@ func (e *Sharded) IngestContext(ctx context.Context, t model.Time, raws []model.
 	defer e.ingestMu.Unlock()
 	e.curTrace = trace.From(ctx)
 	defer func() { e.curTrace = nil }()
-	return e.ingestLocked(t, raws)
-}
-
-func (e *Sharded) ingestLocked(t model.Time, raws []model.RawReading) error {
 	if e.walErr != nil {
 		return e.walErr
 	}
@@ -295,7 +296,8 @@ func (e *Sharded) ingestLocked(t model.Time, raws []model.RawReading) error {
 }
 
 // FlushIngest drains every buffered second regardless of the lateness
-// horizon, like System.FlushIngest.
+// horizon, like System.FlushIngest; the drained seconds are logged and
+// fsynced like any others.
 func (e *Sharded) FlushIngest() {
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
@@ -368,15 +370,7 @@ func (e *Sharded) applyPartsMasked(t model.Time, parts [][]model.RawReading, raw
 		e.shardMu[i].Lock()
 		defer e.shardMu[i].Unlock()
 		astart := time.Now()
-		dropped := sh.col.Drops().Readings()
-		sh.col.IngestSecond(t, parts[i])
-		sh.stats.ReadingsIngested += len(parts[i]) - (sh.col.Drops().Readings() - dropped)
-		evs[i] = sh.col.DrainEvents()
-		for _, ev := range evs[i] {
-			if ev.Kind == model.Enter {
-				sh.cache.Invalidate(ev.Object, ev.Reader)
-			}
-		}
+		evs[i] = sh.collectSecond(t, parts[i])
 		sh.shardTel.step.Observe(time.Since(astart).Seconds())
 		sh.shardTel.queueDepth.Set(float64(len(parts[i])))
 		tr.Since("collect", i, astart)
@@ -478,14 +472,9 @@ func (e *Sharded) gatherInfosAt(t model.Time) []query.ObjectInfo {
 	return kMerge(per, infoLess)
 }
 
-// preprocess scatters the candidate set to the owning shards, runs their
-// preprocessing pipelines in parallel, and merges the disjoint tables.
-// Callers hold healthMu (read side).
-func (e *Sharded) preprocess(cands []model.ObjectID) *anchor.Table {
-	tab, _ := e.preprocessCtx(nil, cands)
-	return tab
-}
-
+// preprocessCtx scatters the candidate set to the owning shards, runs their
+// preprocessing pipelines in parallel, and merges the disjoint tables. A nil
+// ctx skips every deadline check. Callers hold healthMu (read side).
 func (e *Sharded) preprocessCtx(ctx context.Context, cands []model.ObjectID) (*anchor.Table, error) {
 	tr := trace.From(ctx)
 	if e.n == 1 {
@@ -544,51 +533,26 @@ func (e *Sharded) preprocessCtx(ctx context.Context, cands []model.ObjectID) (*a
 func (e *Sharded) Preprocess(cands []model.ObjectID) *anchor.Table {
 	e.healthMu.RLock()
 	defer e.healthMu.RUnlock()
-	return e.preprocess(cands)
+	tab, _ := e.preprocessCtx(nil, cands)
+	return tab
 }
 
-// RangeQuery mirrors System.RangeQuery: prune once over the merged
-// candidate summaries, scatter the preprocessing, evaluate once.
+// RangeQuery is RangeQueryContext without a deadline; the partial marker of
+// a degraded engine is dropped.
 func (e *Sharded) RangeQuery(window geom.Rect) model.ResultSet {
-	start := time.Now()
-	e.healthMu.RLock()
-	defer e.healthMu.RUnlock()
-	infos := e.gatherInfos()
-	var cands []model.ObjectID
-	if e.cfg.UsePruning {
-		cands = e.shards[0].pruner.RangeCandidates(infos, []geom.Rect{window}, e.Now())
-	} else {
-		cands = infosToIDs(infos)
-	}
-	tab := e.preprocess(cands)
-	e.rangeQ.Add(1)
-	rs := e.shards[0].eval.Range(tab, window)
-	e.observeQuery("range", rangeDetail(window.Min.X, window.Min.Y,
-		window.Max.X-window.Min.X, window.Max.Y-window.Min.Y), len(cands), start, nil)
+	rs, _ := e.RangeQueryContext(context.Background(), window)
 	return rs
 }
 
-// KNNQuery mirrors System.KNNQuery.
+// KNNQuery is KNNQueryContext without a deadline.
 func (e *Sharded) KNNQuery(q geom.Point, k int) model.ResultSet {
-	start := time.Now()
-	e.healthMu.RLock()
-	defer e.healthMu.RUnlock()
-	infos := e.gatherInfos()
-	var cands []model.ObjectID
-	if e.cfg.UsePruning {
-		cands = e.shards[0].pruner.KNNCandidates(infos, q, k, e.Now())
-	} else {
-		cands = infosToIDs(infos)
-	}
-	tab := e.preprocess(cands)
-	e.knnQ.Add(1)
-	rs := e.shards[0].eval.KNN(tab, q, k)
-	e.observeQuery("knn", knnDetail(q.X, q.Y, k), len(cands), start, nil)
+	rs, _ := e.KNNQueryContext(context.Background(), q, k)
 	return rs
 }
 
-// RangeQueryContext mirrors System.RangeQueryContext's partial-result
-// contract over the sharded scatter.
+// RangeQueryContext answers a range query under System.RangeQueryContext's
+// partial-result contract: prune once over the merged candidate summaries,
+// scatter the preprocessing, evaluate once.
 func (e *Sharded) RangeQueryContext(ctx context.Context, window geom.Rect) (model.ResultSet, error) {
 	start := time.Now()
 	tr := trace.From(ctx)
@@ -724,19 +688,19 @@ func (e *Sharded) Localize(obj model.ObjectID) (Localization, bool) {
 	return e.shards[i].Localize(obj)
 }
 
-// Occupancy preprocesses every known object via the scatter path and
-// accumulates room expectations in the same pinned order as the single
-// engine (occupancyOn iterates sorted objects and anchors).
+// Occupancy is OccupancyContext without a deadline; the partial marker of a
+// degraded engine is dropped.
 func (e *Sharded) Occupancy() []RoomOdds {
-	e.healthMu.RLock()
-	defer e.healthMu.RUnlock()
-	tab := e.preprocess(infosToIDs(e.gatherInfos()))
-	return occupancyOn(e.shards[0].idx, tab)
+	odds, _ := e.OccupancyContext(context.Background())
+	return odds
 }
 
-// OccupancyContext is Occupancy under a caller deadline and the quarantine
-// partial-result contract: rooms are computed over the live shards' objects,
-// and a degraded engine returns the typed QuarantineError alongside them.
+// OccupancyContext preprocesses every known object via the scatter path and
+// accumulates room expectations in the same pinned order as the kernel
+// (occupancyOn iterates sorted objects and anchors), under a caller deadline
+// and the quarantine partial-result contract: rooms are computed over the
+// live shards' objects, and a degraded engine returns the typed
+// QuarantineError alongside them.
 func (e *Sharded) OccupancyContext(ctx context.Context) ([]RoomOdds, error) {
 	e.healthMu.RLock()
 	defer e.healthMu.RUnlock()

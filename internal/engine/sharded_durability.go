@@ -21,8 +21,9 @@ import (
 	"repro/internal/wal"
 )
 
-// Sharded durability: one WAL stream per shard plus a router snapshot
-// stream, all sharing the single engine's stream identity.
+// The engine's one durability path (DESIGN.md §11): one WAL stream
+// per shard plus a router snapshot stream, all sharing one stream identity
+// (Config.StreamID). Shards: 1 is the same layout with a single shard-0000/.
 //
 // Layout under Durability.Dir:
 //
@@ -41,10 +42,10 @@ import (
 // crash between the per-shard appends of one second leaves a ragged tail;
 // recovery replays to the shortest live log's last sequence and truncates
 // the shards that got further (wal.TruncateTo), which is exactly the
-// all-or-nothing cut the single engine's torn-tail repair makes.
+// all-or-nothing cut a torn-tail repair makes on a single log.
 //
 // A quarantine marker changes the reading of a short log: the marked shard
-// is legitimately behind (its log was cut when the shard fail-stopped), so
+// is legitimately behind (its log was cut when the shard was quarantined), so
 // its length is excluded from the lockstep cut — without the marker, one
 // quarantined shard would truncate every healthy shard back to its seq and
 // lose acked data. Marked shards are restored from their own snapshots, ride
@@ -60,11 +61,27 @@ func shardDir(dir string, i int) string {
 
 // checkShardGuard pins dir to one shard count. The shard map is a pure
 // function of (object, count), so opening a directory with a different
-// count would scatter recovered objects across the wrong shards.
+// count would scatter recovered objects across the wrong shards. A directory
+// with no guard file is stamped as new — unless it holds top-level segments
+// or snapshots, the flat layout the pre-router single engine wrote: opening
+// that as new would come up empty and ack fresh writes over the old state,
+// so it is refused.
 func checkShardGuard(fsys wal.FS, dir string, n int) error {
 	path := filepath.Join(dir, shardGuardFile)
 	data, err := wal.ReadFileFS(fsys, path)
 	if errors.Is(err, os.ErrNotExist) {
+		segs, serr := wal.SegmentInfosFS(fsys, dir)
+		if serr != nil {
+			return serr
+		}
+		snaps, serr := wal.ListSnapshotsFS(fsys, dir)
+		if serr != nil {
+			return serr
+		}
+		if len(segs)+len(snaps) > 0 {
+			return fmt.Errorf("engine: data directory %s holds the legacy flat single-engine layout (%d WAL segments and %d snapshots at the top level, no %s file); refusing to open it as an empty %s + shard-%%04d/ directory over that state (walctl still reads it)",
+				dir, len(segs), len(snaps), shardGuardFile, shardGuardFile)
+		}
 		if err := fsys.MkdirAll(dir, 0o755); err != nil {
 			return fmt.Errorf("engine: create data dir: %w", err)
 		}
@@ -126,16 +143,10 @@ type shardSnap struct {
 // Recovery returns what OpenSharded found in the data directory.
 func (e *Sharded) Recovery() RecoveryInfo { return e.recovery }
 
-// DurabilityEnabled reports whether this engine writes WALs.
-func (e *Sharded) DurabilityEnabled() bool {
-	e.ingestMu.Lock()
-	defer e.ingestMu.Unlock()
-	return e.wals != nil
-}
-
-// WALError returns the sticky WAL failure, or nil while at least one shard
-// log is healthy. Single-shard quarantines are NOT engine failures — see
-// DegradedShards; walErr only becomes sticky when every shard is down.
+// WALError returns the sticky WAL failure that fail-stopped ingestion, or
+// nil while the engine is healthy. A quarantine beside live shards is NOT an
+// engine failure — see DegradedShards; walErr becomes sticky when the last
+// live shard's log fails, which at Shards: 1 is any log failure.
 func (e *Sharded) WALError() error {
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
@@ -143,11 +154,17 @@ func (e *Sharded) WALError() error {
 }
 
 // OpenSharded assembles a Sharded engine like NewSharded and, when
-// durability is enabled, recovers it from the data directory. The recovered
-// state is bit-for-bit identical to the single engine's recovery over the
-// same acked prefix, at any shard count. Shards with a quarantine marker
-// come back quarantined (their logs are exempt from the lockstep cut) and
-// the self-heal loop is scheduled for them.
+// durability is enabled, recovers it from the data directory: the newest
+// complete snapshot barrier is restored, the shard logs replayed from there
+// in lockstep (repairing torn, corrupt or ragged tails in place), and every
+// subsequent acked second is logged. Recovery is deterministic — the
+// recovered engine answers queries bit-for-bit like an uncrashed in-memory
+// one fed the same acked prefix, at any shard count. A directory written by a
+// different floor plan, deployment, or seed refuses to load with a
+// *wal.MismatchError; one written with a different shard count or in the
+// legacy flat layout is refused by checkShardGuard. Shards with a quarantine
+// marker come back quarantined (their logs are exempt from the lockstep cut)
+// and the self-heal loop is scheduled for them.
 func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Sharded, error) {
 	e, err := NewSharded(plan, dep, cfg)
 	if err != nil {
@@ -169,6 +186,25 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 	markers, err := readQuarMarkers(fsys, d.Dir, e.n)
 	if err != nil {
 		return nil, err
+	}
+	// The engine never quarantines its last live shard (it fail-stops), so a
+	// directory with every shard marked was left by an older build that did.
+	// The shard marked at the highest sequence was the last one standing: its
+	// log is the lockstep reference the others are behind, so it recovers as
+	// live. Without a live reference the cut below would fall back to the
+	// snapshot barrier and truncate acked records.
+	if len(markers) == e.n {
+		last := 0
+		for i := 1; i < e.n; i++ {
+			if markers[i] > markers[last] {
+				last = i
+			}
+		}
+		log.Printf("engine: every shard carries a quarantine marker; shard %d (seq %d) was the last live one and recovers as live", last, markers[last])
+		if err := removeQuarMarker(fsys, d.Dir, last); err != nil {
+			log.Printf("engine: remove quarantine marker for shard %d: %v", last, err)
+		}
+		delete(markers, last)
 	}
 	rec := RecoveryInfo{Enabled: true}
 
@@ -288,10 +324,7 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 			if !ok {
 				continue // marked shard: restored from its own base below
 			}
-			sh.stats = ss.Stats
-			sh.col.Restore(ss.Collector)
-			sh.cache.RestoreEntries(ss.CacheEntries)
-			sh.cache.RestoreStats(ss.CacheHits, ss.CacheMisses)
+			sh.restoreShard(&ss)
 		}
 		e.walSeq = snapSeq
 	}
@@ -344,11 +377,7 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 				if derr := gob.NewDecoder(bytes.NewReader(spayload)).Decode(&ss); derr != nil {
 					continue
 				}
-				sh := e.shards[i]
-				sh.stats = ss.Stats
-				sh.col.Restore(ss.Collector)
-				sh.cache.RestoreEntries(ss.CacheEntries)
-				sh.cache.RestoreStats(ss.CacheHits, ss.CacheMisses)
+				e.shards[i].restoreShard(&ss)
 				base[i] = lists[k].Seq
 				found = true
 			}
@@ -412,9 +441,6 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 			liveMin = len(batches[i])
 		}
 	}
-	if liveMin < 0 {
-		liveMin = 0 // every shard marked: nothing to replay in lockstep
-	}
 	walSeqFinal := snapSeq + uint64(liveMin)
 	qeff := make(map[int]uint64)
 	for i, qi := range markers {
@@ -448,14 +474,7 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 				break
 			}
 			b := &batches[i][k]
-			dropped := sh.col.Drops().Readings()
-			sh.col.IngestSecond(b.Time, b.Readings)
-			sh.stats.ReadingsIngested += len(b.Readings) - (sh.col.Drops().Readings() - dropped)
-			for _, ev := range sh.col.DrainEvents() {
-				if ev.Kind == model.Enter {
-					sh.cache.Invalidate(ev.Object, ev.Reader)
-				}
-			}
+			sh.collectSecond(b.Time, b.Readings)
 			rec.ReadingsReplayed += len(b.Readings)
 		}
 	}
@@ -541,8 +560,11 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 	}
 	rec.LastSeq = e.walSeq
 
-	// Position the reorder buffer; the last replayed record's view wins
-	// over the snapshot's (see Open for the rationale).
+	// Position the reorder buffer at the recovered stream point. The last
+	// replayed record's view wins over the snapshot's; restoring its exact
+	// watermark (rather than re-deriving maxSeen-horizon) errs toward
+	// re-accepting a retransmission of a flushed-but-unacked crash-window
+	// second instead of refusing it as late.
 	switch {
 	case lastMeta != nil:
 		e.reorder.Restore(lastMeta.Time, lastMeta.MaxSeen, lastMeta.Drops, lastMeta.Forced)
@@ -555,8 +577,9 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 	// barrier; replay rebuilt everything above it), and schedule healing.
 	for i, qi := range markers {
 		q := &quarInfo{
-			seq:   qeff[i],
-			cause: fmt.Errorf("engine: recovered quarantine marker (seq %d)", qi),
+			seq:     qeff[i],
+			cause:   fmt.Errorf("engine: recovered quarantine marker (seq %d)", qi),
+			nextTry: time.Now().Add(d.healBaseDelay()),
 		}
 		if c, ok := qcause[i]; ok {
 			q.cause = c
@@ -594,14 +617,9 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 			d.Dir, rec.TruncatedBytes, rec.SegmentsRemoved)
 	}
 	if len(markers) > 0 {
-		if e.liveShards() == 0 {
-			e.failWAL(fmt.Errorf("all %d shards quarantined at recovery", e.n))
-		} else {
-			e.ingestMu.Lock()
-			e.startHealer()
-			e.kickHealer()
-			e.ingestMu.Unlock()
-		}
+		e.ingestMu.Lock()
+		e.startHealer()
+		e.ingestMu.Unlock()
 	}
 	if d.SnapshotEvery > 0 && rec.RecordsReplayed >= d.SnapshotEvery {
 		e.ingestMu.Lock()
@@ -612,13 +630,18 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 }
 
 // appendWAL logs one flushed second to every live shard at the same sequence
-// number (called under ingestMu, before the second is applied). Transient
-// failures are retried with backoff; a shard whose append still fails is
-// quarantined — its part becomes a typed drop — and the remaining shards
-// continue. The sequence only advances if at least one shard got the record.
+// number (called under ingestMu, before the second is applied), together
+// with the reorder buffer's position and drop accounting, so recovery
+// restores Stats exactly. Transient failures are retried with backoff; a
+// shard whose append still fails is quarantined — its part becomes a typed
+// drop — and the remaining shards continue. The sequence only advances if at
+// least one shard got the record.
 func (e *Sharded) appendWAL(t model.Time, parts [][]model.RawReading) {
 	wm, _ := e.reorder.Watermark()
 	ms, _ := e.reorder.MaxSeen()
+	// The incremental flush contract guarantees the watermark equals the
+	// second being flushed here; if that ever breaks, the record would lie
+	// about the recovery position, so refuse to write it.
 	if wm != t {
 		e.failWAL(fmt.Errorf("engine: flush watermark %d disagrees with flushed second %d", wm, t))
 		return
@@ -660,10 +683,11 @@ func (e *Sharded) appendWAL(t model.Time, parts [][]model.RawReading) {
 	e.tel.walRecords.Inc()
 }
 
-// syncWAL applies the fsync policy across every live shard log. Transient
+// syncWAL applies the fsync policy across every live shard log; force
+// bypasses the interval pacing (flushes, snapshots, shutdown). Transient
 // failures are retried; a shard whose fsync still fails is quarantined and
-// the rest continue. Only an all-shards-down engine reports an error.
-// Called under ingestMu.
+// the rest continue. Only a fail-stopped engine reports an error, and that
+// error is sticky. Called under ingestMu.
 func (e *Sharded) syncWAL(force bool) error {
 	if e.wals == nil || e.walErr != nil {
 		return e.walErr
@@ -721,9 +745,12 @@ func (e *Sharded) maybeSnapshot() {
 	}
 }
 
-// snapFailed mirrors System.snapFailed: count the failure and pace the
-// retry schedule so a broken snapshot store doesn't turn every flush into a
-// doomed write.
+// snapFailed counts one failed snapshot attempt and paces retries: the next
+// few flushed seconds retry immediately (sinceSnap stays over the threshold),
+// then the schedule backs off a full SnapshotEvery window so a persistently
+// broken snapshot store doesn't turn every flush into a doomed write. The
+// WALs still have everything, so nothing is sticky — recovery just replays
+// more.
 func (e *Sharded) snapFailed(err error) {
 	e.tel.walSnapshotErrors.Inc()
 	e.tel.snapshotFailures.Inc()
@@ -842,11 +869,11 @@ func (e *Sharded) writeSnapshots() error {
 	return nil
 }
 
-// Close shuts the durability layer down cleanly, mirroring System.Close:
-// the heal loop stopped, buffered seconds flushed and logged, a final
-// snapshot barrier, all live logs synced and closed. Quarantined shards'
-// markers stay on disk so the next OpenSharded resumes their healing.
-// No-op for engines built with NewSharded.
+// Close shuts the durability layer down cleanly: the heal loop stopped,
+// buffered seconds flushed and logged, a final snapshot barrier, all live
+// logs synced and closed. Quarantined shards' markers stay on disk so the
+// next OpenSharded resumes their healing. No-op for engines built with
+// NewSharded. The engine must not be used after Close.
 func (e *Sharded) Close() error {
 	e.stopHealer()
 	e.ingestMu.Lock()

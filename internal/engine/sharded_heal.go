@@ -12,20 +12,21 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/collector"
 	"repro/internal/model"
 	"repro/internal/wal"
 )
 
-// Shard fault isolation (DESIGN.md §16). A durability failure on one shard's
-// WAL must not poison the router: the shard is quarantined (bulkhead), its
-// objects' readings become typed drops, queries answer from the live shards
-// with an explicit partial marker, and a background loop re-opens the shard
-// from its snapshot+WAL and replays it back into lockstep.
+// Shard fault isolation (DESIGN.md §11). A durability failure on one
+// shard's WAL must not poison the router: the shard is quarantined (bulkhead),
+// its objects' readings become typed drops, queries answer from the live
+// shards with an explicit partial marker, and a background loop re-opens the
+// shard from its snapshot+WAL and replays it back into lockstep. The last
+// live shard has no healthy peers to keep serving beside, so its failure is
+// not a quarantine: the engine fail-stops (at Shards: 1 every failure is).
 //
 // Per-shard state machine:
 //
-//	LIVE ──(append/fsync failure after retries)──▶ QUARANTINED
+//	LIVE ──(append/fsync failure after retries, other shards live)──▶ QUARANTINED
 //	QUARANTINED ──(heal attempt starts)──▶ HEALING
 //	HEALING ──(replay verified, barrier written)──▶ LIVE
 //	HEALING ──(any step fails)──▶ QUARANTINED (backoff, try again)
@@ -164,34 +165,38 @@ func readQuarMarkers(fsys wal.FS, dir string, n int) (map[int]uint64, error) {
 // quarantineShard takes shard i out of the durability pipeline after an
 // unrecoverable WAL failure: its log is closed at the last whole record, a
 // durable marker written, and the self-heal loop scheduled. Healthy shards
-// are untouched. Called under ingestMu.
+// are untouched. When shard i is the last live one the engine fail-stops
+// instead: the shard stays LIVE with no marker, so queries keep answering in
+// full from memory and the next OpenSharded takes its log as the lockstep
+// reference (torn tail repaired) rather than as a shard left behind. Called
+// under ingestMu.
 func (e *Sharded) quarantineShard(i int, cause error) {
-	if !e.shardState[i].CompareAndSwap(shardLive, shardQuarantined) {
+	if e.shardState[i].Load() != shardLive {
 		return
 	}
-	var seq uint64
-	if l := e.wals[i]; l != nil {
-		// Leave the log ending at the last whole record: the final failed
-		// attempt may have persisted a partial frame (best effort — recovery's
-		// torn-tail repair covers a failure here too).
-		l.ResetTail()
-		seq = l.LastSeq()
-		l.Close()
-		e.wals[i] = nil
+	// Leave the log ending at the last whole record: the final failed attempt
+	// may have persisted a partial frame (best effort — recovery's torn-tail
+	// repair covers a failure here too).
+	l := e.wals[i]
+	l.ResetTail()
+	if e.liveShards() == 1 {
+		e.failWAL(fmt.Errorf("shard %d, the last of %d live: %w", i, e.n, cause))
+		return
 	}
-	e.quar[i] = &quarInfo{seq: seq, cause: cause}
+	e.shardState[i].Store(shardQuarantined)
+	seq := l.LastSeq()
+	l.Close()
+	e.wals[i] = nil
+	// The first background attempt waits HealBaseDelay like every later one:
+	// the fault that just exhausted the retries is unlikely to have cleared.
+	e.quar[i] = &quarInfo{seq: seq, cause: cause, nextTry: time.Now().Add(e.cfg.Durability.healBaseDelay())}
 	e.shards[i].shardTel.quarantined.Set(1)
 	e.tel.shardQuarantines.Inc()
 	if err := writeQuarMarker(e.cfg.Durability.fsys(), e.cfg.Durability.Dir, i, seq); err != nil {
 		log.Printf("engine: write quarantine marker for shard %d: %v", i, err)
 	}
 	log.Printf("engine: shard %d quarantined at seq %d: %v (live shards continue; self-heal scheduled)", i, seq, cause)
-	if e.liveShards() == 0 {
-		e.failWAL(fmt.Errorf("all %d shards quarantined; last cause: %w", e.n, cause))
-		return
-	}
 	e.startHealer()
-	e.kickHealer()
 }
 
 // dropQuarantined strips the flushed second's readings destined for non-live
@@ -230,20 +235,9 @@ func (e *Sharded) startHealer() {
 		return
 	}
 	e.healerOn = true
-	e.healKick = make(chan struct{}, 1)
 	e.healStop = make(chan struct{})
 	e.healDone = make(chan struct{})
-	go e.healLoop(e.healKick, e.healStop, e.healDone)
-}
-
-// kickHealer wakes the heal loop without waiting.
-func (e *Sharded) kickHealer() {
-	if e.healKick != nil {
-		select {
-		case e.healKick <- struct{}{}:
-		default:
-		}
-	}
+	go e.healLoop(e.healStop, e.healDone)
 }
 
 // stopHealer shuts the heal goroutine down and waits for it. Must be called
@@ -263,19 +257,18 @@ func (e *Sharded) stopHealer() {
 	e.ingestMu.Unlock()
 }
 
-// healLoop periodically attempts to heal quarantined shards, backing off
-// per-shard between failed attempts (healBackoff). It runs until stopped.
-func (e *Sharded) healLoop(kick, stop, done chan struct{}) {
+// healLoop wakes every HealBaseDelay and attempts to heal the quarantined
+// shards whose per-shard backoff (quarInfo.nextTry, healBackoff) has elapsed.
+// It runs until stopped.
+func (e *Sharded) healLoop(stop, done chan struct{}) {
 	defer close(done)
-	base := e.cfg.Durability.healBaseDelay()
-	timer := time.NewTimer(base)
-	defer timer.Stop()
+	ticker := time.NewTicker(e.cfg.Durability.healBaseDelay())
+	defer ticker.Stop()
 	for {
 		select {
 		case <-stop:
 			return
-		case <-kick:
-		case <-timer.C:
+		case <-ticker.C:
 		}
 		now := time.Now()
 		for i := 0; i < e.n; i++ {
@@ -292,13 +285,6 @@ func (e *Sharded) healLoop(kick, stop, done chan struct{}) {
 				}
 			}
 		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(base)
 	}
 }
 
@@ -436,38 +422,19 @@ func (e *Sharded) tryHeal(i int) error {
 	sh := e.shards[i]
 	var healEvents []model.Event
 	e.shardMu[i].Lock()
-	if restored {
-		sh.stats = ssnap.Stats
-		sh.col.Restore(ssnap.Collector)
-		sh.cache.RestoreEntries(ssnap.CacheEntries)
-		sh.cache.RestoreStats(ssnap.CacheHits, ssnap.CacheMisses)
-	} else {
-		// No usable snapshot: the shard restarts from nothing and its whole
-		// log replays below.
-		sh.stats = Stats{}
-		sh.col.Restore(collector.Snapshot{})
-		sh.cache.RestoreEntries(nil)
-		sh.cache.RestoreStats(0, 0)
-	}
+	// With no usable snapshot ssnap is still zero: the shard restarts from
+	// nothing and its whole log replays below.
+	sh.restoreShard(&ssnap)
 	for k := range batches {
-		b := &batches[k]
-		dropped := sh.col.Drops().Readings()
-		sh.col.IngestSecond(b.Time, b.Readings)
-		sh.stats.ReadingsIngested += len(b.Readings) - (sh.col.Drops().Readings() - dropped)
 		// These seconds pre-date the quarantine; their events are already in
-		// the router log. Drain (and re-invalidate the cache) but discard.
-		for _, ev := range sh.col.DrainEvents() {
-			if ev.Kind == model.Enter {
-				sh.cache.Invalidate(ev.Object, ev.Reader)
-			}
-		}
+		// the router log, so they are discarded.
+		sh.collectSecond(batches[k].Time, batches[k].Readings)
 	}
 	// Fast-forward the seconds flushed while the shard was out. The shard's
 	// readings for them were dropped, so each advances the clock with an
 	// empty second — LEAVE detection fires exactly as it would have live.
 	for k, t := range q.missed {
-		sh.col.IngestSecond(t, nil)
-		evs := sh.col.DrainEvents()
+		evs := sh.collectSecond(t, nil)
 		if k >= q.splicedThrough {
 			healEvents = append(healEvents, evs...)
 		}

@@ -18,18 +18,18 @@ import (
 // events, and every counter. Equivalence tests compare it with
 // reflect.DeepEqual, so ordering is pinned too.
 type shardedOutcome struct {
-	rng     model.ResultSet
-	knn     model.ResultSet
-	rngAt   model.ResultSet
-	knnAt   model.ResultSet
-	occ     []RoomOdds
-	loc     Localization
-	locOK   bool
-	events  []model.Event
-	known   []model.ObjectID
-	stats   Stats
-	hits    int
-	misses  int
+	rng    model.ResultSet
+	knn    model.ResultSet
+	rngAt  model.ResultSet
+	knnAt  model.ResultSet
+	occ    []RoomOdds
+	loc    Localization
+	locOK  bool
+	events []model.Event
+	known  []model.ObjectID
+	stats  Stats
+	hits   int
+	misses int
 }
 
 // observe runs the fixed ingest stream and query sequence against any engine
@@ -183,10 +183,11 @@ func ingestTrace(t *testing.T, sys interface {
 	sys.FlushIngest()
 }
 
-// TestShardedRecoveryEquivalence pins recovery: after an identical durable
-// ingest run, a reopened Sharded engine at any shard count answers exactly
-// like a reopened single engine — whether the first process closed cleanly
-// (snapshot restore) or vanished without Close (pure WAL replay).
+// TestShardedRecoveryEquivalence pins recovery: after a durable ingest run, a
+// reopened Sharded engine at any shard count answers exactly like an
+// uncrashed in-memory kernel fed the same stream — whether the first process
+// closed cleanly (snapshot restore) or vanished without Close (pure WAL
+// replay).
 func TestShardedRecoveryEquivalence(t *testing.T) {
 	plan := floorplan.DefaultOffice()
 	dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
@@ -203,29 +204,13 @@ func TestShardedRecoveryEquivalence(t *testing.T) {
 			name = "crash"
 		}
 		t.Run(name, func(t *testing.T) {
-			// Single-engine baseline.
-			dir := t.TempDir()
-			sys, err := Open(plan, dep, newCfg(dir))
-			if err != nil {
-				t.Fatalf("Open: %v", err)
-			}
+			// Oracle: the kernel, never crashed, never near a disk.
+			sys := MustNew(plan, dep, newCfg(""))
 			world := sim.MustNew(sys.Graph(), rfid.NewSensor(dep), traceCfg120(), 77)
 			ingestTrace(t, sys, world, 60)
-			if clean {
-				if err := sys.Close(); err != nil {
-					t.Fatalf("Close: %v", err)
-				}
-			}
-			re, err := Open(plan, dep, newCfg(dir))
-			if err != nil {
-				t.Fatalf("reopen single: %v", err)
-			}
-			base := recoveredOutcome(re)
+			base := recoveredOutcome(sys)
 			if len(base.known) == 0 || len(base.rng) == 0 {
-				t.Fatalf("recovered baseline is vacuous: %d objects, %d range rows", len(base.known), len(base.rng))
-			}
-			if clean != re.Recovery().SnapshotRestored {
-				t.Fatalf("single: SnapshotRestored = %v after %s", re.Recovery().SnapshotRestored, name)
+				t.Fatalf("oracle is vacuous: %d objects, %d range rows", len(base.known), len(base.rng))
 			}
 
 			for _, n := range []int{1, 4, 16} {

@@ -297,10 +297,6 @@ func (s *System) SyncMetrics() {
 	t.streamNow.Set(float64(s.col.Now()))
 	t.objectsKnown.Set(float64(s.col.NumObjects()))
 	t.cacheEntries.Set(float64(s.cache.Len()))
-	if s.wal != nil {
-		t.walLastSeq.Set(float64(s.walSeq))
-		t.walSegments.Set(float64(s.wal.Segments()))
-	}
 	if s.monitor != nil {
 		if t.readerLabels == nil {
 			t.readerLabels = make([]string, s.dep.NumReaders())

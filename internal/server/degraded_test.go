@@ -166,3 +166,83 @@ func TestQueriesMarkPartialWhenDegraded(t *testing.T) {
 		}
 	}
 }
+
+// TestFailStopRefusesIngest pins the HTTP face of a WAL fail-stop. cmd/server
+// runs one shard behind the router by default, where a permanent log fault
+// has no healthy shard to fall back on: the engine fail-stops, and the server
+// must say so — /ingest refused with 503 (never a 200 ack for a batch no log
+// holds), /readyz 503 "wal failed" — while queries keep answering in full,
+// not marked partial.
+func TestFailStopRefusesIngest(t *testing.T) {
+	plan := floorplan.DefaultOffice()
+	dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
+	fsys := errfs.New(nil, 29)
+	cfg := engine.DefaultConfig()
+	cfg.Seed = 41
+	cfg.Shards = 1
+	cfg.Particle.Ns = 16
+	cfg.SlowQueryThreshold = 0
+	cfg.Durability = engine.DurabilityConfig{
+		Dir:   t.TempDir(),
+		Fsync: wal.SyncAlways,
+		FS:    fsys,
+		Retry: engine.RetryConfig{Max: -1},
+	}
+	sys, err := engine.OpenSharded(plan, dep, cfg)
+	if err != nil {
+		t.Fatalf("OpenSharded: %v", err)
+	}
+	t.Cleanup(func() { sys.Close() })
+	ts := httptest.NewServer(New(sys, plan, dep).Handler())
+	t.Cleanup(ts.Close)
+
+	tc := sim.DefaultTraceConfig()
+	tc.NumObjects = 12
+	tc.DwellMin, tc.DwellMax = 2, 8
+	world := sim.MustNew(sys.Graph(), rfid.NewSensor(dep), tc, 321)
+	post := func() int {
+		tm, raws := world.Step()
+		body, err := json.Marshal(ingestRequest{Time: tm, Readings: raws})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Post(ts.URL+"/ingest", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for i := 0; i < 20; i++ {
+		if code := post(); code != http.StatusOK {
+			t.Fatalf("warm second %d: status %d", i, code)
+		}
+	}
+	fsys.Fail(errfs.Rule{Ops: errfs.OpWrite, Path: "shard-0000"})
+	for i := 0; i < 2; i++ {
+		if code := post(); code != http.StatusServiceUnavailable {
+			t.Fatalf("ingest %d over a failed log: status %d, want 503 (an unlogged batch must not be acked)", i, code)
+		}
+	}
+	resp, err := ts.Client().Get(ts.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ready struct {
+		Status string `json:"status"`
+	}
+	json.NewDecoder(resp.Body).Decode(&ready)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || ready.Status != "wal failed" {
+		t.Fatalf("/readyz = %d %q after fail-stop, want 503 \"wal failed\"", resp.StatusCode, ready.Status)
+	}
+	for _, p := range []string{"/range?x=1&y=2&w=140&h=32", "/knn?x=35&y=12&k=3", "/occupancy"} {
+		var out struct {
+			Partial        bool  `json:"partial"`
+			DegradedShards []int `json:"degradedShards"`
+		}
+		if code := getJSON(t, ts, p, &out); code != http.StatusOK || out.Partial || len(out.DegradedShards) != 0 {
+			t.Errorf("%s after fail-stop: status %d, %+v; want a full 200 answer from memory", p, code, out)
+		}
+	}
+}

@@ -60,20 +60,17 @@ import (
 )
 
 // Engine is the query-evaluation surface the server drives: implemented by
-// the single-shard *engine.System and the sharded *engine.Sharded.
+// the router *engine.Sharded (what cmd/server runs), a *cluster.Node wrapping
+// one, and the bare in-memory kernel *engine.System.
 type Engine interface {
-	Ingest(t model.Time, raws []model.RawReading) error
 	IngestContext(ctx context.Context, t model.Time, raws []model.RawReading) error
 	Now() model.Time
 	KnownObjects() []model.ObjectID
-	RangeQuery(window geom.Rect) model.ResultSet
 	RangeQueryAt(window geom.Rect, t model.Time) model.ResultSet
 	RangeQueryContext(ctx context.Context, window geom.Rect) (model.ResultSet, error)
-	KNNQuery(q geom.Point, k int) model.ResultSet
 	KNNQueryAt(q geom.Point, k int, t model.Time) model.ResultSet
 	KNNQueryContext(ctx context.Context, q geom.Point, k int) (model.ResultSet, error)
 	Localize(obj model.ObjectID) (engine.Localization, bool)
-	Occupancy() []engine.RoomOdds
 	OccupancyContext(ctx context.Context) ([]engine.RoomOdds, error)
 	DegradedShards() []int
 	Preprocess(candidates []model.ObjectID) *anchor.Table
@@ -172,9 +169,9 @@ const DefaultMaxIngestBytes = 8 << 20
 
 // New builds a Server around an assembled system with the default
 // configuration (no admission control, default ingest body cap). The server
-// starts ready: engine.Open completes recovery before returning, so by the
-// time a Server exists the system can take traffic. SetReady(false) begins a
-// drain.
+// starts ready: engine.OpenSharded completes recovery before returning, so
+// by the time a Server exists the system can take traffic. SetReady(false)
+// begins a drain.
 func New(sys Engine, plan *floorplan.Plan, dep *rfid.Deployment) *Server {
 	return NewWith(sys, plan, dep, Config{})
 }
@@ -258,7 +255,7 @@ func (s *Server) Close() error {
 func (s *Server) IngestDirect(t model.Time, raws []model.RawReading) error {
 	s.lock()
 	defer s.unlock()
-	err := s.sys.Ingest(t, raws)
+	err := s.sys.IngestContext(context.Background(), t, raws)
 	var ie *ingest.Error
 	if errors.As(err, &ie) && ie.Rejected {
 		log.Printf("ingest: direct delivery rejected: %v", ie)
@@ -637,6 +634,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var ie *ingest.Error
 	if errors.As(err, &ie) && ie.Rejected {
 		httpError(w, http.StatusConflict, "%v", ie)
+		return
+	}
+	if err != nil && ie == nil {
+		// Not a typed drop: the engine refused the whole delivery (a WAL
+		// fail-stop). Nothing was made durable, so it must never be acked.
+		httpError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
 	resp := map[string]any{

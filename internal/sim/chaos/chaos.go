@@ -1,10 +1,11 @@
 // Package chaos is the crash/restart harness for the durable engine: it
-// drives a simulated reading stream into a WAL-backed system, hard-kills the
-// process state at pseudo-random points (no Close, no flush — exactly what a
-// power cut leaves behind), optionally smears garbage over the WAL tail, and
-// reopens. At the end it verifies the survivor against a memory-only oracle
-// fed the same effective delivery sequence: identical Stats, identical
-// collector state, identical query answers.
+// drives a simulated reading stream into a WAL-backed router
+// (engine.OpenSharded; Shards 0 or 1 is the single-engine shape), hard-kills
+// the process state at pseudo-random points (no Close, no flush — exactly
+// what a power cut leaves behind), optionally smears garbage over a WAL tail,
+// and reopens. At the end it verifies the survivor against a memory-only
+// kernel fed the same effective delivery sequence: identical Stats, known
+// objects, events, and range/kNN/occupancy answers.
 //
 // It lives under internal/sim because it is a simulation tool, but in its own
 // package: the engine's own tests import internal/sim, so the harness (which
@@ -15,11 +16,11 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
 
 	"repro/internal/engine"
 	"repro/internal/floorplan"
-	"repro/internal/geom"
 	"repro/internal/model"
 	"repro/internal/rfid"
 	"repro/internal/sim"
@@ -39,8 +40,8 @@ type Config struct {
 	// Crashes is how many hard kills to spread across the run.
 	Crashes int
 	// TornTailBytes, when non-zero, appends that many random garbage bytes
-	// to the newest WAL segment after each crash, simulating a write torn
-	// mid-record. Recovery must truncate them.
+	// to shard 0's newest WAL segment after each crash, simulating a write
+	// torn mid-record. Recovery must truncate them.
 	TornTailBytes int
 	// Seed drives the world, the crash schedule, and the garbage bytes.
 	Seed int64
@@ -87,7 +88,7 @@ func Run(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (Report, error)
 	}
 	rep.Seconds = cfg.Seconds
 
-	sys, err := engine.Open(plan, dep, cfg.Engine)
+	sys, err := engine.OpenSharded(plan, dep, cfg.Engine)
 	if err != nil {
 		return rep, err
 	}
@@ -136,7 +137,7 @@ func Run(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (Report, error)
 				}
 				rep.TornBytesInjected += n
 			}
-			sys, err = engine.Open(plan, dep, cfg.Engine)
+			sys, err = engine.OpenSharded(plan, dep, cfg.Engine)
 			if err != nil {
 				return rep, fmt.Errorf("chaos: reopen after crash %d: %w", rep.Crashes, err)
 			}
@@ -159,7 +160,7 @@ func Run(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (Report, error)
 	}
 	sys.FlushIngest()
 
-	// Oracle: a memory-only system fed the effective sequence in one
+	// Oracle: the memory-only kernel fed the effective sequence in one
 	// uncrashed pass. The survivor must be indistinguishable from it.
 	oracleCfg := cfg.Engine
 	oracleCfg.Durability = engine.DurabilityConfig{}
@@ -175,7 +176,10 @@ func Run(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (Report, error)
 	oracle.FlushIngest()
 
 	rep.Stats = sys.Stats()
-	rep.Mismatches = compare(sys, oracle, plan)
+	if want := oracle.Stats(); !reflect.DeepEqual(rep.Stats, want) {
+		rep.Mismatches = append(rep.Mismatches, fmt.Sprintf("stats: survivor %+v oracle %+v", rep.Stats, want))
+	}
+	rep.Mismatches = append(rep.Mismatches, compareSharded(sys, oracle, plan)...)
 
 	// Conservation: every reading fed to the survivor's effective sequence
 	// is either ingested, dropped with a reason, or (impossible after
@@ -197,37 +201,10 @@ func Run(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (Report, error)
 	return rep, nil
 }
 
-// compare checks the survivor against the oracle: accounting, collector
-// state, and live query answers over the plan's bounding box.
-func compare(sys, oracle *engine.System, plan *floorplan.Plan) []string {
-	var ms []string
-	if got, want := sys.Now(), oracle.Now(); got != want {
-		ms = append(ms, fmt.Sprintf("clock: survivor now=%d oracle now=%d", got, want))
-	}
-	if got, want := sys.Stats(), oracle.Stats(); !reflect.DeepEqual(got, want) {
-		ms = append(ms, fmt.Sprintf("stats: survivor %+v oracle %+v", got, want))
-	}
-	if got, want := sys.Collector().Snapshot(), oracle.Collector().Snapshot(); !reflect.DeepEqual(got, want) {
-		ms = append(ms, "collector state diverged")
-	}
-	// Query the whole floor: one range window over the plan bounds and a
-	// kNN probe at its center. Order matters — run the same queries in the
-	// same order on both so cache and counter effects stay symmetric.
-	b := plan.Bounds()
-	center := geom.Point{X: (b.Min.X + b.Max.X) / 2, Y: (b.Min.Y + b.Max.Y) / 2}
-	if got, want := sys.RangeQuery(b), oracle.RangeQuery(b); !reflect.DeepEqual(got, want) {
-		ms = append(ms, fmt.Sprintf("range query diverged: survivor %v oracle %v", got, want))
-	}
-	if got, want := sys.KNNQuery(center, 3), oracle.KNNQuery(center, 3); !reflect.DeepEqual(got, want) {
-		ms = append(ms, fmt.Sprintf("knn query diverged: survivor %v oracle %v", got, want))
-	}
-	return ms
-}
-
-// smearTail appends n random bytes to the newest WAL segment, simulating a
-// record torn mid-write by the kill.
+// smearTail appends n random bytes to the newest WAL segment of shard 0
+// (dir/shard-0000), simulating a record torn mid-write by the kill.
 func smearTail(dir string, rng *rand.Rand, n int) (int, error) {
-	segs, err := wal.SegmentInfos(dir)
+	segs, err := wal.SegmentInfos(filepath.Join(dir, "shard-0000"))
 	if err != nil || len(segs) == 0 {
 		return 0, err
 	}

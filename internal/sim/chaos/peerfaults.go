@@ -105,7 +105,7 @@ func RunPeerFaults(plan *floorplan.Plan, dep *rfid.Deployment, cfg PeerFaultConf
 			// No retransmissions and an effectively infinite probe interval:
 			// fault boundaries land exactly on delivery indices, and heals
 			// happen only at the harness's explicit ProbePeers calls.
-			Retry:     cluster.RetryConfig{Max: -1},
+			Retry:     engine.RetryConfig{Max: -1},
 			ProbeBase: 24 * time.Hour,
 			ProbeMax:  24 * time.Hour,
 			Seed:      cfg.Seed,
