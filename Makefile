@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test race stress bench bench-smoke bench-json bench-diff bench-sharded bench-harness-build chaos cluster-e2e check experiments examples vet vuln profile
+.PHONY: build test race stress bench bench-smoke bench-json bench-diff bench-sharded bench-harness-build bench-harness-test chaos cluster-e2e check experiments examples vet vuln profile
 
 build:
 	go build ./...
@@ -25,12 +25,13 @@ vuln:
 	fi
 
 # Static analysis, the vulnerability scan, a compile of the frozen benchmark
-# harness, the full suite under the race detector, and one iteration of every
-# hot-path benchmark so a compile- or panic-level regression in the
-# benchmarked paths cannot land silently.
+# harness and its own tests, the full suite under the race detector, and one
+# iteration of every hot-path benchmark so a compile- or panic-level
+# regression in the benchmarked paths cannot land silently.
 check:
 	go vet ./...
 	$(MAKE) bench-harness-build
+	$(MAKE) bench-harness-test
 	$(MAKE) vuln
 	go test -race ./...
 	$(MAKE) bench-smoke
@@ -43,11 +44,19 @@ bench-harness-build:
 	go -C bench build -o /dev/null ./...
 	go -C bench vet ./...
 
+# The harness's own tests (~10 s, no latency assertions): they drive its
+# in-process replay through this tree's engine, server and cluster packages,
+# so an API change that still compiles against the frozen harness but breaks
+# what it does cannot land.
+bench-harness-test:
+	go -C bench test ./...
+
 # The packages whose tests involve timers, background goroutines, disks and
 # networks, twenty times over under the race detector: a test that fails one
-# run in three cannot get through.
+# run in three cannot get through. Twenty engine passes take 8-10 minutes on
+# a 2-vCPU box, right at go test's default limit, hence the explicit one.
 stress:
-	go test -race -count=20 ./internal/engine/ ./internal/cluster/ ./internal/sim/chaos/
+	go test -race -count=20 -timeout 30m ./internal/engine/ ./internal/cluster/ ./internal/sim/chaos/
 
 # Chaos scenarios in short mode: crash-at-random-points, per-shard
 # disk-fault schedules (quarantine + heal), and two-node peer faults
@@ -72,25 +81,26 @@ bench:
 bench-smoke:
 	go test -run '^$$' -bench . -benchtime=1x ./internal/...
 
-# Run the hot-path benchmarks (indexed coverage index vs. geometric
-# reference, the engine step benchmarks, and the tracing-overhead pair) and
-# record the parsed results plus the speedups over the checked-in
-# pre-tracing baseline BENCH_3.json.
+# Run the hot-path, engine-step and query-layer benchmarks and record the
+# parsed results plus the speedups over the newest checked-in report:
+# cmd/benchjson finds the highest BENCH_N.json and writes BENCH_<N+1>.json
+# into BENCH_DIR (the repository root by default — a new checked-in record;
+# CI passes a temp dir so the baselines it diffs against stay as committed).
+BENCH_DIR ?= .
 bench-json:
-	go run ./cmd/benchjson -out BENCH_4.json -baseline BENCH_3.json
+	go run ./cmd/benchjson -dir $(BENCH_DIR)
 
-# Regression gate: re-run the hot-path benchmarks and fail loudly if the
-# indexed FilterStep, the single-engine 1k-object step, or the one-shard
-# router step is more than 20% slower than the checked-in BENCH_3.json.
-# Writes nothing; used by CI next to bench-smoke.
+# Regression gate: re-run the benchmarks and fail loudly if the indexed
+# FilterStep, the single-engine 1k-object step, or the one-shard router step
+# is more than 20% slower than the newest checked-in BENCH_N.json. Writes
+# nothing; used by CI next to bench-smoke.
 bench-diff:
-	go run ./cmd/benchjson -out '' -baseline BENCH_3.json -maxregress 0.20
+	go run ./cmd/benchjson -out '' -maxregress 0.20
 
-# Record the sharded-engine scaling report: the hot-path benchmarks plus the
-# EngineStep benchmarks at shards 1/4/16, with speedups over the pre-sharding
-# BENCH_2.json baseline embedded as speedups_vs_baseline.
+# The sharded-engine scaling report: the same run, with speedups over the
+# pre-sharding BENCH_2.json embedded as speedups_vs_baseline.
 bench-sharded:
-	go run ./cmd/benchjson -out BENCH_3.json -baseline BENCH_2.json
+	go run ./cmd/benchjson -out $(BENCH_DIR)/bench-sharded.json -baseline BENCH_2.json
 
 # Regenerate every paper figure at full scale (~15 minutes).
 experiments:

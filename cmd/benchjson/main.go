@@ -1,21 +1,25 @@
 // Command benchjson runs the particle-filter hot-path micro-benchmarks
-// (indexed coverage path vs. geometric reference path) plus the engine-level
-// 1k-object step benchmark, and writes the parsed results as JSON, so
-// speedups can be tracked across revisions without eyeballing
+// (indexed coverage path vs. geometric reference path), the engine-level
+// 1k-object step benchmarks and the query path's layer benchmarks (prune,
+// snap, table build, warm preprocess), and writes the parsed results as JSON,
+// so speedups can be tracked across revisions without eyeballing
 // `go test -bench` output.
 //
 // Usage:
 //
-//	benchjson                                # writes BENCH_1.json in the cwd
-//	benchjson -out BENCH_2.json -baseline BENCH_1.json
-//	benchjson -baseline BENCH_2.json -maxregress 0.20   # CI regression gate
+//	benchjson                         # baseline: the highest BENCH_N.json in the cwd; writes BENCH_<N+1>.json
+//	benchjson -dir /tmp/bench         # same baseline, report written under /tmp/bench (CI artifacts)
+//	benchjson -out X.json -baseline Y.json   # explicit files override the discovery
+//	benchjson -out '' -maxregress 0.20       # CI regression gate against the discovered baseline, writes nothing
 //
-// With -baseline, each result is compared against the same benchmark in the
-// baseline file and the per-benchmark speedup (baseline ns/op over current
-// ns/op) is embedded as "speedups_vs_baseline". With -maxregress P, the run
-// exits non-zero if the indexed FilterStep, the 1k-object engine step, or
-// the one-shard sharded engine step is more than P (fraction) slower than
-// the baseline — the loud CI failure mode for hot-path regressions.
+// Each result is compared against the same benchmark in the baseline file:
+// the per-benchmark speedup (baseline ns/op over current ns/op) is embedded
+// as "speedups_vs_baseline", next to the baseline's own rows
+// ("baseline_results"), so a report carries both sides of every ratio it
+// states. With -maxregress P, the run exits non-zero if the indexed
+// FilterStep, the 1k-object engine step, or the one-shard sharded engine
+// step is more than P (fraction) slower than the baseline — the loud CI
+// failure mode for hot-path regressions.
 package main
 
 import (
@@ -25,6 +29,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strconv"
 	"strings"
 )
@@ -38,7 +43,13 @@ const benchPattern = "BenchmarkFilterStep|BenchmarkNegativeUpdate|BenchmarkInitA
 // variant (shards=N sub-benchmarks showing scaling with the shard count), and
 // the tracing-overhead pair (enabled/disabled sub-benchmarks pinning the cost
 // of the request tracer on the filter step).
-const enginePattern = "BenchmarkEngineStep|BenchmarkFilterStepTraced"
+const enginePattern = "BenchmarkEngineStep|BenchmarkFilterStepTraced|BenchmarkPreprocessWarm300"
+
+// The query path's layer benchmarks outside the engine package.
+const (
+	queryPattern  = "BenchmarkPruneKNN1k|BenchmarkPruneRange1k"
+	anchorPattern = "BenchmarkSnapDistribution|BenchmarkTableBuild300"
+)
 
 // result is one parsed benchmark line.
 type result struct {
@@ -70,18 +81,48 @@ type report struct {
 	Speedups   map[string]float64 `json:"speedups"`
 	Baseline   string             `json:"baseline,omitempty"`
 	VsBaseline map[string]float64 `json:"speedups_vs_baseline,omitempty"`
+	// BaselineResults are the baseline's rows for the benchmarks compared.
+	BaselineResults []result `json:"baseline_results,omitempty"`
+}
+
+// latestReport returns the highest N with a BENCH_N.json in the current
+// directory (0 when there is none).
+func latestReport() int {
+	names, _ := filepath.Glob("BENCH_*.json")
+	latest := 0
+	for _, name := range names {
+		n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "BENCH_"), ".json"))
+		if err == nil && n > latest {
+			latest = n
+		}
+	}
+	return latest
 }
 
 func main() {
-	out := flag.String("out", "BENCH_1.json", "output file (empty: don't write)")
+	const discover = "auto"
+	out := flag.String("out", discover, "output file (default: BENCH_<N+1>.json after the highest BENCH_N.json here; empty: don't write)")
+	dir := flag.String("dir", ".", "directory a discovered output file is written to")
 	benchtime := flag.String("benchtime", "1s", "value passed to -benchtime")
-	baseline := flag.String("baseline", "", "previous benchjson report to compute speedups_vs_baseline against")
+	baseline := flag.String("baseline", discover, "previous benchjson report to compute speedups_vs_baseline against (default: the highest BENCH_N.json here; empty: none)")
 	maxregress := flag.Float64("maxregress", 0, "fail if indexed FilterStep regresses more than this fraction vs -baseline (0 disables)")
 	flag.Parse()
+	latest := latestReport()
+	if *out == discover {
+		*out = filepath.Join(*dir, fmt.Sprintf("BENCH_%d.json", latest+1))
+	}
+	if *baseline == discover {
+		*baseline = ""
+		if latest > 0 {
+			*baseline = fmt.Sprintf("BENCH_%d.json", latest)
+		}
+	}
 
 	rep := report{Speedups: map[string]float64{}}
 	runBench(&rep, benchPattern, "./internal/particle/", *benchtime)
 	runBench(&rep, enginePattern, "./internal/engine/", *benchtime)
+	runBench(&rep, queryPattern, "./internal/query/", *benchtime)
+	runBench(&rep, anchorPattern, "./internal/anchor/", *benchtime)
 	if len(rep.Results) == 0 {
 		fatal(fmt.Errorf("no benchmark lines parsed"))
 	}
@@ -107,11 +148,18 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		rep.Baseline = *baseline
+		rep.Baseline = filepath.Base(*baseline)
 		rep.VsBaseline = map[string]float64{}
 		baseNs := map[string]float64{}
+		current := map[string]bool{}
+		for _, r := range rep.Results {
+			current[r.key()] = true
+		}
 		for _, r := range base.Results {
 			baseNs[r.key()] = r.NsPerOp
+			if current[r.key()] {
+				rep.BaselineResults = append(rep.BaselineResults, r)
+			}
 		}
 		for _, r := range rep.Results {
 			if b, ok := baseNs[r.key()]; ok && r.NsPerOp > 0 {
@@ -139,6 +187,9 @@ func main() {
 			fatal(err)
 		}
 		data = append(data, '\n')
+		if err := os.MkdirAll(filepath.Dir(*out), 0o755); err != nil {
+			fatal(err)
+		}
 		if err := os.WriteFile(*out, data, 0o644); err != nil {
 			fatal(err)
 		}

@@ -187,11 +187,7 @@ func writeSnapshot(path string, sys *engine.System, world *sim.Simulator, plan *
 	tab := sys.Preprocess(sys.Collector().KnownObjects())
 	colors := []string{"#d62728", "#ff7f0e", "#9467bd", "#17becf", "#bcbd22", "#e377c2"}
 	for i, obj := range sys.Collector().KnownObjects() {
-		dist := tab.DistributionOf(obj)
-		if len(dist) == 0 {
-			continue
-		}
-		c.DrawDistribution(sys.AnchorIndex(), dist, colors[i%len(colors)])
+		c.DrawDistribution(sys.AnchorIndex(), tab.DistributionOf(obj), colors[i%len(colors)])
 	}
 	truth := make(map[model.ObjectID]geom.Point)
 	for _, o := range world.Objects() {

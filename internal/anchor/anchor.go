@@ -46,9 +46,21 @@ type Index struct {
 	byEdge [][]ID
 	// roomAnchor maps each room to its single anchor.
 	roomAnchor map[floorplan.RoomID]ID
-	// nodeNearest holds, per node, the network-nearest anchor and its
-	// distance, for O(1) snapping across edges.
-	nodeNearest []nodeNearest
+	// snap is everything Snap reads, flattened per edge so the per-particle
+	// loop touches no Edge struct, closure or map.
+	snap snapTables
+}
+
+// snapTables holds Snap's inputs as flat arrays indexed by edge: the edge
+// length, the nearest anchor beyond each endpoint, and the edge's own
+// anchors as the range [start[e], start[e+1]) of ids/offs (ascending
+// offset).
+type snapTables struct {
+	length     []float64
+	endA, endB []nodeNearest
+	start      []int32
+	ids        []ID
+	offs       []float64
 }
 
 type nodeNearest struct {
@@ -106,8 +118,30 @@ func BuildIndex(g *walkgraph.Graph, spacing float64) (*Index, error) {
 			idx.roomAnchor[e.Room] = id
 		}
 	}
-	idx.computeNodeNearest()
+	idx.flattenSnap(idx.computeNodeNearest())
 	return idx, nil
+}
+
+// flattenSnap fills the per-edge snapping tables from byEdge and the
+// per-node nearest anchors.
+func (idx *Index) flattenSnap(nearest []nodeNearest) {
+	edges := idx.g.Edges()
+	t := snapTables{
+		length: make([]float64, len(edges)),
+		endA:   make([]nodeNearest, len(edges)),
+		endB:   make([]nodeNearest, len(edges)),
+		start:  make([]int32, len(edges)+1),
+	}
+	for i, e := range edges {
+		t.length[i] = e.Length
+		t.endA[i], t.endB[i] = nearest[e.A], nearest[e.B]
+		for _, id := range idx.byEdge[e.ID] {
+			t.ids = append(t.ids, id)
+			t.offs = append(t.offs, idx.anchors[id].Loc.Offset)
+		}
+		t.start[i+1] = int32(len(t.ids))
+	}
+	idx.snap = t
 }
 
 // MustBuildIndex is BuildIndex for known-valid parameters; panics on error.
@@ -177,12 +211,12 @@ func (h *anchorHeap) Pop() interface{} {
 
 // computeNodeNearest runs a multi-source Dijkstra seeded by every anchor's
 // distance to its edge endpoints, yielding the exact network-nearest anchor
-// for every node.
-func (idx *Index) computeNodeNearest() {
+// (and its distance) for every node.
+func (idx *Index) computeNodeNearest() []nodeNearest {
 	g := idx.g
-	idx.nodeNearest = make([]nodeNearest, g.NumNodes())
-	for i := range idx.nodeNearest {
-		idx.nodeNearest[i] = nodeNearest{anchor: NoAnchor, dist: math.Inf(1)}
+	nearest := make([]nodeNearest, g.NumNodes())
+	for i := range nearest {
+		nearest[i] = nodeNearest{anchor: NoAnchor, dist: math.Inf(1)}
 	}
 	h := anchorHeap{}
 	for _, a := range idx.anchors {
@@ -195,7 +229,7 @@ func (idx *Index) computeNodeNearest() {
 	heap.Init(&h)
 	for h.Len() > 0 {
 		it := heap.Pop(&h).(anchorHeapItem)
-		cur := &idx.nodeNearest[it.node]
+		cur := &nearest[it.node]
 		if it.dist >= cur.dist {
 			continue
 		}
@@ -207,45 +241,59 @@ func (idx *Index) computeNodeNearest() {
 				next = e.A
 			}
 			nd := it.dist + e.Length
-			if nd < idx.nodeNearest[next].dist {
+			if nd < nearest[next].dist {
 				heap.Push(&h, anchorHeapItem{node: next, dist: nd, anchor: it.anchor})
 			}
 		}
 	}
+	return nearest
 }
 
 // Snap returns the network-nearest anchor to the given location. This is the
-// paper's particle-to-anchor assignment.
+// paper's particle-to-anchor assignment. Candidates are compared in a fixed
+// order — the edge's anchor below the offset, the one at or above it, then
+// the nearest anchors beyond endpoints A and B — and a later candidate wins
+// only when strictly closer, which pins every tie.
 func (idx *Index) Snap(loc walkgraph.Location) ID {
-	g := idx.g
-	loc = g.Clamp(loc)
-	e := g.Edge(loc.Edge)
+	t := &idx.snap
+	e := loc.Edge
+	length, off := t.length[e], loc.Offset
+	if off < 0 {
+		off = 0
+	} else if off > length {
+		off = length
+	}
 	best, bestDist := NoAnchor, math.Inf(1)
-	// Anchors on the same edge.
-	ids := idx.byEdge[loc.Edge]
-	if len(ids) > 0 {
-		// Binary search the insertion point among sorted offsets.
-		i := sort.Search(len(ids), func(i int) bool {
-			return idx.anchors[ids[i]].Loc.Offset >= loc.Offset
-		})
-		for _, j := range []int{i - 1, i} {
-			if j >= 0 && j < len(ids) {
-				d := math.Abs(idx.anchors[ids[j]].Loc.Offset - loc.Offset)
-				if d < bestDist {
-					best, bestDist = ids[j], d
-				}
+	if lo, hi := int(t.start[e]), int(t.start[e+1]); lo < hi {
+		// First anchor of the edge at or above the offset.
+		i, j := lo, hi
+		for i < j {
+			h := int(uint(i+j) >> 1)
+			if !(t.offs[h] >= off) {
+				i = h + 1
+			} else {
+				j = h
+			}
+		}
+		if i > lo {
+			if d := math.Abs(t.offs[i-1] - off); d < bestDist {
+				best, bestDist = t.ids[i-1], d
+			}
+		}
+		if i < hi {
+			if d := math.Abs(t.offs[i] - off); d < bestDist {
+				best, bestDist = t.ids[i], d
 			}
 		}
 	}
-	// Anchors reachable through the endpoints.
-	if nn := idx.nodeNearest[e.A]; nn.anchor != NoAnchor {
-		if d := loc.Offset + nn.dist; d < bestDist {
+	if nn := t.endA[e]; nn.anchor != NoAnchor {
+		if d := off + nn.dist; d < bestDist {
 			best, bestDist = nn.anchor, d
 		}
 	}
-	if nn := idx.nodeNearest[e.B]; nn.anchor != NoAnchor {
-		if d := (e.Length - loc.Offset) + nn.dist; d < bestDist {
-			best, bestDist = nn.anchor, d
+	if nn := t.endB[e]; nn.anchor != NoAnchor {
+		if d := (length - off) + nn.dist; d < bestDist {
+			best = nn.anchor
 		}
 	}
 	return best

@@ -2,11 +2,22 @@ package anchor
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/model"
 )
+
+// probAt returns the object's probability in an anchor's posting list.
+func probAt(ps []Posting, obj model.ObjectID) (float64, bool) {
+	for _, po := range ps {
+		if po.Object == obj {
+			return po.P, true
+		}
+	}
+	return 0, false
+}
 
 func TestTableAddAndGet(t *testing.T) {
 	tb := NewTable()
@@ -16,8 +27,9 @@ func TestTableAddAndGet(t *testing.T) {
 	// This mirrors the paper's APtoObjHT example entry:
 	// (8.5,6.2) -> {<o1,0.14>, <o3,0.03>, <o7,0.37>}.
 	rs := tb.Get(ID(3))
-	if len(rs) != 3 || rs[1] != 0.14 || rs[3] != 0.03 || rs[7] != 0.37 {
-		t.Errorf("Get = %v", rs)
+	want := []Posting{{1, 0.14}, {3, 0.03}, {7, 0.37}}
+	if !reflect.DeepEqual(rs, want) {
+		t.Errorf("Get = %v, want %v", rs, want)
 	}
 	if tb.Len() != 1 {
 		t.Errorf("Len = %d", tb.Len())
@@ -28,7 +40,7 @@ func TestTableAccumulates(t *testing.T) {
 	tb := NewTable()
 	tb.Add(ID(1), 5, 0.25)
 	tb.Add(ID(1), 5, 0.25)
-	if got := tb.Get(ID(1))[5]; math.Abs(got-0.5) > 1e-12 {
+	if got, _ := probAt(tb.Get(ID(1)), 5); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("accumulated = %v", got)
 	}
 	if got := tb.TotalProbOf(5); math.Abs(got-0.5) > 1e-12 {
@@ -50,7 +62,7 @@ func TestTableReverseIndex(t *testing.T) {
 	tb.Add(ID(1), 5, 0.3)
 	tb.Add(ID(2), 5, 0.7)
 	dist := tb.DistributionOf(5)
-	if len(dist) != 2 || dist[ID(1)] != 0.3 || dist[ID(2)] != 0.7 {
+	if want := (Dist{IDs: []ID{1, 2}, P: []float64{0.3, 0.7}}); !reflect.DeepEqual(dist, want) {
 		t.Errorf("DistributionOf = %v", dist)
 	}
 	if !tb.HasObject(5) || tb.HasObject(6) {
@@ -71,11 +83,11 @@ func TestTableRemoveObject(t *testing.T) {
 	if tb.HasObject(5) {
 		t.Error("object 5 still present")
 	}
-	if tb.Get(ID(1))[6] != 0.4 {
+	if p, _ := probAt(tb.Get(ID(1)), 6); p != 0.4 {
 		t.Error("object 6 disturbed")
 	}
 	// Anchor 2 had only object 5; it should be gone entirely.
-	if tb.Get(ID(2)) != nil {
+	if len(tb.Get(ID(2))) != 0 {
 		t.Error("empty anchor entry not removed")
 	}
 	if tb.Len() != 1 {
@@ -87,10 +99,12 @@ func TestTableSetDistributionReplaces(t *testing.T) {
 	tb := NewTable()
 	tb.Add(ID(1), 5, 1.0)
 	tb.SetDistribution(5, map[ID]float64{ID(2): 0.5, ID(3): 0.5})
-	if _, ok := tb.Get(ID(1))[5]; ok {
+	if _, ok := probAt(tb.Get(ID(1)), 5); ok {
 		t.Error("old entry survived SetDistribution")
 	}
-	if tb.Get(ID(2))[5] != 0.5 || tb.Get(ID(3))[5] != 0.5 {
+	p2, _ := probAt(tb.Get(ID(2)), 5)
+	p3, _ := probAt(tb.Get(ID(3)), 5)
+	if p2 != 0.5 || p3 != 0.5 {
 		t.Error("new distribution not stored")
 	}
 }
@@ -116,8 +130,9 @@ func TestTableForwardReverseConsistent(t *testing.T) {
 			tb.Add(ID(a.AP), model.ObjectID(a.Obj), math.Abs(math.Mod(a.P, 1)))
 		}
 		for _, obj := range tb.Objects() {
-			for ap, p := range tb.DistributionOf(obj) {
-				if math.Abs(tb.Get(ap)[obj]-p) > 1e-12 {
+			d := tb.DistributionOf(obj)
+			for i, ap := range d.IDs {
+				if got, ok := probAt(tb.Get(ap), obj); !ok || got != d.P[i] {
 					return false
 				}
 			}

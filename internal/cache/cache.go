@@ -72,17 +72,24 @@ func New(lifetime model.Time) *Cache {
 	return &Cache{lifetime: lifetime, entries: make(map[model.ObjectID]entry)}
 }
 
-// Put stores (a copy of) the object's particle state together with the
-// device that was its most recent detector when the state was computed.
+// Put stores the object's particle state together with the device that was
+// its most recent detector when the state was computed. The cache takes
+// ownership of the state: no copy is made, and the caller must not touch it
+// again except through a later Get.
 func (c *Cache) Put(st *particle.State, device model.ReaderID) {
-	c.entries[st.Object] = entry{state: st.Clone(), device: device}
+	c.entries[st.Object] = entry{state: st, device: device}
 }
 
-// Get returns a copy of the cached state for the object if it is usable: the
-// object's current most recent device must equal the cached one (otherwise
-// the entry is stale by the paper's invalidation rule and is dropped), and
-// the entry must be younger than the lifetime. The returned state may be
-// advanced freely by the caller.
+// Get returns the cached state for the object if it is usable: the object's
+// current most recent device must equal the cached one (otherwise the entry
+// is stale by the paper's invalidation rule and is dropped), and the entry
+// must be younger than the lifetime.
+//
+// The state is handed over, not copied: the caller may advance it in place
+// and Put it back, all under the same exclusion that guards the cache itself
+// (the engine's shard lock). The entry stays in the cache meanwhile, so a
+// caller that gives up before touching the state — a deadline-skipped object
+// — leaves it exactly as it was.
 func (c *Cache) Get(obj model.ObjectID, currentDevice model.ReaderID, now model.Time) (*particle.State, bool) {
 	e, ok := c.entries[obj]
 	if !ok {
@@ -96,7 +103,7 @@ func (c *Cache) Get(obj model.ObjectID, currentDevice model.ReaderID, now model.
 		return nil, false
 	}
 	c.countHit()
-	return e.state.Clone(), true
+	return e.state, true
 }
 
 // Invalidate removes the object's entry if its most recent device changed.

@@ -73,26 +73,48 @@ func TestGetMissOnExpiry(t *testing.T) {
 	}
 }
 
-func TestGetReturnsIndependentCopy(t *testing.T) {
-	c := New(60)
-	c.Put(state(1, 100), 5)
-	got, _ := c.Get(1, 5, 100)
-	got.Particles[0].Speed = 99
-	got.Time = 999
-	again, _ := c.Get(1, 5, 100)
-	if again.Particles[0].Speed != 1 || again.Time != 100 {
-		t.Error("cached state aliased by Get")
-	}
-}
-
-func TestPutStoresCopy(t *testing.T) {
+// TestOwnershipPassing pins the hand-over contract: Get returns the stored
+// state itself, an in-place advance is what the next Get sees, re-Putting the
+// same pointer keeps one entry, and neither call copies particles.
+func TestOwnershipPassing(t *testing.T) {
 	c := New(60)
 	st := state(1, 100)
 	c.Put(st, 5)
-	st.Particles[0].Speed = 77
-	got, _ := c.Get(1, 5, 100)
-	if got.Particles[0].Speed != 1 {
-		t.Error("cached state aliased by Put")
+	got, ok := c.Get(1, 5, 100)
+	if !ok || got != st {
+		t.Fatalf("Get = %p, %v; want the Put pointer %p", got, ok, st)
+	}
+	got.Particles[0].Speed = 99
+	got.Time = 101
+	c.Put(got, 5)
+	again, _ := c.Get(1, 5, 101)
+	if again != st || again.Particles[0].Speed != 99 || again.Time != 101 || c.Len() != 1 {
+		t.Errorf("in-place advance lost: %+v (len %d)", again, c.Len())
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		s, _ := c.Get(1, 5, 101)
+		c.Put(s, 5)
+	}); allocs != 0 {
+		t.Errorf("Get+Put allocates %v times, want 0", allocs)
+	}
+}
+
+// TestDumpIsolatedFromLiveStates: a snapshot must not alias states the
+// engine keeps advancing in place after the dump.
+func TestDumpIsolatedFromLiveStates(t *testing.T) {
+	c := New(60)
+	st := state(1, 100)
+	c.Put(st, 5)
+	dump := c.Dump()
+	st.Particles[0].Speed = 42
+	st.Time = 200
+	if dump[0].State.Particles[0].Speed != 1 || dump[0].State.Time != 100 {
+		t.Error("Dump aliases the live state")
+	}
+	c.RestoreEntries(dump)
+	dump[0].State.Particles[0].Speed = 7
+	if got, _ := c.Get(1, 5, 100); got.Particles[0].Speed != 1 {
+		t.Error("RestoreEntries aliases the dump")
 	}
 }
 

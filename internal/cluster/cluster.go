@@ -78,8 +78,8 @@ type Local interface {
 
 	ObjectInfos() []query.ObjectInfo
 	ObjectInfosAt(t model.Time) []query.ObjectInfo
-	PreprocessContext(ctx context.Context, candidates []model.ObjectID) (*anchor.Table, error)
-	PreprocessAt(candidates []model.ObjectID, t model.Time) *anchor.Table
+	PreprocessDists(ctx context.Context, candidates []model.ObjectID) ([]anchor.ObjDist, error)
+	PreprocessDistsAt(candidates []model.ObjectID, t model.Time) []anchor.ObjDist
 	Evaluator() *query.Evaluator
 	PruneRangeContext(ctx context.Context, infos []query.ObjectInfo, windows []geom.Rect, now model.Time) ([]model.ObjectID, error)
 	PruneKNNContext(ctx context.Context, infos []query.ObjectInfo, q geom.Point, k int, now model.Time) ([]model.ObjectID, error)
@@ -438,35 +438,4 @@ func (n *Node) localQuarantineErr() error {
 		return nil
 	}
 	return &engine.QuarantineError{Shards: ds}
-}
-
-// infoLess orders candidate summaries by object, matching the engines'.
-func infoLess(a, b query.ObjectInfo) bool { return a.Object < b.Object }
-
-// mergeInfos merges per-node candidate summaries (each sorted by object,
-// pairwise disjoint by ownership) into one sorted slice, so the coordinator
-// prunes over exactly the summary a single-process engine would produce.
-func mergeInfos(per [][]query.ObjectInfo) []query.ObjectInfo {
-	total := 0
-	for _, s := range per {
-		total += len(s)
-	}
-	out := make([]query.ObjectInfo, 0, total)
-	idx := make([]int, len(per))
-	for {
-		best := -1
-		for i, s := range per {
-			if idx[i] >= len(s) {
-				continue
-			}
-			if best < 0 || infoLess(s[idx[i]], per[best][idx[best]]) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		out = append(out, per[best][idx[best]])
-		idx[best]++
-	}
 }

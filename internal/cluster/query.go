@@ -18,11 +18,12 @@ import (
 // candidate summaries from every owner, prune ONCE on the coordinator (kNN
 // pruning is global — it needs every object's distance bound to find the
 // k-th smallest), scatter preprocessing to the owners, merge the disjoint
-// distribution tables, and evaluate once. Because each object's filter run
-// is keyed by (Seed, object, its own readings), the merged table is
-// bit-for-bit the table a single process holding all the readings would
-// compute — the determinism argument behind the two-node oracle diff
-// (DESIGN.md §17).
+// per-object distributions — a peer's answer is the same []anchor.ObjDist a
+// local shard's is — build the table once, and evaluate once. Because each
+// object's filter run is keyed by (Seed, object, its own readings), the
+// merged table is bit-for-bit the table a single process holding all the
+// readings would compute — the determinism argument behind the two-node
+// oracle diff (DESIGN.md §17).
 
 // gatherResult is one peer's contribution to the gather stage.
 type gatherResult struct {
@@ -80,23 +81,24 @@ func (n *Node) gather(ctx context.Context, at model.Time, historical bool) ([]qu
 		}
 		per[i] = append(per[i], r.infos...)
 	}
-	return mergeInfos(per), degraded
+	return engine.MergeInfos(per), degraded
 }
 
 // scatter partitions the candidate set by owner, preprocesses the local
 // partition, forwards the remote partitions as evaluate RPCs, and merges
-// the disjoint tables. It returns the merged table, the degraded peer set,
-// a deadline error (if any stage ran out), a shed error (if an owner
-// refused under load), and the union of the owners' quarantined shards.
+// the owners' disjoint answers by object. It returns the merged
+// distributions in ascending object order, the degraded peer set, a deadline
+// error (if any stage ran out), and a shed error (if an owner refused under
+// load).
 func (n *Node) scatter(ctx context.Context, cands []model.ObjectID, at model.Time, historical bool) (
-	*anchor.Table, []string, error, *ShedError) {
+	[]anchor.ObjDist, []string, error, *ShedError) {
 	parts := make([][]model.ObjectID, len(n.members))
 	for _, obj := range cands {
 		i := n.OwnerIdx(obj)
 		parts[i] = append(parts[i], obj)
 	}
 
-	tabs := make([]*anchor.Table, len(n.members))
+	per := make([][]anchor.ObjDist, len(n.members))
 	errsDeadline := make([]error, len(n.members))
 	degradedF := make([]bool, len(n.members))
 	var shedMu sync.Mutex
@@ -137,16 +139,7 @@ func (n *Node) scatter(ctx context.Context, cands []model.ObjectID, at model.Tim
 				return
 			}
 			p.noteSuccess()
-			tab := anchor.NewTable()
-			objs := make([]model.ObjectID, 0, len(resp.Dists))
-			for obj := range resp.Dists {
-				objs = append(objs, obj)
-			}
-			sort.Slice(objs, func(a, b int) bool { return objs[a] < objs[b] })
-			for _, obj := range objs {
-				tab.SetDistribution(obj, resp.Dists[obj])
-			}
-			tabs[i] = tab
+			per[i] = anchor.ObjDistsFromMaps(resp.Dists)
 			if resp.DeadlineStage != "" {
 				errsDeadline[i] = &query.DeadlineError{Stage: resp.DeadlineStage, Err: context.DeadlineExceeded}
 			}
@@ -159,29 +152,20 @@ func (n *Node) scatter(ctx context.Context, cands []model.ObjectID, at model.Tim
 	}
 
 	// Local partition, concurrently with the remote scatter.
-	var localTab *anchor.Table
+	var local []anchor.ObjDist
 	var localErr error
 	if historical {
 		n.lock()
-		localTab = n.eng.PreprocessAt(parts[n.selfIdx], at)
+		local = n.eng.PreprocessDistsAt(parts[n.selfIdx], at)
 		n.unlock()
 	} else {
 		n.lock()
-		localTab, localErr = n.eng.PreprocessContext(ctx, parts[n.selfIdx])
+		local, localErr = n.eng.PreprocessDists(ctx, parts[n.selfIdx])
 		n.unlock()
 	}
 	wg.Wait()
-
-	merged := anchor.NewTable()
-	tabs[n.selfIdx] = localTab
-	for _, tab := range tabs {
-		if tab == nil {
-			continue
-		}
-		for _, obj := range tab.Objects() {
-			merged.SetDistribution(obj, tab.DistributionOf(obj))
-		}
-	}
+	per[n.selfIdx] = local
+	merged := engine.MergeDists(per)
 	var degraded []string
 	for i, d := range degradedF {
 		if d {
@@ -268,11 +252,11 @@ func (n *Node) RangeQueryContext(ctx context.Context, window geom.Rect) (model.R
 	now := n.Now()
 	infos, degG := n.gather(ctx, 0, false)
 	cands, perr := n.pruneRange(ctx, infos, window, now)
-	tab, degS, dlerr, shed := n.scatter(ctx, cands, 0, false)
+	dists, degS, dlerr, shed := n.scatter(ctx, cands, 0, false)
 	if shed != nil {
 		return nil, shed
 	}
-	rs, eerr := n.eng.Evaluator().RangeContext(ctx, tab, window)
+	rs, eerr := n.eng.Evaluator().RangeContext(ctx, anchor.TableOf(dists), window)
 	return rs, n.joinDegraded(firstNonNil(perr, dlerr, eerr), degG, degS)
 }
 
@@ -282,11 +266,11 @@ func (n *Node) KNNQueryContext(ctx context.Context, q geom.Point, k int) (model.
 	now := n.Now()
 	infos, degG := n.gather(ctx, 0, false)
 	cands, perr := n.pruneKNN(ctx, infos, q, k, now)
-	tab, degS, dlerr, shed := n.scatter(ctx, cands, 0, false)
+	dists, degS, dlerr, shed := n.scatter(ctx, cands, 0, false)
 	if shed != nil {
 		return nil, shed
 	}
-	rs, eerr := n.eng.Evaluator().KNNContext(ctx, tab, q, k)
+	rs, eerr := n.eng.Evaluator().KNNContext(ctx, anchor.TableOf(dists), q, k)
 	return rs, n.joinDegraded(firstNonNil(perr, dlerr, eerr), degG, degS)
 }
 
@@ -311,8 +295,8 @@ func (n *Node) RangeQueryAt(window geom.Rect, t model.Time) model.ResultSet {
 	ctx := context.Background()
 	infos, _ := n.gather(ctx, t, true)
 	cands, _ := n.pruneRange(ctx, infos, window, t)
-	tab, _, _, _ := n.scatter(ctx, cands, t, true)
-	return n.eng.Evaluator().Range(tab, window)
+	dists, _, _, _ := n.scatter(ctx, cands, t, true)
+	return n.eng.Evaluator().Range(anchor.TableOf(dists), window)
 }
 
 // KNNQueryAt answers a historical kNN query; see RangeQueryAt.
@@ -320,8 +304,8 @@ func (n *Node) KNNQueryAt(q geom.Point, k int, t model.Time) model.ResultSet {
 	ctx := context.Background()
 	infos, _ := n.gather(ctx, t, true)
 	cands, _ := n.pruneKNN(ctx, infos, q, k, t)
-	tab, _, _, _ := n.scatter(ctx, cands, t, true)
-	return n.eng.Evaluator().KNN(tab, q, k)
+	dists, _, _, _ := n.scatter(ctx, cands, t, true)
+	return n.eng.Evaluator().KNN(anchor.TableOf(dists), q, k)
 }
 
 // Occupancy aggregates per-room expected counts over the whole cluster.
@@ -334,11 +318,11 @@ func (n *Node) Occupancy() []engine.RoomOdds {
 // degradation contract.
 func (n *Node) OccupancyContext(ctx context.Context) ([]engine.RoomOdds, error) {
 	infos, degG := n.gather(ctx, 0, false)
-	tab, degS, dlerr, shed := n.scatter(ctx, infosToIDs(infos), 0, false)
+	dists, degS, dlerr, shed := n.scatter(ctx, infosToIDs(infos), 0, false)
 	if shed != nil {
 		return nil, shed
 	}
-	odds := engine.OccupancyFromTable(n.eng.AnchorIndex(), tab)
+	odds := engine.OccupancyOf(n.eng.AnchorIndex(), dists)
 	return odds, n.joinDegraded(dlerr, degG, degS)
 }
 
@@ -374,8 +358,8 @@ func (n *Node) KnownObjects() []model.ObjectID {
 // Preprocess fills a distribution table for an explicit candidate set via
 // the scatter path (the snapshot renderer's entry point).
 func (n *Node) Preprocess(candidates []model.ObjectID) *anchor.Table {
-	tab, _, _, _ := n.scatter(context.Background(), candidates, 0, false)
-	return tab
+	dists, _, _, _ := n.scatter(context.Background(), candidates, 0, false)
+	return anchor.TableOf(dists)
 }
 
 func firstNonNil(errs ...error) error {

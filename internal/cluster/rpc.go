@@ -98,9 +98,10 @@ type Response struct {
 	// OpGather.
 	Infos []query.ObjectInfo
 
-	// OpEvaluate: per-object anchor distributions, merged into the
-	// coordinator's table; DeadlineStage marks a deadline-partial table;
-	// DegradedShards reports the owner's quarantined in-process shards.
+	// OpEvaluate: per-object anchor distributions, which the coordinator
+	// converts straight to sorted []anchor.ObjDist and merges with its own;
+	// DeadlineStage marks a deadline-partial answer; DegradedShards reports
+	// the owner's quarantined in-process shards.
 	Dists          map[model.ObjectID]map[anchor.ID]float64
 	DeadlineStage  string
 	DegradedShards []int
@@ -259,15 +260,15 @@ func (n *Node) handleEvaluateRPC(ctx context.Context, req *Request) (*Response, 
 	}
 	tr := trace.From(ctx)
 	start := time.Now()
-	var tab *anchor.Table
+	var dists []anchor.ObjDist
 	var err error
 	if req.Historical {
 		n.lock()
-		tab = n.eng.PreprocessAt(req.Candidates, req.At)
+		dists = n.eng.PreprocessDistsAt(req.Candidates, req.At)
 		n.unlock()
 	} else {
 		n.lock()
-		tab, err = n.eng.PreprocessContext(ctx, req.Candidates)
+		dists, err = n.eng.PreprocessDists(ctx, req.Candidates)
 		n.unlock()
 	}
 	tr.Add("remote-evaluate", trace.RouterShard, start, time.Since(start),
@@ -275,12 +276,13 @@ func (n *Node) handleEvaluateRPC(ctx context.Context, req *Request) (*Response, 
 		trace.Attr{Key: "candidates", Value: fmt.Sprintf("%d", len(req.Candidates))})
 	n.observeEval(time.Since(start))
 
-	resp := &Response{DegradedShards: n.DegradedShards()}
-	if tab != nil {
-		resp.Dists = make(map[model.ObjectID]map[anchor.ID]float64, len(tab.Objects()))
-		for _, obj := range tab.Objects() {
-			resp.Dists[obj] = tab.DistributionOf(obj)
-		}
+	// The wire type stays the map of maps the benchmark harness decodes.
+	resp := &Response{
+		DegradedShards: n.DegradedShards(),
+		Dists:          make(map[model.ObjectID]map[anchor.ID]float64, len(dists)),
+	}
+	for _, od := range dists {
+		resp.Dists[od.Object] = od.Dist.Map()
 	}
 	if de, ok := engine.IsDeadline(err); ok {
 		resp.DeadlineStage = de.Stage

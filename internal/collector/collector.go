@@ -194,9 +194,15 @@ func (c *Collector) DrainEvents() []model.Event {
 // readings of up to its two most recent consecutive detecting devices),
 // oldest first. The result is a copy.
 func (c *Collector) Aggregated(obj model.ObjectID) []model.AggregatedReading {
+	return c.AppendAggregated(nil, obj)
+}
+
+// AppendAggregated appends what Aggregated returns to dst, for callers that
+// gather many objects' entries into one buffer.
+func (c *Collector) AppendAggregated(dst []model.AggregatedReading, obj model.ObjectID) []model.AggregatedReading {
 	log := c.objects[obj]
 	if log == nil {
-		return nil
+		return dst
 	}
 	runs := log.runs
 	if len(runs) > 2 {
@@ -204,11 +210,10 @@ func (c *Collector) Aggregated(obj model.ObjectID) []model.AggregatedReading {
 		// two most recent detecting devices, as Algorithm 2 expects.
 		runs = runs[len(runs)-2:]
 	}
-	var out []model.AggregatedReading
 	for _, r := range runs {
-		out = append(out, r.entries...)
+		dst = append(dst, r.entries...)
 	}
-	return out
+	return dst
 }
 
 // RecentDevices returns the object's second-most-recent and most-recent

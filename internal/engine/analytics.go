@@ -13,32 +13,29 @@ import (
 // combined hallway share as a NoRoom entry), ranked descending — the
 // building-wide density view facilities dashboards want.
 func (s *System) Occupancy() []RoomOdds {
-	tab := s.Preprocess(infosToIDs(s.objectInfos()))
-	return occupancyOn(s.idx, tab)
+	dists, _ := s.preprocessDists(nil, infosToIDs(s.objectInfos()))
+	return occupancyOn(s.idx, dists)
 }
 
 // OccupancyContext is Occupancy under a caller deadline: a deadline overrun
 // returns the rooms computable from the objects preprocessed so far plus the
 // typed partial error, mirroring RangeQueryContext.
 func (s *System) OccupancyContext(ctx context.Context) ([]RoomOdds, error) {
-	tab, err := s.preprocessCtx(ctx, infosToIDs(s.objectInfos()))
-	if tab == nil {
-		tab = anchor.NewTable()
-	}
-	return occupancyOn(s.idx, tab), err
+	dists, err := s.preprocessDists(ctx, infosToIDs(s.objectInfos()))
+	return occupancyOn(s.idx, dists), err
 }
 
-// occupancyOn accumulates a table's distributions into per-room expectations.
-// Objects and anchors are visited in sorted order: float addition is not
-// associative, so a pinned order is what makes the answer reproducible across
-// runs — and identical between the single and sharded engines, which both
-// come through here with the same merged table.
-func occupancyOn(idx *anchor.Index, tab *anchor.Table) []RoomOdds {
+// occupancyOn accumulates per-object distributions into per-room
+// expectations. Objects and anchors are visited in ascending order — the
+// order the slices are in: float addition is not associative, so a pinned
+// order is what makes the answer reproducible across runs — and identical
+// between the single and sharded engines, which both come through here with
+// the same merged distributions.
+func occupancyOn(idx *anchor.Index, dists []anchor.ObjDist) []RoomOdds {
 	byRoom := make(map[floorplan.RoomID]float64)
-	for _, obj := range tab.Objects() {
-		dist := tab.DistributionOf(obj)
-		for _, ap := range sortedAnchorIDs(dist) {
-			byRoom[idx.Anchor(ap).Room] += dist[ap]
+	for _, od := range dists {
+		for i, ap := range od.Dist.IDs {
+			byRoom[idx.Anchor(ap).Room] += od.Dist.P[i]
 		}
 	}
 	out := make([]RoomOdds, 0, len(byRoom))
@@ -87,12 +84,12 @@ func (s *System) Trajectory(obj model.ObjectID, from, to, step model.Time) []Tra
 	for t := from; t <= to; t += step {
 		tab := s.PreprocessAt([]model.ObjectID{obj}, t)
 		dist := tab.DistributionOf(obj)
-		if len(dist) == 0 {
+		if dist.Len() == 0 {
 			continue
 		}
 		var mx, my float64
-		for _, ap := range sortedAnchorIDs(dist) {
-			a, p := s.idx.Anchor(ap), dist[ap]
+		for i, ap := range dist.IDs {
+			a, p := s.idx.Anchor(ap), dist.P[i]
 			mx += a.Pos.X * p
 			my += a.Pos.Y * p
 		}

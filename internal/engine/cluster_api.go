@@ -14,9 +14,10 @@ import (
 // pipeline as the sharded router, but across processes: the coordinator
 // gathers candidate summaries from every peer, prunes once globally (kNN
 // pruning needs every object's distance bound), scatters preprocessing to
-// the owners, merges the disjoint distribution tables, and evaluates once.
-// These accessors expose the pipeline's stages piecewise without widening
-// the query API itself.
+// the owners, merges their disjoint []anchor.ObjDist — the same thing a
+// local shard returns — builds the table once, and evaluates once. These
+// accessors expose the pipeline's stages piecewise without widening the
+// query API itself.
 
 // ObjectInfos summarizes every known object for the pruning module, in
 // ascending object order. It is the gather stage of the distributed query
@@ -56,11 +57,26 @@ func (s *System) NoteTransportDrops(n int) {
 	s.extraDrops.UnreachableReadings += n
 }
 
-// OccupancyFromTable computes per-room expected counts from an
-// already-merged distribution table, in the same pinned order as Occupancy.
-// The cluster coordinator uses it after merging tables evaluated by peers.
-func OccupancyFromTable(idx *anchor.Index, tab *anchor.Table) []RoomOdds {
-	return occupancyOn(idx, tab)
+// PreprocessDists is PreprocessContext returning the candidates'
+// distributions in ascending object order — the scatter stage's answer —
+// instead of the table built from them.
+func (s *System) PreprocessDists(ctx context.Context, candidates []model.ObjectID) ([]anchor.ObjDist, error) {
+	return s.preprocessDists(ctx, candidates)
+}
+
+// MergeInfos and MergeDists are the router's own k-way merges, for the
+// coordinator's gather and scatter: per-owner slices, each in ascending
+// object order over disjoint objects, into one.
+func MergeInfos(per [][]query.ObjectInfo) []query.ObjectInfo { return kMerge(per, infoLess) }
+
+// MergeDists: see MergeInfos.
+func MergeDists(per [][]anchor.ObjDist) []anchor.ObjDist { return kMerge(per, objDistLess) }
+
+// OccupancyOf computes per-room expected counts from already-merged
+// distributions (ascending object order), in the same pinned order as
+// Occupancy. The cluster coordinator uses it after merging its peers'.
+func OccupancyOf(idx *anchor.Index, dists []anchor.ObjDist) []RoomOdds {
+	return occupancyOn(idx, dists)
 }
 
 // ObjectInfos mirrors System.ObjectInfos over the live shards.
@@ -81,14 +97,25 @@ func (e *Sharded) ObjectInfosAt(t model.Time) []query.ObjectInfo {
 // System.PreprocessContext: on expiry the remaining objects are skipped and
 // a *query.DeadlineError is returned alongside the partial table.
 func (e *Sharded) PreprocessContext(ctx context.Context, cands []model.ObjectID) (*anchor.Table, error) {
+	dists, err := e.PreprocessDists(ctx, cands)
+	return anchor.TableOf(dists), err
+}
+
+// PreprocessDists mirrors System.PreprocessDists over the live shards.
+func (e *Sharded) PreprocessDists(ctx context.Context, cands []model.ObjectID) ([]anchor.ObjDist, error) {
 	e.healthMu.RLock()
 	defer e.healthMu.RUnlock()
-	return e.preprocessCtx(ctx, cands)
+	return e.preprocessDists(ctx, cands)
 }
 
 // PreprocessAt runs the historical (uncached, serial) preprocessing
 // pipeline, mirroring System.PreprocessAt.
 func (e *Sharded) PreprocessAt(cands []model.ObjectID, t model.Time) *anchor.Table {
+	return anchor.TableOf(e.PreprocessDistsAt(cands, t))
+}
+
+// PreprocessDistsAt mirrors System.PreprocessDistsAt.
+func (e *Sharded) PreprocessDistsAt(cands []model.ObjectID, t model.Time) []anchor.ObjDist {
 	e.healthMu.RLock()
 	defer e.healthMu.RUnlock()
 	return e.preprocessAt(cands, t)

@@ -17,7 +17,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -207,13 +207,28 @@ type System struct {
 	eventLog []model.Event
 	eventOff int
 
-	// pools recycles per-worker particle pools (the SoA kernel's flat
-	// arrays and scratch) across Preprocess calls, so steady-state
-	// preprocessing allocates nothing per query. histPool is the serial
-	// historical-query path's dedicated pool.
-	pools    sync.Pool
-	histPool *particle.Pool
+	// pools recycles per-worker scratch (the SoA kernel's flat arrays and the
+	// snap accumulator) across Preprocess calls, so steady-state
+	// preprocessing allocates nothing per query but its answer. hist is the
+	// serial historical-query path's dedicated scratch.
+	pools sync.Pool
+	hist  *workerScratch
+	// tasks and entries are preprocessDists' per-call work list and the
+	// readings it gathers, recycled across calls (the caller's exclusion
+	// covers them like the collector and cache they are filled from).
+	tasks   []preprocessTask
+	entries []model.AggregatedReading
 }
+
+// workerScratch is what one preprocessing worker steps objects through.
+type workerScratch struct {
+	pool *particle.Pool
+	acc  anchor.Accumulator
+	// src is re-keyed per object; living here keeps it off the heap.
+	src rng.Source
+}
+
+func newWorkerScratch() *workerScratch { return &workerScratch{pool: particle.NewPool()} }
 
 // Stats returns the system's cumulative work counters, with the drop
 // accounting of the reorder buffer and the collector merged in.
@@ -272,8 +287,8 @@ func New(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*System, error
 		sm:     sm,
 		src:    rng.New(cfg.Seed),
 	}
-	s.pools.New = func() any { return particle.NewPool() }
-	s.histPool = particle.NewPool()
+	s.pools.New = func() any { return newWorkerScratch() }
+	s.hist = newWorkerScratch()
 	s.reorder = ingest.NewReorder(cfg.Ingest, s.ingestSecond)
 	if cfg.Health.Enabled {
 		s.monitor, err = health.NewMonitor(cfg.Health, dep.NumReaders())
@@ -504,8 +519,8 @@ func (s *System) objectInfos() []query.ObjectInfo {
 // Config.Workers); each object's randomness derives from (Seed, object,
 // last reading time), so the output is identical at any parallelism.
 func (s *System) Preprocess(candidates []model.ObjectID) *anchor.Table {
-	tab, _ := s.preprocessCtx(nil, candidates)
-	return tab
+	dists, _ := s.preprocessDists(nil, candidates)
+	return anchor.TableOf(dists)
 }
 
 // PreprocessContext is Preprocess with a per-request deadline, checked at
@@ -513,44 +528,53 @@ func (s *System) Preprocess(candidates []model.ObjectID) *anchor.Table {
 // skipped — they simply do not appear in the returned table — and a
 // *query.DeadlineError is returned alongside the partial table.
 func (s *System) PreprocessContext(ctx context.Context, candidates []model.ObjectID) (*anchor.Table, error) {
-	return s.preprocessCtx(ctx, candidates)
+	dists, err := s.preprocessDists(ctx, candidates)
+	return anchor.TableOf(dists), err
 }
 
-// preprocessCtx is the shared implementation; a nil ctx skips every check
-// and is exactly the pre-deadline behavior.
-func (s *System) preprocessCtx(ctx context.Context, candidates []model.ObjectID) (*anchor.Table, error) {
-	tab := anchor.NewTable()
+// preprocessTask is one candidate's trip through preprocessDists.
+type preprocessTask struct {
+	obj     model.ObjectID
+	entries []model.AggregatedReading
+	dj      model.ReaderID
+	// st is the state to advance — the cache's own, handed over — or nil
+	// for a full run; done marks that the worker got to the object.
+	st      *particle.State
+	resumed bool
+	done    bool
+	dist    anchor.Dist
+	snap    time.Duration
+}
+
+// preprocessDists is the shared implementation: the candidates'
+// distributions in ascending object order, which is what a shard returns to
+// the router and a peer to its coordinator. A nil ctx skips every deadline
+// check and is exactly the pre-deadline behavior.
+func (s *System) preprocessDists(ctx context.Context, candidates []model.ObjectID) ([]anchor.ObjDist, error) {
 	now := s.col.Now()
 	tr := trace.From(ctx)
-	sorted := append([]model.ObjectID(nil), candidates...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 
-	type task struct {
-		obj     model.ObjectID
-		entries []model.AggregatedReading
-		dj      model.ReaderID
-		cached  *particle.State
-		st      *particle.State
-		dist    map[anchor.ID]float64
-		snap    time.Duration
-	}
 	// Phase 1 (serial): gather readings and consult the cache — collector
-	// and cache are not safe for concurrent use.
-	tasks := make([]task, 0, len(sorted))
-	for _, obj := range sorted {
-		entries := s.col.Aggregated(obj)
-		if len(entries) == 0 {
+	// and cache are not safe for concurrent use. A hit hands the cached
+	// state itself to the task; it stays in the cache, so an object the
+	// deadline skips below is simply left as it was.
+	tasks, entries := s.tasks[:0], s.entries[:0]
+	for _, obj := range sortedObjects(candidates) {
+		from := len(entries)
+		entries = s.col.AppendAggregated(entries, obj)
+		if len(entries) == from {
 			continue
 		}
 		_, dj := s.col.RecentDevices(obj)
-		t := task{obj: obj, entries: entries, dj: dj}
+		// Capacity-capped: if the shared buffer grows, earlier tasks keep
+		// their (immutable) view of the old array.
+		t := preprocessTask{obj: obj, entries: entries[from:len(entries):len(entries)], dj: dj}
 		if s.cfg.UseCache {
-			if cached, ok := s.cache.Get(obj, dj, now); ok {
-				t.cached = cached
-			}
+			t.st, t.resumed = s.cache.Get(obj, dj, now)
 		}
 		tasks = append(tasks, t)
 	}
+	s.entries = entries
 
 	// Phase 2 (parallel): run the particle filter per object. Each object's
 	// stream is keyed by (Seed, object, last reading time): a later query
@@ -560,9 +584,11 @@ func (s *System) preprocessCtx(ctx context.Context, candidates []model.ObjectID)
 	// Workers claim contiguous batches of the sorted task list from a shared
 	// atomic cursor — one atomic add per batch instead of one channel
 	// round-trip per object — and step every object in a batch through the
-	// same recycled particle pool, so the SoA kernel's flat arrays stay hot
-	// in cache from one object to the next. The goroutines live only for the
-	// duration of the call; the pools are recycled across calls.
+	// same recycled scratch, so the SoA kernel's flat arrays stay hot in
+	// cache from one object to the next. Tasks are disjoint objects, so a
+	// cached state is advanced in place by exactly one worker. The
+	// goroutines live only for the duration of the call; the scratch is
+	// recycled across calls.
 	workers := s.cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -581,8 +607,8 @@ func (s *System) preprocessCtx(ctx context.Context, candidates []model.ObjectID)
 	var cursor atomic.Int64
 	worker := func() {
 		defer wg.Done()
-		pool := s.pools.Get().(*particle.Pool)
-		defer s.pools.Put(pool)
+		ws := s.pools.Get().(*workerScratch)
+		defer s.pools.Put(ws)
 		for {
 			end := int(cursor.Add(int64(batch)))
 			start := end - batch
@@ -595,7 +621,8 @@ func (s *System) preprocessCtx(ctx context.Context, candidates []model.ObjectID)
 			for i := start; i < end; i++ {
 				if ctx != nil && ctx.Err() != nil {
 					// Deadline hit: stop claiming and filtering; skipped
-					// objects stay out of the table.
+					// objects stay out of the answer and untouched in the
+					// cache.
 					return
 				}
 				t := &tasks[i]
@@ -603,12 +630,11 @@ func (s *System) preprocessCtx(ctx context.Context, candidates []model.ObjectID)
 				if tr != nil {
 					callStart = time.Now()
 				}
-				src := rng.Derive(s.cfg.Seed, int64(t.obj), int64(t.entries[len(t.entries)-1].Time))
-				if t.cached != nil {
-					t.st = t.cached
-					s.filter.AdvancePool(pool, src, t.st, t.entries, now)
+				ws.src = *rng.Derive(s.cfg.Seed, int64(t.obj), int64(t.entries[len(t.entries)-1].Time))
+				if t.resumed {
+					s.filter.AdvancePool(ws.pool, &ws.src, t.st, t.entries, now)
 				} else {
-					st, err := s.filter.RunPool(pool, src, t.obj, t.entries, now)
+					st, err := s.filter.RunPool(ws.pool, &ws.src, t.obj, t.entries, now)
 					if err != nil {
 						continue
 					}
@@ -617,8 +643,9 @@ func (s *System) preprocessCtx(ctx context.Context, candidates []model.ObjectID)
 				// The anchor-snap discretization is the fourth filter stage;
 				// histograms are atomic, so observing from workers is safe.
 				snapStart := time.Now()
-				t.dist = t.st.AnchorDistribution(s.idx)
+				t.dist = t.st.AnchorDist(s.idx, &ws.acc)
 				t.snap = time.Since(snapStart)
+				t.done = true
 				s.tel.stageSnap.Observe(t.snap.Seconds())
 				if tr != nil {
 					s.recordStageSpans(tr, callStart, t.obj, t.st.LastRun, t.snap)
@@ -632,29 +659,32 @@ func (s *System) preprocessCtx(ctx context.Context, candidates []model.ObjectID)
 	}
 	wg.Wait()
 
-	// Phase 3 (serial): commit to the cache and the table.
+	// Phase 3 (serial): commit to the cache and collect the answer.
+	out := make([]anchor.ObjDist, 0, len(tasks))
 	for i := range tasks {
 		t := &tasks[i]
-		if t.st == nil {
+		if !t.done {
 			continue
 		}
-		if t.cached != nil {
+		if t.resumed {
 			s.stats.FiltersResumed++
 			s.tel.runsResumed.Inc()
 		} else {
 			s.stats.FiltersRun++
 			s.tel.runsFull.Inc()
 		}
-		s.tel.recordTrace(s.shardID, t.st, t.snap, t.cached != nil)
+		s.tel.recordTrace(s.shardID, t.st, t.snap, t.resumed)
 		if s.cfg.UseCache {
 			s.cache.Put(t.st, t.dj)
 		}
-		tab.SetDistribution(t.obj, t.dist)
+		out = append(out, anchor.ObjDist{Object: t.obj, Dist: t.dist})
 	}
+	clear(tasks) // drop the state and reading references until the next call
+	s.tasks = tasks
 	if ctx != nil && ctx.Err() != nil {
-		return tab, &query.DeadlineError{Stage: "preprocess", Err: ctx.Err()}
+		return out, &query.DeadlineError{Stage: "preprocess", Err: ctx.Err()}
 	}
-	return tab, nil
+	return out, nil
 }
 
 // recordStageSpans reconstructs one filter call's per-stage spans from the
@@ -692,6 +722,22 @@ func (s *System) KNNCandidates(q geom.Point, k int) []model.ObjectID {
 		return infosToIDs(infos)
 	}
 	return s.pruner.KNNCandidates(infos, q, k, s.col.Now())
+}
+
+// sortedObjects returns the candidates in ascending order without repeats —
+// a repeated candidate must not become two tasks advancing one cached state —
+// copying only when they are not already so (pruning emits them that way).
+func sortedObjects(candidates []model.ObjectID) []model.ObjectID {
+	strict := true
+	for i := 1; i < len(candidates) && strict; i++ {
+		strict = candidates[i-1] < candidates[i]
+	}
+	if strict {
+		return candidates
+	}
+	sorted := slices.Clone(candidates)
+	slices.Sort(sorted)
+	return slices.Compact(sorted)
 }
 
 func infosToIDs(infos []query.ObjectInfo) []model.ObjectID {
@@ -742,7 +788,7 @@ func (s *System) KNNQueryOn(tab *anchor.Table, q geom.Point, k int) model.Result
 // distribution for one object (preprocessing just that object).
 func (s *System) ObjectDistribution(obj model.ObjectID) map[anchor.ID]float64 {
 	tab := s.Preprocess([]model.ObjectID{obj})
-	return tab.DistributionOf(obj)
+	return tab.DistributionOf(obj).Map()
 }
 
 // PreprocessAt runs the particle filter for the candidates as of a past
@@ -750,21 +796,25 @@ func (s *System) ObjectDistribution(obj model.ObjectID) map[anchor.ID]float64 {
 // it reaches arbitrarily far back; otherwise it is limited to the live
 // retention window.
 func (s *System) PreprocessAt(candidates []model.ObjectID, t model.Time) *anchor.Table {
-	tab := anchor.NewTable()
-	sorted := append([]model.ObjectID(nil), candidates...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for _, obj := range sorted {
+	return anchor.TableOf(s.PreprocessDistsAt(candidates, t))
+}
+
+// PreprocessDistsAt is PreprocessAt returning the distributions in ascending
+// object order instead of the table built from them.
+func (s *System) PreprocessDistsAt(candidates []model.ObjectID, t model.Time) []anchor.ObjDist {
+	var out []anchor.ObjDist
+	for _, obj := range sortedObjects(candidates) {
 		entries := s.col.AggregatedUpTo(obj, t)
 		if len(entries) == 0 {
 			continue
 		}
-		st, err := s.filter.RunPool(s.histPool, s.src, obj, entries, t)
+		st, err := s.filter.RunPool(s.hist.pool, s.src, obj, entries, t)
 		if err != nil {
 			continue
 		}
-		tab.SetDistribution(obj, st.AnchorDistribution(s.idx))
+		out = append(out, anchor.ObjDist{Object: obj, Dist: st.AnchorDist(s.idx, &s.hist.acc)})
 	}
-	return tab
+	return out
 }
 
 // objectInfosAt summarizes objects as of a past time stamp.
@@ -884,8 +934,8 @@ func (s *System) SMKNNQuery(q geom.Point, k int) []model.ObjectID {
 // many query points).
 func (s *System) SMKNNQueryOn(tab *anchor.Table, q geom.Point, k int) []model.ObjectID {
 	dists := make(map[model.ObjectID]map[anchor.ID]float64)
-	for _, obj := range tab.Objects() {
-		dists[obj] = tab.DistributionOf(obj)
+	for _, od := range tab.Dists() {
+		dists[od.Object] = od.Dist.Map()
 	}
 	return s.smKNNFromDists(dists, q, k)
 }

@@ -199,7 +199,7 @@ func TestReorderedIngestBitForBitIdentical(t *testing.T) {
 	tabA := sysA.Preprocess(objsA)
 	tabB := sysB.Preprocess(objsB)
 	for _, obj := range objsA {
-		da, db := tabA.DistributionOf(obj), tabB.DistributionOf(obj)
+		da, db := tabA.DistributionOf(obj).Map(), tabB.DistributionOf(obj).Map()
 		if diff := diffDistributions(da, db); diff != "" {
 			t.Errorf("object %d distributions diverged: %s", obj, diff)
 		}

@@ -44,7 +44,7 @@ type RoomOdds struct {
 func (s *System) Localize(obj model.ObjectID) (Localization, bool) {
 	tab := s.Preprocess([]model.ObjectID{obj})
 	dist := tab.DistributionOf(obj)
-	if len(dist) == 0 {
+	if dist.Len() == 0 {
 		return Localization{}, false
 	}
 	return s.summarize(obj, dist), true
@@ -52,15 +52,10 @@ func (s *System) Localize(obj model.ObjectID) (Localization, bool) {
 
 // LocalizeAll localizes every known object, sorted by object ID.
 func (s *System) LocalizeAll() []Localization {
-	objs := s.col.KnownObjects()
-	tab := s.Preprocess(objs)
-	out := make([]Localization, 0, len(objs))
-	for _, obj := range objs {
-		dist := tab.DistributionOf(obj)
-		if len(dist) == 0 {
-			continue
-		}
-		out = append(out, s.summarize(obj, dist))
+	tab := s.Preprocess(s.col.KnownObjects())
+	out := make([]Localization, 0, len(tab.Dists()))
+	for _, od := range tab.Dists() {
+		out = append(out, s.summarize(od.Object, od.Dist))
 	}
 	return out
 }
@@ -71,29 +66,21 @@ func (s *System) LocalizeAll() []Localization {
 func (s *System) RoomDistribution(obj model.ObjectID) ([]RoomOdds, bool) {
 	tab := s.Preprocess([]model.ObjectID{obj})
 	dist := tab.DistributionOf(obj)
-	if len(dist) == 0 {
+	if dist.Len() == 0 {
 		return nil, false
 	}
 	return roomOdds(s.idx, dist), true
 }
 
-// sortedAnchorIDs returns a distribution's support in ascending anchor
-// order. Every float accumulation over a distribution iterates through it:
-// addition order is pinned, so summaries are reproducible run to run and
-// identical across the single and sharded engines.
-func sortedAnchorIDs(dist map[anchor.ID]float64) []anchor.ID {
-	ids := make([]anchor.ID, 0, len(dist))
-	for ap := range dist {
-		ids = append(ids, ap)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
+// roomOdds and summarize accumulate over a distribution in its own order —
+// ascending anchor ID — so float addition order is pinned: summaries are
+// reproducible run to run and identical across the single and sharded
+// engines.
 
-func roomOdds(idx *anchor.Index, dist map[anchor.ID]float64) []RoomOdds {
+func roomOdds(idx *anchor.Index, dist anchor.Dist) []RoomOdds {
 	byRoom := make(map[floorplan.RoomID]float64)
-	for _, ap := range sortedAnchorIDs(dist) {
-		byRoom[idx.Anchor(ap).Room] += dist[ap]
+	for i, ap := range dist.IDs {
+		byRoom[idx.Anchor(ap).Room] += dist.P[i]
 	}
 	out := make([]RoomOdds, 0, len(byRoom))
 	for room, p := range byRoom {
@@ -108,11 +95,11 @@ func roomOdds(idx *anchor.Index, dist map[anchor.ID]float64) []RoomOdds {
 	return out
 }
 
-func (s *System) summarize(obj model.ObjectID, dist map[anchor.ID]float64) Localization {
+func (s *System) summarize(obj model.ObjectID, dist anchor.Dist) Localization {
 	loc := Localization{Object: obj, Mode: anchor.NoAnchor}
 	var mx, my float64
-	for _, ap := range sortedAnchorIDs(dist) {
-		a, p := s.idx.Anchor(ap), dist[ap]
+	for i, ap := range dist.IDs {
+		a, p := s.idx.Anchor(ap), dist.P[i]
 		mx += a.Pos.X * p
 		my += a.Pos.Y * p
 		if p > loc.ModeProb || (p == loc.ModeProb && ap < loc.Mode) {

@@ -90,10 +90,3 @@ func TestRoomDistributionSumsToOne(t *testing.T) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

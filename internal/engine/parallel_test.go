@@ -38,7 +38,7 @@ func TestParallelPreprocessDeterministic(t *testing.T) {
 		out := make(map[int]map[int]float64)
 		for _, obj := range tab.Objects() {
 			m := make(map[int]float64)
-			for ap, p := range tab.DistributionOf(obj) {
+			for ap, p := range tab.DistributionOf(obj).Map() {
 				m[int(ap)] = p
 			}
 			out[int(obj)] = m
@@ -205,8 +205,8 @@ func TestRepeatedPreprocessSameAnswer(t *testing.T) {
 	first := sys.Preprocess(objs)
 	second := sys.Preprocess(objs)
 	for _, obj := range first.Objects() {
-		a := first.DistributionOf(obj)
-		b := second.DistributionOf(obj)
+		a := first.DistributionOf(obj).Map()
+		b := second.DistributionOf(obj).Map()
 		if len(a) != len(b) {
 			t.Errorf("o%d support changed between identical queries", obj)
 			continue

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"time"
 
+	"repro/internal/anchor"
 	"repro/internal/geom"
 	"repro/internal/health"
 	"repro/internal/ingest"
@@ -86,12 +87,12 @@ func (s *System) RangeQueryContext(ctx context.Context, window geom.Rect) (model
 	}
 	tr.Since("prune", trace.RouterShard, pstart)
 	estart := time.Now()
-	tab, terr := s.preprocessCtx(ctx, cands)
+	dists, terr := s.preprocessDists(ctx, cands)
 	s.shardTel.evaluate.Observe(time.Since(estart).Seconds())
 	tr.Since("evaluate", s.shardID, estart)
 	s.stats.RangeQueries++
 	mstart := time.Now()
-	rs, eerr := s.eval.RangeContext(ctx, tab, window)
+	rs, eerr := s.eval.RangeContext(ctx, anchor.TableOf(dists), window)
 	tr.Since("merge", trace.RouterShard, mstart)
 	s.observeQuery("range", rangeDetail(window.Min.X, window.Min.Y,
 		window.Max.X-window.Min.X, window.Max.Y-window.Min.Y), len(cands), start, tr)
@@ -122,12 +123,12 @@ func (s *System) KNNQueryContext(ctx context.Context, q geom.Point, k int) (mode
 	}
 	tr.Since("prune", trace.RouterShard, pstart)
 	estart := time.Now()
-	tab, terr := s.preprocessCtx(ctx, cands)
+	dists, terr := s.preprocessDists(ctx, cands)
 	s.shardTel.evaluate.Observe(time.Since(estart).Seconds())
 	tr.Since("evaluate", s.shardID, estart)
 	s.stats.KNNQueries++
 	mstart := time.Now()
-	rs, eerr := s.eval.KNNContext(ctx, tab, q, k)
+	rs, eerr := s.eval.KNNContext(ctx, anchor.TableOf(dists), q, k)
 	tr.Since("merge", trace.RouterShard, mstart)
 	s.observeQuery("knn", knnDetail(q.X, q.Y, k), len(cands), start, tr)
 	if err := firstDeadline(perr, terr, eerr); err != nil {

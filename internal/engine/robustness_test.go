@@ -48,7 +48,7 @@ func TestRobustToGhostReads(t *testing.T) {
 		trueLoc := world.TrueLocation(obj)
 		nd := sys.Graph().DistancesFromLocation(trueLoc)
 		near := 0.0
-		for ap, p := range tab.DistributionOf(obj) {
+		for ap, p := range tab.DistributionOf(obj).Map() {
 			if sys.Graph().DistToLocation(trueLoc, nd, sys.AnchorIndex().Anchor(ap).Loc) < 8 {
 				near += p
 			}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -18,7 +17,6 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/model"
 	"repro/internal/obs/trace"
-	"repro/internal/particle"
 	"repro/internal/query"
 	"repro/internal/rfid"
 	"repro/internal/rng"
@@ -90,11 +88,11 @@ type Sharded struct {
 	healthMu sync.RWMutex
 
 	// histMu guards the router-owned historical-query state: the shared
-	// random source and the recycled pool, consumed serially exactly like
+	// random source and the recycled scratch, consumed serially exactly like
 	// the single engine's PreprocessAt.
-	histMu   sync.Mutex
-	src      *rng.Source
-	histPool *particle.Pool
+	histMu sync.Mutex
+	src    *rng.Source
+	hist   *workerScratch
 
 	// metricsMu serializes SyncMetrics (concurrent /metrics scrapes).
 	metricsMu sync.Mutex
@@ -167,7 +165,7 @@ func NewSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Sharde
 		shards:     make([]*System, n),
 		shardMu:    make([]sync.Mutex, n),
 		src:        rng.New(cfg.Seed),
-		histPool:   particle.NewPool(),
+		hist:       newWorkerScratch(),
 		shardState: make([]atomic.Int32, n),
 		quar:       make([]*quarInfo, n),
 		rejoining:  -1,
@@ -472,29 +470,30 @@ func (e *Sharded) gatherInfosAt(t model.Time) []query.ObjectInfo {
 	return kMerge(per, infoLess)
 }
 
-// preprocessCtx scatters the candidate set to the owning shards, runs their
-// preprocessing pipelines in parallel, and merges the disjoint tables. A nil
+// preprocessDists scatters the candidate set to the owning shards, runs
+// their preprocessing pipelines in parallel, and k-way merges their answers
+// — each in ascending object order, over disjoint objects — into one. A nil
 // ctx skips every deadline check. Callers hold healthMu (read side).
-func (e *Sharded) preprocessCtx(ctx context.Context, cands []model.ObjectID) (*anchor.Table, error) {
+func (e *Sharded) preprocessDists(ctx context.Context, cands []model.ObjectID) ([]anchor.ObjDist, error) {
 	tr := trace.From(ctx)
 	if e.n == 1 {
 		if e.shardState[0].Load() != shardLive {
-			return anchor.NewTable(), nil
+			return nil, nil
 		}
 		e.shardMu[0].Lock()
 		defer e.shardMu[0].Unlock()
 		estart := time.Now()
-		tab, err := e.shards[0].preprocessCtx(ctx, cands)
+		dists, err := e.shards[0].preprocessDists(ctx, cands)
 		e.shards[0].shardTel.evaluate.Observe(time.Since(estart).Seconds())
 		tr.Since("evaluate", 0, estart)
-		return tab, err
+		return dists, err
 	}
 	parts := make([][]model.ObjectID, e.n)
 	for _, obj := range cands {
 		i := shardmap.Of(obj, e.n)
 		parts[i] = append(parts[i], obj)
 	}
-	tabs := make([]*anchor.Table, e.n)
+	per := make([][]anchor.ObjDist, e.n)
 	errs := make([]error, e.n)
 	var wg sync.WaitGroup
 	for i := range e.shards {
@@ -510,22 +509,13 @@ func (e *Sharded) preprocessCtx(ctx context.Context, cands []model.ObjectID) (*a
 			e.shardMu[i].Lock()
 			defer e.shardMu[i].Unlock()
 			estart := time.Now()
-			tabs[i], errs[i] = e.shards[i].preprocessCtx(ctx, parts[i])
+			per[i], errs[i] = e.shards[i].preprocessDists(ctx, parts[i])
 			e.shards[i].shardTel.evaluate.Observe(time.Since(estart).Seconds())
 			tr.Since("evaluate", i, estart)
 		}(i)
 	}
 	wg.Wait()
-	merged := anchor.NewTable()
-	for _, tab := range tabs {
-		if tab == nil {
-			continue
-		}
-		for _, obj := range tab.Objects() {
-			merged.SetDistribution(obj, tab.DistributionOf(obj))
-		}
-	}
-	return merged, firstDeadline(errs...)
+	return kMerge(per, objDistLess), firstDeadline(errs...)
 }
 
 // Preprocess is the public scatter-gather preprocessing entry point,
@@ -533,8 +523,8 @@ func (e *Sharded) preprocessCtx(ctx context.Context, cands []model.ObjectID) (*a
 func (e *Sharded) Preprocess(cands []model.ObjectID) *anchor.Table {
 	e.healthMu.RLock()
 	defer e.healthMu.RUnlock()
-	tab, _ := e.preprocessCtx(nil, cands)
-	return tab
+	dists, _ := e.preprocessDists(nil, cands)
+	return anchor.TableOf(dists)
 }
 
 // RangeQuery is RangeQueryContext without a deadline; the partial marker of
@@ -570,10 +560,10 @@ func (e *Sharded) RangeQueryContext(ctx context.Context, window geom.Rect) (mode
 		cands = infosToIDs(infos)
 	}
 	tr.Since("prune", trace.RouterShard, pstart)
-	tab, terr := e.preprocessCtx(ctx, cands)
+	dists, terr := e.preprocessDists(ctx, cands)
 	e.rangeQ.Add(1)
 	mstart := time.Now()
-	rs, eerr := e.shards[0].eval.RangeContext(ctx, tab, window)
+	rs, eerr := e.shards[0].eval.RangeContext(ctx, anchor.TableOf(dists), window)
 	tr.Since("merge", trace.RouterShard, mstart)
 	e.observeQuery("range", rangeDetail(window.Min.X, window.Min.Y,
 		window.Max.X-window.Min.X, window.Max.Y-window.Min.Y), len(cands), start, tr)
@@ -603,10 +593,10 @@ func (e *Sharded) KNNQueryContext(ctx context.Context, q geom.Point, k int) (mod
 		cands = infosToIDs(infos)
 	}
 	tr.Since("prune", trace.RouterShard, pstart)
-	tab, terr := e.preprocessCtx(ctx, cands)
+	dists, terr := e.preprocessDists(ctx, cands)
 	e.knnQ.Add(1)
 	mstart := time.Now()
-	rs, eerr := e.shards[0].eval.KNNContext(ctx, tab, q, k)
+	rs, eerr := e.shards[0].eval.KNNContext(ctx, anchor.TableOf(dists), q, k)
 	tr.Since("merge", trace.RouterShard, mstart)
 	e.observeQuery("knn", knnDetail(q.X, q.Y, k), len(cands), start, tr)
 	if err := firstDeadline(perr, terr, eerr); err != nil {
@@ -628,8 +618,7 @@ func (e *Sharded) RangeQueryAt(window geom.Rect, t model.Time) model.ResultSet {
 	if e.cfg.UsePruning {
 		cands = e.shards[0].pruner.RangeCandidates(infos, []geom.Rect{window}, t)
 	}
-	tab := e.preprocessAt(cands, t)
-	return e.shards[0].eval.Range(tab, window)
+	return e.shards[0].eval.Range(anchor.TableOf(e.preprocessAt(cands, t)), window)
 }
 
 // KNNQueryAt answers a historical kNN query; see RangeQueryAt.
@@ -641,20 +630,17 @@ func (e *Sharded) KNNQueryAt(q geom.Point, k int, t model.Time) model.ResultSet 
 	if e.cfg.UsePruning {
 		cands = e.shards[0].pruner.KNNCandidates(infos, q, k, t)
 	}
-	tab := e.preprocessAt(cands, t)
-	return e.shards[0].eval.KNN(tab, q, k)
+	return e.shards[0].eval.KNN(anchor.TableOf(e.preprocessAt(cands, t)), q, k)
 }
 
 // preprocessAt is the historical (uncached, serial) pipeline. It must stay
 // serial: historical runs draw from one shared source, and the draw order
 // is part of the reproducibility contract.
-func (e *Sharded) preprocessAt(cands []model.ObjectID, t model.Time) *anchor.Table {
+func (e *Sharded) preprocessAt(cands []model.ObjectID, t model.Time) []anchor.ObjDist {
 	e.histMu.Lock()
 	defer e.histMu.Unlock()
-	tab := anchor.NewTable()
-	sorted := append([]model.ObjectID(nil), cands...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for _, obj := range sorted {
+	var out []anchor.ObjDist
+	for _, obj := range sortedObjects(cands) {
 		i := shardmap.Of(obj, e.n)
 		if e.shardState[i].Load() != shardLive {
 			continue
@@ -665,13 +651,13 @@ func (e *Sharded) preprocessAt(cands []model.ObjectID, t model.Time) *anchor.Tab
 		if len(entries) == 0 {
 			continue
 		}
-		st, err := e.shards[0].filter.RunPool(e.histPool, e.src, obj, entries, t)
+		st, err := e.shards[0].filter.RunPool(e.hist.pool, e.src, obj, entries, t)
 		if err != nil {
 			continue
 		}
-		tab.SetDistribution(obj, st.AnchorDistribution(e.shards[0].idx))
+		out = append(out, anchor.ObjDist{Object: obj, Dist: st.AnchorDist(e.shards[0].idx, &e.hist.acc)})
 	}
-	return tab
+	return out
 }
 
 // Localize delegates to the owning shard; per-object summaries only touch
@@ -704,11 +690,8 @@ func (e *Sharded) Occupancy() []RoomOdds {
 func (e *Sharded) OccupancyContext(ctx context.Context) ([]RoomOdds, error) {
 	e.healthMu.RLock()
 	defer e.healthMu.RUnlock()
-	tab, terr := e.preprocessCtx(ctx, infosToIDs(e.gatherInfos()))
-	if tab == nil {
-		tab = anchor.NewTable()
-	}
-	odds := occupancyOn(e.shards[0].idx, tab)
+	dists, terr := e.preprocessDists(ctx, infosToIDs(e.gatherInfos()))
+	odds := occupancyOn(e.shards[0].idx, dists)
 	if terr != nil {
 		e.tel.deadlineExceeded.Inc()
 		trace.From(ctx).SetDeadline()
@@ -941,3 +924,5 @@ func eventLess(a, b model.Event) bool {
 }
 
 func infoLess(a, b query.ObjectInfo) bool { return a.Object < b.Object }
+
+func objDistLess(a, b anchor.ObjDist) bool { return a.Object < b.Object }

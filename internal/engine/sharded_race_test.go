@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"sync"
@@ -25,7 +26,8 @@ import (
 // -race target (the router's lock discipline must keep every surface safe),
 // and it re-checks two invariants the concurrency must not break: the final
 // quiesced answers are identical at every shard count, and no goroutines
-// leak once the engine falls idle.
+// leak once the engine falls idle. stressCachedQueries then repeats the
+// exercise with the cache on, where the query path shares the most state.
 func TestShardedConcurrentStress(t *testing.T) {
 	plan := floorplan.DefaultOffice()
 	dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
@@ -131,6 +133,8 @@ func TestShardedConcurrentStress(t *testing.T) {
 		}
 	}
 
+	stressCachedQueries(t, plan, dep, steps)
+
 	// Worker pools and query goroutines must all have exited; give the
 	// runtime a moment to reap them.
 	for i := 0; i < 50; i++ {
@@ -140,6 +144,77 @@ func TestShardedConcurrentStress(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Errorf("goroutine leak: %d before stress, %d after", before, runtime.NumGoroutine())
+}
+
+// stressCachedQueries is the cache-on half of the stress: eight goroutines
+// issue kNN and range queries against one four-shard engine while ingest
+// runs. This is where the query path shares state — one Pruner (per-call
+// scratch only), cached particle states advanced in place under the shard
+// locks, recycled per-shard work lists — so it is the -race target for all
+// of it. Answers depend on query history with the cache on, so the checks are
+// the history-free ones: every probability is a probability, and a quiesced
+// engine answers the same question the same way twice.
+func stressCachedQueries(t *testing.T, plan *floorplan.Plan, dep *rfid.Deployment, steps int) {
+	cfg := DefaultConfig()
+	cfg.Seed = 33
+	cfg.Shards = 4
+	sh := MustNewSharded(plan, dep, cfg)
+	tc := sim.DefaultTraceConfig()
+	tc.NumObjects = 60
+	tc.DwellMin, tc.DwellMax = 2, 8
+	world := sim.MustNew(sh.Graph(), rfid.NewSensor(dep), tc, 78)
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 0; i < steps; i++ {
+			tm, raws := world.Step()
+			if err := sh.Ingest(tm, raws); err != nil {
+				t.Errorf("cache-on stress: Ingest: %v", err)
+				return
+			}
+		}
+	}()
+	check := func(kind string, rs model.ResultSet) {
+		for o, p := range rs {
+			if p < 0 || p > 1+1e-9 || p != p {
+				t.Errorf("cache-on stress: %s o%d probability %v", kind, o, p)
+				return
+			}
+		}
+	}
+	for q := 0; q < 8; q++ {
+		wg.Add(1)
+		go func(q int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				x := float64(5 + (7*q+3*i)%55)
+				check("kNN", sh.KNNQuery(geom.Pt(x, 12), 1+q))
+				check("range", sh.RangeQuery(geom.RectWH(x-4, 6, 12+float64(q), 10)))
+			}
+		}(q)
+	}
+	wg.Wait()
+	sh.FlushIngest()
+
+	rng1, knn1 := sh.RangeQuery(geom.RectWH(5, 9, 25, 14)), sh.KNNQuery(geom.Pt(20, 12), 10)
+	rng2, knn2 := sh.RangeQuery(geom.RectWH(5, 9, 25, 14)), sh.KNNQuery(geom.Pt(20, 12), 10)
+	if len(rng1) == 0 || !reflect.DeepEqual(rng1, rng2) || !reflect.DeepEqual(knn1, knn2) {
+		t.Errorf("cache-on stress: quiesced engine answers differ between identical calls (%d range rows)", len(rng1))
+	}
+	for _, od := range sh.Preprocess(sh.KnownObjects()).Dists() {
+		if total := od.Dist.Total(); math.Abs(total-1) > 1e-9 {
+			t.Errorf("cache-on stress: o%d distribution sums to %v", od.Object, total)
+		}
+	}
 }
 
 // TestShardedQuarantineHealStress is the -race target for the fault-isolation

@@ -178,7 +178,7 @@ func Run(p Params) (Measurement, error) {
 		// Top-k success of the particle filter's inferred locations.
 		idx := sys.AnchorIndex()
 		for _, obj := range objs {
-			dist := pfTab.DistributionOf(obj)
+			dist := pfTab.DistributionOf(obj).Map()
 			if len(dist) == 0 {
 				continue
 			}

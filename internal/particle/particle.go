@@ -177,7 +177,8 @@ type State struct {
 
 // Clone returns a deep copy of the state. Scratch buffers are not carried
 // over: clones start with fresh ones, so a state and its clone can be
-// advanced independently (the cache clones on both Put and Get).
+// advanced independently. The query path no longer clones (the cache hands
+// states over by ownership); snapshots and the benchmark harness do.
 func (s *State) Clone() *State {
 	c := *s
 	c.Particles = make([]Particle, len(s.Particles))
@@ -222,14 +223,16 @@ func EffectiveSampleSize(ps []Particle) float64 {
 	return 1 / sq
 }
 
-// AnchorDistribution snaps every particle to its nearest anchor point and
-// returns the resulting probability distribution, weighting each particle by
-// its (normalized) importance weight; with uniform weights — always the case
+// AnchorDist snaps every particle to its nearest anchor point and returns
+// the resulting probability distribution, weighting each particle by its
+// (normalized) importance weight; with uniform weights — always the case
 // right after a resampling step — this is exactly the paper's n/Ns counting.
-// This is the discretization step feeding the APtoObjHT hash table.
-func (s *State) AnchorDistribution(idx *anchor.Index) map[anchor.ID]float64 {
+// This is the discretization step feeding the APtoObjHT hash table. Masses
+// accumulate in particle order into acc, the calling worker's scratch, which
+// comes back reset.
+func (s *State) AnchorDist(idx *anchor.Index, acc *anchor.Accumulator) anchor.Dist {
 	if len(s.Particles) == 0 {
-		return nil
+		return anchor.Dist{}
 	}
 	// Normalize on the fly without mutating the particle weights, so
 	// repeated calls on the same (possibly cached) state are bit-for-bit
@@ -238,18 +241,25 @@ func (s *State) AnchorDistribution(idx *anchor.Index) map[anchor.ID]float64 {
 	for i := range s.Particles {
 		total += s.Particles[i].Weight
 	}
-	dist := make(map[anchor.ID]float64)
 	if total <= 0 {
 		u := 1.0 / float64(len(s.Particles))
 		for i := range s.Particles {
-			dist[idx.Snap(s.Particles[i].Loc)] += u
+			acc.Add(idx.Snap(s.Particles[i].Loc), u)
 		}
-		return dist
+		return acc.Dist()
 	}
 	for i := range s.Particles {
-		dist[idx.Snap(s.Particles[i].Loc)] += s.Particles[i].Weight / total
+		acc.Add(idx.Snap(s.Particles[i].Loc), s.Particles[i].Weight/total)
 	}
-	return dist
+	return acc.Dist()
+}
+
+// AnchorDistribution is AnchorDist in map form with a throwaway scratch
+// (nil for an empty particle set). Kept for the frozen benchmark harness;
+// the engine calls AnchorDist with its workers' accumulators.
+func (s *State) AnchorDistribution(idx *anchor.Index) map[anchor.ID]float64 {
+	var acc anchor.Accumulator
+	return s.AnchorDist(idx, &acc).Map()
 }
 
 // MeanPoint returns the weighted mean of particle positions, a crude point

@@ -2,6 +2,7 @@ package particle
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/anchor"
@@ -547,6 +548,69 @@ func TestAnchorDistributionSumsToOne(t *testing.T) {
 	empty := &State{}
 	if empty.AnchorDistribution(idx) != nil {
 		t.Error("empty state distribution not nil")
+	}
+}
+
+// anchorDistributionOracle is the former map-accumulating AnchorDistribution.
+func anchorDistributionOracle(s *State, idx *anchor.Index) map[anchor.ID]float64 {
+	total := 0.0
+	for i := range s.Particles {
+		total += s.Particles[i].Weight
+	}
+	dist := make(map[anchor.ID]float64)
+	if total <= 0 {
+		u := 1.0 / float64(len(s.Particles))
+		for i := range s.Particles {
+			dist[idx.Snap(s.Particles[i].Loc)] += u
+		}
+		return dist
+	}
+	for i := range s.Particles {
+		dist[idx.Snap(s.Particles[i].Loc)] += s.Particles[i].Weight / total
+	}
+	return dist
+}
+
+// TestAnchorDistMatchesOracle pins the dense-accumulator snap to the map it
+// replaced, bit for bit, on resampled (uniform), reweighted (two-valued) and
+// all-zero weight sets, with one accumulator reused across all of them.
+func TestAnchorDistMatchesOracle(t *testing.T) {
+	g, dep := corridor(t)
+	idx := anchor.MustBuildIndex(g, 1.0)
+	f := MustNew(DefaultConfig(), g, dep)
+	var acc anchor.Accumulator
+	for seed := int64(1); seed <= 30; seed++ {
+		src := rng.New(seed)
+		st, err := f.Run(src, 1, []model.AggregatedReading{
+			{Object: 1, Reader: 1, Time: 0},
+			{Object: 1, Reader: 2, Time: model.Time(5 + seed%10)},
+		}, model.Time(10+seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch seed % 3 {
+		case 1:
+			for i := range st.Particles {
+				st.Particles[i].Weight = []float64{0.01, 1, 0}[src.Intn(3)]
+			}
+		case 2:
+			for i := range st.Particles {
+				st.Particles[i].Weight = 0
+			}
+		}
+		want := anchorDistributionOracle(st, idx)
+		for ap, p := range want {
+			if p <= 0 {
+				delete(want, ap) // the table never indexed zero mass
+			}
+		}
+		got := st.AnchorDist(idx, &acc)
+		if !reflect.DeepEqual(got.Map(), want) {
+			t.Fatalf("seed %d: AnchorDist = %v, oracle %v", seed, got.Map(), want)
+		}
+		if !reflect.DeepEqual(st.AnchorDistribution(idx), want) {
+			t.Fatalf("seed %d: AnchorDistribution adapter disagrees", seed)
+		}
 	}
 }
 

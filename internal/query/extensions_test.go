@@ -146,3 +146,40 @@ func TestClosestPairsEdgeCases(t *testing.T) {
 		t.Errorf("oversized k pairs = %v", got)
 	}
 }
+
+// TestClosestPairsDeterministic: the expected distance of a pair is a double
+// sum of float products, so its last bits depend on summation order. The
+// distributions are walked in ascending anchor order, never in map order:
+// fifty calls on one table must agree to the bit, ranks included.
+func TestClosestPairsDeterministic(t *testing.T) {
+	g, idx, _ := corridor(t)
+	e := NewEvaluator(g, idx)
+	tab := anchor.NewTable()
+	for obj := 1; obj <= 6; obj++ {
+		dist := make(map[anchor.ID]float64)
+		total := 0.0
+		for j := 0; j < 9; j++ {
+			w := 1 / float64(3+((obj*7+j*5)%11))
+			dist[anchor.ID((obj*3+j*4)%idx.NumAnchors())] += w
+			total += w
+		}
+		for ap := range dist {
+			dist[ap] /= total
+		}
+		tab.SetDistribution(model.ObjectID(obj), dist)
+	}
+	first := e.ClosestPairs(tab, 15)
+	if len(first) != 15 {
+		t.Fatalf("got %d pairs, want 15", len(first))
+	}
+	for call := 1; call < 50; call++ {
+		again := e.ClosestPairs(tab, 15)
+		for i := range first {
+			if again[i].A != first[i].A || again[i].B != first[i].B ||
+				math.Float64bits(again[i].Dist) != math.Float64bits(first[i].Dist) {
+				t.Fatalf("call %d, rank %d: %+v (%x), first call %+v (%x)", call, i,
+					again[i], math.Float64bits(again[i].Dist), first[i], math.Float64bits(first[i].Dist))
+			}
+		}
+	}
+}

@@ -24,8 +24,7 @@ type Pair struct {
 // Anchor-to-anchor distances are computed once per distinct source anchor
 // via single-source Dijkstra and memoized inside the call.
 func (e *Evaluator) ClosestPairs(tab *anchor.Table, k int) []Pair {
-	objs := tab.Objects()
-	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
+	objs := tab.Dists()
 	if k <= 0 || len(objs) < 2 {
 		return nil
 	}
@@ -46,25 +45,21 @@ func (e *Evaluator) ClosestPairs(tab *anchor.Table, k int) []Pair {
 		return d
 	}
 
+	// Both distributions are walked in ascending anchor order, so a pair's
+	// expected distance is the same sum in the same order on every call.
 	var pairs []Pair
-	for i := 0; i < len(objs); i++ {
-		distA := tab.DistributionOf(objs[i])
-		if len(distA) == 0 {
-			continue
-		}
+	for i := range objs {
+		distA := objs[i].Dist
 		for j := i + 1; j < len(objs); j++ {
-			distB := tab.DistributionOf(objs[j])
-			if len(distB) == 0 {
-				continue
-			}
+			distB := objs[j].Dist
 			expected := 0.0
-			for a, pa := range distA {
-				da := anchorDists(a)
-				for b, pb := range distB {
-					expected += pa * pb * da[b]
+			for ia, a := range distA.IDs {
+				da, pa := anchorDists(a), distA.P[ia]
+				for ib, b := range distB.IDs {
+					expected += pa * distB.P[ib] * da[b]
 				}
 			}
-			pairs = append(pairs, Pair{A: objs[i], B: objs[j], Dist: expected})
+			pairs = append(pairs, Pair{A: objs[i].Object, B: objs[j].Object, Dist: expected})
 		}
 	}
 	sort.Slice(pairs, func(i, j int) bool {

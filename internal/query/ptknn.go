@@ -48,13 +48,14 @@ func (e *Evaluator) PTKNN(src *rng.Source, tab *anchor.Table, q geom.Point, k in
 // KNNMembership estimates, for every object in the table, the probability
 // that it belongs to the kNN result set of q.
 func (e *Evaluator) KNNMembership(src *rng.Source, tab *anchor.Table, q geom.Point, k int, trials int) map[model.ObjectID]float64 {
-	objs := tab.Objects()
-	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-	if len(objs) == 0 || k <= 0 || trials <= 0 {
+	// Objects in ascending order, each distribution in ascending anchor
+	// order: the sampling below consumes the source deterministically.
+	flat := tab.Dists()
+	if len(flat) == 0 || k <= 0 || trials <= 0 {
 		return nil
 	}
-	if k > len(objs) {
-		k = len(objs)
+	if k > len(flat) {
+		k = len(flat)
 	}
 
 	// Anchor distances from the query point, computed once.
@@ -65,33 +66,6 @@ func (e *Evaluator) KNNMembership(src *rng.Source, tab *anchor.Table, q geom.Poi
 		anchorDist[id] = ds[i]
 	}
 
-	// Flatten each object's distribution for deterministic sampling.
-	type objDist struct {
-		obj     model.ObjectID
-		anchors []anchor.ID
-		weights []float64
-	}
-	flat := make([]objDist, 0, len(objs))
-	for _, obj := range objs {
-		dist := tab.DistributionOf(obj)
-		if len(dist) == 0 {
-			continue
-		}
-		od := objDist{obj: obj}
-		for ap := range dist {
-			od.anchors = append(od.anchors, ap)
-		}
-		sort.Slice(od.anchors, func(i, j int) bool { return od.anchors[i] < od.anchors[j] })
-		od.weights = make([]float64, len(od.anchors))
-		for i, ap := range od.anchors {
-			od.weights[i] = dist[ap]
-		}
-		flat = append(flat, od)
-	}
-	if len(flat) == 0 {
-		return nil
-	}
-
 	hits := make(map[model.ObjectID]int, len(flat))
 	type ranked struct {
 		obj model.ObjectID
@@ -100,8 +74,8 @@ func (e *Evaluator) KNNMembership(src *rng.Source, tab *anchor.Table, q geom.Poi
 	buf := make([]ranked, len(flat))
 	for trial := 0; trial < trials; trial++ {
 		for i, od := range flat {
-			ap := od.anchors[src.Categorical(od.weights)]
-			buf[i] = ranked{obj: od.obj, d: anchorDist[ap]}
+			ap := od.Dist.IDs[src.Categorical(od.Dist.P)]
+			buf[i] = ranked{obj: od.Object, d: anchorDist[ap]}
 		}
 		sort.Slice(buf, func(i, j int) bool {
 			if buf[i].d != buf[j].d {

@@ -81,7 +81,9 @@ func (e *Evaluator) rangeCtx(ctx context.Context, tab *anchor.Table, q geom.Rect
 				coord = a.Pos.Y
 			}
 			if coord >= lo && coord <= hi {
-				result.Add(tab.Get(a.ID))
+				for _, po := range tab.Get(a.ID) {
+					result[po.Object] += po.P
+				}
 			}
 		}
 		result.Scale(ratio)
@@ -102,9 +104,12 @@ func (e *Evaluator) rangeCtx(ctx context.Context, tab *anchor.Table, q geom.Rect
 		if ap == anchor.NoAnchor {
 			continue
 		}
-		result := tab.Get(ap).Clone()
-		result.Scale(covered / room.Area())
-		resultSet.Add(result)
+		ratio := covered / room.Area()
+		for _, po := range tab.Get(ap) {
+			// The conversion rounds the product before the add, as the
+			// former scale-then-add did; a fused multiply-add would not.
+			resultSet[po.Object] += float64(po.P * ratio)
+		}
 	}
 	return resultSet, nil
 }
@@ -144,7 +149,9 @@ func (e *Evaluator) knnCtx(ctx context.Context, tab *anchor.Table, q geom.Point,
 		if len(entry) == 0 {
 			continue
 		}
-		resultSet.Add(entry)
+		for _, po := range entry {
+			resultSet[po.Object] += po.P
+		}
 		if resultSet.TotalProb() >= float64(k) {
 			break
 		}
@@ -202,11 +209,44 @@ type Pruner struct {
 	// their uncertain regions are widened to keep pruning sound. nil when all
 	// readers are healthy.
 	unhealthy []bool
+	// readers is the static half of the kNN distance pruning, per reader.
+	readers []readerAnchors
+}
+
+// readerAnchors is what kNN pruning knows about a reader before any query
+// arrives: every anchor ordered by Euclidean distance from the device (an
+// uncertain region, a circle around the device, therefore contains a prefix
+// of this order), and the device's own spot on the walking graph for regions
+// too small to contain an anchor.
+type readerAnchors struct {
+	order  []anchor.ID
+	dist   []float64 // dist[i] is the Euclidean distance to order[i], ascending
+	center walkgraph.Location
 }
 
 // NewPruner builds a Pruner.
 func NewPruner(g *walkgraph.Graph, idx *anchor.Index, dep *rfid.Deployment, umax float64) *Pruner {
-	return &Pruner{g: g, idx: idx, dep: dep, umax: umax}
+	p := &Pruner{g: g, idx: idx, dep: dep, umax: umax}
+	anchors := idx.Anchors()
+	p.readers = make([]readerAnchors, dep.NumReaders())
+	for _, r := range dep.Readers() {
+		ra := readerAnchors{
+			order:  make([]anchor.ID, len(anchors)),
+			dist:   make([]float64, len(anchors)),
+			center: g.NearestLocation(r.Pos),
+		}
+		byID := make([]float64, len(anchors))
+		for i, a := range anchors {
+			ra.order[i] = a.ID
+			byID[a.ID] = r.Pos.Dist(a.Pos) // the operand order Circle.Contains uses
+		}
+		sort.SliceStable(ra.order, func(i, j int) bool { return byID[ra.order[i]] < byID[ra.order[j]] })
+		for i, id := range ra.order {
+			ra.dist[i] = byID[id]
+		}
+		p.readers[r.ID] = ra
+	}
+	return p
 }
 
 // SetUnhealthy installs the unhealthy-reader set (indexed by ReaderID; nil or
@@ -295,7 +335,8 @@ func (p *Pruner) KNNCandidates(infos []ObjectInfo, q geom.Point, k int, now mode
 }
 
 // KNNCandidatesContext is KNNCandidates with a per-request deadline, checked
-// once per object during bound computation. On expiry every object is
+// per referenced reader and every deadlineStride objects during bound
+// computation. On expiry every object is
 // admitted (the distance threshold cannot be established from partial
 // bounds, and pruning must stay sound) and the *DeadlineError is returned.
 func (p *Pruner) KNNCandidatesContext(ctx context.Context, infos []ObjectInfo, q geom.Point, k int, now model.Time) ([]model.ObjectID, error) {
@@ -306,62 +347,158 @@ func (p *Pruner) knnCandidatesCtx(ctx context.Context, infos []ObjectInfo, q geo
 	if len(infos) == 0 {
 		return nil, nil
 	}
+	admitAll := func(err error) ([]model.ObjectID, error) {
+		out := make([]model.ObjectID, len(infos))
+		for i := range infos {
+			out[i] = infos[i].Object
+		}
+		return out, err
+	}
 	loc := p.g.NearestLocation(q)
 	nodeDist := p.g.DistancesFromLocation(loc)
 
-	type bounds struct {
-		obj    model.ObjectID
-		si, li float64
+	// Query -> anchor network distances, once per anchor. All scratch is
+	// per call: concurrent queries share one Pruner.
+	anchors := p.idx.Anchors()
+	netDist := make([]float64, len(anchors))
+	for i := range anchors {
+		netDist[i] = p.g.DistToLocation(loc, nodeDist, anchors[i].Loc)
 	}
-	bs := make([]bounds, 0, len(infos))
-	ls := make([]float64, 0, len(infos))
-	for _, info := range infos {
+
+	// Group the objects by last detecting reader (a counting sort; byReader
+	// lists positions in infos).
+	start := make([]int32, len(p.readers)+1)
+	for i := range infos {
+		start[infos[i].Reader+1]++
+	}
+	for r := range p.readers {
+		start[r+1] += start[r]
+	}
+	byReader := make([]int32, len(infos))
+	fill := append([]int32(nil), start[:len(p.readers)]...)
+	for i := range infos {
+		r := infos[i].Reader
+		byReader[fill[r]] = int32(i)
+		fill[r]++
+	}
+
+	// Per referenced reader: the running min and max of the network distance
+	// along its Euclidean anchor order, then one binary search per object for
+	// how much of that order its region contains. min and max do not depend
+	// on visiting order, so s_i and l_i are the bounds the per-object scan
+	// over all anchors produced.
+	si := make([]float64, len(infos))
+	li := make([]float64, len(infos))
+	pmin := make([]float64, len(anchors))
+	pmax := make([]float64, len(anchors))
+	for r := range p.readers {
+		objs := byReader[start[r]:start[r+1]]
+		if len(objs) == 0 {
+			continue
+		}
 		if err := expired(ctx, "prune/knn"); err != nil {
-			out := make([]model.ObjectID, len(infos))
-			for i := range infos {
-				out[i] = infos[i].Object
-			}
-			return out, err
+			return admitAll(err)
 		}
-		ur := p.UncertainRegion(info, now)
-		si, li := math.Inf(1), 0.0
-		for _, a := range p.idx.Anchors() {
-			if !ur.Contains(a.Pos) {
-				continue
+		ra := &p.readers[r]
+		lo, hi := math.Inf(1), 0.0
+		for j, id := range ra.order {
+			d := netDist[id]
+			if d < lo {
+				lo = d
 			}
-			d := p.g.DistToLocation(loc, nodeDist, a.Loc)
-			if d < si {
-				si = d
+			if d > hi {
+				hi = d
 			}
-			if d > li {
-				li = d
-			}
+			pmin[j], pmax[j] = lo, hi
 		}
-		if math.IsInf(si, 1) {
-			// The region is too small to contain an anchor; bound through
-			// the device center instead.
-			reader := p.dep.Reader(info.Reader)
-			center := p.g.NearestLocation(reader.Pos)
-			d := p.g.DistToLocation(loc, nodeDist, center)
-			si = math.Max(0, d-ur.R)
-			li = d + ur.R
+		centerDist := math.NaN() // computed on first use
+		for n, i := range objs {
+			if n%deadlineStride == deadlineStride-1 {
+				if err := expired(ctx, "prune/knn"); err != nil {
+					return admitAll(err)
+				}
+			}
+			ur := p.UncertainRegion(infos[i], now)
+			m := countWithin(ra.dist, ur.R+geom.Eps) // ur.Contains(a.Pos), a prefix
+			s, l := math.Inf(1), 0.0
+			if m > 0 {
+				s, l = pmin[m-1], pmax[m-1]
+			}
+			if math.IsInf(s, 1) {
+				// The region is too small to contain an anchor; bound through
+				// the device center instead.
+				if math.IsNaN(centerDist) {
+					centerDist = p.g.DistToLocation(loc, nodeDist, ra.center)
+				}
+				s = math.Max(0, centerDist-ur.R)
+				l = centerDist + ur.R
+			}
+			si[i], li[i] = s, l
 		}
-		bs = append(bs, bounds{obj: info.Object, si: si, li: li})
-		ls = append(ls, li)
 	}
-	sort.Float64s(ls)
-	idx := k - 1
-	if idx >= len(ls) {
-		idx = len(ls) - 1
-	}
-	f := ls[idx]
+
+	f := kthSmallest(li, k)
 	var out []model.ObjectID
-	for _, b := range bs {
-		if b.si <= f {
-			out = append(out, b.obj)
+	for i := range infos {
+		if si[i] <= f {
+			out = append(out, infos[i].Object)
 		}
 	}
 	return out, nil
+}
+
+// countWithin returns how many leading entries of the ascending slice are
+// <= limit.
+func countWithin(asc []float64, limit float64) int {
+	i, j := 0, len(asc)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if asc[h] <= limit {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i
+}
+
+// kthSmallest returns the k-th smallest value of vs (the largest when k
+// exceeds len(vs)) without sorting: a max-heap of the k smallest seen, whose
+// root is the answer. vs is not modified.
+func kthSmallest(vs []float64, k int) float64 {
+	if k > len(vs) {
+		k = len(vs)
+	}
+	if k < 1 {
+		k = 1
+	}
+	h := append(make([]float64, 0, k), vs[:k]...)
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(h) {
+				return
+			}
+			if c+1 < len(h) && h[c+1] > h[c] {
+				c++
+			}
+			if h[i] >= h[c] {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for _, v := range vs[k:] {
+		if v < h[0] {
+			h[0] = v
+			down(0)
+		}
+	}
+	return h[0]
 }
 
 // RoomOf exposes the plan lookup used by ground-truth helpers: the room

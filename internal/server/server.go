@@ -954,8 +954,8 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	c.DrawDeployment(s.dep)
 	tab := s.sys.Preprocess(s.sys.KnownObjects())
 	colors := []string{"#d62728", "#ff7f0e", "#9467bd", "#17becf", "#bcbd22", "#e377c2"}
-	for i, obj := range tab.Objects() {
-		c.DrawDistribution(s.sys.AnchorIndex(), tab.DistributionOf(obj), colors[i%len(colors)])
+	for i, od := range tab.Dists() {
+		c.DrawDistribution(s.sys.AnchorIndex(), od.Dist, colors[i%len(colors)])
 	}
 	svg := c.SVG()
 	s.unlock()

@@ -77,17 +77,9 @@ func (c *Canvas) DrawDeployment(dep *rfid.Deployment) {
 // DrawDistribution draws an object's anchor-point distribution as filled
 // circles whose radii scale with probability mass, in the given color
 // (e.g. "#d62728").
-func (c *Canvas) DrawDistribution(idx *anchor.Index, dist map[anchor.ID]float64, color string) {
-	ids := make([]anchor.ID, 0, len(dist))
-	for ap := range dist {
-		ids = append(ids, ap)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, ap := range ids {
-		p := dist[ap]
-		if p <= 0 {
-			continue
-		}
+func (c *Canvas) DrawDistribution(idx *anchor.Index, dist anchor.Dist, color string) {
+	for i, ap := range dist.IDs {
+		p := dist.P[i]
 		a := idx.Anchor(ap)
 		radius := 0.3 + 1.7*p
 		fmt.Fprintf(&c.body,

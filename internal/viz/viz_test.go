@@ -21,10 +21,10 @@ func TestCanvasProducesWellFormedSVG(t *testing.T) {
 	c := NewCanvas(plan, 10)
 	c.DrawPlan(plan)
 	c.DrawDeployment(dep)
-	c.DrawDistribution(idx, map[anchor.ID]float64{
+	c.DrawDistribution(idx, anchor.DistFromMap(map[anchor.ID]float64{
 		idx.RoomAnchor(0): 0.7,
 		anchor.ID(5):      0.3,
-	}, "#d62728")
+	}), "#d62728")
 	c.DrawWindow(geom.RectWH(10, 9, 20, 8), "#ff7f0e")
 	c.DrawMarker(geom.Pt(35, 12), "truth", "#2ca02c")
 	c.DrawObjects(map[model.ObjectID]geom.Point{1: geom.Pt(5, 12)}, "#333333")
@@ -88,17 +88,17 @@ func TestDistributionRadiiScaleWithMass(t *testing.T) {
 	g := walkgraph.MustBuild(plan)
 	idx := anchor.MustBuildIndex(g, 1.0)
 	c := NewCanvas(plan, 10)
-	c.DrawDistribution(idx, map[anchor.ID]float64{0: 1.0}, "#d62728")
+	c.DrawDistribution(idx, anchor.DistFromMap(map[anchor.ID]float64{0: 1.0}), "#d62728")
 	big := c.SVG()
 	c2 := NewCanvas(plan, 10)
-	c2.DrawDistribution(idx, map[anchor.ID]float64{0: 0.01}, "#d62728")
+	c2.DrawDistribution(idx, anchor.DistFromMap(map[anchor.ID]float64{0: 0.01}), "#d62728")
 	small := c2.SVG()
 	if big == small {
 		t.Error("distribution mass does not affect rendering")
 	}
 	// Zero mass draws nothing.
 	c3 := NewCanvas(plan, 10)
-	c3.DrawDistribution(idx, map[anchor.ID]float64{0: 0}, "#d62728")
+	c3.DrawDistribution(idx, anchor.DistFromMap(map[anchor.ID]float64{0: 0}), "#d62728")
 	if strings.Contains(c3.SVG(), "fill-opacity") {
 		t.Error("zero-mass anchor rendered")
 	}
