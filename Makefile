@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test race stress bench bench-smoke bench-json bench-diff bench-sharded bench-harness-build bench-harness-test chaos cluster-e2e check experiments examples vet vuln profile
+.PHONY: build test race stress bench bench-smoke bench-json bench-diff bench-sharded bench-harness-build bench-harness-test chaos cluster-e2e check experiments examples vet vuln profile loc
 
 build:
 	go build ./...
@@ -101,6 +101,18 @@ bench-diff:
 # pre-sharding BENCH_2.json embedded as speedups_vs_baseline.
 bench-sharded:
 	go run ./cmd/benchjson -out $(BENCH_DIR)/bench-sharded.json -baseline BENCH_2.json
+
+# Non-test Go lines per package, bench/ left out (it is its own module), and
+# the total of the three packages the ROADMAP's design-quality aim tracks.
+# Every PR quotes this at its parent and at its change.
+loc:
+	@{ echo '| package | non-test Go lines |'; echo '|---|---:|'; \
+	for d in $$(go list -f '{{.Dir}}' ./...); do \
+		n=$$(cat $$(ls $$d/*.go | grep -v _test.go) /dev/null | wc -l); \
+		rel=$${d#$(CURDIR)}; rel=$${rel#/}; \
+		[ $$n -gt 0 ] && echo "| $${rel:-.} | $$n |"; \
+	done; \
+	echo "| **internal/engine + internal/server + internal/cluster** | **$$(cat $$(ls internal/engine/*.go internal/server/*.go internal/cluster/*.go | grep -v _test.go) | wc -l)** |"; }
 
 # Regenerate every paper figure at full scale (~15 minutes).
 experiments:

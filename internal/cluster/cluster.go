@@ -9,8 +9,8 @@
 // Any node accepts any ingest batch or query. Ingest deliveries are
 // partitioned by owner and forwarded synchronously (every peer receives its
 // sub-batch every second, even when empty, so remote stream clocks advance
-// in lockstep); queries run the same gather → prune → scatter → merge →
-// evaluate pipeline as the in-process router, with the remote stages carried
+// in lockstep); queries run the engine's own pipeline over a router whose
+// partitions are the local engine and the peers, the remote stages carried
 // over an injectable Transport.
 //
 // The robustness contract mirrors PR 5/PR 9: a slow, partitioned, or dead
@@ -34,7 +34,6 @@ import (
 
 	"repro/internal/anchor"
 	"repro/internal/engine"
-	"repro/internal/geom"
 	"repro/internal/health"
 	"repro/internal/model"
 	"repro/internal/obs/trace"
@@ -53,15 +52,14 @@ type Transport interface {
 
 // Local is the engine surface a Node wraps: the router *engine.Sharded and
 // the bare in-memory kernel *engine.System both implement it. The first
-// block is the server-facing API the node mostly delegates; the second is
-// the piecewise query pipeline the distributed coordinator drives.
+// block is the server-facing API the node delegates; the second is the
+// node's share of the query pipeline — the local engine is one partition of
+// the cluster and lends the coordinator its pruner and evaluator.
 type Local interface {
 	IngestContext(ctx context.Context, t model.Time, raws []model.RawReading) error
 	Now() model.Time
-	KnownObjects() []model.ObjectID
 	Localize(obj model.ObjectID) (engine.Localization, bool)
 	DegradedShards() []int
-	Preprocess(candidates []model.ObjectID) *anchor.Table
 	Stats() engine.Stats
 	CacheStats() (hits, misses int)
 	Graph() *walkgraph.Graph
@@ -76,13 +74,9 @@ type Local interface {
 	Recovery() engine.RecoveryInfo
 	Close() error
 
-	ObjectInfos() []query.ObjectInfo
-	ObjectInfosAt(t model.Time) []query.ObjectInfo
-	PreprocessDists(ctx context.Context, candidates []model.ObjectID) ([]anchor.ObjDist, error)
-	PreprocessDistsAt(candidates []model.ObjectID, t model.Time) []anchor.ObjDist
+	engine.Partition
+	Prune(ctx context.Context, infos []query.ObjectInfo, q engine.Query, now model.Time) ([]model.ObjectID, error)
 	Evaluator() *query.Evaluator
-	PruneRangeContext(ctx context.Context, infos []query.ObjectInfo, windows []geom.Rect, now model.Time) ([]model.ObjectID, error)
-	PruneKNNContext(ctx context.Context, infos []query.ObjectInfo, q geom.Point, k int, now model.Time) ([]model.ObjectID, error)
 	NoteTransportDrops(n int)
 }
 
@@ -176,11 +170,17 @@ func (c *Config) maxMissed() int {
 // distributed query pipeline. It implements the server's Engine interface,
 // so the HTTP layer is unchanged whether it fronts one engine or a fleet.
 type Node struct {
+	// QueryMethods are the classic spellings of Query.
+	engine.QueryMethods
+
 	cfg     Config
 	eng     Local
 	members []string // sorted; index is the jump-hash bucket
 	selfIdx int
 	peers   []*peer // remote members in members order (nil at selfIdx)
+	// router is the cluster as one partition: the local engine and every
+	// peer, in members order, owned by the same jump hash as ingest.
+	router engine.Router
 
 	// mu serializes access to engines that do not synchronize internally
 	// (the single-shard System); noLock skips it for the sharded router.
@@ -260,6 +260,9 @@ func New(eng Local, cfg Config) (*Node, error) {
 		peers:   make([]*peer, len(members)),
 		idem:    make(map[idemKey]*Response),
 	}
+	n.QueryMethods.Of = n
+	n.router = engine.Router{Parts: make([]engine.Partition, len(members)), Owner: n.OwnerIdx}
+	n.router.Parts[selfIdx] = localPart{n}
 	if ss, ok := eng.(selfSynchronizing); ok && ss.SelfSynchronizing() {
 		n.noLock = true
 	}
@@ -278,6 +281,7 @@ func New(eng Local, cfg Config) (*Node, error) {
 			continue
 		}
 		n.peers[i] = newPeer(m, cfg, fwd.With(m), errs.With(m), states.With(m))
+		n.router.Parts[i] = peerPart{n, n.peers[i]}
 	}
 	return n, nil
 }
@@ -426,16 +430,4 @@ func (n *Node) Recovery() engine.RecoveryInfo {
 func (n *Node) Close() error {
 	n.closeOnce.Do(func() { n.closeErr = n.eng.Close() })
 	return n.closeErr
-}
-
-// localQuarantineErr surfaces the local engine's quarantined shards as the
-// same typed partial marker the in-process router uses.
-func (n *Node) localQuarantineErr() error {
-	n.lock()
-	ds := n.eng.DegradedShards()
-	n.unlock()
-	if len(ds) == 0 {
-		return nil
-	}
-	return &engine.QuarantineError{Shards: ds}
 }

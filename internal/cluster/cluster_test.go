@@ -24,12 +24,21 @@ import (
 // test's own boundaries.
 func twoNodes(t *testing.T, seed int64, tweak func(*cluster.Config)) (*netsim.Network, *cluster.Node, *cluster.Node, *engine.System, *engine.System) {
 	t.Helper()
-	plan := floorplan.DefaultOffice()
-	dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
 	cfg := engine.DefaultConfig()
 	cfg.Particle.Ns = 16
 	cfg.Seed = seed
 	cfg.SlowQueryThreshold = 0
+	return twoNodesOver(t, cfg, tweak)
+}
+
+// twoNodesOver is twoNodes with the engine configuration given; it enforces
+// the cluster determinism preconditions (in-order stream, no per-node reader
+// health monitor).
+func twoNodesOver(t *testing.T, cfg engine.Config, tweak func(*cluster.Config)) (*netsim.Network, *cluster.Node, *cluster.Node, *engine.System, *engine.System) {
+	t.Helper()
+	plan := floorplan.DefaultOffice()
+	dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
+	seed := cfg.Seed
 	cfg.Ingest.Horizon = 0
 	cfg.Health = health.Config{}
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/health"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -163,6 +164,16 @@ type DegradedError struct {
 // Error implements the error interface.
 func (e *DegradedError) Error() string {
 	return fmt.Sprintf("cluster: partial result: %d peer(s) degraded %v", len(e.Peers), e.Peers)
+}
+
+// Merge implements engine.Marker: however many stages found a peer missing,
+// the answer names it once.
+func (e *DegradedError) Merge(other error) (error, bool) {
+	o, ok := other.(*DegradedError)
+	if !ok {
+		return nil, false
+	}
+	return &DegradedError{Peers: engine.Union(e.Peers, o.Peers)}, true
 }
 
 // IsDegraded reports whether err (or anything it wraps) marks a partial

@@ -79,6 +79,12 @@ type Request struct {
 	Object model.ObjectID
 }
 
+// query is the part of an OpGather/OpEvaluate request the partition reads:
+// whether the stage is historical, and as of when.
+func (r *Request) query() engine.Query {
+	return engine.Query{Historical: r.Historical, At: r.At}
+}
+
 // Response is the reply to one peer RPC.
 type Response struct {
 	Now model.Time
@@ -183,12 +189,7 @@ func (n *Node) HandleRPC(ctx context.Context, req *Request) (*Response, error) {
 		return n.handleIngestRPC(ctx, req)
 	case OpGather:
 		n.lock()
-		var infos []query.ObjectInfo
-		if req.Historical {
-			infos = n.eng.ObjectInfosAt(req.At)
-		} else {
-			infos = n.eng.ObjectInfos()
-		}
+		infos, _ := n.eng.Infos(ctx, req.query())
 		now := n.eng.Now()
 		n.unlock()
 		return &Response{Now: now, Infos: infos}, nil
@@ -260,17 +261,7 @@ func (n *Node) handleEvaluateRPC(ctx context.Context, req *Request) (*Response, 
 	}
 	tr := trace.From(ctx)
 	start := time.Now()
-	var dists []anchor.ObjDist
-	var err error
-	if req.Historical {
-		n.lock()
-		dists = n.eng.PreprocessDistsAt(req.Candidates, req.At)
-		n.unlock()
-	} else {
-		n.lock()
-		dists, err = n.eng.PreprocessDists(ctx, req.Candidates)
-		n.unlock()
-	}
+	dists, err := localPart{n}.Dists(ctx, req.Candidates, req.query())
 	tr.Add("remote-evaluate", trace.RouterShard, start, time.Since(start),
 		trace.Attr{Key: "from", Value: req.From},
 		trace.Attr{Key: "candidates", Value: fmt.Sprintf("%d", len(req.Candidates))})
@@ -284,10 +275,10 @@ func (n *Node) handleEvaluateRPC(ctx context.Context, req *Request) (*Response, 
 	for _, od := range dists {
 		resp.Dists[od.Object] = od.Dist.Map()
 	}
+	// The local engine's other marker, its quarantined shards, is already in
+	// DegradedShards.
 	if de, ok := engine.IsDeadline(err); ok {
 		resp.DeadlineStage = de.Stage
-	} else if err != nil {
-		return nil, err
 	}
 	return resp, nil
 }

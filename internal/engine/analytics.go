@@ -1,36 +1,18 @@
 package engine
 
 import (
-	"context"
-
 	"repro/internal/anchor"
 	"repro/internal/floorplan"
 	"repro/internal/geom"
 	"repro/internal/model"
 )
 
-// Occupancy returns the expected number of objects per room (and the
-// combined hallway share as a NoRoom entry), ranked descending — the
-// building-wide density view facilities dashboards want.
-func (s *System) Occupancy() []RoomOdds {
-	dists, _ := s.preprocessDists(nil, infosToIDs(s.objectInfos()))
-	return occupancyOn(s.idx, dists)
-}
-
-// OccupancyContext is Occupancy under a caller deadline: a deadline overrun
-// returns the rooms computable from the objects preprocessed so far plus the
-// typed partial error, mirroring RangeQueryContext.
-func (s *System) OccupancyContext(ctx context.Context) ([]RoomOdds, error) {
-	dists, err := s.preprocessDists(ctx, infosToIDs(s.objectInfos()))
-	return occupancyOn(s.idx, dists), err
-}
-
 // occupancyOn accumulates per-object distributions into per-room
 // expectations. Objects and anchors are visited in ascending order — the
 // order the slices are in: float addition is not associative, so a pinned
 // order is what makes the answer reproducible across runs — and identical
-// between the single and sharded engines, which both come through here with
-// the same merged distributions.
+// on every engine, which all come through here (Run) with the same merged
+// distributions.
 func occupancyOn(idx *anchor.Index, dists []anchor.ObjDist) []RoomOdds {
 	byRoom := make(map[floorplan.RoomID]float64)
 	for _, od := range dists {

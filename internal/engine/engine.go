@@ -60,9 +60,8 @@ type Config struct {
 	// maximum-probability kNN set.
 	SMTrials int
 	// KeepHistory retains the full reading history in the collector so
-	// historical queries (RangeQueryAt, KNNQueryAt) can reach arbitrarily
-	// far back. Off by default, matching the paper's snapshot-oriented
-	// collector.
+	// historical queries (Query.Historical) can reach arbitrarily far back.
+	// Off by default, matching the paper's snapshot-oriented collector.
 	KeepHistory bool
 	// Workers bounds the number of goroutines preprocessing objects in
 	// parallel. 0 means GOMAXPROCS. Results are bit-for-bit identical at any
@@ -81,10 +80,10 @@ type Config struct {
 	// value keeps the historical strict in-order contract (every batch
 	// flushes immediately; older batches are late).
 	Ingest ingest.Config
-	// SlowQueryThreshold is the wall-clock latency above which a snapshot
-	// range/kNN query is counted, logged, and retained in the slow-query
-	// ring (Telemetry.Slow). Zero or negative disables the slow-query log;
-	// latency histograms record regardless.
+	// SlowQueryThreshold is the wall-clock latency above which a query is
+	// counted, logged, and retained in the slow-query ring (Telemetry.Slow).
+	// Zero or negative disables the slow-query log; latency histograms
+	// record regardless.
 	SlowQueryThreshold time.Duration
 	// TraceRing is the capacity of the filter-trace ring buffer
 	// (Telemetry.Trace, served at /debug/filtertrace). 0 means 256.
@@ -174,6 +173,10 @@ type Stats struct {
 
 // System is the assembled query evaluation system.
 type System struct {
+	// QueryMethods are the classic spellings of Query (RangeQuery,
+	// KNNQueryContext, RangeQueryAt, Occupancy, ...).
+	QueryMethods
+
 	cfg     Config
 	g       *walkgraph.Graph
 	dep     *rfid.Deployment
@@ -209,10 +212,8 @@ type System struct {
 
 	// pools recycles per-worker scratch (the SoA kernel's flat arrays and the
 	// snap accumulator) across Preprocess calls, so steady-state
-	// preprocessing allocates nothing per query but its answer. hist is the
-	// serial historical-query path's dedicated scratch.
+	// preprocessing allocates nothing per query but its answer.
 	pools sync.Pool
-	hist  *workerScratch
 	// tasks and entries are preprocessDists' per-call work list and the
 	// readings it gathers, recycled across calls (the caller's exclusion
 	// covers them like the collector and cache they are filled from).
@@ -234,6 +235,7 @@ func newWorkerScratch() *workerScratch { return &workerScratch{pool: particle.Ne
 // accounting of the reorder buffer and the collector merged in.
 func (s *System) Stats() Stats {
 	st := s.stats
+	st.RangeQueries, st.KNNQueries = s.tel.queriesCounted()
 	st.Ingest = s.reorder.Drops()
 	st.Ingest.Merge(s.col.Drops())
 	st.Ingest.Merge(s.extraDrops)
@@ -287,8 +289,8 @@ func New(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*System, error
 		sm:     sm,
 		src:    rng.New(cfg.Seed),
 	}
+	s.QueryMethods.Of = s
 	s.pools.New = func() any { return newWorkerScratch() }
-	s.hist = newWorkerScratch()
 	s.reorder = ingest.NewReorder(cfg.Ingest, s.ingestSecond)
 	if cfg.Health.Enabled {
 		s.monitor, err = health.NewMonitor(cfg.Health, dep.NumReaders())
@@ -499,18 +501,58 @@ func (s *System) EventsSince(seq int) (events []model.Event, next int, truncated
 // optimization.
 func (s *System) DeploymentGraph() *depgraph.Graph { return s.sm.DeploymentGraph() }
 
-// objectInfos summarizes every known object for the pruning module.
-func (s *System) objectInfos() []query.ObjectInfo {
+// Query answers q with the particle filter-based method: the kernel runs the
+// query pipeline over itself.
+func (s *System) Query(ctx context.Context, q Query) (Answer, error) { return Run(ctx, s, s, q) }
+
+// Infos summarizes every known object for the pruning module, ascending —
+// the gather stage of the pipeline. A historical query sees each object's
+// last reading at or before q.At.
+func (s *System) Infos(_ context.Context, q Query) ([]query.ObjectInfo, error) {
 	objs := s.col.KnownObjects()
 	out := make([]query.ObjectInfo, 0, len(objs))
 	for _, o := range objs {
-		last, ok := s.col.LastReading(o)
-		if !ok {
-			continue
+		var last model.AggregatedReading
+		var ok bool
+		if q.Historical {
+			last, ok = s.col.LastReadingAt(o, q.At)
+		} else {
+			last, ok = s.col.LastReading(o)
 		}
-		out = append(out, query.ObjectInfo{Object: o, Reader: last.Reader, LastSeen: last.Time})
+		if ok {
+			out = append(out, query.ObjectInfo{Object: o, Reader: last.Reader, LastSeen: last.Time})
+		}
 	}
-	return out
+	return out, nil
+}
+
+// Prune is the query aware optimization module: the candidates q cannot rule
+// out, or every object when pruning is disabled or q covers them all.
+func (s *System) Prune(ctx context.Context, infos []query.ObjectInfo, q Query, now model.Time) ([]model.ObjectID, error) {
+	switch {
+	case q.Kind == KindRange:
+		return s.PruneRangeContext(ctx, infos, []geom.Rect{q.Window}, now)
+	case q.Kind == KindKNN && s.cfg.UsePruning:
+		return s.pruner.KNNCandidatesContext(ctx, infos, q.Point, q.K, now)
+	default:
+		return ObjectsOf(infos), nil
+	}
+}
+
+// Dists runs the preprocessing module for the candidates — the kernel's
+// share of a scatter — under the shard's evaluate span and histogram. An
+// idle shard still shows in the trace, with a zero-duration span.
+func (s *System) Dists(ctx context.Context, cands []model.ObjectID, q Query) ([]anchor.ObjDist, error) {
+	tr := trace.From(ctx)
+	start := time.Now()
+	if len(cands) == 0 {
+		tr.Add("evaluate", s.shardID, start, 0)
+		return nil, nil
+	}
+	dists, err := s.preprocessDists(ctx, cands, q)
+	s.shardTel.evaluate.Observe(time.Since(start).Seconds())
+	tr.Since("evaluate", s.shardID, start)
+	return dists, err
 }
 
 // Preprocess runs the particle filter-based preprocessing module for the
@@ -519,8 +561,8 @@ func (s *System) objectInfos() []query.ObjectInfo {
 // Config.Workers); each object's randomness derives from (Seed, object,
 // last reading time), so the output is identical at any parallelism.
 func (s *System) Preprocess(candidates []model.ObjectID) *anchor.Table {
-	dists, _ := s.preprocessDists(nil, candidates)
-	return anchor.TableOf(dists)
+	tab, _ := s.PreprocessContext(context.Background(), candidates)
+	return tab
 }
 
 // PreprocessContext is Preprocess with a per-request deadline, checked at
@@ -528,7 +570,7 @@ func (s *System) Preprocess(candidates []model.ObjectID) *anchor.Table {
 // skipped — they simply do not appear in the returned table — and a
 // *query.DeadlineError is returned alongside the partial table.
 func (s *System) PreprocessContext(ctx context.Context, candidates []model.ObjectID) (*anchor.Table, error) {
-	dists, err := s.preprocessDists(ctx, candidates)
+	dists, err := s.preprocessDists(ctx, candidates, Query{})
 	return anchor.TableOf(dists), err
 }
 
@@ -546,12 +588,17 @@ type preprocessTask struct {
 	snap    time.Duration
 }
 
-// preprocessDists is the shared implementation: the candidates'
-// distributions in ascending object order, which is what a shard returns to
-// the router and a peer to its coordinator. A nil ctx skips every deadline
-// check and is exactly the pre-deadline behavior.
-func (s *System) preprocessDists(ctx context.Context, candidates []model.ObjectID) ([]anchor.ObjDist, error) {
+// preprocessDists is the preprocessing module: the candidates' distributions
+// in ascending object order, which is what a shard returns to the router and
+// a peer to its coordinator. A historical query filters each candidate's
+// readings up to q.At from scratch and leaves the cache alone; it is keyed
+// like a snapshot run, so re-asking it gives the same answer on any engine.
+func (s *System) preprocessDists(ctx context.Context, candidates []model.ObjectID, q Query) ([]anchor.ObjDist, error) {
 	now := s.col.Now()
+	if q.Historical {
+		now = q.At
+	}
+	useCache := s.cfg.UseCache && !q.Historical
 	tr := trace.From(ctx)
 
 	// Phase 1 (serial): gather readings and consult the cache — collector
@@ -561,16 +608,20 @@ func (s *System) preprocessDists(ctx context.Context, candidates []model.ObjectI
 	tasks, entries := s.tasks[:0], s.entries[:0]
 	for _, obj := range sortedObjects(candidates) {
 		from := len(entries)
-		entries = s.col.AppendAggregated(entries, obj)
+		if q.Historical {
+			entries = append(entries, s.col.AggregatedUpTo(obj, q.At)...)
+		} else {
+			entries = s.col.AppendAggregated(entries, obj)
+		}
 		if len(entries) == from {
 			continue
 		}
-		_, dj := s.col.RecentDevices(obj)
 		// Capacity-capped: if the shared buffer grows, earlier tasks keep
 		// their (immutable) view of the old array.
-		t := preprocessTask{obj: obj, entries: entries[from:len(entries):len(entries)], dj: dj}
-		if s.cfg.UseCache {
-			t.st, t.resumed = s.cache.Get(obj, dj, now)
+		t := preprocessTask{obj: obj, entries: entries[from:len(entries):len(entries)]}
+		if useCache {
+			_, t.dj = s.col.RecentDevices(obj)
+			t.st, t.resumed = s.cache.Get(obj, t.dj, now)
 		}
 		tasks = append(tasks, t)
 	}
@@ -619,7 +670,7 @@ func (s *System) preprocessDists(ctx context.Context, candidates []model.ObjectI
 				end = len(tasks)
 			}
 			for i := start; i < end; i++ {
-				if ctx != nil && ctx.Err() != nil {
+				if ctx.Err() != nil {
 					// Deadline hit: stop claiming and filtering; skipped
 					// objects stay out of the answer and untouched in the
 					// cache.
@@ -674,14 +725,14 @@ func (s *System) preprocessDists(ctx context.Context, candidates []model.ObjectI
 			s.tel.runsFull.Inc()
 		}
 		s.tel.recordTrace(s.shardID, t.st, t.snap, t.resumed)
-		if s.cfg.UseCache {
+		if useCache {
 			s.cache.Put(t.st, t.dj)
 		}
 		out = append(out, anchor.ObjDist{Object: t.obj, Dist: t.dist})
 	}
 	clear(tasks) // drop the state and reading references until the next call
 	s.tasks = tasks
-	if ctx != nil && ctx.Err() != nil {
+	if ctx.Err() != nil {
 		return out, &query.DeadlineError{Stage: "preprocess", Err: ctx.Err()}
 	}
 	return out, nil
@@ -707,21 +758,15 @@ func (s *System) recordStageSpans(tr *trace.Context, callStart time.Time, obj mo
 // RangeCandidates applies the query aware optimization for range queries,
 // or returns all known objects when pruning is disabled.
 func (s *System) RangeCandidates(windows []geom.Rect) []model.ObjectID {
-	infos := s.objectInfos()
-	if !s.cfg.UsePruning {
-		return infosToIDs(infos)
-	}
-	return s.pruner.RangeCandidates(infos, windows, s.col.Now())
+	cands, _ := s.PruneRangeContext(context.Background(), s.ObjectInfos(), windows, s.col.Now())
+	return cands
 }
 
 // KNNCandidates applies the distance-based pruning for kNN queries, or
 // returns all known objects when pruning is disabled.
 func (s *System) KNNCandidates(q geom.Point, k int) []model.ObjectID {
-	infos := s.objectInfos()
-	if !s.cfg.UsePruning {
-		return infosToIDs(infos)
-	}
-	return s.pruner.KNNCandidates(infos, q, k, s.col.Now())
+	cands, _ := s.Prune(context.Background(), s.ObjectInfos(), KNNQuery(q, k), s.col.Now())
+	return cands
 }
 
 // sortedObjects returns the candidates in ascending order without repeats —
@@ -740,7 +785,8 @@ func sortedObjects(candidates []model.ObjectID) []model.ObjectID {
 	return slices.Compact(sorted)
 }
 
-func infosToIDs(infos []query.ObjectInfo) []model.ObjectID {
+// ObjectsOf returns the summarized objects' IDs, in the summaries' order.
+func ObjectsOf(infos []query.ObjectInfo) []model.ObjectID {
 	out := make([]model.ObjectID, len(infos))
 	for i, info := range infos {
 		out[i] = info.Object
@@ -748,39 +794,16 @@ func infosToIDs(infos []query.ObjectInfo) []model.ObjectID {
 	return out
 }
 
-// RangeQuery answers a snapshot indoor range query with the particle
-// filter-based method: candidate pruning, preprocessing, then Algorithm 3.
-func (s *System) RangeQuery(window geom.Rect) model.ResultSet {
-	start := time.Now()
-	cands := s.RangeCandidates([]geom.Rect{window})
-	tab := s.Preprocess(cands)
-	rs := s.RangeQueryOn(tab, window)
-	s.observeQuery("range", rangeDetail(window.Min.X, window.Min.Y,
-		window.Max.X-window.Min.X, window.Max.Y-window.Min.Y), len(cands), start, nil)
-	return rs
-}
-
 // RangeQueryOn evaluates Algorithm 3 against an existing table (for batched
 // workloads that preprocess once for many windows).
 func (s *System) RangeQueryOn(tab *anchor.Table, window geom.Rect) model.ResultSet {
-	s.stats.RangeQueries++
+	s.tel.countQuery(KindRange)
 	return s.eval.Range(tab, window)
-}
-
-// KNNQuery answers a snapshot indoor kNN query with the particle
-// filter-based method: distance pruning, preprocessing, then Algorithm 4.
-func (s *System) KNNQuery(q geom.Point, k int) model.ResultSet {
-	start := time.Now()
-	cands := s.KNNCandidates(q, k)
-	tab := s.Preprocess(cands)
-	rs := s.KNNQueryOn(tab, q, k)
-	s.observeQuery("knn", knnDetail(q.X, q.Y, k), len(cands), start, nil)
-	return rs
 }
 
 // KNNQueryOn evaluates Algorithm 4 against an existing table.
 func (s *System) KNNQueryOn(tab *anchor.Table, q geom.Point, k int) model.ResultSet {
-	s.stats.KNNQueries++
+	s.tel.countQuery(KindKNN)
 	return s.eval.KNN(tab, q, k)
 }
 
@@ -796,62 +819,8 @@ func (s *System) ObjectDistribution(obj model.ObjectID) map[anchor.ID]float64 {
 // it reaches arbitrarily far back; otherwise it is limited to the live
 // retention window.
 func (s *System) PreprocessAt(candidates []model.ObjectID, t model.Time) *anchor.Table {
-	return anchor.TableOf(s.PreprocessDistsAt(candidates, t))
-}
-
-// PreprocessDistsAt is PreprocessAt returning the distributions in ascending
-// object order instead of the table built from them.
-func (s *System) PreprocessDistsAt(candidates []model.ObjectID, t model.Time) []anchor.ObjDist {
-	var out []anchor.ObjDist
-	for _, obj := range sortedObjects(candidates) {
-		entries := s.col.AggregatedUpTo(obj, t)
-		if len(entries) == 0 {
-			continue
-		}
-		st, err := s.filter.RunPool(s.hist.pool, s.src, obj, entries, t)
-		if err != nil {
-			continue
-		}
-		out = append(out, anchor.ObjDist{Object: obj, Dist: st.AnchorDist(s.idx, &s.hist.acc)})
-	}
-	return out
-}
-
-// objectInfosAt summarizes objects as of a past time stamp.
-func (s *System) objectInfosAt(t model.Time) []query.ObjectInfo {
-	objs := s.col.KnownObjects()
-	out := make([]query.ObjectInfo, 0, len(objs))
-	for _, o := range objs {
-		last, ok := s.col.LastReadingAt(o, t)
-		if !ok {
-			continue
-		}
-		out = append(out, query.ObjectInfo{Object: o, Reader: last.Reader, LastSeen: last.Time})
-	}
-	return out
-}
-
-// RangeQueryAt answers a historical indoor range query: the probabilistic
-// result as of time t, inferred from readings up to t only.
-func (s *System) RangeQueryAt(window geom.Rect, t model.Time) model.ResultSet {
-	infos := s.objectInfosAt(t)
-	candidates := infosToIDs(infos)
-	if s.cfg.UsePruning {
-		candidates = s.pruner.RangeCandidates(infos, []geom.Rect{window}, t)
-	}
-	tab := s.PreprocessAt(candidates, t)
-	return s.eval.Range(tab, window)
-}
-
-// KNNQueryAt answers a historical indoor kNN query as of time t.
-func (s *System) KNNQueryAt(q geom.Point, k int, t model.Time) model.ResultSet {
-	infos := s.objectInfosAt(t)
-	candidates := infosToIDs(infos)
-	if s.cfg.UsePruning {
-		candidates = s.pruner.KNNCandidates(infos, q, k, t)
-	}
-	tab := s.PreprocessAt(candidates, t)
-	return s.eval.KNN(tab, q, k)
+	dists, _ := s.preprocessDists(context.Background(), candidates, Query{Historical: true, At: t})
+	return anchor.TableOf(dists)
 }
 
 // PTKNNQuery answers the probabilistic threshold kNN query of Yang et al.
@@ -872,7 +841,7 @@ func (s *System) Evaluator() *query.Evaluator { return s.eval }
 // distance, over the particle filter's current distributions of all known
 // objects.
 func (s *System) ClosestPairs(k int) []query.Pair {
-	tab := s.Preprocess(infosToIDs(s.objectInfos()))
+	tab := s.Preprocess(ObjectsOf(s.ObjectInfos()))
 	return s.eval.ClosestPairs(tab, k)
 }
 

@@ -103,22 +103,24 @@ func encodeDurableState(t *testing.T, shard *System, stats Stats, events []model
 	return buf.Bytes()
 }
 
-// snapshotBytes is the in-memory kernel's durable state.
+// snapshotBytes is the in-memory kernel's durable state; the query counters
+// live in the telemetry and are folded in the way Stats() reports them.
 func snapshotBytes(t *testing.T, s *System) []byte {
 	t.Helper()
-	return encodeDurableState(t, s, s.stats, s.eventLog, s.eventOff, s.reorder)
+	stats := s.stats
+	stats.RangeQueries, stats.KNNQueries = s.tel.queriesCounted()
+	return encodeDurableState(t, s, stats, s.eventLog, s.eventOff, s.reorder)
 }
 
 // routerSnapshotBytes is a one-shard router's durable state, laid out like
-// snapshotBytes: the router counts queries itself, so they are folded into
-// the shard's counters the way Stats() reports them.
+// snapshotBytes.
 func routerSnapshotBytes(t *testing.T, e *Sharded) []byte {
 	t.Helper()
 	if e.n != 1 {
 		t.Fatalf("routerSnapshotBytes needs one shard, engine has %d", e.n)
 	}
 	stats := e.shards[0].stats
-	stats.RangeQueries, stats.KNNQueries = int(e.rangeQ.Load()), int(e.knnQ.Load())
+	stats.RangeQueries, stats.KNNQueries = e.tel.queriesCounted()
 	return encodeDurableState(t, e.shards[0], stats, e.eventLog, e.eventOff, e.reorder)
 }
 

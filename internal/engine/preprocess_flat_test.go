@@ -141,7 +141,7 @@ func TestDeadlineLeavesSkippedStatesUntouched(t *testing.T) {
 	const reach = 25
 	ctx := &countdownCtx{Context: context.Background()}
 	ctx.left.Store(reach)
-	dists, err := sys.preprocessDists(ctx, objs)
+	dists, err := sys.preprocessDists(ctx, objs, Query{})
 	if de, ok := IsDeadline(err); !ok || de.Stage != "preprocess" {
 		t.Fatalf("err = %v, want a preprocess deadline", err)
 	}
@@ -183,8 +183,8 @@ func TestDeadlineLeavesSkippedStatesUntouched(t *testing.T) {
 	ingestTrace(t, ref, refWorld, 40)
 	ref.Preprocess(objs)
 	ingestTrace(t, ref, refWorld, 2)
-	want, _ := ref.preprocessDists(nil, objs)
-	got, err := sys.preprocessDists(nil, objs)
+	want, _ := ref.preprocessDists(context.Background(), objs, Query{})
+	got, err := sys.preprocessDists(context.Background(), objs, Query{})
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Errorf("answers after a deadline-cut call diverge from an uncut engine (err %v)", err)
 	}

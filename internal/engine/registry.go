@@ -170,7 +170,7 @@ func (r *Registry) Evaluate() []QueryEvent {
 	}
 	s := r.sys
 	now := s.col.Now()
-	infos := s.objectInfos()
+	infos := s.ObjectInfos()
 
 	// Decide which range queries actually need a refresh.
 	needRange := make(map[QueryID]bool, len(r.ranges))

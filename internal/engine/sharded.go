@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"log"
 	"runtime"
 	"strconv"
 	"sync"
@@ -12,14 +11,12 @@ import (
 
 	"repro/internal/anchor"
 	"repro/internal/floorplan"
-	"repro/internal/geom"
 	"repro/internal/health"
 	"repro/internal/ingest"
 	"repro/internal/model"
 	"repro/internal/obs/trace"
 	"repro/internal/query"
 	"repro/internal/rfid"
-	"repro/internal/rng"
 	"repro/internal/shardmap"
 	"repro/internal/wal"
 	"repro/internal/walkgraph"
@@ -42,9 +39,10 @@ const MaxShards = 256
 //     parallel, then the shards' ENTER/LEAVE events are k-way merged by
 //     (Time, Object) — the exact key the collector sorts by — into one
 //     router-owned event log.
-//   - Queries gather candidate summaries from every shard (merged in object
-//     order), prune once, scatter the preprocessing to the owning shards in
-//     parallel, merge the disjoint per-shard tables, and evaluate once.
+//   - Queries run the one pipeline (Run) over the router as a Partition made
+//     of its shards: gather candidate summaries from every live shard (merged
+//     in object order), prune once, scatter the preprocessing to the owning
+//     shards in parallel, merge their disjoint answers, and evaluate once.
 //   - Stats, CacheStats and KnownObjects are per-shard values combined with
 //     order-insensitive sums or deterministic merges.
 //
@@ -55,9 +53,12 @@ const MaxShards = 256
 //
 // Sharded synchronizes internally (unlike System): ingest, queries, and
 // stats reads may run concurrently. The lock hierarchy is
-// ingestMu > healthMu > histMu > shardMu[i]; locks are only ever acquired
-// left to right, and the per-shard locks are never nested with each other.
+// ingestMu > healthMu > shardMu[i]; locks are only ever acquired left to
+// right, and the per-shard locks are never nested with each other.
 type Sharded struct {
+	// QueryMethods are the classic spellings of Query.
+	QueryMethods
+
 	cfg    Config
 	n      int
 	shards []*System
@@ -83,22 +84,15 @@ type Sharded struct {
 	curTrace *trace.Context
 
 	// healthMu fences the unhealthy-reader set and the particle budget:
-	// queries hold it for read so a concurrent flush cannot swap the
-	// sensing model mid-scatter.
+	// each query stage holds it for read so a concurrent flush cannot swap
+	// the sensing model mid-scatter.
 	healthMu sync.RWMutex
 
-	// histMu guards the router-owned historical-query state: the shared
-	// random source and the recycled scratch, consumed serially exactly like
-	// the single engine's PreprocessAt.
-	histMu sync.Mutex
-	src    *rng.Source
-	hist   *workerScratch
+	// router is the shards as one Partition (see shard).
+	router Router
 
 	// metricsMu serializes SyncMetrics (concurrent /metrics scrapes).
 	metricsMu sync.Mutex
-
-	rangeQ atomic.Int64
-	knnQ   atomic.Int64
 
 	// Durability (sharded_durability.go): one WAL stream per shard, all
 	// advancing in lockstep — every flushed second appends one record to
@@ -164,18 +158,19 @@ func NewSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Sharde
 		n:          n,
 		shards:     make([]*System, n),
 		shardMu:    make([]sync.Mutex, n),
-		src:        rng.New(cfg.Seed),
-		hist:       newWorkerScratch(),
 		shardState: make([]atomic.Int32, n),
 		quar:       make([]*quarInfo, n),
 		rejoining:  -1,
 	}
+	e.QueryMethods.Of = e
+	e.router = Router{Parts: make([]Partition, n), Owner: func(obj model.ObjectID) int { return shardmap.Of(obj, n) }}
 	for i := range e.shards {
 		sh, err := New(plan, dep, shardCfg)
 		if err != nil {
 			return nil, err
 		}
 		e.shards[i] = sh
+		e.router.Parts[i] = shard{e, i}
 	}
 	// All shards publish into shard 0's telemetry so counters, histograms
 	// and the trace ring aggregate exactly like the single engine's (the
@@ -436,228 +431,66 @@ func (e *Sharded) EventsSince(seq int) (events []model.Event, next int, truncate
 }
 
 // ---------------------------------------------------------------------------
-// Queries: gather candidates, prune once, scatter preprocessing, merge, eval.
+// Queries: the router is a Coordinator and a Partition made of its shards.
 
-// gatherInfos merges every live shard's candidate summaries in ascending
-// object order — identical to the single engine's objectInfos because
-// KnownObjects is sorted and shards hold disjoint objects. Quarantined
-// shards are excluded: their state is frozen mid-quarantine and answering
-// from it would mix epochs; callers surface the gap via quarantineErr.
-// Callers hold healthMu.
-func (e *Sharded) gatherInfos() []query.ObjectInfo {
-	per := make([][]query.ObjectInfo, e.n)
-	for i, sh := range e.shards {
-		if e.shardState[i].Load() != shardLive {
-			continue
-		}
-		e.shardMu[i].Lock()
-		per[i] = sh.objectInfos()
-		e.shardMu[i].Unlock()
-	}
-	return kMerge(per, infoLess)
+// Query answers q by running the pipeline over the live shards. A degraded
+// engine answers over what they hold and returns the typed QuarantineError
+// beside the answer.
+func (e *Sharded) Query(ctx context.Context, q Query) (Answer, error) { return Run(ctx, e, e, q) }
+
+// shard is shard i of e as a Partition: the kernel under its lock, or the
+// typed marker when the shard is not live — a quarantined shard's state is
+// frozen mid-quarantine, and answering from it would mix epochs.
+type shard struct {
+	e *Sharded
+	i int
 }
 
-func (e *Sharded) gatherInfosAt(t model.Time) []query.ObjectInfo {
-	per := make([][]query.ObjectInfo, e.n)
-	for i, sh := range e.shards {
-		if e.shardState[i].Load() != shardLive {
-			continue
-		}
-		e.shardMu[i].Lock()
-		per[i] = sh.objectInfosAt(t)
-		e.shardMu[i].Unlock()
+func (p shard) Infos(ctx context.Context, q Query) ([]query.ObjectInfo, error) {
+	if p.e.shardState[p.i].Load() != shardLive {
+		return nil, &QuarantineError{Shards: []int{p.i}}
 	}
-	return kMerge(per, infoLess)
+	p.e.shardMu[p.i].Lock()
+	defer p.e.shardMu[p.i].Unlock()
+	return p.e.shards[p.i].Infos(ctx, q)
 }
 
-// preprocessDists scatters the candidate set to the owning shards, runs
-// their preprocessing pipelines in parallel, and k-way merges their answers
-// — each in ascending object order, over disjoint objects — into one. A nil
-// ctx skips every deadline check. Callers hold healthMu (read side).
-func (e *Sharded) preprocessDists(ctx context.Context, cands []model.ObjectID) ([]anchor.ObjDist, error) {
-	tr := trace.From(ctx)
-	if e.n == 1 {
-		if e.shardState[0].Load() != shardLive {
-			return nil, nil
-		}
-		e.shardMu[0].Lock()
-		defer e.shardMu[0].Unlock()
-		estart := time.Now()
-		dists, err := e.shards[0].preprocessDists(ctx, cands)
-		e.shards[0].shardTel.evaluate.Observe(time.Since(estart).Seconds())
-		tr.Since("evaluate", 0, estart)
-		return dists, err
+func (p shard) Dists(ctx context.Context, cands []model.ObjectID, q Query) ([]anchor.ObjDist, error) {
+	if p.e.shardState[p.i].Load() != shardLive {
+		// A zero-duration span still attributes the shard's (absent) share of
+		// the scatter, so a trace always shows all n shards.
+		trace.From(ctx).Add("evaluate", p.i, time.Now(), 0)
+		return nil, &QuarantineError{Shards: []int{p.i}}
 	}
-	parts := make([][]model.ObjectID, e.n)
-	for _, obj := range cands {
-		i := shardmap.Of(obj, e.n)
-		parts[i] = append(parts[i], obj)
-	}
-	per := make([][]anchor.ObjDist, e.n)
-	errs := make([]error, e.n)
-	var wg sync.WaitGroup
-	for i := range e.shards {
-		if len(parts[i]) == 0 || e.shardState[i].Load() != shardLive {
-			// A zero-duration span still attributes the shard's (absent) share
-			// of the scatter, so a trace always shows all n shards.
-			tr.Add("evaluate", i, time.Now(), 0)
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			e.shardMu[i].Lock()
-			defer e.shardMu[i].Unlock()
-			estart := time.Now()
-			per[i], errs[i] = e.shards[i].preprocessDists(ctx, parts[i])
-			e.shards[i].shardTel.evaluate.Observe(time.Since(estart).Seconds())
-			tr.Since("evaluate", i, estart)
-		}(i)
-	}
-	wg.Wait()
-	return kMerge(per, objDistLess), firstDeadline(errs...)
+	p.e.shardMu[p.i].Lock()
+	defer p.e.shardMu[p.i].Unlock()
+	return p.e.shards[p.i].Dists(ctx, cands, q)
 }
 
-// Preprocess is the public scatter-gather preprocessing entry point,
-// mirroring System.Preprocess.
-func (e *Sharded) Preprocess(cands []model.ObjectID) *anchor.Table {
+// Infos merges every live shard's candidate summaries in ascending object
+// order — identical to the kernel's because KnownObjects is sorted and
+// shards hold disjoint objects.
+func (e *Sharded) Infos(ctx context.Context, q Query) ([]query.ObjectInfo, error) {
 	e.healthMu.RLock()
 	defer e.healthMu.RUnlock()
-	dists, _ := e.preprocessDists(nil, cands)
-	return anchor.TableOf(dists)
+	return e.router.Infos(ctx, q)
 }
 
-// RangeQuery is RangeQueryContext without a deadline; the partial marker of
-// a degraded engine is dropped.
-func (e *Sharded) RangeQuery(window geom.Rect) model.ResultSet {
-	rs, _ := e.RangeQueryContext(context.Background(), window)
-	return rs
-}
-
-// KNNQuery is KNNQueryContext without a deadline.
-func (e *Sharded) KNNQuery(q geom.Point, k int) model.ResultSet {
-	rs, _ := e.KNNQueryContext(context.Background(), q, k)
-	return rs
-}
-
-// RangeQueryContext answers a range query under System.RangeQueryContext's
-// partial-result contract: prune once over the merged candidate summaries,
-// scatter the preprocessing, evaluate once.
-func (e *Sharded) RangeQueryContext(ctx context.Context, window geom.Rect) (model.ResultSet, error) {
-	start := time.Now()
-	tr := trace.From(ctx)
+// Dists scatters the candidates to the owning shards, runs their
+// preprocessing in parallel, and merges their answers.
+func (e *Sharded) Dists(ctx context.Context, cands []model.ObjectID, q Query) ([]anchor.ObjDist, error) {
 	e.healthMu.RLock()
 	defer e.healthMu.RUnlock()
-	gstart := time.Now()
-	infos := e.gatherInfos()
-	tr.Since("gather", trace.RouterShard, gstart)
-	var cands []model.ObjectID
-	var perr error
-	pstart := time.Now()
-	if e.cfg.UsePruning {
-		cands, perr = e.shards[0].pruner.RangeCandidatesContext(ctx, infos, []geom.Rect{window}, e.Now())
-	} else {
-		cands = infosToIDs(infos)
-	}
-	tr.Since("prune", trace.RouterShard, pstart)
-	dists, terr := e.preprocessDists(ctx, cands)
-	e.rangeQ.Add(1)
-	mstart := time.Now()
-	rs, eerr := e.shards[0].eval.RangeContext(ctx, anchor.TableOf(dists), window)
-	tr.Since("merge", trace.RouterShard, mstart)
-	e.observeQuery("range", rangeDetail(window.Min.X, window.Min.Y,
-		window.Max.X-window.Min.X, window.Max.Y-window.Min.Y), len(cands), start, tr)
-	if err := firstDeadline(perr, terr, eerr); err != nil {
-		e.tel.deadlineExceeded.Inc()
-		tr.SetDeadline()
-		return rs, joinPartial(err, e.quarantineErr())
-	}
-	return rs, e.quarantineErr()
+	return e.router.Dists(ctx, cands, q)
 }
 
-// KNNQueryContext mirrors System.KNNQueryContext.
-func (e *Sharded) KNNQueryContext(ctx context.Context, q geom.Point, k int) (model.ResultSet, error) {
-	start := time.Now()
-	tr := trace.From(ctx)
+// Prune runs the global pruning stage on shard 0's pruner (every shard holds
+// an identical one). The read lock fences its unhealthy-reader set against a
+// concurrent health refresh.
+func (e *Sharded) Prune(ctx context.Context, infos []query.ObjectInfo, q Query, now model.Time) ([]model.ObjectID, error) {
 	e.healthMu.RLock()
 	defer e.healthMu.RUnlock()
-	gstart := time.Now()
-	infos := e.gatherInfos()
-	tr.Since("gather", trace.RouterShard, gstart)
-	var cands []model.ObjectID
-	var perr error
-	pstart := time.Now()
-	if e.cfg.UsePruning {
-		cands, perr = e.shards[0].pruner.KNNCandidatesContext(ctx, infos, q, k, e.Now())
-	} else {
-		cands = infosToIDs(infos)
-	}
-	tr.Since("prune", trace.RouterShard, pstart)
-	dists, terr := e.preprocessDists(ctx, cands)
-	e.knnQ.Add(1)
-	mstart := time.Now()
-	rs, eerr := e.shards[0].eval.KNNContext(ctx, anchor.TableOf(dists), q, k)
-	tr.Since("merge", trace.RouterShard, mstart)
-	e.observeQuery("knn", knnDetail(q.X, q.Y, k), len(cands), start, tr)
-	if err := firstDeadline(perr, terr, eerr); err != nil {
-		e.tel.deadlineExceeded.Inc()
-		tr.SetDeadline()
-		return rs, joinPartial(err, e.quarantineErr())
-	}
-	return rs, e.quarantineErr()
-}
-
-// RangeQueryAt answers a historical range query. The filter runs consume
-// the router's shared random source serially in sorted object order, so the
-// draw sequence matches the single engine's PreprocessAt exactly.
-func (e *Sharded) RangeQueryAt(window geom.Rect, t model.Time) model.ResultSet {
-	e.healthMu.RLock()
-	defer e.healthMu.RUnlock()
-	infos := e.gatherInfosAt(t)
-	cands := infosToIDs(infos)
-	if e.cfg.UsePruning {
-		cands = e.shards[0].pruner.RangeCandidates(infos, []geom.Rect{window}, t)
-	}
-	return e.shards[0].eval.Range(anchor.TableOf(e.preprocessAt(cands, t)), window)
-}
-
-// KNNQueryAt answers a historical kNN query; see RangeQueryAt.
-func (e *Sharded) KNNQueryAt(q geom.Point, k int, t model.Time) model.ResultSet {
-	e.healthMu.RLock()
-	defer e.healthMu.RUnlock()
-	infos := e.gatherInfosAt(t)
-	cands := infosToIDs(infos)
-	if e.cfg.UsePruning {
-		cands = e.shards[0].pruner.KNNCandidates(infos, q, k, t)
-	}
-	return e.shards[0].eval.KNN(anchor.TableOf(e.preprocessAt(cands, t)), q, k)
-}
-
-// preprocessAt is the historical (uncached, serial) pipeline. It must stay
-// serial: historical runs draw from one shared source, and the draw order
-// is part of the reproducibility contract.
-func (e *Sharded) preprocessAt(cands []model.ObjectID, t model.Time) []anchor.ObjDist {
-	e.histMu.Lock()
-	defer e.histMu.Unlock()
-	var out []anchor.ObjDist
-	for _, obj := range sortedObjects(cands) {
-		i := shardmap.Of(obj, e.n)
-		if e.shardState[i].Load() != shardLive {
-			continue
-		}
-		e.shardMu[i].Lock()
-		entries := append([]model.AggregatedReading(nil), e.shards[i].col.AggregatedUpTo(obj, t)...)
-		e.shardMu[i].Unlock()
-		if len(entries) == 0 {
-			continue
-		}
-		st, err := e.shards[0].filter.RunPool(e.hist.pool, e.src, obj, entries, t)
-		if err != nil {
-			continue
-		}
-		out = append(out, anchor.ObjDist{Object: obj, Dist: st.AnchorDist(e.shards[0].idx, &e.hist.acc)})
-	}
-	return out
+	return e.shards[0].Prune(ctx, infos, q, now)
 }
 
 // Localize delegates to the owning shard; per-object summaries only touch
@@ -672,31 +505,6 @@ func (e *Sharded) Localize(obj model.ObjectID) (Localization, bool) {
 	e.shardMu[i].Lock()
 	defer e.shardMu[i].Unlock()
 	return e.shards[i].Localize(obj)
-}
-
-// Occupancy is OccupancyContext without a deadline; the partial marker of a
-// degraded engine is dropped.
-func (e *Sharded) Occupancy() []RoomOdds {
-	odds, _ := e.OccupancyContext(context.Background())
-	return odds
-}
-
-// OccupancyContext preprocesses every known object via the scatter path and
-// accumulates room expectations in the same pinned order as the kernel
-// (occupancyOn iterates sorted objects and anchors), under a caller deadline
-// and the quarantine partial-result contract: rooms are computed over the
-// live shards' objects, and a degraded engine returns the typed
-// QuarantineError alongside them.
-func (e *Sharded) OccupancyContext(ctx context.Context) ([]RoomOdds, error) {
-	e.healthMu.RLock()
-	defer e.healthMu.RUnlock()
-	dists, terr := e.preprocessDists(ctx, infosToIDs(e.gatherInfos()))
-	odds := occupancyOn(e.shards[0].idx, dists)
-	if terr != nil {
-		e.tel.deadlineExceeded.Inc()
-		trace.From(ctx).SetDeadline()
-	}
-	return odds, joinPartial(terr, e.quarantineErr())
 }
 
 // ---------------------------------------------------------------------------
@@ -720,8 +528,7 @@ func (e *Sharded) Stats() Stats {
 		st.Ingest.Merge(sh.col.Drops())
 		e.shardMu[i].Unlock()
 	}
-	st.RangeQueries = int(e.rangeQ.Load())
-	st.KNNQueries = int(e.knnQ.Load())
+	st.RangeQueries, st.KNNQueries = e.tel.queriesCounted()
 	st.ReadingsDropped = st.Ingest.Readings()
 	return st
 }
@@ -845,30 +652,6 @@ func (e *Sharded) SyncMetrics() {
 			t.readerState.With(label).Set(float64(rh.State))
 			t.readerSilence.With(label).Set(float64(rh.SilenceSeconds))
 		}
-	}
-}
-
-// observeQuery mirrors System.observeQuery against the shared telemetry.
-func (e *Sharded) observeQuery(kind, detail string, candidates int, start time.Time, tr *trace.Context) {
-	elapsed := time.Since(start)
-	t := e.tel
-	h := t.queryRange
-	if kind == "knn" {
-		h = t.queryKNN
-	}
-	h.Observe(elapsed.Seconds())
-	if thr := e.cfg.SlowQueryThreshold; thr > 0 && elapsed >= thr {
-		t.slowQueries.Inc()
-		t.Slow.Add(SlowQuery{
-			Kind:        kind,
-			Detail:      detail,
-			SimTime:     int64(e.Now()),
-			Candidates:  candidates,
-			Micros:      elapsed.Microseconds(),
-			TraceID:     tr.IDString(),
-			ShardMicros: tr.DurationsOf("evaluate", e.n),
-		})
-		log.Printf("engine: slow %s query (%s, %d candidates): %v", kind, detail, candidates, elapsed)
 	}
 }
 

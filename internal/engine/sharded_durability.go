@@ -315,8 +315,8 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 		delete(markers, i)
 	}
 	if rec.SnapshotRestored {
-		e.rangeQ.Store(int64(rsnap.RangeQueries))
-		e.knnQ.Store(int64(rsnap.KNNQueries))
+		e.tel.queries[KindRange].Store(int64(rsnap.RangeQueries))
+		e.tel.queries[KindKNN].Store(int64(rsnap.KNNQueries))
 		e.eventLog = rsnap.Events
 		e.eventOff = rsnap.EventOff
 		for i, sh := range e.shards {
@@ -773,9 +773,10 @@ func (e *Sharded) snapFailed(err error) {
 func (e *Sharded) writeSnapshots() error {
 	wm, started := e.reorder.Watermark()
 	ms, _ := e.reorder.MaxSeen()
+	ranges, knns := e.tel.queriesCounted()
 	rsnap := routerSnap{
-		RangeQueries:   int(e.rangeQ.Load()),
-		KNNQueries:     int(e.knnQ.Load()),
+		RangeQueries:   ranges,
+		KNNQueries:     knns,
 		Events:         e.eventLog,
 		EventOff:       e.eventOff,
 		ReorderStarted: started,

@@ -75,6 +75,16 @@ func (e *QuarantineError) Error() string {
 	return fmt.Sprintf("engine: partial result: %d shard(s) quarantined %v", len(e.Shards), e.Shards)
 }
 
+// Merge implements Marker: two queries' worth of quarantined shards are one
+// marker naming them all.
+func (e *QuarantineError) Merge(other error) (error, bool) {
+	o, ok := other.(*QuarantineError)
+	if !ok {
+		return nil, false
+	}
+	return &QuarantineError{Shards: Union(e.Shards, o.Shards)}, true
+}
+
 // IsQuarantine reports whether err (or anything it wraps) marks a partial
 // result caused by quarantined shards.
 func IsQuarantine(err error) (*QuarantineError, bool) {
@@ -95,17 +105,6 @@ func (e *Sharded) DegradedShards() []int {
 		}
 	}
 	return out
-}
-
-// quarantineErr returns the QuarantineError describing the current degraded
-// set, or nil when every shard is live. The all-live path allocates nothing.
-func (e *Sharded) quarantineErr() error {
-	for i := range e.shardState {
-		if e.shardState[i].Load() != shardLive {
-			return &QuarantineError{Shards: e.DegradedShards()}
-		}
-	}
-	return nil
 }
 
 // liveShards counts shards in the LIVE state.
@@ -473,20 +472,6 @@ func (e *Sharded) tryHeal(i int) error {
 	e.tel.shardHeals.Inc()
 	log.Printf("engine: shard %d healed: rejoined at seq %d after %d missed seconds", i, e.walSeq, len(q.missed))
 	return nil
-}
-
-// joinPartial combines a deadline overrun and a quarantine marker into one
-// error carrying both typed values (errors.As sees through errors.Join), so
-// the HTTP layer can report deadline_stage and degradedShards together.
-func joinPartial(derr, qerr error) error {
-	switch {
-	case derr == nil:
-		return qerr
-	case qerr == nil:
-		return derr
-	default:
-		return errors.Join(derr, qerr)
-	}
 }
 
 // spliceEvents merges heal-time LEAVE events into the router event log at

@@ -16,12 +16,12 @@ import (
 // shardedOutcome is everything externally observable about an engine after a
 // fixed ingest stream and a fixed query sequence: answers, analytics,
 // events, and every counter. Equivalence tests compare it with
-// reflect.DeepEqual, so ordering is pinned too.
+// reflect.DeepEqual, so ordering is pinned too. (Every query kind, snapshot
+// and historical, on every engine shape is internal/cluster's
+// TestQueryEquivalence; the answers here pin what the counters count.)
 type shardedOutcome struct {
 	rng    model.ResultSet
 	knn    model.ResultSet
-	rngAt  model.ResultSet
-	knnAt  model.ResultSet
 	occ    []RoomOdds
 	loc    Localization
 	locOK  bool
@@ -34,15 +34,12 @@ type shardedOutcome struct {
 
 // observe runs the fixed ingest stream and query sequence against any engine
 // exposing the System/Sharded query surface. Both engine kinds must execute
-// the exact same sequence — Stats counts queries and filter runs, and
-// historical queries consume the engine's replay RNG in call order.
+// the exact same sequence — Stats counts queries and filter runs.
 func observe[E interface {
 	Ingest(t model.Time, raws []model.RawReading) error
 	FlushIngest()
 	RangeQuery(window geom.Rect) model.ResultSet
 	KNNQuery(q geom.Point, k int) model.ResultSet
-	RangeQueryAt(window geom.Rect, t model.Time) model.ResultSet
-	KNNQueryAt(q geom.Point, k int, t model.Time) model.ResultSet
 	Occupancy() []RoomOdds
 	Localize(obj model.ObjectID) (Localization, bool)
 	EventsSince(seq int) ([]model.Event, int, bool)
@@ -51,12 +48,8 @@ func observe[E interface {
 	CacheStats() (hits, misses int)
 }](t *testing.T, sys E, world *sim.Simulator) shardedOutcome {
 	t.Helper()
-	var mid model.Time
 	for i := 0; i < 80; i++ {
 		tm, raws := world.Step()
-		if i == 40 {
-			mid = tm
-		}
 		if err := sys.Ingest(tm, raws); err != nil {
 			t.Fatalf("Ingest: %v", err)
 		}
@@ -66,8 +59,6 @@ func observe[E interface {
 	var out shardedOutcome
 	out.rng = sys.RangeQuery(geom.RectWH(5, 9, 25, 14))
 	out.knn = sys.KNNQuery(geom.Pt(20, 12), 10)
-	out.rngAt = sys.RangeQueryAt(geom.RectWH(5, 9, 25, 14), mid)
-	out.knnAt = sys.KNNQueryAt(geom.Pt(20, 12), 10, mid)
 	out.occ = sys.Occupancy()
 	out.known = sys.KnownObjects()
 	if len(out.known) > 0 {
@@ -111,12 +102,6 @@ func TestShardedEquivalence(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got.knn, base.knn) {
 				t.Errorf("shards=%d: kNN answers diverge", n)
-			}
-			if !reflect.DeepEqual(got.rngAt, base.rngAt) {
-				t.Errorf("shards=%d: historical range answers diverge", n)
-			}
-			if !reflect.DeepEqual(got.knnAt, base.knnAt) {
-				t.Errorf("shards=%d: historical kNN answers diverge", n)
 			}
 			if !reflect.DeepEqual(got.occ, base.occ) {
 				t.Errorf("shards=%d: occupancy diverges:\n got %+v\nwant %+v", n, got.occ, base.occ)

@@ -1,13 +1,14 @@
 package engine
 
 import (
-	"fmt"
 	"log"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/ingest"
+	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/particle"
@@ -34,7 +35,9 @@ type Telemetry struct {
 	stagePredict, stageReweight, stageResample, stageSnap *obs.Histogram
 	particleSteps                                         *obs.Counter
 	runsFull, runsResumed                                 *obs.Counter
-	queryRange, queryKNN                                  *obs.Histogram
+	query                                                 [3]*obs.Histogram // by QueryKind
+	queries                                               [2]atomic.Int64   // by QueryKind: Stats' RangeQueries, KNNQueries
+	slowThreshold                                         time.Duration
 	slowQueries                                           *obs.Counter
 	cacheHits, cacheMisses, cacheEvictions                *obs.Counter
 
@@ -125,7 +128,8 @@ func (t *Telemetry) shardMetrics(i int) *shardMetrics {
 
 // SlowQuery is one slow-query log record.
 type SlowQuery struct {
-	// Kind is "range" or "knn"; Detail renders the query parameters.
+	// Kind is "range", "knn" or "occupancy"; Detail renders the query
+	// parameters (and the as-of second of a historical query).
 	Kind   string `json:"kind"`
 	Detail string `json:"detail"`
 	// SimTime is the stream second the query ran against.
@@ -152,7 +156,7 @@ func newTelemetry(cfg Config) *Telemetry {
 	runs := r.CounterVec("repro_filter_runs_total",
 		"Particle-filter executions by mode: full runs vs cache-resumed advances.", "mode")
 	queries := r.HistogramVec("repro_query_seconds",
-		"End-to-end snapshot query latency (pruning + preprocessing + evaluation).", nil, "kind")
+		"End-to-end query latency (gather + pruning + preprocessing + evaluation), historical queries included.", nil, "kind")
 	cacheEvents := r.CounterVec("repro_cache_events_total",
 		"Particle-state cache events.", "event")
 	droppedVec := r.CounterVec("repro_ingest_readings_dropped_total",
@@ -173,8 +177,10 @@ func newTelemetry(cfg Config) *Telemetry {
 			"Particle × second motion steps executed by the filter."),
 		runsFull:    runs.With("full"),
 		runsResumed: runs.With("resumed"),
-		queryRange:  queries.With("range"),
-		queryKNN:    queries.With("knn"),
+		query: [3]*obs.Histogram{
+			queries.With(KindRange.String()), queries.With(KindKNN.String()), queries.With(KindOccupancy.String()),
+		},
+		slowThreshold: cfg.SlowQueryThreshold,
 		slowQueries: r.Counter("repro_slow_queries_total",
 			"Queries slower than the configured slow-query threshold."),
 		cacheHits:      cacheEvents.With("hit"),
@@ -334,37 +340,46 @@ func (t *Telemetry) recordTrace(shard int, st *particle.State, snap time.Duratio
 	})
 }
 
-// observeQuery records one snapshot query: latency into the per-kind
-// histogram and, past the slow threshold, a slow-query log entry. tr is the
-// request trace (nil for untraced queries); a slow entry links back to it by
-// ID and carries the per-shard evaluate timings from its scatter spans.
-func (s *System) observeQuery(kind, detail string, candidates int, start time.Time, tr *trace.Context) {
+// observeQuery records one query the pipeline ran: latency into the
+// per-kind histogram, the snapshot range/kNN work counters of Stats, and,
+// past the slow threshold, a slow-query log entry. tr is the request trace
+// (nil for untraced queries); a slow entry links back to it by ID and carries
+// the per-shard evaluate timings from its scatter spans.
+func (t *Telemetry) observeQuery(q Query, simTime model.Time, candidates int, start time.Time, tr *trace.Context) {
 	elapsed := time.Since(start)
-	t := s.tel
-	h := t.queryRange
-	if kind == "knn" {
-		h = t.queryKNN
+	t.query[q.Kind].Observe(elapsed.Seconds())
+	if !q.Historical {
+		t.countQuery(q.Kind)
 	}
-	h.Observe(elapsed.Seconds())
-	if thr := s.cfg.SlowQueryThreshold; thr > 0 && elapsed >= thr {
+	if t.slowThreshold > 0 && elapsed >= t.slowThreshold {
 		t.slowQueries.Inc()
+		t.shardMu.Lock()
+		shards := len(t.shardM)
+		t.shardMu.Unlock()
 		t.Slow.Add(SlowQuery{
-			Kind:        kind,
-			Detail:      detail,
-			SimTime:     int64(s.col.Now()),
+			Kind:        q.Kind.String(),
+			Detail:      q.String(),
+			SimTime:     int64(simTime),
 			Candidates:  candidates,
 			Micros:      elapsed.Microseconds(),
 			TraceID:     tr.IDString(),
-			ShardMicros: tr.DurationsOf("evaluate", s.shardID+1),
+			ShardMicros: tr.DurationsOf("evaluate", shards),
 		})
-		log.Printf("engine: slow %s query (%s, %d candidates): %v", kind, detail, candidates, elapsed)
+		log.Printf("engine: slow %s query (%s, %d candidates): %v", q.Kind, q, candidates, elapsed)
 	}
 }
 
-func rangeDetail(x, y, w, h float64) string {
-	return fmt.Sprintf("window=(%.1f,%.1f,%.1f,%.1f)", x, y, w, h)
+// countQuery counts one evaluated snapshot range or kNN query — the
+// RangeQueries/KNNQueries of Stats. They live here, beside the histograms,
+// because whoever coordinates a query (kernel, router, cluster node) reaches
+// the telemetry but not the kernel's own counters.
+func (t *Telemetry) countQuery(k QueryKind) {
+	if k != KindOccupancy {
+		t.queries[k].Add(1)
+	}
 }
 
-func knnDetail(x, y float64, k int) string {
-	return fmt.Sprintf("q=(%.1f,%.1f) k=%d", x, y, k)
+// queriesCounted returns the counts countQuery keeps.
+func (t *Telemetry) queriesCounted() (ranges, knns int) {
+	return int(t.queries[KindRange].Load()), int(t.queries[KindKNN].Load())
 }

@@ -152,13 +152,14 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 }
 
-// TestSlowQueryLogDisabled checks threshold 0 records latency histograms but
-// never the slow log.
+// TestSlowQueryLogDisabled checks threshold 0 records latency histograms —
+// occupancy's too — but never the slow log.
 func TestSlowQueryLogDisabled(t *testing.T) {
 	sys := telemetrySystem(t, 30, func(c *Config) {
 		c.SlowQueryThreshold = 0
 	})
 	sys.RangeQuery(geom.RectWH(1, 2, 140, 32))
+	sys.Occupancy()
 	tel := sys.Telemetry()
 	if got := tel.slowQueries.Value(); got != 0 {
 		t.Errorf("slow counter = %d with disabled log", got)
@@ -166,8 +167,10 @@ func TestSlowQueryLogDisabled(t *testing.T) {
 	if n := len(tel.Slow.Snapshot()); n != 0 {
 		t.Errorf("slow log has %d entries with disabled log", n)
 	}
-	if tel.queryRange.Count() != 1 {
-		t.Errorf("range latency histogram count = %d, want 1", tel.queryRange.Count())
+	for _, k := range []QueryKind{KindRange, KindOccupancy} {
+		if got := tel.query[k].Count(); got != 1 {
+			t.Errorf("%s latency histogram count = %d, want 1", k, got)
+		}
 	}
 }
 

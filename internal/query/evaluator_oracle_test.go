@@ -158,7 +158,7 @@ func TestFlatTableMatchesMapOracle(t *testing.T) {
 
 		for _, w := range windows {
 			cands, _ := e.PruneRangeContext(ctx, infos, []geom.Rect{w}, now)
-			dists, err := e.PreprocessDists(ctx, cands)
+			dists, err := e.Dists(ctx, cands, engine.Query{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +173,7 @@ func TestFlatTableMatchesMapOracle(t *testing.T) {
 		for i, q := range points {
 			k := 2 + 3*i
 			cands, _ := e.PruneKNNContext(ctx, infos, q, k, now)
-			dists, err := e.PreprocessDists(ctx, cands)
+			dists, err := e.Dists(ctx, cands, engine.Query{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,7 +183,7 @@ func TestFlatTableMatchesMapOracle(t *testing.T) {
 			}
 		}
 
-		all, err := e.PreprocessDists(ctx, e.KnownObjects())
+		all, err := e.Dists(ctx, e.KnownObjects(), engine.Query{})
 		if err != nil {
 			t.Fatal(err)
 		}

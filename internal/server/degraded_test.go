@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/floorplan"
+	"repro/internal/obs"
 	"repro/internal/rfid"
 	"repro/internal/sim"
 	"repro/internal/sim/errfs"
@@ -243,6 +244,48 @@ func TestFailStopRefusesIngest(t *testing.T) {
 		}
 		if code := getJSON(t, ts, p, &out); code != http.StatusOK || out.Partial || len(out.DegradedShards) != 0 {
 			t.Errorf("%s after fail-stop: status %d, %+v; want a full 200 answer from memory", p, code, out)
+		}
+	}
+}
+
+// TestHistoricalPartialOnQuarantine pins "no silent partials" for ?at=
+// queries: a historical answer computed without a quarantined shard says so
+// exactly like a snapshot one, and is observed like one.
+func TestHistoricalPartialOnQuarantine(t *testing.T) {
+	ts, _, _ := degradedServer(t)
+	paths := map[string]string{
+		"range":     "/range?x=1&y=2&w=140&h=32&at=15",
+		"knn":       "/knn?x=35&y=12&k=3&at=15&deadline_ms=60000",
+		"occupancy": "/occupancy?at=15",
+	}
+	for kind, p := range paths {
+		var out struct {
+			Partial        bool  `json:"partial"`
+			DegradedShards []int `json:"degradedShards"`
+		}
+		if code := getJSON(t, ts, p, &out); code != http.StatusOK {
+			t.Fatalf("%s status %d under quarantine; live shards must still answer", p, code)
+		}
+		if !out.Partial || len(out.DegradedShards) != 1 || out.DegradedShards[0] != 2 {
+			t.Errorf("%s = %+v, want partial with degradedShards [2]", p, out)
+		}
+		resp, err := ts.Client().Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fams, err := obs.ParseText(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("/metrics: %v", err)
+		}
+		observed := false
+		for _, s := range fams["repro_query_seconds"].Samples {
+			if s.Name == "repro_query_seconds_count" && s.Labels["kind"] == kind && s.Value > 0 {
+				observed = true
+			}
+		}
+		if !observed {
+			t.Errorf("%s left no repro_query_seconds{kind=%q} observation", p, kind)
 		}
 	}
 }

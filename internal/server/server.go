@@ -8,7 +8,7 @@
 //	GET  /range?x=&y=&w=&h=[&at=]   probabilistic range query
 //	GET  /knn?x=&y=&k=[&at=]        probabilistic kNN query
 //	GET  /localize?object=          localization summary for one object
-//	GET  /occupancy                 expected objects per room
+//	GET  /occupancy[?at=]           expected objects per room
 //	GET  /objects                   known object IDs
 //	GET  /stats                     cumulative work counters
 //	GET  /plan                      the floor plan as JSON
@@ -66,12 +66,8 @@ type Engine interface {
 	IngestContext(ctx context.Context, t model.Time, raws []model.RawReading) error
 	Now() model.Time
 	KnownObjects() []model.ObjectID
-	RangeQueryAt(window geom.Rect, t model.Time) model.ResultSet
-	RangeQueryContext(ctx context.Context, window geom.Rect) (model.ResultSet, error)
-	KNNQueryAt(q geom.Point, k int, t model.Time) model.ResultSet
-	KNNQueryContext(ctx context.Context, q geom.Point, k int) (model.ResultSet, error)
+	Query(ctx context.Context, q engine.Query) (engine.Answer, error)
 	Localize(obj model.ObjectID) (engine.Localization, bool)
-	OccupancyContext(ctx context.Context) ([]engine.RoomOdds, error)
 	DegradedShards() []int
 	Preprocess(candidates []model.ObjectID) *anchor.Table
 	Stats() engine.Stats
@@ -289,7 +285,7 @@ func (s *Server) HandlerWith(cfg HandlerConfig) http.Handler {
 	route("GET /range", "/range", s.traced("range", s.admit(s.handleRange)))
 	route("GET /knn", "/knn", s.traced("knn", s.admit(s.handleKNN)))
 	route("GET /localize", "/localize", s.admit(s.handleLocalize))
-	route("GET /occupancy", "/occupancy", s.admit(s.handleOccupancy))
+	route("GET /occupancy", "/occupancy", s.traced("occupancy", s.admit(s.handleOccupancy)))
 	route("GET /objects", "/objects", s.handleObjects)
 	route("GET /stats", "/stats", s.handleStats)
 	route("GET /plan", "/plan", s.handlePlan)
@@ -685,38 +681,11 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "range needs float params x, y, w, h")
 		return
 	}
-	at, atOK, err := queryTime(r, "at")
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad at: %v", err)
+	ans, qerr, ok := s.query(w, r, engine.RangeQuery(geom.RectWH(x, y, ww, h)))
+	if !ok {
 		return
 	}
-	deadline, err := queryDeadline(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad deadline_ms: %v", err)
-		return
-	}
-	win := geom.RectWH(x, y, ww, h)
-	s.lock()
-	var rs model.ResultSet
-	var qerr error
-	switch {
-	case atOK:
-		rs = s.sys.RangeQueryAt(win, at)
-	case deadline > 0:
-		ctx, cancel := context.WithTimeout(r.Context(), deadline)
-		rs, qerr = s.sys.RangeQueryContext(ctx, win)
-		cancel()
-	default:
-		// Deadline-free: the Context variant threads the trace (when one is
-		// attached) and still surfaces a quarantine-partial marker; without
-		// a deadline it cannot expire.
-		rs, qerr = s.sys.RangeQueryContext(r.Context(), win)
-	}
-	s.unlock()
-	if relayShed(w, qerr) {
-		return
-	}
-	resp := map[string]any{"window": [4]float64{x, y, ww, h}, "result": toSorted(rs)}
+	resp := map[string]any{"window": [4]float64{x, y, ww, h}, "result": toSorted(ans.Result)}
 	addPartial(resp, qerr)
 	s.writeJSON(w, resp)
 }
@@ -729,36 +698,44 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "knn needs float params x, y and positive integer k")
 		return
 	}
+	ans, qerr, ok := s.query(w, r, engine.KNNQuery(geom.Pt(x, y), k))
+	if !ok {
+		return
+	}
+	resp := map[string]any{"q": [2]float64{x, y}, "k": k, "result": toSorted(ans.Result)}
+	addPartial(resp, qerr)
+	s.writeJSON(w, resp)
+}
+
+// query runs q for a query handler: the optional at= makes it historical,
+// the optional deadline_ms= bounds it, and whatever the request carries — the
+// trace, the client going away — rides on its context. ok is false when the
+// response has already been written: a bad parameter, or an owner-side shed.
+// A non-nil partial beside ok is the typed marker addPartial reports.
+func (s *Server) query(w http.ResponseWriter, r *http.Request, q engine.Query) (ans engine.Answer, partial error, ok bool) {
 	at, atOK, err := queryTime(r, "at")
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad at: %v", err)
-		return
+		return ans, nil, false
+	}
+	if atOK {
+		q = q.AsOf(at)
 	}
 	deadline, err := queryDeadline(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad deadline_ms: %v", err)
-		return
+		return ans, nil, false
+	}
+	ctx := r.Context()
+	if deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, deadline)
+		defer cancel()
 	}
 	s.lock()
-	var rs model.ResultSet
-	var qerr error
-	switch {
-	case atOK:
-		rs = s.sys.KNNQueryAt(geom.Pt(x, y), k, at)
-	case deadline > 0:
-		ctx, cancel := context.WithTimeout(r.Context(), deadline)
-		rs, qerr = s.sys.KNNQueryContext(ctx, geom.Pt(x, y), k)
-		cancel()
-	default:
-		rs, qerr = s.sys.KNNQueryContext(r.Context(), geom.Pt(x, y), k)
-	}
+	ans, partial = s.sys.Query(ctx, q)
 	s.unlock()
-	if relayShed(w, qerr) {
-		return
-	}
-	resp := map[string]any{"q": [2]float64{x, y}, "k": k, "result": toSorted(rs)}
-	addPartial(resp, qerr)
-	s.writeJSON(w, resp)
+	return ans, partial, !relayShed(w, partial)
 }
 
 // arrivalKey carries the request's arrival timestamp (stamped by
@@ -884,26 +861,13 @@ func (s *Server) handleOccupancy(w http.ResponseWriter, r *http.Request) {
 		Room string  `json:"room"`
 		P    float64 `json:"p"`
 	}
-	deadline, err := queryDeadline(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad deadline_ms: %v", err)
-		return
-	}
-	ctx := r.Context()
-	if deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, deadline)
-		defer cancel()
-	}
-	s.lock()
-	occ, qerr := s.sys.OccupancyContext(ctx)
-	s.unlock()
-	if relayShed(w, qerr) {
+	ans, qerr, ok := s.query(w, r, engine.OccupancyQuery())
+	if !ok {
 		return
 	}
 	// Non-nil so an empty answer encodes as [] rather than null.
 	out := []entry{}
-	for _, ro := range occ {
+	for _, ro := range ans.Rooms {
 		name := "(hallways)"
 		if ro.Room != floorplan.NoRoom {
 			name = s.plan.Room(ro.Room).Name

@@ -306,9 +306,9 @@ func RunPeerFaults(plan *floorplan.Plan, dep *rfid.Deployment, cfg PeerFaultConf
 	return rep, nil
 }
 
-// compareNode checks one node's cluster-wide answers against the oracle:
-// clock, range, kNN, and occupancy must be bit-for-bit identical no matter
-// which node coordinates.
+// compareNode checks one node's cluster-wide answers against the oracle: the
+// clock, and every query kind — snapshot and as of mid-stream, faults
+// included — must be bit-for-bit identical no matter which node coordinates.
 func compareNode(name string, node *cluster.Node, oracle *engine.System, plan *floorplan.Plan) []string {
 	var ms []string
 	if got, want := node.Now(), oracle.Now(); got != want {
@@ -316,14 +316,15 @@ func compareNode(name string, node *cluster.Node, oracle *engine.System, plan *f
 	}
 	b := plan.Bounds()
 	center := geom.Point{X: (b.Min.X + b.Max.X) / 2, Y: (b.Min.Y + b.Max.Y) / 2}
-	if got, want := node.RangeQuery(b), oracle.RangeQuery(b); !reflect.DeepEqual(got, want) {
-		ms = append(ms, fmt.Sprintf("%s range query diverged: cluster %v oracle %v", name, got, want))
-	}
-	if got, want := node.KNNQuery(center, 3), oracle.KNNQuery(center, 3); !reflect.DeepEqual(got, want) {
-		ms = append(ms, fmt.Sprintf("%s knn query diverged: cluster %v oracle %v", name, got, want))
-	}
-	if got, want := node.Occupancy(), oracle.Occupancy(); !reflect.DeepEqual(got, want) {
-		ms = append(ms, fmt.Sprintf("%s occupancy diverged", name))
+	ctx := context.Background()
+	for _, kind := range []engine.Query{engine.RangeQuery(b), engine.KNNQuery(center, 3), engine.OccupancyQuery()} {
+		for _, q := range []engine.Query{kind, kind.AsOf(oracle.Now() / 2)} {
+			got, err := node.Query(ctx, q)
+			want, _ := oracle.Query(ctx, q)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				ms = append(ms, fmt.Sprintf("%s %v diverged (err=%v): cluster %v oracle %v", name, q, err, got, want))
+			}
+		}
 	}
 	return ms
 }
