@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test race stress bench bench-smoke bench-json bench-diff bench-sharded bench-harness-build bench-harness-test chaos cluster-e2e check experiments examples vet vuln profile loc
+.PHONY: build test race stress bench bench-smoke bench-json bench-diff bench-sharded bench-harness-build bench-harness-test chaos cluster-e2e check experiments examples vet vuln profile loc fuzz-smoke
 
 build:
 	go build ./...
@@ -25,16 +25,25 @@ vuln:
 	fi
 
 # Static analysis, the vulnerability scan, a compile of the frozen benchmark
-# harness and its own tests, the full suite under the race detector, and one
-# iteration of every hot-path benchmark so a compile- or panic-level
-# regression in the benchmarked paths cannot land silently.
+# harness and its own tests, the full suite under the race detector, ten
+# seconds of differential fuzzing of the /ingest scanner, and one iteration of
+# every hot-path benchmark so a compile- or panic-level regression in the
+# benchmarked paths cannot land silently.
 check:
 	go vet ./...
 	$(MAKE) bench-harness-build
 	$(MAKE) bench-harness-test
 	$(MAKE) vuln
 	go test -race ./...
+	$(MAKE) fuzz-smoke
 	$(MAKE) bench-smoke
+
+# The /ingest scanner against encoding/json on mutated documents, ten
+# seconds' worth. (Plain `go test` already runs FuzzBatchDecode's seed
+# corpus; the fuzzing engine's cache lives under GOCACHE, and a failing input
+# is written to internal/model/testdata/fuzz to be checked in as a seed.)
+fuzz-smoke:
+	go test -run '^$$' -fuzz FuzzBatchDecode -fuzztime 10s ./internal/model/
 
 # bench/ is its own module (repro/bench), so `go build ./...` cannot see it
 # and an API change that breaks the harness would surface only when the
@@ -81,8 +90,8 @@ bench:
 bench-smoke:
 	go test -run '^$$' -bench . -benchtime=1x ./internal/...
 
-# Run the hot-path, engine-step and query-layer benchmarks and record the
-# parsed results plus the speedups over the newest checked-in report:
+# Run the hot-path, engine-step, query-layer and ingest-layer benchmarks and
+# record the parsed results plus the speedups over the newest checked-in report:
 # cmd/benchjson finds the highest BENCH_N.json and writes BENCH_<N+1>.json
 # into BENCH_DIR (the repository root by default — a new checked-in record;
 # CI passes a temp dir so the baselines it diffs against stay as committed).

@@ -1,7 +1,9 @@
 // Command benchjson runs the particle-filter hot-path micro-benchmarks
 // (indexed coverage path vs. geometric reference path), the engine-level
-// 1k-object step benchmarks and the query path's layer benchmarks (prune,
-// snap, table build, warm preprocess), and writes the parsed results as JSON,
+// 1k-object step benchmarks, the query path's layer benchmarks (prune,
+// snap, table build, warm preprocess) and the ingest path's (delivery decode,
+// reorder buffer, collector, durable router ingest), and writes the parsed
+// results as JSON,
 // so speedups can be tracked across revisions without eyeballing
 // `go test -bench` output.
 //
@@ -43,18 +45,22 @@ const benchPattern = "BenchmarkFilterStep|BenchmarkNegativeUpdate|BenchmarkInitA
 // variant (shards=N sub-benchmarks showing scaling with the shard count), and
 // the tracing-overhead pair (enabled/disabled sub-benchmarks pinning the cost
 // of the request tracer on the filter step).
-const enginePattern = "BenchmarkEngineStep|BenchmarkFilterStepTraced|BenchmarkPreprocessWarm300"
+const enginePattern = "BenchmarkEngineStep|BenchmarkFilterStepTraced|BenchmarkPreprocessWarm300|BenchmarkShardedIngestDurable"
 
-// The query path's layer benchmarks outside the engine package.
+// The query path's and the ingest path's layer benchmarks outside the engine
+// package.
 const (
-	queryPattern  = "BenchmarkPruneKNN1k|BenchmarkPruneRange1k"
-	anchorPattern = "BenchmarkSnapDistribution|BenchmarkTableBuild300"
+	queryPattern     = "BenchmarkPruneKNN1k|BenchmarkPruneRange1k"
+	anchorPattern    = "BenchmarkSnapDistribution|BenchmarkTableBuild300"
+	modelPattern     = "BenchmarkBatchDecode3500"
+	ingestPattern    = "BenchmarkReorderOffer"
+	collectorPattern = "BenchmarkIngestSecond"
 )
 
 // result is one parsed benchmark line.
 type result struct {
 	Name        string  `json:"name"`           // e.g. "FilterStep"
-	Path        string  `json:"path,omitempty"` // "indexed", "geometric", or "" for whole-engine benchmarks
+	Path        string  `json:"path,omitempty"` // the sub-benchmark ("indexed", "shards=4", "scanner", ...), "" when there is none
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
@@ -123,6 +129,9 @@ func main() {
 	runBench(&rep, enginePattern, "./internal/engine/", *benchtime)
 	runBench(&rep, queryPattern, "./internal/query/", *benchtime)
 	runBench(&rep, anchorPattern, "./internal/anchor/", *benchtime)
+	runBench(&rep, modelPattern, "./internal/model/", *benchtime)
+	runBench(&rep, ingestPattern, "./internal/ingest/", *benchtime)
+	runBench(&rep, collectorPattern, "./internal/collector/", *benchtime)
 	if len(rep.Results) == 0 {
 		fatal(fmt.Errorf("no benchmark lines parsed"))
 	}
@@ -279,9 +288,6 @@ func loadReport(path string) (report, error) {
 // parseLine parses a `go test -bench` result line of the form
 //
 //	BenchmarkName/sub-N   iters   123.4 ns/op   56 B/op   7 allocs/op
-//
-// keeping indexed/geometric sub-benchmarks and whole-package benchmarks
-// without a sub-benchmark path.
 func parseLine(line string) (result, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
@@ -292,11 +298,7 @@ func parseLine(line string) (result, bool) {
 	if i := strings.LastIndex(full, "-"); i > 0 {
 		full = full[:i]
 	}
-	name, path, ok := strings.Cut(strings.TrimPrefix(full, "Benchmark"), "/")
-	if ok && path != "indexed" && path != "geometric" && path != "enabled" &&
-		path != "disabled" && !strings.HasPrefix(path, "shards=") {
-		return result{}, false
-	}
+	name, path, _ := strings.Cut(strings.TrimPrefix(full, "Benchmark"), "/")
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
 		return result{}, false

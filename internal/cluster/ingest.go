@@ -22,21 +22,29 @@ func (n *Node) Ingest(t model.Time, raws []model.RawReading) error {
 	return n.IngestContext(context.Background(), t, raws)
 }
 
-// IngestContext is Ingest with a caller context bounding the forwards.
+// IngestContext is Ingest with a caller context bounding the forwards. The
+// forwards spend their time waiting on the peers, so they run (peer after
+// peer, on one goroutine) while this one applies the local partition; the two
+// reports are merged once both are in.
 func (n *Node) IngestContext(ctx context.Context, t model.Time, raws []model.RawReading) error {
 	parts := n.partition(raws)
 	fdrops := 0
-	for i, p := range n.peers {
-		if p == nil {
-			continue
+	forwarded := make(chan struct{})
+	go func() {
+		defer close(forwarded)
+		for i, p := range n.peers {
+			if p == nil {
+				continue
+			}
+			if err := n.forwardTo(ctx, p, t, parts[i]); err != nil {
+				fdrops += len(parts[i])
+			}
 		}
-		if err := n.forwardTo(ctx, p, t, parts[i]); err != nil {
-			fdrops += len(parts[i])
-		}
-	}
+	}()
 	n.lock()
 	lerr := n.eng.IngestContext(ctx, t, parts[n.selfIdx])
 	n.unlock()
+	<-forwarded
 	return n.mergeIngestErr(t, lerr, fdrops)
 }
 

@@ -7,6 +7,8 @@
 package collector
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/ingest"
@@ -27,6 +29,20 @@ type objectLog struct {
 	in model.ReaderID
 	// lastSeen is the time of the most recent detected entry.
 	lastSeen model.Time
+
+	// IngestSecond's tally of the second in progress, valid while epoch is
+	// the collector's: lead is the reader winning the object so far and
+	// leadN its sample count.
+	epoch uint64
+	lead  model.ReaderID
+	leadN int
+}
+
+// tracked is an object together with its log, so the lists below are walked
+// without a map lookup per entry.
+type tracked struct {
+	obj model.ObjectID
+	log *objectLog
 }
 
 // Collector aggregates raw readings and maintains per-object retention.
@@ -40,6 +56,17 @@ type Collector struct {
 	// drops accounts for every reading or batch the collector refused, so
 	// degraded input is visible instead of silently vanishing.
 	drops ingest.Drops
+
+	// inRange lists the objects some reader is detecting as of the last
+	// ingested second (log.in != NoReader): the only ones a silent second
+	// can owe a LEAVE. epoch numbers the IngestSecond calls. seen and
+	// others are one call's scratch, reused by the next: the objects read
+	// this second (it becomes the next inRange), and the readings of an
+	// object by a reader other than the first that read it this second.
+	inRange []tracked
+	epoch   uint64
+	seen    []tracked
+	others  []model.RawReading
 }
 
 // New returns an empty Collector with the paper's default retention: only
@@ -92,14 +119,14 @@ func (c *Collector) IngestSecond(t model.Time, raws []model.RawReading) error {
 	}
 	c.now = t
 	c.started = true
+	c.epoch++
 
-	// Tally samples per (object, reader).
-	type key struct {
-		obj model.ObjectID
-		rd  model.ReaderID
-	}
+	// Tally samples on each object's own log: one map lookup per reading.
+	// An object is nearly always read by one reader within a second, so the
+	// first reader seen is counted in place and any other reader's readings
+	// are set aside.
 	var misstamped, invalid int
-	counts := make(map[key]int)
+	seen, others := c.seen[:0], c.others[:0]
 	for _, r := range raws {
 		if r.Reader == model.NoReader {
 			invalid++
@@ -109,28 +136,44 @@ func (c *Collector) IngestSecond(t model.Time, raws []model.RawReading) error {
 			misstamped++
 			continue
 		}
-		counts[key{r.Object, r.Reader}]++
+		log := c.objects[r.Object]
+		if log == nil {
+			log = &objectLog{in: model.NoReader}
+			c.objects[r.Object] = log
+		}
+		switch {
+		case log.epoch != c.epoch:
+			log.epoch, log.lead, log.leadN = c.epoch, r.Reader, 1
+			seen = append(seen, tracked{r.Object, log})
+		case r.Reader == log.lead:
+			log.leadN++
+		default:
+			others = append(others, r)
+		}
 	}
 	c.drops.MisstampedReadings += misstamped
 	c.drops.InvalidReadings += invalid
-	// Pick the winning reader per object.
-	winners := make(map[model.ObjectID]model.ReaderID)
-	best := make(map[model.ObjectID]int)
-	for k, n := range counts {
-		cur, seen := winners[k.obj]
-		if !seen || n > best[k.obj] || (n == best[k.obj] && k.rd < cur) {
-			winners[k.obj] = k.rd
-			best[k.obj] = n
+	// Count the readings set aside per (object, reader) and let each count
+	// challenge the object's lead: most samples win, ties to the lower ID.
+	slices.SortFunc(others, func(a, b model.RawReading) int {
+		return cmp.Or(cmp.Compare(a.Object, b.Object), cmp.Compare(a.Reader, b.Reader))
+	})
+	for i := 0; i < len(others); {
+		r, j := others[i], i+1
+		for j < len(others) && others[j].Object == r.Object && others[j].Reader == r.Reader {
+			j++
 		}
+		log := c.objects[r.Object]
+		if n := j - i; n > log.leadN || (n == log.leadN && r.Reader < log.lead) {
+			log.lead, log.leadN = r.Reader, n
+		}
+		i = j
 	}
 
 	// Record detections.
-	for obj, rd := range winners {
-		log := c.objects[obj]
-		if log == nil {
-			log = &objectLog{in: model.NoReader}
-			c.objects[obj] = log
-		}
+	fresh := len(c.events)
+	for _, s := range seen {
+		obj, log, rd := s.obj, s.log, s.log.lead
 		if log.in != rd {
 			if log.in != model.NoReader {
 				c.events = append(c.events, model.Event{Kind: model.Leave, Object: obj, Reader: log.in, Time: t})
@@ -153,24 +196,18 @@ func (c *Collector) IngestSecond(t model.Time, raws []model.RawReading) error {
 	}
 
 	// Emit LEAVE for objects that were in a range but got no reading this
-	// second.
-	for obj, log := range c.objects {
-		if log.in != model.NoReader {
-			if _, detected := winners[obj]; !detected {
-				c.events = append(c.events, model.Event{Kind: model.Leave, Object: obj, Reader: log.in, Time: t})
-				log.in = model.NoReader
-			}
+	// second. Those read this second are the ones in a range now.
+	for _, s := range c.inRange {
+		if s.log.epoch != c.epoch {
+			c.events = append(c.events, model.Event{Kind: model.Leave, Object: s.obj, Reader: s.log.in, Time: t})
+			s.log.in = model.NoReader
 		}
 	}
-	// Keep event order deterministic (map iteration above is not). The sort
-	// is stable so a handoff's LEAVE stays before its ENTER.
-	sort.SliceStable(c.events, func(i, j int) bool {
-		a, b := c.events[i], c.events[j]
-		if a.Time != b.Time {
-			return a.Time < b.Time
-		}
-		return a.Object < b.Object
-	})
+	c.inRange, c.seen, c.others = seen, c.inRange[:0], others[:0]
+	// This second's events go after every earlier one; among themselves
+	// they are ordered by object. The sort is stable so a handoff's LEAVE
+	// stays before its ENTER.
+	slices.SortStableFunc(c.events[fresh:], func(a, b model.Event) int { return cmp.Compare(a.Object, b.Object) })
 
 	if misstamped+invalid > 0 {
 		kind := ingest.KindMisstamped

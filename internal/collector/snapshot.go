@@ -70,6 +70,7 @@ func (c *Collector) Restore(s Snapshot) {
 	c.historic = s.Historic
 	c.drops = s.Drops
 	c.events = nil
+	c.inRange = c.inRange[:0]
 	c.objects = make(map[model.ObjectID]*objectLog, len(s.Objects))
 	for _, os := range s.Objects {
 		log := &objectLog{in: os.In, lastSeen: os.LastSeen, runs: make([]run, len(os.Runs))}
@@ -80,5 +81,8 @@ func (c *Collector) Restore(s Snapshot) {
 			}
 		}
 		c.objects[os.Object] = log
+		if log.in != model.NoReader {
+			c.inRange = append(c.inRange, tracked{os.Object, log})
+		}
 	}
 }

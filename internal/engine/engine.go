@@ -461,19 +461,33 @@ func (s *System) applySecond(t model.Time, raws []model.RawReading) {
 		}
 		s.eventLog = append(s.eventLog, ev)
 	}
-	// Bound the retained log; consumers that fall further behind simply see
-	// a truncated prefix (and, safely, re-evaluate everything).
-	if len(s.eventLog) > maxEventLog {
-		drop := len(s.eventLog) - maxEventLog
-		s.eventLog = append(s.eventLog[:0:0], s.eventLog[drop:]...)
-		s.eventOff += drop
-	}
+	s.eventLog, s.eventOff = boundEventLog(s.eventLog, s.eventOff)
 }
 
-// maxEventLog bounds the retained ENTER/LEAVE event log. The sharded router
-// applies the same bound to its merged log so EventsSince behaves identically
-// at any shard count.
-const maxEventLog = 65536
+// maxEventLog bounds the retained ENTER/LEAVE event log, and eventLogChunk
+// is the granularity it is cut at. Consumers that fall further behind simply
+// see a truncated prefix (and, safely, re-evaluate everything). The sharded
+// router applies the same bound to its merged log so EventsSince behaves
+// identically at any shard count.
+const (
+	maxEventLog   = 65536
+	eventLogChunk = maxEventLog / 4
+)
+
+// boundEventLog cuts a retained event log, whose first event has sequence
+// number off, back to its newest maxEventLog events and up to a chunk more:
+// the cut is made once a whole chunk lies before them, at that chunk's
+// boundary and into a fresh array. Cutting at multiples of the chunk keeps the
+// retained window a function of the event count alone — the same whenever the
+// events arrived, so a healed router's log matches an unfaulted one's — while
+// the copy is paid once per chunk of events instead of once per flushed
+// second; the fresh array keeps the slices EventsSince handed out valid.
+func boundEventLog(log []model.Event, off int) ([]model.Event, int) {
+	if cut := (off + len(log) - maxEventLog) / eventLogChunk * eventLogChunk; cut > off {
+		return append(log[:0:0], log[cut-off:]...), cut
+	}
+	return log, off
+}
 
 // Expire drops collector state and cached particle states for objects whose
 // last reading is older than t. Pair it with population churn: objects that

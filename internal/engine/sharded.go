@@ -83,6 +83,16 @@ type Sharded struct {
 	// reorder sink and the WAL/apply paths it triggers. Guarded by ingestMu.
 	curTrace *trace.Context
 
+	// Scratch of one flushed second, reused by the next (guarded by
+	// ingestMu): parts are the per-shard subsets partition cuts out of
+	// partBuf, owners each reading's shard, partCounts the subset sizes, and
+	// evs what each shard's collector drained.
+	parts      [][]model.RawReading
+	partBuf    []model.RawReading
+	owners     []uint8 // MaxShards fits
+	partCounts []int
+	evs        [][]model.Event
+
 	// healthMu fences the unhealthy-reader set and the particle budget:
 	// each query stage holds it for read so a concurrent flush cannot swap
 	// the sensing model mid-scatter.
@@ -99,7 +109,9 @@ type Sharded struct {
 	// every shard's log at the same sequence number.
 	wals      []*wal.Log
 	walSeq    uint64
-	walBuf    []byte
+	walBufs   [][]byte // one encode buffer per shard: logStep runs them side by side
+	stepRan   []int    // logStep's scratch: the shards it ran and their outcomes
+	stepErrs  []error
 	walErr    error
 	streamID  uint64
 	lastSync  time.Time
@@ -161,6 +173,11 @@ func NewSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Sharde
 		shardState: make([]atomic.Int32, n),
 		quar:       make([]*quarInfo, n),
 		rejoining:  -1,
+		parts:      make([][]model.RawReading, n),
+		partCounts: make([]int, n),
+		evs:        make([][]model.Event, n),
+		walBufs:    make([][]byte, n),
+		stepErrs:   make([]error, n),
 	}
 	e.QueryMethods.Of = e
 	e.router = Router{Parts: make([]Partition, n), Owner: func(obj model.ObjectID) int { return shardmap.Of(obj, n) }}
@@ -320,16 +337,33 @@ func (e *Sharded) flushSecond(t model.Time, raws []model.RawReading) {
 // delivery order within each subset. Every shard gets an entry (possibly
 // empty): an empty subset still advances the shard's clock and runs its
 // LEAVE detection, exactly like the readings' absence would in the single
-// engine.
+// engine. The subsets are the router's scratch, good until the next call:
+// one walk hashes every reading to its shard and counts, a second copies each
+// into its subset's span of one shared buffer.
 func (e *Sharded) partition(raws []model.RawReading) [][]model.RawReading {
-	parts := make([][]model.RawReading, e.n)
+	parts := e.parts
 	if e.n == 1 {
 		parts[0] = raws
 		return parts
 	}
+	owners, counts := e.owners[:0], e.partCounts
+	clear(counts)
 	for _, r := range raws {
 		i := shardmap.Of(r.Object, e.n)
-		parts[i] = append(parts[i], r)
+		owners = append(owners, uint8(i))
+		counts[i]++
+	}
+	e.owners = owners
+	if cap(e.partBuf) < len(raws) {
+		e.partBuf = make([]model.RawReading, len(raws))
+	}
+	off := 0
+	for i, c := range counts {
+		parts[i] = e.partBuf[off : off : off+c]
+		off += c
+	}
+	for k, r := range raws {
+		parts[owners[k]] = append(parts[owners[k]], r)
 	}
 	return parts
 }
@@ -356,7 +390,8 @@ func (e *Sharded) applyPartsMasked(t model.Time, parts [][]model.RawReading, raw
 		}
 		return e.shardState[i].Load() == shardLive
 	}
-	evs := make([][]model.Event, e.n)
+	evs := e.evs
+	clear(evs)
 	tr := e.curTrace // captured before the scatter; nil during recovery replay
 	apply := func(i int) {
 		sh := e.shards[i]
@@ -397,12 +432,7 @@ func (e *Sharded) applyPartsMasked(t model.Time, parts [][]model.RawReading, raw
 			}
 		}
 	}
-	e.eventLog = append(e.eventLog, merged...)
-	if len(e.eventLog) > maxEventLog {
-		drop := len(e.eventLog) - maxEventLog
-		e.eventLog = append(e.eventLog[:0:0], e.eventLog[drop:]...)
-		e.eventOff += drop
-	}
+	e.eventLog, e.eventOff = boundEventLog(append(e.eventLog, merged...), e.eventOff)
 }
 
 // refreshHealth pushes the monitor's unhealthy set into every shard's

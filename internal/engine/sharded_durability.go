@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/cache"
@@ -629,6 +630,41 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 	return e, nil
 }
 
+// logStep runs op on the log of every live shard and then, once all of them
+// have returned, calls done with each one's outcome, in shard order. The ops
+// run side by side: each shard has its own log file and encode buffer, and a
+// step spends its time waiting in write or fsync, so the waits overlap instead
+// of adding up. done runs serially because what follows a failure does not
+// tolerate interleaving: whether a failing shard is quarantined or is the
+// last live one (a fail-stop) depends on the shards judged before it, and the
+// quarantine marker, the typed drop and the missed-second list are router
+// state under ingestMu. Called under ingestMu.
+func (e *Sharded) logStep(op func(i int, l *wal.Log) error, done func(i int, err error)) {
+	ran := e.stepRan[:0]
+	for i, l := range e.wals {
+		if l != nil && e.shardState[i].Load() == shardLive {
+			ran = append(ran, i)
+		}
+	}
+	e.stepRan = ran
+	if len(ran) == 0 {
+		return
+	}
+	var wg sync.WaitGroup
+	for _, i := range ran[1:] {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			e.stepErrs[i] = op(i, e.wals[i])
+		}(i)
+	}
+	e.stepErrs[ran[0]] = op(ran[0], e.wals[ran[0]]) // the first one on this goroutine
+	wg.Wait()
+	for _, i := range ran {
+		done(i, e.stepErrs[i])
+	}
+}
+
 // appendWAL logs one flushed second to every live shard at the same sequence
 // number (called under ingestMu, before the second is applied), together
 // with the reorder buffer's position and drop accounting, so recovery
@@ -648,11 +684,9 @@ func (e *Sharded) appendWAL(t model.Time, parts [][]model.RawReading) {
 	}
 	forced := e.reorder.ForcedFlushes()
 	drops := e.reorder.Drops()
+	tr := e.curTrace
 	appended := false
-	for i, l := range e.wals {
-		if l == nil || e.shardState[i].Load() != shardLive {
-			continue
-		}
+	e.logStep(func(i int, l *wal.Log) error {
 		b := wal.Batch{
 			Time:     t,
 			MaxSeen:  ms,
@@ -660,21 +694,26 @@ func (e *Sharded) appendWAL(t model.Time, parts [][]model.RawReading) {
 			Drops:    drops,
 			Readings: parts[i],
 		}
-		e.walBuf = b.Encode(e.walBuf[:0])
+		buf := b.Encode(e.walBufs[i][:0])
+		e.walBufs[i] = buf
 		wstart := time.Now()
-		err := retryTransient(e.cfg.Durability.Retry, e.tel, e.curTrace, i,
+		err := retryTransient(e.cfg.Durability.Retry, e.tel, tr, i,
 			e.streamID^e.walSeq^uint64(i)<<32, l.ResetTail, func() error {
-				return l.Append(e.walSeq+1, e.walBuf)
+				return l.Append(e.walSeq+1, buf)
 			})
+		if err == nil {
+			e.shards[i].shardTel.walAppend.Observe(time.Since(wstart).Seconds())
+			tr.Since("wal-append", i, wstart)
+		}
+		return err
+	}, func(i int, err error) {
 		if err != nil {
 			e.quarantineShard(i, err)
 			e.dropPart(i, t, parts)
-			continue
+			return
 		}
-		e.shards[i].shardTel.walAppend.Observe(time.Since(wstart).Seconds())
-		e.curTrace.Since("wal-append", i, wstart)
 		appended = true
-	}
+	})
 	if !appended {
 		return
 	}
@@ -702,22 +741,23 @@ func (e *Sharded) syncWAL(force bool) error {
 			return nil
 		}
 	}
-	for i, l := range e.wals {
-		if l == nil || e.shardState[i].Load() != shardLive {
-			continue
-		}
+	tr := e.curTrace
+	e.logStep(func(i int, l *wal.Log) error {
 		fstart := time.Now()
-		err := retryTransient(e.cfg.Durability.Retry, e.tel, e.curTrace, i,
+		err := retryTransient(e.cfg.Durability.Retry, e.tel, tr, i,
 			e.streamID^e.walSeq^uint64(i)<<32, nil, l.Sync)
+		if err == nil {
+			e.shards[i].shardTel.walFsync.Observe(time.Since(fstart).Seconds())
+			tr.Since("wal-fsync", i, fstart)
+		}
+		return err
+	}, func(i int, err error) {
 		if err != nil {
 			// The appended second IS in this shard's log; quarantine at the
 			// current sequence with nothing missed yet.
 			e.quarantineShard(i, err)
-			continue
 		}
-		e.shards[i].shardTel.walFsync.Observe(time.Since(fstart).Seconds())
-		e.curTrace.Since("wal-fsync", i, fstart)
-	}
+	})
 	if e.walErr != nil {
 		return e.walErr
 	}

@@ -480,10 +480,5 @@ func (e *Sharded) tryHeal(i int) error {
 // EventsSince reports truncation against the adjusted offset as usual.
 // Called under ingestMu.
 func (e *Sharded) spliceEvents(evs []model.Event) {
-	e.eventLog = kMerge([][]model.Event{e.eventLog, evs}, eventLess)
-	if len(e.eventLog) > maxEventLog {
-		drop := len(e.eventLog) - maxEventLog
-		e.eventLog = append(e.eventLog[:0:0], e.eventLog[drop:]...)
-		e.eventOff += drop
-	}
+	e.eventLog, e.eventOff = boundEventLog(kMerge([][]model.Event{e.eventLog, evs}, eventLess), e.eventOff)
 }

@@ -1,9 +1,9 @@
 package ingest
 
 import (
-	"hash/fnv"
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -55,7 +55,9 @@ func (c Config) withDefaults() Config {
 
 // Sink receives one flushed second of raw readings, in strictly increasing
 // second order. Seconds with no delivery at all are counted as gaps and
-// skipped, so the sink sees exactly the seconds that were delivered.
+// skipped, so the sink sees exactly the seconds that were delivered. raws is
+// the sink's for the duration of the call only: it may be the very slice the
+// caller of Offer handed in, or scratch the next Offer overwrites.
 type Sink func(t model.Time, raws []model.RawReading)
 
 // pendingSecond is the buffered state of one not-yet-flushed second.
@@ -83,6 +85,21 @@ type Reorder struct {
 	started   bool
 	drops     Drops
 	forced    int
+
+	// Scratch of one Offer, reused by the next. kept holds the delivery's
+	// accepted readings when they cannot stay in the caller's slice (some
+	// were refused, or they were not grouped by second); closing lists, in
+	// second order, the runs of the delivery that close in this very call
+	// and so go to the sink without being parked; secs is flushUpTo's.
+	kept    []model.RawReading
+	closing []secondRun
+	secs    []model.Time
+}
+
+// secondRun is one second's readings within a delivery.
+type secondRun struct {
+	sec  model.Time
+	raws []model.RawReading
 }
 
 // NewReorder builds a reorder buffer flushing into sink.
@@ -143,39 +160,25 @@ func (b *Reorder) Lag() model.Time {
 	return b.maxSeen - b.watermark
 }
 
-// Fingerprint hashes the multiset of readings of one sub-batch (FNV-1a over
-// the sorted readings), so an identical retransmission hashes equal
-// regardless of reading order. The reorder buffer uses it for duplicate
-// detection; the cluster layer keys idempotent ingest forwards on it.
-func Fingerprint(raws []model.RawReading) uint64 { return fingerprint(raws) }
+// Fingerprint hashes the multiset of readings of one sub-batch: the sum of a
+// 64-bit mix of each reading, so an identical retransmission hashes equal
+// regardless of reading order, in one pass and without a sorted copy. The
+// reorder buffer uses it for duplicate detection; the cluster layer keys
+// idempotent ingest forwards on it.
+func Fingerprint(raws []model.RawReading) uint64 {
+	var h uint64
+	for _, r := range raws {
+		h += mix64(mix64(mix64(uint64(r.Object))^uint64(r.Reader)) ^ uint64(r.Time))
+	}
+	return h
+}
 
-// fingerprint is the implementation behind Fingerprint.
-func fingerprint(raws []model.RawReading) uint64 {
-	sorted := append([]model.RawReading(nil), raws...)
-	sort.Slice(sorted, func(i, j int) bool {
-		a, c := sorted[i], sorted[j]
-		if a.Time != c.Time {
-			return a.Time < c.Time
-		}
-		if a.Object != c.Object {
-			return a.Object < c.Object
-		}
-		return a.Reader < c.Reader
-	})
-	h := fnv.New64a()
-	var buf [8]byte
-	word := func(v uint64) {
-		for i := range buf {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	for _, r := range sorted {
-		word(uint64(r.Object))
-		word(uint64(r.Reader))
-		word(uint64(r.Time))
-	}
-	return h.Sum64()
+// mix64 is the SplitMix64 finalizer.
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // Offer delivers one batch: the readings produced (or retransmitted) for
@@ -184,6 +187,11 @@ func fingerprint(raws []model.RawReading) uint64 {
 // input is refused or discarded, Offer returns a typed *Error describing
 // it; a nil return means every reading was accepted. Unless Error.Rejected
 // is set, the remaining readings of the delivery were still accepted.
+//
+// Offer does not keep raws. A second of the delivery that closes in this call
+// and has nothing parked from an earlier one goes to the sink as a sub-slice
+// of raws itself (of a compacted scratch copy, when readings were refused or
+// seconds interleaved); only what has to wait for a later call is copied.
 func (b *Reorder) Offer(t model.Time, raws []model.RawReading) error {
 	if b.started && t <= b.watermark {
 		b.drops.LateBatches++
@@ -212,10 +220,12 @@ func (b *Reorder) Offer(t model.Time, raws []model.RawReading) error {
 		b.maxSeen = t
 	}
 
-	// Route readings to their own second, validating as we go.
-	var late, misstamped, invalid, duplicate, dupDeliveries int
-	buckets := make(map[model.Time][]model.RawReading)
-	for _, r := range raws {
+	// One walk validates every reading. The accepted ones stay where they
+	// are, in the caller's slice, until the first refusal; from then on they
+	// are compacted into scratch.
+	var late, misstamped, invalid, refused int
+	acc, grouped, prev := raws, true, model.Time(math.MinInt64)
+	for i, r := range raws {
 		switch {
 		case r.Reader == model.NoReader:
 			invalid++
@@ -227,44 +237,77 @@ func (b *Reorder) Offer(t model.Time, raws []model.RawReading) error {
 			// parked in a future bucket would never be released.
 			misstamped++
 		default:
-			buckets[r.Time] = append(buckets[r.Time], r)
+			grouped = grouped && r.Time >= prev
+			prev = r.Time
+			if refused > 0 {
+				b.kept = append(b.kept, r)
+			}
+			continue
 		}
+		if refused == 0 {
+			b.kept = append(b.kept[:0], raws[:i]...)
+		}
+		refused++
 	}
-	// Merge each sub-batch into its pending second unless its fingerprint
-	// marks it as a retransmission of one already buffered. Seconds are
-	// visited in ascending order so the accounting is deterministic.
-	secs := make([]model.Time, 0, len(buckets))
-	for sec := range buckets {
-		secs = append(secs, sec)
+	if refused > 0 {
+		acc = b.kept
 	}
-	sort.Slice(secs, func(i, j int) bool { return secs[i] < secs[j] })
-	for _, sec := range secs {
-		sub := buckets[sec]
+	if !grouped {
+		// Seconds interleave: group them, keeping delivery order within each.
+		if refused == 0 {
+			b.kept = append(b.kept[:0], raws...)
+			acc = b.kept
+		}
+		slices.SortStableFunc(acc, func(x, y model.RawReading) int { return cmp.Compare(x.Time, y.Time) })
+	}
+
+	// Place each second's run, in ascending order: straight onto the closing
+	// list when the second closes in this call with nothing parked for it,
+	// otherwise merged into its pending bucket unless its fingerprint marks
+	// it as a retransmission of a sub-batch already there. The batch second
+	// itself was delivered, even when empty: it gets an empty run so the
+	// flush ticks it instead of counting a gap.
+	var duplicate, dupDeliveries int
+	closes := b.maxSeen - b.cfg.Horizon
+	place := func(sec model.Time, sub []model.RawReading) {
 		ps := b.pending[sec]
-		if ps == nil {
+		switch {
+		case ps == nil && sec <= closes:
+			b.closing = append(b.closing, secondRun{sec, sub})
+			return
+		case ps == nil:
 			ps = &pendingSecond{}
 			b.pending[sec] = ps
 		}
-		fp := fingerprint(sub)
-		seen := false
-		for _, p := range ps.prints {
-			if p == fp {
-				seen = true
-				break
-			}
+		if len(sub) == 0 {
+			return
 		}
-		if seen {
+		fp := Fingerprint(sub)
+		if slices.Contains(ps.prints, fp) {
 			dupDeliveries++
 			duplicate += len(sub)
-			continue
+			return
 		}
 		ps.prints = append(ps.prints, fp)
 		ps.raws = append(ps.raws, sub...)
 	}
-	// The batch second itself was delivered, even when empty: make sure it
-	// exists so the flush ticks it instead of counting a gap.
-	if _, ok := b.pending[t]; !ok {
-		b.pending[t] = &pendingSecond{}
+	ticked := false
+	for i := 0; i < len(acc); {
+		sec, j := acc[i].Time, i+1
+		for j < len(acc) && acc[j].Time == sec {
+			j++
+		}
+		if !ticked && sec >= t {
+			if sec > t {
+				place(t, nil)
+			}
+			ticked = true
+		}
+		place(sec, acc[i:j])
+		i = j
+	}
+	if !ticked {
+		place(t, nil)
 	}
 
 	b.drops.LateReadings += late
@@ -273,22 +316,23 @@ func (b *Reorder) Offer(t model.Time, raws []model.RawReading) error {
 	b.drops.DuplicateReadings += duplicate
 	b.drops.DuplicateDeliveries += dupDeliveries
 
-	b.flushUpTo(b.maxSeen - b.cfg.Horizon)
+	b.flushUpTo(closes)
 	if over := len(b.pending) - b.cfg.MaxPending; over > 0 {
 		// The horizon left more seconds buffered than MaxPending allows
 		// (ahead-stamped buckets included): force-flush the oldest so the
 		// bound holds on actual buffered state, not on the watermark span.
-		secs := make([]model.Time, 0, len(b.pending))
+		secs := b.secs[:0]
 		for sec := range b.pending {
 			secs = append(secs, sec)
 		}
-		sort.Slice(secs, func(i, j int) bool { return secs[i] < secs[j] })
+		slices.Sort(secs)
+		b.secs = secs
 		b.forced += over
 		b.flushUpTo(secs[over-1])
 	}
 
-	if n := late + misstamped + invalid + duplicate; n > 0 {
-		kind := KindLate
+	if n := refused + duplicate; n > 0 {
+		kind := KindInvalid
 		switch {
 		case duplicate > 0:
 			kind = KindDuplicate
@@ -296,8 +340,6 @@ func (b *Reorder) Offer(t model.Time, raws []model.RawReading) error {
 			kind = KindMisstamped
 		case late > 0:
 			kind = KindLate
-		default:
-			kind = KindInvalid
 		}
 		return &Error{Kind: kind, Time: t, Watermark: b.watermark, Dropped: n}
 	}
@@ -313,25 +355,37 @@ func (b *Reorder) Offer(t model.Time, raws []model.RawReading) error {
 // input, and walking an attacker-chosen span second by second would stall
 // the whole server inside one delivery.
 func (b *Reorder) flushUpTo(target model.Time) {
+	closing := b.closing
+	b.closing = b.closing[:0]
+	defer clear(closing) // the runs point into the caller's slice
 	if target <= b.watermark {
 		return
 	}
-	secs := make([]model.Time, 0, len(b.pending))
+	secs := b.secs[:0]
 	for sec := range b.pending {
 		if sec <= target {
 			secs = append(secs, sec)
 		}
 	}
-	sort.Slice(secs, func(i, j int) bool { return secs[i] < secs[j] })
-	for _, sec := range secs {
-		ps := b.pending[sec]
-		delete(b.pending, sec)
+	slices.Sort(secs)
+	b.secs = secs
+	// Merge the parked seconds with the delivery's closing runs; the two
+	// lists are sorted and share no second.
+	for len(secs)+len(closing) > 0 {
+		var next secondRun
+		if len(secs) == 0 || len(closing) > 0 && closing[0].sec < secs[0] {
+			next, closing = closing[0], closing[1:]
+		} else {
+			next = secondRun{secs[0], b.pending[secs[0]].raws}
+			delete(b.pending, secs[0])
+			secs = secs[1:]
+		}
 		// The uint64 subtraction yields the exact skipped span even when the
 		// int64 difference overflows; the gap counter saturates instead of
-		// wrapping. Every pending second is > watermark, so the -1 is safe.
-		b.drops.GapSeconds = satAdd(b.drops.GapSeconds, uint64(sec)-uint64(b.watermark)-1)
-		b.watermark = sec
-		b.sink(sec, ps.raws)
+		// wrapping. Every flushed second is > watermark, so the -1 is safe.
+		b.drops.GapSeconds = satAdd(b.drops.GapSeconds, uint64(next.sec)-uint64(b.watermark)-1)
+		b.watermark = next.sec
+		b.sink(next.sec, next.raws)
 	}
 	if target > b.watermark {
 		b.drops.GapSeconds = satAdd(b.drops.GapSeconds, uint64(target)-uint64(b.watermark))

@@ -377,3 +377,144 @@ func TestErrorStringAndKinds(t *testing.T) {
 		t.Errorf("merged Readings() = %d", m.Readings())
 	}
 }
+
+func TestFingerprintIsAMultisetHash(t *testing.T) {
+	a := []model.RawReading{rd(1, 2, 10), rd(1, 2, 10), rd(2, 3, 10), rd(3, 4, 11)}
+	perm := []model.RawReading{a[3], a[1], a[2], a[0]}
+	if Fingerprint(a) != Fingerprint(perm) {
+		t.Error("fingerprint depends on reading order")
+	}
+	for name, other := range map[string][]model.RawReading{
+		"one sample fewer":  {a[0], a[2], a[3]},
+		"one sample more":   append(append([]model.RawReading(nil), a...), a[2]),
+		"fields swapped":    {rd(2, 1, 10), a[1], a[2], a[3]},
+		"different time":    {rd(1, 2, 11), a[1], a[2], a[3]},
+		"different reading": {rd(1, 2, 10), rd(1, 2, 10), rd(2, 3, 10), rd(4, 3, 11)},
+		"empty":             nil,
+	} {
+		if Fingerprint(a) == Fingerprint(other) {
+			t.Errorf("%s: fingerprint unchanged", name)
+		}
+	}
+}
+
+// TestClosingSecondGoesStraightToSink pins the in-order fast path: a
+// delivery whose readings all close in the call reaches the sink as the
+// caller's own slice, and Offer allocates nothing.
+func TestClosingSecondGoesStraightToSink(t *testing.T) {
+	var got []model.RawReading
+	b := NewReorder(Config{}, func(_ model.Time, raws []model.RawReading) { got = raws })
+	raws := make([]model.RawReading, 500)
+	sec := model.Time(1)
+	fill := func() {
+		for i := range raws {
+			raws[i] = rd(i, i%7, sec)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		fill()
+		if err := b.Offer(sec, raws); err != nil {
+			t.Fatal(err)
+		}
+		sec++
+	})
+	if allocs != 0 {
+		t.Errorf("in-order Offer: %v allocs per call, want 0", allocs)
+	}
+	if len(got) != len(raws) || &got[0] != &raws[0] {
+		t.Error("sink did not receive the caller's slice")
+	}
+	// With a refusal in the middle the sink gets a compacted scratch copy
+	// and the caller's slice is left as it was.
+	fill()
+	raws[3].Reader = model.NoReader
+	want := append([]model.RawReading(nil), raws...)
+	if err := b.Offer(sec, raws); err == nil {
+		t.Fatal("invalid reading not reported")
+	}
+	if len(got) != len(raws)-1 || got[3] != raws[4] {
+		t.Errorf("sink got %d readings, fourth %v", len(got), got[3])
+	}
+	for i := range raws {
+		if raws[i] != want[i] {
+			t.Fatalf("Offer modified the caller's reading %d", i)
+		}
+	}
+}
+
+// TestOfferKeepsNoCallerMemory overwrites the delivered slice as soon as
+// Offer returns; what the buffer parked for later seconds must be its own.
+func TestOfferKeepsNoCallerMemory(t *testing.T) {
+	rec := newRecorder()
+	b := NewReorder(Config{Horizon: 3}, func(sec model.Time, raws []model.RawReading) {
+		rec.sink(sec, append([]model.RawReading(nil), raws...))
+	})
+	buf := make([]model.RawReading, 0, 8)
+	for sec := model.Time(1); sec <= 6; sec++ {
+		// Interleaved seconds, so the delivery has to be regrouped as well.
+		buf = append(buf[:0], rd(1, 2, sec), rd(2, 3, sec+1), rd(3, 4, sec), rd(4, 5, sec+1))
+		if err := b.Offer(sec, buf); err != nil {
+			t.Fatalf("t=%d: %v", sec, err)
+		}
+		for i := range buf {
+			buf[i] = rd(-1, -1, -1)
+		}
+	}
+	b.FlushAll()
+	for sec := model.Time(1); sec <= 7; sec++ {
+		var want []model.RawReading
+		if sec > 1 {
+			want = append(want, rd(2, 3, sec), rd(4, 5, sec))
+		}
+		if sec < 7 {
+			want = append(want, rd(1, 2, sec), rd(3, 4, sec))
+		}
+		got := rec.raws[sec]
+		if len(got) != len(want) {
+			t.Fatalf("second %d flushed %v, want %v", sec, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("second %d flushed %v, want %v (delivery order within a second)", sec, got, want)
+			}
+		}
+	}
+}
+
+func benchDelivery(sec model.Time) []model.RawReading {
+	raws := make([]model.RawReading, 3500)
+	for i := range raws {
+		raws[i] = rd(i*7%2000, i%38, sec)
+	}
+	return raws
+}
+
+// BenchmarkReorderOffer is the reorder layer of one 3,500-reading delivery
+// into a counting sink: in order (every second closes in the call) and under
+// a two-second horizon (every second is parked, then flushed by a later one).
+func BenchmarkReorderOffer(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		horizon model.Time
+	}{{"inorder", 0}, {"horizon2", 2}} {
+		b.Run(bc.name, func(b *testing.B) {
+			flushed := 0
+			ro := NewReorder(Config{Horizon: bc.horizon}, func(model.Time, []model.RawReading) { flushed++ })
+			raws := benchDelivery(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sec := model.Time(i + 1)
+				for j := range raws {
+					raws[j].Time = sec
+				}
+				if err := ro.Offer(sec, raws); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if flushed < b.N-int(bc.horizon) {
+				b.Fatalf("flushed %d of %d seconds", flushed, b.N)
+			}
+		})
+	}
+}

@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -586,15 +587,85 @@ func (s *Server) handleUI(w http.ResponseWriter, r *http.Request) {
 // ingestRequest is the body of POST /ingest: one gateway delivery.
 type ingestRequest = model.Batch
 
+// ingestBuf is what one POST /ingest decodes into: the request body and the
+// readings scanned out of it. Both are recycled across requests, which is
+// sound because nothing below Engine.IngestContext keeps the slice it is
+// handed (the reorder buffer copies what it parks for a later second).
+type ingestBuf struct {
+	body     []byte
+	readings []model.RawReading
+}
+
+// ingestBufs recycles ingestBufs. One that grew past maxPooledBody bytes or
+// maxPooledReadings readings is dropped instead of pooled, so a single giant
+// delivery does not pin its buffers for the life of the process.
+var ingestBufs = sync.Pool{New: func() any { return new(ingestBuf) }}
+
+const (
+	maxPooledBody     = 2 << 20
+	maxPooledReadings = 64 << 10
+)
+
+// release returns the buffers to the pool.
+func (b *ingestBuf) release() {
+	if cap(b.body) <= maxPooledBody && cap(b.readings) <= maxPooledReadings {
+		ingestBufs.Put(b)
+	}
+}
+
+// readBody reads the whole of r into dst's memory. sizeHint is the declared
+// Content-Length (or less): a body of that size is read into one allocation
+// of that size, with one byte to spare so the read that reports EOF has room.
+// A declared length is believed, before the bytes arrive, for no more than
+// maxPooledBody; a longer body grows the buffer as it comes.
+func readBody(dst []byte, r io.Reader, sizeHint int64) ([]byte, error) {
+	dst = dst[:0]
+	if want := min(sizeHint, maxPooledBody) + 1; int64(cap(dst)) < want {
+		dst = make([]byte, 0, want)
+	}
+	for {
+		if len(dst) == cap(dst) {
+			dst = append(dst, 0)[:len(dst)]
+		}
+		n, err := r.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
+}
+
+// ingestAck is the body of a 200 from POST /ingest. The fields are in the
+// alphabetical order the map this used to be encoded in.
+type ingestAck struct {
+	Accepted int        `json:"accepted"`
+	Dropped  int        `json:"dropped"`
+	Now      model.Time `json:"now"`
+	Reason   string     `json:"reason,omitempty"`
+	Received int        `json:"received"`
+}
+
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	tc := trace.From(r.Context())
-	body := r.Body
+	body := io.Reader(r.Body)
 	if s.maxIngestBytes > 0 {
 		body = http.MaxBytesReader(w, r.Body, s.maxIngestBytes)
 	}
-	var req ingestRequest
+	buf := ingestBufs.Get().(*ingestBuf)
+	defer buf.release()
 	dstart := time.Now()
-	err := json.NewDecoder(body).Decode(&req)
+	var err error
+	buf.body, err = readBody(buf.body, body, r.ContentLength)
+	req := ingestRequest{Readings: buf.readings[:0]}
+	if err == nil {
+		err = req.UnmarshalJSON(buf.body)
+	}
+	if cap(req.Readings) > cap(buf.readings) {
+		buf.readings = req.Readings // grown by the scanner: pool the larger one
+	}
 	tc.Since("decode", trace.RouterShard, dstart)
 	if err != nil {
 		var mbe *http.MaxBytesError
@@ -638,18 +709,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
-	resp := map[string]any{
-		"now":      now,
-		"received": len(req.Readings),
-		"accepted": len(req.Readings),
-		"dropped":  0,
-	}
+	ack := ingestAck{Accepted: len(req.Readings), Now: now, Received: len(req.Readings)}
 	if ie != nil {
-		resp["accepted"] = len(req.Readings) - ie.Dropped
-		resp["dropped"] = ie.Dropped
-		resp["reason"] = ie.Kind.String()
+		ack.Accepted -= ie.Dropped
+		ack.Dropped = ie.Dropped
+		ack.Reason = ie.Kind.String()
 	}
-	s.writeJSON(w, resp)
+	s.writeJSON(w, ack)
 }
 
 // objProb is one entry of a probabilistic answer, sorted by probability.

@@ -242,6 +242,88 @@ func TestBadParams(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("broken ingest status %d", resp.StatusCode)
 	}
+	// Two concatenated documents, or a document and garbage: the old decoder
+	// acked the first value and silently dropped the rest of the body.
+	var before, after workStats
+	getJSON(t, ts, "/stats", &before)
+	for _, body := range []string{
+		`{"time":500,"readings":[{"Object":1,"Reader":2}]}{"time":501,"readings":[{"Object":1,"Reader":2}]}`,
+		`{"time":500,"readings":[{"Object":1,"Reader":2}]} trailing`,
+	} {
+		resp, err := ts.Client().Post(ts.URL+"/ingest", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("ingest of %q: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	getJSON(t, ts, "/stats", &after)
+	if after != before {
+		t.Errorf("a refused body moved the ingest accounting: %+v -> %+v", before, after)
+	}
+}
+
+// TestIngestWireForms drives the handler's own read-and-scan path (pooled
+// buffers, Content-Length and chunked bodies) through documents other than
+// the canonical one.
+func TestIngestWireForms(t *testing.T) {
+	srv, ts := freshServer(t, ingest.Config{})
+	post := func(body io.Reader) map[string]any {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+"/ingest", "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out := map[string]any{}
+		json.NewDecoder(resp.Body).Decode(&out)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+		return out
+	}
+	// A large canonical delivery first, so the pooled buffers hold its
+	// readings when the next, smaller requests reuse them.
+	big := batchAt(1)
+	for o := 0; o < 3000; o++ {
+		big.Readings = append(big.Readings, model.RawReading{Object: model.ObjectID(o), Reader: 7, Time: 1})
+	}
+	body, _ := json.Marshal(big)
+	if ack := post(bytes.NewReader(body)); ack["accepted"] != float64(3000) || ack["now"] != float64(1) {
+		t.Fatalf("big delivery ack %v", ack)
+	}
+	// Reordered, case-variant and unknown keys, whitespace, an omitted Time
+	// (stamped with the batch second) — over a chunked body of unknown length.
+	doc := "{ \"gateway\": {\"id\": [1, 2.5e3, \"x\"]},\n \"READINGS\": [ {\"reader\": 3, \"object\": 41}, {\"Time\": 2, \"Object\": 42, \"Reader\": 3, \"rssi\": -60.5} ],\n \"time\": 2 }\n"
+	if ack := post(struct{ io.Reader }{strings.NewReader(doc)}); ack["received"] != float64(2) || ack["accepted"] != float64(2) || ack["dropped"] != float64(0) || ack["now"] != float64(2) {
+		t.Fatalf("variant delivery ack %v", ack)
+	}
+	// A reading that omits every field is object 0 at reader 0, not whatever
+	// an earlier request left in the recycled slice.
+	if ack := post(strings.NewReader(`{"time":3,"readings":[{},{"Object":43,"Reader":3}]}`)); ack["accepted"] != float64(2) {
+		t.Fatalf("empty-reading delivery ack %v", ack)
+	}
+	col := srv.sys.(*engine.System).Collector()
+	for obj, want := range map[model.ObjectID]model.AggregatedReading{
+		41: {Object: 41, Reader: 3, Time: 2},
+		42: {Object: 42, Reader: 3, Time: 2},
+		0:  {Object: 0, Reader: 0, Time: 3},
+		43: {Object: 43, Reader: 3, Time: 3},
+	} {
+		if got, _ := col.LastReading(obj); got != want {
+			t.Errorf("object %d: last reading %+v, want %+v", obj, got, want)
+		}
+	}
+	if _, known := col.LastReading(2999); !known {
+		t.Error("big delivery's last object unknown")
+	}
+	var st workStats
+	getJSON(t, ts, "/stats", &st)
+	if st.Work.ReadingsIngested != 3004 || st.Work.ReadingsDropped != 0 {
+		t.Errorf("stats %+v, want 3004 ingested, 0 dropped", st.Work)
+	}
 }
 
 func TestUIPage(t *testing.T) {
@@ -547,3 +629,34 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 	h(httptest.NewRecorder(), httptest.NewRequest("GET", "/abort", nil))
 	t.Fatal("unreachable: abort panic did not propagate")
 }
+
+// TestReadBody covers the three ways a body meets its size hint: exactly
+// (one allocation, reused by the next call), without one (chunked), and
+// longer than the hint (a declared length is only believed up to a bound).
+func TestReadBody(t *testing.T) {
+	want := bytes.Repeat([]byte("0123456789abcdef"), 4096)
+	var buf []byte
+	for _, hint := range []int64{int64(len(want)), -1, 100, int64(len(want)) + 7} {
+		var err error
+		buf, err = readBody(buf, bytes.NewReader(want), hint)
+		if err != nil || !bytes.Equal(buf, want) {
+			t.Fatalf("hint %d: read %d bytes, err %v", hint, len(buf), err)
+		}
+	}
+	before := &buf[:1][0]
+	if buf, _ = readBody(buf, bytes.NewReader(want), int64(len(want))); &buf[:1][0] != before {
+		t.Error("a buffer that already fits the body was reallocated")
+	}
+	if _, err := readBody(nil, io.MultiReader(bytes.NewReader(want), errReader{}), -1); err == nil {
+		t.Error("a read error was swallowed")
+	}
+	// A declared length the body does not live up to reserves no more than a
+	// poolable buffer.
+	if got, _ := readBody(nil, strings.NewReader("{}"), DefaultMaxIngestBytes); cap(got) > maxPooledBody+1 {
+		t.Errorf("a declared %d-byte body reserved %d bytes before any arrived", DefaultMaxIngestBytes, cap(got))
+	}
+}
+
+type errReader struct{}
+
+func (errReader) Read([]byte) (int, error) { return 0, errors.New("boom") }
