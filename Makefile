@@ -26,7 +26,7 @@ vuln:
 
 # Static analysis, the vulnerability scan, a compile of the frozen benchmark
 # harness and its own tests, the full suite under the race detector, ten
-# seconds of differential fuzzing of the /ingest scanner, and one iteration of
+# seconds of differential fuzzing of each hand-written decoder, and one iteration of
 # every hot-path benchmark so a compile- or panic-level regression in the
 # benchmarked paths cannot land silently.
 check:
@@ -38,12 +38,15 @@ check:
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-smoke
 
-# The /ingest scanner against encoding/json on mutated documents, ten
-# seconds' worth. (Plain `go test` already runs FuzzBatchDecode's seed
-# corpus; the fuzzing engine's cache lives under GOCACHE, and a failing input
-# is written to internal/model/testdata/fuzz to be checked in as a seed.)
+# The two hand-written decoders that read bytes from outside the process,
+# each against its reflection-based oracle on mutated inputs, ten seconds'
+# worth apiece: the /ingest scanner against encoding/json, the peer RPC codec
+# against encoding/gob. (Plain `go test` already runs both seed corpora; the
+# fuzzing engine's cache lives under GOCACHE, and a failing input is written
+# to the package's testdata/fuzz to be checked in as a seed.)
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzBatchDecode -fuzztime 10s ./internal/model/
+	go test -run '^$$' -fuzz FuzzWireCodec -fuzztime 10s ./internal/cluster/
 
 # bench/ is its own module (repro/bench), so `go build ./...` cannot see it
 # and an API change that breaks the harness would surface only when the
@@ -77,7 +80,7 @@ chaos:
 	CHAOS_LEDGER=$(CHAOS_LEDGER) go test -short -race ./internal/sim/chaos/
 
 # Two-node cluster smoke over real HTTP: both servers on loopback listeners,
-# gob RPC via /cluster/rpc, a batch ingested through node-0 must be queryable
+# peer RPC via /cluster/rpc, a batch ingested through node-0 must be queryable
 # identically through both nodes.
 cluster-e2e:
 	go test -race -run TestClusterE2E -v ./internal/server/
@@ -90,7 +93,7 @@ bench:
 bench-smoke:
 	go test -run '^$$' -bench . -benchtime=1x ./internal/...
 
-# Run the hot-path, engine-step, query-layer and ingest-layer benchmarks and
+# Run the hot-path, engine-step, query-layer, ingest-layer and peer-RPC benchmarks and
 # record the parsed results plus the speedups over the newest checked-in report:
 # cmd/benchjson finds the highest BENCH_N.json and writes BENCH_<N+1>.json
 # into BENCH_DIR (the repository root by default — a new checked-in record;

@@ -1,9 +1,9 @@
 // Command benchjson runs the particle-filter hot-path micro-benchmarks
 // (indexed coverage path vs. geometric reference path), the engine-level
 // 1k-object step benchmarks, the query path's layer benchmarks (prune,
-// snap, table build, warm preprocess) and the ingest path's (delivery decode,
-// reorder buffer, collector, durable router ingest), and writes the parsed
-// results as JSON,
+// snap, table build, warm preprocess), the ingest path's (delivery decode,
+// reorder buffer, collector, durable router ingest) and the peer RPC's (codec
+// and loopback round trips), and writes the parsed results as JSON,
 // so speedups can be tracked across revisions without eyeballing
 // `go test -bench` output.
 //
@@ -47,14 +47,15 @@ const benchPattern = "BenchmarkFilterStep|BenchmarkNegativeUpdate|BenchmarkInitA
 // of the request tracer on the filter step).
 const enginePattern = "BenchmarkEngineStep|BenchmarkFilterStepTraced|BenchmarkPreprocessWarm300|BenchmarkShardedIngestDurable"
 
-// The query path's and the ingest path's layer benchmarks outside the engine
-// package.
+// The query path's, the ingest path's and the cluster's layer benchmarks
+// outside the engine package.
 const (
 	queryPattern     = "BenchmarkPruneKNN1k|BenchmarkPruneRange1k"
 	anchorPattern    = "BenchmarkSnapDistribution|BenchmarkTableBuild300"
 	modelPattern     = "BenchmarkBatchDecode3500"
 	ingestPattern    = "BenchmarkReorderOffer"
 	collectorPattern = "BenchmarkIngestSecond"
+	clusterPattern   = "BenchmarkRPCRoundTrip"
 )
 
 // result is one parsed benchmark line.
@@ -132,6 +133,7 @@ func main() {
 	runBench(&rep, modelPattern, "./internal/model/", *benchtime)
 	runBench(&rep, ingestPattern, "./internal/ingest/", *benchtime)
 	runBench(&rep, collectorPattern, "./internal/collector/", *benchtime)
+	runBench(&rep, clusterPattern, "./internal/cluster/", *benchtime)
 	if len(rep.Results) == 0 {
 		fatal(fmt.Errorf("no benchmark lines parsed"))
 	}

@@ -27,7 +27,7 @@
 //
 // With -peers set the node joins a static cluster: every node is given the
 // same member list, owns the objects the shared jump hash assigns it, and
-// forwards the rest over gob RPC on /cluster/rpc (see DESIGN.md §17).
+// forwards the rest over the peer RPC on /cluster/rpc (see DESIGN.md §17).
 package main
 
 import (

@@ -2,7 +2,6 @@ package anchor
 
 import (
 	"slices"
-	"sort"
 
 	"repro/internal/model"
 )
@@ -65,17 +64,6 @@ func DistFromMap(m map[ID]float64) Dist {
 type ObjDist struct {
 	Object model.ObjectID
 	Dist   Dist
-}
-
-// ObjDistsFromMaps converts the map-of-maps form (the cluster wire format)
-// into ascending object order.
-func ObjDistsFromMaps(m map[model.ObjectID]map[ID]float64) []ObjDist {
-	out := make([]ObjDist, 0, len(m))
-	for obj, dist := range m {
-		out = append(out, ObjDist{Object: obj, Dist: DistFromMap(dist)})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Object < out[j].Object })
-	return out
 }
 
 // Accumulator is the snap's scratch: a dense mass array indexed by anchor ID

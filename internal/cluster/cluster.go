@@ -36,6 +36,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/health"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/query"
 	"repro/internal/shardmap"
@@ -76,6 +77,7 @@ type Local interface {
 
 	engine.Partition
 	Prune(ctx context.Context, infos []query.ObjectInfo, q engine.Query, now model.Time) ([]model.ObjectID, error)
+	Unhealthy() []bool
 	Evaluator() *query.Evaluator
 	NoteTransportDrops(n int)
 }
@@ -88,8 +90,8 @@ type Config struct {
 	// be started with the same set; the ownership table is the sorted list,
 	// so order does not matter but content does.
 	Peers []string
-	// Transport carries all peer I/O (HTTP/gob in production, netsim under
-	// test).
+	// Transport carries all peer I/O (HTTP in production, netsim under
+	// test; both put every request and reply through the wire codec).
 	Transport Transport
 	// Retry bounds per-forward retransmissions: exponential backoff from
 	// BaseDelay to MaxDelay with deterministic per-peer jitter — the same
@@ -191,12 +193,17 @@ type Node struct {
 	// (SetTracer). Nil disables owner-side spans.
 	tracer *trace.Tracer
 
-	// Idempotent forward application: recently applied (second,
-	// fingerprint) pairs with their cached ack, so a retransmission after a
-	// lost reply re-acks instead of double-counting.
+	// Idempotent forward application: (second, fingerprint) pairs being
+	// applied or recently applied, with their ack, so a retransmission
+	// re-acks instead of double-counting. idemFIFO orders the applied ones
+	// for eviction.
 	idemMu   sync.Mutex
-	idem     map[idemKey]*Response
+	idem     map[idemKey]*idemEntry
 	idemFIFO []idemKey
+
+	// mBytes counts peer RPC frame bytes by op and direction (0 sent,
+	// 1 received), as caller and as owner alike.
+	mBytes [numOps][2]*obs.Counter
 
 	// Owner-side remote-evaluate gate (nil: unbounded).
 	gate     chan struct{}
@@ -258,7 +265,7 @@ func New(eng Local, cfg Config) (*Node, error) {
 		members: members,
 		selfIdx: selfIdx,
 		peers:   make([]*peer, len(members)),
-		idem:    make(map[idemKey]*Response),
+		idem:    make(map[idemKey]*idemEntry),
 	}
 	n.QueryMethods.Of = n
 	n.router = engine.Router{Parts: make([]engine.Partition, len(members)), Owner: n.OwnerIdx}
@@ -276,6 +283,11 @@ func New(eng Local, cfg Config) (*Node, error) {
 		"Failed forward attempts per peer (transport errors, before retries give up).", "peer")
 	states := reg.GaugeVec("repro_peer_state",
 		"Peer circuit-breaker state: 0 live, 1 suspect, 2 dead.", "peer")
+	rpcBytes := reg.CounterVec("repro_peer_rpc_bytes_total",
+		"Peer RPC frame bytes this node put on or took off the wire, requests and replies, by op.", "op", "dir")
+	for op := range n.mBytes {
+		n.mBytes[op] = [2]*obs.Counter{rpcBytes.With(opNames[op], "sent"), rpcBytes.With(opNames[op], "received")}
+	}
 	for i, m := range members {
 		if i == selfIdx {
 			continue
@@ -284,6 +296,15 @@ func New(eng Local, cfg Config) (*Node, error) {
 		n.router.Parts[i] = peerPart{n, n.peers[i]}
 	}
 	return n, nil
+}
+
+// countBytes adds one RPC's frame sizes to the wire-volume counters. Frames
+// that never crossed a wire (a test transport calling HandleRPC) count 0.
+func (n *Node) countBytes(op Op, sent, received int) {
+	if op < numOps {
+		n.mBytes[op][0].Add(uint64(sent))
+		n.mBytes[op][1].Add(uint64(received))
+	}
 }
 
 // SetTracer attaches the tracer used to stitch forwarded request traces

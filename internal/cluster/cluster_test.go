@@ -3,6 +3,8 @@ package cluster_test
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 	"time"
@@ -36,25 +38,39 @@ func twoNodes(t *testing.T, seed int64, tweak func(*cluster.Config)) (*netsim.Ne
 // health monitor).
 func twoNodesOver(t *testing.T, cfg engine.Config, tweak func(*cluster.Config)) (*netsim.Network, *cluster.Node, *cluster.Node, *engine.System, *engine.System) {
 	t.Helper()
+	cfg.Health = health.Config{}
+	net := netsim.New(cfg.Seed)
+	addrs := [2]string{"node-0", "node-1"}
+	nodes, engs := buildNodes(t, cfg, addrs, net.Transport, tweak)
+	for i, addr := range addrs {
+		net.AddNode(addr, nodes[i])
+	}
+	return net, nodes[0], nodes[1], engs[0], engs[1]
+}
+
+// buildNodes builds one node per address over memory-only single-shard
+// engines fed an in-order stream, each with the transport made for it, with
+// probes disabled so breaker transitions happen only at the test's own
+// boundaries.
+func buildNodes(t *testing.T, cfg engine.Config, addrs [2]string, transport func(self string) cluster.Transport, tweak func(*cluster.Config)) ([2]*cluster.Node, [2]*engine.System) {
+	t.Helper()
 	plan := floorplan.DefaultOffice()
 	dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
-	seed := cfg.Seed
 	cfg.Ingest.Horizon = 0
-	cfg.Health = health.Config{}
-
-	net := netsim.New(seed)
-	mk := func(self string) (*cluster.Node, *engine.System) {
+	var nodes [2]*cluster.Node
+	var engs [2]*engine.System
+	for i, self := range addrs {
 		eng, err := engine.New(plan, dep, cfg)
 		if err != nil {
 			t.Fatalf("engine: %v", err)
 		}
 		ccfg := cluster.Config{
 			Self:      self,
-			Peers:     []string{"node-0", "node-1"},
-			Transport: net.Transport(self),
+			Peers:     addrs[:],
+			Transport: transport(self),
 			ProbeBase: 24 * time.Hour,
 			ProbeMax:  24 * time.Hour,
-			Seed:      seed,
+			Seed:      cfg.Seed,
 		}
 		if tweak != nil {
 			tweak(&ccfg)
@@ -63,14 +79,34 @@ func twoNodesOver(t *testing.T, cfg engine.Config, tweak func(*cluster.Config)) 
 		if err != nil {
 			t.Fatalf("cluster.New(%s): %v", self, err)
 		}
-		return node, eng
+		t.Cleanup(func() { node.Close() })
+		nodes[i], engs[i] = node, eng
 	}
-	n0, e0 := mk("node-0")
-	n1, e1 := mk("node-1")
-	net.AddNode("node-0", n0)
-	net.AddNode("node-1", n1)
-	t.Cleanup(func() { n0.Close(); n1.Close() })
-	return net, n0, n1, e0, e1
+	return nodes, engs
+}
+
+// twoNodesHTTP is twoNodesOver on real sockets: each node's RPC handler on a
+// loopback listener, the nodes talking through one HTTPTransport.
+func twoNodesHTTP(t *testing.T, cfg engine.Config) (*cluster.Node, *cluster.Node) {
+	t.Helper()
+	cfg.Health = health.Config{}
+	var srvs [2]*httptest.Server
+	var addrs [2]string
+	for i := range srvs {
+		srvs[i] = httptest.NewUnstartedServer(nil)
+		addrs[i] = srvs[i].Listener.Addr().String()
+	}
+	tr := cluster.NewHTTPTransport()
+	nodes, _ := buildNodes(t, cfg, addrs, func(string) cluster.Transport { return tr }, nil)
+	for i, srv := range srvs {
+		mux := http.NewServeMux()
+		mux.Handle("POST /cluster/rpc", nodes[i].RPCHandler())
+		srv.Config.Handler = mux
+		srv.Start()
+		t.Cleanup(srv.Close)
+	}
+	t.Cleanup(tr.Client.CloseIdleConnections)
+	return nodes[0], nodes[1]
 }
 
 // objectsOwnedBy returns count object IDs whose two-member owner is the
@@ -219,7 +255,7 @@ func TestUnreachableOwnerDegrades(t *testing.T) {
 type shedTransport struct{ inner cluster.Transport }
 
 func (s *shedTransport) Send(ctx context.Context, addr string, req *cluster.Request) (*cluster.Response, error) {
-	if req.Op == cluster.OpEvaluate {
+	if req.Op == cluster.OpDists {
 		return &cluster.Response{Shed: true, RetryAfterSeconds: 7}, nil
 	}
 	return s.inner.Send(ctx, addr, req)

@@ -39,6 +39,15 @@ func (n *Node) Prune(ctx context.Context, infos []query.ObjectInfo, q engine.Que
 	return n.eng.Prune(ctx, infos, q, now)
 }
 
+// Unhealthy returns the local engine's unhealthy-reader set: the reader
+// health every member prunes its own objects under when this node
+// coordinates.
+func (n *Node) Unhealthy() []bool {
+	n.lock()
+	defer n.unlock()
+	return n.eng.Unhealthy()
+}
+
 // Evaluator exposes the local evaluation module (identical on every node).
 func (n *Node) Evaluator() *query.Evaluator { return n.eng.Evaluator() }
 
@@ -57,7 +66,13 @@ func (l localPart) Dists(ctx context.Context, cands []model.ObjectID, q engine.Q
 	return l.n.eng.Dists(ctx, cands, q)
 }
 
-// peerPart is a remote member as a partition: each stage is one RPC under
+func (l localPart) OwnDists(ctx context.Context, q engine.Query, sc engine.Scope) ([]anchor.ObjDist, int, error) {
+	l.n.lock()
+	defer l.n.unlock()
+	return l.n.eng.OwnDists(ctx, q, sc)
+}
+
+// peerPart is a remote member as a partition: each method is one RPC under
 // the peer's breaker.
 type peerPart struct {
 	n *Node
@@ -65,7 +80,7 @@ type peerPart struct {
 }
 
 func (pp peerPart) Infos(ctx context.Context, q engine.Query) ([]query.ObjectInfo, error) {
-	resp, err := pp.ask(ctx, &Request{Op: OpGather, At: q.At, Historical: q.Historical})
+	resp, err := pp.ask(ctx, &Request{Op: OpGather, Query: q})
 	if err != nil {
 		return nil, err
 	}
@@ -76,15 +91,29 @@ func (pp peerPart) Dists(ctx context.Context, cands []model.ObjectID, q engine.Q
 	if len(cands) == 0 {
 		return nil, nil
 	}
-	resp, err := pp.ask(ctx, &Request{Op: OpEvaluate, Candidates: cands, At: q.At, Historical: q.Historical})
+	dists, _, err := pp.dists(ctx, &Request{Op: OpDists, Query: q, Candidates: cands})
+	return dists, err
+}
+
+// OwnDists is the whole of a range or occupancy query's remote half in one
+// round trip: the peer prunes its own objects under this coordinator's clock
+// and reader health, exactly as the coordinator would have pruned them.
+func (pp peerPart) OwnDists(ctx context.Context, q engine.Query, sc engine.Scope) ([]anchor.ObjDist, int, error) {
+	return pp.dists(ctx, &Request{Op: OpDists, Query: q, Own: true, Now: sc.Now, Unhealthy: sc.Unhealthy})
+}
+
+// dists sends one OpDists request and turns the reply's markers back into
+// the typed errors a local partition would have returned.
+func (pp peerPart) dists(ctx context.Context, req *Request) ([]anchor.ObjDist, int, error) {
+	resp, err := pp.ask(ctx, req)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if resp.Shed {
 		pp.p.mu.Lock()
 		pp.p.sheds++
 		pp.p.mu.Unlock()
-		return nil, &ShedError{Peer: pp.p.addr, RetryAfterSeconds: resp.RetryAfterSeconds}
+		return nil, 0, &ShedError{Peer: pp.p.addr, RetryAfterSeconds: resp.RetryAfterSeconds}
 	}
 	var late, degraded error
 	if resp.DeadlineStage != "" {
@@ -95,7 +124,7 @@ func (pp peerPart) Dists(ctx context.Context, cands []model.ObjectID, q engine.Q
 		// missing shards degrade the cluster answer.
 		degraded = pp.degraded()
 	}
-	return anchor.ObjDistsFromMaps(resp.Dists), engine.JoinPartial(late, degraded)
+	return resp.ObjDists, resp.CandidateCount, engine.JoinPartial(late, degraded)
 }
 
 // ask sends one query RPC unless the breaker holds the peer dead, and feeds

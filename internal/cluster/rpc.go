@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"repro/internal/anchor"
@@ -24,35 +25,37 @@ const (
 	// OpIngest applies one forwarded ingest sub-batch (idempotent, keyed by
 	// the batch fingerprint).
 	OpIngest
-	// OpGather returns the peer's candidate summaries (the gather stage of
-	// the distributed query pipeline).
+	// OpGather returns the peer's candidate summaries: the first round of a
+	// kNN query, whose prune needs every object's bound.
 	OpGather
-	// OpEvaluate preprocesses the peer-owned candidates and returns their
-	// anchor distributions (the scatter stage).
+	// OpEvaluate is OpDists with explicit candidates under its older name,
+	// which the frozen benchmark harness sends; the program itself does not.
 	OpEvaluate
 	// OpLocalize answers a single-object localization on the owner.
 	OpLocalize
+	// OpDists returns the anchor distributions of the peer's candidates:
+	// the ones it finds itself by pruning its own objects under the
+	// coordinator's clock and reader health (Own: a whole range or occupancy
+	// query in one round trip), or the ones listed in Candidates (the second
+	// round of a kNN query).
+	OpDists
+
+	numOps
 )
+
+var opNames = [numOps]string{"ping", "ingest", "gather", "evaluate", "localize", "dists"}
 
 // String implements fmt.Stringer.
 func (o Op) String() string {
-	switch o {
-	case OpPing:
-		return "ping"
-	case OpIngest:
-		return "ingest"
-	case OpGather:
-		return "gather"
-	case OpEvaluate:
-		return "evaluate"
-	case OpLocalize:
-		return "localize"
-	default:
-		return fmt.Sprintf("Op(%d)", int(o))
+	if o < numOps {
+		return opNames[o]
 	}
+	return fmt.Sprintf("Op(%d)", int(o))
 }
 
-// Request is one peer RPC, gob-encoded on the wire.
+// Request is one peer RPC. Transports put it on the wire with Encode
+// (wire.go); it stays a plain struct of exported fields so tests can use a
+// gob round trip as the codec's oracle.
 type Request struct {
 	Op   Op
 	From string
@@ -70,19 +73,22 @@ type Request struct {
 	Readings    []model.RawReading
 	Fingerprint uint64
 
-	// OpGather / OpEvaluate.
-	At         model.Time
-	Historical bool
+	// OpGather / OpEvaluate / OpDists: the query (the historical flag and
+	// second are all a gather reads).
+	Query engine.Query
+	// Candidates are the objects to preprocess (OpEvaluate, OpDists without
+	// Own).
 	Candidates []model.ObjectID
+	// Own asks the owner to gather and prune its own objects for Query (per
+	// object, so it is the coordinator's prune restricted to them) under the
+	// coordinator's stream clock Now and unhealthy-reader set Unhealthy,
+	// then preprocess the survivors. OpDists only.
+	Own       bool
+	Now       model.Time
+	Unhealthy []bool
 
 	// OpLocalize.
 	Object model.ObjectID
-}
-
-// query is the part of an OpGather/OpEvaluate request the partition reads:
-// whether the stage is historical, and as of when.
-func (r *Request) query() engine.Query {
-	return engine.Query{Historical: r.Historical, At: r.At}
 }
 
 // Response is the reply to one peer RPC.
@@ -104,17 +110,27 @@ type Response struct {
 	// OpGather.
 	Infos []query.ObjectInfo
 
-	// OpEvaluate: per-object anchor distributions, which the coordinator
-	// converts straight to sorted []anchor.ObjDist and merges with its own;
-	// DeadlineStage marks a deadline-partial answer; DegradedShards reports
-	// the owner's quarantined in-process shards.
-	Dists          map[model.ObjectID]map[anchor.ID]float64
+	// OpDists / OpEvaluate: the candidates' anchor distributions in
+	// ascending object order, merged as they are with the coordinator's own;
+	// CandidateCount is how many objects the owner preprocessed (after its
+	// prune, for an Own request); DeadlineStage marks a deadline-partial answer;
+	// DegradedShards reports the owner's quarantined in-process shards.
+	ObjDists       []anchor.ObjDist
+	CandidateCount int
 	DeadlineStage  string
 	DegradedShards []int
+	// Dists is ObjDists in the map form the frozen benchmark harness reads
+	// from an OpEvaluate reply. It never crosses the wire: HTTPTransport.Send
+	// fills it on that path only.
+	Dists map[model.ObjectID]map[anchor.ID]float64
 
 	// OpLocalize.
 	Loc   engine.Localization
 	Found bool
+
+	// sent and received are the sizes of the request and response frames,
+	// set by a transport that put them on a wire, for send's byte counters.
+	sent, received int
 }
 
 // send delivers one request to a peer with bounded retries: exponential
@@ -151,6 +167,7 @@ func (n *Node) send(ctx context.Context, p *peer, req *Request) (*Response, erro
 		trace.From(ctx).Add("forward", trace.RouterShard, start, time.Since(start),
 			trace.Attr{Key: "peer", Value: p.addr}, trace.Attr{Key: "op", Value: req.Op.String()})
 		if err == nil {
+			n.countBytes(req.Op, resp.sent, resp.received)
 			return resp, nil
 		}
 		p.mErr.Inc()
@@ -189,12 +206,12 @@ func (n *Node) HandleRPC(ctx context.Context, req *Request) (*Response, error) {
 		return n.handleIngestRPC(ctx, req)
 	case OpGather:
 		n.lock()
-		infos, _ := n.eng.Infos(ctx, req.query())
+		infos, _ := n.eng.Infos(ctx, req.Query)
 		now := n.eng.Now()
 		n.unlock()
 		return &Response{Now: now, Infos: infos}, nil
-	case OpEvaluate:
-		return n.handleEvaluateRPC(ctx, req)
+	case OpDists, OpEvaluate:
+		return n.handleDistsRPC(ctx, req)
 	case OpLocalize:
 		n.lock()
 		loc, ok := n.eng.Localize(req.Object)
@@ -205,19 +222,59 @@ func (n *Node) HandleRPC(ctx context.Context, req *Request) (*Response, error) {
 	}
 }
 
+// idemEntry is one forwarded sub-batch's application: in flight until done
+// is closed, then the ack (or the error) every delivery of that sub-batch
+// gets.
+type idemEntry struct {
+	done chan struct{}
+	resp *Response
+	err  error
+}
+
 // handleIngestRPC applies one forwarded sub-batch idempotently: a (second,
-// fingerprint) pair already applied returns its cached ack, so a forwarder
-// retrying after a lost reply never double-counts and never sees a spurious
-// late-batch refusal.
+// fingerprint) pair is applied by the first delivery alone. A retransmission
+// — after a lost reply, or while the first attempt is still inside the
+// engine because the forwarder's attempt timed out — waits for that
+// application and returns its ack, so a retry never double-counts, never
+// sees a spurious late-batch refusal, and never replaces the ack with one.
 func (n *Node) handleIngestRPC(ctx context.Context, req *Request) (*Response, error) {
 	key := idemKey{t: req.Time, fp: req.Fingerprint}
 	n.idemMu.Lock()
-	if cached, ok := n.idem[key]; ok {
+	if e, ok := n.idem[key]; ok {
 		n.idemMu.Unlock()
-		return cached, nil
+		select {
+		case <-e.done:
+			return e.resp, e.err
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
+	e := &idemEntry{done: make(chan struct{})}
+	n.idem[key] = e
 	n.idemMu.Unlock()
 
+	e.resp, e.err = n.applyIngest(ctx, req)
+
+	// An in-flight entry is in the map only, so it cannot be evicted before
+	// its waiters are answered; a failed one leaves, so a retry applies anew.
+	n.idemMu.Lock()
+	if e.err != nil {
+		delete(n.idem, key)
+	} else {
+		if len(n.idemFIFO) >= maxIdem {
+			delete(n.idem, n.idemFIFO[0])
+			n.idemFIFO = n.idemFIFO[1:]
+		}
+		n.idemFIFO = append(n.idemFIFO, key)
+	}
+	n.idemMu.Unlock()
+	close(e.done)
+	return e.resp, e.err
+}
+
+// applyIngest hands one forwarded sub-batch to the local engine and turns
+// its typed ingest report into the ack.
+func (n *Node) applyIngest(ctx context.Context, req *Request) (*Response, error) {
 	n.lock()
 	err := n.eng.IngestContext(ctx, req.Time, req.Readings)
 	now := n.eng.Now()
@@ -236,21 +293,12 @@ func (n *Node) handleIngestRPC(ctx context.Context, req *Request) (*Response, er
 	} else if err != nil {
 		return nil, err
 	}
-
-	n.idemMu.Lock()
-	if len(n.idemFIFO) >= maxIdem {
-		delete(n.idem, n.idemFIFO[0])
-		n.idemFIFO = n.idemFIFO[1:]
-	}
-	n.idem[key] = resp
-	n.idemFIFO = append(n.idemFIFO, key)
-	n.idemMu.Unlock()
 	return resp, nil
 }
 
-// handleEvaluateRPC preprocesses the owner's candidates under the evaluate
-// gate and returns their anchor distributions.
-func (n *Node) handleEvaluateRPC(ctx context.Context, req *Request) (*Response, error) {
+// handleDistsRPC preprocesses the owner's candidates under the evaluate gate
+// and returns their anchor distributions as they are.
+func (n *Node) handleDistsRPC(ctx context.Context, req *Request) (*Response, error) {
 	if n.gate != nil {
 		select {
 		case n.gate <- struct{}{}:
@@ -261,22 +309,22 @@ func (n *Node) handleEvaluateRPC(ctx context.Context, req *Request) (*Response, 
 	}
 	tr := trace.From(ctx)
 	start := time.Now()
-	dists, err := localPart{n}.Dists(ctx, req.Candidates, req.query())
+	var dists []anchor.ObjDist
+	var err error
+	ncands := len(req.Candidates)
+	if req.Own {
+		dists, ncands, err = localPart{n}.OwnDists(ctx, req.Query, engine.Scope{Now: req.Now, Unhealthy: req.Unhealthy})
+	} else {
+		dists, err = localPart{n}.Dists(ctx, req.Candidates, req.Query)
+	}
 	tr.Add("remote-evaluate", trace.RouterShard, start, time.Since(start),
 		trace.Attr{Key: "from", Value: req.From},
-		trace.Attr{Key: "candidates", Value: fmt.Sprintf("%d", len(req.Candidates))})
+		trace.Attr{Key: "candidates", Value: strconv.Itoa(ncands)})
 	n.observeEval(time.Since(start))
 
-	// The wire type stays the map of maps the benchmark harness decodes.
-	resp := &Response{
-		DegradedShards: n.DegradedShards(),
-		Dists:          make(map[model.ObjectID]map[anchor.ID]float64, len(dists)),
-	}
-	for _, od := range dists {
-		resp.Dists[od.Object] = od.Dist.Map()
-	}
 	// The local engine's other marker, its quarantined shards, is already in
 	// DegradedShards.
+	resp := &Response{DegradedShards: n.DegradedShards(), ObjDists: dists, CandidateCount: ncands}
 	if de, ok := engine.IsDeadline(err); ok {
 		resp.DeadlineStage = de.Stage
 	}

@@ -27,7 +27,7 @@ func (s *System) PruneRangeContext(ctx context.Context, infos []query.ObjectInfo
 	if !s.cfg.UsePruning {
 		return ObjectsOf(infos), nil
 	}
-	return s.pruner.RangeCandidatesContext(ctx, infos, windows, now)
+	return s.pruner.RangeCandidatesContext(ctx, infos, windows, now, s.pruner.Unhealthy())
 }
 
 // PruneKNNContext is the global kNN pruning stage.

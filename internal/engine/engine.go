@@ -553,6 +553,32 @@ func (s *System) Prune(ctx context.Context, infos []query.ObjectInfo, q Query, n
 	}
 }
 
+// Unhealthy returns the unhealthy-reader set the pruner widens uncertain
+// regions by (nil when every reader is healthy).
+func (s *System) Unhealthy() []bool { return s.pruner.Unhealthy() }
+
+// OwnDists finds and preprocesses the kernel's own candidates for q in one
+// call: the range prune is per object, so run over this kernel's objects
+// under the coordinator's clock and reader health it admits exactly the
+// objects a prune over every partition's would admit here.
+func (s *System) OwnDists(ctx context.Context, q Query, sc Scope) ([]anchor.ObjDist, int, error) {
+	tr := trace.From(ctx)
+	start := time.Now()
+	infos, _ := s.Infos(ctx, q)
+	tr.Since("gather", s.shardID, start)
+	pstart := time.Now()
+	var cands []model.ObjectID
+	var perr error
+	if q.Kind == KindRange && s.cfg.UsePruning {
+		cands, perr = s.pruner.RangeCandidatesContext(ctx, infos, []geom.Rect{q.Window}, sc.Now, sc.Unhealthy)
+	} else {
+		cands = ObjectsOf(infos)
+	}
+	tr.Since("prune", s.shardID, pstart)
+	dists, terr := s.Dists(ctx, cands, q)
+	return dists, len(cands), JoinPartial(perr, terr)
+}
+
 // Dists runs the preprocessing module for the candidates — the kernel's
 // share of a scatter — under the shard's evaluate span and histogram. An
 // idle shard still shows in the trace, with a zero-duration span.

@@ -93,7 +93,7 @@ type Answer struct {
 
 // Partition is a holder of objects that can take part in a query: the
 // in-memory kernel, one shard of the router, the router itself, or a cluster
-// peer behind a transport. Both methods answer in ascending object order.
+// peer behind a transport. Every method answers in ascending object order.
 //
 // Errors are the typed markers of an incomplete answer, returned beside
 // whatever could still be computed: a *query.DeadlineError when ctx ran out,
@@ -106,25 +106,46 @@ type Partition interface {
 	// Dists runs the particle filter-based preprocessing for the candidates
 	// the partition holds and returns their anchor-point distributions.
 	Dists(ctx context.Context, cands []model.ObjectID, q Query) ([]anchor.ObjDist, error)
+	// OwnDists is Infos → prune → Dists over the partition's own objects in
+	// one call — one round trip when the partition is remote — for a query
+	// whose prune is per object (range, occupancy). candidates is how many
+	// objects survived the prune. Asked of a kNN query it does not prune.
+	OwnDists(ctx context.Context, q Query, sc Scope) (dists []anchor.ObjDist, candidates int, err error)
+}
+
+// Scope is what the coordinator lends a partition that prunes its own
+// objects, so that the prune is the coordinator's prune restricted to them:
+// the coordinator's stream clock and its unhealthy-reader set (indexed by
+// reader, nil when all are healthy). A partition's own clock and reader
+// health may differ — a peer is a delivery behind, or saw other readings.
+type Scope struct {
+	Now       model.Time
+	Unhealthy []bool
 }
 
 // Coordinator is the half of a query that runs once, wherever the objects
-// live: the stream clock, the global pruning stage (kNN pruning needs every
-// object's distance bound to find the k-th smallest, so it cannot run per
-// partition), Algorithm 3/4, and the telemetry that observes the whole.
+// live: the stream clock and reader health every prune is made under, the
+// global kNN pruning stage, Algorithm 3/4, and the telemetry that observes
+// the whole.
 type Coordinator interface {
 	Now() model.Time
+	Unhealthy() []bool
 	Prune(ctx context.Context, infos []query.ObjectInfo, q Query, now model.Time) ([]model.ObjectID, error)
 	Evaluator() *query.Evaluator
 	AnchorIndex() *anchor.Index
 	Telemetry() *Telemetry
 }
 
-// Run answers q over the objects p holds: gather the candidate summaries,
-// prune once, preprocess the survivors where they live, build the APtoObjHT
-// table once and evaluate once. It is the only place the stages are strung
-// together — the kernel runs it over itself, the router over its shards, a
-// cluster node over itself and its peers.
+// Run answers q over the objects p holds: find the candidates, preprocess
+// them where they live, build the APtoObjHT table once and evaluate once. It
+// is the only place the stages are strung together — the kernel runs it over
+// itself, the router over its shards, a cluster node over itself and its
+// peers.
+//
+// Only kNN pruning needs a bound over all objects (the k-th smallest l_i), so
+// only a kNN query gathers every summary, prunes once on the coordinator and
+// scatters the survivors; a range or occupancy query asks each partition once
+// to prune and preprocess its own (OwnDists).
 //
 // Every stage that could not finish contributes its typed marker and the
 // answer covers what was computed; JoinPartial folds the markers into the
@@ -136,14 +157,23 @@ func Run(ctx context.Context, c Coordinator, p Partition, q Query) (Answer, erro
 	if !q.Historical {
 		now = c.Now()
 	}
-	infos, gerr := p.Infos(ctx, q)
-	tr.Since("gather", trace.RouterShard, start)
-	pstart := time.Now()
-	// An expired prune fails open (all objects admitted); preprocessing
-	// cuts the work short instead.
-	cands, perr := c.Prune(ctx, infos, q, now)
-	tr.Since("prune", trace.RouterShard, pstart)
-	dists, terr := p.Dists(ctx, cands, q)
+	var dists []anchor.ObjDist
+	var ncands int
+	var serr error // the stages before evaluation, in pipeline order
+	if q.Kind == KindKNN {
+		infos, gerr := p.Infos(ctx, q)
+		tr.Since("gather", trace.RouterShard, start)
+		pstart := time.Now()
+		// An expired prune fails open (all objects admitted); preprocessing
+		// cuts the work short instead.
+		cands, perr := c.Prune(ctx, infos, q, now)
+		tr.Since("prune", trace.RouterShard, pstart)
+		var terr error
+		dists, terr = p.Dists(ctx, cands, q)
+		ncands, serr = len(cands), JoinPartial(gerr, perr, terr)
+	} else {
+		dists, ncands, serr = p.OwnDists(ctx, q, Scope{Now: now, Unhealthy: c.Unhealthy()})
+	}
 	mstart := time.Now()
 	var ans Answer
 	var eerr error
@@ -157,8 +187,8 @@ func Run(ctx context.Context, c Coordinator, p Partition, q Query) (Answer, erro
 	}
 	tr.Since("merge", trace.RouterShard, mstart)
 	tel := c.Telemetry()
-	tel.observeQuery(q, now, len(cands), start, tr)
-	err := JoinPartial(gerr, perr, terr, eerr)
+	tel.observeQuery(q, now, ncands, start, tr)
+	err := JoinPartial(serr, eerr)
 	if _, ok := IsDeadline(err); ok {
 		tel.deadlineExceeded.Inc()
 		tr.SetDeadline()
@@ -192,6 +222,25 @@ func (r Router) Dists(ctx context.Context, cands []model.ObjectID, q Query) ([]a
 	}
 	return scatter(len(r.Parts), func(i int) bool { return len(shares[i]) > 0 },
 		func(i int) ([]anchor.ObjDist, error) { return r.Parts[i].Dists(ctx, shares[i], q) }, objDistLess)
+}
+
+// OwnDists asks every part for its own candidates' distributions and merges
+// the disjoint answers.
+func (r Router) OwnDists(ctx context.Context, q Query, sc Scope) ([]anchor.ObjDist, int, error) {
+	if len(r.Parts) == 1 {
+		return r.Parts[0].OwnDists(ctx, q, sc)
+	}
+	counts := make([]int, len(r.Parts))
+	dists, err := scatter(len(r.Parts), func(int) bool { return true },
+		func(i int) (d []anchor.ObjDist, err error) {
+			d, counts[i], err = r.Parts[i].OwnDists(ctx, q, sc)
+			return d, err
+		}, objDistLess)
+	total := 0
+	for _, n := range counts {
+		total += n
+	}
+	return dists, total, err
 }
 
 // scatter asks n partitions and k-way merges their answers — each in

@@ -497,6 +497,16 @@ func (p shard) Dists(ctx context.Context, cands []model.ObjectID, q Query) ([]an
 	return p.e.shards[p.i].Dists(ctx, cands, q)
 }
 
+func (p shard) OwnDists(ctx context.Context, q Query, sc Scope) ([]anchor.ObjDist, int, error) {
+	if p.e.shardState[p.i].Load() != shardLive {
+		trace.From(ctx).Add("evaluate", p.i, time.Now(), 0)
+		return nil, 0, &QuarantineError{Shards: []int{p.i}}
+	}
+	p.e.shardMu[p.i].Lock()
+	defer p.e.shardMu[p.i].Unlock()
+	return p.e.shards[p.i].OwnDists(ctx, q, sc)
+}
+
 // Infos merges every live shard's candidate summaries in ascending object
 // order — identical to the kernel's because KnownObjects is sorted and
 // shards hold disjoint objects.
@@ -512,6 +522,21 @@ func (e *Sharded) Dists(ctx context.Context, cands []model.ObjectID, q Query) ([
 	e.healthMu.RLock()
 	defer e.healthMu.RUnlock()
 	return e.router.Dists(ctx, cands, q)
+}
+
+// OwnDists has every live shard find and preprocess its own candidates, in
+// parallel, and merges their answers.
+func (e *Sharded) OwnDists(ctx context.Context, q Query, sc Scope) ([]anchor.ObjDist, int, error) {
+	e.healthMu.RLock()
+	defer e.healthMu.RUnlock()
+	return e.router.OwnDists(ctx, q, sc)
+}
+
+// Unhealthy returns the unhealthy-reader set every shard's pruner holds.
+func (e *Sharded) Unhealthy() []bool {
+	e.healthMu.RLock()
+	defer e.healthMu.RUnlock()
+	return e.shards[0].Unhealthy()
 }
 
 // Prune runs the global pruning stage on shard 0's pruner (every shard holds

@@ -130,9 +130,9 @@ func TestShardedTraceSpans(t *testing.T) {
 	}
 }
 
-// TestSingleEngineTraceSpans pins the single-shard span topology: the System
-// records the same span names the router does, with shard 0 standing in for
-// the whole object space.
+// TestSingleEngineTraceSpans pins the single-shard span topology of a range
+// query: the System records the same span names the router's shards do, with
+// shard 0 standing in for the whole object space.
 func TestSingleEngineTraceSpans(t *testing.T) {
 	plan := floorplan.DefaultOffice()
 	dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
@@ -169,12 +169,15 @@ func TestSingleEngineTraceSpans(t *testing.T) {
 	tracer.Finish(qtc)
 	snaps := tracer.Snapshot()
 	q := spansByName(snaps[len(snaps)-1])
-	for _, name := range []string{"gather", "prune", "merge"} {
-		if !q[name][trace.RouterShard] {
-			t.Errorf("query trace: no router %s span (got %v)", name, q[name])
+	// A range query's prune is per object, so the holder of the objects
+	// gathers, prunes and preprocesses its own in one call: those spans are
+	// the shard's, and only the merge is the coordinator's.
+	for _, name := range []string{"gather", "prune", "evaluate"} {
+		if !q[name][0] {
+			t.Errorf("query trace: no shard-0 %s span (got %v)", name, q[name])
 		}
 	}
-	if !q["evaluate"][0] {
-		t.Errorf("query trace: no shard-0 evaluate span (got %v)", q["evaluate"])
+	if !q["merge"][trace.RouterShard] {
+		t.Errorf("query trace: no router merge span (got %v)", q["merge"])
 	}
 }

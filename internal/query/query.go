@@ -266,6 +266,10 @@ func (p *Pruner) SetUnhealthy(un []bool) {
 	p.unhealthy = un
 }
 
+// Unhealthy returns the installed unhealthy-reader set (nil when every reader
+// is healthy). The slice is never mutated once installed.
+func (p *Pruner) Unhealthy() []bool { return p.unhealthy }
+
 // UncertainRegion returns the Euclidean uncertain region UR(o): a circle
 // centered at the object's last detecting device with radius
 // umax * (now - lastSeen) + device range.
@@ -276,13 +280,17 @@ func (p *Pruner) SetUnhealthy(un []bool) {
 // the region is grown by the largest silent head start the dead range can
 // hide. Time-based growth already covers travel after that instant.
 func (p *Pruner) UncertainRegion(info ObjectInfo, now model.Time) geom.Circle {
+	return p.uncertainRegion(info, now, p.unhealthy)
+}
+
+func (p *Pruner) uncertainRegion(info ObjectInfo, now model.Time, unhealthy []bool) geom.Circle {
 	r := p.dep.Reader(info.Reader)
 	lmax := p.umax * float64(now-info.LastSeen)
 	if lmax < 0 {
 		lmax = 0
 	}
 	rad := lmax + r.Range
-	if p.unhealthy != nil && int(info.Reader) < len(p.unhealthy) && p.unhealthy[info.Reader] {
+	if int(info.Reader) < len(unhealthy) && unhealthy[info.Reader] {
 		rad += r.Range
 	}
 	return geom.Circle{C: r.Pos, R: rad}
@@ -292,7 +300,7 @@ func (p *Pruner) UncertainRegion(info ObjectInfo, now model.Time) geom.Circle {
 // least one of the query windows; all others are non-candidates whose
 // filtering cost is saved.
 func (p *Pruner) RangeCandidates(infos []ObjectInfo, windows []geom.Rect, now model.Time) []model.ObjectID {
-	out, _ := p.rangeCandidatesCtx(nil, infos, windows, now)
+	out, _ := p.rangeCandidatesCtx(nil, infos, windows, now, p.unhealthy)
 	return out
 }
 
@@ -301,11 +309,17 @@ func (p *Pruner) RangeCandidates(infos []ObjectInfo, windows []geom.Rect, now mo
 // unexamined objects are all admitted as candidates (pruning is an
 // optimization; an incomplete prune must never drop a possible answer), and
 // the *DeadlineError is returned so the caller can account for the overrun.
-func (p *Pruner) RangeCandidatesContext(ctx context.Context, infos []ObjectInfo, windows []geom.Rect, now model.Time) ([]model.ObjectID, error) {
-	return p.rangeCandidatesCtx(ctx, infos, windows, now)
+//
+// The prune is per object — UR(o) against the windows, no bound shared
+// between objects — so pruning a subset of the objects gives the full prune
+// restricted to that subset. That is what lets each holder of objects prune
+// its own; unhealthy is an argument (not the installed set) so a remote
+// holder can prune under its coordinator's reader health.
+func (p *Pruner) RangeCandidatesContext(ctx context.Context, infos []ObjectInfo, windows []geom.Rect, now model.Time, unhealthy []bool) ([]model.ObjectID, error) {
+	return p.rangeCandidatesCtx(ctx, infos, windows, now, unhealthy)
 }
 
-func (p *Pruner) rangeCandidatesCtx(ctx context.Context, infos []ObjectInfo, windows []geom.Rect, now model.Time) ([]model.ObjectID, error) {
+func (p *Pruner) rangeCandidatesCtx(ctx context.Context, infos []ObjectInfo, windows []geom.Rect, now model.Time, unhealthy []bool) ([]model.ObjectID, error) {
 	var out []model.ObjectID
 	for n, info := range infos {
 		if err := expired(ctx, "prune/range"); err != nil {
@@ -314,7 +328,7 @@ func (p *Pruner) rangeCandidatesCtx(ctx context.Context, infos []ObjectInfo, win
 			}
 			return out, err
 		}
-		ur := p.UncertainRegion(info, now)
+		ur := p.uncertainRegion(info, now, unhealthy)
 		for _, w := range windows {
 			if ur.OverlapsRect(w) {
 				out = append(out, info.Object)

@@ -185,7 +185,7 @@ func TestClusterReadyzDegraded(t *testing.T) {
 type shedEvaluates struct{ inner cluster.Transport }
 
 func (s *shedEvaluates) Send(ctx context.Context, addr string, req *cluster.Request) (*cluster.Response, error) {
-	if req.Op == cluster.OpEvaluate {
+	if req.Op == cluster.OpDists {
 		return &cluster.Response{Shed: true, RetryAfterSeconds: 9}, nil
 	}
 	return s.inner.Send(ctx, addr, req)
@@ -212,7 +212,7 @@ func TestClusterShedRelays429(t *testing.T) {
 }
 
 // TestClusterE2E is the two-node smoke over REAL HTTP (the make cluster-e2e
-// target): two full servers on loopback listeners talk gob over
+// target): two full servers on loopback listeners talk the peer wire format over
 // /cluster/rpc via HTTPTransport; a batch ingested through node-0 is
 // queryable identically through both nodes.
 func TestClusterE2E(t *testing.T) {

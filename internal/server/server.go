@@ -297,7 +297,7 @@ func (s *Server) HandlerWith(cfg HandlerConfig) http.Handler {
 	route("GET /healthz", "/healthz", s.handleHealthz)
 	route("GET /readyz", "/readyz", s.handleReadyz)
 	if s.clu != nil {
-		// Peer RPCs skip the JSON instrumentation path (gob body, peer-only
+		// Peer RPCs skip the JSON instrumentation path (binary frames, peer-only
 		// traffic) but still get their own telemetry via repro_peer_*.
 		mux.Handle("POST /cluster/rpc", s.clu.RPCHandler())
 		route("GET /cluster", "/cluster", s.handleCluster)

@@ -1,9 +1,10 @@
 // Package netsim is a deterministic in-memory cluster.Transport with fault
 // injection, the network-layer sibling of the durability layer's errfs:
-// production nodes talk HTTP/gob, tests talk netsim, and the cluster code
-// cannot tell the difference. Every request and response is gob round-tripped
-// even in memory, so wire-encodability is validated on every test delivery
-// and no node can mutate another's memory through a shared pointer.
+// production nodes talk HTTP, tests talk netsim, and the cluster code cannot
+// tell the difference. Every request and response goes through the real wire
+// codec (cluster.Request.Encode / DecodeRequest) even in memory, so the
+// simulated network checks the encoding production uses on every test
+// delivery, and no node can mutate another's memory through a shared pointer.
 //
 // Faults are programmed as rules keyed by (from, to) link and armed by a
 // deterministic delivery counter — never by wall clock — so a test run
@@ -14,9 +15,7 @@
 package netsim
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"time"
@@ -258,9 +257,9 @@ type transport struct {
 	from string
 }
 
-// Send implements cluster.Transport: gob round-trip the request, apply the
-// link's fault plan, dispatch to the target node's HandleRPC, gob round-trip
-// the response.
+// Send implements cluster.Transport: apply the link's fault plan, put the
+// request through the wire codec, dispatch to the target node's HandleRPC,
+// put the response through the wire codec.
 func (t *transport) Send(ctx context.Context, addr string, req *cluster.Request) (*cluster.Response, error) {
 	pl := t.net.planDelivery(t.from, addr)
 	if pl.delay > 0 {
@@ -279,13 +278,13 @@ func (t *transport) Send(ctx context.Context, addr string, req *cluster.Request)
 	if pl.target == nil {
 		return nil, &Error{From: t.from, To: addr, Reason: "unknown address"}
 	}
-	wireReq, err := roundTrip(req, new(cluster.Request))
+	wireReq, err := cluster.DecodeRequest(req.Encode(nil))
 	if err != nil {
 		return nil, fmt.Errorf("netsim: request not wire-encodable: %w", err)
 	}
 	resp, err := pl.target.HandleRPC(ctx, wireReq)
 	if pl.duplicate && err == nil {
-		dup, derr := roundTrip(req, new(cluster.Request))
+		dup, derr := cluster.DecodeRequest(req.Encode(nil))
 		if derr == nil {
 			_, _ = pl.target.HandleRPC(ctx, dup)
 		}
@@ -296,22 +295,9 @@ func (t *transport) Send(ctx context.Context, addr string, req *cluster.Request)
 	if pl.dropReply {
 		return nil, &Error{From: t.from, To: addr, Reason: "reply dropped"}
 	}
-	wireResp, err := roundTrip(resp, new(cluster.Response))
+	wireResp, err := cluster.DecodeResponse(resp.Encode(nil))
 	if err != nil {
 		return nil, fmt.Errorf("netsim: response not wire-encodable: %w", err)
 	}
 	return wireResp, nil
-}
-
-// roundTrip gob-encodes src and decodes it into dst, returning dst: the
-// in-memory equivalent of putting the value on the wire.
-func roundTrip[T any](src *T, dst *T) (*T, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(src); err != nil {
-		return nil, err
-	}
-	if err := gob.NewDecoder(&buf).Decode(dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
 }

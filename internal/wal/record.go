@@ -54,15 +54,45 @@ func (b *Batch) Encode(dst []byte) []byte {
 	word(uint64(b.Drops.MisstampedReadings))
 	word(uint64(b.Drops.InvalidReadings))
 	word(uint64(b.Drops.GapSeconds))
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(b.Readings)))
-	dst = append(dst, n[:]...)
-	for _, r := range b.Readings {
-		word(uint64(r.Object))
-		word(uint64(r.Reader))
-		word(uint64(r.Time))
+	return AppendReadings(dst, b.Readings)
+}
+
+// AppendReadings appends raw readings in the log's layout: a little-endian
+// uint32 count, then per reading three little-endian uint64 words (object,
+// reader, time). The cluster's peer RPC carries forwarded sub-batches in the
+// same layout.
+func AppendReadings(dst []byte, rs []model.RawReading) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rs)))
+	for _, r := range rs {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(r.Object))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(r.Reader))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(r.Time))
 	}
 	return dst
+}
+
+// DecodeReadings parses what AppendReadings wrote from the front of p and
+// returns the bytes after it. The count is checked against the bytes present
+// before anything is allocated; no reading decodes to a nil slice.
+func DecodeReadings(p []byte) (rs []model.RawReading, rest []byte, err error) {
+	if len(p) < 4 {
+		return nil, p, fmt.Errorf("wal: reading count truncated (%d bytes)", len(p))
+	}
+	n := binary.LittleEndian.Uint32(p)
+	p = p[4:]
+	if uint64(len(p)) < uint64(n)*24 {
+		return nil, p, fmt.Errorf("wal: reading count %d disagrees with %d payload bytes", n, len(p))
+	}
+	if n > 0 {
+		rs = make([]model.RawReading, n)
+		for i := range rs {
+			rs[i].Object = model.ObjectID(binary.LittleEndian.Uint64(p))
+			rs[i].Reader = model.ReaderID(binary.LittleEndian.Uint64(p[8:]))
+			rs[i].Time = model.Time(binary.LittleEndian.Uint64(p[16:]))
+			p = p[24:]
+		}
+	}
+	return rs, p, nil
 }
 
 // DecodeBatch parses a record payload produced by Encode. The payload is
@@ -94,20 +124,12 @@ func DecodeBatch(p []byte) (Batch, error) {
 	b.Drops.MisstampedReadings = int(word())
 	b.Drops.InvalidReadings = int(word())
 	b.Drops.GapSeconds = int(word())
-	n := binary.LittleEndian.Uint32(p[:4])
-	p = p[4:]
-	if uint64(len(p)) != uint64(n)*24 {
-		return b, fmt.Errorf("wal: batch record reading count %d disagrees with %d payload bytes", n, len(p))
+	rs, rest, err := DecodeReadings(p)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("wal: batch record has %d bytes after its readings", len(rest))
 	}
-	if n > 0 {
-		b.Readings = make([]model.RawReading, n)
-		for i := range b.Readings {
-			b.Readings[i].Object = model.ObjectID(word())
-			b.Readings[i].Reader = model.ReaderID(word())
-			b.Readings[i].Time = model.Time(word())
-		}
-	}
-	return b, nil
+	b.Readings = rs
+	return b, err
 }
 
 func typeOf(p []byte) int {
