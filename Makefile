@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test race stress bench bench-smoke bench-json bench-diff bench-sharded bench-harness-build bench-harness-test chaos cluster-e2e check experiments examples vet vuln profile loc fuzz-smoke
+.PHONY: build test race stress accuracy bench bench-smoke bench-json bench-diff bench-sharded bench-harness-build bench-harness-test chaos cluster-e2e check experiments examples vet vuln profile loc fuzz-smoke
 
 build:
 	go build ./...
@@ -69,6 +69,13 @@ bench-harness-test:
 # a 2-vCPU box, right at go test's default limit, hence the explicit one.
 stress:
 	go test -race -count=20 -timeout 30m ./internal/engine/ ./internal/cluster/ ./internal/sim/chaos/
+
+# The statistical accuracy gate: the paper's §5 measures (range KL divergence,
+# kNN hit rate, top-1/top-2 success) at the Figures 9-13 operating point,
+# averaged over seeds 1-10, each within 3 standard errors of
+# internal/experiments/testdata/accuracy.golden (~30 s; prints the table).
+accuracy:
+	go test -count=1 -run '^TestAccuracyGate$$' -v ./internal/experiments/
 
 # Chaos scenarios in short mode: crash-at-random-points, per-shard
 # disk-fault schedules (quarantine + heal), and two-node peer faults

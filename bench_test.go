@@ -131,7 +131,7 @@ func BenchmarkFig13ActivationRange(b *testing.B) {
 func BenchmarkAblationResampling(b *testing.B) {
 	for _, variant := range []struct {
 		name string
-		fn   particle.ResampleFunc
+		fn   particle.Resampler
 	}{
 		{"systematic", particle.Systematic},
 		{"multinomial", particle.Multinomial},
@@ -271,20 +271,22 @@ func BenchmarkPTKNN(b *testing.B) {
 // Micro-benchmarks of the hot paths.
 
 // BenchmarkParticleStep measures one motion-model step of a full particle
-// set.
+// set on the kernel: a silent second with negative information off, so
+// prediction is the only stage that runs.
 func BenchmarkParticleStep(b *testing.B) {
 	plan := floorplan.DefaultOffice()
 	g := walkgraph.MustBuild(plan)
 	dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
-	f := particle.MustNew(particle.DefaultConfig(), g, dep)
+	cfg := particle.DefaultConfig()
+	cfg.UseNegativeInfo = false
+	cfg.MaxCoastSeconds = 1 << 30 // keep coasting for any b.N
+	f := particle.MustNew(cfg, g, dep)
+	pool := particle.NewPool()
 	src := rng.New(1)
 	st := f.InitAt(src, 1, 0, 0)
-	cfg := f.Config()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := range st.Particles {
-			cfg.Step(src, g, &st.Particles[j], 1.0)
-		}
+		f.AdvancePool(pool, src, st, nil, st.Time+1)
 	}
 }
 
@@ -295,6 +297,7 @@ func BenchmarkFilterRun(b *testing.B) {
 	g := walkgraph.MustBuild(plan)
 	dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
 	f := particle.MustNew(particle.DefaultConfig(), g, dep)
+	pool := particle.NewPool()
 	src := rng.New(1)
 	entries := []model.AggregatedReading{
 		{Object: 1, Reader: 2, Time: 0},
@@ -305,7 +308,7 @@ func BenchmarkFilterRun(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.Run(src, 1, entries, 30); err != nil {
+		if _, err := f.RunPool(pool, src, 1, entries, 30); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,6 @@
-// Command benchjson runs the particle-filter hot-path micro-benchmarks
-// (indexed coverage path vs. geometric reference path), the engine-level
-// 1k-object step benchmarks, the query path's layer benchmarks (prune,
+// Command benchjson runs the particle-filter hot-path micro-benchmarks (the
+// coverage-index kernel's stages), the engine-level 1k-object step
+// benchmarks, the query path's layer benchmarks (prune,
 // snap, table build, warm preprocess), the ingest path's (delivery decode,
 // reorder buffer, collector, durable router ingest) and the peer RPC's (codec
 // and loopback round trips), and writes the parsed results as JSON,
@@ -36,8 +36,8 @@ import (
 	"strings"
 )
 
-// benchPattern selects the hot-path benchmarks with indexed/geometric
-// sub-benchmarks.
+// benchPattern selects the particle kernel's hot-path benchmarks, each with
+// one "indexed" sub-benchmark.
 const benchPattern = "BenchmarkFilterStep|BenchmarkNegativeUpdate|BenchmarkInitAt|BenchmarkReweight"
 
 // enginePattern selects the engine-level population benchmarks: the
@@ -77,15 +77,13 @@ func (r result) key() string {
 	return r.Name + "/" + r.Path
 }
 
-// report is the file layout: the raw results, the indexed-over-geometric
-// speedup per benchmark, and (when -baseline is given) the per-benchmark
-// speedup over the baseline file.
+// report is the file layout: the raw results and (when -baseline is given)
+// the per-benchmark speedup over the baseline file.
 type report struct {
 	GoOS       string             `json:"goos,omitempty"`
 	GoArch     string             `json:"goarch,omitempty"`
 	CPU        string             `json:"cpu,omitempty"`
 	Results    []result           `json:"results"`
-	Speedups   map[string]float64 `json:"speedups"`
 	Baseline   string             `json:"baseline,omitempty"`
 	VsBaseline map[string]float64 `json:"speedups_vs_baseline,omitempty"`
 	// BaselineResults are the baseline's rows for the benchmarks compared.
@@ -125,7 +123,7 @@ func main() {
 		}
 	}
 
-	rep := report{Speedups: map[string]float64{}}
+	var rep report
 	runBench(&rep, benchPattern, "./internal/particle/", *benchtime)
 	runBench(&rep, enginePattern, "./internal/engine/", *benchtime)
 	runBench(&rep, queryPattern, "./internal/query/", *benchtime)
@@ -136,22 +134,6 @@ func main() {
 	runBench(&rep, clusterPattern, "./internal/cluster/", *benchtime)
 	if len(rep.Results) == 0 {
 		fatal(fmt.Errorf("no benchmark lines parsed"))
-	}
-
-	// Speedup = geometric ns/op over indexed ns/op, per benchmark name.
-	byKey := map[string]map[string]float64{}
-	for _, r := range rep.Results {
-		if byKey[r.Name] == nil {
-			byKey[r.Name] = map[string]float64{}
-		}
-		byKey[r.Name][r.Path] = r.NsPerOp
-	}
-	for name, paths := range byKey {
-		if geo, ok := paths["geometric"]; ok {
-			if idx, ok := paths["indexed"]; ok && idx > 0 {
-				rep.Speedups[name] = geo / idx
-			}
-		}
 	}
 
 	if *baseline != "" {
@@ -205,9 +187,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("wrote %s (%d results)\n", *out, len(rep.Results))
-	}
-	for name, s := range rep.Speedups {
-		fmt.Printf("  %-24s %.2fx vs geometric\n", name, s)
 	}
 	for key, s := range rep.VsBaseline {
 		fmt.Printf("  %-24s %.2fx vs %s\n", key, s, rep.Baseline)

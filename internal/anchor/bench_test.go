@@ -20,11 +20,12 @@ func benchStates(b *testing.B, n int) (*anchor.Index, []*particle.State) {
 	g := walkgraph.MustBuild(plan)
 	dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
 	f := particle.MustNew(particle.DefaultConfig(), g, dep)
+	pool := particle.NewPool()
 	states := make([]*particle.State, n)
 	for i := range states {
 		src := rng.Derive(17, int64(i))
 		reader := model.ReaderID(i % dep.NumReaders())
-		st, err := f.Run(src, model.ObjectID(i), []model.AggregatedReading{
+		st, err := f.RunPool(pool, src, model.ObjectID(i), []model.AggregatedReading{
 			{Object: model.ObjectID(i), Reader: reader, Time: 0},
 			{Object: model.ObjectID(i), Reader: reader, Time: 1},
 		}, model.Time(2+i%6))

@@ -257,14 +257,9 @@ func New(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*System, error
 	if err != nil {
 		return nil, err
 	}
-	// Precompute the edge-coverage index once per System; the filter's hot
-	// loops answer all coverage predicates from it (bit-for-bit identical to
-	// the geometric path, so the Workers determinism contract holds).
-	var cov *rfid.Coverage
-	if !cfg.Particle.DisableCoverageIndex {
-		cov = rfid.BuildCoverage(g, dep)
-	}
-	filter, err := particle.NewWithCoverage(cfg.Particle, g, dep, cov)
+	// The filter builds the edge-coverage index once per System and answers
+	// every coverage predicate of its hot loops from it.
+	filter, err := particle.New(cfg.Particle, g, dep)
 	if err != nil {
 		return nil, err
 	}
@@ -353,10 +348,6 @@ func (s *System) AnchorIndex() *anchor.Index { return s.idx }
 
 // Deployment returns the reader deployment.
 func (s *System) Deployment() *rfid.Deployment { return s.dep }
-
-// Coverage returns the precomputed edge-coverage index, or nil when
-// Config.Particle.DisableCoverageIndex selected the geometric path.
-func (s *System) Coverage() *rfid.Coverage { return s.filter.Coverage() }
 
 // Collector returns the raw data collector.
 func (s *System) Collector() *collector.Collector { return s.col }

@@ -378,6 +378,11 @@ func (h *Histogram) write(w *bufio.Writer, name, labels string) {
 		}
 		return labels[:len(labels)-1] + `,le="` + le + `"}`
 	}
+	// Read the sum before the buckets: Observe counts its bucket before
+	// adding to the sum, so every observation in this sum is also in the
+	// counts read below, and a concurrent scrape never shows an empty
+	// histogram with a nonzero sum.
+	sum := h.Sum()
 	var cum uint64
 	for i := range h.counts {
 		cum += h.counts[i].Load()
@@ -396,7 +401,7 @@ func (h *Histogram) write(w *bufio.Writer, name, labels string) {
 	w.WriteString("_sum")
 	w.WriteString(labels)
 	w.WriteByte(' ')
-	w.WriteString(formatFloat(h.Sum()))
+	w.WriteString(formatFloat(sum))
 	w.WriteByte('\n')
 	w.WriteString(name)
 	w.WriteString("_count")

@@ -1,6 +1,7 @@
 package particle
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/floorplan"
@@ -29,8 +30,8 @@ func randomSetup(t *testing.T, trial int) (*walkgraph.Graph, *rfid.Deployment) {
 
 // randomEntries synthesizes an aggregated reading stream: bursts of
 // detections at randomly chosen readers separated by silent stretches, the
-// mix that drives the filter through InitAt, reweight, the kidnapped-robot
-// recovery, and negativeUpdate.
+// mix that drives the filter through initialization, reweighting, the
+// kidnapped-robot recovery, and the negative update.
 func randomEntries(src *rng.Source, dep *rfid.Deployment, seconds int) []model.AggregatedReading {
 	var entries []model.AggregatedReading
 	reader := model.ReaderID(src.Intn(dep.NumReaders()))
@@ -64,71 +65,265 @@ func statesEqual(a, b *State) bool {
 	return true
 }
 
-// TestIndexedFilterMatchesGeometricBitForBit is the determinism-contract
-// property test of the coverage index: on 50 random floorplans and random
-// reading streams, a full Filter.Run on the indexed path must produce
-// exactly the particle set of the geometric reference path — same
-// locations, directions, speeds, and weights, down to the last bit (both
-// paths consume the same random stream, so any divergence in a coverage
-// predicate would desynchronize them visibly).
+// matchOracle fails unless the kernel's state and run statistics equal the
+// oracle's: particles to the last bit, and every RunStats field but the
+// stage durations.
+func matchOracle(t *testing.T, what string, got, want *State, gotRS, wantRS RunStats) {
+	t.Helper()
+	if !statesEqual(got, want) {
+		t.Fatalf("%s: kernel and geometric oracle diverged\nkernel: %+v\noracle: %+v", what, got, want)
+	}
+	if gotRS.From != wantRS.From || gotRS.To != wantRS.To || gotRS.Steps != wantRS.Steps ||
+		gotRS.Detections != wantRS.Detections || gotRS.Resamples != wantRS.Resamples || gotRS.ESS != wantRS.ESS {
+		t.Fatalf("%s: RunStats diverged: kernel %+v, oracle %+v", what, gotRS, wantRS)
+	}
+}
+
+// TestIndexedFilterMatchesGeometricBitForBit is the determinism contract of
+// the kernel: on 50 random floorplans × {Systematic, Multinomial} × {every
+// reader healthy, at least one unhealthy}, an instrumented RunPool followed
+// by an AdvancePool over a second batch of readings must produce exactly the
+// particle set of the paper's geometric formulation (oracle_test.go) — same
+// locations, directions, speeds, resting flags and weights, down to the last
+// bit — and the same step, detection and resample counts and ESS. Both
+// consume the same random stream, so any divergence in motion, a coverage
+// predicate, recovery, resampling or roughening desynchronizes them visibly.
 func TestIndexedFilterMatchesGeometricBitForBit(t *testing.T) {
+	pool := NewPool() // shared across trials, like an engine worker's pool
 	for trial := 0; trial < 50; trial++ {
 		g, dep := randomSetup(t, trial)
+		cov := rfid.BuildCoverage(g, dep)
+		variant := 0
+		for _, resample := range []Resampler{Systematic, Multinomial} {
+			for _, sick := range []bool{false, true} {
+				variant++
+				what := fmt.Sprintf("trial %d, resampler %d, unhealthy readers %v", trial, resample, sick)
+				cfg := DefaultConfig()
+				cfg.Resample = resample
+				f, err := NewWithCoverage(cfg, g, dep, cov)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.Instrument(Metrics{})
+				src := rng.New(int64(5000 + 4*trial + variant))
+				if sick {
+					un := make([]bool, dep.NumReaders())
+					un[src.Intn(len(un))] = true
+					for i := range un {
+						un[i] = un[i] || src.Bool(0.2)
+					}
+					f.SetUnhealthy(un)
+				}
+				o := &oracle{cfg: cfg, g: g, dep: dep, unhealthy: f.Unhealthy()}
+				seed := int64(4*trial + variant)
 
-		cfgIdx := DefaultConfig()
-		cfgGeo := DefaultConfig()
-		cfgGeo.DisableCoverageIndex = true
-		fIdx := MustNew(cfgIdx, g, dep)
-		fGeo := MustNew(cfgGeo, g, dep)
-		if fIdx.Coverage() == nil || fGeo.Coverage() != nil {
-			t.Fatal("coverage knob did not select the expected paths")
-		}
+				entries := randomEntries(src, dep, 40+trial)
+				now := entries[len(entries)-1].Time + model.Time(trial%8)
+				got, err := f.RunPool(pool, rng.Derive(7, seed), 1, entries, now)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, wantRS, err := o.run(rng.Derive(7, seed), 1, entries, now)
+				if err != nil {
+					t.Fatal(err)
+				}
+				matchOracle(t, what+": RunPool", got, want, got.LastRun, wantRS)
 
-		src := rng.New(int64(5000 + trial))
-		entries := randomEntries(src, dep, 40+trial)
-		now := entries[len(entries)-1].Time + model.Time(trial%8)
+				// The cache-hit path must agree too: advance both states
+				// further with a second batch of readings.
+				more := randomEntries(src, dep, 20)
+				for i := range more {
+					more[i].Time += now + 1
+				}
+				later := now + 25
+				f.AdvancePool(pool, rng.Derive(8, seed), got, more, later)
+				wantRS = o.advance(rng.Derive(8, seed), want, more, later, true)
+				matchOracle(t, what+": AdvancePool", got, want, got.LastRun, wantRS)
+			}
+		}
+	}
+}
 
-		stIdx, errIdx := fIdx.Run(rng.Derive(7, int64(trial)), 1, entries, now)
-		stGeo, errGeo := fGeo.Run(rng.Derive(7, int64(trial)), 1, entries, now)
-		if (errIdx == nil) != (errGeo == nil) {
-			t.Fatalf("trial %d: error mismatch: %v vs %v", trial, errIdx, errGeo)
-		}
-		if !statesEqual(stIdx, stGeo) {
-			t.Fatalf("trial %d: indexed and geometric filter output diverged\nindexed:   %+v\ngeometric: %+v",
-				trial, stIdx, stGeo)
-		}
+// TestSoAKernelMatchesAoSBitForBit holds the kernel's load/store boundary —
+// State.Particles (array of structs) into and out of the Pool's flat arrays
+// (structure of arrays) — to the oracle when one pool serves several states
+// in turn, as an engine worker's does: two objects advanced alternately, then
+// a clone advanced apart from its original, must each match the oracle bit
+// for bit under both resamplers. Every switch of state leaves the pool's
+// residency stamp stale, so each advance reloads from the particles the
+// previous store wrote back.
+func TestSoAKernelMatchesAoSBitForBit(t *testing.T) {
+	pool := NewPool()
+	for trial := 0; trial < 50; trial++ {
+		g, dep := randomSetup(t, trial)
+		for _, resample := range []Resampler{Systematic, Multinomial} {
+			cfg := DefaultConfig()
+			cfg.Resample = resample
+			f := MustNew(cfg, g, dep)
+			o := &oracle{cfg: cfg, g: g, dep: dep}
+			src := rng.New(int64(15000 + 2*trial + int(resample)))
+			seed := int64(2*trial + int(resample))
+			what := fmt.Sprintf("trial %d, resampler %d", trial, resample)
 
-		// The cache-hit path must agree too: advance both states further
-		// with a second batch of readings.
-		more := randomEntries(src, dep, 20)
-		for i := range more {
-			more[i].Time += now + 1
+			var got, want [2]*State
+			now := model.Time(32)
+			for i := range got {
+				obj := model.ObjectID(i + 1)
+				entries := randomEntries(src, dep, 30)
+				for j := range entries {
+					entries[j].Object = obj
+				}
+				var err error
+				if got[i], err = f.RunPool(pool, rng.Derive(7, seed, int64(obj)), obj, entries, now); err != nil {
+					t.Fatal(err)
+				}
+				if want[i], _, err = o.run(rng.Derive(7, seed, int64(obj)), obj, entries, now); err != nil {
+					t.Fatal(err)
+				}
+				if !statesEqual(got[i], want[i]) {
+					t.Fatalf("%s: object %d: RunPool diverged from the oracle", what, obj)
+				}
+			}
+			for round := int64(0); round < 3; round++ {
+				later := now + 12
+				for i := range got {
+					more := randomEntries(src, dep, 10)
+					for j := range more {
+						more[j].Object, more[j].Time = got[i].Object, more[j].Time+now+1
+					}
+					f.AdvancePool(pool, rng.Derive(8, seed, round, int64(i)), got[i], more, later)
+					o.advance(rng.Derive(8, seed, round, int64(i)), want[i], more, later, true)
+					if !statesEqual(got[i], want[i]) {
+						t.Fatalf("%s: object %d, round %d: AdvancePool diverged from the oracle", what, i+1, round)
+					}
+				}
+				now = later
+			}
+
+			// A clone carries no stamp: advancing it and then its original
+			// on the same pool reloads both.
+			gotClone, wantClone := got[0].Clone(), want[0].Clone()
+			for k, pair := range [][2]*State{{gotClone, wantClone}, {got[0], want[0]}} {
+				f.AdvancePool(pool, rng.Derive(9, seed, int64(k)), pair[0], nil, now+5)
+				o.advance(rng.Derive(9, seed, int64(k)), pair[1], nil, now+5, true)
+				if !statesEqual(pair[0], pair[1]) {
+					t.Fatalf("%s: advance %d after Clone diverged from the oracle", what, k)
+				}
+			}
 		}
-		later := now + 25
-		fIdx.Advance(rng.Derive(8, int64(trial)), stIdx, more, later)
-		fGeo.Advance(rng.Derive(8, int64(trial)), stGeo, more, later)
-		if !statesEqual(stIdx, stGeo) {
-			t.Fatalf("trial %d: Advance diverged between indexed and geometric paths", trial)
+	}
+}
+
+// TestSoAKernelMatchesAoSInstrumented follows the engine's steady state: one
+// object advanced a second at a time on the same pool, so every load after
+// the first is elided and the kernel resumes from the arrays its last store
+// left behind. With stage timing on, each second's particles and RunStats
+// (step, detection and resample counts, ESS) must equal the oracle's.
+func TestSoAKernelMatchesAoSInstrumented(t *testing.T) {
+	pool := NewPool()
+	for trial := 0; trial < 8; trial++ {
+		g, dep := randomSetup(t, trial)
+		f := MustNew(DefaultConfig(), g, dep)
+		f.Instrument(Metrics{})
+		o := &oracle{cfg: DefaultConfig(), g: g, dep: dep}
+
+		src := rng.New(int64(16000 + trial))
+		entries := randomEntries(src, dep, 50)
+		first, rest := entries[0], entries[1:]
+		got, err := f.RunPool(pool, rng.Derive(9, int64(trial)), 1, entries[:1], first.Time)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := o.run(rng.Derive(9, int64(trial)), 1, entries[:1], first.Time)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for now := first.Time + 1; now <= entries[len(entries)-1].Time+3; now++ {
+			var second []model.AggregatedReading
+			if len(rest) > 0 && rest[0].Time == now {
+				second, rest = rest[:1], rest[1:]
+			}
+			if got.soaPool != pool || pool.owner != got {
+				t.Fatalf("trial %d, second %d: residency stamp lost between consecutive advances", trial, now)
+			}
+			f.AdvancePool(pool, rng.Derive(10, int64(trial), int64(now)), got, second, now)
+			wantRS := o.advance(rng.Derive(10, int64(trial), int64(now)), want, second, now, true)
+			matchOracle(t, fmt.Sprintf("trial %d, second %d", trial, now), got, want, got.LastRun, wantRS)
 		}
 	}
 }
 
 // TestIndexedInitAtMatchesGeometric checks the initialization distribution
-// alone: for every reader of each random deployment, the sampled particle
-// sets must be identical.
+// alone: for every reader of each random deployment, InitAt's particle set
+// (sampled from the coverage index's intervals) must equal the oracle's
+// (re-intersecting the activation circle with every edge).
 func TestIndexedInitAtMatchesGeometric(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		g, dep := randomSetup(t, trial)
-		cfgGeo := DefaultConfig()
-		cfgGeo.DisableCoverageIndex = true
-		fIdx := MustNew(DefaultConfig(), g, dep)
-		fGeo := MustNew(cfgGeo, g, dep)
+		f := MustNew(DefaultConfig(), g, dep)
+		o := &oracle{cfg: DefaultConfig(), g: g, dep: dep}
 		for _, r := range dep.Readers() {
-			a := fIdx.InitAt(rng.Derive(11, int64(trial), int64(r.ID)), 1, r.ID, 0)
-			b := fGeo.InitAt(rng.Derive(11, int64(trial), int64(r.ID)), 1, r.ID, 0)
-			if !statesEqual(a, b) {
+			got := f.InitAt(rng.Derive(11, int64(trial), int64(r.ID)), 1, r.ID, 0)
+			want := &State{Object: 1, Particles: o.initParticles(rng.Derive(11, int64(trial), int64(r.ID)), r.ID)}
+			if !statesEqual(got, want) {
 				t.Fatalf("trial %d reader %d: InitAt diverged", trial, r.ID)
 			}
+		}
+	}
+}
+
+// TestNilPoolRunsOnThrowawayPool pins the one dispatch rule left: a nil pool
+// runs the same kernel on a throwaway Pool — output identical to a pooled
+// run — and the state keeps no reference to that pool.
+func TestNilPoolRunsOnThrowawayPool(t *testing.T) {
+	g, dep := randomSetup(t, 3)
+	f := MustNew(DefaultConfig(), g, dep)
+	src := rng.New(42)
+	entries := randomEntries(src, dep, 30)
+	now := entries[len(entries)-1].Time + 2
+
+	pool := NewPool()
+	want, err := f.RunPool(pool, rng.Derive(1), 1, entries, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := f.RunPool(nil, rng.Derive(1), 1, entries, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !statesEqual(got, want) {
+		t.Fatal("nil-pool RunPool diverged from the pooled run")
+	}
+	f.AdvancePool(pool, rng.Derive(2), want, nil, now+10)
+	f.AdvancePool(nil, rng.Derive(2), got, nil, now+10)
+	if !statesEqual(got, want) {
+		t.Fatal("nil-pool AdvancePool diverged from the pooled advance")
+	}
+	if got.soaPool != nil {
+		t.Fatal("state keeps the throwaway pool alive")
+	}
+}
+
+// TestNewWithCoverageRejectsMismatchedIndex: the filter answers every
+// coverage question from the index, so a missing one, or one built over
+// another graph or deployment, is a construction error rather than a
+// nil dereference or silently wrong answers.
+func TestNewWithCoverageRejectsMismatchedIndex(t *testing.T) {
+	g, dep := randomSetup(t, 0)
+	otherG, otherDep := randomSetup(t, 1)
+	for _, tc := range []struct {
+		name string
+		cov  *rfid.Coverage
+		ok   bool
+	}{
+		{"matching index", rfid.BuildCoverage(g, dep), true},
+		{"nil index", nil, false},
+		{"index over another graph", rfid.BuildCoverage(otherG, dep), false},
+		{"index over another deployment", rfid.BuildCoverage(g, otherDep), false},
+	} {
+		_, err := NewWithCoverage(DefaultConfig(), g, dep, tc.cov)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want ok = %v", tc.name, err, tc.ok)
 		}
 	}
 }

@@ -45,7 +45,7 @@ func TestRecoveryOnInconsistentObservation(t *testing.T) {
 		{Object: 1, Reader: 0, Time: 0},
 		{Object: 1, Reader: 6, Time: 1},
 	}
-	st, err := f.Run(src, 1, entries, 1)
+	st, err := f.RunPool(NewPool(), src, 1, entries, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestNegativeUpdatePushesMassOutOfRanges(t *testing.T) {
 	}
 	// After 12 silent seconds, particles that wandered into the adjacent
 	// readers' ranges (x=30, x=50) should have been demoted.
-	st, err := f.Run(src, 1, entries, 12)
+	st, err := f.RunPool(NewPool(), src, 1, entries, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestNegativeInfoOffMatchesPaperAlgorithm(t *testing.T) {
 	f := MustNew(cfg, g, dep)
 	src := rng.New(5)
 	entries := []model.AggregatedReading{{Object: 1, Reader: 3, Time: 0}}
-	st, err := f.Run(src, 1, entries, 10)
+	st, err := f.RunPool(NewPool(), src, 1, entries, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestRougheningPreservesSpeedBounds(t *testing.T) {
 		{Object: 1, Reader: 3, Time: 10},
 		{Object: 1, Reader: 4, Time: 20},
 	}
-	st, err := f.Run(src, 1, entries, 25)
+	st, err := f.RunPool(NewPool(), src, 1, entries, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,12 +148,10 @@ func TestZeroJitterKeepsCloneSpeeds(t *testing.T) {
 	for _, p := range st.Particles {
 		speeds[p.Speed] = true
 	}
-	// Reweight + resample: all surviving speeds must come from the initial
+	// One detected second: predict, reweight, resample, and roughening (a
+	// no-op at zero jitter). All surviving speeds must come from the initial
 	// set.
-	f.reweight(st.Particles, 3)
-	NormalizeWeights(st.Particles)
-	st.Particles = cfg.Resample(src, nil, st.Particles)
-	f.roughen(src, st.Particles) // no-op at zero jitter
+	f.AdvancePool(NewPool(), src, st, []model.AggregatedReading{{Object: 1, Reader: 3, Time: 1}}, 1)
 	for _, p := range st.Particles {
 		if !speeds[p.Speed] {
 			t.Fatalf("speed %v not inherited from a parent", p.Speed)
@@ -172,11 +170,11 @@ func TestAdvanceIsIncrementallyConsistent(t *testing.T) {
 		{Object: 1, Reader: 2, Time: 0},
 		{Object: 1, Reader: 3, Time: 12},
 	}
-	st, err := f.Run(rng.New(8), 1, entries[:1], 5)
+	st, err := f.RunPool(NewPool(), rng.New(8), 1, entries[:1], 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Advance(rng.New(9), st, entries, 14)
+	f.AdvancePool(NewPool(), rng.New(9), st, entries, 14)
 	if st.Time != 14 || st.LastReadingTime != 12 {
 		t.Fatalf("staged state: time=%d lastReading=%d", st.Time, st.LastReadingTime)
 	}

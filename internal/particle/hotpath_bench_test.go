@@ -12,159 +12,154 @@ import (
 	"repro/internal/walkgraph"
 )
 
-// benchSetup builds the paper's default deployment (DefaultOffice, 19
-// readers at 2 m range) and one filter per coverage path.
-func benchSetup(b *testing.B) (*walkgraph.Graph, *rfid.Deployment, map[string]*Filter) {
-	b.Helper()
+// The hot-path benchmarks keep the sub-benchmark name "indexed" (the
+// coverage-index kernel) so cmd/benchjson compares them against the
+// checked-in BENCH_N.json rows of the same name.
+
+// benchFilter builds a filter on the paper's default deployment
+// (DefaultOffice, 19 readers at 2 m range).
+func benchFilter(tb testing.TB) *Filter {
+	tb.Helper()
 	plan := floorplan.DefaultOffice()
 	g, err := walkgraph.Build(plan)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	dep, err := rfid.DeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	cfgGeo := DefaultConfig()
-	cfgGeo.DisableCoverageIndex = true
-	return g, dep, map[string]*Filter{
-		"indexed":   MustNew(DefaultConfig(), g, dep),
-		"geometric": MustNew(cfgGeo, g, dep),
-	}
+	return MustNew(DefaultConfig(), g, dep)
 }
 
-// spreadState initializes a particle set covering a realistic spread: the
-// cloud of a reader detection after a few seconds of coasting.
-func spreadState(f *Filter, seed int64) (*State, *rng.Source) {
+// spreadState initializes a particle set covering a realistic spread — the
+// cloud of a reader detection after a few seconds of coasting — and leaves
+// it loaded in the returned pool.
+func spreadState(f *Filter, seed int64) (*State, *Pool, *rng.Source) {
 	src := rng.Derive(seed)
 	st := f.InitAt(src, 1, 3, 0)
-	f.Advance(src, st, nil, 4) // coast a few silent seconds to spread out
-	return st, src
+	pool := NewPool()
+	f.AdvancePool(pool, src, st, nil, 4) // coast a few silent seconds to spread out
+	return st, pool, src
 }
 
 // BenchmarkFilterStep measures one full filter second on the detected path:
 // motion step, reweight against the detecting reader, normalization,
-// systematic resampling, and roughening, for the paper's Ns=64 particles.
-// Both paths run through the pooled entry point the engine uses: "indexed"
-// executes the SoA kernel, "geometric" falls back to the scalar reference.
+// systematic resampling, and roughening, for the paper's Ns=64 particles,
+// through the pooled entry point the engine uses.
 func BenchmarkFilterStep(b *testing.B) {
-	_, _, filters := benchSetup(b)
-	pool := NewPool()
-	for _, name := range []string{"indexed", "geometric"} {
-		f := filters[name]
-		b.Run(name, func(b *testing.B) {
-			st, src := spreadState(f, 42)
-			entry := []model.AggregatedReading{{Object: 1, Reader: 3}}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				next := st.Time + 1
-				entry[0].Time = next
-				f.AdvancePool(pool, src, st, entry, next)
-			}
-		})
-	}
+	f := benchFilter(b)
+	b.Run("indexed", func(b *testing.B) {
+		st, pool, src := spreadState(f, 42)
+		entry := []model.AggregatedReading{{Object: 1, Reader: 3}}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			next := st.Time + 1
+			entry[0].Time = next
+			f.AdvancePool(pool, src, st, entry, next)
+		}
+	})
 }
 
 // BenchmarkNegativeUpdate measures the silent-second observation: the
-// covered-by-any-reader test for every particle plus the conditional
-// degeneracy resampling.
+// batched covered-by-any-reader predicate for every particle plus the
+// conditional degeneracy resampling.
 func BenchmarkNegativeUpdate(b *testing.B) {
-	_, _, filters := benchSetup(b)
-	for _, name := range []string{"indexed", "geometric"} {
-		f := filters[name]
-		b.Run(name, func(b *testing.B) {
-			st, src := spreadState(f, 43)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f.negativeUpdate(src, st)
-			}
-		})
-	}
+	f := benchFilter(b)
+	b.Run("indexed", func(b *testing.B) {
+		_, pool, src := spreadState(f, 43)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f.negativeUpdateSoA(pool, src)
+		}
+	})
 }
 
 // BenchmarkInitAt measures particle-set initialization within a reader's
-// activation range (the filter (re)start path, also hit by the
+// activation range (the filter's start, also the draws of the
 // kidnapped-robot recovery).
 func BenchmarkInitAt(b *testing.B) {
-	_, dep, filters := benchSetup(b)
-	for _, name := range []string{"indexed", "geometric"} {
-		f := filters[name]
-		b.Run(name, func(b *testing.B) {
-			src := rng.Derive(44)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				reader := model.ReaderID(i % dep.NumReaders())
-				f.InitAt(src, 1, reader, 0)
-			}
-		})
-	}
+	f := benchFilter(b)
+	b.Run("indexed", func(b *testing.B) {
+		src := rng.Derive(44)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f.InitAt(src, 1, model.ReaderID(i%f.dep.NumReaders()), 0)
+		}
+	})
 }
 
 // BenchmarkReweight isolates the positive-observation predicate (covered by
-// the detecting reader, outside rooms and stairwells) without the resampling
-// that follows it.
+// the detecting reader, outside rooms and stairwells) as the kernel asks it:
+// one batch question over the pool's arrays, without the resampling that
+// follows.
 func BenchmarkReweight(b *testing.B) {
-	_, _, filters := benchSetup(b)
-	for _, name := range []string{"indexed", "geometric"} {
-		f := filters[name]
-		b.Run(name, func(b *testing.B) {
-			st, _ := spreadState(f, 45)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f.reweight(st.Particles, 3)
-			}
-		})
-	}
+	f := benchFilter(b)
+	b.Run("indexed", func(b *testing.B) {
+		_, pool, _ := spreadState(f, 45)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f.cov.BatchDetectableBy(3, pool.edge, pool.offset, pool.covered)
+		}
+	})
 }
 
-// TestSteadyStateAdvanceZeroAllocs verifies the satellite contract: once a
-// state's scratch buffers exist, the per-second filter loop — detected and
-// silent seconds alike — performs zero heap allocations.
-func TestSteadyStateAdvanceZeroAllocs(t *testing.T) {
-	plan := floorplan.DefaultOffice()
-	g := walkgraph.MustBuild(plan)
-	dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
-	f := MustNew(DefaultConfig(), g, dep)
-
-	src := rng.Derive(46)
-	st := f.InitAt(src, 1, 3, 0)
-	entry := []model.AggregatedReading{{Object: 1, Reader: 3}}
-
-	detected := func() {
+// requireAllocFreeSeconds warms a fresh pool up on st and fails t unless a
+// detected second, a silent second and the kidnapped-robot recovery (a
+// detection at a far-away reader no particle is consistent with) each advance
+// st with zero heap allocations. It returns the detected-second advance.
+func requireAllocFreeSeconds(t *testing.T, f *Filter, src *rng.Source, st *State) (detected func()) {
+	t.Helper()
+	pool := NewPool()
+	entry := []model.AggregatedReading{{Object: 1}}
+	detected = func() {
 		next := st.Time + 1
-		entry[0].Time = next
-		f.Advance(src, st, entry, next)
+		entry[0].Time, entry[0].Reader = next, 3
+		f.AdvancePool(pool, src, st, entry, next)
 	}
 	silent := func() {
-		f.Advance(src, st, nil, st.Time+1)
+		f.AdvancePool(pool, src, st, nil, st.Time+1)
 	}
-	// Warm up: first calls build the scratch slice and the byTime map.
+	far := model.ReaderID(3)
+	recovery := func() {
+		next := st.Time + 1
+		far = model.ReaderID((int(far) + 7) % f.dep.NumReaders())
+		entry[0].Time, entry[0].Reader = next, far
+		f.AdvancePool(pool, src, st, entry, next)
+	}
+	// Warm up: size the pool's arrays and schedule, and cover a silent
+	// second once.
 	detected()
 	silent()
-
-	if allocs := testing.AllocsPerRun(200, detected); allocs != 0 {
-		t.Errorf("detected-second Advance allocates %v times per run, want 0", allocs)
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{{"silent", silent}, {"detected", detected}, {"recovery", recovery}} {
+		if allocs := testing.AllocsPerRun(200, c.fn); allocs != 0 {
+			t.Errorf("pooled %s advance allocates %v times per run, want 0", c.name, allocs)
+		}
 	}
-	if allocs := testing.AllocsPerRun(200, silent); allocs != 0 {
-		t.Errorf("silent-second Advance allocates %v times per run, want 0", allocs)
-	}
+	return detected
 }
 
-// TestFullStepZeroAllocs extends the alloc pin to the entire engine-shaped
-// step: the pooled (SoA-kernel) advance with stage telemetry attached must
-// stay at zero allocations — detected seconds, silent seconds, and the
-// kidnapped-robot recovery path alike — and the trailing anchor-snap
-// discretization may allocate only its result map, never per-particle or
-// per-second garbage.
+// TestSteadyStateAdvanceZeroAllocs pins the per-second filter loop: once the
+// pool's arrays exist, the pooled advance performs zero heap allocations.
+func TestSteadyStateAdvanceZeroAllocs(t *testing.T) {
+	f := benchFilter(t)
+	src := rng.Derive(46)
+	requireAllocFreeSeconds(t, f, src, f.InitAt(src, 1, 3, 0))
+}
+
+// TestFullStepZeroAllocs extends the pin to the entire engine-shaped step:
+// with stage telemetry attached the pooled advance still allocates nothing,
+// and the trailing anchor-snap discretization may allocate only its result,
+// never per-particle or per-second garbage.
 func TestFullStepZeroAllocs(t *testing.T) {
-	plan := floorplan.DefaultOffice()
-	g := walkgraph.MustBuild(plan)
-	dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
-	f := MustNew(DefaultConfig(), g, dep)
+	f := benchFilter(t)
 	r := obs.NewRegistry()
 	f.Instrument(Metrics{
 		Predict:       r.Histogram("p", "x", nil),
@@ -172,29 +167,14 @@ func TestFullStepZeroAllocs(t *testing.T) {
 		Resample:      r.Histogram("r", "x", nil),
 		ParticleSteps: r.Counter("s", "x"),
 	})
-	idx, err := anchor.BuildIndex(g, anchor.DefaultSpacing)
+	idx, err := anchor.BuildIndex(f.g, anchor.DefaultSpacing)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	pool := NewPool()
 	src := rng.Derive(48)
 	st := f.InitAt(src, 1, 3, 0)
-	entry := []model.AggregatedReading{{Object: 1, Reader: 3}}
+	detected := requireAllocFreeSeconds(t, f, src, st)
 
-	detected := func() {
-		next := st.Time + 1
-		entry[0].Time = next
-		f.AdvancePool(pool, src, st, entry, next)
-	}
-	// A far-away reader forces the recovery re-initialization inside the
-	// kernel (no particle is consistent with the detection).
-	recovery := func() {
-		next := st.Time + 1
-		entry[0].Time = next
-		entry[0].Reader = model.ReaderID((int(entry[0].Reader) + 7) % dep.NumReaders())
-		f.AdvancePool(pool, src, st, entry, next)
-	}
 	var acc anchor.Accumulator
 	fullStep := func() {
 		detected()
@@ -202,23 +182,6 @@ func TestFullStepZeroAllocs(t *testing.T) {
 			t.Fatal("empty distribution")
 		}
 	}
-	// Warm up: build scratch, pool arrays, and the telemetry plumbing, and
-	// cover a pooled silent second once.
-	detected()
-	f.AdvancePool(pool, src, st, nil, st.Time+1)
-	silent := func() {
-		f.AdvancePool(pool, src, st, nil, st.Time+1)
-	}
-	if allocs := testing.AllocsPerRun(200, silent); allocs != 0 {
-		t.Errorf("pooled instrumented silent advance allocates %v times per run, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(200, detected); allocs != 0 {
-		t.Errorf("pooled instrumented detected advance allocates %v times per run, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(200, recovery); allocs != 0 {
-		t.Errorf("pooled recovery advance allocates %v times per run, want 0", allocs)
-	}
-	entry[0].Reader = 3
 	// The anchor snap returns a freshly built distribution: its two parallel
 	// slices and nothing else, the accumulator being the worker's scratch.
 	fullStep()

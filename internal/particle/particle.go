@@ -76,22 +76,7 @@ type Config struct {
 	NegativeWeight float64
 	// Resample is the resampling algorithm (default: Systematic, the
 	// paper's Algorithm 1).
-	Resample ResampleFunc
-	// DisableCoverageIndex turns off the precomputed edge-coverage index and
-	// makes the filter answer every coverage predicate with the original
-	// per-particle geometry. The two paths produce bit-for-bit identical
-	// filter output (enforced by the equivalence property tests); the
-	// geometric path exists as the reference implementation and for
-	// benchmark comparison. Leave it off outside benchmarks.
-	DisableCoverageIndex bool
-	// DisableSoAKernel makes RunPool/AdvancePool step particles through the
-	// original array-of-structs loops even when given a Pool, instead of the
-	// structure-of-arrays kernel (see soa.go). As with the coverage index,
-	// the two paths produce bit-for-bit identical filter output (enforced by
-	// the SoA equivalence property tests); the AoS path is the reference
-	// implementation and the benchmark baseline. Leave it off outside
-	// benchmarks.
-	DisableSoAKernel bool
+	Resample Resampler
 }
 
 // DefaultConfig returns the paper's parameters (Table 2 and Section 4.4).
@@ -139,8 +124,8 @@ func (c Config) Validate() error {
 	if c.SpeedJitter < 0 {
 		return fmt.Errorf("particle: SpeedJitter %v negative", c.SpeedJitter)
 	}
-	if c.Resample == nil {
-		return fmt.Errorf("particle: Resample function missing")
+	if c.Resample != Systematic && c.Resample != Multinomial {
+		return fmt.Errorf("particle: unknown Resample %d", c.Resample)
 	}
 	return nil
 }
@@ -154,68 +139,58 @@ type State struct {
 	Time model.Time
 	// LastReadingTime is the time of the newest reading incorporated.
 	LastReadingTime model.Time
-	// LastRun is the stage-timing breakdown of the most recent Run/Advance
-	// call, filled only when the filter is instrumented (Filter.Instrument).
+	// LastRun is the stage-timing breakdown of the most recent RunPool/
+	// AdvancePool call, filled only when the filter is instrumented
+	// (Filter.Instrument).
 	LastRun RunStats
 
-	// scratch is the recycled resampling output buffer: after each resample
-	// the previous particle slice becomes the next call's destination, so
-	// the steady-state filter loop allocates nothing. Its contents are
-	// meaningless between calls.
-	scratch []Particle
-	// byTime is advance's recycled detection schedule (time -> detecting
-	// reader), cleared and refilled on every advance call.
-	byTime map[model.Time]model.ReaderID
-
-	// soaPool/soaGen stamp the last SoA-kernel synchronization of this
-	// state: when soaPool's arrays still hold exactly this state's
-	// particles (generation match), the kernel skips re-loading them.
-	// Every scalar-path mutation clears the stamp; clones don't carry it.
+	// soaPool/soaGen stamp the last kernel store into this state: when
+	// soaPool's arrays still hold exactly this state's particles
+	// (generation match), the kernel skips re-loading them. Clones don't
+	// carry the stamp.
 	soaPool *Pool
 	soaGen  uint64
 }
 
-// Clone returns a deep copy of the state. Scratch buffers are not carried
-// over: clones start with fresh ones, so a state and its clone can be
-// advanced independently. The query path no longer clones (the cache hands
-// states over by ownership); snapshots and the benchmark harness do.
+// Clone returns a deep copy of the state, without the kernel's residency
+// stamp, so a state and its clone can be advanced independently. The query
+// path no longer clones (the cache hands states over by ownership);
+// snapshots and the benchmark harness do.
 func (s *State) Clone() *State {
 	c := *s
 	c.Particles = make([]Particle, len(s.Particles))
 	copy(c.Particles, s.Particles)
-	c.scratch = nil
-	c.byTime = nil
 	c.soaPool = nil
 	c.soaGen = 0
 	return &c
 }
 
-// NormalizeWeights scales weights to sum to one. If all weights are zero it
-// resets them to uniform.
-func NormalizeWeights(ps []Particle) {
+// normalize scales weights to sum to one. If all weights are zero it resets
+// them to uniform.
+func normalize(w []float64) {
 	total := 0.0
-	for i := range ps {
-		total += ps[i].Weight
+	for i := range w {
+		total += w[i]
 	}
 	if total <= 0 {
-		u := 1.0 / float64(len(ps))
-		for i := range ps {
-			ps[i].Weight = u
+		u := 1.0 / float64(len(w))
+		for i := range w {
+			w[i] = u
 		}
 		return
 	}
-	for i := range ps {
-		ps[i].Weight /= total
+	for i := range w {
+		w[i] /= total
 	}
 }
 
-// EffectiveSampleSize returns 1 / sum(w^2) for normalized weights, the
+// effectiveSampleSize returns 1 / sum(w^2) for normalized weights, the
 // standard degeneracy diagnostic: it approaches 1 when one particle
 // dominates and Ns when weights are uniform.
-func EffectiveSampleSize(ps []Particle) float64 {
+func effectiveSampleSize(w []float64) float64 {
 	sq := 0.0
-	for i := range ps {
-		sq += ps[i].Weight * ps[i].Weight
+	for i := range w {
+		sq += w[i] * w[i]
 	}
 	if sq == 0 {
 		return 0

@@ -1,8 +1,8 @@
 package particle
 
 import (
+	"maps"
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/anchor"
@@ -34,7 +34,7 @@ func TestConfigValidateRejections(t *testing.T) {
 		{"exit prob above one", func(c *Config) { c.RoomExitProb = 1.5 }},
 		{"low >= high weight", func(c *Config) { c.LowWeight = 2 }},
 		{"negative coast", func(c *Config) { c.MaxCoastSeconds = -1 }},
-		{"nil resampler", func(c *Config) { c.Resample = nil }},
+		{"unknown resampler", func(c *Config) { c.Resample = Multinomial + 1 }},
 	}
 	for _, tc := range cases {
 		cfg := base
@@ -46,33 +46,55 @@ func TestConfigValidateRejections(t *testing.T) {
 }
 
 func TestNormalizeWeights(t *testing.T) {
-	ps := []Particle{{Weight: 2}, {Weight: 6}}
-	NormalizeWeights(ps)
-	if math.Abs(ps[0].Weight-0.25) > 1e-12 || math.Abs(ps[1].Weight-0.75) > 1e-12 {
-		t.Errorf("normalized = %v, %v", ps[0].Weight, ps[1].Weight)
+	w := []float64{2, 6}
+	normalize(w)
+	if math.Abs(w[0]-0.25) > 1e-12 || math.Abs(w[1]-0.75) > 1e-12 {
+		t.Errorf("normalized = %v", w)
 	}
 	// All-zero weights reset to uniform.
-	ps = []Particle{{Weight: 0}, {Weight: 0}, {Weight: 0}, {Weight: 0}}
-	NormalizeWeights(ps)
-	for _, p := range ps {
-		if math.Abs(p.Weight-0.25) > 1e-12 {
-			t.Errorf("zero-weight reset = %v", p.Weight)
+	w = []float64{0, 0, 0, 0}
+	normalize(w)
+	for _, x := range w {
+		if math.Abs(x-0.25) > 1e-12 {
+			t.Errorf("zero-weight reset = %v", x)
 		}
 	}
 }
 
 func TestEffectiveSampleSize(t *testing.T) {
-	uniform := []Particle{{Weight: 0.25}, {Weight: 0.25}, {Weight: 0.25}, {Weight: 0.25}}
-	if got := EffectiveSampleSize(uniform); math.Abs(got-4) > 1e-9 {
+	if got := effectiveSampleSize([]float64{0.25, 0.25, 0.25, 0.25}); math.Abs(got-4) > 1e-9 {
 		t.Errorf("uniform ESS = %v, want 4", got)
 	}
-	degenerate := []Particle{{Weight: 1}, {Weight: 0}, {Weight: 0}}
-	if got := EffectiveSampleSize(degenerate); math.Abs(got-1) > 1e-9 {
+	if got := effectiveSampleSize([]float64{1, 0, 0}); math.Abs(got-1) > 1e-9 {
 		t.Errorf("degenerate ESS = %v, want 1", got)
 	}
-	if EffectiveSampleSize(nil) != 0 {
+	if effectiveSampleSize(nil) != 0 {
 		t.Error("empty ESS should be 0")
 	}
+}
+
+// resampleParticles runs the kernel's resampler (Config.Resample = r) over
+// ps, whose weights the caller normalized, and returns the resampled set.
+func resampleParticles(r Resampler, src *rng.Source, ps []Particle) []Particle {
+	f := &Filter{cfg: Config{Resample: r}}
+	var pool Pool
+	pool.load(&State{Particles: ps})
+	f.resampleSoA(&pool, src, nil)
+	out := &State{}
+	pool.store(out)
+	return out.Particles
+}
+
+// normalized returns ps with weights scaled to sum to one.
+func normalized(ps []Particle) []Particle {
+	total := 0.0
+	for _, p := range ps {
+		total += p.Weight
+	}
+	for i := range ps {
+		ps[i].Weight /= total
+	}
+	return ps
 }
 
 func TestSystematicResamplePreservesCountAndWeights(t *testing.T) {
@@ -82,8 +104,7 @@ func TestSystematicResamplePreservesCountAndWeights(t *testing.T) {
 		ps[i].Loc = walkgraph.Location{Edge: walkgraph.EdgeID(i)}
 		ps[i].Weight = float64(i)
 	}
-	NormalizeWeights(ps)
-	out := Systematic(src, nil, ps)
+	out := resampleParticles(Systematic, src, normalized(ps))
 	if len(out) != 100 {
 		t.Fatalf("count = %d", len(out))
 	}
@@ -103,8 +124,7 @@ func TestSystematicEliminatesZeroWeight(t *testing.T) {
 		{Loc: walkgraph.Location{Edge: 2}, Weight: 0.5},
 	}
 	for trial := 0; trial < 100; trial++ {
-		out := Systematic(src, nil, ps)
-		for _, p := range out {
+		for _, p := range resampleParticles(Systematic, src, ps) {
 			if p.Loc.Edge == 0 {
 				t.Fatal("zero-weight particle survived systematic resampling")
 			}
@@ -114,10 +134,6 @@ func TestSystematicEliminatesZeroWeight(t *testing.T) {
 
 func TestSystematicReplicationProportional(t *testing.T) {
 	src := rng.New(3)
-	ps := []Particle{
-		{Loc: walkgraph.Location{Edge: 0}, Weight: 0.75},
-		{Loc: walkgraph.Location{Edge: 1}, Weight: 0.25},
-	}
 	// Systematic resampling with Ns=100 should give 75 +/- 1 copies of the
 	// heavy particle on every draw. The heavy block is contiguous: with a
 	// periodic weight arrangement systematic resampling aliases against its
@@ -125,15 +141,13 @@ func TestSystematicReplicationProportional(t *testing.T) {
 	big := make([]Particle, 100)
 	for i := range big {
 		if i < 50 {
-			big[i] = ps[0]
+			big[i] = Particle{Loc: walkgraph.Location{Edge: 0}, Weight: 0.75}
 		} else {
-			big[i] = ps[1]
+			big[i] = Particle{Loc: walkgraph.Location{Edge: 1}, Weight: 0.25}
 		}
 	}
-	NormalizeWeights(big)
-	out := Systematic(src, nil, big)
 	heavy := 0
-	for _, p := range out {
+	for _, p := range resampleParticles(Systematic, src, normalized(big)) {
 		if p.Loc.Edge == 0 {
 			heavy++
 		}
@@ -149,7 +163,7 @@ func TestMultinomialResample(t *testing.T) {
 		{Loc: walkgraph.Location{Edge: 0}, Weight: 0},
 		{Loc: walkgraph.Location{Edge: 1}, Weight: 1},
 	}
-	out := Multinomial(src, nil, ps)
+	out := resampleParticles(Multinomial, src, ps)
 	if len(out) != 2 {
 		t.Fatalf("count = %d", len(out))
 	}
@@ -161,8 +175,8 @@ func TestMultinomialResample(t *testing.T) {
 			t.Fatalf("weight = %v", p.Weight)
 		}
 	}
-	if Systematic(src, nil, nil) != nil || Multinomial(src, nil, nil) != nil {
-		t.Error("empty input should return nil")
+	if len(resampleParticles(Systematic, src, nil)) != 0 || len(resampleParticles(Multinomial, src, nil)) != 0 {
+		t.Error("empty input should stay empty")
 	}
 }
 
@@ -219,9 +233,19 @@ func TestInitAtPlacesParticlesInRange(t *testing.T) {
 	}
 }
 
+// stepOne moves one particle one second through the kernel's motion model.
+func stepOne(f *Filter, src *rng.Source, p *Particle) {
+	st := &State{Particles: []Particle{*p}}
+	var pool Pool
+	pool.load(st)
+	f.predictSoA(&pool, src)
+	pool.store(st)
+	*p = st.Particles[0]
+}
+
 func TestStepMovesAtSpeed(t *testing.T) {
-	g, _ := corridor(t)
-	cfg := DefaultConfig()
+	g, dep := corridor(t)
+	f := MustNew(DefaultConfig(), g, dep)
 	src := rng.New(6)
 	// Put a particle mid-hallway on a long edge, heading to B.
 	var e walkgraph.Edge
@@ -232,21 +256,21 @@ func TestStepMovesAtSpeed(t *testing.T) {
 		}
 	}
 	p := Particle{Loc: walkgraph.Location{Edge: e.ID, Offset: 1}, Toward: e.B, Speed: 1.2}
-	cfg.Step(src, g, &p, 1.0)
+	stepOne(f, src, &p)
 	if math.Abs(p.Loc.Offset-2.2) > 1e-9 {
 		t.Errorf("offset = %v, want 2.2", p.Loc.Offset)
 	}
 	// Heading to A decreases the offset.
 	p = Particle{Loc: walkgraph.Location{Edge: e.ID, Offset: 3}, Toward: e.A, Speed: 1.0}
-	cfg.Step(src, g, &p, 1.0)
+	stepOne(f, src, &p)
 	if math.Abs(p.Loc.Offset-2.0) > 1e-9 {
 		t.Errorf("offset = %v, want 2.0", p.Loc.Offset)
 	}
 }
 
 func TestStepEntersRoomAndRests(t *testing.T) {
-	g, _ := corridor(t)
-	cfg := DefaultConfig()
+	g, dep := corridor(t)
+	f := MustNew(DefaultConfig(), g, dep)
 	src := rng.New(7)
 	// Find room 0's door edge and walk a particle into the room.
 	var door walkgraph.Edge
@@ -260,7 +284,7 @@ func TestStepEntersRoomAndRests(t *testing.T) {
 		roomEnd = door.A
 	}
 	p := Particle{Loc: walkgraph.Location{Edge: door.ID, Offset: door.Length / 2}, Toward: roomEnd, Speed: 100}
-	cfg.Step(src, g, &p, 1.0)
+	stepOne(f, src, &p)
 	if !p.Resting {
 		t.Fatal("particle did not rest on reaching the room node")
 	}
@@ -270,8 +294,8 @@ func TestStepEntersRoomAndRests(t *testing.T) {
 }
 
 func TestRestingParticleLeavesAtConfiguredRate(t *testing.T) {
-	g, _ := corridor(t)
-	cfg := DefaultConfig()
+	g, dep := corridor(t)
+	f := MustNew(DefaultConfig(), g, dep)
 	var door walkgraph.Edge
 	for _, e := range g.Edges() {
 		if e.Kind == walkgraph.DoorEdge && e.Room == 0 {
@@ -288,7 +312,7 @@ func TestRestingParticleLeavesAtConfiguredRate(t *testing.T) {
 			Speed:   1,
 			Resting: true,
 		}
-		cfg.Step(src, g, &p, 1.0)
+		stepOne(f, src, &p)
 		if !p.Resting {
 			exits++
 		}
@@ -300,8 +324,8 @@ func TestRestingParticleLeavesAtConfiguredRate(t *testing.T) {
 }
 
 func TestNoUTurnAtJunctions(t *testing.T) {
-	g, _ := corridor(t)
-	cfg := DefaultConfig()
+	g, dep := corridor(t)
+	f := MustNew(DefaultConfig(), g, dep)
 	src := rng.New(9)
 	// A junction with degree >= 2: arriving there must never bounce straight
 	// back along the arrival edge.
@@ -329,7 +353,7 @@ func TestNoUTurnAtJunctions(t *testing.T) {
 		} else {
 			p.Loc.Offset = 0.1
 		}
-		cfg.Step(src, g, &p, 1.0)
+		stepOne(f, src, &p)
 		if p.Loc.Edge == arrival && !p.Resting {
 			// Allow it only if it moved past and came back through another
 			// node, impossible at speed 0.5 in 1 s here.
@@ -339,8 +363,8 @@ func TestNoUTurnAtJunctions(t *testing.T) {
 }
 
 func TestDeadEndReverses(t *testing.T) {
-	g, _ := corridor(t)
-	cfg := DefaultConfig()
+	g, dep := corridor(t)
+	f := MustNew(DefaultConfig(), g, dep)
 	src := rng.New(10)
 	// West end of the hallway (0,10) is a dead end with one incident edge.
 	var deadEnd walkgraph.NodeID = walkgraph.NoNode
@@ -361,7 +385,7 @@ func TestDeadEndReverses(t *testing.T) {
 	} else {
 		p.Loc.Offset = 0.3
 	}
-	cfg.Step(src, g, &p, 1.0)
+	stepOne(f, src, &p)
 	if p.Toward != g.OtherEnd(e, deadEnd) {
 		t.Errorf("particle did not reverse at dead end: toward %v", p.Toward)
 	}
@@ -385,7 +409,7 @@ func TestFilterLearnsDirection(t *testing.T) {
 	} {
 		entries = append(entries, model.AggregatedReading{Object: 1, Reader: tt.rd, Time: tt.t})
 	}
-	st, err := f.Run(src, 1, entries, 16)
+	st, err := f.RunPool(NewPool(), src, 1, entries, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,11 +438,11 @@ func TestFilterDeterministicGivenSeed(t *testing.T) {
 		{Object: 1, Reader: 1, Time: 0},
 		{Object: 1, Reader: 2, Time: 10},
 	}
-	st1, err := f.Run(rng.New(42), 1, entries, 15)
+	st1, err := f.RunPool(NewPool(), rng.New(42), 1, entries, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := f.Run(rng.New(42), 1, entries, 15)
+	st2, err := f.RunPool(NewPool(), rng.New(42), 1, entries, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +460,7 @@ func TestFilterCoastLimit(t *testing.T) {
 	entries := []model.AggregatedReading{{Object: 1, Reader: 1, Time: 0}}
 	// Last reading at t=0; the filter must stop at t=60 even when asked for
 	// t=500.
-	st, err := f.Run(src, 1, entries, 500)
+	st, err := f.RunPool(NewPool(), src, 1, entries, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +475,7 @@ func TestFilterCoastLimit(t *testing.T) {
 func TestFilterNoReadingsError(t *testing.T) {
 	g, dep := corridor(t)
 	f := MustNew(DefaultConfig(), g, dep)
-	if _, err := f.Run(rng.New(1), 1, nil, 10); err == nil {
+	if _, err := f.RunPool(NewPool(), rng.New(1), 1, nil, 10); err == nil {
 		t.Fatal("expected error for empty readings")
 	}
 }
@@ -465,7 +489,7 @@ func TestFilterResamplesOnReadings(t *testing.T) {
 		{Object: 1, Reader: 2, Time: 10},
 		{Object: 1, Reader: 2, Time: 11},
 	}
-	st, err := f.Run(src, 1, entries, 11)
+	st, err := f.RunPool(NewPool(), src, 1, entries, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +512,7 @@ func TestAdvanceIncorporatesNewReadings(t *testing.T) {
 	f := MustNew(DefaultConfig(), g, dep)
 	src := rng.New(14)
 	entries := []model.AggregatedReading{{Object: 1, Reader: 1, Time: 0}}
-	st, err := f.Run(src, 1, entries, 5)
+	st, err := f.RunPool(NewPool(), src, 1, entries, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +525,7 @@ func TestAdvanceIncorporatesNewReadings(t *testing.T) {
 		{Object: 1, Reader: 2, Time: 10},
 		{Object: 1, Reader: 2, Time: 11},
 	}
-	f.Advance(src, st, newEntries, 11)
+	f.AdvancePool(NewPool(), src, st, newEntries, 11)
 	if st.Time != 11 {
 		t.Errorf("time after Advance = %d, want 11", st.Time)
 	}
@@ -529,7 +553,7 @@ func TestAnchorDistributionSumsToOne(t *testing.T) {
 		{Object: 1, Reader: 1, Time: 0},
 		{Object: 1, Reader: 2, Time: 10},
 	}
-	st, err := f.Run(src, 1, entries, 20)
+	st, err := f.RunPool(NewPool(), src, 1, entries, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,7 +605,7 @@ func TestAnchorDistMatchesOracle(t *testing.T) {
 	var acc anchor.Accumulator
 	for seed := int64(1); seed <= 30; seed++ {
 		src := rng.New(seed)
-		st, err := f.Run(src, 1, []model.AggregatedReading{
+		st, err := f.RunPool(NewPool(), src, 1, []model.AggregatedReading{
 			{Object: 1, Reader: 1, Time: 0},
 			{Object: 1, Reader: 2, Time: model.Time(5 + seed%10)},
 		}, model.Time(10+seed))
@@ -605,10 +629,10 @@ func TestAnchorDistMatchesOracle(t *testing.T) {
 			}
 		}
 		got := st.AnchorDist(idx, &acc)
-		if !reflect.DeepEqual(got.Map(), want) {
+		if !maps.Equal(got.Map(), want) {
 			t.Fatalf("seed %d: AnchorDist = %v, oracle %v", seed, got.Map(), want)
 		}
-		if !reflect.DeepEqual(st.AnchorDistribution(idx), want) {
+		if !maps.Equal(st.AnchorDistribution(idx), want) {
 			t.Fatalf("seed %d: AnchorDistribution adapter disagrees", seed)
 		}
 	}

@@ -9,17 +9,17 @@ import (
 	"repro/internal/walkgraph"
 )
 
-// This file is the structure-of-arrays particle kernel: the filter's inner
-// loops rewritten over flat parallel arrays (edge index, offset, heading,
-// speed, resting bitset, weight) owned by a Pool, instead of a []Particle of
-// 56-byte structs. The kernel's arithmetic is bit-for-bit identical to the
-// scalar path in filter.go/motion.go — same float operations in the same
-// order, same random draws in the same order — so a filter produces the same
-// States whichever path runs (pinned by the SoA equivalence property tests).
-// What changes is the memory traffic: predict streams through five flat
-// arrays, reweight and the negative update hand whole batches to the
-// coverage index (rfid.BatchDetectableBy/Any), resampling permutes arrays
-// instead of structs, and roughening draws all speeds in one call.
+// This file is the structure-of-arrays particle kernel, the filter's only
+// implementation of Algorithm 2: its inner loops run over flat parallel
+// arrays (edge index, offset, heading, speed, resting bitset, weight) owned
+// by a Pool, instead of a []Particle of 56-byte structs. Predict streams
+// through five flat arrays, reweight and the negative update hand whole
+// batches to the coverage index (rfid.BatchDetectableBy/Any), resampling
+// permutes arrays instead of structs, and roughening draws all speeds in one
+// call. The arithmetic is bit-for-bit that of the paper's geometric,
+// particle-by-particle formulation — same float operations in the same
+// order, same random draws in the same order — which the package tests keep
+// as the oracle (TestIndexedFilterMatchesGeometricBitForBit).
 //
 // The Pool is the reusable scratch for one object-at-a-time stepping. It is
 // not safe for concurrent use; the engine keeps one per worker and reuses it
@@ -64,9 +64,8 @@ type Pool struct {
 	owner *State
 	gen   uint64
 
-	// sched is the recycled detection schedule (the SoA replacement for
-	// State.byTime): (time, reader) pairs sorted by time, deduplicated
-	// last-wins like the map writes it replaces.
+	// sched is the recycled detection schedule: (time, reader) pairs sorted
+	// by time, deduplicated last-wins.
 	sched []soaSched
 }
 
@@ -176,53 +175,49 @@ func (p *Pool) store(st *State) {
 	st.soaGen = p.gen
 }
 
-// RunPool is Run executing on the SoA kernel with pool as scratch. With a nil
-// pool, or when the filter cannot use the kernel (geometric path, custom
-// resampler, Config.DisableSoAKernel), it falls back to Run. Output is
-// bit-for-bit identical either way.
+// RunPool executes the full Algorithm 2 for one object on the kernel, with
+// pool as scratch: entries must be the object's aggregated readings from the
+// collector (oldest first, covering at most its two most recent detecting
+// devices). The filter initializes at the first entry's device and advances
+// to min(lastReading + MaxCoastSeconds, now). It returns an error when there
+// are no readings to start from. A nil pool runs on a throwaway one.
 func (f *Filter) RunPool(pool *Pool, src *rng.Source, obj model.ObjectID, entries []model.AggregatedReading, now model.Time) (*State, error) {
-	if pool == nil || !f.soa {
-		return f.Run(src, obj, entries, now)
-	}
 	if len(entries) == 0 {
 		return nil, errNoReadings(obj)
 	}
 	first := entries[0]
 	st := f.InitAt(src, obj, first.Reader, first.Time)
-	f.advanceSoA(pool, src, st, entries[1:], now, false)
+	f.AdvancePool(pool, src, st, entries[1:], now)
 	return st, nil
 }
 
-// AdvancePool is Advance executing on the SoA kernel with pool as scratch,
-// with the same fallback and equivalence contract as RunPool.
+// AdvancePool resumes a cached state on the kernel, with pool as scratch: it
+// incorporates entries newer than the state's time stamp and steps the
+// particles up to min(lastReading + MaxCoastSeconds, now). Entries at or
+// before the state's time are skipped. This is the cache-hit path of the
+// cache management module. A nil pool runs on a throwaway one.
 func (f *Filter) AdvancePool(pool *Pool, src *rng.Source, st *State, entries []model.AggregatedReading, now model.Time) {
-	if pool == nil || !f.soa {
-		f.advance(src, st, entries, now, true)
+	if pool == nil {
+		f.advanceSoA(new(Pool), src, st, entries, now)
+		st.soaPool = nil // the throwaway pool must not outlive the call
 		return
 	}
-	f.advanceSoA(pool, src, st, entries, now, true)
+	f.advanceSoA(pool, src, st, entries, now)
 }
 
-// SoAKernel reports whether the filter steps particles on the SoA kernel when
-// given a Pool: it requires the coverage index, the package's Systematic
-// resampler, and Config.DisableSoAKernel unset.
-func (f *Filter) SoAKernel() bool { return f.soa }
-
-// advanceSoA is the SoA mirror of advance: same schedule semantics, same
-// per-second stage order, same stage-timing attribution.
-func (f *Filter) advanceSoA(p *Pool, src *rng.Source, st *State, entries []model.AggregatedReading, now model.Time, skipStale bool) {
-	// Build the detection schedule. The scalar path uses a time-keyed map;
-	// here it is a slice kept sorted by time with last-write-wins on
-	// duplicates — the same contents, reading off in time order without
-	// a per-second map lookup. Entries arrive oldest-first, so the insert
-	// is an append in practice.
+// advanceSoA steps st second by second to min(td + coast, now), where td is
+// the newest reading time, reweighting and resampling at every detected
+// second: the paper's Algorithm 2, one stage at a time over the pool's flat
+// arrays.
+func (f *Filter) advanceSoA(p *Pool, src *rng.Source, st *State, entries []model.AggregatedReading, now model.Time) {
+	// Build the detection schedule: (time, reader) pairs kept sorted by time
+	// with last-write-wins on duplicates, read off in time order without a
+	// per-second lookup. Entries arrive oldest-first, so the insert is an
+	// append in practice.
 	sched := p.sched[:0]
 	td := st.LastReadingTime
 	for _, e := range entries {
-		if skipStale && e.Time <= st.Time {
-			continue
-		}
-		if !e.Detected() {
+		if e.Time <= st.Time || !e.Detected() {
 			continue
 		}
 		k := len(sched)
@@ -246,6 +241,9 @@ func (f *Filter) advanceSoA(p *Pool, src *rng.Source, st *State, entries []model
 	if now < tmin {
 		tmin = now
 	}
+	// Stage timing is gated on one bool so the uninstrumented loop pays no
+	// clock reads; time.Now and the histogram sinks allocate nothing, which
+	// keeps the instrumented loop inside the zero-allocation contract.
 	timed := f.timed
 	var rs RunStats
 	var t0 time.Time
@@ -274,6 +272,9 @@ func (f *Filter) advanceSoA(p *Pool, src *rng.Source, st *State, entries []model
 			cursor++
 		}
 		if !detected {
+			// The paper's reading.Device = null case. With negative
+			// information enabled, silence is itself an observation: the
+			// object is (almost surely) not inside any reader's range.
 			if f.cfg.UseNegativeInfo {
 				if timed {
 					t0 = time.Now()
@@ -289,19 +290,16 @@ func (f *Filter) advanceSoA(p *Pool, src *rng.Source, st *State, entries []model
 			rs.Detections++
 			t0 = time.Now()
 		}
-		// Reweight: the batch coverage predicate decides HighWeight or
-		// LowWeight per particle. The weights themselves are never
-		// materialized — after reweight every weight is exactly one of the
-		// two values, NormalizeWeights' total is their sum accumulated in
-		// index order, and the normalized weights (two divisions instead of
-		// Ns) are consumed solely by the resampler's CDF walk, which reads
-		// them straight off the covered flags. Every float operation and its
-		// order match the scalar reweight → normalize → resample chain, so
-		// the output stays bit-identical.
+		// Reweight by the device sensing model: particles inside the
+		// detecting reader's range, outside every room and stairwell (walls
+		// block reads), get HighWeight, the rest LowWeight. The batch
+		// coverage predicate decides which per particle; the weights
+		// themselves are never materialized — normalization needs only their
+		// sum, accumulated in index order, and the two normalized values go
+		// straight to the resampler.
 		f.cov.BatchDetectableBy(reader, p.edge, p.offset, p.covered)
 		hw, lw := f.cfg.HighWeight, f.cfg.LowWeight
-		// Accumulate in index order (the scalar normalization's float
-		// addition sequence) but select the addend by table index: the
+		// Select the addend by table index rather than by branch: the
 		// covered flags are close to a coin flip here, so a branch would
 		// mispredict constantly.
 		wtab := [2]float64{lw, hw}
@@ -315,21 +313,22 @@ func (f *Filter) advanceSoA(p *Pool, src *rng.Source, st *State, entries []model
 			hits += k
 			total += wtab[k]
 		}
-		consistent := hits > 0
 		if timed {
 			rs.Reweight += time.Since(t0)
 		}
-		if !consistent {
-			// Kidnapped-robot recovery, in place: reinitialize the arrays
-			// within the detecting reader's range (same draws and floats as
-			// the scalar recovery, without the fresh State allocation).
+		if hits == 0 {
+			// Degenerate observation: no particle is consistent with the
+			// reading. Without intervention the filter would keep the wrong
+			// cloud forever (all weights equally low), so recover by
+			// reinitializing within the detecting reader's range — the
+			// standard kidnapped-robot recovery, in place and allocation-free.
 			f.initSoA(p, src, reader)
 			continue
 		}
 		if timed {
 			t0 = time.Now()
 		}
-		f.resampleTwoValuedSoA(p, src, hw/total, lw/total)
+		f.resampleSoA(p, src, &[2]float64{lw / total, hw / total})
 		f.roughenSoA(p, src)
 		if timed {
 			rs.Resample += time.Since(t0)
@@ -382,14 +381,17 @@ func fneg(x float64) float64 {
 	return math.Float64frombits(math.Float64bits(x) ^ (1 << 63))
 }
 
-// predictSoA steps every particle by one second under the motion model,
-// mirroring Config.Step draw for draw over the flat edge/node tables.
+// predictSoA steps every particle by one second under the object motion
+// model: particles move forward with their constant speed along graph edges,
+// pick a random direction at intersections (never an immediate U-turn unless
+// at a dead end), enter rooms when their walk reaches a room node, and once
+// resting in a room leave it with probability RoomExitProb per second.
 func (f *Filter) predictSoA(p *Pool, src *rng.Source) {
 	et := f.et
 	nt := f.nt
 	rows, eRoom := et.Walk, et.RoomEnd
 	isRoom := nt.IsRoom
-	exitP := f.cfg.RoomExitProb // Step computes RoomExitProb*dt; dt is 1 here
+	exitP := f.cfg.RoomExitProb // per-second probability; a step is one second
 	n := p.n
 	pedge, poffset, ptoward, pspeed, presting := p.edge[:n], p.offset[:n], p.toward[:n], p.speed[:n], p.resting
 	for i := 0; i < n; i++ {
@@ -404,7 +406,7 @@ func (f *Filter) predictSoA(p *Pool, src *rng.Source) {
 			presting[word] &^= bit
 			node := eRoom[e]
 			if node < 0 {
-				node = row.A // roomNodeOf's fallback for roomless edges
+				node = row.A // a roomless edge: leave from endpoint A
 			}
 			adj := nt.Incident(node)
 			e = adj[src.Intn(len(adj))]
@@ -424,7 +426,7 @@ func (f *Filter) predictSoA(p *Pool, src *rng.Source) {
 			// instead of branches. Selection only picks one of two
 			// already-computed float64 bit patterns — off+remaining vs
 			// off-remaining (= off+(-remaining), identical in IEEE
-			// arithmetic) — so the result is bit-for-bit the scalar path's.
+			// arithmetic) — so the result is bit-for-bit the branchy form's.
 			m := boolMask(tw == row.B)
 			toNode := fsel(m, row.Length-off, off)
 			if remaining < toNode {
@@ -442,9 +444,9 @@ func (f *Filter) predictSoA(p *Pool, src *rng.Source) {
 				presting[word] |= bit
 				break
 			}
-			// chooseNextEdge: uniform pick among incident edges != e, unless
-			// the node is a dead end. Candidate order is the CSR adjacency
-			// order, which is Graph.IncidentEdges order — identical draws.
+			// Uniform pick among incident edges != e (no U-turn), unless the
+			// node is a dead end. Candidates are visited in the CSR adjacency
+			// order, which is Graph.IncidentEdges order.
 			adj := nt.Incident(node)
 			var next int32
 			if len(adj) == 1 {
@@ -476,78 +478,18 @@ func (f *Filter) predictSoA(p *Pool, src *rng.Source) {
 	}
 }
 
-// resampleTwoValuedSoA is resampleSoA for the detected-second case where the
-// normalized weights take exactly two values selected by the covered flags
-// (hwn for covered particles, lwn for the rest). The CDF additions visit the
-// same values in the same order as a materialized weight array would, so the
-// permutation is bit-identical to the general path.
-func (f *Filter) resampleTwoValuedSoA(p *Pool, src *rng.Source, hwn, lwn float64) {
-	ns := p.n
-	if ns == 0 {
-		return
-	}
-	inv := 1.0 / float64(ns)
-	u1 := src.Uniform(0, inv)
-	pow2 := ns&(ns-1) == 0
-	bresting := p.bresting
-	for k := range bresting {
-		bresting[k] = 0
-	}
-	covered := p.covered[:ns]
-	edge, offset, toward, speed, resting := p.edge, p.offset, p.toward, p.speed, p.resting
-	bedge, boffset, btoward, bspeed := p.bedge, p.boffset, p.btoward, p.bspeed
-	wtab := [2]float64{lwn, hwn}
-	// Prefix-sum the two-valued weights into the cum scratch in index order
-	// (the same float additions, in the same order, as the scalar walk's
-	// running accumulator), then overwrite the last slot with +Inf: the walk
-	// below can never pass it, which turns the scalar path's bounds check
-	// ("i < ns-1 && u > cum") into the single compare "u > cum[i]" while
-	// stopping at exactly the same index.
-	cum := p.cum[:ns]
-	c := 0.0
-	for i := 0; i < ns; i++ {
-		k := 0
-		if covered[i] {
-			k = 1
-		}
-		c += wtab[k]
-		cum[i] = c
-	}
-	cum[ns-1] = math.Inf(1)
-	i := 0
-	for j := 0; j < ns; j++ {
-		var u float64
-		if pow2 {
-			u = u1 + float64(j)*inv
-		} else {
-			u = u1 + float64(j)/float64(ns)
-		}
-		for u > cum[i] {
-			i++
-		}
-		bedge[j] = edge[i]
-		boffset[j] = offset[i]
-		btoward[j] = toward[i]
-		bspeed[j] = speed[i]
-		if resting[i>>6]&(1<<uint(i&63)) != 0 {
-			bresting[j>>6] |= 1 << uint(j&63)
-		}
-	}
-	p.edge, p.bedge = p.bedge, p.edge
-	p.offset, p.boffset = p.boffset, p.offset
-	p.toward, p.btoward = p.btoward, p.toward
-	p.speed, p.bspeed = p.bspeed, p.speed
-	p.resting, p.bresting = p.bresting, p.resting
-	w := p.weight
-	for j := range w {
-		w[j] = inv
-	}
-}
-
-// negativeUpdateSoA is the SoA mirror of negativeUpdate: soft-penalize
-// particles inside any healthy reader's range, then resample only on weight
-// degeneracy. Normalization and the ESS test replicate the scalar float
-// operations exactly.
+// negativeUpdateSoA applies the negative observation "no reader saw the
+// object this second". Unlike positive readings, silence is weak evidence —
+// a particle can be a second or two ahead of the true object — so the update
+// is a sequential importance step: weights of particles inside some reader's
+// range (rooms and stairwells are shielded from readers) are multiplied by
+// NegativeWeight and the set is resampled only when the effective sample
+// size degenerates below half the particle count. This preserves particle
+// diversity across long silent stretches instead of collapsing the cloud
+// into whichever hypothesis was briefly favored. Ranges of SUSPECT/DEAD
+// readers (Filter.SetUnhealthy) are excluded: silence from a reader that may
+// not be reporting carries no information, so the penalty there would push
+// mass away from where the object plausibly is.
 func (f *Filter) negativeUpdateSoA(p *Pool, src *rng.Source) {
 	n := p.n
 	f.cov.BatchDetectableAny(p.edge, p.offset, f.unhealthy, p.covered)
@@ -563,94 +505,16 @@ func (f *Filter) negativeUpdateSoA(p *Pool, src *rng.Source) {
 	if inside == 0 {
 		return
 	}
-	total := 0.0
-	for i := range w {
-		total += w[i]
-	}
-	if total <= 0 {
-		u := 1.0 / float64(n)
-		for i := range w {
-			w[i] = u
-		}
-	} else {
-		for i := range w {
-			w[i] /= total
-		}
-	}
-	sq := 0.0
-	for i := range w {
-		sq += w[i] * w[i]
-	}
-	ess := 0.0
-	if sq != 0 {
-		ess = 1 / sq
-	}
-	if ess < float64(n)/2 {
-		f.resampleSoA(p, src)
+	normalize(w)
+	if effectiveSampleSize(w) < float64(n)/2 {
+		f.resampleSoA(p, src, nil)
 		f.roughenSoA(p, src)
 	}
 }
 
-// resampleSoA is Systematic (Algorithm 1) permuting the flat arrays into the
-// back buffers. The probe positions and CDF walk are bit-identical to the
-// scalar resampler, including its division-avoiding fast path for
-// power-of-two counts (see Systematic).
-func (f *Filter) resampleSoA(p *Pool, src *rng.Source) {
-	ns := p.n
-	if ns == 0 {
-		return
-	}
-	inv := 1.0 / float64(ns)
-	u1 := src.Uniform(0, inv)
-	pow2 := ns&(ns-1) == 0
-	bresting := p.bresting
-	for k := range bresting {
-		bresting[k] = 0
-	}
-	weight := p.weight[:ns]
-	edge, offset, toward, speed, resting := p.edge, p.offset, p.toward, p.speed, p.resting
-	bedge, boffset, btoward, bspeed := p.bedge, p.boffset, p.btoward, p.bspeed
-	// Same prefix-sum + sentinel trick as resampleTwoValuedSoA: identical
-	// additions in identical order, with +Inf in the last slot standing in
-	// for the scalar walk's bounds check.
-	cum := p.cum[:ns]
-	c := 0.0
-	for i := 0; i < ns; i++ {
-		c += weight[i]
-		cum[i] = c
-	}
-	cum[ns-1] = math.Inf(1)
-	i := 0
-	for j := 0; j < ns; j++ {
-		var u float64
-		if pow2 {
-			u = u1 + float64(j)*inv
-		} else {
-			u = u1 + float64(j)/float64(ns)
-		}
-		for u > cum[i] {
-			i++
-		}
-		bedge[j] = edge[i]
-		boffset[j] = offset[i]
-		btoward[j] = toward[i]
-		bspeed[j] = speed[i]
-		if resting[i>>6]&(1<<uint(i&63)) != 0 {
-			bresting[j>>6] |= 1 << uint(j&63)
-		}
-	}
-	p.edge, p.bedge = p.bedge, p.edge
-	p.offset, p.boffset = p.boffset, p.offset
-	p.toward, p.btoward = p.btoward, p.toward
-	p.speed, p.bspeed = p.bspeed, p.speed
-	p.resting, p.bresting = p.bresting, p.resting
-	for j := range weight {
-		weight[j] = inv
-	}
-}
-
-// roughenSoA perturbs all speeds in one batched draw (stream-identical to the
-// scalar per-particle loop).
+// roughenSoA perturbs resampled particle speeds with small Gaussian noise,
+// all in one batched draw, so cloned particles diverge again instead of
+// moving in lock-step.
 func (f *Filter) roughenSoA(p *Pool, src *rng.Source) {
 	if f.cfg.SpeedJitter <= 0 {
 		return
@@ -659,9 +523,8 @@ func (f *Filter) roughenSoA(p *Pool, src *rng.Source) {
 }
 
 // initSoA reinitializes the pool's particles within the detecting reader's
-// activation range: the in-place SoA form of InitAt's sampling, with the same
-// draws, the same binary search over the precomputed intervals (the SoA
-// kernel always has the coverage index), and no allocation.
+// activation range: InitAt's distribution, drawn in place with no
+// allocation.
 func (f *Filter) initSoA(p *Pool, src *rng.Source, reader model.ReaderID) {
 	ivs, total := f.cov.InitIntervals(reader)
 	ns := f.ParticleBudget()
@@ -669,57 +532,9 @@ func (f *Filter) initSoA(p *Pool, src *rng.Source, reader model.ReaderID) {
 	for k := range p.resting {
 		p.resting[k] = 0
 	}
-	et := f.et
 	w := 1.0 / float64(ns)
 	for i := 0; i < ns; i++ {
-		var e int32
-		var off float64
-		if total > 0 {
-			u := src.Uniform(0, total)
-			// Find the interval containing u: the last index with
-			// CumStart <= u, the same index sort.Search yields on the
-			// scalar path (only the index matters for equivalence, not the
-			// probe sequence). Reader coverage rarely spans more than a
-			// handful of edges, so a branchless linear count beats a binary
-			// search whose every probe is a coin-flip branch; large tables
-			// keep the logarithmic search.
-			lo := 1
-			if len(ivs) <= 16 {
-				for k := 1; k < len(ivs); k++ {
-					b := 0
-					if ivs[k].CumStart <= u {
-						b = 1
-					}
-					lo += b
-				}
-			} else {
-				hi := len(ivs)
-				for lo < hi {
-					mid := int(uint(lo+hi) >> 1)
-					if !(ivs[mid].CumStart > u) {
-						lo = mid + 1
-					} else {
-						hi = mid
-					}
-				}
-			}
-			iv := &ivs[lo-1]
-			e = int32(iv.Edge)
-			off = iv.Lo + (u - iv.CumStart)
-		} else {
-			// Degenerate deployment: collapse to the nearest graph point.
-			loc := f.g.NearestLocation(f.dep.Reader(reader).Pos)
-			e = int32(loc.Edge)
-			off = loc.Offset
-		}
-		tw := et.A[e]
-		if src.Bool(0.5) {
-			tw = et.B[e]
-		}
-		p.edge[i] = e
-		p.offset[i] = off
-		p.toward[i] = tw
-		p.speed[i] = src.TruncGaussian(f.cfg.SpeedMean, f.cfg.SpeedStd, f.cfg.MinSpeed, f.cfg.MaxSpeed)
+		p.edge[i], p.offset[i], p.toward[i], p.speed[i] = f.initOne(src, reader, ivs, total)
 		p.weight[i] = w
 	}
 }

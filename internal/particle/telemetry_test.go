@@ -28,12 +28,12 @@ func instrumentedFilter(t testing.TB) (*Filter, Metrics) {
 	return f, m
 }
 
-// TestInstrumentedAdvanceZeroAllocs is the telemetry counterpart of
-// TestSteadyStateAdvanceZeroAllocs: with stage histograms and the particle-
+// TestInstrumentedAdvanceZeroAllocs: with stage histograms and the particle-
 // step counter attached, the per-second filter loop must still perform zero
 // heap allocations — instrumentation may cost clock reads, never garbage.
 func TestInstrumentedAdvanceZeroAllocs(t *testing.T) {
 	f, _ := instrumentedFilter(t)
+	pool := NewPool()
 	src := rng.Derive(46)
 	st := f.InitAt(src, 1, 3, 0)
 	entry := []model.AggregatedReading{{Object: 1, Reader: 3}}
@@ -41,12 +41,12 @@ func TestInstrumentedAdvanceZeroAllocs(t *testing.T) {
 	detected := func() {
 		next := st.Time + 1
 		entry[0].Time = next
-		f.Advance(src, st, entry, next)
+		f.AdvancePool(pool, src, st, entry, next)
 	}
 	silent := func() {
-		f.Advance(src, st, nil, st.Time+1)
+		f.AdvancePool(pool, src, st, nil, st.Time+1)
 	}
-	// Warm up: first calls build the scratch slice and the byTime map.
+	// Warm up: the first calls size the pool's arrays and schedule.
 	detected()
 	silent()
 
@@ -70,7 +70,7 @@ func TestStageTimingsRecorded(t *testing.T) {
 		{Object: 1, Reader: 3, Time: 1},
 		{Object: 1, Reader: 3, Time: 2},
 	}
-	f.Advance(src, st, entries, 4)
+	f.AdvancePool(NewPool(), src, st, entries, 4)
 
 	rs := st.LastRun
 	if rs.From != 0 || rs.To != 4 {
@@ -115,11 +115,11 @@ func TestInstrumentationPreservesResults(t *testing.T) {
 		{Object: 7, Reader: 2, Time: 3},
 		{Object: 7, Reader: 5, Time: 9},
 	}
-	a, err := plain.Run(rng.Derive(99), 7, entries, 20)
+	a, err := plain.RunPool(NewPool(), rng.Derive(99), 7, entries, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := timed.Run(rng.Derive(99), 7, entries, 20)
+	b, err := timed.RunPool(NewPool(), rng.Derive(99), 7, entries, 20)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,20 +15,20 @@ import (
 // negative-update loops need — "consistent with a detection by reader r"
 // and "consistent with silence" — including the structural exclusions
 // (rooms and stairwells are shielded from readers) and the guard-fringe
-// fallback to exact geometry, so the results are bit-for-bit identical to
-// the per-particle scalar path.
+// fallback to exact geometry, so the results are bit-for-bit those of the
+// per-particle 2-D geometry.
 
 // FlatSpans is the CSR layout of the span table: edge e's coverage spans are
 // Spans[Start[e]:Start[e+1]], ascending by reader ID within each edge. The
-// flat layout replaces the slice-of-slices SpanTable with one contiguous
-// array, which is what lets the batch scans below stream through memory.
+// flat layout replaces the per-edge span lists with one contiguous array,
+// which is what lets the batch scans below stream through memory.
 //
-// The flat copy bakes the structural exclusions of the scalar predicate into
-// the span bounds themselves: spans on stairwell links are dropped, and every
+// The flat copy bakes the structural exclusions of the predicates into the
+// span bounds themselves: spans on stairwell links are dropped, and every
 // upper bound is clamped below the edge's room boundary (DoorAt), so the
 // per-particle loop tests one interval instead of re-deriving edge kind and
 // room membership. Offsets are clamped to [0, Length] before the interval
-// test, exactly like the scalar path, and the clamped value only ever feeds
+// test, as Graph.Point clamps them, and the clamped value only ever feeds
 // comparisons, so the fold changes no observable result.
 //
 // ByReader additionally inverts the table for the single-reader predicate:
@@ -96,7 +96,7 @@ func (c *Coverage) FlatSpans() *FlatSpans {
 // offset off[i] is consistent with a detection by reader id: inside the
 // reader's activation range, outside every room, and not on a stairwell
 // link. It is the batched form of the reweight predicate, bit-for-bit
-// identical to the scalar span scan (inner interval certain, fringe falls
+// identical to the geometric predicate (inner interval certain, fringe falls
 // back to exact geometry). All slices must have equal length.
 func (c *Coverage) BatchDetectableBy(id model.ReaderID, edge []int32, off []float64, out []bool) {
 	fs := c.FlatSpans()
@@ -118,8 +118,7 @@ func (c *Coverage) BatchDetectableBy(id model.ReaderID, edge []int32, off []floa
 		// close to a coin flip in a converged cloud, so data branches here
 		// would mispredict constantly. The clamped value is only ever
 		// compared, never used in arithmetic, so min/max zero-sign
-		// differences from the scalar path's branchy clamp cannot leak into
-		// the output.
+		// differences from a branchy clamp cannot leak into the output.
 		co := min(max(o, 0), length[e])
 		s := &spans[si]
 		outer := co >= s.OuterLo && co <= s.OuterHi
@@ -137,8 +136,8 @@ func (c *Coverage) BatchDetectableBy(id model.ReaderID, edge []int32, off []floa
 // offset off[i] sits inside the activation range of any healthy reader —
 // the batched negative-observation predicate. Readers flagged in un are
 // excluded (a dead reader's silence says nothing); un may be nil. Rooms and
-// stairwell links are never detectable. Bit-for-bit identical to the scalar
-// negative-update span scan. All slices must have equal length.
+// stairwell links are never detectable. Bit-for-bit identical to the
+// geometric predicate. All slices must have equal length.
 func (c *Coverage) BatchDetectableAny(edge []int32, off []float64, un []bool, out []bool) {
 	fs := c.FlatSpans()
 	start, spans := fs.Start, fs.Spans

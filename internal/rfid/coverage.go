@@ -10,7 +10,7 @@ import (
 
 // This file implements the edge-coverage index: a deployment-build-time
 // precomputation that turns the particle filter's per-particle 2-D geometry
-// (circle-covers-point, covering-reader scans, circle-edge intersections)
+// (circle-covers-point, any-reader-covers-point, circle-edge intersections)
 // into 1-D interval lookups on walking-graph edges.
 //
 // Particles live on graph edges with scalar offsets, so for every
@@ -31,10 +31,10 @@ import (
 // costs two float compares instead of a hypot.
 //
 // For Filter.InitAt the index stores, per reader, the exact activation
-// intervals the geometric code computes (same expressions, same edge order,
-// same floats) together with their cumulative lengths, so initialization
-// sampling is a binary search instead of re-intersecting the activation
-// circle with every edge of the graph.
+// intervals ComputeInitIntervals computes (same expressions, same edge
+// order, same floats) together with their cumulative lengths, so
+// initialization sampling is a search over a few intervals instead of
+// re-intersecting the activation circle with every edge of the graph.
 
 // CoverageGuard is the half-width, in meters, of the fringe around computed
 // interval endpoints inside which coverage queries fall back to the exact
@@ -56,11 +56,10 @@ type InitInterval struct {
 }
 
 // ComputeInitIntervals returns the activation intervals of one reader in
-// graph-edge order, exactly as Filter.InitAt's geometric path computes them
-// (same intersection routine, same clipping, same accumulation order — the
-// floats are identical), plus their total length. The coverage index calls
-// this once per reader at build time; the filter's geometric reference path
-// calls it per initialization.
+// graph-edge order — the activation circle intersected with every edge, door
+// edges clipped to their hallway side, stairwell links dropped — plus their
+// total length. The coverage index calls this once per reader at build time;
+// the particle filter's geometric test oracle calls it per initialization.
 func ComputeInitIntervals(g *walkgraph.Graph, r Reader) ([]InitInterval, float64) {
 	circle := r.Circle()
 	var ivs []InitInterval
@@ -118,8 +117,7 @@ type Coverage struct {
 	dep *Deployment
 	et  *walkgraph.EdgeTable
 	// edges[e] lists the readers whose activation circles touch edge e,
-	// ascending by reader ID (the deployment's scan order, preserved so
-	// nearest-reader tie-breaking stays identical).
+	// ascending by reader ID.
 	edges [][]CoverSpan
 	rds   []readerCoverage
 	// flat is the lazily built CSR form of edges (see FlatSpans).
@@ -208,93 +206,6 @@ func spanOf(seg geom.Segment, circle geom.Circle, length float64) (CoverSpan, bo
 		InnerLo: math.Max(0, lo+CoverageGuard),
 		InnerHi: math.Min(length, hi-CoverageGuard),
 	}, true
-}
-
-// clampOffset mirrors Graph.Point's parameter clamping: offsets outside
-// [0, length] behave like the corresponding endpoint.
-func (c *Coverage) clampOffset(loc walkgraph.Location) float64 {
-	off := loc.Offset
-	if off < 0 {
-		return 0
-	}
-	if l := c.et.Length[loc.Edge]; off > l {
-		return l
-	}
-	return off
-}
-
-// SpanTable returns the per-edge coverage spans, indexed by EdgeID and
-// ascending by reader ID within each edge. The filter hot loops iterate it
-// inline (span scans are too hot to hide behind a call per particle); the
-// table and its rows must not be modified.
-func (c *Coverage) SpanTable() [][]CoverSpan { return c.edges }
-
-// ReaderCovers reports whether the given reader's activation range covers
-// the location, bit-for-bit identical to
-// d.Reader(id).Covers(g.Point(loc)).
-func (c *Coverage) ReaderCovers(id model.ReaderID, loc walkgraph.Location) bool {
-	off := c.clampOffset(loc)
-	for _, s := range c.edges[loc.Edge] {
-		if s.Reader != id {
-			continue
-		}
-		if off < s.OuterLo || off > s.OuterHi {
-			return false
-		}
-		if off >= s.InnerLo && off <= s.InnerHi {
-			return true
-		}
-		return c.dep.readers[id].Covers(c.g.Point(loc))
-	}
-	return false
-}
-
-// AnyReaderCovers reports whether any reader's activation range covers the
-// location, bit-for-bit identical to the boolean result of
-// d.CoveringReader(g.Point(loc)).
-func (c *Coverage) AnyReaderCovers(loc walkgraph.Location) bool {
-	off := c.clampOffset(loc)
-	spans := c.edges[loc.Edge]
-	for i := range spans {
-		s := &spans[i]
-		if off < s.OuterLo || off > s.OuterHi {
-			continue
-		}
-		if off >= s.InnerLo && off <= s.InnerHi {
-			return true
-		}
-		if c.dep.readers[s.Reader].Covers(c.g.Point(loc)) {
-			return true
-		}
-	}
-	return false
-}
-
-// CoveringReader returns the reader covering the location (nearest wins on
-// overlap), bit-for-bit identical to d.CoveringReader(g.Point(loc)). Only
-// the readers whose spans reach the offset are distance-tested.
-func (c *Coverage) CoveringReader(loc walkgraph.Location) (model.ReaderID, bool) {
-	off := c.clampOffset(loc)
-	spans := c.edges[loc.Edge]
-	best := model.NoReader
-	bestDist := 0.0
-	var p geom.Point
-	havePoint := false
-	for i := range spans {
-		s := &spans[i]
-		if off < s.OuterLo || off > s.OuterHi {
-			continue
-		}
-		if !havePoint {
-			p, havePoint = c.g.Point(loc), true
-		}
-		r := &c.dep.readers[s.Reader]
-		dist := r.Pos.Dist(p)
-		if dist <= r.Range && (best == model.NoReader || dist < bestDist) {
-			best, bestDist = r.ID, dist
-		}
-	}
-	return best, best != model.NoReader
 }
 
 // InitIntervals returns the precomputed activation intervals of a reader

@@ -10,8 +10,8 @@ import (
 	"repro/internal/walkgraph"
 )
 
-// coveringReaderBrute is the pre-index linear scan, kept verbatim as the
-// reference the grid and interval answers must match bit-for-bit.
+// coveringReaderBrute is the pre-grid linear scan, kept verbatim as the
+// reference the grid answers must match bit-for-bit.
 func coveringReaderBrute(d *Deployment, p geom.Point) (model.ReaderID, bool) {
 	best := model.NoReader
 	bestDist := 0.0
@@ -42,64 +42,145 @@ func randomDeployment(t *testing.T, src *rng.Source, trial int) (*walkgraph.Grap
 	return g, dep
 }
 
-// TestCoverageMatchesGeometry is the equivalence property test of the edge-
-// coverage index: on 50 random floorplans, indexed coverage answers
-// (covered by reader r? covered by any? which reader wins?) must equal the
-// geometric implementation exactly, for uniformly random offsets and for
-// offsets engineered to sit right at interval boundaries.
+// stairwellDeployment is the two-story office with the uniform deployment
+// plus readers at both ends and the middle of every stairwell link, so link
+// edges sit inside activation ranges.
+func stairwellDeployment(t *testing.T) (*walkgraph.Graph, *Deployment) {
+	t.Helper()
+	plan := floorplan.TwoStoryOffice()
+	g, err := walkgraph.Build(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readers := append([]Reader(nil), MustDeployUniform(plan, DefaultReaders, DefaultActivationRange).Readers()...)
+	for _, l := range plan.Links() {
+		for _, p := range []geom.Point{l.A, l.B, l.A.Lerp(l.B, 0.5)} {
+			readers = append(readers, Reader{Pos: p, Range: DefaultActivationRange})
+		}
+	}
+	return g, NewDeployment(readers)
+}
+
+// TestCoverageMatchesGeometry is the equivalence property test of the
+// edge-coverage index's two production predicates, BatchDetectableBy (the
+// reweight) and BatchDetectableAny (the negative update): on 50 random
+// floorplans and the two-story office with readers on its stairwells, they
+// must equal the 2-D geometry exactly — inside the reader's range (any
+// healthy reader's, for Any), outside every room, off every stairwell link —
+// for uniformly random offsets including out-of-range ones, offsets at and
+// a few float steps around every activation-interval endpoint and door
+// position, and every point of every link edge, with all readers healthy
+// and with a non-nil unhealthy mask.
 func TestCoverageMatchesGeometry(t *testing.T) {
-	for trial := 0; trial < 50; trial++ {
+	var roomExcluded, linkExcluded int
+	for trial := 0; trial <= 50; trial++ {
 		src := rng.New(int64(1000 + trial))
-		g, dep := randomDeployment(t, src, trial)
+		var g *walkgraph.Graph
+		var dep *Deployment
+		if trial < 50 {
+			g, dep = randomDeployment(t, src, trial)
+		} else {
+			g, dep = stairwellDeployment(t)
+		}
 		cov := BuildCoverage(g, dep)
 
-		check := func(loc walkgraph.Location) {
-			t.Helper()
-			p := g.Point(loc)
-			for _, r := range dep.Readers() {
-				want := r.Covers(p)
-				if got := cov.ReaderCovers(r.ID, loc); got != want {
-					t.Fatalf("trial %d: ReaderCovers(%d, %v) = %v, geometric = %v",
-						trial, r.ID, loc, got, want)
-				}
-			}
-			wantID, wantOK := coveringReaderBrute(dep, p)
-			if gotOK := cov.AnyReaderCovers(loc); gotOK != wantOK {
-				t.Fatalf("trial %d: AnyReaderCovers(%v) = %v, geometric = %v",
-					trial, loc, gotOK, wantOK)
-			}
-			gotID, gotOK := cov.CoveringReader(loc)
-			if gotID != wantID || gotOK != wantOK {
-				t.Fatalf("trial %d: CoveringReader(%v) = (%d, %v), geometric = (%d, %v)",
-					trial, loc, gotID, gotOK, wantID, wantOK)
-			}
-		}
-
+		var locs []walkgraph.Location
 		// Uniformly random locations, including offsets slightly out of
 		// range to exercise the endpoint clamping.
 		for i := 0; i < 200; i++ {
 			e := g.Edges()[src.Intn(g.NumEdges())]
-			check(walkgraph.Location{Edge: e.ID, Offset: src.Uniform(-0.5, e.Length+0.5)})
+			locs = append(locs, walkgraph.Location{Edge: e.ID, Offset: src.Uniform(-0.5, e.Length+0.5)})
 		}
-
+		near := func(e walkgraph.EdgeID, base float64) {
+			for _, d := range []float64{0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-4, -1e-4} {
+				locs = append(locs, walkgraph.Location{Edge: e, Offset: base + d})
+			}
+		}
 		// Boundary-targeted locations: offsets at and within a few float
-		// steps of every reader's activation interval endpoints, where the
-		// index must fall back to the exact geometric test.
+		// steps of every activation interval endpoint, where the index must
+		// fall back to the exact geometric test, and of every door position,
+		// where the room exclusion starts.
 		for _, r := range dep.Readers() {
 			circle := r.Circle()
 			for _, e := range g.Edges() {
-				t0, t1, ok := circle.SegmentIntersection(g.EdgeSegment(e.ID))
-				if !ok {
-					continue
-				}
-				for _, tt := range []float64{t0, t1} {
-					base := tt * e.Length
-					for _, d := range []float64{0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-4, -1e-4} {
-						check(walkgraph.Location{Edge: e.ID, Offset: base + d})
-					}
+				if t0, t1, ok := circle.SegmentIntersection(g.EdgeSegment(e.ID)); ok {
+					near(e.ID, t0*e.Length)
+					near(e.ID, t1*e.Length)
 				}
 			}
 		}
+		for _, e := range g.Edges() {
+			switch e.Kind {
+			case walkgraph.DoorEdge:
+				near(e.ID, e.DoorAt)
+			case walkgraph.LinkEdge:
+				for k := 0; k <= 20; k++ {
+					locs = append(locs, walkgraph.Location{Edge: e.ID, Offset: e.Length * float64(k) / 20})
+				}
+			}
+		}
+		edge := make([]int32, len(locs))
+		off := make([]float64, len(locs))
+		for i, l := range locs {
+			edge[i], off[i] = int32(l.Edge), l.Offset
+		}
+		out := make([]bool, len(locs))
+
+		// detectable is the geometric predicate: covered by some reader in
+		// rs, in no room, on no stairwell.
+		detectable := func(loc walkgraph.Location, rs []Reader) bool {
+			covered := false
+			for _, r := range rs {
+				covered = covered || r.Covers(g.Point(loc))
+			}
+			if !covered {
+				return false
+			}
+			switch {
+			case g.Edge(loc.Edge).Kind == walkgraph.LinkEdge:
+				linkExcluded++
+				return false
+			case g.RoomAt(loc) != floorplan.NoRoom:
+				roomExcluded++
+				return false
+			}
+			return true
+		}
+
+		for _, r := range dep.Readers() {
+			cov.BatchDetectableBy(r.ID, edge, off, out)
+			for i, loc := range locs {
+				if want := detectable(loc, []Reader{r}); out[i] != want {
+					t.Fatalf("trial %d: BatchDetectableBy(%d) at %v = %v, geometric = %v",
+						trial, r.ID, loc, out[i], want)
+				}
+			}
+		}
+
+		unhealthy := make([]bool, dep.NumReaders())
+		unhealthy[src.Intn(len(unhealthy))] = true
+		for i := range unhealthy {
+			unhealthy[i] = unhealthy[i] || src.Bool(0.3)
+		}
+		for _, un := range [][]bool{nil, unhealthy} {
+			var healthy []Reader
+			for _, r := range dep.Readers() {
+				if un == nil || !un[r.ID] {
+					healthy = append(healthy, r)
+				}
+			}
+			cov.BatchDetectableAny(edge, off, un, out)
+			for i, loc := range locs {
+				if want := detectable(loc, healthy); out[i] != want {
+					t.Fatalf("trial %d: BatchDetectableAny(unhealthy %v) at %v = %v, geometric = %v",
+						trial, un, loc, out[i], want)
+				}
+			}
+		}
+	}
+	if roomExcluded == 0 || linkExcluded == 0 {
+		t.Fatalf("exclusions not exercised: %d covered room locations, %d covered link locations",
+			roomExcluded, linkExcluded)
 	}
 }
 

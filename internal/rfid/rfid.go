@@ -296,41 +296,6 @@ func (d *Deployment) CoveringReader(p geom.Point) (model.ReaderID, bool) {
 	return best, best != model.NoReader
 }
 
-// CoveringReaderExcept is CoveringReader restricted to readers whose skip
-// flag is false. A nil skip is the unrestricted query. The filter's negative
-// update uses it so silence from an unhealthy reader is not treated as
-// evidence.
-func (d *Deployment) CoveringReaderExcept(p geom.Point, skip []bool) (model.ReaderID, bool) {
-	if skip == nil {
-		return d.CoveringReader(p)
-	}
-	best := model.NoReader
-	bestDist := 0.0
-	if d.grid != nil {
-		for _, id := range d.grid.candidates(p) {
-			if skip[id] {
-				continue
-			}
-			r := &d.readers[id]
-			dist := r.Pos.Dist(p)
-			if dist <= r.Range && (best == model.NoReader || dist < bestDist) {
-				best, bestDist = r.ID, dist
-			}
-		}
-		return best, best != model.NoReader
-	}
-	for _, r := range d.readers {
-		if skip[r.ID] {
-			continue
-		}
-		dist := r.Pos.Dist(p)
-		if dist <= r.Range && (best == model.NoReader || dist < bestDist) {
-			best, bestDist = r.ID, dist
-		}
-	}
-	return best, best != model.NoReader
-}
-
 // Disjoint reports whether all activation ranges are pairwise disjoint, the
 // paper's usual deployment assumption for cost reasons.
 func (d *Deployment) Disjoint() bool {
