@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test race stress accuracy bench bench-smoke bench-json bench-diff bench-sharded bench-harness-build bench-harness-test chaos cluster-e2e check experiments examples vet vuln profile loc fuzz-smoke
+.PHONY: build test race stress accuracy bench bench-smoke bench-json bench-diff bench-sharded bench-harness-build bench-harness-test chaos cluster-e2e check experiments examples vet vuln profile loc fuzz-smoke server-deps
 
 build:
 	go build ./...
@@ -24,19 +24,32 @@ vuln:
 		echo "vuln: govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-# Static analysis, the vulnerability scan, a compile of the frozen benchmark
-# harness and its own tests, the full suite under the race detector, ten
-# seconds of differential fuzzing of each hand-written decoder, and one iteration of
-# every hot-path benchmark so a compile- or panic-level regression in the
-# benchmarked paths cannot land silently.
+# Static analysis, the server's dependency guard, the vulnerability scan, a
+# compile of the frozen benchmark harness and its own tests, the full suite
+# under the race detector, ten seconds of differential fuzzing of each
+# hand-written decoder, and one iteration of every hot-path benchmark so a
+# compile- or panic-level regression in the benchmarked paths cannot land
+# silently.
 check:
 	go vet ./...
+	$(MAKE) server-deps
 	$(MAKE) bench-harness-build
 	$(MAKE) bench-harness-test
 	$(MAKE) vuln
 	go test -race ./...
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-smoke
+
+# The repo packages the server binary links, and a guard: the paper's
+# symbolic-model baseline and the registered-query layer (internal/baseline,
+# with the internal/symbolic and internal/depgraph packages under it) run
+# beside the engine in experiments and examples, never in the server.
+SERVER_FORBIDDEN := repro/internal/symbolic repro/internal/depgraph repro/internal/baseline
+server-deps:
+	@deps=$$(go list -deps ./cmd/server | grep '^repro/'); echo "$$deps"; \
+	for p in $(SERVER_FORBIDDEN); do \
+		if echo "$$deps" | grep -qx "$$p"; then echo "server-deps: cmd/server links $$p" >&2; exit 1; fi; \
+	done
 
 # The two hand-written decoders that read bytes from outside the process,
 # each against its reflection-based oracle on mutated inputs, ten seconds'

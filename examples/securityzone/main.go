@@ -59,7 +59,7 @@ func main() {
 	// Side-by-side with the symbolic baseline on the last snapshot.
 	zone := zones["server-room-wing"]
 	pf := sys.RangeQuery(zone)
-	smv := sys.SMRangeQuery(zone)
+	smv := repro.MustNewBaseline(sys).RangeQuery(zone)
 	truth := repro.ResultSet{}
 	for _, o := range world.TrueRange(zone) {
 		truth[o] = 1

@@ -1,4 +1,4 @@
-package engine
+package baseline
 
 import (
 	"repro/internal/depgraph"

@@ -1,9 +1,11 @@
-package engine
+package baseline
 
 import (
+	"context"
 	"fmt"
-	"sort"
 
+	"repro/internal/depgraph"
+	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/model"
 	"repro/internal/query"
@@ -79,7 +81,8 @@ type registeredKNN struct {
 
 // Registry tracks registered continuous queries for a System.
 type Registry struct {
-	sys    *System
+	sys    *engine.System
+	dg     *depgraph.Graph
 	nextID QueryID
 	ranges []*registeredRange
 	knns   []*registeredKNN
@@ -91,8 +94,12 @@ type Registry struct {
 	eventSeq    int
 }
 
-// NewRegistry creates an empty query registry over a system.
-func NewRegistry(sys *System) *Registry { return &Registry{sys: sys} }
+// NewRegistry creates an empty query registry over a system. It builds the
+// deployment graph the critical-device optimization reads, which cannot fail
+// over the walking graph and deployment a System was built from.
+func NewRegistry(sys *engine.System) *Registry {
+	return &Registry{sys: sys, dg: depgraph.MustBuild(sys.Graph(), sys.Deployment())}
+}
 
 // SetEventDriven toggles the critical-device optimization.
 func (r *Registry) SetEventDriven(v bool) { r.eventDriven = v }
@@ -106,7 +113,7 @@ func (r *Registry) RegisterRange(window geom.Rect, threshold float64) QueryID {
 		id:       id,
 		window:   window,
 		monitor:  query.NewContinuousRange(window, threshold),
-		critical: criticalDevices(r.sys.DeploymentGraph(), window),
+		critical: criticalDevices(r.dg, window),
 	})
 	return id
 }
@@ -169,8 +176,9 @@ func (r *Registry) Evaluate() []QueryEvent {
 		return nil
 	}
 	s := r.sys
-	now := s.col.Now()
-	infos := s.ObjectInfos()
+	ctx := context.Background()
+	now := s.Now()
+	infos, _ := s.Infos(ctx, engine.Query{})
 
 	// Decide which range queries actually need a refresh.
 	needRange := make(map[QueryID]bool, len(r.ranges))
@@ -189,37 +197,26 @@ func (r *Registry) Evaluate() []QueryEvent {
 		}
 	}
 
-	// Union the candidates over all registered queries.
-	candidateSet := make(map[model.ObjectID]bool)
-	if s.cfg.UsePruning {
-		windows := make([]geom.Rect, 0, len(r.ranges))
-		for _, rr := range r.ranges {
-			if !needRange[rr.id] {
-				continue
-			}
-			windows = append(windows, rr.window)
+	// Union the candidates over all registered queries; Preprocess sorts
+	// them and drops repeats. Range pruning is per object, so the union of
+	// the per-window prunes is the prune against all windows at once.
+	var candidates []model.ObjectID
+	if s.Config().UsePruning {
+		prune := func(q engine.Query) {
+			cands, _ := s.Prune(ctx, infos, q, now)
+			candidates = append(candidates, cands...)
 		}
-		if len(windows) > 0 {
-			for _, o := range s.pruner.RangeCandidates(infos, windows, now) {
-				candidateSet[o] = true
+		for _, rr := range r.ranges {
+			if needRange[rr.id] {
+				prune(engine.RangeQuery(rr.window))
 			}
 		}
 		for _, rk := range r.knns {
-			for _, o := range s.pruner.KNNCandidates(infos, rk.q, rk.k, now) {
-				candidateSet[o] = true
-			}
+			prune(engine.KNNQuery(rk.q, rk.k))
 		}
 	} else {
-		for _, info := range infos {
-			candidateSet[info.Object] = true
-		}
+		candidates = engine.ObjectsOf(infos)
 	}
-	candidates := make([]model.ObjectID, 0, len(candidateSet))
-	for o := range candidateSet {
-		candidates = append(candidates, o)
-	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
-
 	tab := s.Preprocess(candidates)
 
 	var out []QueryEvent

@@ -5,8 +5,8 @@
 // probability distribution indexed by anchor points (the APtoObjHT hash
 // table); the cache management module reuses particle states across queries;
 // and the query evaluation module answers range and kNN queries from the
-// hash table. The symbolic model baseline is exposed through the same
-// surface for side-by-side comparison.
+// hash table. The symbolic model baseline it is compared against lives in
+// internal/baseline, over System's public surface.
 //
 // System is that pipeline as a pure in-memory kernel. Sharded is the router
 // over one or more kernels and the only type that touches a disk: write-ahead
@@ -25,7 +25,6 @@ import (
 	"repro/internal/anchor"
 	"repro/internal/cache"
 	"repro/internal/collector"
-	"repro/internal/depgraph"
 	"repro/internal/floorplan"
 	"repro/internal/geom"
 	"repro/internal/health"
@@ -36,7 +35,6 @@ import (
 	"repro/internal/query"
 	"repro/internal/rfid"
 	"repro/internal/rng"
-	"repro/internal/symbolic"
 	"repro/internal/walkgraph"
 )
 
@@ -56,8 +54,8 @@ type Config struct {
 	// UsePruning enables the query aware optimization module. When false,
 	// every known object is a candidate for every query.
 	UsePruning bool
-	// SMTrials is the Monte Carlo trial count for the symbolic baseline's
-	// maximum-probability kNN set.
+	// SMTrials is the Monte Carlo trial count for PTKNNQuery and for the
+	// symbolic baseline's maximum-probability kNN set.
 	SMTrials int
 	// KeepHistory retains the full reading history in the collector so
 	// historical queries (Query.Historical) can reach arbitrarily far back.
@@ -119,7 +117,7 @@ func DefaultConfig() Config {
 	return Config{
 		Particle:           particle.DefaultConfig(),
 		AnchorSpacing:      anchor.DefaultSpacing,
-		MaxSpeed:           symbolic.DefaultMaxSpeed,
+		MaxSpeed:           query.DefaultMaxSpeed,
 		UseCache:           true,
 		CacheLifetime:      cache.DefaultLifetime,
 		UsePruning:         true,
@@ -186,7 +184,6 @@ type System struct {
 	cache   *cache.Cache
 	pruner  *query.Pruner
 	eval    *query.Evaluator
-	sm      *symbolic.Model
 	src     *rng.Source
 	reorder *ingest.Reorder
 	stats   Stats
@@ -263,10 +260,6 @@ func New(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*System, error
 	if err != nil {
 		return nil, err
 	}
-	sm, err := symbolic.New(g, dep, idx, cfg.MaxSpeed)
-	if err != nil {
-		return nil, err
-	}
 	col := collector.New()
 	if cfg.KeepHistory {
 		col = collector.NewWithHistory()
@@ -281,7 +274,6 @@ func New(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*System, error
 		cache:  cache.New(cfg.CacheLifetime),
 		pruner: query.NewPruner(g, idx, dep, cfg.MaxSpeed),
 		eval:   query.NewEvaluator(g, idx),
-		sm:     sm,
 		src:    rng.New(cfg.Seed),
 	}
 	s.QueryMethods.Of = s
@@ -339,6 +331,9 @@ func (s *System) Recovery() RecoveryInfo { return RecoveryInfo{} }
 func (s *System) DegradedShards() []int { return nil }
 
 // Accessors for the assembled components.
+
+// Config returns the configuration the System was built with.
+func (s *System) Config() Config { return s.cfg }
 
 // Graph returns the indoor walking graph.
 func (s *System) Graph() *walkgraph.Graph { return s.g }
@@ -457,9 +452,7 @@ func (s *System) applySecond(t model.Time, raws []model.RawReading) {
 
 // maxEventLog bounds the retained ENTER/LEAVE event log, and eventLogChunk
 // is the granularity it is cut at. Consumers that fall further behind simply
-// see a truncated prefix (and, safely, re-evaluate everything). The sharded
-// router applies the same bound to its merged log so EventsSince behaves
-// identically at any shard count.
+// see a truncated prefix (and, safely, re-evaluate everything).
 const (
 	maxEventLog   = 65536
 	eventLogChunk = maxEventLog / 4
@@ -470,9 +463,9 @@ const (
 // the cut is made once a whole chunk lies before them, at that chunk's
 // boundary and into a fresh array. Cutting at multiples of the chunk keeps the
 // retained window a function of the event count alone — the same whenever the
-// events arrived, so a healed router's log matches an unfaulted one's — while
-// the copy is paid once per chunk of events instead of once per flushed
-// second; the fresh array keeps the slices EventsSince handed out valid.
+// events arrived — while the copy is paid once per chunk of events instead of
+// once per flushed second; the fresh array keeps the slices EventsSince
+// handed out valid.
 func boundEventLog(log []model.Event, off int) ([]model.Event, int) {
 	if cut := (off + len(log) - maxEventLog) / eventLogChunk * eventLogChunk; cut > off {
 		return append(log[:0:0], log[cut-off:]...), cut
@@ -500,11 +493,6 @@ func (s *System) EventsSince(seq int) (events []model.Event, next int, truncated
 	}
 	return s.eventLog[seq-s.eventOff:], next, false
 }
-
-// DeploymentGraph exposes the deployment graph (cells, fragments) built for
-// the symbolic baseline, also used by the registry's critical-device
-// optimization.
-func (s *System) DeploymentGraph() *depgraph.Graph { return s.sm.DeploymentGraph() }
 
 // Query answers q with the particle filter-based method: the kernel runs the
 // query pipeline over itself.
@@ -874,78 +862,4 @@ func (s *System) Evaluator() *query.Evaluator { return s.eval }
 func (s *System) ClosestPairs(k int) []query.Pair {
 	tab := s.Preprocess(ObjectsOf(s.ObjectInfos()))
 	return s.eval.ClosestPairs(tab, k)
-}
-
-// smSighting converts collector state into a symbolic-model sighting.
-func (s *System) smSighting(obj model.ObjectID) (symbolic.Sighting, bool) {
-	last, ok := s.col.LastReading(obj)
-	if !ok {
-		return symbolic.Sighting{}, false
-	}
-	prev, _ := s.col.RecentDevices(obj)
-	return symbolic.Sighting{
-		Reader:  last.Reader,
-		Time:    last.Time,
-		Current: s.col.CurrentlyDetectedBy(obj) != model.NoReader,
-		Prev:    prev,
-	}, true
-}
-
-// SMPreprocess builds the symbolic baseline's anchor-point table for the
-// candidates.
-func (s *System) SMPreprocess(candidates []model.ObjectID) *anchor.Table {
-	tab := anchor.NewTable()
-	now := s.col.Now()
-	for _, obj := range candidates {
-		sight, ok := s.smSighting(obj)
-		if !ok {
-			continue
-		}
-		tab.SetDistribution(obj, s.sm.Distribution(sight, now))
-	}
-	return tab
-}
-
-// SMRangeQuery answers a range query with the symbolic model baseline.
-func (s *System) SMRangeQuery(window geom.Rect) model.ResultSet {
-	tab := s.SMPreprocess(s.RangeCandidates([]geom.Rect{window}))
-	return s.eval.Range(tab, window)
-}
-
-// SMKNNQuery answers a kNN query with the symbolic model baseline: the
-// maximum probability result set of the probabilistic threshold kNN
-// formulation, estimated by Monte Carlo.
-func (s *System) SMKNNQuery(q geom.Point, k int) []model.ObjectID {
-	candidates := s.KNNCandidates(q, k)
-	now := s.col.Now()
-	dists := make(map[model.ObjectID]map[anchor.ID]float64, len(candidates))
-	for _, obj := range candidates {
-		sight, ok := s.smSighting(obj)
-		if !ok {
-			continue
-		}
-		dists[obj] = s.sm.Distribution(sight, now)
-	}
-	return s.smKNNFromDists(dists, q, k)
-}
-
-// SMKNNQueryOn answers a kNN query with the symbolic baseline against an
-// existing SM table (for batched workloads that run SMPreprocess once for
-// many query points).
-func (s *System) SMKNNQueryOn(tab *anchor.Table, q geom.Point, k int) []model.ObjectID {
-	dists := make(map[model.ObjectID]map[anchor.ID]float64)
-	for _, od := range tab.Dists() {
-		dists[od.Object] = od.Dist.Map()
-	}
-	return s.smKNNFromDists(dists, q, k)
-}
-
-func (s *System) smKNNFromDists(dists map[model.ObjectID]map[anchor.ID]float64, q geom.Point, k int) []model.ObjectID {
-	loc := s.g.NearestLocation(q)
-	ids, ds := s.idx.AnchorsByNetworkDistance(loc)
-	anchorDist := make(map[anchor.ID]float64, len(ids))
-	for i, id := range ids {
-		anchorDist[id] = ds[i]
-	}
-	return symbolic.KNNMaxProbSet(s.src, k, dists, anchorDist, s.cfg.SMTrials)
 }

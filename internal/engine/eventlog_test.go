@@ -47,3 +47,31 @@ func TestBoundEventLogWindowDependsOnCountAlone(t *testing.T) {
 		}
 	}
 }
+
+func TestEventsSinceTruncation(t *testing.T) {
+	sys, _ := testSystem(t, 5, 30, 84)
+	evs, next, truncated := sys.EventsSince(0)
+	if truncated {
+		t.Error("fresh log reported truncated")
+	}
+	if next != len(evs) {
+		t.Errorf("next = %d, events = %d", next, len(evs))
+	}
+	// Asking from a negative (pre-offset) sequence is answered as truncated
+	// only when the log has actually dropped entries; with a fresh log the
+	// offset is 0 and seq 0 is valid.
+	_, _, truncated = sys.EventsSince(next)
+	if truncated {
+		t.Error("at-head read reported truncated")
+	}
+	// Reader events exist after warm-up.
+	found := false
+	for _, ev := range evs {
+		if ev.Reader != model.NoReader {
+			found = true
+		}
+	}
+	if !found {
+		t.Error("no reader events recorded during warm-up")
+	}
+}

@@ -203,14 +203,15 @@ func shardOwned(raws []model.RawReading, shard, n int) int {
 }
 
 // quarantineOracle builds a memory-only 4-shard engine fed the effective
-// stream: full deliveries outside [from, to), shard-filtered inside it.
-func quarantineOracle(t *testing.T, f *durableFixture, shard, from, to int) *Sharded {
+// stream's first end deliveries: full deliveries outside [from, to),
+// shard-filtered inside it.
+func quarantineOracle(t *testing.T, f *durableFixture, shard, from, to, end int) *Sharded {
 	t.Helper()
 	cfg := f.cfg
 	cfg.Shards = 4
 	cfg.UseCache = false
 	oracle := MustNewSharded(f.plan, f.dep, cfg)
-	for i, d := range f.deliveries {
+	for i, d := range f.deliveries[:end] {
 		raws := d.raws
 		if i >= from && i < to {
 			raws = shardFiltered(raws, shard, 4)
@@ -224,9 +225,10 @@ func quarantineOracle(t *testing.T, f *durableFixture, shard, from, to int) *Sha
 }
 
 // mustMatchShardedOracle compares the externally observable answers (range,
-// kNN, occupancy, events, known objects) of a healed engine against the
-// effective-stream oracle. Stats are excluded: the faulted run counts typed
-// drops the oracle never saw; the caller asserts those separately.
+// kNN, occupancy, known objects) and every object's collector state of a
+// healed engine against the effective-stream oracle. Stats are excluded: the
+// faulted run counts typed drops the oracle never saw; the caller asserts
+// those separately.
 func mustMatchShardedOracle(t *testing.T, label string, got, want *Sharded) {
 	t.Helper()
 	g, w := recoveredOutcome(got), recoveredOutcome(want)
@@ -241,8 +243,8 @@ func mustMatchShardedOracle(t *testing.T, label string, got, want *Sharded) {
 		if !reflect.DeepEqual(g.occ, w.occ) {
 			t.Errorf("%s: occupancy diverges", label)
 		}
-		if !reflect.DeepEqual(g.events, w.events) {
-			t.Errorf("%s: event streams diverge (%d vs %d events)", label, len(g.events), len(w.events))
+		if !reflect.DeepEqual(g.objects, w.objects) {
+			t.Errorf("%s: object states diverge (clock %d vs %d)", label, g.objects.Now, w.objects.Now)
 		}
 		if !reflect.DeepEqual(g.known, w.known) {
 			t.Errorf("%s: known objects diverge:\n  got  %v\n  want %v", label, g.known, w.known)
@@ -341,6 +343,9 @@ func TestShardPermanentFaultIsolatesAndHeals(t *testing.T) {
 	if got := sh.tel.shardHeals.Value(); got != 1 {
 		t.Errorf("repro_shard_heals_total = %d, want 1", got)
 	}
+	// Healed and nothing ingested since: the shard's clock and its objects'
+	// LEAVEs must already stand where the missed seconds put them.
+	mustMatchShardedOracle(t, "on heal", sh, quarantineOracle(t, f, 2, faultAt, healAt, healAt))
 	for _, d := range f.deliveries[healAt:] {
 		if err := sh.Ingest(d.t, d.raws); err != nil {
 			t.Fatalf("post-heal ingest: %v", err)
@@ -351,7 +356,7 @@ func TestShardPermanentFaultIsolatesAndHeals(t *testing.T) {
 		t.Errorf("post-heal range query still degraded: %v", qerr)
 	}
 
-	mustMatchShardedOracle(t, "post-heal", sh, quarantineOracle(t, f, 2, faultAt, healAt))
+	mustMatchShardedOracle(t, "post-heal", sh, quarantineOracle(t, f, 2, faultAt, healAt, len(f.deliveries)))
 	if err := sh.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -431,7 +436,7 @@ func testQuarantineRestart(t *testing.T, clean bool) {
 		}
 	}
 	re.FlushIngest()
-	mustMatchShardedOracle(t, "restart+heal", re, quarantineOracle(t, f, 1, faultAt, restartAt))
+	mustMatchShardedOracle(t, "restart+heal", re, quarantineOracle(t, f, 1, faultAt, restartAt, len(f.deliveries)))
 	if err := re.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -507,7 +512,7 @@ func TestAllShardsMarkedRecoversLastLive(t *testing.T) {
 		}
 	}
 	re.FlushIngest()
-	mustMatchShardedOracle(t, "all-marked reopen", re, quarantineOracle(t, f, 1, faultAt, failAt))
+	mustMatchShardedOracle(t, "all-marked reopen", re, quarantineOracle(t, f, 1, faultAt, failAt, len(f.deliveries)))
 	if err := re.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}

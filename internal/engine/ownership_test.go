@@ -13,22 +13,19 @@ import (
 	"repro/internal/wal"
 )
 
-// ingestState is what an ingest stream leaves behind: the counters, every
-// collector's retained state, and the ENTER/LEAVE log.
+// ingestState is what an ingest stream leaves behind: the counters and every
+// collector's retained state.
 type ingestState struct {
-	stats  Stats
-	cols   []collector.Snapshot
-	events []model.Event
+	stats Stats
+	cols  []collector.Snapshot
 }
 
 func kernelState(s *System) ingestState {
-	evs, _, _ := s.EventsSince(0)
-	return ingestState{s.Stats(), []collector.Snapshot{s.col.Snapshot()}, evs}
+	return ingestState{s.Stats(), []collector.Snapshot{s.col.Snapshot()}}
 }
 
 func routerState(e *Sharded) ingestState {
-	evs, _, _ := e.EventsSince(0)
-	st := ingestState{stats: e.Stats(), events: evs}
+	st := ingestState{stats: e.Stats()}
 	for _, sh := range e.shards {
 		st.cols = append(st.cols, sh.col.Snapshot())
 	}
@@ -40,7 +37,7 @@ func routerState(e *Sharded) ingestState {
 // holds no reference into the slice it was handed. Every delivery of one
 // stream goes in through one reused buffer that is overwritten with
 // plausible garbage (right second, wrong objects and readers) as soon as the
-// call returns; counters, collector state and event log must equal those of
+// call returns; counters and collector state must equal those of
 // a run fed untouched private copies — on the kernel and on the router with
 // WALs at 1 and 4 shards, in order (every second closes in its call) and
 // under a horizon with seconds arriving out of order (every second is parked
@@ -105,7 +102,7 @@ func TestIngestKeepsNothingOfTheCallersSlice(t *testing.T) {
 			feed(t, clean, stream, false)
 			feed(t, scribbled, stream, true)
 			want := kernelState(clean)
-			if want.stats.ReadingsIngested == 0 || len(want.events) == 0 {
+			if want.stats.ReadingsIngested == 0 || len(want.cols[0].Objects) == 0 {
 				t.Fatalf("vacuous stream: %+v", want.stats)
 			}
 			if got := kernelState(scribbled); !reflect.DeepEqual(got, want) {

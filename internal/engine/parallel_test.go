@@ -66,8 +66,6 @@ func TestParallelPreprocessDeterministic(t *testing.T) {
 // slices, so equal logical state means equal bytes.
 type durableState struct {
 	Shard          shardSnap
-	Events         []model.Event
-	EventOff       int
 	ReorderStarted bool
 	Watermark      model.Time
 	MaxSeen        model.Time
@@ -75,7 +73,7 @@ type durableState struct {
 	Forced         int
 }
 
-func encodeDurableState(t *testing.T, shard *System, stats Stats, events []model.Event, eventOff int, reorder *ingest.Reorder) []byte {
+func encodeDurableState(t *testing.T, shard *System, stats Stats, reorder *ingest.Reorder) []byte {
 	t.Helper()
 	hits, misses := shard.cache.Stats()
 	wm, started := reorder.Watermark()
@@ -88,8 +86,6 @@ func encodeDurableState(t *testing.T, shard *System, stats Stats, events []model
 			CacheHits:    hits,
 			CacheMisses:  misses,
 		},
-		Events:         events,
-		EventOff:       eventOff,
 		ReorderStarted: started,
 		Watermark:      wm,
 		MaxSeen:        ms,
@@ -109,7 +105,7 @@ func snapshotBytes(t *testing.T, s *System) []byte {
 	t.Helper()
 	stats := s.stats
 	stats.RangeQueries, stats.KNNQueries = s.tel.queriesCounted()
-	return encodeDurableState(t, s, stats, s.eventLog, s.eventOff, s.reorder)
+	return encodeDurableState(t, s, stats, s.reorder)
 }
 
 // routerSnapshotBytes is a one-shard router's durable state, laid out like
@@ -121,7 +117,7 @@ func routerSnapshotBytes(t *testing.T, e *Sharded) []byte {
 	}
 	stats := e.shards[0].stats
 	stats.RangeQueries, stats.KNNQueries = e.tel.queriesCounted()
-	return encodeDurableState(t, e.shards[0], stats, e.eventLog, e.eventOff, e.reorder)
+	return encodeDurableState(t, e.shards[0], stats, e.reorder)
 }
 
 // TestParallelPreprocessDeterministicAtScale drives 1000 objects through the

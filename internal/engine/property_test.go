@@ -69,13 +69,6 @@ func TestPipelineInvariantsAcrossRandomGeometries(t *testing.T) {
 				t.Errorf("seed %d: kNN P(o%d) = %v", seed, obj, p)
 			}
 		}
-		// The SM baseline upholds the same invariants.
-		smTab := sys.SMPreprocess(sys.Collector().KnownObjects())
-		for _, obj := range smTab.Objects() {
-			if total := smTab.TotalProbOf(obj); math.Abs(total-1) > 1e-9 {
-				t.Errorf("seed %d: SM object %d mass %v", seed, obj, total)
-			}
-		}
 	}
 }
 

@@ -36,9 +36,8 @@ const MaxShards = 256
 //   - Ingestion runs through ONE reorder buffer and ONE reader-health
 //     monitor owned by the router; each flushed second is split into
 //     per-shard subsets (order-preserving) and applied to all shards in
-//     parallel, then the shards' ENTER/LEAVE events are k-way merged by
-//     (Time, Object) — the exact key the collector sorts by — into one
-//     router-owned event log.
+//     parallel; the shards' ENTERs then release their readers' expectations
+//     in the router's monitor.
 //   - Queries run the one pipeline (Run) over the router as a Partition made
 //     of its shards: gather candidate summaries from every live shard (merged
 //     in object order), prune once, scatter the preprocessing to the owning
@@ -70,13 +69,10 @@ type Sharded struct {
 	shardMu []sync.Mutex
 
 	// ingestMu serializes the ingestion pipeline: the reorder buffer, the
-	// health monitor, the merged event log, the WAL streams, and the
-	// oversized-body drop counter.
+	// health monitor, the WAL streams, and the oversized-body drop counter.
 	ingestMu   sync.Mutex
 	reorder    *ingest.Reorder
 	monitor    *health.Monitor
-	eventLog   []model.Event
-	eventOff   int
 	extraDrops ingest.Drops
 
 	// curTrace is the trace of the in-flight IngestContext call, read by the
@@ -257,7 +253,7 @@ func (e *Sharded) Now() model.Time {
 }
 
 // ---------------------------------------------------------------------------
-// Ingestion: one reorder buffer, scatter per second, deterministic event merge.
+// Ingestion: one reorder buffer, scatter per second.
 
 // Ingest feeds one delivery through the router's reorder buffer; flushed
 // seconds are partitioned by object and applied to every shard. The typed
@@ -421,18 +417,17 @@ func (e *Sharded) applyPartsMasked(t model.Time, parts [][]model.RawReading, raw
 		}
 		wg.Wait()
 	}
-	// Each shard's drain is sorted by (Time, Object) — the collector pins
-	// that order — and an object lives in exactly one shard, so the k-way
-	// merge reproduces the single collector's total order.
-	merged := kMerge(evs, eventLess)
+	// Release is a per-object map delete, so the shards' ENTERs need no
+	// merged order.
 	if e.monitor != nil {
-		for _, ev := range merged {
-			if ev.Kind == model.Enter {
-				e.monitor.Release(ev.Object)
+		for _, part := range evs {
+			for _, ev := range part {
+				if ev.Kind == model.Enter {
+					e.monitor.Release(ev.Object)
+				}
 			}
 		}
 	}
-	e.eventLog, e.eventOff = boundEventLog(append(e.eventLog, merged...), e.eventOff)
 }
 
 // refreshHealth pushes the monitor's unhealthy set into every shard's
@@ -447,17 +442,6 @@ func (e *Sharded) refreshHealth() {
 	}
 	e.healthMu.Unlock()
 	e.tel.healthTransitions.Inc()
-}
-
-// EventsSince mirrors System.EventsSince over the router's merged log.
-func (e *Sharded) EventsSince(seq int) (events []model.Event, next int, truncated bool) {
-	e.ingestMu.Lock()
-	defer e.ingestMu.Unlock()
-	next = e.eventOff + len(e.eventLog)
-	if seq < e.eventOff {
-		return e.eventLog, next, true
-	}
-	return e.eventLog[seq-e.eventOff:], next, false
 }
 
 // ---------------------------------------------------------------------------
@@ -752,13 +736,6 @@ func kMerge[T any](per [][]T, lessFn func(a, b T) bool) []T {
 		heads[best]++
 	}
 	return out
-}
-
-func eventLess(a, b model.Event) bool {
-	if a.Time != b.Time {
-		return a.Time < b.Time
-	}
-	return a.Object < b.Object
 }
 
 func infoLess(a, b query.ObjectInfo) bool { return a.Object < b.Object }

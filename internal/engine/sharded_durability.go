@@ -29,7 +29,7 @@ import (
 // Layout under Durability.Dir:
 //
 //	SHARDS            guard file: the shard count the directory was written with
-//	snap-*.snap       router snapshots (merged event log, reorder position, query counters)
+//	snap-*.snap       router snapshots (reorder position, query counters, quarantine records)
 //	quarantine-NNNN   marker: shard NNNN was quarantined at the recorded seq
 //	shard-0000/       shard 0's WAL segments and snapshots
 //	shard-0001/       ...
@@ -109,19 +109,18 @@ func checkShardGuard(fsys wal.FS, dir string, n int) error {
 // seconds the shard has missed so far, so a crash during a quarantine that
 // outlived a snapshot barrier still heals with exact fast-forward times.
 type quarRecord struct {
-	Shard          int
-	Seq            uint64
-	Missed         []model.Time
-	SplicedThrough int
+	Shard  int
+	Seq    uint64
+	Missed []model.Time
 }
 
 // routerSnap is the router's share of a sharded snapshot: everything the
-// shards do not own. The per-shard shardSnap carries the rest.
+// shards do not own. The per-shard shardSnap carries the rest. Snapshots
+// written when the router also kept an ENTER/LEAVE log still decode: gob
+// skips the log and its heal-splice count, fields this type no longer has.
 type routerSnap struct {
 	RangeQueries   int
 	KNNQueries     int
-	Events         []model.Event
-	EventOff       int
 	ReorderStarted bool
 	Watermark      model.Time
 	MaxSeen        model.Time
@@ -318,8 +317,6 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 	if rec.SnapshotRestored {
 		e.tel.queries[KindRange].Store(int64(rsnap.RangeQueries))
 		e.tel.queries[KindKNN].Store(int64(rsnap.KNNQueries))
-		e.eventLog = rsnap.Events
-		e.eventOff = rsnap.EventOff
 		for i, sh := range e.shards {
 			ss, ok := ssnaps[i]
 			if !ok {
@@ -460,9 +457,8 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 	}
 
 	// Solo catch-up: marked shards replay their own records up to
-	// min(barrier, qeff) alone. Events are discarded (the router snapshot's
-	// event log already covers them) but the cache still invalidates on
-	// ENTER, exactly like the live path.
+	// min(barrier, qeff) alone. The cache still invalidates on ENTER, exactly
+	// like the live path.
 	for i := range markers {
 		limit := snapSeq
 		if qeff[i] < limit {
@@ -588,7 +584,6 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 		for _, qr := range rsnap.Quarantined {
 			if qr.Shard == i && qr.Seq == qi {
 				q.missed = append(q.missed, qr.Missed...)
-				q.splicedThrough = qr.SplicedThrough
 				break
 			}
 		}
@@ -817,8 +812,6 @@ func (e *Sharded) writeSnapshots() error {
 	rsnap := routerSnap{
 		RangeQueries:   ranges,
 		KNNQueries:     knns,
-		Events:         e.eventLog,
-		EventOff:       e.eventOff,
 		ReorderStarted: started,
 		Watermark:      wm,
 		MaxSeen:        ms,
@@ -833,10 +826,9 @@ func (e *Sharded) writeSnapshots() error {
 		degraded = true
 		if q := e.quar[i]; q != nil {
 			rsnap.Quarantined = append(rsnap.Quarantined, quarRecord{
-				Shard:          i,
-				Seq:            q.seq,
-				Missed:         append([]model.Time(nil), q.missed...),
-				SplicedThrough: q.splicedThrough,
+				Shard:  i,
+				Seq:    q.seq,
+				Missed: append([]model.Time(nil), q.missed...),
 			})
 		}
 	}

@@ -53,13 +53,9 @@ type quarInfo struct {
 	// this one was out. Healing fast-forwards them (with no readings — the
 	// shard's readings were dropped) so LEAVE detection and the shard clock
 	// match an engine that was never quarantined.
-	missed []model.Time
-	// splicedThrough counts the missed entries whose LEAVE events have
-	// already been merged into the router event log by a heal attempt that
-	// later failed its barrier; re-heals must not splice them twice.
-	splicedThrough int
-	attempts       int
-	nextTry        time.Time
+	missed   []model.Time
+	attempts int
+	nextTry  time.Time
 }
 
 // QuarantineError marks a query answered without one or more quarantined
@@ -327,10 +323,9 @@ func (e *Sharded) HealNow() error {
 //     — the router barrier position the shard was cut at — or the shard does
 //     not rejoin (acked data would silently diverge).
 //  3. Under ingestMu again: rebuild the shard's in-memory state (replay +
-//     fast-forward of the missed seconds), splice the fast-forward LEAVE
-//     events into the router event log, mark the shard LIVE, and write a full
-//     snapshot barrier. The barrier must succeed before appends resume: the
-//     shard's log has no records for the quarantine window, so only a
+//     fast-forward of the missed seconds), mark the shard LIVE, and write a
+//     full snapshot barrier. The barrier must succeed before appends resume:
+//     the shard's log has no records for the quarantine window, so only a
 //     snapshot at the current sequence makes its next append gapless.
 func (e *Sharded) tryHeal(i int) error {
 	e.ingestMu.Lock()
@@ -419,30 +414,22 @@ func (e *Sharded) tryHeal(i int) error {
 		return nil
 	}
 	sh := e.shards[i]
-	var healEvents []model.Event
 	e.shardMu[i].Lock()
 	// With no usable snapshot ssnap is still zero: the shard restarts from
 	// nothing and its whole log replays below.
 	sh.restoreShard(&ssnap)
 	for k := range batches {
-		// These seconds pre-date the quarantine; their events are already in
-		// the router log, so they are discarded.
+		// These seconds pre-date the quarantine; their ENTERs released the
+		// router's monitor when they were applied live.
 		sh.collectSecond(batches[k].Time, batches[k].Readings)
 	}
 	// Fast-forward the seconds flushed while the shard was out. The shard's
 	// readings for them were dropped, so each advances the clock with an
 	// empty second — LEAVE detection fires exactly as it would have live.
-	for k, t := range q.missed {
-		evs := sh.collectSecond(t, nil)
-		if k >= q.splicedThrough {
-			healEvents = append(healEvents, evs...)
-		}
+	for _, t := range q.missed {
+		sh.collectSecond(t, nil)
 	}
 	e.shardMu[i].Unlock()
-	if len(healEvents) > 0 {
-		e.spliceEvents(healEvents)
-		q.splicedThrough = len(q.missed)
-	}
 	e.wals[i] = newLog
 	// The barrier pins the rejoin: the healed log ends at qseq but the next
 	// append is walSeq+1, and only a snapshot at walSeq bridges that gap for
@@ -472,13 +459,4 @@ func (e *Sharded) tryHeal(i int) error {
 	e.tel.shardHeals.Inc()
 	log.Printf("engine: shard %d healed: rejoined at seq %d after %d missed seconds", i, e.walSeq, len(q.missed))
 	return nil
-}
-
-// spliceEvents merges heal-time LEAVE events into the router event log at
-// their (Time, Object) positions — the order an unfaulted engine would have
-// recorded them in. Event offsets shift for registry consumers mid-stream;
-// EventsSince reports truncation against the adjusted offset as usual.
-// Called under ingestMu.
-func (e *Sharded) spliceEvents(evs []model.Event) {
-	e.eventLog, e.eventOff = boundEventLog(kMerge([][]model.Event{e.eventLog, evs}, eventLess), e.eventOff)
 }

@@ -92,7 +92,6 @@ func TestShardedConcurrentStress(t *testing.T) {
 					return
 				default:
 					sh.KNNQuery(geom.Pt(20, 12), 10)
-					sh.EventsSince(0)
 				}
 			}
 		}()
@@ -305,7 +304,6 @@ func TestShardedQuarantineHealStress(t *testing.T) {
 			default:
 				sh.KNNQuery(geom.Pt(20, 12), 10)
 				sh.DegradedShards()
-				sh.EventsSince(0)
 			}
 		}
 	}()

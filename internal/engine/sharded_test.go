@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"repro/internal/collector"
 	"repro/internal/floorplan"
 	"repro/internal/geom"
 	"repro/internal/model"
@@ -15,21 +17,55 @@ import (
 
 // shardedOutcome is everything externally observable about an engine after a
 // fixed ingest stream and a fixed query sequence: answers, analytics,
-// events, and every counter. Equivalence tests compare it with
-// reflect.DeepEqual, so ordering is pinned too. (Every query kind, snapshot
-// and historical, on every engine shape is internal/cluster's
+// per-object collector state, and every counter. Equivalence tests compare it
+// with reflect.DeepEqual, so ordering is pinned too. (Every query kind,
+// snapshot and historical, on every engine shape is internal/cluster's
 // TestQueryEquivalence; the answers here pin what the counters count.)
 type shardedOutcome struct {
-	rng    model.ResultSet
-	knn    model.ResultSet
-	occ    []RoomOdds
-	loc    Localization
-	locOK  bool
-	events []model.Event
-	known  []model.ObjectID
-	stats  Stats
-	hits   int
-	misses int
+	rng     model.ResultSet
+	knn     model.ResultSet
+	occ     []RoomOdds
+	loc     Localization
+	locOK   bool
+	objects objectState
+	known   []model.ObjectID
+	stats   Stats
+	hits    int
+	misses  int
+}
+
+// objectState is every retained object's collector state — its current
+// reader (In), last sighting and device runs — in object order, and the
+// clock: for a router, its oldest shard's, so a shard left behind shows. The
+// ENTER/LEAVE events are derived from In and LastSeen second by second.
+type objectState struct {
+	Objects []collector.ObjectSnapshot
+	Now     model.Time
+}
+
+// objectStateOf reads the kernel's collector, or merges the router's shards'
+// disjoint ones.
+func objectStateOf(sys any) objectState {
+	switch s := sys.(type) {
+	case *System:
+		snap := s.col.Snapshot()
+		return objectState{snap.Objects, snap.Now}
+	case *Sharded:
+		per := make([][]collector.ObjectSnapshot, s.n)
+		now := s.Now()
+		for i, sh := range s.shards {
+			s.shardMu[i].Lock()
+			snap := sh.col.Snapshot()
+			s.shardMu[i].Unlock()
+			per[i], now = snap.Objects, min(now, snap.Now)
+		}
+		objs := kMerge(per, func(a, b collector.ObjectSnapshot) bool { return a.Object < b.Object })
+		if objs == nil {
+			objs = []collector.ObjectSnapshot{}
+		}
+		return objectState{objs, now}
+	}
+	panic(fmt.Sprintf("objectStateOf: %T", sys))
 }
 
 // observe runs the fixed ingest stream and query sequence against any engine
@@ -42,7 +78,6 @@ func observe[E interface {
 	KNNQuery(q geom.Point, k int) model.ResultSet
 	Occupancy() []RoomOdds
 	Localize(obj model.ObjectID) (Localization, bool)
-	EventsSince(seq int) ([]model.Event, int, bool)
 	KnownObjects() []model.ObjectID
 	Stats() Stats
 	CacheStats() (hits, misses int)
@@ -64,7 +99,7 @@ func observe[E interface {
 	if len(out.known) > 0 {
 		out.loc, out.locOK = sys.Localize(out.known[len(out.known)/2])
 	}
-	out.events, _, _ = sys.EventsSince(0)
+	out.objects = objectStateOf(sys)
 	out.stats = sys.Stats()
 	out.hits, out.misses = sys.CacheStats()
 	return out
@@ -72,9 +107,9 @@ func observe[E interface {
 
 // TestShardedEquivalence is the tentpole correctness property: a Sharded
 // engine at ANY shard count answers every query, reports every counter, and
-// exposes every event exactly as the single-shard System does over the same
-// input. The merge discipline (object-sorted preprocessing, (time, object)
-// event merge, per-shard stat summation) makes shard count unobservable.
+// holds every object's collector state exactly as the single-shard System
+// does over the same input. The merge discipline (object-sorted
+// preprocessing, per-shard stat summation) makes shard count unobservable.
 func TestShardedEquivalence(t *testing.T) {
 	plan := floorplan.DefaultOffice()
 	dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
@@ -85,9 +120,9 @@ func TestShardedEquivalence(t *testing.T) {
 	single := MustNew(plan, dep, baseCfg)
 	world := sim.MustNew(single.Graph(), rfid.NewSensor(dep), traceCfg120(), 77)
 	base := observe(t, single, world)
-	if base.stats.FiltersRun == 0 || len(base.rng) == 0 || len(base.events) == 0 || !base.locOK {
-		t.Fatalf("baseline is vacuous: stats=%+v |range|=%d |events|=%d locOK=%v",
-			base.stats, len(base.rng), len(base.events), base.locOK)
+	if base.stats.FiltersRun == 0 || len(base.rng) == 0 || len(base.objects.Objects) == 0 || !base.locOK {
+		t.Fatalf("baseline is vacuous: stats=%+v |range|=%d |objects|=%d locOK=%v",
+			base.stats, len(base.rng), len(base.objects.Objects), base.locOK)
 	}
 
 	for _, n := range []int{1, 4, 16} {
@@ -109,8 +144,8 @@ func TestShardedEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(got.loc, base.loc) || got.locOK != base.locOK {
 				t.Errorf("shards=%d: localization diverges:\n got %+v\nwant %+v", n, got.loc, base.loc)
 			}
-			if !reflect.DeepEqual(got.events, base.events) {
-				t.Errorf("shards=%d: event streams diverge (%d vs %d events)", n, len(got.events), len(base.events))
+			if !reflect.DeepEqual(got.objects, base.objects) {
+				t.Errorf("shards=%d: object states diverge", n)
 			}
 			if !reflect.DeepEqual(got.known, base.known) {
 				t.Errorf("shards=%d: known objects diverge", n)
@@ -139,7 +174,6 @@ func recoveredOutcome[E interface {
 	RangeQuery(window geom.Rect) model.ResultSet
 	KNNQuery(q geom.Point, k int) model.ResultSet
 	Occupancy() []RoomOdds
-	EventsSince(seq int) ([]model.Event, int, bool)
 	KnownObjects() []model.ObjectID
 	Stats() Stats
 }](sys E) shardedOutcome {
@@ -147,7 +181,7 @@ func recoveredOutcome[E interface {
 	out.rng = sys.RangeQuery(geom.RectWH(5, 9, 25, 14))
 	out.knn = sys.KNNQuery(geom.Pt(20, 12), 10)
 	out.occ = sys.Occupancy()
-	out.events, _, _ = sys.EventsSince(0)
+	out.objects = objectStateOf(sys)
 	out.known = sys.KnownObjects()
 	out.stats = sys.Stats()
 	return out
@@ -231,8 +265,8 @@ func TestShardedRecoveryEquivalence(t *testing.T) {
 					if !reflect.DeepEqual(got.occ, base.occ) {
 						t.Errorf("shards=%d %s: recovered occupancy diverges", n, name)
 					}
-					if !reflect.DeepEqual(got.events, base.events) {
-						t.Errorf("shards=%d %s: recovered events diverge (%d vs %d)", n, name, len(got.events), len(base.events))
+					if !reflect.DeepEqual(got.objects, base.objects) {
+						t.Errorf("shards=%d %s: recovered object states diverge", n, name)
 					}
 					if !reflect.DeepEqual(got.known, base.known) {
 						t.Errorf("shards=%d %s: recovered known objects diverge", n, name)
@@ -335,7 +369,7 @@ func TestShardedRaggedTailRecovery(t *testing.T) {
 	got := recoveredOutcome(re)
 	// The un-acked extra second must be invisible: Stats counters reflect
 	// recovered query counters, so compare the data surfaces only.
-	if !reflect.DeepEqual(got.known, want.known) || !reflect.DeepEqual(got.events, want.events) {
+	if !reflect.DeepEqual(got.known, want.known) || !reflect.DeepEqual(got.objects, want.objects) {
 		t.Errorf("state after ragged-tail repair diverges from pre-crash state")
 	}
 	// The repaired logs must accept the next seconds and close cleanly.

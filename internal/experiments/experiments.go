@@ -10,6 +10,7 @@ package experiments
 import (
 	"math"
 
+	"repro/internal/baseline"
 	"repro/internal/engine"
 	"repro/internal/floorplan"
 	"repro/internal/geom"
@@ -123,6 +124,10 @@ func Run(p Params) (Measurement, error) {
 	if err != nil {
 		return Measurement{}, err
 	}
+	sm, err := baseline.New(sys)
+	if err != nil {
+		return Measurement{}, err
+	}
 	tc := sim.DefaultTraceConfig()
 	tc.NumObjects = p.Objects
 	tc.DwellMin = model.Time(p.DwellMin)
@@ -149,7 +154,7 @@ func Run(p Params) (Measurement, error) {
 		}
 		objs := sys.Collector().KnownObjects()
 		pfTab := sys.Preprocess(objs)
-		smTab := sys.SMPreprocess(objs)
+		smTab := sm.Preprocess(objs)
 
 		// Range queries.
 		for w := 0; w < p.RangeWindows; w++ {
@@ -171,7 +176,7 @@ func Run(p Params) (Measurement, error) {
 			truth := simulator.TrueKNN(pt, p.K)
 			pfRS := sys.KNNQueryOn(pfTab, pt, p.K)
 			pfHit = append(pfHit, metrics.HitRate(pfRS.Objects(), truth))
-			smSet := sys.SMKNNQueryOn(smTab, pt, p.K)
+			smSet := sm.KNNQueryOn(smTab, pt, p.K)
 			smHit = append(smHit, metrics.HitRate(smSet, truth))
 		}
 

@@ -224,6 +224,11 @@ type readerAnchors struct {
 	center walkgraph.Location
 }
 
+// DefaultMaxSpeed is the paper's maximum walking speed umax, in m/s: the
+// growth rate of the pruner's uncertain regions (and of the symbolic
+// baseline's reachable regions).
+const DefaultMaxSpeed = 1.5
+
 // NewPruner builds a Pruner.
 func NewPruner(g *walkgraph.Graph, idx *anchor.Index, dep *rfid.Deployment, umax float64) *Pruner {
 	p := &Pruner{g: g, idx: idx, dep: dep, umax: umax}

@@ -4,8 +4,8 @@
 // the process state at pseudo-random points (no Close, no flush — exactly
 // what a power cut leaves behind), optionally smears garbage over a WAL tail,
 // and reopens. At the end it verifies the survivor against a memory-only
-// kernel fed the same effective delivery sequence: identical Stats, known
-// objects, events, and range/kNN/occupancy answers.
+// kernel fed the same effective delivery sequence: identical Stats, clock,
+// known objects, and range/kNN/occupancy answers.
 //
 // It lives under internal/sim because it is a simulation tool, but in its own
 // package: the engine's own tests import internal/sim, so the harness (which

@@ -17,6 +17,7 @@ import (
 	"repro/internal/depgraph"
 	"repro/internal/floorplan"
 	"repro/internal/model"
+	"repro/internal/query"
 	"repro/internal/rfid"
 	"repro/internal/rng"
 	"repro/internal/walkgraph"
@@ -47,8 +48,9 @@ type Model struct {
 }
 
 // DefaultMaxSpeed is the maximum walking speed umax assumed by the symbolic
-// model's reachability constraint, in m/s.
-const DefaultMaxSpeed = 1.5
+// model's reachability constraint, in m/s: the pruner's, so the baseline and
+// the particle filter bound an object's travel alike.
+const DefaultMaxSpeed = query.DefaultMaxSpeed
 
 // New builds the symbolic model over a walking graph, a reader deployment,
 // and the anchor index used to discretize its distributions (sharing the
@@ -74,9 +76,6 @@ func MustNew(g *walkgraph.Graph, dep *rfid.Deployment, idx *anchor.Index, umax f
 	return m
 }
 
-// MaxSpeed returns the model's umax.
-func (m *Model) MaxSpeed() float64 { return m.umax }
-
 // Region returns the locations the object may occupy at time now under the
 // symbolic model: the reader's own covered region while detected, otherwise
 // everything reachable within umax*(now - lastSeen) of the range boundary
@@ -94,10 +93,6 @@ func (m *Model) Region(s Sighting, now model.Time) Region {
 	}
 	return reg
 }
-
-// DeploymentGraph exposes the underlying deployment graph (cells and
-// fragments) for inspection.
-func (m *Model) DeploymentGraph() *depgraph.Graph { return m.dg }
 
 // Distribution infers the object's location distribution over anchor points:
 // uniform over the region by floor area (hallway intervals weigh

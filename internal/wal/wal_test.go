@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/ingest"
@@ -283,29 +284,35 @@ func TestSnapshotStore(t *testing.T) {
 	if _, err := WriteSnapshot(dir, 9, 200, []byte("newer")); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
-	seq, got, ok, skipped, err := ReadLatestSnapshot(dir, 9)
-	if err != nil || !ok || skipped != 0 {
-		t.Fatalf("ReadLatestSnapshot: ok=%v skipped=%d err=%v", ok, skipped, err)
+	snaps, err := ListSnapshots(dir)
+	if err != nil || len(snaps) != 2 {
+		t.Fatalf("ListSnapshots: %v (%v)", snaps, err)
+	}
+	seq, got, err := ReadSnapshotFile(snaps[1].Path, 9)
+	if err != nil {
+		t.Fatalf("ReadSnapshotFile: %v", err)
 	}
 	if seq != 200 || string(got) != "newer" {
 		t.Fatalf("got (%d, %q)", seq, got)
 	}
+	seq, got, err = ReadSnapshotFile(snaps[0].Path, 9)
+	if err != nil || seq != 100 || !bytes.Equal(got, payload) {
+		t.Fatalf("older snapshot: (%d, %d bytes) err=%v", seq, len(got), err)
+	}
 
-	// Corrupt the newest: the store falls back to the older snapshot.
-	snaps, _ := ListSnapshots(dir)
+	// A flipped payload byte fails the CRC; the older file still reads.
 	data, _ := os.ReadFile(snaps[1].Path)
 	data[len(data)-1] ^= 0xff
 	os.WriteFile(snaps[1].Path, data, 0o644)
-	seq, got, ok, skipped, err = ReadLatestSnapshot(dir, 9)
-	if err != nil || !ok || skipped != 1 {
-		t.Fatalf("fallback: ok=%v skipped=%d err=%v", ok, skipped, err)
+	if _, _, err := ReadSnapshotFile(snaps[1].Path, 9); err == nil || !strings.Contains(err.Error(), "CRC") {
+		t.Fatalf("corrupt snapshot read returned %v, want a CRC error", err)
 	}
-	if seq != 100 || !bytes.Equal(got, payload) {
-		t.Fatalf("fallback got (%d, %d bytes)", seq, len(got))
+	if _, _, err := ReadSnapshotFile(snaps[0].Path, 9); err != nil {
+		t.Fatalf("older snapshot after the newer one's corruption: %v", err)
 	}
 
-	// Stream mismatch is fatal, not a fallback.
-	_, _, _, _, err = ReadLatestSnapshot(dir, 8)
+	// Stream mismatch is its own typed error, not a corruption.
+	_, _, err = ReadSnapshotFile(snaps[0].Path, 8)
 	var me *MismatchError
 	if !errors.As(err, &me) {
 		t.Fatalf("mismatched stream returned %v, want *MismatchError", err)

@@ -7,9 +7,9 @@
 // constrained to the indoor walking graph, indexes the resulting location
 // distributions on anchor points, and answers probabilistic indoor range and
 // k-nearest-neighbor queries. A symbolic model baseline (uniform over
-// reachable locations) is included for comparison, together with a full
-// simulator and the benchmark harness regenerating every figure of the
-// paper's evaluation.
+// reachable locations, MustNewBaseline) is included for comparison, together
+// with registered continuous queries (NewRegistry), a full simulator and the
+// benchmark harness regenerating every figure of the paper's evaluation.
 //
 // Quick start:
 //
@@ -20,13 +20,14 @@
 //	result := sys.RangeQuery(repro.RectWH(10, 9, 20, 8))
 //
 // The package is a thin facade: the subsystems live in internal packages
-// (walkgraph, particle, anchor, symbolic, query, ...) and are re-exported
-// here as type aliases, so this one import gives access to the full public
-// surface.
+// (walkgraph, particle, anchor, query, engine, baseline, ...) and are
+// re-exported here as type aliases, so this one import gives access to the
+// full public surface.
 package repro
 
 import (
 	"repro/internal/anchor"
+	"repro/internal/baseline"
 	"repro/internal/engine"
 	"repro/internal/floorplan"
 	"repro/internal/geom"
@@ -230,20 +231,28 @@ type IngestError = ingest.Error
 // exposed through Stats.Ingest.
 type IngestDrops = ingest.Drops
 
-// Registered continuous queries.
+// The symbolic model baseline and registered continuous queries.
+
+// Baseline answers range and kNN queries with the symbolic model baseline
+// (Yang et al.) over a System's collector state, for comparison with the
+// particle filter.
+type Baseline = baseline.SM
+
+// MustNewBaseline builds the symbolic model baseline over a system.
+func MustNewBaseline(sys *System) *Baseline { return baseline.MustNew(sys) }
 
 // Registry tracks registered continuous queries and emits result-set change
 // events on each evaluation — the paper's "registered queries" flow.
-type Registry = engine.Registry
+type Registry = baseline.Registry
 
 // NewRegistry creates a query registry over a system.
-func NewRegistry(sys *System) *Registry { return engine.NewRegistry(sys) }
+func NewRegistry(sys *System) *Registry { return baseline.NewRegistry(sys) }
 
 // QueryID identifies a registered query; QueryEvent is a result change.
-type QueryID = engine.QueryID
+type QueryID = baseline.QueryID
 
 // QueryEvent is one result-set change of a registered query.
-type QueryEvent = engine.QueryEvent
+type QueryEvent = baseline.QueryEvent
 
 // Serialization.
 
