@@ -97,14 +97,10 @@ type Config struct {
 	// BaseDelay to MaxDelay with deterministic per-peer jitter — the same
 	// loop shape and zero-value defaults as the durability retry.
 	Retry engine.RetryConfig
-	// ForwardTimeout caps one forward attempt (default 2s). Query forwards
-	// are additionally bounded by the client's propagated deadline.
-	ForwardTimeout time.Duration
-	// SuspectAfter and DeadAfter are the circuit-breaker thresholds:
-	// consecutive failed forwards (each already retried) before the peer is
-	// marked SUSPECT (default 1) and DEAD (default 3).
-	SuspectAfter int
-	DeadAfter    int
+	// DeadAfter is the circuit-breaker threshold: consecutive failed
+	// forwards (each already retried) before the peer is marked DEAD
+	// (default 3). The first failure marks it SUSPECT.
+	DeadAfter int
 	// ProbeBase and ProbeMax pace re-probes of a DEAD peer: the next
 	// forward after the probe interval elapses is attempted instead of
 	// dropped, with the interval doubling from ProbeBase to ProbeMax while
@@ -112,12 +108,6 @@ type Config struct {
 	// very high and drive probes explicitly via ProbePeers.
 	ProbeBase time.Duration
 	ProbeMax  time.Duration
-	// MaxMissedSeconds bounds the per-peer catch-up queue of stream seconds
-	// missed while the peer was unreachable (default 4096). Beyond it the
-	// oldest seconds are discarded and counted as lost: the peer can still
-	// heal, but clock lockstep with a never-partitioned cluster is no
-	// longer guaranteed.
-	MaxMissedSeconds int
 	// EvaluateSlots bounds concurrent remote-evaluate RPCs served by this
 	// node; excess requests are shed with a Retry-After estimated from
 	// recent evaluate latency (0: unbounded, never shed).
@@ -126,19 +116,9 @@ type Config struct {
 	Seed int64
 }
 
-func (c *Config) forwardTimeout() time.Duration {
-	if c.ForwardTimeout <= 0 {
-		return 2 * time.Second
-	}
-	return c.ForwardTimeout
-}
-
-func (c *Config) suspectAfter() int {
-	if c.SuspectAfter <= 0 {
-		return 1
-	}
-	return c.SuspectAfter
-}
+// forwardTimeout caps one forward attempt. Query forwards are additionally
+// bounded by the client's propagated deadline.
+const forwardTimeout = 2 * time.Second
 
 func (c *Config) deadAfter() int {
 	if c.DeadAfter <= 0 {
@@ -159,13 +139,6 @@ func (c *Config) probeMax() time.Duration {
 		return 15 * time.Second
 	}
 	return c.ProbeMax
-}
-
-func (c *Config) maxMissed() int {
-	if c.MaxMissedSeconds <= 0 {
-		return 4096
-	}
-	return c.MaxMissedSeconds
 }
 
 // Node wraps a local engine with cluster membership, forwarding, and the

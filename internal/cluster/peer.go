@@ -10,18 +10,8 @@ import (
 	"repro/internal/health"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/shardmap"
 )
-
-// splitmix64 finalizes x into a well-mixed 64-bit value (same mixer as the
-// partition map's).
-func splitmix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
 
 // peer is the forwarder's view of one remote member: circuit-breaker state,
 // the catch-up queue of missed seconds, counters, and metric handles.
@@ -63,9 +53,9 @@ type peer struct {
 }
 
 func newPeer(addr string, cfg Config, fwd *obs.Histogram, errs *obs.Counter, state *obs.Gauge) *peer {
-	h := splitmix64(uint64(cfg.Seed))
+	h := shardmap.Mix(uint64(cfg.Seed))
 	for _, c := range addr {
-		h = splitmix64(h + uint64(c))
+		h = shardmap.Mix(h + uint64(c))
 	}
 	p := &peer{addr: addr, salt: h, cfg: &cfg, mFwd: fwd, mErr: errs, mState: state}
 	p.mState.Set(float64(health.Live))
@@ -89,27 +79,17 @@ func (p *peer) currentState() health.State {
 }
 
 // noteFailure records one failed forward (post-retry) and advances the
-// breaker: SuspectAfter consecutive failures mark the peer SUSPECT,
-// DeadAfter mark it DEAD; while DEAD the probe interval doubles from
-// ProbeBase to ProbeMax.
+// breaker: the first failure marks the peer SUSPECT, DeadAfter mark it DEAD;
+// while DEAD the probe interval doubles from ProbeBase to ProbeMax.
 func (p *peer) noteFailure(err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.fails++
 	p.lastErr = err.Error()
-	switch {
-	case p.fails >= p.cfg.deadAfter():
+	p.state = health.Suspect
+	if dead := p.cfg.deadAfter(); p.fails >= dead {
 		p.state = health.Dead
-		d := p.cfg.probeBase()
-		for i := p.cfg.deadAfter(); i < p.fails && d < p.cfg.probeMax(); i++ {
-			d *= 2
-		}
-		if d > p.cfg.probeMax() {
-			d = p.cfg.probeMax()
-		}
-		p.nextProbe = time.Now().Add(d)
-	case p.fails >= p.cfg.suspectAfter():
-		p.state = health.Suspect
+		p.nextProbe = time.Now().Add(engine.Backoff(p.cfg.probeBase(), p.cfg.probeMax(), p.fails-dead))
 	}
 	p.mState.Set(float64(p.state))
 }
@@ -124,13 +104,18 @@ func (p *peer) noteSuccess() {
 	p.mState.Set(float64(health.Live))
 }
 
+// maxMissedSeconds bounds a peer's catch-up queue of stream seconds missed
+// while it was unreachable. Beyond it the oldest seconds are discarded and
+// counted as lost: the peer can still heal, but clock lockstep with a
+// never-partitioned cluster is no longer guaranteed.
+const maxMissedSeconds = 4096
+
 // recordMissed queues one missed stream second for heal-time catch-up,
-// bounded by MaxMissedSeconds (oldest seconds beyond it are lost: counted,
-// and clock lockstep is no longer guaranteed after heal).
+// bounded by maxMissedSeconds.
 func (p *peer) recordMissed(t model.Time) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.ticks) >= p.cfg.maxMissed() {
+	if len(p.ticks) >= maxMissedSeconds {
 		p.ticks = p.ticks[1:]
 		p.lostTicks++
 	}

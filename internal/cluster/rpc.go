@@ -134,7 +134,7 @@ type Response struct {
 }
 
 // send delivers one request to a peer with bounded retries: exponential
-// backoff with per-peer jitter, each attempt capped by ForwardTimeout and
+// backoff with per-peer jitter, each attempt capped by forwardTimeout and
 // by the caller's remaining deadline. Transport errors are retried;
 // application responses (including sheds) return immediately.
 func (n *Node) send(ctx context.Context, p *peer, req *Request) (*Response, error) {
@@ -145,7 +145,7 @@ func (n *Node) send(ctx context.Context, p *peer, req *Request) (*Response, erro
 	rc := n.cfg.Retry
 	var last error
 	for attempt := 0; ; attempt++ {
-		budget := n.cfg.forwardTimeout()
+		budget := forwardTimeout
 		if dl, ok := ctx.Deadline(); ok {
 			remaining := time.Until(dl)
 			if remaining <= 0 {

@@ -24,7 +24,7 @@ type PeerStatus struct {
 	LastError string `json:"lastError,omitempty"`
 	// PendingTicks is the catch-up queue depth: stream seconds this peer
 	// missed that will replay as empty batches on heal. LostTicks counts
-	// seconds evicted beyond MaxMissedSeconds.
+	// seconds evicted beyond maxMissedSeconds.
 	PendingTicks int `json:"pendingTicks"`
 	LostTicks    int `json:"lostTicks"`
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/floorplan"
 	"repro/internal/obs/trace"
 	"repro/internal/rfid"
+	"repro/internal/shardmap"
 	"repro/internal/wal"
 )
 
@@ -30,12 +31,6 @@ type DurabilityConfig struct {
 	// recovery is a snapshot load plus a bounded replay. 0 disables periodic
 	// snapshots (one is still written on Close).
 	SnapshotEvery int
-	// SegmentBytes is the WAL segment rotation size. 0 means the wal
-	// package default (8 MiB).
-	SegmentBytes int64
-	// KeepSnapshots is how many snapshots to retain; older ones (and the
-	// segments only they need) are pruned. 0 means 2.
-	KeepSnapshots int
 	// Retry bounds the transient-error retries on WAL appends and fsyncs.
 	// Only transient failures (wal.IsTransient) are retried; a permanent one
 	// quarantines the shard at once, or fail-stops the engine when it is the
@@ -87,24 +82,24 @@ func (rc RetryConfig) Delay(attempt int, salt uint64) time.Duration {
 	if cap <= 0 {
 		cap = 100 * time.Millisecond
 	}
-	d := base
-	for i := 0; i < attempt && d < cap; i++ {
-		d *= 2
-	}
-	if d > cap {
-		d = cap
-	}
+	d := Backoff(base, cap, attempt)
 	// splitmix64 over (salt, attempt) → jitter in [d/2, d).
-	x := salt + uint64(attempt)*0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
+	x := shardmap.Mix(salt + uint64(attempt)*0x9e3779b97f4a7c15)
 	if d > 1 {
 		d = d/2 + time.Duration(x%uint64(d))/2
 	}
 	return d
+}
+
+// Backoff is base doubled n times, capped at limit: the one exponential
+// schedule behind transient retries, shard heals and the cluster's dead-peer
+// probes.
+func Backoff(base, limit time.Duration, n int) time.Duration {
+	d := base
+	for i := 0; i < n && d < limit; i++ {
+		d *= 2
+	}
+	return min(d, limit)
 }
 
 // Enabled reports whether durability is configured at all.
@@ -115,13 +110,6 @@ func (d DurabilityConfig) fsyncInterval() time.Duration {
 		return time.Second
 	}
 	return d.FsyncInterval
-}
-
-func (d DurabilityConfig) keepSnapshots() int {
-	if d.KeepSnapshots <= 0 {
-		return 2
-	}
-	return d.KeepSnapshots
 }
 
 func (d DurabilityConfig) fsys() wal.FS {
@@ -144,6 +132,10 @@ func (d DurabilityConfig) healMaxDelay() time.Duration {
 	}
 	return d.HealMaxDelay
 }
+
+// keepSnapshots is how many snapshot barriers pruning retains; older ones,
+// and the WAL segments only they need, are removed.
+const keepSnapshots = 2
 
 // snapFailBackoff is how many consecutive snapshot failures are retried on
 // the very next flushed second before the schedule backs off a full

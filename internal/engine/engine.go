@@ -49,8 +49,6 @@ type Config struct {
 	MaxSpeed float64
 	// UseCache enables the cache management module.
 	UseCache bool
-	// CacheLifetime is the cache entry lifetime in seconds.
-	CacheLifetime model.Time
 	// UsePruning enables the query aware optimization module. When false,
 	// every known object is a candidate for every query.
 	UsePruning bool
@@ -66,13 +64,6 @@ type Config struct {
 	// worker count: every object's filtering stream derives from
 	// (Seed, object, query time), not from execution order.
 	Workers int
-	// BatchSize is how many objects a preprocessing worker claims from the
-	// shared queue at a time. Larger batches amortize the claim (one atomic
-	// add per batch) and keep each worker's particle pool arrays hot across
-	// consecutive objects; smaller batches balance ragged workloads better.
-	// 0 means DefaultBatchSize. Results are bit-for-bit identical at any
-	// batch size, for the same reason they are at any worker count.
-	BatchSize int
 	// Ingest parameterizes the hardened ingestion front end: the reorder
 	// buffer's lateness horizon, skew tolerance, and buffer bound. The zero
 	// value keeps the historical strict in-order contract (every batch
@@ -83,9 +74,6 @@ type Config struct {
 	// Zero or negative disables the slow-query log; latency histograms
 	// record regardless.
 	SlowQueryThreshold time.Duration
-	// TraceRing is the capacity of the filter-trace ring buffer
-	// (Telemetry.Trace, served at /debug/filtertrace). 0 means 256.
-	TraceRing int
 	// Health parameterizes the per-reader liveness monitor that feeds the
 	// sensing-model compensation (filter negative updates, pruner uncertain
 	// regions). The zero value disables monitoring; monitoring is passive —
@@ -106,11 +94,13 @@ type Config struct {
 	Durability DurabilityConfig
 }
 
-// DefaultBatchSize is how many objects a preprocessing worker claims at a
-// time when Config.BatchSize is zero. One object's SoA state is a few
-// kilobytes (Ns × five flat arrays), so a batch of 32 streams through
-// comfortably under L2 while costing only one atomic claim per 32 filters.
-const DefaultBatchSize = 32
+// preprocessBatch is how many objects a preprocessing worker claims from the
+// shared queue at a time. One object's SoA state is a few kilobytes (Ns ×
+// five flat arrays), so a batch of 32 streams through comfortably under L2
+// while costing only one atomic claim per 32 filters. Results are bit-for-bit
+// identical at any batch size, for the same reason they are at any worker
+// count.
+const preprocessBatch = 32
 
 // DefaultConfig returns the paper's defaults (Table 2).
 func DefaultConfig() Config {
@@ -119,7 +109,6 @@ func DefaultConfig() Config {
 		AnchorSpacing:      anchor.DefaultSpacing,
 		MaxSpeed:           query.DefaultMaxSpeed,
 		UseCache:           true,
-		CacheLifetime:      cache.DefaultLifetime,
 		UsePruning:         true,
 		SMTrials:           200,
 		SlowQueryThreshold: 100 * time.Millisecond,
@@ -271,7 +260,7 @@ func New(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*System, error
 		idx:    idx,
 		col:    col,
 		filter: filter,
-		cache:  cache.New(cfg.CacheLifetime),
+		cache:  cache.New(cache.DefaultLifetime),
 		pruner: query.NewPruner(g, idx, dep, cfg.MaxSpeed),
 		eval:   query.NewEvaluator(g, idx),
 		src:    rng.New(cfg.Seed),
@@ -649,14 +638,14 @@ func (s *System) preprocessDists(ctx context.Context, candidates []model.ObjectI
 	// Phase 2 (parallel): run the particle filter per object. Each object's
 	// stream is keyed by (Seed, object, last reading time): a later query
 	// with new readings filters differently, but re-asking the same question
-	// gives the same answer, at any worker count and batch size.
+	// gives the same answer, at any worker count.
 	//
 	// Workers claim contiguous batches of the sorted task list from a shared
-	// atomic cursor — one atomic add per batch instead of one channel
-	// round-trip per object — and step every object in a batch through the
-	// same recycled scratch, so the SoA kernel's flat arrays stay hot in
-	// cache from one object to the next. Tasks are disjoint objects, so a
-	// cached state is advanced in place by exactly one worker. The
+	// atomic cursor — one atomic add per preprocessBatch objects instead of
+	// one channel round-trip per object — and step every object in a batch
+	// through the same recycled scratch, so the SoA kernel's flat arrays stay
+	// hot in cache from one object to the next. Tasks are disjoint objects,
+	// so a cached state is advanced in place by exactly one worker. The
 	// goroutines live only for the duration of the call; the scratch is
 	// recycled across calls.
 	workers := s.cfg.Workers
@@ -669,10 +658,6 @@ func (s *System) preprocessDists(ctx context.Context, candidates []model.ObjectI
 	if workers < 1 {
 		workers = 1
 	}
-	batch := s.cfg.BatchSize
-	if batch <= 0 {
-		batch = DefaultBatchSize
-	}
 	var wg sync.WaitGroup
 	var cursor atomic.Int64
 	worker := func() {
@@ -680,8 +665,8 @@ func (s *System) preprocessDists(ctx context.Context, candidates []model.ObjectI
 		ws := s.pools.Get().(*workerScratch)
 		defer s.pools.Put(ws)
 		for {
-			end := int(cursor.Add(int64(batch)))
-			start := end - batch
+			end := int(cursor.Add(preprocessBatch))
+			start := end - preprocessBatch
 			if start >= len(tasks) {
 				return
 			}

@@ -3,12 +3,14 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/geom"
 	"repro/internal/ingest"
 	"repro/internal/model"
 	"repro/internal/shardmap"
@@ -150,8 +152,8 @@ func TestSnapshotFailureDoesNotStallSchedule(t *testing.T) {
 	if h.Fired() != 1 {
 		t.Fatalf("snapshot fault fired %d times, want 1", h.Fired())
 	}
-	if got := sys.tel.snapshotFailures.Value(); got == 0 {
-		t.Error("repro_snapshot_failures_total stayed 0 despite a failed snapshot write")
+	if got := sys.tel.walSnapshotErrors.Value(); got == 0 {
+		t.Error("repro_wal_snapshot_errors_total stayed 0 despite a failed snapshot write")
 	}
 	snaps, err := wal.ListSnapshots(dir)
 	if err != nil {
@@ -253,13 +255,21 @@ func mustMatchShardedOracle(t *testing.T, label string, got, want *Sharded) {
 	}
 }
 
-// TestShardPermanentFaultIsolatesAndHeals is the PR's acceptance scenario: at
-// 4 shards, a permanent fault in one shard's WAL must quarantine that shard
-// only — typed drops for its objects, partial answers naming it, no
-// engine-wide WAL error — and after the fault clears, HealNow must restore
-// full service with answers bit-for-bit the unfaulted-oracle's over the
-// effective stream.
+// TestShardPermanentFaultIsolatesAndHeals is the fault-isolation acceptance
+// scenario: at 4 shards, a permanent fault in one shard's WAL must quarantine
+// that shard only — typed drops for its objects, partial answers naming it, no
+// engine-wide WAL error — while the engine clock keeps time with the stream
+// and the live shards answer exactly as the unfaulted oracle does; after the
+// fault clears, HealNow must restore full service with answers bit-for-bit
+// the oracle's over the effective stream. Shard 0 is faulted too because the
+// router reads the stream clock from it.
 func TestShardPermanentFaultIsolatesAndHeals(t *testing.T) {
+	for _, shard := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shard-%d", shard), func(t *testing.T) { testShardPermanentFault(t, shard) })
+	}
+}
+
+func testShardPermanentFault(t *testing.T, shard int) {
 	const faultAt, healAt = 10, 24
 	f := newDurableFixture(t, 30)
 	fsys := errfs.New(nil, 17)
@@ -273,14 +283,14 @@ func TestShardPermanentFaultIsolatesAndHeals(t *testing.T) {
 			t.Fatalf("clean ingest: %v", err)
 		}
 	}
-	fsys.Fail(errfs.Rule{Ops: errfs.OpWrite, Path: "shard-0002"})
+	fsys.Fail(errfs.Rule{Ops: errfs.OpWrite, Path: fmt.Sprintf("shard-%04d", shard)})
 	var droppedTyped, droppedWant int
 	for i := faultAt; i < healAt; i++ {
 		d := f.deliveries[i]
-		droppedWant += shardOwned(d.raws, 2, 4)
+		droppedWant += shardOwned(d.raws, shard, 4)
 		err := sh.Ingest(d.t, d.raws)
 		if err == nil {
-			if shardOwned(d.raws, 2, 4) > 0 {
+			if shardOwned(d.raws, shard, 4) > 0 {
 				t.Fatalf("second %d: ingest acked readings for the dead shard without a typed error", i)
 			}
 			continue
@@ -296,32 +306,61 @@ func TestShardPermanentFaultIsolatesAndHeals(t *testing.T) {
 	if werr := sh.WALError(); werr != nil {
 		t.Fatalf("one dead shard poisoned the whole engine: %v", werr)
 	}
-	if ds := sh.DegradedShards(); !reflect.DeepEqual(ds, []int{2}) {
-		t.Fatalf("DegradedShards = %v, want [2]", ds)
+	if ds := sh.DegradedShards(); !reflect.DeepEqual(ds, []int{shard}) {
+		t.Fatalf("DegradedShards = %v, want [%d]", ds, shard)
 	}
 	if droppedTyped != droppedWant {
-		t.Errorf("typed drops = %d, want %d (every shard-2 reading in the window)", droppedTyped, droppedWant)
+		t.Errorf("typed drops = %d, want %d (every shard-%d reading in the window)", droppedTyped, droppedWant, shard)
 	}
 	if got := sh.Stats().Ingest.QuarantinedReadings; got != droppedWant {
 		t.Errorf("Stats.Ingest.QuarantinedReadings = %d, want %d", got, droppedWant)
 	}
-	if _, err := os.Stat(quarMarkerPath(dir, 2)); err != nil {
+	if _, err := os.Stat(quarMarkerPath(dir, shard)); err != nil {
 		t.Errorf("quarantine marker missing: %v", err)
 	}
+	// The quarantined shard still takes every flushed second, empty: the
+	// clock is the stream's, not the quarantine second's.
+	if got, want := sh.Now(), f.deliveries[healAt-1].t; got != want {
+		t.Errorf("Now() = %d under quarantine, want the last flushed second %d", got, want)
+	}
+	oracle := quarantineOracle(t, f, shard, faultAt, healAt, healAt)
 
 	// Every query surface must answer from the live shards and say so.
 	ctx := context.Background()
 	if res, qerr := sh.RangeQueryContext(ctx, probeWindow); qerr == nil {
 		t.Error("range query under quarantine reported no degradation")
-	} else if qe, ok := IsQuarantine(qerr); !ok || !reflect.DeepEqual(qe.Shards, []int{2}) {
-		t.Errorf("range query error %v does not name shard 2", qerr)
+	} else if qe, ok := IsQuarantine(qerr); !ok || !reflect.DeepEqual(qe.Shards, []int{shard}) {
+		t.Errorf("range query error %v does not name shard %d", qerr, shard)
 	} else if res == nil {
 		t.Error("range query returned no partial answer")
 	}
+	// Over every tile of the floor, the partial answer is the oracle's minus
+	// the quarantined shard's objects: no live-shard object missing, every
+	// probability equal. Small tiles, because pruning under a stale clock
+	// shrinks the uncertain regions, and only a window near a region's edge
+	// loses the object.
+	b := f.plan.Bounds()
+	const cols, rows = 6, 3
+	w, h := (b.Max.X-b.Min.X)/cols, (b.Max.Y-b.Min.Y)/rows
+	for c := 0; c < cols; c++ {
+		for r := 0; r < rows; r++ {
+			tile := geom.RectWH(b.Min.X+float64(c)*w, b.Min.Y+float64(r)*h, w, h)
+			got, _ := sh.RangeQueryContext(ctx, tile)
+			want := model.ResultSet{}
+			for o, p := range oracle.RangeQuery(tile) {
+				if shardmap.Of(o, 4) != shard {
+					want[o] = p
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("partial range answer over %v diverges from the oracle's live-shard objects:\n  got  %v\n  want %v", tile, got, want)
+			}
+		}
+	}
 	if _, qerr := sh.KNNQueryContext(ctx, probePoint, 3); qerr == nil {
 		t.Error("kNN query under quarantine reported no degradation")
-	} else if qe, ok := IsQuarantine(qerr); !ok || !reflect.DeepEqual(qe.Shards, []int{2}) {
-		t.Errorf("kNN query error %v does not name shard 2", qerr)
+	} else if qe, ok := IsQuarantine(qerr); !ok || !reflect.DeepEqual(qe.Shards, []int{shard}) {
+		t.Errorf("kNN query error %v does not name shard %d", qerr, shard)
 	}
 	if _, qerr := sh.OccupancyContext(ctx); qerr == nil {
 		t.Error("occupancy under quarantine reported no degradation")
@@ -337,15 +376,15 @@ func TestShardPermanentFaultIsolatesAndHeals(t *testing.T) {
 	if ds := sh.DegradedShards(); len(ds) != 0 {
 		t.Fatalf("DegradedShards = %v after heal", ds)
 	}
-	if _, err := os.Stat(quarMarkerPath(dir, 2)); !errors.Is(err, os.ErrNotExist) {
+	if _, err := os.Stat(quarMarkerPath(dir, shard)); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("quarantine marker survived the heal: %v", err)
 	}
 	if got := sh.tel.shardHeals.Value(); got != 1 {
 		t.Errorf("repro_shard_heals_total = %d, want 1", got)
 	}
 	// Healed and nothing ingested since: the shard's clock and its objects'
-	// LEAVEs must already stand where the missed seconds put them.
-	mustMatchShardedOracle(t, "on heal", sh, quarantineOracle(t, f, 2, faultAt, healAt, healAt))
+	// LEAVEs must already stand where the empty seconds put them.
+	mustMatchShardedOracle(t, "on heal", sh, oracle)
 	for _, d := range f.deliveries[healAt:] {
 		if err := sh.Ingest(d.t, d.raws); err != nil {
 			t.Fatalf("post-heal ingest: %v", err)
@@ -356,7 +395,7 @@ func TestShardPermanentFaultIsolatesAndHeals(t *testing.T) {
 		t.Errorf("post-heal range query still degraded: %v", qerr)
 	}
 
-	mustMatchShardedOracle(t, "post-heal", sh, quarantineOracle(t, f, 2, faultAt, healAt, len(f.deliveries)))
+	mustMatchShardedOracle(t, "post-heal", sh, quarantineOracle(t, f, shard, faultAt, healAt, len(f.deliveries)))
 	if err := sh.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -364,15 +403,17 @@ func TestShardPermanentFaultIsolatesAndHeals(t *testing.T) {
 
 // TestQuarantineSurvivesCleanRestart closes an engine with a quarantined
 // shard: the restarted engine must come back with that shard still
-// quarantined (marker + barrier record), heal on demand, and match the
-// effective-stream oracle.
+// quarantined (the marker), standing at the stream clock — the seconds
+// between its quarantine and the Close barrier taken empty at the times the
+// live shards' logs hold — heal on demand, and match the effective-stream
+// oracle.
 func TestQuarantineSurvivesCleanRestart(t *testing.T) {
 	testQuarantineRestart(t, true)
 }
 
 // TestQuarantineSurvivesCrashRestart is the same scenario without Close: the
-// process vanishes with a shard quarantined, and recovery must rebuild the
-// missed-second list from the live shards' WAL replay alone.
+// process vanishes with a shard quarantined, and the quarantined shard takes
+// the seconds since its quarantine empty in the lockstep replay.
 func TestQuarantineSurvivesCrashRestart(t *testing.T) {
 	testQuarantineRestart(t, false)
 }
@@ -430,6 +471,9 @@ func testQuarantineRestart(t *testing.T, clean bool) {
 	if ds := re.DegradedShards(); len(ds) != 0 {
 		t.Fatalf("DegradedShards = %v after heal", ds)
 	}
+	// Recovery brought the marked shard to the barrier with empty seconds;
+	// the heal only reopened its log, so it must already stand there.
+	mustMatchShardedOracle(t, "restart, on heal", re, quarantineOracle(t, f, 1, faultAt, restartAt, restartAt))
 	for _, d := range f.deliveries[restartAt:] {
 		if err := re.Ingest(d.t, d.raws); err != nil {
 			t.Fatalf("post-heal ingest: %v", err)

@@ -121,10 +121,9 @@ func routerSnapshotBytes(t *testing.T, e *Sharded) []byte {
 }
 
 // TestParallelPreprocessDeterministicAtScale drives 1000 objects through the
-// batched worker-pool scheduler across the full (workers × batch size) grid
-// and asserts that cumulative Stats, range and kNN answers, and the durable
-// snapshot encoding are bit-for-bit identical to the serial single-object
-// baseline. This pins the scheduler's whole observable surface, not just the
+// batched worker-pool scheduler at several worker counts and asserts that
+// cumulative Stats, range and kNN answers, and the durable snapshot encoding
+// are bit-for-bit identical to the one-worker baseline. This pins the scheduler's whole observable surface, not just the
 // distributions: cache hit/miss accounting, filter-run counters, and the
 // gob-encoded particle states that recovery depends on.
 func TestParallelPreprocessDeterministicAtScale(t *testing.T) {
@@ -137,13 +136,12 @@ func TestParallelPreprocessDeterministicAtScale(t *testing.T) {
 		knn   model.ResultSet
 		snap  []byte
 	}
-	build := func(workers, batch int) outcome {
+	build := func(workers int) outcome {
 		plan := floorplan.DefaultOffice()
 		dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
 		cfg := DefaultConfig()
 		cfg.Seed = 33
 		cfg.Workers = workers
-		cfg.BatchSize = batch
 		sys := MustNew(plan, dep, cfg)
 		tc := sim.DefaultTraceConfig()
 		tc.NumObjects = 1000
@@ -157,28 +155,23 @@ func TestParallelPreprocessDeterministicAtScale(t *testing.T) {
 		knn := sys.KNNQuery(geom.Pt(20, 12), 10)
 		return outcome{stats: sys.Stats(), rng: rng, knn: knn, snap: snapshotBytes(t, sys)}
 	}
-	base := build(1, 1)
+	base := build(1)
 	if base.stats.FiltersRun == 0 || len(base.rng) == 0 {
 		t.Fatalf("baseline is vacuous: stats=%+v |range|=%d", base.stats, len(base.rng))
 	}
-	for _, workers := range []int{1, 4, 16} {
-		for _, batch := range []int{1, 7, 64} {
-			if workers == 1 && batch == 1 {
-				continue
-			}
-			got := build(workers, batch)
-			if !reflect.DeepEqual(got.stats, base.stats) {
-				t.Errorf("workers=%d batch=%d: stats diverge:\n got %+v\nwant %+v", workers, batch, got.stats, base.stats)
-			}
-			if !reflect.DeepEqual(got.rng, base.rng) {
-				t.Errorf("workers=%d batch=%d: range answers diverge", workers, batch)
-			}
-			if !reflect.DeepEqual(got.knn, base.knn) {
-				t.Errorf("workers=%d batch=%d: kNN answers diverge", workers, batch)
-			}
-			if !bytes.Equal(got.snap, base.snap) {
-				t.Errorf("workers=%d batch=%d: snapshot bytes diverge (%d vs %d bytes)", workers, batch, len(got.snap), len(base.snap))
-			}
+	for _, workers := range []int{4, 16} {
+		got := build(workers)
+		if !reflect.DeepEqual(got.stats, base.stats) {
+			t.Errorf("workers=%d: stats diverge:\n got %+v\nwant %+v", workers, got.stats, base.stats)
+		}
+		if !reflect.DeepEqual(got.rng, base.rng) {
+			t.Errorf("workers=%d: range answers diverge", workers)
+		}
+		if !reflect.DeepEqual(got.knn, base.knn) {
+			t.Errorf("workers=%d: kNN answers diverge", workers)
+		}
+		if !bytes.Equal(got.snap, base.snap) {
+			t.Errorf("workers=%d: snapshot bytes diverge (%d vs %d bytes)", workers, len(got.snap), len(base.snap))
 		}
 	}
 }

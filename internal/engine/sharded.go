@@ -312,8 +312,9 @@ func (e *Sharded) FlushIngest() {
 }
 
 // flushSecond is the reorder buffer's sink (called under ingestMu). The
-// second is partitioned once; with durability on, one WAL record per shard
-// is appended before anything is applied.
+// second is partitioned once, the parts of shards that are out dropped; with
+// durability on, one WAL record per shard is appended before anything is
+// applied.
 func (e *Sharded) flushSecond(t model.Time, raws []model.RawReading) {
 	var lag model.Time
 	if ms, ok := e.reorder.MaxSeen(); ok && ms > t {
@@ -321,8 +322,12 @@ func (e *Sharded) flushSecond(t model.Time, raws []model.RawReading) {
 	}
 	e.tel.reorderLag.Observe(float64(lag))
 	parts := e.partition(raws)
+	for i := range parts {
+		if e.shardState[i].Load() != shardLive {
+			e.dropQuarantined(i, parts)
+		}
+	}
 	if e.wals != nil && e.walErr == nil {
-		e.dropQuarantined(t, parts)
 		e.appendWAL(t, parts)
 	}
 	e.applyParts(t, parts, raws)
@@ -364,27 +369,15 @@ func (e *Sharded) partition(raws []model.RawReading) [][]model.RawReading {
 	return parts
 }
 
-// applyParts applies one flushed second to every live shard (quarantined
-// shards' state is frozen at their cut sequence; healing fast-forwards them).
-// It is the recovery replay path too, so it must not touch the WAL. raws is
-// the full second (the concatenation of parts) for the order-insensitive
-// health monitor.
+// applyParts applies one flushed second to every shard. A quarantined or
+// healing shard's part is empty (its readings are typed drops), so its clock
+// and LEAVE detection keep time with the stream and Now is the stream clock
+// whichever shard is out. It is the recovery replay path too, so it must not
+// touch the WAL. raws is the full second (the concatenation of parts) for the
+// order-insensitive health monitor.
 func (e *Sharded) applyParts(t model.Time, parts [][]model.RawReading, raws []model.RawReading) {
-	e.applyPartsMasked(t, parts, raws, nil)
-}
-
-// applyPartsMasked is applyParts with an explicit shard mask; a nil mask
-// means "every shard in the LIVE state". Recovery replay uses the mask to
-// include a recovering shard only for the seconds its own log covers.
-func (e *Sharded) applyPartsMasked(t model.Time, parts [][]model.RawReading, raws []model.RawReading, active []bool) {
 	if e.monitor != nil && e.monitor.ObserveSecond(t, raws) {
 		e.refreshHealth()
-	}
-	include := func(i int) bool {
-		if active != nil {
-			return active[i]
-		}
-		return e.shardState[i].Load() == shardLive
 	}
 	evs := e.evs
 	clear(evs)
@@ -400,15 +393,10 @@ func (e *Sharded) applyPartsMasked(t model.Time, parts [][]model.RawReading, raw
 		tr.Since("collect", i, astart)
 	}
 	if e.n == 1 {
-		if include(0) {
-			apply(0)
-		}
+		apply(0)
 	} else {
 		var wg sync.WaitGroup
 		for i := 0; i < e.n; i++ {
-			if !include(i) {
-				continue
-			}
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
@@ -453,8 +441,9 @@ func (e *Sharded) refreshHealth() {
 func (e *Sharded) Query(ctx context.Context, q Query) (Answer, error) { return Run(ctx, e, e, q) }
 
 // shard is shard i of e as a Partition: the kernel under its lock, or the
-// typed marker when the shard is not live — a quarantined shard's state is
-// frozen mid-quarantine, and answering from it would mix epochs.
+// typed marker when the shard is not live — a quarantined shard's readings
+// are being dropped, so answering from it would pass a stale view off as
+// current.
 type shard struct {
 	e *Sharded
 	i int

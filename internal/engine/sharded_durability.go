@@ -29,7 +29,7 @@ import (
 // Layout under Durability.Dir:
 //
 //	SHARDS            guard file: the shard count the directory was written with
-//	snap-*.snap       router snapshots (reorder position, query counters, quarantine records)
+//	snap-*.snap       router snapshots (reorder position, query counters)
 //	quarantine-NNNN   marker: shard NNNN was quarantined at the recorded seq
 //	shard-0000/       shard 0's WAL segments and snapshots
 //	shard-0001/       ...
@@ -49,9 +49,9 @@ import (
 // is legitimately behind (its log was cut when the shard was quarantined), so
 // its length is excluded from the lockstep cut — without the marker, one
 // quarantined shard would truncate every healthy shard back to its seq and
-// lose acked data. Marked shards are restored from their own snapshots, ride
-// the lockstep replay for the seconds their log covers, and come back
-// quarantined with the self-heal loop scheduled (sharded_heal.go).
+// lose acked data. Marked shards are restored from their own snapshots and
+// logs, then take every later second empty, exactly as they did live, and
+// come back quarantined with the self-heal loop scheduled (sharded_heal.go).
 
 // shardGuardFile names the file pinning the directory's shard count.
 const shardGuardFile = "SHARDS"
@@ -104,20 +104,11 @@ func checkShardGuard(fsys wal.FS, dir string, n int) error {
 	return nil
 }
 
-// quarRecord is a quarantined shard's entry in the router snapshot. It
-// carries what the marker file cannot afford to: the full list of flushed
-// seconds the shard has missed so far, so a crash during a quarantine that
-// outlived a snapshot barrier still heals with exact fast-forward times.
-type quarRecord struct {
-	Shard  int
-	Seq    uint64
-	Missed []model.Time
-}
-
 // routerSnap is the router's share of a sharded snapshot: everything the
 // shards do not own. The per-shard shardSnap carries the rest. Snapshots
-// written when the router also kept an ENTER/LEAVE log still decode: gob
-// skips the log and its heal-splice count, fields this type no longer has.
+// written by earlier layouts still decode: gob skips the router's
+// ENTER/LEAVE log and the per-shard quarantine records, fields this type no
+// longer has.
 type routerSnap struct {
 	RangeQueries   int
 	KNNQueries     int
@@ -126,9 +117,6 @@ type routerSnap struct {
 	MaxSeen        model.Time
 	Drops          ingest.Drops
 	Forced         int
-	// Quarantined lists the shards out of lockstep when the barrier was
-	// written (absent in snapshots from engines that never quarantined).
-	Quarantined []quarRecord
 }
 
 // shardSnap is one shard's share of a sharded snapshot.
@@ -331,9 +319,12 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 	// own base: the barrier seq for live shards, the shard's newest readable
 	// snapshot at or below min(barrier, quarantine seq) for marked shards.
 	// Above its base each log must be gapless. A marked shard whose log
-	// cannot be opened stays quarantined (frozen empty in memory) instead of
-	// failing the whole engine — its disk may still be broken, and healing
-	// retries from disk anyway.
+	// cannot be opened stays quarantined instead of failing the whole engine
+	// — its disk may still be broken, and healing retries from disk anyway.
+	// With a shard marked, the first unmarked shard's log (ref) also yields
+	// the times of the seconds up to the barrier: a marked shard whose own
+	// log stops short of the barrier takes those seconds empty, as it did
+	// live. Pruning is frozen while a shard is out, so they are still on disk.
 	closeAll := func() {
 		for _, l := range e.wals {
 			if l != nil {
@@ -342,10 +333,17 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 		}
 		e.wals = nil
 	}
+	ref := 0 // the first unmarked shard; all-marked was resolved above
+	for _, marked := markers[ref]; marked; _, marked = markers[ref] {
+		ref++
+	}
+	var refTimes map[uint64]model.Time
+	if len(markers) > 0 {
+		refTimes = make(map[uint64]model.Time)
+	}
 	e.wals = make([]*wal.Log, e.n)
 	batches := make([][]wal.Batch, e.n)
 	base := make([]uint64, e.n)
-	qcause := make(map[int]error)
 	for i := 0; i < e.n; i++ {
 		base[i] = snapSeq
 		qi, marked := markers[i]
@@ -382,10 +380,14 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 		}
 		shardBase := base[i]
 		expected := shardBase + 1
-		l, report, oerr := wal.Open(shardDir(d.Dir, i),
-			wal.Options{StreamID: sid, SegmentBytes: d.SegmentBytes, FS: d.FS},
+		l, report, oerr := wal.Open(shardDir(d.Dir, i), wal.Options{StreamID: sid, FS: d.FS},
 			func(seq uint64, payload []byte) error {
 				if seq <= shardBase {
+					if i == ref && refTimes != nil {
+						if b, derr := wal.DecodeBatch(payload); derr == nil {
+							refTimes[seq] = b.Time
+						}
+					}
 					return nil
 				}
 				if seq != expected {
@@ -403,7 +405,6 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 		if oerr != nil {
 			if marked {
 				log.Printf("engine: shard %d: cannot open quarantined log (%v); shard stays quarantined", i, oerr)
-				qcause[i] = oerr
 				batches[i] = nil
 				continue
 			}
@@ -416,7 +417,6 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 			// records is unrecoverable. Keep the shard quarantined and its
 			// log untouched for inspection (walctl) rather than guessing.
 			log.Printf("engine: shard %d: log ends at seq %d, past its quarantine seq %d, with no readable rejoin barrier; shard stays quarantined", i, l.LastSeq(), qi)
-			qcause[i] = fmt.Errorf("engine: shard %d log past quarantine seq %d with no rejoin barrier", i, qi)
 			batches[i] = nil
 			l.Close()
 			continue
@@ -448,7 +448,7 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 				eff = ls
 			}
 		} else {
-			eff = base[i] // unopenable log: frozen at its restored base
+			eff = base[i] // unusable log: nothing of it above the restored base
 		}
 		if walSeqFinal < eff {
 			eff = walSeqFinal
@@ -457,84 +457,58 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 	}
 
 	// Solo catch-up: marked shards replay their own records up to
-	// min(barrier, qeff) alone. The cache still invalidates on ENTER, exactly
-	// like the live path.
+	// min(barrier, qeff) alone, then take the seconds from there to the
+	// barrier empty. The cache still invalidates on ENTER, exactly like the
+	// live path. A second whose time the reference log no longer holds (a
+	// marked shard restored from a snapshot older than ref's retained
+	// records) is skipped.
 	for i := range markers {
-		limit := snapSeq
-		if qeff[i] < limit {
-			limit = qeff[i]
-		}
 		sh := e.shards[i]
 		for k := range batches[i] {
-			seq := base[i] + uint64(k) + 1
-			if seq > limit {
+			if base[i]+uint64(k)+1 > min(snapSeq, qeff[i]) {
 				break
 			}
 			b := &batches[i][k]
 			sh.collectSecond(b.Time, b.Readings)
 			rec.ReadingsReplayed += len(b.Readings)
 		}
+		for seq := max(base[i], qeff[i]) + 1; seq <= snapSeq; seq++ {
+			if t, ok := refTimes[seq]; ok {
+				sh.collectSecond(t, nil)
+			}
+		}
 	}
 
 	// Lockstep replay: each sequence is one flushed second, applied through
-	// the same path live ingestion uses. Marked shards participate for the
-	// seconds their log covers (seq <= qeff); beyond that the second goes on
-	// their missed list for healing to fast-forward.
-	missed := make(map[int][]model.Time)
+	// the same path live ingestion uses. A marked shard contributes its own
+	// record while its log covers the sequence (seq <= qeff) and an empty
+	// share after, as it did live.
 	var lastMeta *wal.Batch
+	parts := make([][]model.RawReading, e.n)
 	for k := 0; k < liveMin; k++ {
 		seq := snapSeq + uint64(k) + 1
-		parts := make([][]model.RawReading, e.n)
-		active := make([]bool, e.n)
+		lastMeta = &batches[ref][k]
 		var raws []model.RawReading
-		var t model.Time
-		var ref *wal.Batch
-		for i := 0; i < e.n; i++ {
-			if _, marked := markers[i]; marked {
-				if seq > qeff[i] {
-					continue
-				}
-				idx := int(seq - base[i] - 1)
-				if idx < 0 || idx >= len(batches[i]) {
-					continue
-				}
-				b := &batches[i][idx]
-				if ref != nil && b.Time != ref.Time {
-					closeAll()
-					return nil, fmt.Errorf("engine: shard WALs disagree at seq %d: second %d vs shard %d's %d",
-						seq, ref.Time, i, b.Time)
-				}
-				parts[i], active[i] = b.Readings, true
-				if ref == nil {
-					ref, t = b, b.Time
-				}
-				raws = append(raws, b.Readings...)
-				rec.ReadingsReplayed += len(b.Readings)
+		for i := range parts {
+			var b *wal.Batch
+			if _, marked := markers[i]; !marked {
+				b = &batches[i][k]
+			} else if idx := seq - base[i] - 1; seq <= qeff[i] && idx < uint64(len(batches[i])) {
+				b = &batches[i][idx]
+			} else {
+				parts[i] = nil
 				continue
 			}
-			b := &batches[i][k]
-			if ref != nil && b.Time != ref.Time {
+			if b.Time != lastMeta.Time {
 				closeAll()
 				return nil, fmt.Errorf("engine: shard WALs disagree at seq %d: second %d vs shard %d's %d",
-					seq, ref.Time, i, b.Time)
+					seq, lastMeta.Time, i, b.Time)
 			}
-			parts[i], active[i] = b.Readings, true
-			if ref == nil {
-				ref, t = b, b.Time
-			}
+			parts[i] = b.Readings
 			raws = append(raws, b.Readings...)
 			rec.ReadingsReplayed += len(b.Readings)
-			lastMeta = b
 		}
-		if ref == nil {
-			continue
-		}
-		e.applyPartsMasked(t, parts, raws, active)
-		for i := range markers {
-			if seq > qeff[i] {
-				missed[i] = append(missed[i], t)
-			}
-		}
+		e.applyParts(lastMeta.Time, parts, raws)
 		rec.RecordsReplayed++
 	}
 	e.walSeq = walSeqFinal
@@ -569,30 +543,13 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 		e.reorder.Restore(rsnap.Watermark, rsnap.MaxSeen, rsnap.Drops, rsnap.Forced)
 	}
 
-	// Re-quarantine the marked shards: seal their logs, merge the missed
-	// lists (the router snapshot's record covers the window below the
-	// barrier; replay rebuilt everything above it), and schedule healing.
+	// Re-quarantine the marked shards: seal their logs and schedule healing.
 	for i, qi := range markers {
-		q := &quarInfo{
-			seq:     qeff[i],
-			cause:   fmt.Errorf("engine: recovered quarantine marker (seq %d)", qi),
-			nextTry: time.Now().Add(d.healBaseDelay()),
-		}
-		if c, ok := qcause[i]; ok {
-			q.cause = c
-		}
-		for _, qr := range rsnap.Quarantined {
-			if qr.Shard == i && qr.Seq == qi {
-				q.missed = append(q.missed, qr.Missed...)
-				break
-			}
-		}
-		q.missed = append(q.missed, missed[i]...)
 		if l := e.wals[i]; l != nil {
 			l.Close()
 			e.wals[i] = nil
 		}
-		e.quar[i] = q
+		e.quar[i] = &quarInfo{seq: qeff[i], nextTry: time.Now().Add(d.healBaseDelay())}
 		e.shardState[i].Store(shardQuarantined)
 		e.shards[i].shardTel.quarantined.Set(1)
 		if qeff[i] != qi {
@@ -600,7 +557,7 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 				log.Printf("engine: rewrite quarantine marker for shard %d: %v", i, werr)
 			}
 		}
-		log.Printf("engine: shard %d recovered quarantined at seq %d (%d missed seconds); self-heal scheduled", i, qeff[i], len(q.missed))
+		log.Printf("engine: shard %d recovered quarantined at seq %d; self-heal scheduled", i, qeff[i])
 	}
 
 	e.recovery = rec
@@ -632,8 +589,8 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 // of adding up. done runs serially because what follows a failure does not
 // tolerate interleaving: whether a failing shard is quarantined or is the
 // last live one (a fail-stop) depends on the shards judged before it, and the
-// quarantine marker, the typed drop and the missed-second list are router
-// state under ingestMu. Called under ingestMu.
+// quarantine marker and the typed drop are router state under ingestMu.
+// Called under ingestMu.
 func (e *Sharded) logStep(op func(i int, l *wal.Log) error, done func(i int, err error)) {
 	ran := e.stepRan[:0]
 	for i, l := range e.wals {
@@ -704,7 +661,7 @@ func (e *Sharded) appendWAL(t model.Time, parts [][]model.RawReading) {
 	}, func(i int, err error) {
 		if err != nil {
 			e.quarantineShard(i, err)
-			e.dropPart(i, t, parts)
+			e.dropQuarantined(i, parts)
 			return
 		}
 		appended = true
@@ -749,7 +706,7 @@ func (e *Sharded) syncWAL(force bool) error {
 	}, func(i int, err error) {
 		if err != nil {
 			// The appended second IS in this shard's log; quarantine at the
-			// current sequence with nothing missed yet.
+			// current sequence.
 			e.quarantineShard(i, err)
 		}
 	})
@@ -788,7 +745,6 @@ func (e *Sharded) maybeSnapshot() {
 // more.
 func (e *Sharded) snapFailed(err error) {
 	e.tel.walSnapshotErrors.Inc()
-	e.tel.snapshotFailures.Inc()
 	e.snapFails++
 	if e.snapFails >= snapFailBackoff {
 		e.sinceSnap = 0
@@ -799,12 +755,13 @@ func (e *Sharded) snapFailed(err error) {
 
 // writeSnapshots writes the snapshot barrier: all live logs synced, then the
 // router snapshot and every live shard's snapshot at the same sequence.
-// Quarantined shards are skipped — the router snapshot records their seq and
-// missed seconds instead, so a crash mid-quarantine still heals exactly.
-// Failures are counted and paced but not sticky (the WALs still hold
-// everything; a partial barrier never enters recovery's intersection), and
-// pruning is frozen entirely while any shard is out: healing needs the
-// quarantined shard's old snapshots and segments. Called under ingestMu.
+// Quarantined shards are skipped: their marker records their seq. Failures
+// are counted and paced but not sticky (the WALs still hold everything; a
+// partial barrier never enters recovery's intersection), and pruning is
+// frozen entirely while any shard is out. Recovery depends on that freeze: a
+// marked shard is restored from its own old snapshot and log, and it takes
+// the seconds from its quarantine seq to the barrier at the times the live
+// shards' logs still hold. Called under ingestMu.
 func (e *Sharded) writeSnapshots() error {
 	wm, started := e.reorder.Watermark()
 	ms, _ := e.reorder.MaxSeen()
@@ -820,16 +777,8 @@ func (e *Sharded) writeSnapshots() error {
 	}
 	degraded := false
 	for i := 0; i < e.n; i++ {
-		if e.shardState[i].Load() == shardLive || i == e.rejoining {
-			continue
-		}
-		degraded = true
-		if q := e.quar[i]; q != nil {
-			rsnap.Quarantined = append(rsnap.Quarantined, quarRecord{
-				Shard:  i,
-				Seq:    q.seq,
-				Missed: append([]model.Time(nil), q.missed...),
-			})
+		if e.shardState[i].Load() != shardLive && i != e.rejoining {
+			degraded = true
 		}
 	}
 	var buf bytes.Buffer
@@ -880,9 +829,9 @@ func (e *Sharded) writeSnapshots() error {
 	e.snapFails = 0
 	e.tel.walSnapshots.Inc()
 	if degraded {
-		return nil // freeze pruning: healing needs the history below the barrier
+		return nil // freeze pruning: recovery needs the history below the barrier
 	}
-	if _, _, err := wal.PruneSnapshotsFS(fsys, d.Dir, d.keepSnapshots()); err != nil {
+	if _, _, err := wal.PruneSnapshotsFS(fsys, d.Dir, keepSnapshots); err != nil {
 		log.Printf("engine: prune router snapshots: %v", err)
 		return nil
 	}
@@ -890,7 +839,7 @@ func (e *Sharded) writeSnapshots() error {
 		if l == nil {
 			continue
 		}
-		oldest, _, err := wal.PruneSnapshotsFS(fsys, shardDir(d.Dir, i), d.keepSnapshots())
+		oldest, _, err := wal.PruneSnapshotsFS(fsys, shardDir(d.Dir, i), keepSnapshots)
 		if err != nil {
 			log.Printf("engine: prune shard %d snapshots: %v", i, err)
 			return nil

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"log"
@@ -20,15 +18,18 @@ import (
 // shard's WAL must not poison the router: the shard is quarantined (bulkhead),
 // its objects' readings become typed drops, queries answer from the live
 // shards with an explicit partial marker, and a background loop re-opens the
-// shard from its snapshot+WAL and replays it back into lockstep. The last
-// live shard has no healthy peers to keep serving beside, so its failure is
-// not a quarantine: the engine fail-stops (at Shards: 1 every failure is).
+// shard's log and rejoins it. The quarantined shard still takes every flushed
+// second, empty, so its memory always equals "its log at the quarantine
+// sequence plus the empty seconds since" — the state a heal rejoins with,
+// already built. The last live shard has no healthy peers to keep serving
+// beside, so its failure is not a quarantine: the engine fail-stops (at
+// Shards: 1 every failure is).
 //
 // Per-shard state machine:
 //
 //	LIVE ──(append/fsync failure after retries, other shards live)──▶ QUARANTINED
 //	QUARANTINED ──(heal attempt starts)──▶ HEALING
-//	HEALING ──(replay verified, barrier written)──▶ LIVE
+//	HEALING ──(log ends at the quarantine seq, barrier written)──▶ LIVE
 //	HEALING ──(any step fails)──▶ QUARANTINED (backoff, try again)
 //
 // The state lives in an atomic so query paths read it without ingestMu; every
@@ -44,16 +45,10 @@ const (
 // quarInfo is the router's book-keeping for one quarantined shard. Guarded by
 // ingestMu.
 type quarInfo struct {
-	// seq is the last WAL sequence fully present in the shard's log (and
-	// applied to its in-memory state) when it was quarantined. The heal
-	// replay must land exactly here or the shard does not rejoin.
-	seq   uint64
-	cause error
-	// missed records the flushed seconds applied to the live shards while
-	// this one was out. Healing fast-forwards them (with no readings — the
-	// shard's readings were dropped) so LEAVE detection and the shard clock
-	// match an engine that was never quarantined.
-	missed   []model.Time
+	// seq is the last WAL sequence fully present in the shard's log when it
+	// was quarantined. The reopened log must end exactly here or the shard
+	// does not rejoin.
+	seq      uint64
 	attempts int
 	nextTry  time.Time
 }
@@ -184,7 +179,7 @@ func (e *Sharded) quarantineShard(i int, cause error) {
 	e.wals[i] = nil
 	// The first background attempt waits HealBaseDelay like every later one:
 	// the fault that just exhausted the retries is unlikely to have cleared.
-	e.quar[i] = &quarInfo{seq: seq, cause: cause, nextTry: time.Now().Add(e.cfg.Durability.healBaseDelay())}
+	e.quar[i] = &quarInfo{seq: seq, nextTry: time.Now().Add(e.cfg.Durability.healBaseDelay())}
 	e.shards[i].shardTel.quarantined.Set(1)
 	e.tel.shardQuarantines.Inc()
 	if err := writeQuarMarker(e.cfg.Durability.fsys(), e.cfg.Durability.Dir, i, seq); err != nil {
@@ -194,30 +189,13 @@ func (e *Sharded) quarantineShard(i int, cause error) {
 	e.startHealer()
 }
 
-// dropQuarantined strips the flushed second's readings destined for non-live
-// shards before the WAL appends: they can reach no log, so they become typed
-// drops, and the second is recorded as missed so healing can fast-forward it.
-// Called under ingestMu.
-func (e *Sharded) dropQuarantined(t model.Time, parts [][]model.RawReading) {
-	for i := range parts {
-		if e.shardState[i].Load() == shardLive {
-			continue
-		}
-		e.extraDrops.QuarantinedReadings += len(parts[i])
-		parts[i] = nil
-		if q := e.quar[i]; q != nil {
-			q.missed = append(q.missed, t)
-		}
-	}
-}
-
-// dropPart is dropQuarantined for a single shard that failed mid-append.
-func (e *Sharded) dropPart(i int, t model.Time, parts [][]model.RawReading) {
+// dropQuarantined strips shard i's part of the flushed second — the shard is
+// out, or its append just failed: the readings can reach no log, so they
+// become typed drops, and the shard takes the second empty. Called under
+// ingestMu.
+func (e *Sharded) dropQuarantined(i int, parts [][]model.RawReading) {
 	e.extraDrops.QuarantinedReadings += len(parts[i])
 	parts[i] = nil
-	if q := e.quar[i]; q != nil {
-		q.missed = append(q.missed, t)
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -253,7 +231,7 @@ func (e *Sharded) stopHealer() {
 }
 
 // healLoop wakes every HealBaseDelay and attempts to heal the quarantined
-// shards whose per-shard backoff (quarInfo.nextTry, healBackoff) has elapsed.
+// shards whose per-shard backoff (quarInfo.nextTry, healRetry) has elapsed.
 // It runs until stopped.
 func (e *Sharded) healLoop(stop, done chan struct{}) {
 	defer close(done)
@@ -283,20 +261,6 @@ func (e *Sharded) healLoop(stop, done chan struct{}) {
 	}
 }
 
-// healBackoff is the wait before attempt n (1-based) of healing one shard:
-// exponential from HealBaseDelay up to HealMaxDelay.
-func (d DurabilityConfig) healBackoff(attempts int) time.Duration {
-	w := d.healBaseDelay()
-	cap := d.healMaxDelay()
-	for i := 1; i < attempts && w < cap; i++ {
-		w *= 2
-	}
-	if w > cap {
-		w = cap
-	}
-	return w
-}
-
 // HealNow synchronously attempts to heal every quarantined shard, ignoring
 // the backoff schedule. It returns the first heal failure (nil when nothing
 // was quarantined or every attempt succeeded). Tests and operators use it;
@@ -314,19 +278,22 @@ func (e *Sharded) HealNow() error {
 	return first
 }
 
-// tryHeal attempts to bring shard i back into lockstep:
+// tryHeal attempts to bring shard i back into lockstep. Its memory already
+// stands where a never-quarantined shard's would, minus the dropped readings:
+// every second since the quarantine was applied to it, empty. So a heal
+// touches only the disk:
 //
 //  1. QUARANTINED → HEALING under ingestMu (claims the shard).
-//  2. Off-lock disk phase: restore the shard's newest snapshot at or below
-//     the quarantine sequence and open its log, collecting the records in
-//     between. The recovered log must end exactly at the quarantine sequence
-//     — the router barrier position the shard was cut at — or the shard does
-//     not rejoin (acked data would silently diverge).
-//  3. Under ingestMu again: rebuild the shard's in-memory state (replay +
-//     fast-forward of the missed seconds), mark the shard LIVE, and write a
-//     full snapshot barrier. The barrier must succeed before appends resume:
-//     the shard's log has no records for the quarantine window, so only a
-//     snapshot at the current sequence makes its next append gapless.
+//  2. Off-lock: reopen the shard's log (stream-identity check, torn-tail
+//     repair). It must end exactly at the quarantine sequence — the router
+//     barrier position the shard was cut at — or the shard does not rejoin:
+//     its memory is that log plus empty seconds, and acked data would
+//     silently diverge from any other log.
+//  3. Under ingestMu again: write a full snapshot barrier, then mark the shard
+//     LIVE. The barrier must succeed before appends resume: the shard's log
+//     has no records for the quarantine window, so only a snapshot at the
+//     current sequence makes its next append gapless. A failed barrier leaves
+//     memory untouched, so there is nothing to undo.
 func (e *Sharded) tryHeal(i int) error {
 	e.ingestMu.Lock()
 	q := e.quar[i]
@@ -334,129 +301,57 @@ func (e *Sharded) tryHeal(i int) error {
 		e.ingestMu.Unlock()
 		return nil
 	}
-	qseq := q.seq
 	e.ingestMu.Unlock()
 
-	fail := func(err error) error {
-		e.ingestMu.Lock()
-		e.shardState[i].CompareAndSwap(shardHealing, shardQuarantined)
-		if q := e.quar[i]; q != nil {
-			q.attempts++
-			q.nextTry = time.Now().Add(e.cfg.Durability.healBackoff(q.attempts))
-		}
-		e.ingestMu.Unlock()
-		return err
-	}
-
-	// Phase 2: disk, no router locks held. Live ingestion continues.
 	d := e.cfg.Durability
-	fsys := d.fsys()
-	sdir := shardDir(d.Dir, i)
-	snaps, err := wal.ListSnapshotsFS(fsys, sdir)
-	if err != nil {
-		return fail(err)
-	}
-	var (
-		snapSeq  uint64
-		ssnap    shardSnap
-		restored bool
-	)
-	for k := len(snaps) - 1; k >= 0 && !restored; k-- {
-		if snaps[k].Seq > qseq {
-			continue
-		}
-		_, payload, rerr := wal.ReadSnapshotFileFS(fsys, snaps[k].Path, e.streamID)
-		if rerr != nil {
-			var mm *wal.MismatchError
-			if errors.As(rerr, &mm) {
-				return fail(rerr)
-			}
-			continue
-		}
-		var s shardSnap
-		if derr := gob.NewDecoder(bytes.NewReader(payload)).Decode(&s); derr != nil {
-			continue
-		}
-		snapSeq, ssnap, restored = snaps[k].Seq, s, true
-	}
-	var batches []wal.Batch
-	expected := snapSeq + 1
-	newLog, _, err := wal.Open(sdir, wal.Options{StreamID: e.streamID, SegmentBytes: d.SegmentBytes, FS: d.FS},
-		func(seq uint64, payload []byte) error {
-			if seq <= snapSeq {
-				return nil
-			}
-			if seq != expected {
-				return fmt.Errorf("engine: shard %d WAL gap during heal: snapshot covers seq %d but next record is %d (want %d)",
-					i, snapSeq, seq, expected)
-			}
-			b, derr := wal.DecodeBatch(payload)
-			if derr != nil {
-				return derr
-			}
-			batches = append(batches, b)
-			expected++
-			return nil
-		})
-	if err != nil {
-		return fail(err)
-	}
-	if got := newLog.LastSeq(); got != qseq {
-		newLog.Close()
-		return fail(fmt.Errorf("engine: shard %d heal: recovered log ends at seq %d, quarantined at %d; refusing to rejoin", i, got, qseq))
+	l, _, err := wal.Open(shardDir(d.Dir, i), wal.Options{StreamID: e.streamID, FS: d.FS}, nil)
+	if err == nil && l.LastSeq() != q.seq {
+		err = fmt.Errorf("engine: shard %d heal: reopened log ends at seq %d, quarantined at %d; refusing to rejoin", i, l.LastSeq(), q.seq)
+		l.Close()
 	}
 
-	// Phase 3: rejoin under ingestMu.
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
-	if e.quar[i] != q || e.shardState[i].Load() != shardHealing || e.walErr != nil {
-		newLog.Close()
+	if err != nil {
+		e.healRetry(i, q)
+		return err
+	}
+	if e.walErr != nil {
+		l.Close()
 		return nil
 	}
-	sh := e.shards[i]
-	e.shardMu[i].Lock()
-	// With no usable snapshot ssnap is still zero: the shard restarts from
-	// nothing and its whole log replays below.
-	sh.restoreShard(&ssnap)
-	for k := range batches {
-		// These seconds pre-date the quarantine; their ENTERs released the
-		// router's monitor when they were applied live.
-		sh.collectSecond(batches[k].Time, batches[k].Readings)
-	}
-	// Fast-forward the seconds flushed while the shard was out. The shard's
-	// readings for them were dropped, so each advances the clock with an
-	// empty second — LEAVE detection fires exactly as it would have live.
-	for _, t := range q.missed {
-		sh.collectSecond(t, nil)
-	}
-	e.shardMu[i].Unlock()
-	e.wals[i] = newLog
-	// The barrier pins the rejoin: the healed log ends at qseq but the next
-	// append is walSeq+1, and only a snapshot at walSeq bridges that gap for
-	// recovery. The shard stays HEALING (still degraded to lock-free readers)
-	// until the barrier is durable — flipping LIVE first would let a reader
-	// observe a rejoin that then reverts. If it fails, the shard goes back to
-	// quarantine untouched on disk and a later attempt retries.
+	e.wals[i] = l
+	// The shard stays HEALING (still degraded to lock-free readers) until the
+	// barrier is durable — flipping LIVE first would let a reader observe a
+	// rejoin that then reverts.
 	e.rejoining = i
-	berr := e.writeSnapshots()
+	err = e.writeSnapshots()
 	e.rejoining = -1
-	if berr != nil {
-		e.shardState[i].Store(shardQuarantined)
-		newLog.Close()
+	if err != nil {
+		l.Close()
 		e.wals[i] = nil
-		q.attempts++
-		q.nextTry = time.Now().Add(e.cfg.Durability.healBackoff(q.attempts))
-		return fmt.Errorf("engine: shard %d heal: rejoin barrier failed: %w", i, berr)
+		e.healRetry(i, q)
+		return fmt.Errorf("engine: shard %d heal: rejoin barrier failed: %w", i, err)
 	}
 	e.shardState[i].Store(shardLive)
-	if err := removeQuarMarker(fsys, d.Dir, i); err != nil {
+	if err := removeQuarMarker(d.fsys(), d.Dir, i); err != nil {
 		// The stale marker is harmless: recovery detects a marker whose shard
 		// has a snapshot at the chosen barrier and treats it as live.
 		log.Printf("engine: remove quarantine marker for shard %d: %v", i, err)
 	}
 	e.quar[i] = nil
-	sh.shardTel.quarantined.Set(0)
+	e.shards[i].shardTel.quarantined.Set(0)
 	e.tel.shardHeals.Inc()
-	log.Printf("engine: shard %d healed: rejoined at seq %d after %d missed seconds", i, e.walSeq, len(q.missed))
+	log.Printf("engine: shard %d healed: rejoined at seq %d, quarantined at %d", i, e.walSeq, q.seq)
 	return nil
+}
+
+// healRetry returns shard i to QUARANTINED after a failed heal and schedules
+// the next attempt: HealBaseDelay doubled per failure, up to HealMaxDelay.
+// Called under ingestMu.
+func (e *Sharded) healRetry(i int, q *quarInfo) {
+	e.shardState[i].Store(shardQuarantined)
+	q.attempts++
+	d := e.cfg.Durability
+	q.nextTry = time.Now().Add(Backoff(d.healBaseDelay(), d.healMaxDelay(), q.attempts-1))
 }

@@ -16,9 +16,10 @@ import (
 )
 
 // parentQuarRecord and parentRouterSnap are the router snapshot's earlier
-// layout, from when the router also kept a merged ENTER/LEAVE log: the same
-// fields, plus the log, its offset, and each quarantine record's count of
-// missed seconds whose LEAVEs a heal had already spliced into it.
+// layouts, from when the router also kept a merged ENTER/LEAVE log and a
+// quarantine record per shard out: the same fields, plus the log, its
+// offset, and each record's quarantine seq, the seconds the shard had missed
+// and how many of their LEAVEs a heal had already spliced into the log.
 type parentQuarRecord struct {
 	Shard          int
 	Seq            uint64
@@ -41,7 +42,10 @@ type parentRouterSnap struct {
 
 // rewriteRouterSnapAsParent re-encodes dir's newest router snapshot in the
 // earlier layout, the log and splice counts filled in, and returns its seq.
-func rewriteRouterSnapAsParent(t *testing.T, dir string, sid uint64, events []model.Event) uint64 {
+// Each quarantine marker becomes the record that layout kept beside it: the
+// shard, its quarantine seq, and the seconds it had missed up to the barrier
+// (record seq s is f's delivery s-1).
+func rewriteRouterSnapAsParent(t *testing.T, f *durableFixture, dir string, sid uint64, events []model.Event) uint64 {
 	t.Helper()
 	snaps, err := wal.ListSnapshots(dir)
 	if err != nil || len(snaps) == 0 {
@@ -66,8 +70,20 @@ func rewriteRouterSnapAsParent(t *testing.T, dir string, sid uint64, events []mo
 		Drops:          rs.Drops,
 		Forced:         rs.Forced,
 	}
-	for _, q := range rs.Quarantined {
-		old.Quarantined = append(old.Quarantined, parentQuarRecord{q.Shard, q.Seq, q.Missed, len(q.Missed)})
+	markers, err := readQuarMarkers(wal.OS, dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		qseq, ok := markers[i]
+		if !ok {
+			continue
+		}
+		var missed []model.Time
+		for s := qseq; s < seq; s++ {
+			missed = append(missed, f.deliveries[s].t)
+		}
+		old.Quarantined = append(old.Quarantined, parentQuarRecord{i, qseq, missed, len(missed)})
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
@@ -102,11 +118,12 @@ func copyTree(t *testing.T, src, dst string) {
 }
 
 // TestRecoversParentLayoutRouterSnapshot pins that dropping the router's
-// event log from the snapshot layout strands no data directory: a barrier
-// whose router snapshot carries the earlier layout's log, offset and splice
-// counts recovers the same Stats, answers and quarantine state as the same
-// barrier in the current layout — cleanly closed, and with a shard
-// quarantined across the restart that heals afterwards.
+// event log and quarantine records from the snapshot layout strands no data
+// directory: a barrier whose router snapshot carries the earlier layouts'
+// log, offset and quarantine records recovers the same Stats, answers and
+// quarantine state as the same barrier in the current layout — cleanly
+// closed, and with a shard quarantined across the restart that heals
+// afterwards.
 func TestRecoversParentLayoutRouterSnapshot(t *testing.T) {
 	for _, quarantined := range []bool{false, true} {
 		name := "clean"
@@ -141,7 +158,7 @@ func TestRecoversParentLayoutRouterSnapshot(t *testing.T) {
 			oldDir := t.TempDir()
 			copyTree(t, dir, oldDir)
 			events, _, _ := f.oracle(t, restartAt).EventsSince(0)
-			seq := rewriteRouterSnapAsParent(t, oldDir, sh.streamID, events)
+			seq := rewriteRouterSnapAsParent(t, f, oldDir, sh.streamID, events)
 
 			open := func(dir string) *Sharded {
 				c := cfg

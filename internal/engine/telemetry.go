@@ -75,7 +75,6 @@ type Telemetry struct {
 	walTruncatedBytes   *obs.Counter
 	walSnapshotsSkipped *obs.Counter
 	walRetries          *obs.Counter
-	snapshotFailures    *obs.Counter
 	shardQuarantines    *obs.Counter
 	shardHeals          *obs.Counter
 	walLastSeq          *obs.Gauge
@@ -167,7 +166,7 @@ func newTelemetry(cfg Config) *Telemetry {
 	}
 	t := &Telemetry{
 		reg:           r,
-		Trace:         obs.NewRing[obs.FilterTrace](cfg.TraceRing),
+		Trace:         obs.NewRing[obs.FilterTrace](0),
 		Slow:          obs.NewRing[SlowQuery](0),
 		stagePredict:  stage.With("predict"),
 		stageReweight: stage.With("reweight"),
@@ -229,8 +228,6 @@ func newTelemetry(cfg Config) *Telemetry {
 			"Snapshot encode/write failures (non-fatal; the WAL still covers the state)."),
 		walRetries: r.Counter("repro_wal_retries_total",
 			"WAL append/fsync attempts retried after a transient error."),
-		snapshotFailures: r.Counter("repro_snapshot_failures_total",
-			"Snapshot write attempts that failed; the schedule retries on the next flushed second."),
 		shardQuarantines: r.Counter("repro_shard_quarantines_total",
 			"Shards fail-stopped and quarantined after an unrecoverable WAL error."),
 		shardHeals: r.Counter("repro_shard_heals_total",

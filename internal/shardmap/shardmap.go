@@ -20,7 +20,7 @@ func Of(obj model.ObjectID, shards int) int {
 	if shards < 2 {
 		return 0
 	}
-	return Jump(mix(uint64(obj)), shards)
+	return Jump(Mix(uint64(obj)), shards)
 }
 
 // Jump is the Lamping–Veach jump consistent hash: a O(log n) bucket
@@ -35,9 +35,10 @@ func Jump(key uint64, buckets int) int {
 	return int(b)
 }
 
-// mix is the splitmix64 finalizer: a bijective avalanche so the sequential
-// object IDs a simulator hands out do not stripe across buckets.
-func mix(x uint64) uint64 {
+// Mix is the splitmix64 finalizer: a bijective avalanche so the sequential
+// object IDs a simulator hands out do not stripe across buckets. The retry
+// jitter and the cluster's per-peer salts mix with it too.
+func Mix(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27

@@ -58,8 +58,8 @@ func TestOfBalance(t *testing.T) {
 // bucket count never moves a key between two pre-existing buckets.
 func TestJumpConsistency(t *testing.T) {
 	for key := uint64(1); key < 2000; key += 7 {
-		prev := Jump(mix(key), 8)
-		next := Jump(mix(key), 9)
+		prev := Jump(Mix(key), 8)
+		next := Jump(Mix(key), 9)
 		if next != prev && next != 8 {
 			t.Fatalf("key %d moved %d -> %d when adding bucket 8", key, prev, next)
 		}

@@ -180,6 +180,12 @@ func RunShardFaults(plan *floorplan.Plan, dep *rfid.Deployment, cfg ShardFaultCo
 			effective = append(effective, d)
 			continue
 		}
+		// A degraded shard still takes every second, empty: the engine clock
+		// is the stream's whichever shard is out.
+		if now := sys.Now(); now != d.t {
+			rep.Mismatches = append(rep.Mismatches, fmt.Sprintf(
+				"clock stopped: now=%d after ingesting second %d with shards %v degraded", now, d.t, sys.DegradedShards()))
+		}
 		kept := make([]model.RawReading, 0, len(d.raws))
 		for _, r := range d.raws {
 			if degraded[shardmap.Of(r.Object, n)] {
