@@ -42,10 +42,12 @@ const benchPattern = "BenchmarkFilterStep|BenchmarkNegativeUpdate|BenchmarkInitA
 
 // enginePattern selects the engine-level population benchmarks: the
 // single-engine 1k-object step (no sub-benchmark path), its sharded-router
-// variant (shards=N sub-benchmarks showing scaling with the shard count), and
-// the tracing-overhead pair (enabled/disabled sub-benchmarks pinning the cost
-// of the request tracer on the filter step).
-const enginePattern = "BenchmarkEngineStep|BenchmarkFilterStepTraced|BenchmarkPreprocessWarm300|BenchmarkShardedIngestDurable"
+// variant (shards=N sub-benchmarks showing scaling with the shard count), the
+// tracing-overhead pair (enabled/disabled sub-benchmarks pinning the cost of
+// the request tracer on the filter step), the query's evaluate stage on a
+// warm cache — the first query of a stream second and a repeat in the same
+// second, the memoized-snap path — and the durable sharded ingest.
+const enginePattern = "BenchmarkEngineStep|BenchmarkFilterStepTraced|BenchmarkPreprocessWarm300|BenchmarkPreprocessRepeat300|BenchmarkShardedIngestDurable"
 
 // The query path's, the ingest path's and the cluster's layer benchmarks
 // outside the engine package.

@@ -11,8 +11,13 @@ import (
 // positive mass. It is the one distribution type of the query path — the
 // snap produces it, shards and peers return it, the table indexes it and
 // every summary (occupancy, localization, PTkNN, closest pairs) reads it —
-// and its sorted order is what pins their float accumulation order. A Dist
-// is immutable once built; slices may be shared freely.
+// and its sorted order is what pins their float accumulation order.
+//
+// A Dist is immutable once built: only Accumulator.Dist and the cluster wire
+// decoder write its slices, both before handing it out, and no reader writes
+// them. Its slices may therefore be shared freely — a particle state's
+// memoized snap is the very Dist a query's table indexes, and the next
+// query's table, and a peer's encoder.
 type Dist struct {
 	IDs []ID
 	P   []float64

@@ -45,10 +45,18 @@ type tracked struct {
 	log *objectLog
 }
 
+// byObject orders tracked entries by object ID.
+func byObject(a, b tracked) int { return cmp.Compare(a.obj, b.obj) }
+
 // Collector aggregates raw readings and maintains per-object retention.
 // Feed it one full second of raw readings at a time with IngestSecond.
 type Collector struct {
-	objects  map[model.ObjectID]*objectLog
+	objects map[model.ObjectID]*objectLog
+	// all lists every object of objects, ascending by ID. It is kept sorted
+	// where objects come and go — first sight in IngestSecond, ForgetBefore,
+	// Restore — so the object list, the live summaries and the snapshot are
+	// walks over it, with no map walk, lookup or sort.
+	all      []tracked
 	events   []model.Event
 	now      model.Time
 	started  bool
@@ -67,6 +75,9 @@ type Collector struct {
 	epoch   uint64
 	seen    []tracked
 	others  []model.RawReading
+	// arrived is IngestSecond's scratch list of the objects first seen in
+	// the call, merged into all once the tally is done.
+	arrived []tracked
 }
 
 // New returns an empty Collector with the paper's default retention: only
@@ -126,7 +137,7 @@ func (c *Collector) IngestSecond(t model.Time, raws []model.RawReading) error {
 	// first reader seen is counted in place and any other reader's readings
 	// are set aside.
 	var misstamped, invalid int
-	seen, others := c.seen[:0], c.others[:0]
+	seen, others, arrived := c.seen[:0], c.others[:0], c.arrived[:0]
 	for _, r := range raws {
 		if r.Reader == model.NoReader {
 			invalid++
@@ -140,6 +151,7 @@ func (c *Collector) IngestSecond(t model.Time, raws []model.RawReading) error {
 		if log == nil {
 			log = &objectLog{in: model.NoReader}
 			c.objects[r.Object] = log
+			arrived = append(arrived, tracked{r.Object, log})
 		}
 		switch {
 		case log.epoch != c.epoch:
@@ -153,6 +165,8 @@ func (c *Collector) IngestSecond(t model.Time, raws []model.RawReading) error {
 	}
 	c.drops.MisstampedReadings += misstamped
 	c.drops.InvalidReadings += invalid
+	c.admit(arrived)
+	c.arrived = arrived[:0]
 	// Count the readings set aside per (object, reader) and let each count
 	// challenge the object's lead: most samples win, ties to the lower ID.
 	slices.SortFunc(others, func(a, b model.RawReading) int {
@@ -217,6 +231,27 @@ func (c *Collector) IngestSecond(t model.Time, raws []model.RawReading) error {
 		return &ingest.Error{Kind: kind, Time: t, Watermark: c.now, Dropped: misstamped + invalid}
 	}
 	return nil
+}
+
+// admit merges the objects first seen this second into the sorted list of
+// all objects: sorted among themselves, then merged from the back, so only
+// the entries after the first insertion point move, once.
+func (c *Collector) admit(arrived []tracked) {
+	if len(arrived) == 0 {
+		return
+	}
+	slices.SortFunc(arrived, byObject)
+	i := len(c.all) - 1
+	c.all = append(c.all, arrived...)
+	for j, k := len(arrived)-1, len(c.all)-1; j >= 0; k-- {
+		if i >= 0 && c.all[i].obj > arrived[j].obj {
+			c.all[k] = c.all[i]
+			i--
+		} else {
+			c.all[k] = arrived[j]
+			j--
+		}
+	}
 }
 
 // DrainEvents returns the ENTER/LEAVE events recorded since the previous
@@ -362,19 +397,33 @@ func (c *Collector) CurrentlyDetectedBy(obj model.ObjectID) model.ReaderID {
 // KnownObjects returns the IDs of all objects the collector has seen,
 // in ascending order.
 func (c *Collector) KnownObjects() []model.ObjectID {
-	out := make([]model.ObjectID, 0, len(c.objects))
-	for o := range c.objects {
-		out = append(out, o)
+	out := make([]model.ObjectID, len(c.all))
+	for i, tr := range c.all {
+		out[i] = tr.obj
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// AppendLatest appends every known object's most recent aggregated entry to
+// dst, in ascending object order — what LastReading returns for each of
+// KnownObjects, in one pass.
+func (c *Collector) AppendLatest(dst []model.AggregatedReading) []model.AggregatedReading {
+	for _, tr := range c.all {
+		if runs := tr.log.runs; len(runs) > 0 {
+			entries := runs[len(runs)-1].entries
+			dst = append(dst, entries[len(entries)-1])
+		}
+	}
+	return dst
 }
 
 // ForgetBefore drops retained entries older than t for all objects (cache
 // aging support). Whole runs that end before t are removed; the most recent
 // run is always kept so RecentDevices stays meaningful.
 func (c *Collector) ForgetBefore(t model.Time) {
-	for obj, log := range c.objects {
+	kept := c.all[:0]
+	for _, tr := range c.all {
+		log := tr.log
 		for len(log.runs) > 1 {
 			entries := log.runs[0].entries
 			if len(entries) == 0 || entries[len(entries)-1].Time < t {
@@ -386,8 +435,12 @@ func (c *Collector) ForgetBefore(t model.Time) {
 		if len(log.runs) == 1 {
 			entries := log.runs[0].entries
 			if len(entries) > 0 && entries[len(entries)-1].Time < t && log.in == model.NoReader {
-				delete(c.objects, obj)
+				delete(c.objects, tr.obj)
+				continue
 			}
 		}
+		kept = append(kept, tr)
 	}
+	clear(c.all[len(kept):]) // let the forgotten logs go
+	c.all = kept
 }

@@ -119,6 +119,82 @@ func TestIngestSecondMatchesReference(t *testing.T) {
 	}
 }
 
+// checkObjectList holds the collector's sorted object list to the map it
+// mirrors: KnownObjects, AppendLatest and the snapshot's object order must be
+// what a walk of the map, a sort and a LastReading per object give.
+func checkObjectList(t *testing.T, c *Collector) {
+	t.Helper()
+	wantObjs := make([]model.ObjectID, 0, len(c.objects))
+	for obj := range c.objects {
+		wantObjs = append(wantObjs, obj)
+	}
+	sort.Slice(wantObjs, func(i, j int) bool { return wantObjs[i] < wantObjs[j] })
+	var wantLatest []model.AggregatedReading
+	for _, obj := range wantObjs {
+		if last, ok := c.LastReading(obj); ok {
+			wantLatest = append(wantLatest, last)
+		}
+	}
+	if got := c.KnownObjects(); !reflect.DeepEqual(got, wantObjs) {
+		t.Fatalf("KnownObjects = %v, reference %v", got, wantObjs)
+	}
+	if got := c.AppendLatest(nil); !reflect.DeepEqual(got, wantLatest) {
+		t.Fatalf("AppendLatest = %v, reference %v", got, wantLatest)
+	}
+	snap := c.Snapshot()
+	if len(snap.Objects) != len(wantObjs) {
+		t.Fatalf("snapshot holds %d objects, reference %d", len(snap.Objects), len(wantObjs))
+	}
+	for i, os := range snap.Objects {
+		if os.Object != wantObjs[i] {
+			t.Fatalf("snapshot object %d is %d, reference %d", i, os.Object, wantObjs[i])
+		}
+	}
+}
+
+// TestObjectListMatchesReference churns the population — objects arriving
+// under random IDs (so most land mid-list), going silent, expiring through
+// ForgetBefore and coming back — with snapshot round trips along the way,
+// and checks the sorted object list against the map after every operation.
+func TestObjectListMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		c := New()
+		var pool []model.ObjectID
+		now := model.Time(0)
+		for step := 0; step < 150; step++ {
+			switch op := rnd.Intn(10); {
+			case op < 7:
+				now++
+				for n := rnd.Intn(4); n > 0; n-- {
+					pool = append(pool, model.ObjectID(rnd.Intn(100000)))
+				}
+				var raws []model.RawReading
+				for _, obj := range pool {
+					if rnd.Intn(3) > 0 {
+						raws = append(raws, model.RawReading{Object: obj, Reader: model.ReaderID(rnd.Intn(5)), Time: now})
+					}
+				}
+				c.IngestSecond(now, raws)
+				c.DrainEvents()
+			case op < 9:
+				c.ForgetBefore(now - model.Time(rnd.Intn(6)))
+				if len(pool) > 0 && rnd.Intn(2) == 0 {
+					pool = pool[rnd.Intn(len(pool)):] // some objects leave for good
+				}
+			default:
+				restored := New()
+				restored.Restore(c.Snapshot())
+				if !reflect.DeepEqual(restored.Snapshot(), c.Snapshot()) {
+					t.Fatalf("seed %d step %d: snapshot round trip changed the state", seed, step)
+				}
+				c = restored
+			}
+			checkObjectList(t, c)
+		}
+	}
+}
+
 // BenchmarkIngestSecond is the collector layer of one second of the
 // ingest_durable shape: 2,000 objects, most read once or twice by one
 // reader, a tenth of them also by a neighbour, a tenth silent in turn and

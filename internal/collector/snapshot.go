@@ -1,15 +1,16 @@
 package collector
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/ingest"
 	"repro/internal/model"
 )
 
 // Snapshot is the collector's complete serializable state. All fields are
-// exported so the engine can encode it with encoding/gob; objects are sorted
-// by ID so the encoding of a given state is deterministic.
+// exported so the engine can encode it with encoding/gob; objects are in
+// ascending ID order (the collector's own list order) so the encoding of a
+// given state is deterministic.
 type Snapshot struct {
 	Objects  []ObjectSnapshot
 	Now      model.Time
@@ -41,11 +42,12 @@ func (c *Collector) Snapshot() Snapshot {
 		Started:  c.started,
 		Historic: c.historic,
 		Drops:    c.drops,
-		Objects:  make([]ObjectSnapshot, 0, len(c.objects)),
+		Objects:  make([]ObjectSnapshot, 0, len(c.all)),
 	}
-	for obj, log := range c.objects {
+	for _, tr := range c.all {
+		log := tr.log
 		os := ObjectSnapshot{
-			Object:   obj,
+			Object:   tr.obj,
 			In:       log.in,
 			LastSeen: log.lastSeen,
 			Runs:     make([]RunSnapshot, len(log.runs)),
@@ -58,7 +60,6 @@ func (c *Collector) Snapshot() Snapshot {
 		}
 		s.Objects = append(s.Objects, os)
 	}
-	sort.Slice(s.Objects, func(i, j int) bool { return s.Objects[i].Object < s.Objects[j].Object })
 	return s
 }
 
@@ -72,6 +73,7 @@ func (c *Collector) Restore(s Snapshot) {
 	c.events = nil
 	c.inRange = c.inRange[:0]
 	c.objects = make(map[model.ObjectID]*objectLog, len(s.Objects))
+	c.all = make([]tracked, 0, len(s.Objects))
 	for _, os := range s.Objects {
 		log := &objectLog{in: os.In, lastSeen: os.LastSeen, runs: make([]run, len(os.Runs))}
 		for i, r := range os.Runs {
@@ -81,8 +83,12 @@ func (c *Collector) Restore(s Snapshot) {
 			}
 		}
 		c.objects[os.Object] = log
+		c.all = append(c.all, tracked{os.Object, log})
 		if log.in != model.NoReader {
 			c.inRange = append(c.inRange, tracked{os.Object, log})
 		}
 	}
+	// Snapshot writes objects in ascending order; sorting keeps the list's
+	// invariant for any other producer too, and costs one pass when sorted.
+	slices.SortFunc(c.all, byObject)
 }

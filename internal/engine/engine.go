@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -201,10 +202,12 @@ type System struct {
 	// preprocessing allocates nothing per query but its answer.
 	pools sync.Pool
 	// tasks and entries are preprocessDists' per-call work list and the
-	// readings it gathers, recycled across calls (the caller's exclusion
-	// covers them like the collector and cache they are filled from).
+	// readings it gathers, and latest the newest readings Infos summarizes,
+	// recycled across calls (the caller's exclusion covers them like the
+	// collector and cache they are filled from).
 	tasks   []preprocessTask
 	entries []model.AggregatedReading
+	latest  []model.AggregatedReading
 }
 
 // workerScratch is what one preprocessing worker steps objects through.
@@ -274,10 +277,10 @@ func New(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*System, error
 			return nil, err
 		}
 	}
-	// Telemetry is always on: the record path is atomic and allocation-free,
-	// and the stage timings are what every perf PR measures itself against.
+	// Telemetry is always on: the record path is atomic and allocation-free.
+	// The filter stays uninstrumented — it counts its work in LastRun and
+	// reads no clock; filterOne times each call as a whole.
 	s.tel = newTelemetry(cfg)
-	s.filter.Instrument(s.tel.filterMetrics())
 	s.cache.Instrument(s.tel.cacheHits, s.tel.cacheMisses, s.tel.cacheEvictions)
 	s.shardTel = s.tel.shardMetrics(0)
 	return s, nil
@@ -488,22 +491,23 @@ func (s *System) EventsSince(seq int) (events []model.Event, next int, truncated
 func (s *System) Query(ctx context.Context, q Query) (Answer, error) { return Run(ctx, s, s, q) }
 
 // Infos summarizes every known object for the pruning module, ascending —
-// the gather stage of the pipeline. A historical query sees each object's
-// last reading at or before q.At.
+// the gather stage of the pipeline: one walk of the collector's sorted object
+// list. A historical query sees each object's last reading at or before q.At.
 func (s *System) Infos(_ context.Context, q Query) ([]query.ObjectInfo, error) {
-	objs := s.col.KnownObjects()
-	out := make([]query.ObjectInfo, 0, len(objs))
-	for _, o := range objs {
-		var last model.AggregatedReading
-		var ok bool
-		if q.Historical {
-			last, ok = s.col.LastReadingAt(o, q.At)
-		} else {
-			last, ok = s.col.LastReading(o)
+	if q.Historical {
+		objs := s.col.KnownObjects()
+		out := make([]query.ObjectInfo, 0, len(objs))
+		for _, o := range objs {
+			if last, ok := s.col.LastReadingAt(o, q.At); ok {
+				out = append(out, query.ObjectInfo{Object: o, Reader: last.Reader, LastSeen: last.Time})
+			}
 		}
-		if ok {
-			out = append(out, query.ObjectInfo{Object: o, Reader: last.Reader, LastSeen: last.Time})
-		}
+		return out, nil
+	}
+	s.latest = s.col.AppendLatest(s.latest[:0])
+	out := make([]query.ObjectInfo, len(s.latest))
+	for i, last := range s.latest {
+		out[i] = query.ObjectInfo{Object: last.Object, Reader: last.Reader, LastSeen: last.Time}
 	}
 	return out, nil
 }
@@ -593,7 +597,10 @@ type preprocessTask struct {
 	resumed bool
 	done    bool
 	dist    anchor.Dist
-	snap    time.Duration
+	// advance and snap are the caller-timed filter call and snap; snapped is
+	// false when the state's memoized distribution answered instead.
+	advance, snap time.Duration
+	snapped       bool
 }
 
 // preprocessDists is the preprocessing module: the candidates' distributions
@@ -680,31 +687,7 @@ func (s *System) preprocessDists(ctx context.Context, candidates []model.ObjectI
 					// cache.
 					return
 				}
-				t := &tasks[i]
-				var callStart time.Time
-				if tr != nil {
-					callStart = time.Now()
-				}
-				ws.src = *rng.Derive(s.cfg.Seed, int64(t.obj), int64(t.entries[len(t.entries)-1].Time))
-				if t.resumed {
-					s.filter.AdvancePool(ws.pool, &ws.src, t.st, t.entries, now)
-				} else {
-					st, err := s.filter.RunPool(ws.pool, &ws.src, t.obj, t.entries, now)
-					if err != nil {
-						continue
-					}
-					t.st = st
-				}
-				// The anchor-snap discretization is the fourth filter stage;
-				// histograms are atomic, so observing from workers is safe.
-				snapStart := time.Now()
-				t.dist = t.st.AnchorDist(s.idx, &ws.acc)
-				t.snap = time.Since(snapStart)
-				t.done = true
-				s.tel.stageSnap.Observe(t.snap.Seconds())
-				if tr != nil {
-					s.recordStageSpans(tr, callStart, t.obj, t.st.LastRun, t.snap)
-				}
+				s.filterOne(ws, &tasks[i], now, tr)
 			}
 		}
 	}
@@ -728,7 +711,7 @@ func (s *System) preprocessDists(ctx context.Context, candidates []model.ObjectI
 			s.stats.FiltersRun++
 			s.tel.runsFull.Inc()
 		}
-		s.tel.recordTrace(s.shardID, t.st, t.snap, t.resumed)
+		s.tel.recordRun(s.shardID, t.st, t.advance, t.snap, t.resumed)
 		if useCache {
 			s.cache.Put(t.st, t.dj)
 		}
@@ -742,21 +725,51 @@ func (s *System) preprocessDists(ctx context.Context, candidates []model.ObjectI
 	return out, nil
 }
 
-// recordStageSpans reconstructs one filter call's per-stage spans from the
-// particle.RunStats the instrumented filter left behind, laid consecutively
-// from the call start. The filter kernel itself is never touched — its
-// zero-allocation contract stays intact — and untraced calls skip this
-// entirely (the tr != nil guard at the call site).
-func (s *System) recordStageSpans(tr *trace.Context, callStart time.Time, obj model.ObjectID, rs particle.RunStats, snap time.Duration) {
-	attr := trace.Attr{Key: "object", Value: fmt.Sprint(obj)}
-	at := callStart
-	tr.Add("predict", s.shardID, at, rs.Predict, attr)
-	at = at.Add(rs.Predict)
-	tr.Add("reweight", s.shardID, at, rs.Reweight, attr)
-	at = at.Add(rs.Reweight)
-	tr.Add("resample", s.shardID, at, rs.Resample, attr)
-	at = at.Add(rs.Resample)
-	tr.Add("snap", s.shardID, at, snap, attr)
+// filterOne runs one candidate through the particle filter on the worker's
+// scratch — a full run, or a resume of the cached state — and snaps it to the
+// anchor points unless the state's memoized distribution still stands (the
+// state did not move since the last query that snapped it). The kernel reads
+// no clock: the call and the snap are timed here, as wholes, for the filter
+// trace ring, the snap histogram and a traced request's spans.
+func (s *System) filterOne(ws *workerScratch, t *preprocessTask, now model.Time, tr *trace.Context) {
+	start := time.Now()
+	ws.src = *rng.Derive(s.cfg.Seed, int64(t.obj), int64(t.entries[len(t.entries)-1].Time))
+	if t.resumed {
+		s.filter.AdvancePool(ws.pool, &ws.src, t.st, t.entries, now)
+	} else {
+		st, err := s.filter.RunPool(ws.pool, &ws.src, t.obj, t.entries, now)
+		if err != nil {
+			return
+		}
+		t.st = st
+	}
+	snapStart := time.Now()
+	t.advance = snapStart.Sub(start)
+	dist, memo := t.st.MemoDist(s.idx)
+	if !memo {
+		dist = t.st.AnchorDist(s.idx, &ws.acc)
+		t.snap = time.Since(snapStart)
+		s.tel.stageSnap.Observe(t.snap.Seconds())
+	}
+	t.dist, t.snapped, t.done = dist, !memo, true
+	if tr != nil {
+		s.recordSpans(tr, start, t)
+	}
+}
+
+// recordSpans lays one candidate's filter work on the request trace: the
+// advance call with its work counts, then the snap when one ran. Untraced
+// requests skip this entirely (the tr != nil guard at the call site).
+func (s *System) recordSpans(tr *trace.Context, start time.Time, t *preprocessTask) {
+	rs := t.st.LastRun
+	obj := trace.Attr{Key: "object", Value: strconv.FormatInt(int64(t.obj), 10)}
+	tr.Add("advance", s.shardID, start, t.advance, obj,
+		trace.Attr{Key: "steps", Value: strconv.Itoa(rs.Steps)},
+		trace.Attr{Key: "detections", Value: strconv.Itoa(rs.Detections)},
+		trace.Attr{Key: "resamples", Value: strconv.Itoa(rs.Resamples)})
+	if t.snapped {
+		tr.Add("snap", s.shardID, start.Add(t.advance), t.snap, obj)
+	}
 }
 
 // RangeCandidates applies the query aware optimization for range queries,

@@ -188,12 +188,11 @@ func NewSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Sharde
 	// All shards publish into shard 0's telemetry so counters, histograms
 	// and the trace ring aggregate exactly like the single engine's (the
 	// record paths are atomic or ring-locked, so concurrent shards are
-	// safe). Re-instrument the components constructed against the private
+	// safe). Re-instrument the caches, constructed against the private
 	// surfaces.
 	e.tel = e.shards[0].tel
 	for _, sh := range e.shards[1:] {
 		sh.tel = e.tel
-		sh.filter.Instrument(e.tel.filterMetrics())
 		sh.cache.Instrument(e.tel.cacheHits, e.tel.cacheMisses, e.tel.cacheEvictions)
 	}
 	// Per-shard identity and labeled metric children. Set after the adoption

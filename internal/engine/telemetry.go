@@ -16,30 +16,30 @@ import (
 
 // Telemetry is the engine's observability surface: one obs.Registry holding
 // every metric of the system plus the bounded debug rings. The hot-path
-// metrics (filter stages, cache events, particle steps) are recorded inline
-// by the instrumented components; everything derived from engine state
-// (ingest lag, pending depth, cumulative drop accounting) is a scrape-time
-// mirror refreshed by SyncMetrics, so the authoritative counters in Stats
-// and the exported ones can never drift apart.
+// metrics (snap time, particle steps, cache events) are recorded inline by
+// the preprocessing workers and the instrumented cache; everything derived
+// from engine state (ingest lag, pending depth, cumulative drop accounting)
+// is a scrape-time mirror refreshed by SyncMetrics, so the authoritative
+// counters in Stats and the exported ones can never drift apart.
 type Telemetry struct {
 	reg *obs.Registry
 
-	// Trace retains the last runs of the particle filter with per-stage
-	// timings (served at /debug/filtertrace).
+	// Trace retains the last runs of the particle filter with their work
+	// counts and timings (served at /debug/filtertrace).
 	Trace *obs.Ring[obs.FilterTrace]
 	// Slow retains the queries that crossed Config.SlowQueryThreshold
 	// (served at /debug/slowqueries).
 	Slow *obs.Ring[SlowQuery]
 
 	// Inline-recorded metrics.
-	stagePredict, stageReweight, stageResample, stageSnap *obs.Histogram
-	particleSteps                                         *obs.Counter
-	runsFull, runsResumed                                 *obs.Counter
-	query                                                 [3]*obs.Histogram // by QueryKind
-	queries                                               [2]atomic.Int64   // by QueryKind: Stats' RangeQueries, KNNQueries
-	slowThreshold                                         time.Duration
-	slowQueries                                           *obs.Counter
-	cacheHits, cacheMisses, cacheEvictions                *obs.Counter
+	stageSnap                              *obs.Histogram
+	particleSteps                          *obs.Counter
+	runsFull, runsResumed                  *obs.Counter
+	query                                  [3]*obs.Histogram // by QueryKind
+	queries                                [2]atomic.Int64   // by QueryKind: Stats' RangeQueries, KNNQueries
+	slowThreshold                          time.Duration
+	slowQueries                            *obs.Counter
+	cacheHits, cacheMisses, cacheEvictions *obs.Counter
 
 	// Resilience metrics. deadlineExceeded and healthTransitions are
 	// inline-recorded; particleBudget is set by SetParticleBudget; the
@@ -151,7 +151,7 @@ type SlowQuery struct {
 func newTelemetry(cfg Config) *Telemetry {
 	r := obs.NewRegistry()
 	stage := r.HistogramVec("repro_filter_stage_seconds",
-		"Wall time of one particle-filter stage per Run/Advance call.", nil, "stage")
+		"Wall time of one particle-filter stage: the anchor snap of a state that moved (memo hits are not observed).", nil, "stage")
 	runs := r.CounterVec("repro_filter_runs_total",
 		"Particle-filter executions by mode: full runs vs cache-resumed advances.", "mode")
 	queries := r.HistogramVec("repro_query_seconds",
@@ -165,13 +165,10 @@ func newTelemetry(cfg Config) *Telemetry {
 		dropped[k] = droppedVec.With(k.String())
 	}
 	t := &Telemetry{
-		reg:           r,
-		Trace:         obs.NewRing[obs.FilterTrace](0),
-		Slow:          obs.NewRing[SlowQuery](0),
-		stagePredict:  stage.With("predict"),
-		stageReweight: stage.With("reweight"),
-		stageResample: stage.With("resample"),
-		stageSnap:     stage.With("snap"),
+		reg:       r,
+		Trace:     obs.NewRing[obs.FilterTrace](0),
+		Slow:      obs.NewRing[SlowQuery](0),
+		stageSnap: stage.With("snap"),
 		particleSteps: r.Counter("repro_filter_particle_steps_total",
 			"Particle × second motion steps executed by the filter."),
 		runsFull:    runs.With("full"),
@@ -266,16 +263,6 @@ func newTelemetry(cfg Config) *Telemetry {
 // HTTP server) to register their own metrics into.
 func (t *Telemetry) Registry() *obs.Registry { return t.reg }
 
-// filterMetrics returns the sinks the particle filter records into.
-func (t *Telemetry) filterMetrics() particle.Metrics {
-	return particle.Metrics{
-		Predict:       t.stagePredict,
-		Reweight:      t.stageReweight,
-		Resample:      t.stageResample,
-		ParticleSteps: t.particleSteps,
-	}
-}
-
 // Telemetry returns the system's observability surface.
 func (s *System) Telemetry() *Telemetry { return s.tel }
 
@@ -315,25 +302,25 @@ func (s *System) SyncMetrics() {
 	}
 }
 
-// recordTrace appends one filter run to the trace ring, combining the
-// filter's own stage breakdown with the engine-side snap timing.
-func (t *Telemetry) recordTrace(shard int, st *particle.State, snap time.Duration, resumed bool) {
+// recordRun accounts one filter call from its RunStats and the caller's
+// timings: the particle × second steps it executed, and a filter-trace ring
+// entry (snap is zero when the state's memo answered).
+func (t *Telemetry) recordRun(shard int, st *particle.State, advance, snap time.Duration, resumed bool) {
 	rs := st.LastRun
+	t.particleSteps.Add(uint64(rs.Steps) * uint64(len(st.Particles)))
 	t.Trace.Add(obs.FilterTrace{
-		Object:         int64(st.Object),
-		Shard:          shard,
-		SimFrom:        int64(rs.From),
-		SimTo:          int64(rs.To),
-		Steps:          rs.Steps,
-		Detections:     rs.Detections,
-		Resamples:      rs.Resamples,
-		Particles:      len(st.Particles),
-		ESS:            rs.ESS,
-		Resumed:        resumed,
-		PredictMicros:  rs.Predict.Microseconds(),
-		ReweightMicros: rs.Reweight.Microseconds(),
-		ResampleMicros: rs.Resample.Microseconds(),
-		SnapMicros:     snap.Microseconds(),
+		Object:        int64(st.Object),
+		Shard:         shard,
+		SimFrom:       int64(rs.From),
+		SimTo:         int64(rs.To),
+		Steps:         rs.Steps,
+		Detections:    rs.Detections,
+		Resamples:     rs.Resamples,
+		Particles:     len(st.Particles),
+		ESS:           rs.ESS,
+		Resumed:       resumed,
+		AdvanceMicros: advance.Microseconds(),
+		SnapMicros:    snap.Microseconds(),
 	})
 }
 

@@ -34,37 +34,57 @@ func telemetrySystem(t *testing.T, warmup int, tweak func(*Config)) *System {
 	return sys
 }
 
-// TestStageHistogramsRecorded runs queries and checks all four filter stages
-// plus both query kinds landed observations in the registry.
+// TestStageHistogramsRecorded runs queries and checks the snap stage and
+// both query kinds landed observations in the registry, and the particle-step
+// counter moved. The filter reads no clock, so snap is the only stage the
+// histogram has; asking the same question again in the same stream second
+// neither steps nor snaps.
 func TestStageHistogramsRecorded(t *testing.T) {
 	sys := telemetrySystem(t, 60, nil)
 	sys.RangeQuery(geom.RectWH(1, 2, 140, 32))
 	sys.KNNQuery(geom.Pt(35, 12), 3)
 
-	sys.SyncMetrics()
-	var buf bytes.Buffer
-	if _, err := sys.Telemetry().Registry().WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fams, err := obs.ParseText(&buf)
-	if err != nil {
-		t.Fatalf("exposition does not lint: %v", err)
-	}
-
-	stage := fams["repro_filter_stage_seconds"]
-	if stage == nil {
-		t.Fatal("repro_filter_stage_seconds missing")
-	}
-	counts := map[string]float64{}
-	for _, s := range stage.Samples {
-		if s.Name == "repro_filter_stage_seconds_count" {
-			counts[s.Labels["stage"]] = s.Value
+	scrape := func() map[string]*obs.Family {
+		t.Helper()
+		sys.SyncMetrics()
+		var buf bytes.Buffer
+		if _, err := sys.Telemetry().Registry().WriteTo(&buf); err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, want := range []string{"predict", "reweight", "resample", "snap"} {
-		if counts[want] == 0 {
-			t.Errorf("stage %q has no observations (got %v)", want, counts)
+		fams, err := obs.ParseText(&buf)
+		if err != nil {
+			t.Fatalf("exposition does not lint: %v", err)
 		}
+		return fams
+	}
+	stageCounts := func(fams map[string]*obs.Family) map[string]float64 {
+		t.Helper()
+		stage := fams["repro_filter_stage_seconds"]
+		if stage == nil {
+			t.Fatal("repro_filter_stage_seconds missing")
+		}
+		counts := map[string]float64{}
+		for _, s := range stage.Samples {
+			if s.Name == "repro_filter_stage_seconds_count" {
+				counts[s.Labels["stage"]] = s.Value
+			}
+		}
+		return counts
+	}
+	steps := func() uint64 { return sys.Telemetry().particleSteps.Value() }
+	fams := scrape()
+	counts := stageCounts(fams)
+	if len(counts) != 1 || counts["snap"] == 0 {
+		t.Errorf("stage counts = %v, want observations for snap only", counts)
+	}
+	if steps() == 0 {
+		t.Error("repro_filter_particle_steps_total did not move")
+	}
+	before := steps()
+	sys.RangeQuery(geom.RectWH(1, 2, 140, 32))
+	if again := stageCounts(scrape()); again["snap"] != counts["snap"] || steps() != before {
+		t.Errorf("a repeated query in the same second snapped %v more times and stepped %d more particles, want none",
+			again["snap"]-counts["snap"], steps()-before)
 	}
 
 	q := fams["repro_query_seconds"]

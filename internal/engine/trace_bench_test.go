@@ -13,16 +13,17 @@ import (
 	"repro/internal/rng"
 )
 
-// traceStepHarness is the per-object body of preprocessCtx, isolated: the
-// trace guard, the pooled instrumented filter advance, and (when traced) the
-// stage-span reconstruction from particle.RunStats. It is exactly what every
-// candidate object pays per query, so it is where tracing overhead would
-// show.
+// traceStepHarness is the advance half of filterOne, isolated: the
+// caller-timed pooled filter advance, the trace guard, and (when traced) the
+// advance span with its work counts. It is what every candidate object that
+// moved pays per query before its snap, so it is where tracing overhead
+// would show.
 type traceStepHarness struct {
 	sys   *System
 	pool  *particle.Pool
 	src   *rng.Source
 	st    *particle.State
+	task  preprocessTask
 	entry []model.AggregatedReading
 }
 
@@ -39,6 +40,7 @@ func newTraceStepHarness(tb testing.TB) *traceStepHarness {
 		st:    sys.filter.InitAt(src, 1, 3, 0),
 		entry: []model.AggregatedReading{{Object: 1, Reader: 3}},
 	}
+	h.task = preprocessTask{obj: 1, st: h.st, resumed: true}
 	// Warm up scratch, pool arrays, and the telemetry plumbing, covering the
 	// detected and silent advance paths once each.
 	h.step(nil)
@@ -49,22 +51,20 @@ func newTraceStepHarness(tb testing.TB) *traceStepHarness {
 // step runs one engine-shaped filter step under the given trace (nil:
 // tracing disabled — the hot-path production case).
 func (h *traceStepHarness) step(tr *trace.Context) {
-	var callStart time.Time
-	if tr != nil {
-		callStart = time.Now()
-	}
+	start := time.Now()
 	next := h.st.Time + 1
 	h.entry[0].Time = next
 	h.sys.filter.AdvancePool(h.pool, h.src, h.st, h.entry, next)
+	h.task.advance = time.Since(start)
 	if tr != nil {
-		h.sys.recordStageSpans(tr, callStart, h.st.Object, h.st.LastRun, 0)
+		h.sys.recordSpans(tr, start, &h.task)
 	}
 }
 
 // TestFilterStepTracingDisabledZeroAllocs pins the disabled-tracing fast
 // path at zero allocations: an untraced request reaches the per-object
-// filter step as a nil *trace.Context, and the guard plus the instrumented
-// pooled advance must not allocate. This is the observability counterpart of
+// filter step as a nil *trace.Context, and the guard plus the timed pooled
+// advance must not allocate. This is the observability counterpart of
 // particle's TestFullStepZeroAllocs — if this fails, tracing leaked cost
 // into every untraced query.
 func TestFilterStepTracingDisabledZeroAllocs(t *testing.T) {
@@ -83,7 +83,7 @@ func TestFilterStepTracingDisabledZeroAllocs(t *testing.T) {
 // BenchmarkFilterStepTraced measures the request tracer's overhead on the
 // per-object filter step: "disabled" is the production default (nil context,
 // pointer-compare guards only) and is gated against regression by
-// cmd/benchjson; "enabled" pays four span appends per object under the
+// cmd/benchjson; "enabled" pays an advance span append per object under the
 // trace mutex.
 func BenchmarkFilterStepTraced(b *testing.B) {
 	b.Run("disabled", func(b *testing.B) {

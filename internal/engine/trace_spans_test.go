@@ -31,8 +31,8 @@ func spansByName(d trace.Done) map[string]map[int]bool {
 // tracing tentpole promises: ingest traces carry the reorder wait plus
 // per-shard WAL append, fsync, and collect spans; query traces carry
 // router-scoped gather/prune/merge plus one evaluate span per shard
-// (zero-duration for shards with no candidates) and shard-attributed filter
-// stage spans.
+// (zero-duration for shards with no candidates) and shard-attributed advance
+// and snap spans.
 func TestShardedTraceSpans(t *testing.T) {
 	plan := floorplan.DefaultOffice()
 	dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
@@ -99,8 +99,26 @@ func TestShardedTraceSpans(t *testing.T) {
 			t.Errorf("query trace: evaluate span missing for shard %d", shard)
 		}
 	}
-	if len(q["predict"]) == 0 || len(q["snap"]) == 0 {
-		t.Errorf("query trace: no filter stage spans (predict=%v snap=%v)", q["predict"], q["snap"])
+	if len(q["advance"]) == 0 || len(q["snap"]) == 0 {
+		t.Errorf("query trace: no filter spans (advance=%v snap=%v)", q["advance"], q["snap"])
+	}
+	for _, gone := range []string{"predict", "reweight", "resample"} {
+		if len(q[gone]) != 0 {
+			t.Errorf("query trace: stage span %q recorded; the kernel times no stages", gone)
+		}
+	}
+	// Every advance span names its object and carries the call's counts.
+	for _, sp := range snaps[len(snaps)-1].Spans {
+		if sp.Name != "advance" {
+			continue
+		}
+		keys := map[string]bool{}
+		for _, a := range sp.Attrs {
+			keys[a.Key] = true
+		}
+		if !keys["object"] || !keys["steps"] || !keys["detections"] || !keys["resamples"] {
+			t.Fatalf("advance span attrs %v, want object, steps, detections and resamples", sp.Attrs)
+		}
 	}
 
 	// Satellite: the slow-query ring entry names the trace and breaks the
@@ -127,6 +145,18 @@ func TestShardedTraceSpans(t *testing.T) {
 	}
 	if !shardsSeen[0] || (!shardsSeen[1] && !shardsSeen[2] && !shardsSeen[3]) {
 		t.Errorf("filter-trace ring shard attribution did not spread: %v", shardsSeen)
+	}
+
+	// The same question again in the same stream second: every candidate is
+	// advanced (a no-op) but none moved, so none is snapped again.
+	rtc := tracer.Start("knn")
+	if _, err := sys.KNNQueryContext(trace.With(context.Background(), rtc), geom.Pt(20, 12), 10); err != nil {
+		t.Fatalf("KNNQueryContext: %v", err)
+	}
+	tracer.Finish(rtc)
+	snaps = tracer.Snapshot()
+	if again := spansByName(snaps[len(snaps)-1]); len(again["advance"]) == 0 || len(again["snap"]) != 0 {
+		t.Errorf("repeated query trace: advance=%v snap=%v, want advances and no snap", again["advance"], again["snap"])
 	}
 }
 

@@ -62,8 +62,9 @@ func (r *Ring[T]) Total() uint64 {
 func (r *Ring[T]) Cap() int { return len(r.buf) }
 
 // FilterTrace is one record of the per-object filter-trace ring: a single
-// particle-filter Run or Advance (cache resume) with its per-stage wall
-// times. Durations are microseconds for compact, human-readable JSON.
+// particle-filter Run or Advance (cache resume) with its work counts and the
+// caller's timings. Durations are microseconds for compact, human-readable
+// JSON.
 type FilterTrace struct {
 	// Object is the filtered object's ID.
 	Object int64 `json:"object"`
@@ -86,10 +87,10 @@ type FilterTrace struct {
 	// Resumed marks a cache hit that advanced an existing state rather than
 	// a full run from the first reading.
 	Resumed bool `json:"resumed"`
-	// Per-stage wall time in microseconds. Reweight includes the silent-
-	// second negative update; Snap is the anchor-point discretization.
-	PredictMicros  int64 `json:"predictMicros"`
-	ReweightMicros int64 `json:"reweightMicros"`
-	ResampleMicros int64 `json:"resampleMicros"`
-	SnapMicros     int64 `json:"snapMicros"`
+	// AdvanceMicros is the wall time of the whole Run/Advance call, and
+	// SnapMicros that of the anchor-point discretization after it: 0 when
+	// the state had not moved since its last snap, whose memoized
+	// distribution answered instead.
+	AdvanceMicros int64 `json:"advanceMicros"`
+	SnapMicros    int64 `json:"snapMicros"`
 }

@@ -10,9 +10,9 @@
 // Every method on *Context is safe on a nil receiver: untraced code paths
 // (engine used as a library, benchmarks, requests on routes that are not
 // traced) carry a nil *Context and pay only a pointer comparison. The hot
-// filter kernel itself is never touched — stage spans are reconstructed from
-// particle.RunStats after the fact — so the zero-allocation contract of the
-// disabled path holds.
+// filter kernel itself is never touched — its caller times each filter call
+// and lays an advance span carrying the call's particle.RunStats counts — so
+// the zero-allocation contract of the disabled path holds.
 package trace
 
 import (
@@ -27,8 +27,9 @@ import (
 const RouterShard = -1
 
 // MaxSpans bounds the spans one trace retains. A query over a large candidate
-// set emits four filter-stage spans per object; past the cap further spans
-// are counted in Dropped instead of stored, keeping trace memory fixed.
+// set emits up to two filter spans per object (advance, snap); past the cap
+// further spans are counted in Dropped instead of stored, keeping trace
+// memory fixed.
 const MaxSpans = 512
 
 // Attr is one key/value annotation on a span.
@@ -82,8 +83,8 @@ func (c *Context) IDString() string {
 }
 
 // Add appends a span with an explicit start time and duration. Used when the
-// caller reconstructs stage timings after the fact (filter stage spans from
-// particle.RunStats). No-op on a nil context.
+// caller timed the work itself (a filter call's advance and snap spans). No-op
+// on a nil context.
 func (c *Context) Add(name string, shard int, start time.Time, d time.Duration, attrs ...Attr) {
 	if c == nil {
 		return

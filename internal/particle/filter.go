@@ -36,7 +36,7 @@ type Filter struct {
 	// cov is the edge-coverage index over (g, dep).
 	cov *rfid.Coverage
 	// met holds the optional stage telemetry; timed gates all timing work so
-	// an uninstrumented filter pays nothing (see Instrument).
+	// an uninstrumented filter reads no clock (see Instrument).
 	met   Metrics
 	timed bool
 	// unhealthy flags readers whose ranges must not contribute negative
@@ -50,8 +50,8 @@ type Filter struct {
 	maxNs int
 }
 
-// Metrics are the filter's optional telemetry sinks. Every field may be nil
-// independently; recording is atomic and allocation-free, so the
+// Metrics are the filter's optional stage-timing sinks. Every field may be
+// nil independently; recording is atomic and allocation-free, so the
 // steady-state loop's zero-allocation contract holds with instrumentation
 // enabled (pinned by TestInstrumentedAdvanceZeroAllocs).
 type Metrics struct {
@@ -60,26 +60,27 @@ type Metrics struct {
 	// silent-second negative update (both are observation incorporation);
 	// Resample includes roughening.
 	Predict, Reweight, Resample *obs.Histogram
-	// ParticleSteps accumulates particle × second motion steps, the
-	// filter's fundamental unit of work.
-	ParticleSteps *obs.Counter
 }
 
-// Instrument attaches telemetry sinks and enables per-run stage timing
-// (State.LastRun). Call it before the filter is shared across goroutines;
-// a zero Metrics still enables timing alone.
+// Instrument attaches stage-timing sinks and enables the per-stage durations
+// of State.LastRun, at the price of clock reads around every stage of every
+// simulated second. The serving engine does not instrument its filters: it
+// times whole calls and counts work from LastRun. Call it before the filter
+// is shared across goroutines; a zero Metrics still enables timing alone.
 func (f *Filter) Instrument(m Metrics) {
 	f.met = m
 	f.timed = true
 }
 
-// RunStats is the per-stage wall-time breakdown of one RunPool/AdvancePool
-// call, recorded on the State when the filter is instrumented.
+// RunStats describes one RunPool/AdvancePool call, recorded on the State.
+// The window, counts and ESS are always filled; the stage durations only
+// when the filter is instrumented.
 type RunStats struct {
 	// From and To bound the simulated seconds this call advanced over.
 	From, To model.Time
-	// Predict, Reweight, and Resample are the stage wall times. Reweight
-	// includes negative updates; Resample includes roughening.
+	// Predict, Reweight, and Resample are the stage wall times (zero unless
+	// instrumented). Reweight includes negative updates; Resample includes
+	// roughening.
 	Predict, Reweight, Resample time.Duration
 	// Steps counts simulated seconds stepped; Detections the detected
 	// seconds incorporated; Resamples the detected-second resampling passes.
@@ -166,7 +167,8 @@ func (f *Filter) ParticleBudget() int {
 
 // InitAt creates a fresh particle set for an object uniformly distributed on
 // the graph edges within the detection range of the given reader, each
-// particle with a random direction and a Gaussian walking speed.
+// particle with a random direction and a Gaussian walking speed. Its LastRun
+// is the empty window at t, with the fresh set's ESS.
 func (f *Filter) InitAt(src *rng.Source, obj model.ObjectID, reader model.ReaderID, t model.Time) *State {
 	ivs, total := f.cov.InitIntervals(reader)
 	ps := make([]Particle, f.ParticleBudget())
@@ -180,7 +182,8 @@ func (f *Filter) InitAt(src *rng.Source, obj model.ObjectID, reader model.Reader
 			Weight: w,
 		}
 	}
-	return &State{Object: obj, Particles: ps, Time: t, LastReadingTime: t}
+	return &State{Object: obj, Particles: ps, Time: t, LastReadingTime: t,
+		LastRun: RunStats{From: t, To: t, ESS: essOf(ps)}}
 }
 
 // initOne draws one particle of InitAt's distribution: a location uniform

@@ -156,16 +156,16 @@ func TestSteadyStateAdvanceZeroAllocs(t *testing.T) {
 
 // TestFullStepZeroAllocs extends the pin to the entire engine-shaped step:
 // with stage telemetry attached the pooled advance still allocates nothing,
-// and the trailing anchor-snap discretization may allocate only its result,
-// never per-particle or per-second garbage.
+// the trailing anchor-snap discretization may allocate only its result,
+// never per-particle or per-second garbage, and asking for the snap again
+// before the particles move — a memo hit — allocates nothing at all.
 func TestFullStepZeroAllocs(t *testing.T) {
 	f := benchFilter(t)
 	r := obs.NewRegistry()
 	f.Instrument(Metrics{
-		Predict:       r.Histogram("p", "x", nil),
-		Reweight:      r.Histogram("w", "x", nil),
-		Resample:      r.Histogram("r", "x", nil),
-		ParticleSteps: r.Counter("s", "x"),
+		Predict:  r.Histogram("p", "x", nil),
+		Reweight: r.Histogram("w", "x", nil),
+		Resample: r.Histogram("r", "x", nil),
 	})
 	idx, err := anchor.BuildIndex(f.g, anchor.DefaultSpacing)
 	if err != nil {
@@ -187,5 +187,69 @@ func TestFullStepZeroAllocs(t *testing.T) {
 	fullStep()
 	if allocs := testing.AllocsPerRun(200, fullStep); allocs > 2 {
 		t.Errorf("full step (advance + snap) allocates %v times per run, want <= 2 (the result's two slices)", allocs)
+	}
+	again := func() {
+		if _, ok := st.MemoDist(idx); !ok {
+			t.Fatal("no memo after a snap")
+		}
+		st.AnchorDist(idx, &acc)
+	}
+	if allocs := testing.AllocsPerRun(200, again); allocs != 0 {
+		t.Errorf("memo-hit snap allocates %v times per run, want 0", allocs)
+	}
+}
+
+// TestZeroStepAdvanceIsNoop pins the cache-hit path of a repeated query: an
+// advance with no new detection and no second to step — asked again in the
+// same stream second, with only stale readings, or after the coast limit —
+// leaves particles, time stamps, the memoized distribution, the random
+// stream and the pool exactly as they were, counts no work, and allocates
+// nothing.
+func TestZeroStepAdvanceIsNoop(t *testing.T) {
+	f := benchFilter(t)
+	idx, err := anchor.BuildIndex(f.g, anchor.DefaultSpacing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewPool()
+	var acc anchor.Accumulator
+	stale := []model.AggregatedReading{{Object: 1, Reader: 3, Time: 1}, {Object: 1, Reader: 3, Time: 2}}
+	coasted := f.InitAt(rng.Derive(50), 1, 3, 0)
+	f.AdvancePool(pool, rng.Derive(51), coasted, nil, 500) // stops at the coast limit
+	for _, c := range []struct {
+		name string
+		st   *State
+		call func(*State, *rng.Source)
+	}{
+		{"same second", nil, func(st *State, src *rng.Source) { f.AdvancePool(pool, src, st, nil, st.Time) }},
+		{"stale readings", nil, func(st *State, src *rng.Source) { f.AdvancePool(pool, src, st, stale, st.Time) }},
+		{"clock behind the state", nil, func(st *State, src *rng.Source) { f.AdvancePool(pool, src, st, stale, st.Time-1) }},
+		{"past the coast limit", coasted, func(st *State, src *rng.Source) { f.AdvancePool(pool, src, st, nil, st.Time+100) }},
+	} {
+		st := c.st
+		if st == nil {
+			st = f.InitAt(rng.Derive(52), 1, 3, 0)
+			f.AdvancePool(pool, rng.Derive(53), st, stale, 4)
+		}
+		want := st.Clone()
+		memo := st.AnchorDist(idx, &acc)
+		src := rng.Derive(54)
+		wantSrc, wantGen := *src, pool.gen
+		c.call(st, src)
+		if !statesEqual(st, want) {
+			t.Fatalf("%s: the no-op advance moved the state", c.name)
+		}
+		if got, ok := st.MemoDist(idx); !ok || &got.IDs[0] != &memo.IDs[0] {
+			t.Fatalf("%s: the no-op advance dropped the memoized distribution", c.name)
+		}
+		if *src != wantSrc || pool.gen != wantGen {
+			t.Fatalf("%s: the no-op advance drew randomness or stored into the pool", c.name)
+		}
+		if rs := st.LastRun; rs.From != st.Time || rs.To != st.Time || rs.Steps+rs.Detections+rs.Resamples != 0 || rs.ESS != want.LastRun.ESS {
+			t.Fatalf("%s: LastRun = %+v, want an empty window at %d with the ESS kept", c.name, rs, st.Time)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { c.call(st, src) }); allocs != 0 {
+			t.Errorf("%s: the no-op advance allocates %v times per run, want 0", c.name, allocs)
+		}
 	}
 }

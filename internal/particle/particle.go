@@ -139,9 +139,9 @@ type State struct {
 	Time model.Time
 	// LastReadingTime is the time of the newest reading incorporated.
 	LastReadingTime model.Time
-	// LastRun is the stage-timing breakdown of the most recent RunPool/
-	// AdvancePool call, filled only when the filter is instrumented
-	// (Filter.Instrument).
+	// LastRun describes the most recent RunPool/AdvancePool call: its window,
+	// work counts and ESS always, its stage durations only when the filter is
+	// instrumented (Filter.Instrument).
 	LastRun RunStats
 
 	// soaPool/soaGen stamp the last kernel store into this state: when
@@ -150,12 +150,20 @@ type State struct {
 	// carry the stamp.
 	soaPool *Pool
 	soaGen  uint64
+
+	// memoIdx/memo hold the distribution AnchorDist last computed, for the
+	// index it snapped to. Every kernel store clears them, so a memo always
+	// describes the current particles; callers outside the kernel must not
+	// rewrite Particles of a state they snap.
+	memoIdx *anchor.Index
+	memo    anchor.Dist
 }
 
 // Clone returns a deep copy of the state, without the kernel's residency
-// stamp, so a state and its clone can be advanced independently. The query
-// path no longer clones (the cache hands states over by ownership);
-// snapshots and the benchmark harness do.
+// stamp, so a state and its clone can be advanced independently. The
+// memoized distribution is shared: a Dist is immutable, and advancing either
+// copy clears only its own. The query path no longer clones (the cache hands
+// states over by ownership); snapshots and the benchmark harness do.
 func (s *State) Clone() *State {
 	c := *s
 	c.Particles = make([]Particle, len(s.Particles))
@@ -205,10 +213,30 @@ func effectiveSampleSize(w []float64) float64 {
 // This is the discretization step feeding the APtoObjHT hash table. Masses
 // accumulate in particle order into acc, the calling worker's scratch, which
 // comes back reset.
+//
+// The result is memoized on the state for idx until the kernel next moves
+// the particles, so asking again — the next query in the same stream second —
+// returns the same Dist without snapping. Snapping to another index replaces
+// the memo.
 func (s *State) AnchorDist(idx *anchor.Index, acc *anchor.Accumulator) anchor.Dist {
+	if d, ok := s.MemoDist(idx); ok {
+		return d
+	}
 	if len(s.Particles) == 0 {
 		return anchor.Dist{}
 	}
+	s.memoIdx, s.memo = idx, s.snap(idx, acc)
+	return s.memo
+}
+
+// MemoDist returns the distribution AnchorDist memoized for idx, if the
+// particles have not moved since; ok is false when AnchorDist would snap.
+func (s *State) MemoDist(idx *anchor.Index) (d anchor.Dist, ok bool) {
+	return s.memo, idx != nil && s.memoIdx == idx
+}
+
+// snap is AnchorDist's computation, unmemoized.
+func (s *State) snap(idx *anchor.Index, acc *anchor.Accumulator) anchor.Dist {
 	// Normalize on the fly without mutating the particle weights, so
 	// repeated calls on the same (possibly cached) state are bit-for-bit
 	// identical.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/anchor"
 	"repro/internal/model"
 	"repro/internal/rng"
 	"repro/internal/walkgraph"
@@ -150,7 +151,8 @@ func (p *Pool) load(st *State) {
 
 // store copies the flat arrays back into the State's particle slice, reusing
 // its capacity (the count can change when a recovery reinitialization ran
-// under a different particle budget).
+// under a different particle budget), and drops the state's memoized
+// distribution, which described the particles before.
 func (p *Pool) store(st *State) {
 	n := p.n
 	if cap(st.Particles) < n {
@@ -173,6 +175,7 @@ func (p *Pool) store(st *State) {
 	p.owner = st
 	st.soaPool = p
 	st.soaGen = p.gen
+	st.memoIdx, st.memo = nil, anchor.Dist{}
 }
 
 // RunPool executes the full Algorithm 2 for one object on the kernel, with
@@ -195,7 +198,9 @@ func (f *Filter) RunPool(pool *Pool, src *rng.Source, obj model.ObjectID, entrie
 // incorporates entries newer than the state's time stamp and steps the
 // particles up to min(lastReading + MaxCoastSeconds, now). Entries at or
 // before the state's time are skipped. This is the cache-hit path of the
-// cache management module. A nil pool runs on a throwaway one.
+// cache management module. A call with no new detection and no second to
+// step touches nothing but LastRun — not the pool, not the particles, not the
+// memoized distribution. A nil pool runs on a throwaway one.
 func (f *Filter) AdvancePool(pool *Pool, src *rng.Source, st *State, entries []model.AggregatedReading, now model.Time) {
 	if pool == nil {
 		f.advanceSoA(new(Pool), src, st, entries, now)
@@ -241,15 +246,20 @@ func (f *Filter) advanceSoA(p *Pool, src *rng.Source, st *State, entries []model
 	if now < tmin {
 		tmin = now
 	}
-	// Stage timing is gated on one bool so the uninstrumented loop pays no
-	// clock reads; time.Now and the histogram sinks allocate nothing, which
-	// keeps the instrumented loop inside the zero-allocation contract.
-	timed := f.timed
-	var rs RunStats
-	var t0 time.Time
-	if timed {
-		rs.From = st.Time
+	if len(sched) == 0 && tmin <= st.Time {
+		// Nothing to do: no new detection and no second to step, so td is
+		// st.LastReadingTime and the particles, time stamps and memoized
+		// distribution all stay exactly as they are. The particles being
+		// unchanged, so is their ESS.
+		st.LastRun = RunStats{From: st.Time, To: st.Time, ESS: st.LastRun.ESS}
+		return
 	}
+	// Stage timing is gated on one bool so the serving kernel reads no
+	// clock; time.Now and the histogram sinks allocate nothing, which keeps
+	// the instrumented loop inside the zero-allocation contract too.
+	timed := f.timed
+	rs := RunStats{From: st.Time}
+	var t0 time.Time
 	p.load(st)
 	cursor := 0
 	for tj := st.Time + 1; tj <= tmin; tj++ {
@@ -257,9 +267,9 @@ func (f *Filter) advanceSoA(p *Pool, src *rng.Source, st *State, entries []model
 			t0 = time.Now()
 		}
 		f.predictSoA(p, src)
+		rs.Steps++
 		if timed {
 			rs.Predict += time.Since(t0)
-			rs.Steps++
 		}
 		for cursor < len(sched) && sched[cursor].t < tj {
 			cursor++
@@ -286,8 +296,8 @@ func (f *Filter) advanceSoA(p *Pool, src *rng.Source, st *State, entries []model
 			}
 			continue
 		}
+		rs.Detections++
 		if timed {
-			rs.Detections++
 			t0 = time.Now()
 		}
 		// Reweight by the device sensing model: particles inside the
@@ -330,9 +340,9 @@ func (f *Filter) advanceSoA(p *Pool, src *rng.Source, st *State, entries []model
 		}
 		f.resampleSoA(p, src, &[2]float64{lw / total, hw / total})
 		f.roughenSoA(p, src)
+		rs.Resamples++
 		if timed {
 			rs.Resample += time.Since(t0)
-			rs.Resamples++
 		}
 	}
 	p.store(st)
@@ -340,10 +350,10 @@ func (f *Filter) advanceSoA(p *Pool, src *rng.Source, st *State, entries []model
 		st.Time = tmin
 	}
 	st.LastReadingTime = td
+	rs.To = st.Time
+	rs.ESS = essOf(st.Particles)
+	st.LastRun = rs
 	if timed {
-		rs.To = st.Time
-		rs.ESS = essOf(st.Particles)
-		st.LastRun = rs
 		if f.met.Predict != nil {
 			f.met.Predict.Observe(rs.Predict.Seconds())
 		}
@@ -352,9 +362,6 @@ func (f *Filter) advanceSoA(p *Pool, src *rng.Source, st *State, entries []model
 		}
 		if f.met.Resample != nil {
 			f.met.Resample.Observe(rs.Resample.Seconds())
-		}
-		if f.met.ParticleSteps != nil {
-			f.met.ParticleSteps.Add(uint64(rs.Steps) * uint64(len(st.Particles)))
 		}
 	}
 }

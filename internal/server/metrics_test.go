@@ -123,12 +123,20 @@ func TestMetricsEndpoint(t *testing.T) {
 		map[string]string{"path": "/range"}); v < 1 {
 		t.Errorf(`request_seconds_count{path="/range"} = %v, want >= 1`, v)
 	}
-	// All four filter stages observed.
-	for _, st := range []string{"predict", "reweight", "resample", "snap"} {
+	// The serving filter reads no clock: the snap is the one stage timed,
+	// and the particle steps are counted instead.
+	if v := sampleValue(fams, "repro_filter_stage_seconds", "repro_filter_stage_seconds_count",
+		map[string]string{"stage": "snap"}); v <= 0 {
+		t.Errorf(`filter stage "snap" count = %v`, v)
+	}
+	for _, st := range []string{"predict", "reweight", "resample"} {
 		if v := sampleValue(fams, "repro_filter_stage_seconds", "repro_filter_stage_seconds_count",
-			map[string]string{"stage": st}); v <= 0 {
-			t.Errorf("filter stage %q count = %v", st, v)
+			map[string]string{"stage": st}); v != -1 {
+			t.Errorf("filter stage %q exported (count %v); the kernel times no stages", st, v)
 		}
+	}
+	if v := sampleValue(fams, "repro_filter_particle_steps_total", "repro_filter_particle_steps_total", nil); v <= 0 {
+		t.Errorf("particle steps = %v after a range and a kNN query", v)
 	}
 }
 
@@ -193,8 +201,11 @@ func TestFilterTraceEndpoint(t *testing.T) {
 		t.Fatal("no traces after a range query")
 	}
 	for _, tr := range out.Traces {
-		if tr.SimTo < tr.SimFrom || tr.Particles <= 0 {
+		if tr.SimTo < tr.SimFrom || tr.Particles <= 0 || tr.AdvanceMicros < 0 || tr.ESS <= 0 {
 			t.Errorf("malformed trace %+v", tr)
+		}
+		if tr.SimTo-tr.SimFrom != int64(tr.Steps) {
+			t.Errorf("trace %+v: %d steps over a window of %d seconds", tr, tr.Steps, tr.SimTo-tr.SimFrom)
 		}
 	}
 }

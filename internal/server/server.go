@@ -14,7 +14,7 @@
 //	GET  /plan                      the floor plan as JSON
 //	GET  /snapshot.svg              rendered floor plan + distributions
 //	GET  /metrics                   Prometheus text-format telemetry
-//	GET  /debug/filtertrace         recent particle-filter runs with stage timings
+//	GET  /debug/filtertrace         recent particle-filter runs: work counts and timings
 //	GET  /debug/slowqueries         recent queries over the slow threshold
 //	GET  /debug/traces              tail-sampled request traces (?format=chrome)
 //	GET  /debug/pprof/              net/http/pprof (opt-in via HandlerConfig)
@@ -1011,7 +1011,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleFilterTrace serves the bounded ring of recent particle-filter runs
-// with their per-stage timings.
+// with their work counts and timings.
 func (s *Server) handleFilterTrace(w http.ResponseWriter, r *http.Request) {
 	tr := s.sys.Telemetry().Trace
 	traces := tr.Snapshot()
