@@ -24,13 +24,15 @@ vuln:
 		echo "vuln: govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-# Static analysis, the server's dependency guard, the vulnerability scan, a
+# Formatting (any file gofmt would rewrite fails), static analysis, the
+# server's dependency guard, the vulnerability scan, a
 # compile of the frozen benchmark harness and its own tests, the full suite
 # under the race detector, ten seconds of differential fuzzing of each
 # hand-written decoder, and one iteration of every hot-path benchmark so a
 # compile- or panic-level regression in the benchmarked paths cannot land
 # silently.
 check:
+	test -z "$$(gofmt -l .)"
 	go vet ./...
 	$(MAKE) server-deps
 	$(MAKE) bench-harness-build

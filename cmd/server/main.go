@@ -13,7 +13,7 @@
 //	       -peers 10.0.0.1:8080,10.0.0.2:8080   # one node of a static cluster
 //
 // The engine is always the router (engine.OpenSharded) over -shards in-memory
-// kernels; -shards 1, the default, is one kernel behind it and answers
+// shards; -shards 1, the default, is one shard behind it and answers
 // bit-for-bit like any other count.
 //
 // With -data-dir set the server opens (or creates) one write-ahead log per

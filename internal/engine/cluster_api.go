@@ -23,16 +23,18 @@ func (s *System) ObjectInfos() []query.ObjectInfo {
 // PruneRangeContext is the global range pruning stage over summaries
 // gathered from anywhere, for any number of windows (pass-through when the
 // optimization module is disabled).
-func (s *System) PruneRangeContext(ctx context.Context, infos []query.ObjectInfo, windows []geom.Rect, now model.Time) ([]model.ObjectID, error) {
-	if !s.cfg.UsePruning {
+func (w *world) PruneRangeContext(ctx context.Context, infos []query.ObjectInfo, windows []geom.Rect, now model.Time) ([]model.ObjectID, error) {
+	if !w.cfg.UsePruning {
 		return ObjectsOf(infos), nil
 	}
-	return s.pruner.RangeCandidatesContext(ctx, infos, windows, now, s.pruner.Unhealthy())
+	w.healthMu.RLock()
+	defer w.healthMu.RUnlock()
+	return w.pruner.RangeCandidatesContext(ctx, infos, windows, now, w.pruner.Unhealthy())
 }
 
 // PruneKNNContext is the global kNN pruning stage.
-func (s *System) PruneKNNContext(ctx context.Context, infos []query.ObjectInfo, q geom.Point, k int, now model.Time) ([]model.ObjectID, error) {
-	return s.Prune(ctx, infos, KNNQuery(q, k), now)
+func (w *world) PruneKNNContext(ctx context.Context, infos []query.ObjectInfo, q geom.Point, k int, now model.Time) ([]model.ObjectID, error) {
+	return w.Prune(ctx, infos, KNNQuery(q, k), now)
 }
 
 // NoteTransportDrops accounts n readings dropped by the cluster forwarder
@@ -62,23 +64,6 @@ func (e *Sharded) Preprocess(cands []model.ObjectID) *anchor.Table {
 func (e *Sharded) PreprocessContext(ctx context.Context, cands []model.ObjectID) (*anchor.Table, error) {
 	dists, err := e.Dists(ctx, cands, Query{})
 	return anchor.TableOf(dists), err
-}
-
-// Evaluator exposes the shared query evaluation module (every shard holds
-// an identical one over the same anchor index).
-func (e *Sharded) Evaluator() *query.Evaluator { return e.shards[0].eval }
-
-// PruneRangeContext mirrors System.PruneRangeContext. The read lock fences
-// the pruner's unhealthy-reader set against a concurrent health refresh.
-func (e *Sharded) PruneRangeContext(ctx context.Context, infos []query.ObjectInfo, windows []geom.Rect, now model.Time) ([]model.ObjectID, error) {
-	e.healthMu.RLock()
-	defer e.healthMu.RUnlock()
-	return e.shards[0].PruneRangeContext(ctx, infos, windows, now)
-}
-
-// PruneKNNContext mirrors System.PruneKNNContext under the same fence.
-func (e *Sharded) PruneKNNContext(ctx context.Context, infos []query.ObjectInfo, q geom.Point, k int, now model.Time) ([]model.ObjectID, error) {
-	return e.Prune(ctx, infos, KNNQuery(q, k), now)
 }
 
 // NoteTransportDrops mirrors System.NoteTransportDrops; the count merges

@@ -9,8 +9,9 @@
 // internal/baseline, over System's public surface.
 //
 // System is that pipeline as a pure in-memory kernel. Sharded is the router
-// over one or more kernels and the only type that touches a disk: write-ahead
-// logs, snapshots, recovery, quarantine and self-heal all live there.
+// over one or more shards of object state sharing one world, and the only
+// type that touches a disk: write-ahead logs, snapshots, recovery, quarantine
+// and self-heal all live there.
 package engine
 
 import (
@@ -159,48 +160,72 @@ type Stats struct {
 	Ingest ingest.Drops
 }
 
-// System is the assembled query evaluation system.
+// System is the assembled query evaluation system: one world, the one store
+// of object state over it, and the ingestion front end that feeds the store.
 type System struct {
 	// QueryMethods are the classic spellings of Query (RangeQuery,
 	// KNNQueryContext, RangeQueryAt, Occupancy, ...).
 	QueryMethods
+	*store
 
-	cfg     Config
-	g       *walkgraph.Graph
-	dep     *rfid.Deployment
-	idx     *anchor.Index
-	col     *collector.Collector
-	filter  *particle.Filter
-	cache   *cache.Cache
-	pruner  *query.Pruner
-	eval    *query.Evaluator
 	src     *rng.Source
 	reorder *ingest.Reorder
-	stats   Stats
-	tel     *Telemetry
 	// monitor is the per-reader liveness monitor (nil when Config.Health is
 	// disabled); extraDrops holds transport-level losses noted by the HTTP
 	// layer (oversized bodies) that never reach the reorder buffer.
 	monitor    *health.Monitor
 	extraDrops ingest.Drops
 
-	// shardID is this engine's position in a sharded router (0 standalone);
-	// it labels filter traces, spans, and the shardTel metric handles.
 	// curTrace is the request trace of the in-flight IngestContext call, read
 	// by the reorder sink so flush-time work (collect) attributes to the
-	// delivery that triggered it. Both are written under the same exclusion
-	// the rest of the System requires.
-	shardID  int
-	shardTel *shardMetrics
+	// delivery that triggered it. It is written under the same exclusion the
+	// rest of the System requires.
 	curTrace *trace.Context
 	// eventLog retains ENTER/LEAVE events for registry consumers (bounded).
 	eventLog []model.Event
 	eventOff int
+}
+
+// world is what a deployment builds once, whatever the number of shards:
+// the paper's per-deployment modules — walking graph, anchor index, particle
+// filter (with its edge-coverage index), pruner, evaluator — and the
+// telemetry they record into. Only object state (store) is per shard.
+type world struct {
+	cfg    Config
+	g      *walkgraph.Graph
+	dep    *rfid.Deployment
+	idx    *anchor.Index
+	filter *particle.Filter
+	pruner *query.Pruner
+	eval   *query.Evaluator
+	tel    *Telemetry
+
+	// healthMu fences the filter's and the pruner's sensing model (the
+	// unhealthy-reader set, the particle budget): a router's query stages
+	// hold it for read so a concurrent flush cannot swap the model
+	// mid-scatter.
+	healthMu sync.RWMutex
 
 	// pools recycles per-worker scratch (the SoA kernel's flat arrays and the
-	// snap accumulator) across Preprocess calls, so steady-state
+	// snap accumulator) across Preprocess calls and shards, so steady-state
 	// preprocessing allocates nothing per query but its answer.
 	pools sync.Pool
+}
+
+// store is the object state one shard owns over its world: the collector,
+// the particle-state cache, the work counters, the preprocessing worker
+// budget and the shard's metric handles. The kernel has one; the router one
+// per shard. A store is not safe for concurrent use.
+type store struct {
+	*world
+	// shardID is the store's position in a sharded router (0 in the kernel);
+	// it labels filter traces, spans, and the shardTel metric handles.
+	shardID  int
+	workers  int
+	shardTel *shardMetrics
+	col      *collector.Collector
+	cache    *cache.Cache
+	stats    Stats
 	// tasks and entries are preprocessDists' per-call work list and the
 	// readings it gathers, and latest the newest readings Infos summarizes,
 	// recycled across calls (the caller's exclusion covers them like the
@@ -218,8 +243,6 @@ type workerScratch struct {
 	src rng.Source
 }
 
-func newWorkerScratch() *workerScratch { return &workerScratch{pool: particle.NewPool()} }
-
 // Stats returns the system's cumulative work counters, with the drop
 // accounting of the reorder buffer and the collector merged in.
 func (s *System) Stats() Stats {
@@ -233,8 +256,8 @@ func (s *System) Stats() Stats {
 	return st
 }
 
-// New assembles a System over a floor plan and reader deployment.
-func New(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*System, error) {
+// newWorld validates cfg and builds the per-deployment modules.
+func newWorld(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*world, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -246,30 +269,55 @@ func New(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*System, error
 	if err != nil {
 		return nil, err
 	}
-	// The filter builds the edge-coverage index once per System and answers
-	// every coverage predicate of its hot loops from it.
+	// The filter builds the edge-coverage index once and answers every
+	// coverage predicate of its hot loops from it. It stays uninstrumented —
+	// it counts its work in LastRun and reads no clock; filterOne times each
+	// call as a whole. Telemetry is always on: the record path is atomic and
+	// allocation-free.
 	filter, err := particle.New(cfg.Particle, g, dep)
 	if err != nil {
 		return nil, err
 	}
-	col := collector.New()
-	if cfg.KeepHistory {
-		col = collector.NewWithHistory()
-	}
-	s := &System{
+	w := &world{
 		cfg:    cfg,
 		g:      g,
 		dep:    dep,
 		idx:    idx,
-		col:    col,
 		filter: filter,
-		cache:  cache.New(cache.DefaultLifetime),
 		pruner: query.NewPruner(g, idx, dep, cfg.MaxSpeed),
 		eval:   query.NewEvaluator(g, idx),
-		src:    rng.New(cfg.Seed),
+		tel:    newTelemetry(cfg),
 	}
+	w.pools.New = func() any { return &workerScratch{pool: particle.NewPool()} }
+	return w, nil
+}
+
+// newStore builds shard id's empty object state, preprocessing with at most
+// workers goroutines (0: GOMAXPROCS).
+func (w *world) newStore(id, workers int) *store {
+	st := &store{
+		world:    w,
+		shardID:  id,
+		workers:  workers,
+		shardTel: w.tel.shardMetrics(id),
+		col:      collector.New(),
+		cache:    cache.New(cache.DefaultLifetime),
+	}
+	if w.cfg.KeepHistory {
+		st.col = collector.NewWithHistory()
+	}
+	st.cache.Instrument(w.tel.cacheHits, w.tel.cacheMisses, w.tel.cacheEvictions)
+	return st
+}
+
+// New assembles a System over a floor plan and reader deployment.
+func New(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*System, error) {
+	w, err := newWorld(plan, dep, cfg)
+	if err != nil {
+		return nil, err
+	}
+	s := &System{store: w.newStore(0, cfg.Workers), src: rng.New(cfg.Seed)}
 	s.QueryMethods.Of = s
-	s.pools.New = func() any { return newWorkerScratch() }
 	s.reorder = ingest.NewReorder(cfg.Ingest, s.ingestSecond)
 	if cfg.Health.Enabled {
 		s.monitor, err = health.NewMonitor(cfg.Health, dep.NumReaders())
@@ -277,12 +325,6 @@ func New(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*System, error
 			return nil, err
 		}
 	}
-	// Telemetry is always on: the record path is atomic and allocation-free.
-	// The filter stays uninstrumented — it counts its work in LastRun and
-	// reads no clock; filterOne times each call as a whole.
-	s.tel = newTelemetry(cfg)
-	s.cache.Instrument(s.tel.cacheHits, s.tel.cacheMisses, s.tel.cacheEvictions)
-	s.shardTel = s.tel.shardMetrics(0)
 	return s, nil
 }
 
@@ -328,13 +370,20 @@ func (s *System) DegradedShards() []int { return nil }
 func (s *System) Config() Config { return s.cfg }
 
 // Graph returns the indoor walking graph.
-func (s *System) Graph() *walkgraph.Graph { return s.g }
+func (w *world) Graph() *walkgraph.Graph { return w.g }
 
 // AnchorIndex returns the anchor point index.
-func (s *System) AnchorIndex() *anchor.Index { return s.idx }
+func (w *world) AnchorIndex() *anchor.Index { return w.idx }
 
 // Deployment returns the reader deployment.
-func (s *System) Deployment() *rfid.Deployment { return s.dep }
+func (w *world) Deployment() *rfid.Deployment { return w.dep }
+
+// Telemetry returns the observability surface.
+func (w *world) Telemetry() *Telemetry { return w.tel }
+
+// Evaluator exposes the query evaluation module for advanced use (continuous
+// monitors, custom tables).
+func (w *world) Evaluator() *query.Evaluator { return w.eval }
 
 // Collector returns the raw data collector.
 func (s *System) Collector() *collector.Collector { return s.col }
@@ -400,9 +449,8 @@ func (s *System) ingestSecond(t model.Time, raws []model.RawReading) {
 // collectSecond feeds one second's readings into the collector, counts the
 // accepted ones, applies the cache invalidation rule to every ENTER event,
 // and returns the second's ENTER/LEAVE events sorted by (Time, Object). It is
-// the kernel step the router drives per shard — live, on recovery replay, and
-// when a healed shard catches up.
-func (s *System) collectSecond(t model.Time, raws []model.RawReading) []model.Event {
+// the step the router drives per shard, live and on recovery replay.
+func (s *store) collectSecond(t model.Time, raws []model.RawReading) []model.Event {
 	dropped := s.col.Drops().Readings()
 	s.col.IngestSecond(t, raws)
 	s.stats.ReadingsIngested += len(raws) - (s.col.Drops().Readings() - dropped)
@@ -415,10 +463,9 @@ func (s *System) collectSecond(t model.Time, raws []model.RawReading) []model.Ev
 	return evs
 }
 
-// restoreShard replaces the kernel's mutable state with a shard snapshot's
-// (the router's recovery and heal paths); the zero shardSnap resets it to
-// empty.
-func (s *System) restoreShard(ss *shardSnap) {
+// restore replaces the store's state with a shard snapshot's (the router's
+// recovery path).
+func (s *store) restore(ss *shardSnap) {
 	s.stats = ss.Stats
 	s.col.Restore(ss.Collector)
 	s.cache.RestoreEntries(ss.CacheEntries)
@@ -429,7 +476,7 @@ func (s *System) restoreShard(ss *shardSnap) {
 // observation, collectSecond, and the retained event log.
 func (s *System) applySecond(t model.Time, raws []model.RawReading) {
 	if s.monitor != nil && s.monitor.ObserveSecond(t, raws) {
-		s.refreshHealth()
+		s.refreshHealth(s.monitor.Unhealthy())
 	}
 	for _, ev := range s.collectSecond(t, raws) {
 		if ev.Kind == model.Enter && s.monitor != nil {
@@ -493,7 +540,7 @@ func (s *System) Query(ctx context.Context, q Query) (Answer, error) { return Ru
 // Infos summarizes every known object for the pruning module, ascending —
 // the gather stage of the pipeline: one walk of the collector's sorted object
 // list. A historical query sees each object's last reading at or before q.At.
-func (s *System) Infos(_ context.Context, q Query) ([]query.ObjectInfo, error) {
+func (s *store) Infos(_ context.Context, q Query) ([]query.ObjectInfo, error) {
 	if q.Historical {
 		objs := s.col.KnownObjects()
 		out := make([]query.ObjectInfo, 0, len(objs))
@@ -514,26 +561,24 @@ func (s *System) Infos(_ context.Context, q Query) ([]query.ObjectInfo, error) {
 
 // Prune is the query aware optimization module: the candidates q cannot rule
 // out, or every object when pruning is disabled or q covers them all.
-func (s *System) Prune(ctx context.Context, infos []query.ObjectInfo, q Query, now model.Time) ([]model.ObjectID, error) {
+func (w *world) Prune(ctx context.Context, infos []query.ObjectInfo, q Query, now model.Time) ([]model.ObjectID, error) {
 	switch {
 	case q.Kind == KindRange:
-		return s.PruneRangeContext(ctx, infos, []geom.Rect{q.Window}, now)
-	case q.Kind == KindKNN && s.cfg.UsePruning:
-		return s.pruner.KNNCandidatesContext(ctx, infos, q.Point, q.K, now)
+		return w.PruneRangeContext(ctx, infos, []geom.Rect{q.Window}, now)
+	case q.Kind == KindKNN && w.cfg.UsePruning:
+		w.healthMu.RLock()
+		defer w.healthMu.RUnlock()
+		return w.pruner.KNNCandidatesContext(ctx, infos, q.Point, q.K, now)
 	default:
 		return ObjectsOf(infos), nil
 	}
 }
 
-// Unhealthy returns the unhealthy-reader set the pruner widens uncertain
-// regions by (nil when every reader is healthy).
-func (s *System) Unhealthy() []bool { return s.pruner.Unhealthy() }
-
-// OwnDists finds and preprocesses the kernel's own candidates for q in one
-// call: the range prune is per object, so run over this kernel's objects
+// OwnDists finds and preprocesses the store's own candidates for q in one
+// call: the range prune is per object, so run over this store's objects
 // under the coordinator's clock and reader health it admits exactly the
 // objects a prune over every partition's would admit here.
-func (s *System) OwnDists(ctx context.Context, q Query, sc Scope) ([]anchor.ObjDist, int, error) {
+func (s *store) OwnDists(ctx context.Context, q Query, sc Scope) ([]anchor.ObjDist, int, error) {
 	tr := trace.From(ctx)
 	start := time.Now()
 	infos, _ := s.Infos(ctx, q)
@@ -551,10 +596,10 @@ func (s *System) OwnDists(ctx context.Context, q Query, sc Scope) ([]anchor.ObjD
 	return dists, len(cands), JoinPartial(perr, terr)
 }
 
-// Dists runs the preprocessing module for the candidates — the kernel's
+// Dists runs the preprocessing module for the candidates — the store's
 // share of a scatter — under the shard's evaluate span and histogram. An
 // idle shard still shows in the trace, with a zero-duration span.
-func (s *System) Dists(ctx context.Context, cands []model.ObjectID, q Query) ([]anchor.ObjDist, error) {
+func (s *store) Dists(ctx context.Context, cands []model.ObjectID, q Query) ([]anchor.ObjDist, error) {
 	tr := trace.From(ctx)
 	start := time.Now()
 	if len(cands) == 0 {
@@ -572,7 +617,7 @@ func (s *System) Dists(ctx context.Context, cands []model.ObjectID, q Query) ([]
 // updates the cache when enabled. Objects are filtered in parallel (see
 // Config.Workers); each object's randomness derives from (Seed, object,
 // last reading time), so the output is identical at any parallelism.
-func (s *System) Preprocess(candidates []model.ObjectID) *anchor.Table {
+func (s *store) Preprocess(candidates []model.ObjectID) *anchor.Table {
 	tab, _ := s.PreprocessContext(context.Background(), candidates)
 	return tab
 }
@@ -581,7 +626,7 @@ func (s *System) Preprocess(candidates []model.ObjectID) *anchor.Table {
 // every per-object task boundary. On expiry the remaining objects are
 // skipped — they simply do not appear in the returned table — and a
 // *query.DeadlineError is returned alongside the partial table.
-func (s *System) PreprocessContext(ctx context.Context, candidates []model.ObjectID) (*anchor.Table, error) {
+func (s *store) PreprocessContext(ctx context.Context, candidates []model.ObjectID) (*anchor.Table, error) {
 	dists, err := s.preprocessDists(ctx, candidates, Query{})
 	return anchor.TableOf(dists), err
 }
@@ -608,7 +653,7 @@ type preprocessTask struct {
 // a peer to its coordinator. A historical query filters each candidate's
 // readings up to q.At from scratch and leaves the cache alone; it is keyed
 // like a snapshot run, so re-asking it gives the same answer on any engine.
-func (s *System) preprocessDists(ctx context.Context, candidates []model.ObjectID, q Query) ([]anchor.ObjDist, error) {
+func (s *store) preprocessDists(ctx context.Context, candidates []model.ObjectID, q Query) ([]anchor.ObjDist, error) {
 	now := s.col.Now()
 	if q.Historical {
 		now = q.At
@@ -655,7 +700,7 @@ func (s *System) preprocessDists(ctx context.Context, candidates []model.ObjectI
 	// so a cached state is advanced in place by exactly one worker. The
 	// goroutines live only for the duration of the call; the scratch is
 	// recycled across calls.
-	workers := s.cfg.Workers
+	workers := s.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -731,7 +776,7 @@ func (s *System) preprocessDists(ctx context.Context, candidates []model.ObjectI
 // state did not move since the last query that snapped it). The kernel reads
 // no clock: the call and the snap are timed here, as wholes, for the filter
 // trace ring, the snap histogram and a traced request's spans.
-func (s *System) filterOne(ws *workerScratch, t *preprocessTask, now model.Time, tr *trace.Context) {
+func (s *store) filterOne(ws *workerScratch, t *preprocessTask, now model.Time, tr *trace.Context) {
 	start := time.Now()
 	ws.src = *rng.Derive(s.cfg.Seed, int64(t.obj), int64(t.entries[len(t.entries)-1].Time))
 	if t.resumed {
@@ -760,7 +805,7 @@ func (s *System) filterOne(ws *workerScratch, t *preprocessTask, now model.Time,
 // recordSpans lays one candidate's filter work on the request trace: the
 // advance call with its work counts, then the snap when one ran. Untraced
 // requests skip this entirely (the tr != nil guard at the call site).
-func (s *System) recordSpans(tr *trace.Context, start time.Time, t *preprocessTask) {
+func (s *store) recordSpans(tr *trace.Context, start time.Time, t *preprocessTask) {
 	rs := t.st.LastRun
 	obj := trace.Attr{Key: "object", Value: strconv.FormatInt(int64(t.obj), 10)}
 	tr.Add("advance", s.shardID, start, t.advance, obj,
@@ -848,10 +893,6 @@ func (s *System) PTKNNQuery(q geom.Point, k int, threshold float64) []query.PTKN
 	tab := s.Preprocess(s.KNNCandidates(q, k))
 	return s.eval.PTKNN(s.src, tab, q, k, threshold, s.cfg.SMTrials)
 }
-
-// Evaluator exposes the query evaluation module for advanced use (continuous
-// monitors, custom tables).
-func (s *System) Evaluator() *query.Evaluator { return s.eval }
 
 // ClosestPairs answers the closest-pairs query (a future-work extension of
 // the paper): the k object pairs with the smallest expected network

@@ -255,6 +255,17 @@ func mustMatchShardedOracle(t *testing.T, label string, got, want *Sharded) {
 	}
 }
 
+// mustMatchReaderHealth requires the engine's reader health to equal the
+// effective-stream oracle's: the router's monitor must have seen only the
+// readings it applied, as a replay of the logs does — never those it dropped
+// for a quarantined shard.
+func mustMatchReaderHealth(t *testing.T, label string, got, want *Sharded) {
+	t.Helper()
+	if g, w := got.ReaderHealth(), want.ReaderHealth(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: reader health diverges:\n  got  %+v\n  want %+v", label, g, w)
+	}
+}
+
 // TestShardPermanentFaultIsolatesAndHeals is the fault-isolation acceptance
 // scenario: at 4 shards, a permanent fault in one shard's WAL must quarantine
 // that shard only — typed drops for its objects, partial answers naming it, no
@@ -385,6 +396,7 @@ func testShardPermanentFault(t *testing.T, shard int) {
 	// Healed and nothing ingested since: the shard's clock and its objects'
 	// LEAVEs must already stand where the empty seconds put them.
 	mustMatchShardedOracle(t, "on heal", sh, oracle)
+	mustMatchReaderHealth(t, "on heal", sh, oracle)
 	for _, d := range f.deliveries[healAt:] {
 		if err := sh.Ingest(d.t, d.raws); err != nil {
 			t.Fatalf("post-heal ingest: %v", err)
@@ -395,7 +407,9 @@ func testShardPermanentFault(t *testing.T, shard int) {
 		t.Errorf("post-heal range query still degraded: %v", qerr)
 	}
 
-	mustMatchShardedOracle(t, "post-heal", sh, quarantineOracle(t, f, shard, faultAt, healAt, len(f.deliveries)))
+	post := quarantineOracle(t, f, shard, faultAt, healAt, len(f.deliveries))
+	mustMatchShardedOracle(t, "post-heal", sh, post)
+	mustMatchReaderHealth(t, "post-heal", sh, post)
 	if err := sh.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -404,33 +418,49 @@ func testShardPermanentFault(t *testing.T, shard int) {
 // TestQuarantineSurvivesCleanRestart closes an engine with a quarantined
 // shard: the restarted engine must come back with that shard still
 // quarantined (the marker), standing at the stream clock — the seconds
-// between its quarantine and the Close barrier taken empty at the times the
-// live shards' logs hold — heal on demand, and match the effective-stream
-// oracle.
+// between its quarantine and the Close barrier taken as one empty second —
+// heal on demand, and match the effective-stream oracle.
 func TestQuarantineSurvivesCleanRestart(t *testing.T) {
 	testQuarantineRestart(t, true)
 }
 
 // TestQuarantineSurvivesCrashRestart is the same scenario without Close: the
 // process vanishes with a shard quarantined, and the quarantined shard takes
-// the seconds since its quarantine empty in the lockstep replay.
+// the seconds since its quarantine empty — those up to the last barrier as
+// one, the rest in the lockstep replay.
 func TestQuarantineSurvivesCrashRestart(t *testing.T) {
 	testQuarantineRestart(t, false)
 }
 
+// testQuarantineRestart runs the restart scenario at two barrier cadences:
+// none but Close's, and every 2 seconds, which lands four barriers while the
+// shard is out — each must prune the router's and the live shards' old
+// snapshots, and recovery must still bring the marked shard back from its
+// own snapshot and log alone.
 func testQuarantineRestart(t *testing.T, clean bool) {
+	for _, every := range []int{0, 2} {
+		t.Run(fmt.Sprintf("snapshot-every-%d", every), func(t *testing.T) {
+			testQuarantineRestartEvery(t, clean, every)
+		})
+	}
+}
+
+func testQuarantineRestartEvery(t *testing.T, clean bool, every int) {
 	const faultAt, restartAt = 8, 16
 	f := newDurableFixture(t, 24)
 	fsys := errfs.New(nil, 19)
 	dir := t.TempDir()
 	cfg := quarantineFixtureCfg(f, dir, fsys)
+	cfg.Durability.SnapshotEvery = every
 	sh, err := OpenSharded(f.plan, f.dep, cfg)
 	if err != nil {
 		t.Fatalf("OpenSharded: %v", err)
 	}
+	var barriersBefore uint64
 	for i, d := range f.deliveries[:restartAt] {
 		if i == faultAt {
 			fsys.Fail(errfs.Rule{Ops: errfs.OpWrite, Path: "shard-0001"})
+			barriersBefore = sh.tel.walSnapshots.Value()
 		}
 		err := sh.Ingest(d.t, d.raws)
 		if i < faultAt && err != nil {
@@ -447,6 +477,9 @@ func testQuarantineRestart(t *testing.T, clean bool) {
 	if ds := sh.DegradedShards(); !reflect.DeepEqual(ds, []int{1}) {
 		t.Fatalf("DegradedShards = %v before restart, want [1]", ds)
 	}
+	if n := sh.tel.walSnapshots.Value() - barriersBefore; every > 0 && n < 3 {
+		t.Fatalf("%d barriers during the quarantine, want at least 3", n)
+	}
 	fsys.Clear()
 	if clean {
 		if err := sh.Close(); err != nil {
@@ -456,6 +489,12 @@ func testQuarantineRestart(t *testing.T, clean bool) {
 		// Simulated crash: stop only the background healer so the test binary
 		// does not leak its goroutine; everything else is abandoned as-is.
 		sh.stopHealer()
+	}
+	// Retention did not freeze while the shard was out.
+	for _, d := range []string{dir, shardDir(dir, 0), shardDir(dir, 2), shardDir(dir, 3)} {
+		if snaps, err := wal.ListSnapshots(d); err != nil || len(snaps) > keepSnapshots {
+			t.Fatalf("%s holds %d snapshots at restart (%v), want at most %d", d, len(snaps), err, keepSnapshots)
+		}
 	}
 
 	re, err := OpenSharded(f.plan, f.dep, cfg)
@@ -471,9 +510,15 @@ func testQuarantineRestart(t *testing.T, clean bool) {
 	if ds := re.DegradedShards(); len(ds) != 0 {
 		t.Fatalf("DegradedShards = %v after heal", ds)
 	}
-	// Recovery brought the marked shard to the barrier with empty seconds;
+	// Recovery brought the marked shard to the barrier with an empty second;
 	// the heal only reopened its log, so it must already stand there.
-	mustMatchShardedOracle(t, "restart, on heal", re, quarantineOracle(t, f, 1, faultAt, restartAt, restartAt))
+	oracle := quarantineOracle(t, f, 1, faultAt, restartAt, restartAt)
+	mustMatchShardedOracle(t, "restart, on heal", re, oracle)
+	if !clean && every == 0 {
+		// A pure log replay rebuilds the monitor too; a snapshot restore
+		// cold-starts it by design.
+		mustMatchReaderHealth(t, "restart, on heal", re, oracle)
+	}
 	for _, d := range f.deliveries[restartAt:] {
 		if err := re.Ingest(d.t, d.raws); err != nil {
 			t.Fatalf("post-heal ingest: %v", err)

@@ -41,7 +41,7 @@ type RoomOdds struct {
 
 // Localize runs the particle filter for one object and summarizes the
 // result. ok is false when the object has no readings to infer from.
-func (s *System) Localize(obj model.ObjectID) (Localization, bool) {
+func (s *store) Localize(obj model.ObjectID) (Localization, bool) {
 	tab := s.Preprocess([]model.ObjectID{obj})
 	dist := tab.DistributionOf(obj)
 	if dist.Len() == 0 {
@@ -51,7 +51,7 @@ func (s *System) Localize(obj model.ObjectID) (Localization, bool) {
 }
 
 // LocalizeAll localizes every known object, sorted by object ID.
-func (s *System) LocalizeAll() []Localization {
+func (s *store) LocalizeAll() []Localization {
 	tab := s.Preprocess(s.col.KnownObjects())
 	out := make([]Localization, 0, len(tab.Dists()))
 	for _, od := range tab.Dists() {
@@ -63,7 +63,7 @@ func (s *System) LocalizeAll() []Localization {
 // RoomDistribution returns the object's room-level distribution, ranked by
 // descending probability; the hallway share appears as a single NoRoom
 // entry. ok is false when the object cannot be localized.
-func (s *System) RoomDistribution(obj model.ObjectID) ([]RoomOdds, bool) {
+func (s *store) RoomDistribution(obj model.ObjectID) ([]RoomOdds, bool) {
 	tab := s.Preprocess([]model.ObjectID{obj})
 	dist := tab.DistributionOf(obj)
 	if dist.Len() == 0 {
@@ -95,7 +95,7 @@ func roomOdds(idx *anchor.Index, dist anchor.Dist) []RoomOdds {
 	return out
 }
 
-func (s *System) summarize(obj model.ObjectID, dist anchor.Dist) Localization {
+func (s *store) summarize(obj model.ObjectID, dist anchor.Dist) Localization {
 	loc := Localization{Object: obj, Mode: anchor.NoAnchor}
 	var mx, my float64
 	for i, ap := range dist.IDs {

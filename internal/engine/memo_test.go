@@ -39,8 +39,8 @@ func TestMemoizedDistMatchesFreshSnap(t *testing.T) {
 	for _, shards := range []int{0, 4} {
 		cfg := DefaultConfig()
 		cfg.Seed = 29
-		// kernels are where the caches live, each with the index it snaps to.
-		var kernels []*System
+		// stores are where the caches live, with the index they snap to.
+		var stores []*store
 		var sys interface {
 			Querier
 			Ingest(tm model.Time, raws []model.RawReading) error
@@ -48,19 +48,19 @@ func TestMemoizedDistMatchesFreshSnap(t *testing.T) {
 		}
 		if shards == 0 {
 			s := MustNew(plan, dep, cfg)
-			kernels, sys = []*System{s}, s
+			stores, sys = []*store{s.store}, s
 		} else {
 			cfg.Shards = shards
 			e := MustNewSharded(plan, dep, cfg)
-			kernels, sys = e.shards, e
+			stores, sys = e.shards, e
 		}
-		world := sim.MustNew(kernels[0].Graph(), rfid.NewSensor(dep), traceCfg120(), 31)
+		world := sim.MustNew(stores[0].Graph(), rfid.NewSensor(dep), traceCfg120(), 31)
 		ingestTrace(t, sys, world, 40)
 		check := func(what string) {
 			t.Helper()
 			var acc anchor.Accumulator
 			cached := 0
-			for _, k := range kernels {
+			for _, k := range stores {
 				for _, e := range k.cache.Dump() {
 					memo, ok := e.State.MemoDist(k.idx)
 					if !ok {
@@ -90,7 +90,7 @@ func TestMemoizedDistMatchesFreshSnap(t *testing.T) {
 
 		// A second index over the same graph, equal but not the same: its
 		// snap must be computed, not the memo the engine's index left.
-		k := kernels[0]
+		k := stores[0]
 		other := anchor.MustBuildIndex(k.Graph(), cfg.AnchorSpacing)
 		var acc anchor.Accumulator
 		probed := 0

@@ -73,7 +73,7 @@ type durableState struct {
 	Forced         int
 }
 
-func encodeDurableState(t *testing.T, shard *System, stats Stats, reorder *ingest.Reorder) []byte {
+func encodeDurableState(t *testing.T, shard *store, stats Stats, reorder *ingest.Reorder) []byte {
 	t.Helper()
 	hits, misses := shard.cache.Stats()
 	wm, started := reorder.Watermark()
@@ -105,7 +105,7 @@ func snapshotBytes(t *testing.T, s *System) []byte {
 	t.Helper()
 	stats := s.stats
 	stats.RangeQueries, stats.KNNQueries = s.tel.queriesCounted()
-	return encodeDurableState(t, s, stats, s.reorder)
+	return encodeDurableState(t, s.store, stats, s.reorder)
 }
 
 // routerSnapshotBytes is a one-shard router's durable state, laid out like

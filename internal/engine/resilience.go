@@ -6,15 +6,26 @@ import "repro/internal/health"
 // coupling to the sensing model and the degraded-mode particle budget
 // (DESIGN.md §12). Query deadlines are the pipeline's (pipeline.go).
 
-// refreshHealth pushes the monitor's current unhealthy-reader set into the
-// sensing-model consumers. Called only when the monitor reports a state
-// change, so in a fully healthy deployment the filter and pruner keep their
-// nil sets and the original code paths, bit for bit.
-func (s *System) refreshHealth() {
-	un := s.monitor.Unhealthy()
-	s.filter.SetUnhealthy(un)
-	s.pruner.SetUnhealthy(un)
-	s.tel.healthTransitions.Inc()
+// refreshHealth pushes the monitor's unhealthy-reader set into the
+// sensing-model consumers, the world's one filter and one pruner. Called only
+// when the monitor reports a state change, so in a fully healthy deployment
+// the filter and pruner keep their nil sets and the original code paths, bit
+// for bit. Writer side of healthMu: a concurrent query sees either the whole
+// old set or the whole new one.
+func (w *world) refreshHealth(un []bool) {
+	w.healthMu.Lock()
+	w.filter.SetUnhealthy(un)
+	w.pruner.SetUnhealthy(un)
+	w.healthMu.Unlock()
+	w.tel.healthTransitions.Inc()
+}
+
+// Unhealthy returns the unhealthy-reader set the pruner widens uncertain
+// regions by (nil when every reader is healthy).
+func (w *world) Unhealthy() []bool {
+	w.healthMu.RLock()
+	defer w.healthMu.RUnlock()
+	return w.pruner.Unhealthy()
 }
 
 // ReaderHealth returns the liveness snapshot of every reader, or nil when
@@ -32,16 +43,23 @@ func (s *System) HealthMonitorEnabled() bool { return s.monitor != nil }
 // SetParticleBudget caps the per-object particle count of newly initialized
 // filter states — the degraded-mode knob the server's overload controller
 // turns (the documented Ns ablation axis). n <= 0 or n >= the configured Ns
-// restores full fidelity. Callers must hold the same exclusion the query API
-// requires.
-func (s *System) SetParticleBudget(n int) {
-	s.filter.SetParticleBudget(n)
-	s.tel.particleBudget.Set(float64(s.filter.ParticleBudget()))
+// restores full fidelity. The router's queries read the budget under
+// healthMu; the kernel's callers hold the exclusion its query API requires.
+func (w *world) SetParticleBudget(n int) {
+	w.healthMu.Lock()
+	w.filter.SetParticleBudget(n)
+	budget := w.filter.ParticleBudget()
+	w.healthMu.Unlock()
+	w.tel.particleBudget.Set(float64(budget))
 }
 
 // ParticleBudget returns the effective per-object particle count for new
 // filter states.
-func (s *System) ParticleBudget() int { return s.filter.ParticleBudget() }
+func (w *world) ParticleBudget() int {
+	w.healthMu.RLock()
+	defer w.healthMu.RUnlock()
+	return w.filter.ParticleBudget()
+}
 
 // NoteOversizedBody accounts one rejected ingest delivery whose HTTP body
 // exceeded the configured cap. The loss never reaches the reorder buffer, so

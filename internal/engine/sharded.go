@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strconv"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,7 +19,6 @@ import (
 	"repro/internal/rfid"
 	"repro/internal/shardmap"
 	"repro/internal/wal"
-	"repro/internal/walkgraph"
 )
 
 // MaxShards bounds Config.Shards. The cap is generous — shards are
@@ -27,9 +26,9 @@ import (
 // rather than allocate a hundred thousand collectors.
 const MaxShards = 256
 
-// Sharded partitions object state across N independent in-memory kernels
-// (System) by consistent hash of the object ID (internal/shardmap) and routes
-// every operation through a thin deterministic layer. It is also the only
+// Sharded partitions object state across N stores over one shared world by
+// consistent hash of the object ID (internal/shardmap) and routes every
+// operation through a thin deterministic layer. It is also the only
 // durable engine (OpenSharded, sharded_durability.go); N = 1 is the
 // single-engine shape. The routing layer:
 //
@@ -57,15 +56,15 @@ const MaxShards = 256
 type Sharded struct {
 	// QueryMethods are the classic spellings of Query.
 	QueryMethods
+	// world is built once and shared by every shard: graph, anchor index,
+	// filter, pruner, evaluator, telemetry, worker scratch.
+	*world
 
-	cfg    Config
 	n      int
-	shards []*System
-	tel    *Telemetry
+	shards []*store
 
-	// shardMu[i] guards shards[i]: its collector, cache, filter state and
-	// stats counters. The router never holds two shard locks nested except
-	// transiently through kMerge-free paths (it does not).
+	// shardMu[i] guards shards[i]: its collector, cache and stats counters.
+	// The router never holds two shard locks nested.
 	shardMu []sync.Mutex
 
 	// ingestMu serializes the ingestion pipeline: the reorder buffer, the
@@ -88,11 +87,6 @@ type Sharded struct {
 	owners     []uint8 // MaxShards fits
 	partCounts []int
 	evs        [][]model.Event
-
-	// healthMu fences the unhealthy-reader set and the particle budget:
-	// each query stage holds it for read so a concurrent flush cannot swap
-	// the sensing model mid-scatter.
-	healthMu sync.RWMutex
 
 	// router is the shards as one Partition (see shard).
 	router Router
@@ -131,10 +125,10 @@ type Sharded struct {
 }
 
 // NewSharded assembles a sharded engine. cfg.Shards selects the shard count
-// (0 and 1 both mean one shard); the rest of the configuration is applied
-// to every shard, except that the router owns ingestion (Config.Ingest),
-// health monitoring (Config.Health), and durability (Config.Durability) —
-// use OpenSharded for the latter.
+// (0 and 1 both mean one shard); the world is built once from the rest of
+// the configuration and shared by every shard, and the router owns
+// ingestion (Config.Ingest), health monitoring (Config.Health), and
+// durability (Config.Durability) — use OpenSharded for the latter.
 func NewSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Sharded, error) {
 	n := cfg.Shards
 	if n <= 0 {
@@ -143,11 +137,10 @@ func NewSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Sharde
 	if n > MaxShards {
 		return nil, fmt.Errorf("engine: %d shards exceeds the maximum of %d", n, MaxShards)
 	}
-	shardCfg := cfg
-	shardCfg.Shards = 0
-	shardCfg.Ingest = ingest.Config{}        // router owns the reorder buffer
-	shardCfg.Health = health.Config{}        // router owns the monitor
-	shardCfg.Durability = DurabilityConfig{} // router owns the WAL streams
+	w, err := newWorld(plan, dep, cfg)
+	if err != nil {
+		return nil, err
+	}
 	// Split the preprocessing worker budget across shards: a scatter runs
 	// all shards' phase-2 pools at once, and n*Workers goroutines would
 	// oversubscribe the cores without buying determinism (the output is
@@ -156,15 +149,12 @@ func NewSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Sharde
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	shardCfg.Workers = workers / n
-	if shardCfg.Workers < 1 {
-		shardCfg.Workers = 1
-	}
+	workers = max(workers/n, 1)
 
 	e := &Sharded{
-		cfg:        cfg,
+		world:      w,
 		n:          n,
-		shards:     make([]*System, n),
+		shards:     make([]*store, n),
 		shardMu:    make([]sync.Mutex, n),
 		shardState: make([]atomic.Int32, n),
 		quar:       make([]*quarInfo, n),
@@ -178,37 +168,14 @@ func NewSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Sharde
 	e.QueryMethods.Of = e
 	e.router = Router{Parts: make([]Partition, n), Owner: func(obj model.ObjectID) int { return shardmap.Of(obj, n) }}
 	for i := range e.shards {
-		sh, err := New(plan, dep, shardCfg)
-		if err != nil {
-			return nil, err
-		}
-		e.shards[i] = sh
+		e.shards[i] = w.newStore(i, workers)
 		e.router.Parts[i] = shard{e, i}
-	}
-	// All shards publish into shard 0's telemetry so counters, histograms
-	// and the trace ring aggregate exactly like the single engine's (the
-	// record paths are atomic or ring-locked, so concurrent shards are
-	// safe). Re-instrument the caches, constructed against the private
-	// surfaces.
-	e.tel = e.shards[0].tel
-	for _, sh := range e.shards[1:] {
-		sh.tel = e.tel
-		sh.cache.Instrument(e.tel.cacheHits, e.tel.cacheMisses, e.tel.cacheEvictions)
-	}
-	// Per-shard identity and labeled metric children. Set after the adoption
-	// loop: each shard's New() resolved shardTel against its private registry,
-	// so the handles must be re-resolved against the shared telemetry.
-	for i, sh := range e.shards {
-		sh.shardID = i
-		sh.shardTel = e.tel.shardMetrics(i)
 	}
 	e.reorder = ingest.NewReorder(cfg.Ingest, e.flushSecond)
 	if cfg.Health.Enabled {
-		m, err := health.NewMonitor(cfg.Health, dep.NumReaders())
-		if err != nil {
+		if e.monitor, err = health.NewMonitor(cfg.Health, dep.NumReaders()); err != nil {
 			return nil, err
 		}
-		e.monitor = m
 	}
 	return e, nil
 }
@@ -228,21 +195,6 @@ func (e *Sharded) NumShards() int { return e.n }
 // SelfSynchronizing reports that Sharded performs its own locking; the HTTP
 // server skips its global mutex when the engine says so.
 func (e *Sharded) SelfSynchronizing() bool { return true }
-
-// Accessors mirror System's; the floor plan artifacts are identical in
-// every shard, so shard 0's serve.
-
-// Graph returns the indoor walking graph.
-func (e *Sharded) Graph() *walkgraph.Graph { return e.shards[0].g }
-
-// AnchorIndex returns the anchor point index.
-func (e *Sharded) AnchorIndex() *anchor.Index { return e.shards[0].idx }
-
-// Deployment returns the reader deployment.
-func (e *Sharded) Deployment() *rfid.Deployment { return e.shards[0].dep }
-
-// Telemetry returns the shared observability surface.
-func (e *Sharded) Telemetry() *Telemetry { return e.tel }
 
 // Now returns the most recently ingested second.
 func (e *Sharded) Now() model.Time {
@@ -320,6 +272,7 @@ func (e *Sharded) flushSecond(t model.Time, raws []model.RawReading) {
 		lag = ms - t
 	}
 	e.tel.reorderLag.Observe(float64(lag))
+	dropped := e.extraDrops.QuarantinedReadings
 	parts := e.partition(raws)
 	for i := range parts {
 		if e.shardState[i].Load() != shardLive {
@@ -328,6 +281,11 @@ func (e *Sharded) flushSecond(t model.Time, raws []model.RawReading) {
 	}
 	if e.wals != nil && e.walErr == nil {
 		e.appendWAL(t, parts)
+	}
+	if e.extraDrops.QuarantinedReadings != dropped {
+		// The health monitor sees what was applied, as a replay of the
+		// logs does, not the readings just dropped.
+		raws = slices.Concat(parts...)
 	}
 	e.applyParts(t, parts, raws)
 	e.maybeSnapshot()
@@ -372,11 +330,11 @@ func (e *Sharded) partition(raws []model.RawReading) [][]model.RawReading {
 // healing shard's part is empty (its readings are typed drops), so its clock
 // and LEAVE detection keep time with the stream and Now is the stream clock
 // whichever shard is out. It is the recovery replay path too, so it must not
-// touch the WAL. raws is the full second (the concatenation of parts) for the
+// touch the WAL. raws is the concatenation of parts, in any order, for the
 // order-insensitive health monitor.
 func (e *Sharded) applyParts(t model.Time, parts [][]model.RawReading, raws []model.RawReading) {
 	if e.monitor != nil && e.monitor.ObserveSecond(t, raws) {
-		e.refreshHealth()
+		e.refreshHealth(e.monitor.Unhealthy())
 	}
 	evs := e.evs
 	clear(evs)
@@ -417,20 +375,6 @@ func (e *Sharded) applyParts(t model.Time, parts [][]model.RawReading, raws []mo
 	}
 }
 
-// refreshHealth pushes the monitor's unhealthy set into every shard's
-// sensing-model consumers. Writer side of healthMu: a concurrent query sees
-// either the whole old set or the whole new one, never a mix of shards.
-func (e *Sharded) refreshHealth() {
-	un := e.monitor.Unhealthy()
-	e.healthMu.Lock()
-	for _, sh := range e.shards {
-		sh.filter.SetUnhealthy(un)
-		sh.pruner.SetUnhealthy(un)
-	}
-	e.healthMu.Unlock()
-	e.tel.healthTransitions.Inc()
-}
-
 // ---------------------------------------------------------------------------
 // Queries: the router is a Coordinator and a Partition made of its shards.
 
@@ -439,7 +383,7 @@ func (e *Sharded) refreshHealth() {
 // beside the answer.
 func (e *Sharded) Query(ctx context.Context, q Query) (Answer, error) { return Run(ctx, e, e, q) }
 
-// shard is shard i of e as a Partition: the kernel under its lock, or the
+// shard is shard i of e as a Partition: the store under its lock, or the
 // typed marker when the shard is not live — a quarantined shard's readings
 // are being dropped, so answering from it would pass a stale view off as
 // current.
@@ -502,22 +446,6 @@ func (e *Sharded) OwnDists(ctx context.Context, q Query, sc Scope) ([]anchor.Obj
 	e.healthMu.RLock()
 	defer e.healthMu.RUnlock()
 	return e.router.OwnDists(ctx, q, sc)
-}
-
-// Unhealthy returns the unhealthy-reader set every shard's pruner holds.
-func (e *Sharded) Unhealthy() []bool {
-	e.healthMu.RLock()
-	defer e.healthMu.RUnlock()
-	return e.shards[0].Unhealthy()
-}
-
-// Prune runs the global pruning stage on shard 0's pruner (every shard holds
-// an identical one). The read lock fences its unhealthy-reader set against a
-// concurrent health refresh.
-func (e *Sharded) Prune(ctx context.Context, infos []query.ObjectInfo, q Query, now model.Time) ([]model.ObjectID, error) {
-	e.healthMu.RLock()
-	defer e.healthMu.RUnlock()
-	return e.shards[0].Prune(ctx, infos, q, now)
 }
 
 // Localize delegates to the owning shard; per-object summaries only touch
@@ -597,24 +525,6 @@ func (e *Sharded) ReaderHealth() []health.ReaderHealth {
 // HealthMonitorEnabled reports whether the router runs a health monitor.
 func (e *Sharded) HealthMonitorEnabled() bool { return e.monitor != nil }
 
-// SetParticleBudget applies the degraded-mode particle cap to every shard.
-func (e *Sharded) SetParticleBudget(n int) {
-	e.healthMu.Lock()
-	for _, sh := range e.shards {
-		sh.filter.SetParticleBudget(n)
-	}
-	budget := e.shards[0].filter.ParticleBudget()
-	e.healthMu.Unlock()
-	e.tel.particleBudget.Set(float64(budget))
-}
-
-// ParticleBudget returns the effective per-object particle count.
-func (e *Sharded) ParticleBudget() int {
-	e.healthMu.RLock()
-	defer e.healthMu.RUnlock()
-	return e.shards[0].filter.ParticleBudget()
-}
-
 // NoteOversizedBody accounts one oversized ingest delivery, like
 // System.NoteOversizedBody.
 func (e *Sharded) NoteOversizedBody() {
@@ -623,63 +533,31 @@ func (e *Sharded) NoteOversizedBody() {
 	e.ingestMu.Unlock()
 }
 
-// SyncMetrics refreshes the scrape-time gauges from the merged state,
-// mirroring System.SyncMetrics.
+// SyncMetrics refreshes the scrape-time mirrors from the merged state,
+// like System.SyncMetrics; metricsMu serializes concurrent scrapes.
 func (e *Sharded) SyncMetrics() {
 	e.metricsMu.Lock()
 	defer e.metricsMu.Unlock()
-	st := e.Stats()
-	t := e.tel
-	t.ingested.Set(uint64(st.ReadingsIngested))
-	for kind, c := range t.dropped {
-		c.Set(uint64(st.Ingest.Of(kind)))
-	}
-	t.rejectedBatches.Set(uint64(st.Ingest.LateBatches))
-	t.oversizedBatches.Set(uint64(st.Ingest.OversizedBatches))
-	t.gapSeconds.Set(uint64(st.Ingest.GapSeconds))
-	t.pendingReadings.Set(float64(st.ReadingsPending))
-	now := e.Now()
-	t.streamNow.Set(float64(now))
-	objects, entries := 0, 0
+	v := metricsView{stats: e.Stats(), now: e.Now()}
 	for i, sh := range e.shards {
 		e.shardMu[i].Lock()
-		objects += sh.col.NumObjects()
-		entries += sh.cache.Len()
+		v.objects += sh.col.NumObjects()
+		v.entries += sh.cache.Len()
 		e.shardMu[i].Unlock()
 	}
-	t.objectsKnown.Set(float64(objects))
-	t.cacheEntries.Set(float64(entries))
 	e.ingestMu.Lock()
-	t.pendingSeconds.Set(float64(e.reorder.PendingSeconds()))
-	t.watermarkLag.Set(float64(e.reorder.Lag()))
-	if e.wals != nil {
-		t.walLastSeq.Set(float64(e.walSeq))
-		segs := 0
-		for _, l := range e.wals {
-			if l != nil { // quarantined shards have no open log
-				segs += l.Segments()
-			}
+	v.pendingSeconds, v.watermarkLag = e.reorder.PendingSeconds(), e.reorder.Lag()
+	v.walSeq = e.walSeq
+	for _, l := range e.wals {
+		if l != nil { // quarantined shards have no open log
+			v.walSegments += l.Segments()
 		}
-		t.walSegments.Set(float64(segs))
 	}
-	var snap []health.ReaderHealth
 	if e.monitor != nil {
-		snap = e.monitor.Snapshot(now)
+		v.health = e.monitor.Snapshot(v.now)
 	}
 	e.ingestMu.Unlock()
-	if snap != nil {
-		if t.readerLabels == nil {
-			t.readerLabels = make([]string, e.shards[0].dep.NumReaders())
-			for i := range t.readerLabels {
-				t.readerLabels[i] = strconv.Itoa(i)
-			}
-		}
-		for _, rh := range snap {
-			label := t.readerLabels[rh.Reader]
-			t.readerState.With(label).Set(float64(rh.State))
-			t.readerSilence.With(label).Set(float64(rh.SilenceSeconds))
-		}
-	}
+	e.tel.mirror(v)
 }
 
 // ---------------------------------------------------------------------------

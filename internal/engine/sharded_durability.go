@@ -50,8 +50,9 @@ import (
 // its length is excluded from the lockstep cut — without the marker, one
 // quarantined shard would truncate every healthy shard back to its seq and
 // lose acked data. Marked shards are restored from their own snapshots and
-// logs, then take every later second empty, exactly as they did live, and
-// come back quarantined with the self-heal loop scheduled (sharded_heal.go).
+// logs alone, take the seconds they missed up to the barrier as one empty
+// second and every later one empty, as they did live, and come back
+// quarantined with the self-heal loop scheduled (sharded_heal.go).
 
 // shardGuardFile names the file pinning the directory's shard count.
 const shardGuardFile = "SHARDS"
@@ -102,6 +103,21 @@ func checkShardGuard(fsys wal.FS, dir string, n int) error {
 		return fmt.Errorf("engine: data directory %s was written with %d shards, refusing to open with %d (the shard map would misroute recovered objects)", dir, have, n)
 	}
 	return nil
+}
+
+// readSnap reads the snapshot file at path into v. A snapshot of another
+// stream is an error; one that cannot be read or decoded is not ok, to be
+// passed over.
+func readSnap(fsys wal.FS, path string, sid uint64, v any) (ok bool, err error) {
+	_, payload, err := wal.ReadSnapshotFileFS(fsys, path, sid)
+	if err != nil {
+		var mm *wal.MismatchError
+		if errors.As(err, &mm) {
+			return false, err
+		}
+		return false, nil
+	}
+	return gob.NewDecoder(bytes.NewReader(payload)).Decode(v) == nil, nil
 }
 
 // routerSnap is the router's share of a sharded snapshot: everything the
@@ -232,17 +248,10 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 	)
 	for ri := len(routerSnaps) - 1; ri >= 0 && !rec.SnapshotRestored; ri-- {
 		seq := routerSnaps[ri].Seq
-		_, payload, rerr := wal.ReadSnapshotFileFS(fsys, routerSnaps[ri].Path, sid)
-		if rerr != nil {
-			var mm *wal.MismatchError
-			if errors.As(rerr, &mm) {
-				return nil, rerr
-			}
-			rec.SnapshotsSkipped++
-			continue
-		}
 		var rs routerSnap
-		if derr := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rs); derr != nil {
+		if ok, err := readSnap(fsys, routerSnaps[ri].Path, sid, &rs); err != nil {
+			return nil, err
+		} else if !ok {
 			rec.SnapshotsSkipped++
 			continue
 		}
@@ -254,38 +263,22 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 			if marked && seq <= qi {
 				continue // barrier predates the quarantine; shard exempt here
 			}
-			path, ok := shardSnapsAt[i][seq]
-			if !ok {
-				if marked {
-					continue // quarantined when this barrier was written
-				}
-				complete = false
-				break
-			}
-			_, spayload, serr := wal.ReadSnapshotFileFS(fsys, path, sid)
-			if serr != nil {
-				var mm *wal.MismatchError
-				if errors.As(serr, &mm) {
-					return nil, serr
-				}
-				if marked {
-					continue
-				}
-				complete = false
-				break
-			}
 			var ss shardSnap
-			if derr := gob.NewDecoder(bytes.NewReader(spayload)).Decode(&ss); derr != nil {
-				if marked {
-					continue
+			path, ok := shardSnapsAt[i][seq]
+			if ok {
+				if ok, err = readSnap(fsys, path, sid, &ss); err != nil {
+					return nil, err
 				}
+			}
+			switch {
+			case ok:
+				candidates[i] = ss
+				if marked {
+					staleHere[i] = true // own snapshot past the quarantine seq: heal finished
+				}
+			case !marked:
 				complete = false
-				break
-			}
-			candidates[i] = ss
-			if marked {
-				staleHere[i] = true // own snapshot past the quarantine seq: heal finished
-			}
+			} // else quarantined when this barrier was written
 		}
 		if !complete {
 			rec.SnapshotsSkipped++
@@ -310,7 +303,7 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 			if !ok {
 				continue // marked shard: restored from its own base below
 			}
-			sh.restoreShard(&ss)
+			sh.restore(&ss)
 		}
 		e.walSeq = snapSeq
 	}
@@ -318,13 +311,10 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 	// Open every shard log, collecting decoded batches above each shard's
 	// own base: the barrier seq for live shards, the shard's newest readable
 	// snapshot at or below min(barrier, quarantine seq) for marked shards.
-	// Above its base each log must be gapless. A marked shard whose log
-	// cannot be opened stays quarantined instead of failing the whole engine
-	// — its disk may still be broken, and healing retries from disk anyway.
-	// With a shard marked, the first unmarked shard's log (ref) also yields
-	// the times of the seconds up to the barrier: a marked shard whose own
-	// log stops short of the barrier takes those seconds empty, as it did
-	// live. Pruning is frozen while a shard is out, so they are still on disk.
+	// Above its base each log must be gapless; below it nothing is decoded.
+	// A marked shard whose log cannot be opened stays quarantined instead of
+	// failing the whole engine — its disk may still be broken, and healing
+	// retries from disk anyway.
 	closeAll := func() {
 		for _, l := range e.wals {
 			if l != nil {
@@ -337,10 +327,6 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 	for _, marked := markers[ref]; marked; _, marked = markers[ref] {
 		ref++
 	}
-	var refTimes map[uint64]model.Time
-	if len(markers) > 0 {
-		refTimes = make(map[uint64]model.Time)
-	}
 	e.wals = make([]*wal.Log, e.n)
 	batches := make([][]wal.Batch, e.n)
 	base := make([]uint64, e.n)
@@ -350,32 +336,21 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 		if marked {
 			// Find the marked shard's own restore base and load it now; the
 			// solo catch-up and lockstep participation below bring it to qi.
-			limit := snapSeq
-			if qi < limit {
-				limit = qi
-			}
+			limit := min(snapSeq, qi)
 			base[i] = 0
-			found := false
 			lists := shardSnapLists[i]
-			for k := len(lists) - 1; k >= 0 && !found; k-- {
+			for k := len(lists) - 1; k >= 0; k-- {
 				if lists[k].Seq > limit {
 					continue
 				}
-				_, spayload, serr := wal.ReadSnapshotFileFS(fsys, lists[k].Path, sid)
-				if serr != nil {
-					var mm *wal.MismatchError
-					if errors.As(serr, &mm) {
-						return nil, serr
-					}
-					continue
-				}
 				var ss shardSnap
-				if derr := gob.NewDecoder(bytes.NewReader(spayload)).Decode(&ss); derr != nil {
-					continue
+				if ok, err := readSnap(fsys, lists[k].Path, sid, &ss); err != nil {
+					return nil, err
+				} else if ok {
+					e.shards[i].restore(&ss)
+					base[i] = lists[k].Seq
+					break
 				}
-				e.shards[i].restoreShard(&ss)
-				base[i] = lists[k].Seq
-				found = true
 			}
 		}
 		shardBase := base[i]
@@ -383,11 +358,6 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 		l, report, oerr := wal.Open(shardDir(d.Dir, i), wal.Options{StreamID: sid, FS: d.FS},
 			func(seq uint64, payload []byte) error {
 				if seq <= shardBase {
-					if i == ref && refTimes != nil {
-						if b, derr := wal.DecodeBatch(payload); derr == nil {
-							refTimes[seq] = b.Time
-						}
-					}
 					return nil
 				}
 				if seq != expected {
@@ -444,24 +414,20 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 	for i, qi := range markers {
 		eff := qi
 		if e.wals[i] != nil {
-			if ls := e.wals[i].LastSeq(); ls < eff {
-				eff = ls
-			}
+			eff = min(eff, e.wals[i].LastSeq())
 		} else {
 			eff = base[i] // unusable log: nothing of it above the restored base
 		}
-		if walSeqFinal < eff {
-			eff = walSeqFinal
-		}
-		qeff[i] = eff
+		qeff[i] = min(eff, walSeqFinal)
 	}
 
-	// Solo catch-up: marked shards replay their own records up to
-	// min(barrier, qeff) alone, then take the seconds from there to the
-	// barrier empty. The cache still invalidates on ENTER, exactly like the
-	// live path. A second whose time the reference log no longer holds (a
-	// marked shard restored from a snapshot older than ref's retained
-	// records) is skipped.
+	// Solo catch-up: a marked shard replays its own records up to
+	// min(barrier, qeff) alone — the cache still invalidates on ENTER, as
+	// live. Live, it took every second from there to the barrier empty; in
+	// the collector a run of empty seconds leaves what one empty second at
+	// the last of them leaves (the LEAVEs fire once, no counter moves), so
+	// it takes one, at the barrier's clock: a restored live shard's.
+	barrierNow := e.shards[ref].col.Now()
 	for i := range markers {
 		sh := e.shards[i]
 		for k := range batches[i] {
@@ -472,10 +438,8 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 			sh.collectSecond(b.Time, b.Readings)
 			rec.ReadingsReplayed += len(b.Readings)
 		}
-		for seq := max(base[i], qeff[i]) + 1; seq <= snapSeq; seq++ {
-			if t, ok := refTimes[seq]; ok {
-				sh.collectSecond(t, nil)
-			}
+		if max(base[i], qeff[i]) < snapSeq {
+			sh.collectSecond(barrierNow, nil)
 		}
 	}
 
@@ -754,14 +718,13 @@ func (e *Sharded) snapFailed(err error) {
 }
 
 // writeSnapshots writes the snapshot barrier: all live logs synced, then the
-// router snapshot and every live shard's snapshot at the same sequence.
-// Quarantined shards are skipped: their marker records their seq. Failures
-// are counted and paced but not sticky (the WALs still hold everything; a
-// partial barrier never enters recovery's intersection), and pruning is
-// frozen entirely while any shard is out. Recovery depends on that freeze: a
-// marked shard is restored from its own old snapshot and log, and it takes
-// the seconds from its quarantine seq to the barrier at the times the live
-// shards' logs still hold. Called under ingestMu.
+// router snapshot and every live shard's snapshot at the same sequence, then
+// the router's and the live shards' older snapshots and segments pruned.
+// Quarantined shards are skipped: their marker records their seq, and their
+// own snapshots and log, all a recovery of them reads, stay as they are.
+// Failures are counted and paced but not sticky (the WALs still hold
+// everything; a partial barrier never enters recovery's intersection).
+// Called under ingestMu.
 func (e *Sharded) writeSnapshots() error {
 	wm, started := e.reorder.Watermark()
 	ms, _ := e.reorder.MaxSeen()
@@ -774,12 +737,6 @@ func (e *Sharded) writeSnapshots() error {
 		MaxSeen:        ms,
 		Drops:          e.reorder.Drops(),
 		Forced:         e.reorder.ForcedFlushes(),
-	}
-	degraded := false
-	for i := 0; i < e.n; i++ {
-		if e.shardState[i].Load() != shardLive && i != e.rejoining {
-			degraded = true
-		}
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&rsnap); err != nil {
@@ -828,9 +785,6 @@ func (e *Sharded) writeSnapshots() error {
 	e.sinceSnap = 0
 	e.snapFails = 0
 	e.tel.walSnapshots.Inc()
-	if degraded {
-		return nil // freeze pruning: recovery needs the history below the barrier
-	}
 	if _, _, err := wal.PruneSnapshotsFS(fsys, d.Dir, keepSnapshots); err != nil {
 		log.Printf("engine: prune router snapshots: %v", err)
 		return nil

@@ -107,6 +107,9 @@ func TestShardedConcurrentStress(t *testing.T) {
 					sh.SyncMetrics()
 					sh.ReaderHealth()
 					sh.KnownObjects()
+					// A full-fidelity budget write: it races every shard's
+					// filter reads on the one shared filter, answers unchanged.
+					sh.SetParticleBudget(0)
 				}
 			}
 		}()

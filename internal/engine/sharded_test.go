@@ -32,6 +32,10 @@ type shardedOutcome struct {
 	stats   Stats
 	hits    int
 	misses  int
+	// mid are the answers of the queries asked mid-stream, and unhealthy
+	// the seconds after which some reader was out of LIVE.
+	mid       []model.ResultSet
+	unhealthy int
 }
 
 // objectState is every retained object's collector state — its current
@@ -68,12 +72,22 @@ func objectStateOf(sys any) objectState {
 	panic(fmt.Sprintf("objectStateOf: %T", sys))
 }
 
+// equivOutageReader is the busiest reader of the equivalence trace; its
+// scheduled outage takes it out of LIVE.
+const equivOutageReader = 16
+
 // observe runs the fixed ingest stream and query sequence against any engine
 // exposing the System/Sharded query surface. Both engine kinds must execute
-// the exact same sequence — Stats counts queries and filter runs.
+// the exact same sequence — Stats counts queries and filter runs. The stream
+// changes the sensing model the preprocessing reads under it: a scheduled
+// outage flips a reader out of LIVE (a health refresh), and the particle
+// budget drops to 16 and is restored later, with queries asked in between.
 func observe[E interface {
 	Ingest(t model.Time, raws []model.RawReading) error
 	FlushIngest()
+	Deployment() *rfid.Deployment
+	SetParticleBudget(n int)
+	Unhealthy() []bool
 	RangeQuery(window geom.Rect) model.ResultSet
 	KNNQuery(q geom.Point, k int) model.ResultSet
 	Occupancy() []RoomOdds
@@ -83,15 +97,32 @@ func observe[E interface {
 	CacheStats() (hits, misses int)
 }](t *testing.T, sys E, world *sim.Simulator) shardedOutcome {
 	t.Helper()
+	var out shardedOutcome
+	inj := sim.MustNewInjector(sim.FaultConfig{
+		Outages: []sim.Outage{{Reader: equivOutageReader, From: 10, To: 60}},
+	}, sys.Deployment().NumReaders(), 5)
 	for i := 0; i < 80; i++ {
 		tm, raws := world.Step()
-		if err := sys.Ingest(tm, raws); err != nil {
-			t.Fatalf("Ingest: %v", err)
+		for _, b := range inj.Apply(tm, raws) {
+			if err := sys.Ingest(b.Time, b.Readings); err != nil {
+				t.Fatalf("Ingest: %v", err)
+			}
+		}
+		switch i {
+		case 30:
+			sys.SetParticleBudget(16)
+		case 55:
+			sys.SetParticleBudget(0)
+		}
+		if i%12 == 11 {
+			out.mid = append(out.mid, sys.RangeQuery(geom.RectWH(5, 9, 25, 14)), sys.KNNQuery(geom.Pt(20, 12), 10))
+		}
+		if sys.Unhealthy() != nil {
+			out.unhealthy++
 		}
 	}
 	sys.FlushIngest()
 
-	var out shardedOutcome
 	out.rng = sys.RangeQuery(geom.RectWH(5, 9, 25, 14))
 	out.knn = sys.KNNQuery(geom.Pt(20, 12), 10)
 	out.occ = sys.Occupancy()
@@ -120,9 +151,9 @@ func TestShardedEquivalence(t *testing.T) {
 	single := MustNew(plan, dep, baseCfg)
 	world := sim.MustNew(single.Graph(), rfid.NewSensor(dep), traceCfg120(), 77)
 	base := observe(t, single, world)
-	if base.stats.FiltersRun == 0 || len(base.rng) == 0 || len(base.objects.Objects) == 0 || !base.locOK {
-		t.Fatalf("baseline is vacuous: stats=%+v |range|=%d |objects|=%d locOK=%v",
-			base.stats, len(base.rng), len(base.objects.Objects), base.locOK)
+	if base.stats.FiltersRun == 0 || len(base.rng) == 0 || len(base.objects.Objects) == 0 || !base.locOK || base.unhealthy == 0 {
+		t.Fatalf("baseline is vacuous: stats=%+v |range|=%d |objects|=%d locOK=%v unhealthy=%d",
+			base.stats, len(base.rng), len(base.objects.Objects), base.locOK, base.unhealthy)
 	}
 
 	for _, n := range []int{1, 4, 16} {
@@ -137,6 +168,9 @@ func TestShardedEquivalence(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got.knn, base.knn) {
 				t.Errorf("shards=%d: kNN answers diverge", n)
+			}
+			if !reflect.DeepEqual(got.mid, base.mid) || got.unhealthy != base.unhealthy {
+				t.Errorf("shards=%d: mid-stream answers or reader health diverge (unhealthy for %d seconds, want %d)", n, got.unhealthy, base.unhealthy)
 			}
 			if !reflect.DeepEqual(got.occ, base.occ) {
 				t.Errorf("shards=%d: occupancy diverges:\n got %+v\nwant %+v", n, got.occ, base.occ)

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/health"
 	"repro/internal/ingest"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -263,17 +264,28 @@ func newTelemetry(cfg Config) *Telemetry {
 // HTTP server) to register their own metrics into.
 func (t *Telemetry) Registry() *obs.Registry { return t.reg }
 
-// Telemetry returns the system's observability surface.
-func (s *System) Telemetry() *Telemetry { return s.tel }
+// metricsView is the engine state the scrape-time mirrors are refreshed
+// from. The kernel and the router each fill one from what they own.
+type metricsView struct {
+	stats            Stats
+	pendingSeconds   int
+	watermarkLag     model.Time
+	now              model.Time
+	objects, entries int
+	// health is the reader-health snapshot, nil without a monitor.
+	health []health.ReaderHealth
+	// walSeq and walSegments are the WAL position and open segment files
+	// (zero without write-ahead logs).
+	walSeq      uint64
+	walSegments int
+}
 
-// SyncMetrics refreshes the scrape-time mirrors (ingest accounting, lag,
-// pending depth, population and cache sizes) from the authoritative engine
-// state. Callers must hold the same exclusion the query API requires; the
-// /metrics handler calls it under the server lock and renders after
-// releasing it.
-func (s *System) SyncMetrics() {
-	st := s.Stats()
-	t := s.tel
+// mirror refreshes the scrape-time mirrors (ingest accounting, lag, pending
+// depth, population and cache sizes, reader health, WAL position) from v, so
+// the exported counters and the authoritative engine state never drift
+// apart. Callers serialize it (SyncMetrics).
+func (t *Telemetry) mirror(v metricsView) {
+	st := v.stats
 	t.ingested.Set(uint64(st.ReadingsIngested))
 	for kind, c := range t.dropped {
 		c.Set(uint64(st.Ingest.Of(kind)))
@@ -281,25 +293,44 @@ func (s *System) SyncMetrics() {
 	t.rejectedBatches.Set(uint64(st.Ingest.LateBatches))
 	t.oversizedBatches.Set(uint64(st.Ingest.OversizedBatches))
 	t.gapSeconds.Set(uint64(st.Ingest.GapSeconds))
-	t.pendingSeconds.Set(float64(s.reorder.PendingSeconds()))
+	t.pendingSeconds.Set(float64(v.pendingSeconds))
 	t.pendingReadings.Set(float64(st.ReadingsPending))
-	t.watermarkLag.Set(float64(s.reorder.Lag()))
-	t.streamNow.Set(float64(s.col.Now()))
-	t.objectsKnown.Set(float64(s.col.NumObjects()))
-	t.cacheEntries.Set(float64(s.cache.Len()))
-	if s.monitor != nil {
-		if t.readerLabels == nil {
-			t.readerLabels = make([]string, s.dep.NumReaders())
-			for i := range t.readerLabels {
-				t.readerLabels[i] = strconv.Itoa(i)
-			}
-		}
-		for _, rh := range s.monitor.Snapshot(s.col.Now()) {
-			label := t.readerLabels[rh.Reader]
-			t.readerState.With(label).Set(float64(rh.State))
-			t.readerSilence.With(label).Set(float64(rh.SilenceSeconds))
+	t.watermarkLag.Set(float64(v.watermarkLag))
+	t.streamNow.Set(float64(v.now))
+	t.objectsKnown.Set(float64(v.objects))
+	t.cacheEntries.Set(float64(v.entries))
+	t.walLastSeq.Set(float64(v.walSeq))
+	t.walSegments.Set(float64(v.walSegments))
+	if len(t.readerLabels) < len(v.health) {
+		t.readerLabels = make([]string, len(v.health))
+		for i := range t.readerLabels {
+			t.readerLabels[i] = strconv.Itoa(i)
 		}
 	}
+	for _, rh := range v.health {
+		label := t.readerLabels[rh.Reader]
+		t.readerState.With(label).Set(float64(rh.State))
+		t.readerSilence.With(label).Set(float64(rh.SilenceSeconds))
+	}
+}
+
+// SyncMetrics refreshes the scrape-time mirrors from the authoritative
+// engine state. Callers must hold the same exclusion the query API requires;
+// the /metrics handler calls it under the server lock and renders after
+// releasing it.
+func (s *System) SyncMetrics() {
+	v := metricsView{
+		stats:          s.Stats(),
+		pendingSeconds: s.reorder.PendingSeconds(),
+		watermarkLag:   s.reorder.Lag(),
+		now:            s.col.Now(),
+		objects:        s.col.NumObjects(),
+		entries:        s.cache.Len(),
+	}
+	if s.monitor != nil {
+		v.health = s.monitor.Snapshot(v.now)
+	}
+	s.tel.mirror(v)
 }
 
 // recordRun accounts one filter call from its RunStats and the caller's
