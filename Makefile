@@ -120,14 +120,17 @@ bench-smoke:
 # cmd/benchjson finds the highest BENCH_N.json and writes BENCH_<N+1>.json
 # into BENCH_DIR (the repository root by default — a new checked-in record;
 # CI passes a temp dir so the baselines it diffs against stay as committed).
+# For a paired record, run `go run ./cmd/benchjson -count 5 -against <dir>`
+# with <dir> a checkout of the parent commit: both sides measured in turns.
 BENCH_DIR ?= .
 bench-json:
 	go run ./cmd/benchjson -dir $(BENCH_DIR)
 
 # Regression gate: re-run the benchmarks and fail loudly if the indexed
-# FilterStep, the single-engine 1k-object step, or the one-shard router step
-# is more than 20% slower than the newest checked-in BENCH_N.json. Writes
-# nothing; used by CI next to bench-smoke.
+# FilterStep, the single-engine 1k-object step, the one-shard router step or
+# the 1000-object cold full-run sweep (ColdRun1k) is more than 20% slower
+# than the newest checked-in BENCH_N.json. Writes nothing; used by CI next
+# to bench-smoke.
 bench-diff:
 	go run ./cmd/benchjson -out '' -maxregress 0.20
 

@@ -13,15 +13,23 @@
 //	benchjson -dir /tmp/bench         # same baseline, report written under /tmp/bench (CI artifacts)
 //	benchjson -out X.json -baseline Y.json   # explicit files override the discovery
 //	benchjson -out '' -maxregress 0.20       # CI regression gate against the discovered baseline, writes nothing
+//	benchjson -count 5 -against ../parent    # 5 runs each of this tree and the checkout at ../parent, alternating
 //
 // Each result is compared against the same benchmark in the baseline file:
 // the per-benchmark speedup (baseline ns/op over current ns/op) is embedded
 // as "speedups_vs_baseline", next to the baseline's own rows
 // ("baseline_results"), so a report carries both sides of every ratio it
 // states. With -maxregress P, the run exits non-zero if the indexed
-// FilterStep, the 1k-object engine step, or the one-shard sharded engine
-// step is more than P (fraction) slower than the baseline — the loud CI
-// failure mode for hot-path regressions.
+// FilterStep, the 1k-object engine step, the one-shard sharded engine
+// step, or the 1000-object cold full-run sweep is more than P (fraction)
+// slower than the baseline — the loud CI failure mode for hot-path
+// regressions.
+//
+// With -count N every benchmark runs N times; a result row carries the
+// median ns/op, the N raw values and the GOMAXPROCS they ran at. With
+// -against DIR the baseline is not a file but the checkout at DIR, measured
+// on this host in turns with this tree — each benchmark set runs here, then
+// there, N rounds — so host drift lands on both sides alike.
 package main
 
 import (
@@ -29,9 +37,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -43,11 +53,12 @@ const benchPattern = "BenchmarkFilterStep|BenchmarkNegativeUpdate|BenchmarkInitA
 // enginePattern selects the engine-level population benchmarks: the
 // single-engine 1k-object step (no sub-benchmark path), its sharded-router
 // variant (shards=N sub-benchmarks showing scaling with the shard count), the
+// 1000-object sweep of full filter runs a cold query pays, the
 // tracing-overhead pair (enabled/disabled sub-benchmarks pinning the cost of
 // the request tracer on the filter step), the query's evaluate stage on a
 // warm cache — the first query of a stream second and a repeat in the same
 // second, the memoized-snap path — and the durable sharded ingest.
-const enginePattern = "BenchmarkEngineStep|BenchmarkFilterStepTraced|BenchmarkPreprocessWarm300|BenchmarkPreprocessRepeat300|BenchmarkShardedIngestDurable"
+const enginePattern = "BenchmarkEngineStep|BenchmarkColdRun1k|BenchmarkFilterStepTraced|BenchmarkPreprocessWarm300|BenchmarkPreprocessRepeat300|BenchmarkShardedIngestDurable"
 
 // The query path's, the ingest path's and the cluster's layer benchmarks
 // outside the engine package.
@@ -60,6 +71,24 @@ const (
 	clusterPattern   = "BenchmarkRPCRoundTrip"
 )
 
+// patterns lists every benchmark set with the package it runs in.
+var patterns = [][2]string{
+	{benchPattern, "./internal/particle/"},
+	{enginePattern, "./internal/engine/"},
+	{queryPattern, "./internal/query/"},
+	{anchorPattern, "./internal/anchor/"},
+	{modelPattern, "./internal/model/"},
+	{ingestPattern, "./internal/ingest/"},
+	{collectorPattern, "./internal/collector/"},
+	{clusterPattern, "./internal/cluster/"},
+}
+
+// gates are the results -maxregress holds to the baseline: the filter hot
+// path, the whole-engine step, the sharded router at one shard (the router
+// must stay free when N=1), and the cold full-run sweep.
+var gates = []string{"FilterStep/indexed", "EngineStep1kObjects",
+	"EngineStepSharded1kObjects/shards=1", "ColdRun1k"}
+
 // result is one parsed benchmark line.
 type result struct {
 	Name        string  `json:"name"`           // e.g. "FilterStep"
@@ -69,6 +98,11 @@ type result struct {
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
 	ObjsPerSec  float64 `json:"objs_per_sec,omitempty"`
+	// GoMaxProcs is the GOMAXPROCS the benchmark ran at (the -N suffix).
+	GoMaxProcs int `json:"gomaxprocs,omitempty"`
+	// Runs holds every run's ns/op when the benchmark ran more than once;
+	// NsPerOp is then their median.
+	Runs []float64 `json:"ns_per_op_runs,omitempty"`
 }
 
 // key identifies a result across runs for baseline comparison.
@@ -112,7 +146,9 @@ func main() {
 	dir := flag.String("dir", ".", "directory a discovered output file is written to")
 	benchtime := flag.String("benchtime", "1s", "value passed to -benchtime")
 	baseline := flag.String("baseline", discover, "previous benchjson report to compute speedups_vs_baseline against (default: the highest BENCH_N.json here; empty: none)")
-	maxregress := flag.Float64("maxregress", 0, "fail if indexed FilterStep regresses more than this fraction vs -baseline (0 disables)")
+	maxregress := flag.Float64("maxregress", 0, "fail if a gated benchmark (FilterStep, EngineStep, ColdRun1k) regresses more than this fraction vs -baseline (0 disables)")
+	count := flag.Int("count", 1, "runs of every benchmark; rows carry the median")
+	against := flag.String("against", "", "checkout to measure the baseline from, in turns with this tree (overrides -baseline)")
 	flag.Parse()
 	latest := latestReport()
 	if *out == discover {
@@ -125,25 +161,31 @@ func main() {
 		}
 	}
 
-	var rep report
-	runBench(&rep, benchPattern, "./internal/particle/", *benchtime)
-	runBench(&rep, enginePattern, "./internal/engine/", *benchtime)
-	runBench(&rep, queryPattern, "./internal/query/", *benchtime)
-	runBench(&rep, anchorPattern, "./internal/anchor/", *benchtime)
-	runBench(&rep, modelPattern, "./internal/model/", *benchtime)
-	runBench(&rep, ingestPattern, "./internal/ingest/", *benchtime)
-	runBench(&rep, collectorPattern, "./internal/collector/", *benchtime)
-	runBench(&rep, clusterPattern, "./internal/cluster/", *benchtime)
+	var rep, base report
+	for i := 0; i < *count; i++ {
+		for _, p := range patterns {
+			runBench(&rep, "", p[0], p[1], *benchtime)
+			if *against != "" {
+				runBench(&base, *against, p[0], p[1], *benchtime)
+			}
+		}
+	}
+	rep.Results = medians(rep.Results)
 	if len(rep.Results) == 0 {
 		fatal(fmt.Errorf("no benchmark lines parsed"))
 	}
 
-	if *baseline != "" {
-		base, err := loadReport(*baseline)
-		if err != nil {
+	if *against != "" {
+		base.Results = medians(base.Results)
+		rep.Baseline = checkoutName(*against) + fmt.Sprintf(" (measured in turns with this tree, %d runs each)", *count)
+	} else if *baseline != "" {
+		var err error
+		if base, err = loadReport(*baseline); err != nil {
 			fatal(err)
 		}
 		rep.Baseline = filepath.Base(*baseline)
+	}
+	if rep.Baseline != "" {
 		rep.VsBaseline = map[string]float64{}
 		baseNs := map[string]float64{}
 		current := map[string]bool{}
@@ -198,10 +240,7 @@ func main() {
 		if rep.Baseline == "" {
 			fatal(fmt.Errorf("-maxregress requires -baseline"))
 		}
-		// Gate the filter hot path, the whole-engine step, and the sharded
-		// router at one shard: the router must stay free when N=1.
-		for _, gate := range []string{"FilterStep/indexed", "EngineStep1kObjects",
-			"EngineStepSharded1kObjects/shards=1"} {
+		for _, gate := range gates {
 			s, ok := rep.VsBaseline[gate]
 			if !ok {
 				fatal(fmt.Errorf("-maxregress: %s missing from current run or baseline", gate))
@@ -217,11 +256,13 @@ func main() {
 	}
 }
 
-// runBench executes `go test -bench pattern` for one package and appends the
-// parsed result lines to the report.
-func runBench(rep *report, pattern, pkg, benchtime string) {
+// runBench executes `go test -bench pattern` for one package of the
+// checkout at dir ("" for the current directory) and appends the parsed
+// result lines to the report.
+func runBench(rep *report, dir, pattern, pkg, benchtime string) {
 	cmd := exec.Command("go", "test", "-run", "^$",
 		"-bench", pattern, "-benchmem", "-benchtime", benchtime, pkg)
+	cmd.Dir = dir
 	cmd.Stderr = os.Stderr
 	outPipe, err := cmd.StdoutPipe()
 	if err != nil {
@@ -255,6 +296,59 @@ func runBench(rep *report, pattern, pkg, benchtime string) {
 	}
 }
 
+// medians folds the rows of repeated runs into one row per benchmark, in
+// first-seen order: the median ns/op (the mean of the middle two for an
+// even count) with every run's value kept in Runs, and the other fields of
+// the run nearest the median. A benchmark that ran once keeps its row as is.
+func medians(rows []result) []result {
+	var order []string
+	byKey := map[string][]result{}
+	for _, r := range rows {
+		if _, ok := byKey[r.key()]; !ok {
+			order = append(order, r.key())
+		}
+		byKey[r.key()] = append(byKey[r.key()], r)
+	}
+	out := make([]result, 0, len(order))
+	for _, k := range order {
+		runs := byKey[k]
+		if len(runs) == 1 {
+			out = append(out, runs[0])
+			continue
+		}
+		ns := make([]float64, len(runs))
+		for i, r := range runs {
+			ns[i] = r.NsPerOp
+		}
+		sorted := slices.Clone(ns)
+		slices.Sort(sorted)
+		mid := len(sorted) / 2
+		med := sorted[mid]
+		if len(sorted)%2 == 0 {
+			med = (sorted[mid-1] + sorted[mid]) / 2
+		}
+		row := runs[0]
+		for _, r := range runs[1:] {
+			if math.Abs(r.NsPerOp-med) < math.Abs(row.NsPerOp-med) {
+				row = r
+			}
+		}
+		row.NsPerOp, row.Runs = med, ns
+		out = append(out, row)
+	}
+	return out
+}
+
+// checkoutName names the checkout at dir by its commit, falling back to the
+// directory name outside git.
+func checkoutName(dir string) string {
+	out, err := exec.Command("git", "-C", dir, "rev-parse", "--short", "HEAD").Output()
+	if err != nil {
+		return filepath.Base(dir)
+	}
+	return strings.TrimSpace(string(out))
+}
+
 // loadReport reads a previously written benchjson file.
 func loadReport(path string) (report, error) {
 	var rep report
@@ -278,7 +372,9 @@ func parseLine(line string) (result, bool) {
 	}
 	// Strip the trailing -N GOMAXPROCS suffix, then split name/path.
 	full := fields[0]
+	procs := 0
 	if i := strings.LastIndex(full, "-"); i > 0 {
+		procs, _ = strconv.Atoi(full[i+1:])
 		full = full[:i]
 	}
 	name, path, _ := strings.Cut(strings.TrimPrefix(full, "Benchmark"), "/")
@@ -286,7 +382,7 @@ func parseLine(line string) (result, bool) {
 	if err != nil {
 		return result{}, false
 	}
-	r := result{Name: name, Path: path, Iterations: iters}
+	r := result{Name: name, Path: path, Iterations: iters, GoMaxProcs: procs}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v := fields[i]
 		switch fields[i+1] {

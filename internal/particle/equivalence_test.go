@@ -144,6 +144,66 @@ func TestIndexedFilterMatchesGeometricBitForBit(t *testing.T) {
 	}
 }
 
+// TestHealthFlipsMidStreamMatchOracle: the negative update reads a silence
+// table built per reader-health set, so a set installed between two
+// advances must govern the very next one. On 30 random floorplans × both
+// resamplers, one object is run under every reader healthy and then
+// advanced through three more batches of readings while the set flips
+// nil → A → B → nil between the AdvancePool calls; the oracle follows the
+// same schedule, and after every call the particles and RunStats must
+// match bit for bit. A and B each flag readers of the batch they govern —
+// A all of them, B a random half — so the particles of that batch sit
+// where the flip matters: a filter still answering from the previous set's
+// table diverges.
+func TestHealthFlipsMidStreamMatchOracle(t *testing.T) {
+	pool := NewPool()
+	for trial := 0; trial < 30; trial++ {
+		g, dep := randomSetup(t, trial)
+		for _, resample := range []Resampler{Systematic, Multinomial} {
+			cfg := DefaultConfig()
+			cfg.Resample = resample
+			f := MustNew(cfg, g, dep)
+			o := &oracle{cfg: cfg, g: g, dep: dep}
+			src := rng.New(int64(17000 + 2*trial + int(resample)))
+			seed := int64(2*trial + int(resample))
+			what := fmt.Sprintf("trial %d, resampler %d", trial, resample)
+
+			entries := randomEntries(src, dep, 30)
+			now := entries[len(entries)-1].Time + 2
+			got, err := f.RunPool(pool, rng.Derive(12, seed), 1, entries, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantRS, err := o.run(rng.Derive(12, seed), 1, entries, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			matchOracle(t, what+": RunPool, all healthy", got, want, got.LastRun, wantRS)
+
+			for k, name := range []string{"A", "B", "all healthy"} {
+				more := randomEntries(src, dep, 15)
+				for i := range more {
+					more[i].Time += now + 1
+				}
+				var un []bool
+				if name != "all healthy" {
+					un = make([]bool, dep.NumReaders())
+					for _, e := range more {
+						un[e.Reader] = un[e.Reader] || name == "A" || src.Bool(0.5)
+					}
+				}
+				f.SetUnhealthy(un)
+				o.unhealthy = un
+				later := now + 18
+				f.AdvancePool(pool, rng.Derive(13, seed, int64(k)), got, more, later)
+				wantRS := o.advance(rng.Derive(13, seed, int64(k)), want, more, later, true)
+				matchOracle(t, fmt.Sprintf("%s: AdvancePool %d, set %s", what, k+1, name), got, want, got.LastRun, wantRS)
+				now = later
+			}
+		}
+	}
+}
+
 // TestSoAKernelMatchesAoSBitForBit holds the kernel's load/store boundary —
 // State.Particles (array of structs) into and out of the Pool's flat arrays
 // (structure of arrays) — to the oracle when one pool serves several states

@@ -39,11 +39,11 @@ type Filter struct {
 	// an uninstrumented filter reads no clock (see Instrument).
 	met   Metrics
 	timed bool
-	// unhealthy flags readers whose ranges must not contribute negative
-	// evidence (a dead reader's silence says nothing about the object). It is
-	// nil when every reader is healthy, which keeps the common path — and its
-	// float operations — exactly as without health tracking.
-	unhealthy []bool
+	// silence is the negative update's predicate for the installed
+	// reader-health set: the coverage of the healthy readers only (a dead
+	// reader's silence says nothing about the object). With every reader
+	// healthy it is the index's shared all-healthy table.
+	silence *rfid.SilenceTable
 	// maxNs, when positive, caps the particle count of newly initialized
 	// states below cfg.Ns: the degraded-mode budget under overload. Cached
 	// states keep their existing particle count.
@@ -96,9 +96,10 @@ func New(cfg Config, g *walkgraph.Graph, dep *rfid.Deployment) (*Filter, error) 
 	return NewWithCoverage(cfg, g, dep, rfid.BuildCoverage(g, dep))
 }
 
-// NewWithCoverage builds a Filter around an existing coverage index, so a
-// System that already built one (engine.New does) shares it instead of
-// recomputing. The index must have been built over exactly g and dep: one
+// NewWithCoverage builds a Filter around an existing coverage index, so
+// several filters over one building — configurations compared side by side,
+// as the package tests do — share one index instead of each recomputing it
+// (the engine builds its one filter with New). The index must have been built over exactly g and dep: one
 // built for another building would answer coverage for the wrong readers.
 func NewWithCoverage(cfg Config, g *walkgraph.Graph, dep *rfid.Deployment, cov *rfid.Coverage) (*Filter, error) {
 	if err := cfg.Validate(); err != nil {
@@ -110,7 +111,7 @@ func NewWithCoverage(cfg Config, g *walkgraph.Graph, dep *rfid.Deployment, cov *
 	if cov.Graph() != g || cov.Deployment() != dep {
 		return nil, errors.New("particle: coverage index was built over a different graph or deployment")
 	}
-	return &Filter{cfg: cfg, g: g, dep: dep, et: g.EdgeTable(), nt: g.NodeTable(), cov: cov}, nil
+	return &Filter{cfg: cfg, g: g, dep: dep, et: g.EdgeTable(), nt: g.NodeTable(), cov: cov, silence: cov.Silence(nil)}, nil
 }
 
 // MustNew is New for known-valid configurations.
@@ -127,24 +128,13 @@ func (f *Filter) Config() Config { return f.cfg }
 
 // SetUnhealthy installs the set of readers whose silence must be ignored by
 // the negative update (indexed by ReaderID; nil or all-false restores the
-// uncompensated behavior). The caller must not mutate the slice afterwards
-// and must not call this concurrently with RunPool/AdvancePool.
-func (f *Filter) SetUnhealthy(un []bool) {
-	all := false
-	for _, u := range un {
-		if u {
-			all = true
-			break
-		}
-	}
-	if !all {
-		un = nil
-	}
-	f.unhealthy = un
-}
+// uncompensated behavior), building the silence table for it. The caller
+// must not mutate the slice afterwards and must not call this concurrently
+// with RunPool/AdvancePool.
+func (f *Filter) SetUnhealthy(un []bool) { f.silence = f.cov.Silence(un) }
 
 // Unhealthy returns the installed unhealthy-reader set (nil when none).
-func (f *Filter) Unhealthy() []bool { return f.unhealthy }
+func (f *Filter) Unhealthy() []bool { return f.silence.Unhealthy() }
 
 // SetParticleBudget caps the particle count of newly initialized states at n
 // (degraded-mode operation under overload); n <= 0 or n >= Ns restores the

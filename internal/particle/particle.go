@@ -173,32 +173,29 @@ func (s *State) Clone() *State {
 	return &c
 }
 
-// normalize scales weights to sum to one. If all weights are zero it resets
-// them to uniform.
-func normalize(w []float64) {
+// normalize scales weights to sum to one — if all weights are zero it
+// resets them to uniform — and returns the effective sample size
+// 1 / sum(w^2) of the result, the standard degeneracy diagnostic: it
+// approaches 1 when one particle dominates and len(w) when weights are
+// uniform. The squares are summed in the pass that divides, in index order,
+// so the ESS has the bits of a second pass over the normalized weights.
+func normalize(w []float64) (ess float64) {
 	total := 0.0
 	for i := range w {
 		total += w[i]
 	}
+	sq := 0.0
 	if total <= 0 {
 		u := 1.0 / float64(len(w))
 		for i := range w {
 			w[i] = u
+			sq += u * u
 		}
-		return
-	}
-	for i := range w {
-		w[i] /= total
-	}
-}
-
-// effectiveSampleSize returns 1 / sum(w^2) for normalized weights, the
-// standard degeneracy diagnostic: it approaches 1 when one particle
-// dominates and Ns when weights are uniform.
-func effectiveSampleSize(w []float64) float64 {
-	sq := 0.0
-	for i := range w {
-		sq += w[i] * w[i]
+	} else {
+		for i := range w {
+			w[i] /= total
+			sq += w[i] * w[i]
+		}
 	}
 	if sq == 0 {
 		return 0

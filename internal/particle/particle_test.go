@@ -61,6 +61,38 @@ func TestNormalizeWeights(t *testing.T) {
 	}
 }
 
+// effectiveSampleSize is the two-pass definition of the ESS normalize
+// returns: 1 / sum(w^2) over weights that already sum to one.
+func effectiveSampleSize(w []float64) float64 {
+	sq := 0.0
+	for i := range w {
+		sq += w[i] * w[i]
+	}
+	if sq == 0 {
+		return 0
+	}
+	return 1 / sq
+}
+
+// TestNormalizeReturnsESS: the ESS normalize computes in its dividing pass
+// has exactly the bits of the two-pass definition over the weights it
+// leaves behind, for random weights and for the all-zero reset.
+func TestNormalizeReturnsESS(t *testing.T) {
+	src := rng.New(11)
+	for trial := 0; trial < 200; trial++ {
+		w := make([]float64, 1+src.Intn(100))
+		for i := range w {
+			if trial%50 != 0 {
+				w[i] = src.Uniform(0, 1) * float64(1+src.Intn(1000))
+			}
+		}
+		got := normalize(w)
+		if want := effectiveSampleSize(w); got != want {
+			t.Fatalf("trial %d: normalize returned ESS %v, two-pass ESS %v", trial, got, want)
+		}
+	}
+}
+
 func TestEffectiveSampleSize(t *testing.T) {
 	if got := effectiveSampleSize([]float64{0.25, 0.25, 0.25, 0.25}); math.Abs(got-4) > 1e-9 {
 		t.Errorf("uniform ESS = %v, want 4", got)

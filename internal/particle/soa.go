@@ -14,8 +14,10 @@ import (
 // implementation of Algorithm 2: its inner loops run over flat parallel
 // arrays (edge index, offset, heading, speed, resting bitset, weight) owned
 // by a Pool, instead of a []Particle of 56-byte structs. Predict streams
-// through five flat arrays, reweight and the negative update hand whole
-// batches to the coverage index (rfid.BatchDetectableBy/Any), resampling
+// through five flat arrays, reweight hands whole batches to the coverage
+// index (rfid.Coverage.BatchDetectableBy) and the negative update to the
+// silence table of the installed reader-health set
+// (rfid.SilenceTable.Detectable), resampling
 // permutes arrays instead of structs, and roughening draws all speeds in one
 // call. The arithmetic is bit-for-bit that of the paper's geometric,
 // particle-by-particle formulation — same float operations in the same
@@ -499,21 +501,26 @@ func (f *Filter) predictSoA(p *Pool, src *rng.Source) {
 // mass away from where the object plausibly is.
 func (f *Filter) negativeUpdateSoA(p *Pool, src *rng.Source) {
 	n := p.n
-	f.cov.BatchDetectableAny(p.edge, p.offset, f.unhealthy, p.covered)
+	covered, w := p.covered[:n], p.weight[:n]
+	f.silence.Detectable(p.edge, p.offset, covered)
+	// Multiply every weight by its factor, selected by table index rather
+	// than by branch (the covered flags are close to a coin flip): the
+	// penalty inside a range, and outside it 1, which leaves the weight's
+	// bits exactly as they were.
+	wtab := [2]float64{1, f.cfg.NegativeWeight}
 	inside := 0
-	nw := f.cfg.NegativeWeight
-	w := p.weight
-	for i := 0; i < n; i++ {
-		if p.covered[i] {
-			w[i] *= nw
-			inside++
+	for i, c := range covered {
+		k := 0
+		if c {
+			k = 1
 		}
+		inside += k
+		w[i] *= wtab[k]
 	}
 	if inside == 0 {
 		return
 	}
-	normalize(w)
-	if effectiveSampleSize(w) < float64(n)/2 {
+	if normalize(w) < float64(n)/2 {
 		f.resampleSoA(p, src, nil)
 		f.roughenSoA(p, src)
 	}

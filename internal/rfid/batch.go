@@ -11,156 +11,120 @@ import (
 // particle kernel hands over whole particle batches as flat (edge, offset)
 // arrays and receives the detectability predicate per particle, instead of
 // asking one coverage question per particle through a method call. The
-// predicates answered here are exactly the ones the filter's reweight and
-// negative-update loops need — "consistent with a detection by reader r"
-// and "consistent with silence" — including the structural exclusions
-// (rooms and stairwells are shielded from readers) and the guard-fringe
-// fallback to exact geometry, so the results are bit-for-bit those of the
-// per-particle 2-D geometry.
+// predicate answered here is the one the filter's reweight needs —
+// "consistent with a detection by reader r" — including the structural
+// exclusions (rooms and stairwells are shielded from readers) and the
+// guard-fringe fallback to exact geometry, so the results are bit-for-bit
+// those of the per-particle 2-D geometry. The negative update's predicate,
+// "consistent with silence", is the per-health-set table of silence.go;
+// both are built from the CSR span table below.
 
-// FlatSpans is the CSR layout of the span table: edge e's coverage spans are
-// Spans[Start[e]:Start[e+1]], ascending by reader ID within each edge. The
-// flat layout replaces the per-edge span lists with one contiguous array,
-// which is what lets the batch scans below stream through memory.
+// flatSpans is the CSR layout of the span table: edge e's coverage spans
+// are spans[start[e]:start[e+1]], ascending by reader ID within each edge.
+// The flat layout replaces the per-edge span lists with one contiguous
+// array for the exact scans to stream through.
 //
 // The flat copy bakes the structural exclusions of the predicates into the
 // span bounds themselves: spans on stairwell links are dropped, and every
-// upper bound is clamped below the edge's room boundary (DoorAt), so the
-// per-particle loop tests one interval instead of re-deriving edge kind and
-// room membership. Offsets are clamped to [0, Length] before the interval
-// test, as Graph.Point clamps them, and the clamped value only ever feeds
-// comparisons, so the fold changes no observable result.
-//
-// ByReader additionally inverts the table for the single-reader predicate:
-// ByReader[r][e] is the index into Spans of reader r's span on edge e, or -1.
-// There is at most one span per (edge, reader) pair — a circle's coverage of
-// a segment is one interval — so the batched reweight resolves its span with
-// one load instead of scanning the edge's span list for the reader.
-type FlatSpans struct {
-	Start    []int32
-	Spans    []CoverSpan
-	ByReader [][]int32
+// upper bound is clamped below the edge's room boundary (DoorAt), so a
+// per-particle test checks one interval instead of re-deriving edge kind
+// and room membership. A test against these bounds clamps the offset to
+// [0, Length] first, as Graph.Point clamps it; the tables built from them
+// fold that clamp into the bounds instead (foldBounds).
+type flatSpans struct {
+	start []int32
+	spans []CoverSpan
 }
 
-// FlatSpans returns the CSR span table, building it on first use (callers
-// construct the Coverage once per system; the engine calls this at build
-// time, so the lazy build is never concurrent). The result is shared and
-// must not be modified.
-func (c *Coverage) FlatSpans() *FlatSpans {
-	if c.flat == nil {
-		f := &FlatSpans{Start: make([]int32, len(c.edges)+1)}
-		total := 0
-		for _, spans := range c.edges {
-			total += len(spans)
-		}
-		f.Spans = make([]CoverSpan, 0, total)
-		for e, spans := range c.edges {
-			f.Start[e] = int32(len(f.Spans))
-			if c.et.Kind[e] == walkgraph.LinkEdge {
-				continue // stairwell links are never detectable
-			}
-			// Room interiors are never detectable: offsets at or beyond
-			// DoorAt are out, so the largest admissible clamped offset is
-			// the predecessor of DoorAt (DoorAt is +Inf on doorless edges).
-			doorHi := math.Nextafter(c.et.DoorAt[e], math.Inf(-1))
-			for _, s := range spans {
-				if s.OuterHi > doorHi {
-					s.OuterHi = doorHi
-				}
-				if s.InnerHi > doorHi {
-					s.InnerHi = doorHi
-				}
-				f.Spans = append(f.Spans, s)
-			}
-		}
-		f.Start[len(c.edges)] = int32(len(f.Spans))
-		f.ByReader = make([][]int32, len(c.rds))
-		for r := range f.ByReader {
-			row := make([]int32, len(c.edges))
-			for e := range row {
-				row[e] = -1
-			}
-			f.ByReader[r] = row
-		}
-		for e := 0; e < len(c.edges); e++ {
-			for si := f.Start[e]; si < f.Start[e+1]; si++ {
-				f.ByReader[f.Spans[si].Reader][e] = si
-			}
-		}
-		c.flat = f
+// buildFlat builds the CSR span table from the per-edge span lists.
+func (c *Coverage) buildFlat() *flatSpans {
+	f := &flatSpans{start: make([]int32, len(c.edges)+1)}
+	total := 0
+	for _, spans := range c.edges {
+		total += len(spans)
 	}
-	return c.flat
+	f.spans = make([]CoverSpan, 0, total)
+	for e, spans := range c.edges {
+		f.start[e] = int32(len(f.spans))
+		if c.et.Kind[e] == walkgraph.LinkEdge {
+			continue // stairwell links are never detectable
+		}
+		// Room interiors are never detectable: offsets at or beyond
+		// DoorAt are out, so the largest admissible clamped offset is
+		// the predecessor of DoorAt (DoorAt is +Inf on doorless edges).
+		doorHi := math.Nextafter(c.et.DoorAt[e], math.Inf(-1))
+		for _, s := range spans {
+			if s.OuterHi > doorHi {
+				s.OuterHi = doorHi
+			}
+			if s.InnerHi > doorHi {
+				s.InnerHi = doorHi
+			}
+			f.spans = append(f.spans, s)
+		}
+	}
+	f.start[len(c.edges)] = int32(len(f.spans))
+	return f
+}
+
+// readerRow is one (reader, edge) entry of the reweight table: the
+// reader's inner and outer interval on the edge as raw-offset bounds (see
+// foldBounds), both empty when the reader's range misses the edge or the
+// edge is a stairwell link. There is at most one span per (edge, reader)
+// pair — a circle's coverage of a segment is one interval — so a row
+// holds it whole.
+type readerRow struct {
+	inLo, inHi, outLo, outHi float64
+}
+
+// buildByReader inverts the flat span table into one row per (reader,
+// edge), the table BatchDetectableBy reads.
+func (c *Coverage) buildByReader() [][]readerRow {
+	by := make([][]readerRow, len(c.rds))
+	for r := range by {
+		rows := make([]readerRow, len(c.edges))
+		for e := range rows {
+			rows[e] = readerRow{math.Inf(1), math.Inf(-1), math.Inf(1), math.Inf(-1)}
+		}
+		by[r] = rows
+	}
+	for e := range c.edges {
+		length := c.et.Length[e]
+		for _, s := range c.flat.spans[c.flat.start[e]:c.flat.start[e+1]] {
+			row := &by[s.Reader][e]
+			row.inLo, row.inHi = foldBounds(s.InnerLo, s.InnerHi, length)
+			row.outLo, row.outHi = foldBounds(s.OuterLo, s.OuterHi, length)
+		}
+	}
+	return by
 }
 
 // BatchDetectableBy fills out[i] with whether a particle on edge[i] at
 // offset off[i] is consistent with a detection by reader id: inside the
 // reader's activation range, outside every room, and not on a stairwell
 // link. It is the batched form of the reweight predicate, bit-for-bit
-// identical to the geometric predicate (inner interval certain, fringe falls
-// back to exact geometry). All slices must have equal length.
+// identical to the geometric predicate: an offset inside the inner
+// interval is covered, one outside the outer interval is not, and the
+// CoverageGuard-wide fringe between them falls back to exact geometry. All
+// slices must have equal length.
 func (c *Coverage) BatchDetectableBy(id model.ReaderID, edge []int32, off []float64, out []bool) {
-	fs := c.FlatSpans()
-	byEdge := fs.ByReader[id]
-	spans := fs.Spans
-	length := c.et.Length
+	rows := c.byReader[id]
 	r := &c.dep.readers[id]
 	off = off[:len(edge)]
 	out = out[:len(edge)]
 	for i, e := range edge {
 		o := off[i]
-		out[i] = false
-		si := byEdge[e]
-		if si < 0 {
-			continue
-		}
-		// The clamp and the interval tests compile branch-free (min/max and
-		// SETcc composition): whether a particle sits inside the span is
-		// close to a coin flip in a converged cloud, so data branches here
-		// would mispredict constantly. The clamped value is only ever
-		// compared, never used in arithmetic, so min/max zero-sign
-		// differences from a branchy clamp cannot leak into the output.
-		co := min(max(o, 0), length[e])
-		s := &spans[si]
-		outer := co >= s.OuterLo && co <= s.OuterHi
-		inner := outer && co >= s.InnerLo && co <= s.InnerHi
-		out[i] = inner
-		if outer && !inner {
+		row := &rows[e]
+		// The interval tests compile branch-free (see bit): whether a
+		// particle sits inside the range is close to a coin flip in a
+		// converged cloud, so data branches here would mispredict
+		// constantly.
+		in := bit(o >= row.inLo) & bit(o <= row.inHi)
+		out[i] = in != 0
+		if bit(o >= row.outLo)&bit(o <= row.outHi)&^in != 0 {
 			// Guard fringe: fall back to exact geometry (rare by
 			// construction — the fringe is CoverageGuard wide).
 			out[i] = r.Covers(c.g.Point(walkgraph.Location{Edge: walkgraph.EdgeID(e), Offset: o}))
-		}
-	}
-}
-
-// BatchDetectableAny fills out[i] with whether a particle on edge[i] at
-// offset off[i] sits inside the activation range of any healthy reader —
-// the batched negative-observation predicate. Readers flagged in un are
-// excluded (a dead reader's silence says nothing); un may be nil. Rooms and
-// stairwell links are never detectable. Bit-for-bit identical to the
-// geometric predicate. All slices must have equal length.
-func (c *Coverage) BatchDetectableAny(edge []int32, off []float64, un []bool, out []bool) {
-	fs := c.FlatSpans()
-	start, spans := fs.Start, fs.Spans
-	length := c.et.Length
-	off = off[:len(edge)]
-	out = out[:len(edge)]
-	for i, e := range edge {
-		o := off[i]
-		out[i] = false
-		co := min(max(o, 0), length[e])
-		for si := start[e]; si < start[e+1]; si++ {
-			s := &spans[si]
-			if un != nil && un[s.Reader] {
-				continue
-			}
-			if co < s.OuterLo || co > s.OuterHi {
-				continue
-			}
-			if (co >= s.InnerLo && co <= s.InnerHi) ||
-				c.dep.readers[s.Reader].Covers(c.g.Point(walkgraph.Location{Edge: walkgraph.EdgeID(e), Offset: o})) {
-				out[i] = true
-				break
-			}
 		}
 	}
 }

@@ -120,8 +120,12 @@ type Coverage struct {
 	// ascending by reader ID.
 	edges [][]CoverSpan
 	rds   []readerCoverage
-	// flat is the lazily built CSR form of edges (see FlatSpans).
-	flat *FlatSpans
+	// flat is the CSR form of edges (see flatSpans).
+	flat *flatSpans
+	// byReader[r][e] is reader r's reweight row on edge e (see readerRow).
+	byReader [][]readerRow
+	// silent is the all-healthy silence table (see Silence).
+	silent *SilenceTable
 }
 
 // BuildCoverage precomputes the coverage index for a deployment on a
@@ -144,7 +148,9 @@ func BuildCoverage(g *walkgraph.Graph, d *Deployment) *Coverage {
 		ivs, total := ComputeInitIntervals(g, r)
 		c.rds[r.ID] = readerCoverage{init: ivs, initTotal: total}
 	}
-	c.FlatSpans() // build eagerly so the index is immutable once returned
+	c.flat = c.buildFlat()
+	c.byReader = c.buildByReader()
+	c.silent = c.buildSilence(nil)
 	return c
 }
 

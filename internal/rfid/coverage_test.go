@@ -1,6 +1,7 @@
 package rfid
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/floorplan"
@@ -63,16 +64,20 @@ func stairwellDeployment(t *testing.T) (*walkgraph.Graph, *Deployment) {
 
 // TestCoverageMatchesGeometry is the equivalence property test of the
 // edge-coverage index's two production predicates, BatchDetectableBy (the
-// reweight) and BatchDetectableAny (the negative update): on 50 random
-// floorplans and the two-story office with readers on its stairwells, they
-// must equal the 2-D geometry exactly — inside the reader's range (any
-// healthy reader's, for Any), outside every room, off every stairwell link —
-// for uniformly random offsets including out-of-range ones, offsets at and
-// a few float steps around every activation-interval endpoint and door
-// position, and every point of every link edge, with all readers healthy
-// and with a non-nil unhealthy mask.
+// reweight) and the silence table's Detectable (the negative update): on 50
+// random floorplans and the two-story office with readers on its
+// stairwells, they must equal the 2-D geometry exactly — inside the
+// reader's range (any healthy reader's, for the silence table), outside
+// every room, off every stairwell link — for uniformly random offsets
+// including out-of-range ones, offsets at and a few float steps around
+// every activation-interval endpoint and door position, and every point of
+// every link edge. The silence table is checked for four reader-health
+// sets: all healthy, a random set, every reader unhealthy, and one reader
+// unhealthy. The test fails unless both of the table's exits to the exact
+// scan ran: an edge with more healthy spans than a row holds, and an offset
+// in a guard fringe.
 func TestCoverageMatchesGeometry(t *testing.T) {
-	var roomExcluded, linkExcluded int
+	var roomExcluded, linkExcluded, overfull, fringe int
 	for trial := 0; trial <= 50; trial++ {
 		src := rng.New(int64(1000 + trial))
 		var g *walkgraph.Graph
@@ -162,18 +167,33 @@ func TestCoverageMatchesGeometry(t *testing.T) {
 		for i := range unhealthy {
 			unhealthy[i] = unhealthy[i] || src.Bool(0.3)
 		}
-		for _, un := range [][]bool{nil, unhealthy} {
+		allUnhealthy := make([]bool, dep.NumReaders())
+		for i := range allUnhealthy {
+			allUnhealthy[i] = true
+		}
+		oneUnhealthy := make([]bool, dep.NumReaders())
+		oneUnhealthy[src.Intn(len(oneUnhealthy))] = true
+		for _, un := range [][]bool{nil, unhealthy, allUnhealthy, oneUnhealthy} {
 			var healthy []Reader
 			for _, r := range dep.Readers() {
 				if un == nil || !un[r.ID] {
 					healthy = append(healthy, r)
 				}
 			}
-			cov.BatchDetectableAny(edge, off, un, out)
+			tab := cov.Silence(un)
+			tab.Detectable(edge, off, out)
 			for i, loc := range locs {
 				if want := detectable(loc, healthy); out[i] != want {
-					t.Fatalf("trial %d: BatchDetectableAny(unhealthy %v) at %v = %v, geometric = %v",
+					t.Fatalf("trial %d: Silence(unhealthy %v).Detectable at %v = %v, geometric = %v",
 						trial, un, loc, out[i], want)
+				}
+				// Count the two ways off the table's fast path, as the
+				// lookup itself decides them.
+				e := edge[i]
+				if tab.start[e+1]-tab.start[e] > silenceSlots {
+					overfull++
+				} else if r := &tab.rows[e]; within(off[i], &r.outLo, &r.outHi)&^within(off[i], &r.inLo, &r.inHi) != 0 {
+					fringe++
 				}
 			}
 		}
@@ -181,6 +201,12 @@ func TestCoverageMatchesGeometry(t *testing.T) {
 	if roomExcluded == 0 || linkExcluded == 0 {
 		t.Fatalf("exclusions not exercised: %d covered room locations, %d covered link locations",
 			roomExcluded, linkExcluded)
+	}
+	t.Logf("%d room and %d link exclusions, %d overfull-edge and %d fringe locations",
+		roomExcluded, linkExcluded, overfull, fringe)
+	if overfull == 0 || fringe == 0 {
+		t.Fatalf("silence-table fallbacks not exercised: %d locations on edges with more than %d healthy spans, %d fringe locations",
+			overfull, silenceSlots, fringe)
 	}
 }
 
@@ -264,6 +290,45 @@ func TestInitIntervalsMatchSeedSemantics(t *testing.T) {
 					t.Fatalf("trial %d reader %d: interval %d = %+v, want %+v",
 						trial, r.ID, i, gotIvs[i], wantIvs[i])
 				}
+			}
+		}
+	}
+}
+
+// TestFoldBoundsMatchesClamp pins the algebra both lookup tables rest on:
+// for any interval of clamped offsets a span can carry — bounds inside the
+// edge, at either end, empty, reversed or outside it — a raw offset lies in
+// the folded interval exactly when its clamp to [0, length] lies in the
+// original, for offsets inside, at and beyond both ends, at ±Inf and at -0.
+func TestFoldBoundsMatchesClamp(t *testing.T) {
+	src := rng.New(4000)
+	inf := math.Inf(1)
+	for trial := 0; trial < 2000; trial++ {
+		length := src.Uniform(0, 10)
+		if trial%10 == 0 {
+			length = 0
+		}
+		pick := func() float64 {
+			switch src.Intn(5) {
+			case 0:
+				return 0
+			case 1:
+				return length
+			case 2:
+				return src.Uniform(-1, 0)
+			case 3:
+				return length + src.Uniform(0, 1)
+			}
+			return src.Uniform(0, length)
+		}
+		lo, hi := pick(), pick()
+		flo, fhi := foldBounds(lo, hi, length)
+		for _, o := range []float64{0, math.Copysign(0, -1), length, -1e-12, length + 1e-12,
+			-inf, inf, src.Uniform(-2, length+2), lo, hi, math.Nextafter(lo, -inf), math.Nextafter(hi, inf)} {
+			co := clampOffset(o, length)
+			if got, want := o >= flo && o <= fhi, co >= lo && co <= hi; got != want {
+				t.Fatalf("interval [%v, %v] on length %v folded to [%v, %v]: offset %v in folded = %v, clamped %v in original = %v",
+					lo, hi, length, flo, fhi, o, got, co, want)
 			}
 		}
 	}
