@@ -80,10 +80,12 @@ bench-harness-test:
 
 # The packages whose tests involve timers, background goroutines, disks and
 # networks, twenty times over under the race detector: a test that fails one
-# run in three cannot get through. Twenty engine passes take 8-10 minutes on
-# a 2-vCPU box, right at go test's default limit, hence the explicit one.
+# run in three cannot get through. The server is among them because its
+# handlers call the engine concurrently, with no lock of their own. Twenty
+# engine passes take 8-10 minutes on a 2-vCPU box, right at go test's default
+# limit, hence the explicit one.
 stress:
-	go test -race -count=20 -timeout 30m ./internal/engine/ ./internal/cluster/ ./internal/sim/chaos/
+	go test -race -count=20 -timeout 30m ./internal/engine/ ./internal/cluster/ ./internal/sim/chaos/ ./internal/server/
 
 # The statistical accuracy gate: the paper's §5 measures (range KL divergence,
 # kNN hit rate, top-1/top-2 success) at the Figures 9-13 operating point,

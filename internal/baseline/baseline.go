@@ -17,7 +17,7 @@ import (
 
 // SM answers range and kNN queries with the symbolic model baseline over a
 // System's collector state, for side-by-side comparison with the particle
-// filter. Like the System it is not safe for concurrent use.
+// filter. Unlike the System it is not safe for concurrent use.
 type SM struct {
 	sys    *engine.System
 	model  *symbolic.Model

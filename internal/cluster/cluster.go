@@ -52,12 +52,14 @@ type Transport interface {
 }
 
 // Local is the engine surface a Node wraps: the router *engine.Sharded and
-// the bare in-memory kernel *engine.System both implement it. The first
+// the one-shard *engine.System both implement it, and both synchronize
+// themselves, so the node calls them without a lock of its own. The first
 // block is the server-facing API the node delegates; the second is the
 // node's share of the query pipeline — the local engine is one partition of
 // the cluster and lends the coordinator its pruner and evaluator.
 type Local interface {
 	IngestContext(ctx context.Context, t model.Time, raws []model.RawReading) error
+	FlushIngest()
 	Now() model.Time
 	Localize(obj model.ObjectID) (engine.Localization, bool)
 	DegradedShards() []int
@@ -157,11 +159,6 @@ type Node struct {
 	// peer, in members order, owned by the same jump hash as ingest.
 	router engine.Router
 
-	// mu serializes access to engines that do not synchronize internally
-	// (the single-shard System); noLock skips it for the sharded router.
-	mu     sync.Mutex
-	noLock bool
-
 	// tracer stitches forwarded traces; set by the server at mount time
 	// (SetTracer). Nil disables owner-side spans.
 	tracer *trace.Tracer
@@ -196,12 +193,6 @@ type idemKey struct {
 // within seconds; 4096 cached acks cover over an hour of per-second
 // deliveries per peer.
 const maxIdem = 4096
-
-// selfSynchronizing mirrors the server's optional interface for engines
-// that do their own locking.
-type selfSynchronizing interface {
-	SelfSynchronizing() bool
-}
 
 // New builds a Node over a local engine. The membership must contain
 // cfg.Self and at least one other peer, and every node of the cluster must
@@ -243,9 +234,6 @@ func New(eng Local, cfg Config) (*Node, error) {
 	n.QueryMethods.Of = n
 	n.router = engine.Router{Parts: make([]engine.Partition, len(members)), Owner: n.OwnerIdx}
 	n.router.Parts[selfIdx] = localPart{n}
-	if ss, ok := eng.(selfSynchronizing); ok && ss.SelfSynchronizing() {
-		n.noLock = true
-	}
 	if cfg.EvaluateSlots > 0 {
 		n.gate = make(chan struct{}, cfg.EvaluateSlots)
 	}
@@ -285,22 +273,6 @@ func (n *Node) countBytes(op Op, sent, received int) {
 // land in the same /debug/traces rings by shared trace ID).
 func (n *Node) SetTracer(t *trace.Tracer) { n.tracer = t }
 
-// SelfSynchronizing reports that the node does its own locking; the HTTP
-// server skips its serialization mutex.
-func (n *Node) SelfSynchronizing() bool { return true }
-
-func (n *Node) lock() {
-	if !n.noLock {
-		n.mu.Lock()
-	}
-}
-
-func (n *Node) unlock() {
-	if !n.noLock {
-		n.mu.Unlock()
-	}
-}
-
 // Members returns the sorted membership (the ownership table: bucket i is
 // owned by Members()[i]).
 func (n *Node) Members() []string { return append([]string(nil), n.members...) }
@@ -326,18 +298,12 @@ func (n *Node) remotePeers() []*peer {
 }
 
 // ---------------------------------------------------------------------------
-// Engine delegations. Methods that only touch immutable wiring skip the
-// lock; everything touching engine state takes it (no-op over the sharded
-// router, which synchronizes internally).
+// Engine delegations: the local engine synchronizes itself.
 
 // Now returns the local engine's stream clock. Every node ingests every
 // delivered second (its own partition, possibly empty), so clocks agree
 // across a healthy cluster.
-func (n *Node) Now() model.Time {
-	n.lock()
-	defer n.unlock()
-	return n.eng.Now()
-}
+func (n *Node) Now() model.Time { return n.eng.Now() }
 
 // Graph exposes the local walk graph (identical on every node).
 func (n *Node) Graph() *walkgraph.Graph { return n.eng.Graph() }
@@ -350,75 +316,41 @@ func (n *Node) Telemetry() *engine.Telemetry { return n.eng.Telemetry() }
 
 // Stats returns the local engine's counters; readings dropped because their
 // owner was unreachable are already merged in (NoteTransportDrops).
-func (n *Node) Stats() engine.Stats {
-	n.lock()
-	defer n.unlock()
-	return n.eng.Stats()
-}
+func (n *Node) Stats() engine.Stats { return n.eng.Stats() }
 
 // CacheStats delegates to the local engine.
-func (n *Node) CacheStats() (hits, misses int) {
-	n.lock()
-	defer n.unlock()
-	return n.eng.CacheStats()
-}
+func (n *Node) CacheStats() (hits, misses int) { return n.eng.CacheStats() }
 
 // DegradedShards reports the local engine's quarantined shards.
-func (n *Node) DegradedShards() []int {
-	n.lock()
-	defer n.unlock()
-	return n.eng.DegradedShards()
-}
+func (n *Node) DegradedShards() []int { return n.eng.DegradedShards() }
 
 // SyncMetrics refreshes the local engine's scrape-time mirrors and the
 // per-peer state gauges.
 func (n *Node) SyncMetrics() {
-	n.lock()
 	n.eng.SyncMetrics()
-	n.unlock()
 	for _, p := range n.remotePeers() {
 		p.syncGauge()
 	}
 }
 
 // SetParticleBudget delegates to the local engine.
-func (n *Node) SetParticleBudget(k int) {
-	n.lock()
-	defer n.unlock()
-	n.eng.SetParticleBudget(k)
-}
+func (n *Node) SetParticleBudget(k int) { n.eng.SetParticleBudget(k) }
 
 // NoteOversizedBody delegates to the local engine.
-func (n *Node) NoteOversizedBody() {
-	n.lock()
-	defer n.unlock()
-	n.eng.NoteOversizedBody()
-}
+func (n *Node) NoteOversizedBody() { n.eng.NoteOversizedBody() }
 
 // HealthMonitorEnabled delegates to the local engine.
 func (n *Node) HealthMonitorEnabled() bool { return n.eng.HealthMonitorEnabled() }
 
 // ReaderHealth delegates to the local engine. Per-node monitors observe
 // only the local partition of the stream; see DESIGN.md §17.
-func (n *Node) ReaderHealth() []health.ReaderHealth {
-	n.lock()
-	defer n.unlock()
-	return n.eng.ReaderHealth()
-}
+func (n *Node) ReaderHealth() []health.ReaderHealth { return n.eng.ReaderHealth() }
 
 // WALError delegates to the local engine.
-func (n *Node) WALError() error {
-	n.lock()
-	defer n.unlock()
-	return n.eng.WALError()
-}
+func (n *Node) WALError() error { return n.eng.WALError() }
 
 // Recovery delegates to the local engine.
-func (n *Node) Recovery() engine.RecoveryInfo {
-	n.lock()
-	defer n.unlock()
-	return n.eng.Recovery()
-}
+func (n *Node) Recovery() engine.RecoveryInfo { return n.eng.Recovery() }
 
 // Close shuts the local engine down.
 func (n *Node) Close() error {

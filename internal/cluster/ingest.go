@@ -41,23 +41,14 @@ func (n *Node) IngestContext(ctx context.Context, t model.Time, raws []model.Raw
 			}
 		}
 	}()
-	n.lock()
 	lerr := n.eng.IngestContext(ctx, t, parts[n.selfIdx])
-	n.unlock()
 	<-forwarded
 	return n.mergeIngestErr(t, lerr, fdrops)
 }
 
 // FlushIngest force-flushes the local reorder buffer (used by harnesses;
 // peers flush their own on their next delivery).
-func (n *Node) FlushIngest() {
-	type flusher interface{ FlushIngest() }
-	if f, ok := n.eng.(flusher); ok {
-		n.lock()
-		f.FlushIngest()
-		n.unlock()
-	}
-}
+func (n *Node) FlushIngest() { n.eng.FlushIngest() }
 
 // partition splits a delivery by owning member. Every member gets an entry
 // (possibly empty): empty sub-batches still advance the remote stream
@@ -147,9 +138,7 @@ func (n *Node) dropForward(p *peer, t model.Time, raws []model.RawReading) {
 	p.mu.Lock()
 	p.droppedReadings += int64(len(raws))
 	p.mu.Unlock()
-	n.lock()
 	n.eng.NoteTransportDrops(len(raws))
-	n.unlock()
 }
 
 // mergeIngestErr combines the local engine's ingest report with the

@@ -11,8 +11,8 @@ import (
 )
 
 // A cluster query is the engine's own pipeline (engine.Run) over a router
-// whose partitions happen to be remote: the local engine under the node's
-// lock, and every peer behind the Transport. The node coordinates — clock,
+// whose partitions happen to be remote: the local engine, and every peer
+// behind the Transport. The node coordinates — clock,
 // global pruning, evaluation and telemetry are its local engine's. Because
 // each object's filter run is keyed by (Seed, object, its own readings), the
 // merged table is bit-for-bit the table a single process holding all the
@@ -31,22 +31,15 @@ func (n *Node) Query(ctx context.Context, q engine.Query) (engine.Answer, error)
 	return ans, err
 }
 
-// Prune runs the coordinator-global pruning stage on the local engine, under
-// the node's lock so the unhealthy-reader set stays fenced.
+// Prune runs the coordinator-global pruning stage on the local engine.
 func (n *Node) Prune(ctx context.Context, infos []query.ObjectInfo, q engine.Query, now model.Time) ([]model.ObjectID, error) {
-	n.lock()
-	defer n.unlock()
 	return n.eng.Prune(ctx, infos, q, now)
 }
 
 // Unhealthy returns the local engine's unhealthy-reader set: the reader
 // health every member prunes its own objects under when this node
 // coordinates.
-func (n *Node) Unhealthy() []bool {
-	n.lock()
-	defer n.unlock()
-	return n.eng.Unhealthy()
-}
+func (n *Node) Unhealthy() []bool { return n.eng.Unhealthy() }
 
 // Evaluator exposes the local evaluation module (identical on every node).
 func (n *Node) Evaluator() *query.Evaluator { return n.eng.Evaluator() }
@@ -55,20 +48,14 @@ func (n *Node) Evaluator() *query.Evaluator { return n.eng.Evaluator() }
 type localPart struct{ n *Node }
 
 func (l localPart) Infos(ctx context.Context, q engine.Query) ([]query.ObjectInfo, error) {
-	l.n.lock()
-	defer l.n.unlock()
 	return l.n.eng.Infos(ctx, q)
 }
 
 func (l localPart) Dists(ctx context.Context, cands []model.ObjectID, q engine.Query) ([]anchor.ObjDist, error) {
-	l.n.lock()
-	defer l.n.unlock()
 	return l.n.eng.Dists(ctx, cands, q)
 }
 
 func (l localPart) OwnDists(ctx context.Context, q engine.Query, sc engine.Scope) ([]anchor.ObjDist, int, error) {
-	l.n.lock()
-	defer l.n.unlock()
 	return l.n.eng.OwnDists(ctx, q, sc)
 }
 
@@ -158,8 +145,6 @@ func (pp peerPart) degraded() error { return &DegradedError{Peers: []string{pp.p
 func (n *Node) Localize(obj model.ObjectID) (engine.Localization, bool) {
 	i := n.OwnerIdx(obj)
 	if i == n.selfIdx {
-		n.lock()
-		defer n.unlock()
 		return n.eng.Localize(obj)
 	}
 	p := n.peers[i]

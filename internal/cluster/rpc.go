@@ -205,17 +205,13 @@ func (n *Node) HandleRPC(ctx context.Context, req *Request) (*Response, error) {
 	case OpIngest:
 		return n.handleIngestRPC(ctx, req)
 	case OpGather:
-		n.lock()
 		infos, _ := n.eng.Infos(ctx, req.Query)
 		now := n.eng.Now()
-		n.unlock()
 		return &Response{Now: now, Infos: infos}, nil
 	case OpDists, OpEvaluate:
 		return n.handleDistsRPC(ctx, req)
 	case OpLocalize:
-		n.lock()
 		loc, ok := n.eng.Localize(req.Object)
-		n.unlock()
 		return &Response{Loc: loc, Found: ok}, nil
 	default:
 		return nil, fmt.Errorf("cluster: unknown op %d", req.Op)
@@ -275,10 +271,8 @@ func (n *Node) handleIngestRPC(ctx context.Context, req *Request) (*Response, er
 // applyIngest hands one forwarded sub-batch to the local engine and turns
 // its typed ingest report into the ack.
 func (n *Node) applyIngest(ctx context.Context, req *Request) (*Response, error) {
-	n.lock()
 	err := n.eng.IngestContext(ctx, req.Time, req.Readings)
 	now := n.eng.Now()
-	n.unlock()
 	resp := &Response{Now: now, Accepted: len(req.Readings)}
 	var ie *ingest.Error
 	if errors.As(err, &ie) {

@@ -58,25 +58,25 @@ type TrajectoryPoint struct {
 // by running historical inference every step seconds. It needs KeepHistory
 // for times beyond the live retention window. Samples where the object had
 // no readings yet are skipped.
-func (s *System) Trajectory(obj model.ObjectID, from, to, step model.Time) []TrajectoryPoint {
+func (e *Sharded) Trajectory(obj model.ObjectID, from, to, step model.Time) []TrajectoryPoint {
 	if step <= 0 {
 		step = 1
 	}
 	var out []TrajectoryPoint
 	for t := from; t <= to; t += step {
-		tab := s.PreprocessAt([]model.ObjectID{obj}, t)
+		tab := e.PreprocessAt([]model.ObjectID{obj}, t)
 		dist := tab.DistributionOf(obj)
 		if dist.Len() == 0 {
 			continue
 		}
 		var mx, my float64
 		for i, ap := range dist.IDs {
-			a, p := s.idx.Anchor(ap), dist.P[i]
+			a, p := e.idx.Anchor(ap), dist.P[i]
 			mx += a.Pos.X * p
 			my += a.Pos.Y * p
 		}
 		tp := TrajectoryPoint{Time: t, Mean: geom.Pt(mx, my)}
-		odds := roomOdds(s.idx, dist)
+		odds := roomOdds(e.idx, dist)
 		if len(odds) > 0 {
 			tp.Room, tp.RoomProb = odds[0].Room, odds[0].P
 		}

@@ -11,14 +11,7 @@ import (
 
 // The pipeline's stages piecewise, under the names the frozen benchmark
 // harness times them by (bench/layers.go; the list is at the end of
-// DESIGN.md §13): adapters over Partition and Coordinator, on the kernel and
-// on the router.
-
-// ObjectInfos is the gather stage: Infos for a snapshot query.
-func (s *System) ObjectInfos() []query.ObjectInfo {
-	infos, _ := s.Infos(context.Background(), Query{})
-	return infos
-}
+// DESIGN.md §13): adapters over Partition and Coordinator on the router.
 
 // PruneRangeContext is the global range pruning stage over summaries
 // gathered from anywhere, for any number of windows (pass-through when the
@@ -37,37 +30,33 @@ func (w *world) PruneKNNContext(ctx context.Context, infos []query.ObjectInfo, q
 	return w.Prune(ctx, infos, KNNQuery(q, k), now)
 }
 
-// NoteTransportDrops accounts n readings dropped by the cluster forwarder
-// because their owning peer was unreachable. Keeping the count inside the
-// engine's Drops keeps Stats and the mirrored /metrics counters in
-// agreement. Callers provide the engine's usual external synchronization.
-func (s *System) NoteTransportDrops(n int) {
-	s.extraDrops.UnreachableReadings += n
-}
-
-// ObjectInfos mirrors System.ObjectInfos over the live shards.
+// ObjectInfos is the gather stage: Infos for a snapshot query, over the
+// live shards.
 func (e *Sharded) ObjectInfos() []query.ObjectInfo {
 	infos, _ := e.Infos(context.Background(), Query{})
 	return infos
 }
 
-// Preprocess is the scatter-gather preprocessing entry point, mirroring
-// System.Preprocess.
+// Preprocess runs the particle filter-based preprocessing module for the
+// candidate set, each on its owning shard, and returns the filled APtoObjHT
+// table.
 func (e *Sharded) Preprocess(cands []model.ObjectID) *anchor.Table {
 	tab, _ := e.PreprocessContext(context.Background(), cands)
 	return tab
 }
 
-// PreprocessContext mirrors System.PreprocessContext: on expiry the
-// remaining objects are skipped and a *query.DeadlineError is returned
+// PreprocessContext is Preprocess with a per-request deadline: on expiry
+// the remaining objects are skipped and a *query.DeadlineError is returned
 // alongside the partial table.
 func (e *Sharded) PreprocessContext(ctx context.Context, cands []model.ObjectID) (*anchor.Table, error) {
 	dists, err := e.Dists(ctx, cands, Query{})
 	return anchor.TableOf(dists), err
 }
 
-// NoteTransportDrops mirrors System.NoteTransportDrops; the count merges
-// into the router-owned extraDrops under the ingest lock.
+// NoteTransportDrops accounts n readings dropped by the cluster forwarder
+// because their owning peer was unreachable. Keeping the count inside the
+// engine's Drops keeps Stats and the mirrored /metrics counters in
+// agreement.
 func (e *Sharded) NoteTransportDrops(n int) {
 	e.ingestMu.Lock()
 	e.extraDrops.UnreachableReadings += n

@@ -14,7 +14,7 @@ import (
 )
 
 // DurabilityConfig configures the router's write-ahead logs and snapshot
-// store (OpenSharded; the in-memory kernel System touches no disk).
+// store (OpenSharded; a System, built in memory by New, touches no disk).
 type DurabilityConfig struct {
 	// Dir is the data directory holding segments and snapshots. Empty
 	// disables durability.

@@ -474,7 +474,7 @@ func TestSoAStateRecoveryRoundTrip(t *testing.T) {
 		t.Fatalf("clean shutdown should leave a snapshot: %+v", recovered.Recovery())
 	}
 	mustMatchOracle(t, "soa round trip", recovered, oracle, true)
-	if got, want := routerSnapshotBytes(t, recovered), snapshotBytes(t, oracle); !bytes.Equal(got, want) {
+	if got, want := snapshotBytes(t, recovered), snapshotBytes(t, oracle.Sharded); !bytes.Equal(got, want) {
 		t.Fatalf("recovered snapshot encoding diverged from uncrashed (%d vs %d bytes)", len(got), len(want))
 	}
 }

@@ -8,10 +8,12 @@
 // hash table. The symbolic model baseline it is compared against lives in
 // internal/baseline, over System's public surface.
 //
-// System is that pipeline as a pure in-memory kernel. Sharded is the router
-// over one or more shards of object state sharing one world, and the only
-// type that touches a disk: write-ahead logs, snapshots, recovery, quarantine
-// and self-heal all live there.
+// Sharded is that pipeline as a router over one or more shards of object
+// state sharing one world, and the only type that touches a disk: write-ahead
+// logs, snapshots, recovery, quarantine and self-heal all live there. System
+// is the one-shard router built in memory, with the few things only a single
+// shard can offer. Every engine synchronizes itself: ingest, queries and
+// stats reads may run concurrently.
 package engine
 
 import (
@@ -85,9 +87,9 @@ type Config struct {
 	Seed int64
 	// Shards partitions object state into this many in-process shards, each
 	// owning its lock, collector slice, cache, particle workers, and WAL
-	// segment stream (NewSharded/OpenSharded; New ignores it). 0 or 1 means
-	// one shard behind the router. Answers, Stats, and recovered state are
-	// bit-for-bit identical at any shard count.
+	// segment stream (NewSharded/OpenSharded; New always builds one). 0 or 1
+	// means one shard behind the router. Answers, Stats, and recovered state
+	// are bit-for-bit identical at any shard count.
 	Shards int
 	// Durability configures the write-ahead logs and snapshot store. The zero
 	// value disables durability entirely (the historical in-memory contract);
@@ -160,30 +162,38 @@ type Stats struct {
 	Ingest ingest.Drops
 }
 
-// System is the assembled query evaluation system: one world, the one store
-// of object state over it, and the ingestion front end that feeds the store.
+// System is the assembled query evaluation system: the one-shard router,
+// whose ingestion, queries, stats and locking are all Sharded's, plus what
+// only a single shard can offer — its collector (Collector), Expire, the
+// Monte Carlo source of PTKNNQuery, and the ENTER/LEAVE log behind
+// EventsSince. It is safe for concurrent use.
 type System struct {
-	// QueryMethods are the classic spellings of Query (RangeQuery,
-	// KNNQueryContext, RangeQueryAt, Occupancy, ...).
-	QueryMethods
-	*store
+	*Sharded
 
-	src     *rng.Source
-	reorder *ingest.Reorder
-	// monitor is the per-reader liveness monitor (nil when Config.Health is
-	// disabled); extraDrops holds transport-level losses noted by the HTTP
-	// layer (oversized bodies) that never reach the reorder buffer.
-	monitor    *health.Monitor
-	extraDrops ingest.Drops
+	// srcMu serializes PTKNNQuery's draws from src.
+	srcMu sync.Mutex
+	src   *rng.Source
+}
 
-	// curTrace is the request trace of the in-flight IngestContext call, read
-	// by the reorder sink so flush-time work (collect) attributes to the
-	// delivery that triggered it. It is written under the same exclusion the
-	// rest of the System requires.
-	curTrace *trace.Context
-	// eventLog retains ENTER/LEAVE events for registry consumers (bounded).
-	eventLog []model.Event
-	eventOff int
+// eventLog is the bounded ENTER/LEAVE log behind System.EventsSince: off is
+// the sequence number of evs[0]. The router fills it, under ingestMu, from
+// the events its shards drain.
+type eventLog struct {
+	evs []model.Event
+	off int
+}
+
+// record appends one flushed second's drained events, per shard. Only New
+// sets a log, on a one-shard router, so the events are in (Time, Object)
+// order; a nil log records nothing.
+func (l *eventLog) record(perShard [][]model.Event) {
+	if l == nil {
+		return
+	}
+	for _, evs := range perShard {
+		l.evs = append(l.evs, evs...)
+	}
+	l.evs, l.off = boundEventLog(l.evs, l.off)
 }
 
 // world is what a deployment builds once, whatever the number of shards:
@@ -214,12 +224,12 @@ type world struct {
 
 // store is the object state one shard owns over its world: the collector,
 // the particle-state cache, the work counters, the preprocessing worker
-// budget and the shard's metric handles. The kernel has one; the router one
-// per shard. A store is not safe for concurrent use.
+// budget and the shard's metric handles. The router holds one per shard, each
+// under its shard lock: a store is not safe for concurrent use.
 type store struct {
 	*world
-	// shardID is the store's position in a sharded router (0 in the kernel);
-	// it labels filter traces, spans, and the shardTel metric handles.
+	// shardID is the store's position in the router; it labels filter
+	// traces, spans, and the shardTel metric handles.
 	shardID  int
 	workers  int
 	shardTel *shardMetrics
@@ -228,8 +238,8 @@ type store struct {
 	stats    Stats
 	// tasks and entries are preprocessDists' per-call work list and the
 	// readings it gathers, and latest the newest readings Infos summarizes,
-	// recycled across calls (the caller's exclusion covers them like the
-	// collector and cache they are filled from).
+	// recycled across calls (the shard lock covers them like the collector
+	// and cache they are filled from).
 	tasks   []preprocessTask
 	entries []model.AggregatedReading
 	latest  []model.AggregatedReading
@@ -241,19 +251,6 @@ type workerScratch struct {
 	acc  anchor.Accumulator
 	// src is re-keyed per object; living here keeps it off the heap.
 	src rng.Source
-}
-
-// Stats returns the system's cumulative work counters, with the drop
-// accounting of the reorder buffer and the collector merged in.
-func (s *System) Stats() Stats {
-	st := s.stats
-	st.RangeQueries, st.KNNQueries = s.tel.queriesCounted()
-	st.Ingest = s.reorder.Drops()
-	st.Ingest.Merge(s.col.Drops())
-	st.Ingest.Merge(s.extraDrops)
-	st.ReadingsDropped = st.Ingest.Readings()
-	st.ReadingsPending = s.reorder.PendingReadings()
-	return st
 }
 
 // newWorld validates cfg and builds the per-deployment modules.
@@ -310,22 +307,17 @@ func (w *world) newStore(id, workers int) *store {
 	return st
 }
 
-// New assembles a System over a floor plan and reader deployment.
+// New assembles a System over a floor plan and reader deployment: a
+// one-shard router, whatever cfg.Shards says, that keeps the ENTER/LEAVE
+// log. It touches no disk (cfg.Durability is ignored).
 func New(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*System, error) {
-	w, err := newWorld(plan, dep, cfg)
+	cfg.Shards = 1
+	e, err := NewSharded(plan, dep, cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &System{store: w.newStore(0, cfg.Workers), src: rng.New(cfg.Seed)}
-	s.QueryMethods.Of = s
-	s.reorder = ingest.NewReorder(cfg.Ingest, s.ingestSecond)
-	if cfg.Health.Enabled {
-		s.monitor, err = health.NewMonitor(cfg.Health, dep.NumReaders())
-		if err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
+	e.events = new(eventLog)
+	return &System{Sharded: e, src: rng.New(cfg.Seed)}, nil
 }
 
 // MustNew is New for known-valid inputs.
@@ -337,37 +329,21 @@ func MustNew(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) *System {
 	return s
 }
 
-// Open assembles the in-memory kernel, exactly like New. The kernel touches
-// no disk: a configured data directory is an error here, never a silent drop
-// to memory-only — durable engines are opened with OpenSharded, where
-// Shards: 1 is the single-engine layout.
+// Open assembles a System exactly like New. A System touches no disk: a
+// configured data directory is an error here, never a silent drop to
+// memory-only — durable engines are opened with OpenSharded, where Shards: 1
+// is the single-engine layout.
 func Open(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*System, error) {
 	if cfg.Durability.Enabled() {
-		return nil, fmt.Errorf("engine: Open builds the in-memory kernel and cannot use data directory %s; open it with OpenSharded (Shards: 1 for a single engine)", cfg.Durability.Dir)
+		return nil, fmt.Errorf("engine: Open builds an in-memory System and cannot use data directory %s; open it with OpenSharded (Shards: 1 for a single engine)", cfg.Durability.Dir)
 	}
 	return New(plan, dep, cfg)
 }
 
-// The kernel has no durability layer; these zero-value answers let a bare
-// System stand in wherever a durable engine's surface is expected
-// (server.Engine, cluster.Local).
-
-// Close is a no-op: the kernel holds no files.
-func (s *System) Close() error { return nil }
-
-// WALError is always nil: the kernel writes no log.
-func (s *System) WALError() error { return nil }
-
-// Recovery is always the zero RecoveryInfo: the kernel recovers nothing.
-func (s *System) Recovery() RecoveryInfo { return RecoveryInfo{} }
-
-// DegradedShards is always nil: the kernel has no shards to quarantine.
-func (s *System) DegradedShards() []int { return nil }
-
 // Accessors for the assembled components.
 
-// Config returns the configuration the System was built with.
-func (s *System) Config() Config { return s.cfg }
+// Config returns the configuration the engine was built with.
+func (w *world) Config() Config { return w.cfg }
 
 // Graph returns the indoor walking graph.
 func (w *world) Graph() *walkgraph.Graph { return w.g }
@@ -385,66 +361,10 @@ func (w *world) Telemetry() *Telemetry { return w.tel }
 // monitors, custom tables).
 func (w *world) Evaluator() *query.Evaluator { return w.eval }
 
-// Collector returns the raw data collector.
-func (s *System) Collector() *collector.Collector { return s.col }
-
-// CacheStats returns the cache's cumulative hit and miss counts.
-func (s *System) CacheStats() (hits, misses int) { return s.cache.Stats() }
-
-// Now returns the most recently ingested second.
-func (s *System) Now() model.Time { return s.col.Now() }
-
-// KnownObjects returns the IDs of every object with retained collector
-// state, ascending.
-func (s *System) KnownObjects() []model.ObjectID { return s.col.KnownObjects() }
-
-// Ingest feeds one delivery of raw readings through the hardened ingestion
-// front end: the reorder buffer routes each reading to its own second,
-// deduplicates retransmissions, and flushes whole seconds into the
-// collector in order once the watermark (Config.Ingest.Horizon) closes
-// them. With the zero-value ingest configuration every batch flushes
-// immediately, matching the historical strict in-order contract.
-//
-// Whenever input is refused or discarded, Ingest returns a typed
-// *ingest.Error and counts the loss in Stats — nothing is dropped
-// silently. Unless the error's Rejected flag is set, the rest of the
-// delivery was still accepted.
-func (s *System) Ingest(t model.Time, raws []model.RawReading) error {
-	rstart := time.Now()
-	err := s.reorder.Offer(t, raws)
-	s.curTrace.Since("reorder", s.shardID, rstart)
-	return err
-}
-
-// IngestContext is Ingest carrying a request trace: flush-time spans
-// (reorder, collect) recorded while this delivery is in flight attach to the
-// trace in ctx. Callers provide the same exclusion Ingest requires, so
-// stashing the trace in the System is race-free.
-func (s *System) IngestContext(ctx context.Context, t model.Time, raws []model.RawReading) error {
-	s.curTrace = trace.From(ctx)
-	defer func() { s.curTrace = nil }()
-	return s.Ingest(t, raws)
-}
-
-// FlushIngest drains every second still buffered in the reorder buffer,
-// regardless of the lateness horizon. Call it at end of stream or before
-// final queries when a non-zero horizon is configured.
-func (s *System) FlushIngest() { s.reorder.FlushAll() }
-
-// ingestSecond is the reorder buffer's sink: it applies one flushed second
-// and records how long that took.
-func (s *System) ingestSecond(t model.Time, raws []model.RawReading) {
-	if maxSeen, ok := s.reorder.MaxSeen(); ok && maxSeen > t {
-		s.tel.reorderLag.Observe(float64(maxSeen - t))
-	} else {
-		s.tel.reorderLag.Observe(0)
-	}
-	astart := time.Now()
-	s.applySecond(t, raws)
-	s.shardTel.step.Observe(time.Since(astart).Seconds())
-	s.shardTel.queueDepth.Set(float64(len(raws)))
-	s.curTrace.Since("collect", s.shardID, astart)
-}
+// Collector returns the raw data collector of the System's one shard. It is
+// the collector itself, not a copy: read it only while nothing ingests or
+// queries.
+func (s *System) Collector() *collector.Collector { return s.shards[0].col }
 
 // collectSecond feeds one second's readings into the collector, counts the
 // accepted ones, applies the cache invalidation rule to every ENTER event,
@@ -470,23 +390,6 @@ func (s *store) restore(ss *shardSnap) {
 	s.col.Restore(ss.Collector)
 	s.cache.RestoreEntries(ss.CacheEntries)
 	s.cache.RestoreStats(ss.CacheHits, ss.CacheMisses)
-}
-
-// applySecond is the standalone kernel's whole flush step: reader-health
-// observation, collectSecond, and the retained event log.
-func (s *System) applySecond(t model.Time, raws []model.RawReading) {
-	if s.monitor != nil && s.monitor.ObserveSecond(t, raws) {
-		s.refreshHealth(s.monitor.Unhealthy())
-	}
-	for _, ev := range s.collectSecond(t, raws) {
-		if ev.Kind == model.Enter && s.monitor != nil {
-			// The ENTER explains the object's coming silence (rooms are
-			// uncovered): its reader should not expect more detections.
-			s.monitor.Release(ev.Object)
-		}
-		s.eventLog = append(s.eventLog, ev)
-	}
-	s.eventLog, s.eventOff = boundEventLog(s.eventLog, s.eventOff)
 }
 
 // maxEventLog bounds the retained ENTER/LEAVE event log, and eventLogChunk
@@ -517,25 +420,29 @@ func boundEventLog(log []model.Event, off int) ([]model.Event, int) {
 // left the building stop producing readings and age out of the system
 // instead of lingering as stale candidates.
 func (s *System) Expire(olderThan model.Time) {
-	s.col.ForgetBefore(olderThan)
-	s.cache.EvictExpired(s.col.Now())
+	s.shardMu[0].Lock()
+	defer s.shardMu[0].Unlock()
+	sh := s.shards[0]
+	sh.col.ForgetBefore(olderThan)
+	sh.cache.EvictExpired(sh.col.Now())
 }
 
 // EventsSince returns the ENTER/LEAVE events recorded at or after the given
 // sequence number, plus the next sequence number to pass. A consumer that
 // fell behind the bounded log receives truncated=true and should treat the
-// state as fully dirty.
+// state as fully dirty. The events are the log's own, capped so that an
+// append to them cannot reach what later seconds record.
 func (s *System) EventsSince(seq int) (events []model.Event, next int, truncated bool) {
-	next = s.eventOff + len(s.eventLog)
-	if seq < s.eventOff {
-		return s.eventLog, next, true
+	s.ingestMu.Lock()
+	defer s.ingestMu.Unlock()
+	l := s.events
+	evs := l.evs[:len(l.evs):len(l.evs)]
+	next = l.off + len(evs)
+	if seq < l.off {
+		return evs, next, true
 	}
-	return s.eventLog[seq-s.eventOff:], next, false
+	return evs[seq-l.off:], next, false
 }
-
-// Query answers q with the particle filter-based method: the kernel runs the
-// query pipeline over itself.
-func (s *System) Query(ctx context.Context, q Query) (Answer, error) { return Run(ctx, s, s, q) }
 
 // Infos summarizes every known object for the pruning module, ascending —
 // the gather stage of the pipeline: one walk of the collector's sorted object
@@ -612,25 +519,6 @@ func (s *store) Dists(ctx context.Context, cands []model.ObjectID, q Query) ([]a
 	return dists, err
 }
 
-// Preprocess runs the particle filter-based preprocessing module for the
-// candidate set and returns the filled APtoObjHT table. It consults and
-// updates the cache when enabled. Objects are filtered in parallel (see
-// Config.Workers); each object's randomness derives from (Seed, object,
-// last reading time), so the output is identical at any parallelism.
-func (s *store) Preprocess(candidates []model.ObjectID) *anchor.Table {
-	tab, _ := s.PreprocessContext(context.Background(), candidates)
-	return tab
-}
-
-// PreprocessContext is Preprocess with a per-request deadline, checked at
-// every per-object task boundary. On expiry the remaining objects are
-// skipped — they simply do not appear in the returned table — and a
-// *query.DeadlineError is returned alongside the partial table.
-func (s *store) PreprocessContext(ctx context.Context, candidates []model.ObjectID) (*anchor.Table, error) {
-	dists, err := s.preprocessDists(ctx, candidates, Query{})
-	return anchor.TableOf(dists), err
-}
-
 // preprocessTask is one candidate's trip through preprocessDists.
 type preprocessTask struct {
 	obj     model.ObjectID
@@ -650,9 +538,15 @@ type preprocessTask struct {
 
 // preprocessDists is the preprocessing module: the candidates' distributions
 // in ascending object order, which is what a shard returns to the router and
-// a peer to its coordinator. A historical query filters each candidate's
-// readings up to q.At from scratch and leaves the cache alone; it is keyed
-// like a snapshot run, so re-asking it gives the same answer on any engine.
+// a peer to its coordinator. It consults and updates the cache when enabled,
+// and filters objects in parallel (see Config.Workers); each object's
+// randomness derives from (Seed, object, last reading time), so the output is
+// identical at any parallelism. ctx's deadline is checked at every
+// per-object task boundary: on expiry the remaining objects are skipped and
+// a *query.DeadlineError is returned beside the partial answer. A historical
+// query filters each candidate's readings up to q.At from scratch and leaves
+// the cache alone; it is keyed like a snapshot run, so re-asking it gives the
+// same answer on any engine.
 func (s *store) preprocessDists(ctx context.Context, candidates []model.ObjectID, q Query) ([]anchor.ObjDist, error) {
 	now := s.col.Now()
 	if q.Historical {
@@ -819,15 +713,15 @@ func (s *store) recordSpans(tr *trace.Context, start time.Time, t *preprocessTas
 
 // RangeCandidates applies the query aware optimization for range queries,
 // or returns all known objects when pruning is disabled.
-func (s *System) RangeCandidates(windows []geom.Rect) []model.ObjectID {
-	cands, _ := s.PruneRangeContext(context.Background(), s.ObjectInfos(), windows, s.col.Now())
+func (e *Sharded) RangeCandidates(windows []geom.Rect) []model.ObjectID {
+	cands, _ := e.PruneRangeContext(context.Background(), e.ObjectInfos(), windows, e.Now())
 	return cands
 }
 
 // KNNCandidates applies the distance-based pruning for kNN queries, or
 // returns all known objects when pruning is disabled.
-func (s *System) KNNCandidates(q geom.Point, k int) []model.ObjectID {
-	cands, _ := s.Prune(context.Background(), s.ObjectInfos(), KNNQuery(q, k), s.col.Now())
+func (e *Sharded) KNNCandidates(q geom.Point, k int) []model.ObjectID {
+	cands, _ := e.Prune(context.Background(), e.ObjectInfos(), KNNQuery(q, k), e.Now())
 	return cands
 }
 
@@ -858,30 +752,23 @@ func ObjectsOf(infos []query.ObjectInfo) []model.ObjectID {
 
 // RangeQueryOn evaluates Algorithm 3 against an existing table (for batched
 // workloads that preprocess once for many windows).
-func (s *System) RangeQueryOn(tab *anchor.Table, window geom.Rect) model.ResultSet {
-	s.tel.countQuery(KindRange)
-	return s.eval.Range(tab, window)
+func (w *world) RangeQueryOn(tab *anchor.Table, window geom.Rect) model.ResultSet {
+	w.tel.countQuery(KindRange)
+	return w.eval.Range(tab, window)
 }
 
 // KNNQueryOn evaluates Algorithm 4 against an existing table.
-func (s *System) KNNQueryOn(tab *anchor.Table, q geom.Point, k int) model.ResultSet {
-	s.tel.countQuery(KindKNN)
-	return s.eval.KNN(tab, q, k)
-}
-
-// ObjectDistribution returns the particle filter's current anchor-point
-// distribution for one object (preprocessing just that object).
-func (s *System) ObjectDistribution(obj model.ObjectID) map[anchor.ID]float64 {
-	tab := s.Preprocess([]model.ObjectID{obj})
-	return tab.DistributionOf(obj).Map()
+func (w *world) KNNQueryOn(tab *anchor.Table, q geom.Point, k int) model.ResultSet {
+	w.tel.countQuery(KindKNN)
+	return w.eval.KNN(tab, q, k)
 }
 
 // PreprocessAt runs the particle filter for the candidates as of a past
 // time stamp t, using only readings at or before t. With KeepHistory enabled
 // it reaches arbitrarily far back; otherwise it is limited to the live
 // retention window.
-func (s *System) PreprocessAt(candidates []model.ObjectID, t model.Time) *anchor.Table {
-	dists, _ := s.preprocessDists(context.Background(), candidates, Query{Historical: true, At: t})
+func (e *Sharded) PreprocessAt(candidates []model.ObjectID, t model.Time) *anchor.Table {
+	dists, _ := e.Dists(context.Background(), candidates, Query{Historical: true, At: t})
 	return anchor.TableOf(dists)
 }
 
@@ -891,6 +778,8 @@ func (s *System) PreprocessAt(candidates []model.ObjectID, t model.Time) *anchor
 // estimated by Monte Carlo over the particle filter's distributions.
 func (s *System) PTKNNQuery(q geom.Point, k int, threshold float64) []query.PTKNNResult {
 	tab := s.Preprocess(s.KNNCandidates(q, k))
+	s.srcMu.Lock()
+	defer s.srcMu.Unlock()
 	return s.eval.PTKNN(s.src, tab, q, k, threshold, s.cfg.SMTrials)
 }
 
@@ -898,7 +787,7 @@ func (s *System) PTKNNQuery(q geom.Point, k int, threshold float64) []query.PTKN
 // the paper): the k object pairs with the smallest expected network
 // distance, over the particle filter's current distributions of all known
 // objects.
-func (s *System) ClosestPairs(k int) []query.Pair {
-	tab := s.Preprocess(ObjectsOf(s.ObjectInfos()))
-	return s.eval.ClosestPairs(tab, k)
+func (e *Sharded) ClosestPairs(k int) []query.Pair {
+	tab := e.Preprocess(ObjectsOf(e.ObjectInfos()))
+	return e.eval.ClosestPairs(tab, k)
 }

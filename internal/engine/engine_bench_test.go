@@ -19,6 +19,7 @@ import (
 // telemetry run inline). ns/op here is the wall-clock cost of keeping 1000
 // objects current at 1 Hz — divide by 1000 for the per-object budget, and
 // multiply by 100 to estimate the 100k-object step time the roadmap targets.
+// It runs New's System, which is the one-shard router.
 func BenchmarkEngineStep1kObjects(b *testing.B) {
 	plan := floorplan.DefaultOffice()
 	dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
@@ -126,14 +127,14 @@ func BenchmarkColdRun1k(b *testing.B) {
 		tm, raws := world.Step()
 		sys.Ingest(tm, raws)
 	}
-	now := sys.col.Now()
-	objs := sys.col.KnownObjects()
+	now := sys.shards[0].col.Now()
+	objs := sys.shards[0].col.KnownObjects()
 	if len(objs) < 900 {
 		b.Fatalf("too few objects detected: %d/1000", len(objs))
 	}
 	entries := make([][]model.AggregatedReading, len(objs))
 	for i, obj := range objs {
-		entries[i] = sys.col.Aggregated(obj)
+		entries[i] = sys.shards[0].col.Aggregated(obj)
 	}
 	pool := particle.NewPool()
 	var src rng.Source

@@ -4,7 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/floorplan"
 	"repro/internal/model"
+	"repro/internal/rfid"
 )
 
 // TestBoundEventLogWindowDependsOnCountAlone feeds the same events in
@@ -73,5 +75,11 @@ func TestEventsSinceTruncation(t *testing.T) {
 	}
 	if !found {
 		t.Error("no reader events recorded during warm-up")
+	}
+	// The log is New's alone: a router's shards drain their events into no
+	// sink.
+	plan := floorplan.DefaultOffice()
+	if sh := MustNewSharded(plan, rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange), DefaultConfig()); sh.events != nil {
+		t.Error("a NewSharded router keeps an event log")
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"sort"
 
@@ -42,20 +43,19 @@ type RoomOdds struct {
 // Localize runs the particle filter for one object and summarizes the
 // result. ok is false when the object has no readings to infer from.
 func (s *store) Localize(obj model.ObjectID) (Localization, bool) {
-	tab := s.Preprocess([]model.ObjectID{obj})
-	dist := tab.DistributionOf(obj)
-	if dist.Len() == 0 {
+	dists, _ := s.preprocessDists(context.Background(), []model.ObjectID{obj}, Query{})
+	if len(dists) == 0 || dists[0].Dist.Len() == 0 {
 		return Localization{}, false
 	}
-	return s.summarize(obj, dist), true
+	return s.summarize(obj, dists[0].Dist), true
 }
 
 // LocalizeAll localizes every known object, sorted by object ID.
-func (s *store) LocalizeAll() []Localization {
-	tab := s.Preprocess(s.col.KnownObjects())
+func (e *Sharded) LocalizeAll() []Localization {
+	tab := e.Preprocess(e.KnownObjects())
 	out := make([]Localization, 0, len(tab.Dists()))
 	for _, od := range tab.Dists() {
-		out = append(out, s.summarize(od.Object, od.Dist))
+		out = append(out, e.summarize(od.Object, od.Dist))
 	}
 	return out
 }
@@ -63,13 +63,13 @@ func (s *store) LocalizeAll() []Localization {
 // RoomDistribution returns the object's room-level distribution, ranked by
 // descending probability; the hallway share appears as a single NoRoom
 // entry. ok is false when the object cannot be localized.
-func (s *store) RoomDistribution(obj model.ObjectID) ([]RoomOdds, bool) {
-	tab := s.Preprocess([]model.ObjectID{obj})
+func (e *Sharded) RoomDistribution(obj model.ObjectID) ([]RoomOdds, bool) {
+	tab := e.Preprocess([]model.ObjectID{obj})
 	dist := tab.DistributionOf(obj)
 	if dist.Len() == 0 {
 		return nil, false
 	}
-	return roomOdds(s.idx, dist), true
+	return roomOdds(e.idx, dist), true
 }
 
 // roomOdds and summarize accumulate over a distribution in its own order —
@@ -95,11 +95,11 @@ func roomOdds(idx *anchor.Index, dist anchor.Dist) []RoomOdds {
 	return out
 }
 
-func (s *store) summarize(obj model.ObjectID, dist anchor.Dist) Localization {
+func (w *world) summarize(obj model.ObjectID, dist anchor.Dist) Localization {
 	loc := Localization{Object: obj, Mode: anchor.NoAnchor}
 	var mx, my float64
 	for i, ap := range dist.IDs {
-		a, p := s.idx.Anchor(ap), dist.P[i]
+		a, p := w.idx.Anchor(ap), dist.P[i]
 		mx += a.Pos.X * p
 		my += a.Pos.Y * p
 		if p > loc.ModeProb || (p == loc.ModeProb && ap < loc.Mode) {
@@ -110,7 +110,7 @@ func (s *store) summarize(obj model.ObjectID, dist anchor.Dist) Localization {
 		}
 	}
 	loc.Mean = geom.Pt(mx, my)
-	odds := roomOdds(s.idx, dist)
+	odds := roomOdds(w.idx, dist)
 	if len(odds) > 0 {
 		loc.Room, loc.RoomProb = odds[0].Room, odds[0].P
 	}

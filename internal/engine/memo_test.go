@@ -48,7 +48,7 @@ func TestMemoizedDistMatchesFreshSnap(t *testing.T) {
 		}
 		if shards == 0 {
 			s := MustNew(plan, dep, cfg)
-			stores, sys = []*store{s.store}, s
+			stores, sys = s.shards, s
 		} else {
 			cfg.Shards = shards
 			e := MustNewSharded(plan, dep, cfg)

@@ -21,7 +21,7 @@ type ingestState struct {
 }
 
 func kernelState(s *System) ingestState {
-	return ingestState{s.Stats(), []collector.Snapshot{s.col.Snapshot()}}
+	return ingestState{s.Stats(), []collector.Snapshot{s.shards[0].col.Snapshot()}}
 }
 
 func routerState(e *Sharded) ingestState {

@@ -99,21 +99,12 @@ func encodeDurableState(t *testing.T, shard *store, stats Stats, reorder *ingest
 	return buf.Bytes()
 }
 
-// snapshotBytes is the in-memory kernel's durable state; the query counters
+// snapshotBytes is a one-shard engine's durable state; the query counters
 // live in the telemetry and are folded in the way Stats() reports them.
-func snapshotBytes(t *testing.T, s *System) []byte {
-	t.Helper()
-	stats := s.stats
-	stats.RangeQueries, stats.KNNQueries = s.tel.queriesCounted()
-	return encodeDurableState(t, s.store, stats, s.reorder)
-}
-
-// routerSnapshotBytes is a one-shard router's durable state, laid out like
-// snapshotBytes.
-func routerSnapshotBytes(t *testing.T, e *Sharded) []byte {
+func snapshotBytes(t *testing.T, e *Sharded) []byte {
 	t.Helper()
 	if e.n != 1 {
-		t.Fatalf("routerSnapshotBytes needs one shard, engine has %d", e.n)
+		t.Fatalf("snapshotBytes needs one shard, engine has %d", e.n)
 	}
 	stats := e.shards[0].stats
 	stats.RangeQueries, stats.KNNQueries = e.tel.queriesCounted()
@@ -153,7 +144,7 @@ func TestParallelPreprocessDeterministicAtScale(t *testing.T) {
 		}
 		rng := sys.RangeQuery(geom.RectWH(5, 9, 25, 14))
 		knn := sys.KNNQuery(geom.Pt(20, 12), 10)
-		return outcome{stats: sys.Stats(), rng: rng, knn: knn, snap: snapshotBytes(t, sys)}
+		return outcome{stats: sys.Stats(), rng: rng, knn: knn, snap: snapshotBytes(t, sys.Sharded)}
 	}
 	base := build(1)
 	if base.stats.FiltersRun == 0 || len(base.rng) == 0 {

@@ -17,7 +17,7 @@ import (
 
 // This file is the query pipeline (DESIGN.md §18): one Query value, one
 // driver (Run) that takes it through gather → prune → preprocess → evaluate,
-// and one scatter/gather (Router) shared by the kernel's shards and the
+// and one scatter/gather (Router) shared by the engine's shards and the
 // cluster's peers.
 
 // QueryKind selects what a Query asks.
@@ -91,9 +91,10 @@ type Answer struct {
 	Rooms  []RoomOdds
 }
 
-// Partition is a holder of objects that can take part in a query: the
-// in-memory kernel, one shard of the router, the router itself, or a cluster
-// peer behind a transport. Every method answers in ascending object order.
+// Partition is a holder of objects that can take part in a query: one
+// shard's store, that shard under the router's lock, the router itself, or a
+// cluster peer behind a transport. Every method answers in ascending object
+// order.
 //
 // Errors are the typed markers of an incomplete answer, returned beside
 // whatever could still be computed: a *query.DeadlineError when ctx ran out,
@@ -138,9 +139,8 @@ type Coordinator interface {
 
 // Run answers q over the objects p holds: find the candidates, preprocess
 // them where they live, build the APtoObjHT table once and evaluate once. It
-// is the only place the stages are strung together — the kernel runs it over
-// itself, the router over its shards, a cluster node over itself and its
-// peers.
+// is the only place the stages are strung together — the router runs it over
+// its shards, a cluster node over itself and its peers.
 //
 // Only kNN pruning needs a bound over all objects (the k-th smallest l_i), so
 // only a kNN query gathers every summary, prunes once on the coordinator and
@@ -349,8 +349,8 @@ func IsDeadline(err error) (*query.DeadlineError, bool) {
 	return nil, false
 }
 
-// Querier is anything that answers a Query: the kernel, the router, a
-// cluster node.
+// Querier is anything that answers a Query: the router (a System is one) or
+// a cluster node.
 type Querier interface {
 	Query(ctx context.Context, q Query) (Answer, error)
 }

@@ -139,18 +139,18 @@ func TestDeadlineLeavesSkippedStatesUntouched(t *testing.T) {
 		}
 		return m
 	}
-	before := byObject(sys.cache.Dump())
+	before := byObject(sys.shards[0].cache.Dump())
 	const reach = 25
 	ctx := &countdownCtx{Context: context.Background()}
 	ctx.left.Store(reach)
-	dists, err := sys.preprocessDists(ctx, objs, Query{})
+	dists, err := sys.shards[0].preprocessDists(ctx, objs, Query{})
 	if de, ok := IsDeadline(err); !ok || de.Stage != "preprocess" {
 		t.Fatalf("err = %v, want a preprocess deadline", err)
 	}
 	if len(dists) != reach {
 		t.Fatalf("%d objects answered, want the %d reached before the deadline", len(dists), reach)
 	}
-	after := byObject(sys.cache.Dump())
+	after := byObject(sys.shards[0].cache.Dump())
 	answered := make(map[model.ObjectID]bool)
 	advanced := 0
 	for _, od := range dists {
@@ -185,8 +185,8 @@ func TestDeadlineLeavesSkippedStatesUntouched(t *testing.T) {
 	ingestTrace(t, ref, refWorld, 40)
 	ref.Preprocess(objs)
 	ingestTrace(t, ref, refWorld, 2)
-	want, _ := ref.preprocessDists(context.Background(), objs, Query{})
-	got, err := sys.preprocessDists(context.Background(), objs, Query{})
+	want, _ := ref.shards[0].preprocessDists(context.Background(), objs, Query{})
+	got, err := sys.shards[0].preprocessDists(context.Background(), objs, Query{})
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Errorf("answers after a deadline-cut call diverge from an uncut engine (err %v)", err)
 	}

@@ -1,7 +1,5 @@
 package engine
 
-import "repro/internal/health"
-
 // This file is the engine's resilience surface: the reader-health monitor's
 // coupling to the sensing model and the degraded-mode particle budget
 // (DESIGN.md §12). Query deadlines are the pipeline's (pipeline.go).
@@ -28,23 +26,11 @@ func (w *world) Unhealthy() []bool {
 	return w.pruner.Unhealthy()
 }
 
-// ReaderHealth returns the liveness snapshot of every reader, or nil when
-// health monitoring is disabled. The slice is indexed by ReaderID.
-func (s *System) ReaderHealth() []health.ReaderHealth {
-	if s.monitor == nil {
-		return nil
-	}
-	return s.monitor.Snapshot(s.col.Now())
-}
-
-// HealthMonitorEnabled reports whether the reader-health monitor is running.
-func (s *System) HealthMonitorEnabled() bool { return s.monitor != nil }
-
 // SetParticleBudget caps the per-object particle count of newly initialized
 // filter states — the degraded-mode knob the server's overload controller
 // turns (the documented Ns ablation axis). n <= 0 or n >= the configured Ns
 // restores full fidelity. The router's queries read the budget under
-// healthMu; the kernel's callers hold the exclusion its query API requires.
+// healthMu.
 func (w *world) SetParticleBudget(n int) {
 	w.healthMu.Lock()
 	w.filter.SetParticleBudget(n)
@@ -59,11 +45,4 @@ func (w *world) ParticleBudget() int {
 	w.healthMu.RLock()
 	defer w.healthMu.RUnlock()
 	return w.filter.ParticleBudget()
-}
-
-// NoteOversizedBody accounts one rejected ingest delivery whose HTTP body
-// exceeded the configured cap. The loss never reaches the reorder buffer, so
-// the HTTP layer reports it here to keep the drop accounting complete.
-func (s *System) NoteOversizedBody() {
-	s.extraDrops.OversizedBatches++
 }

@@ -47,12 +47,13 @@ const MaxShards = 256
 // Because every per-object computation is keyed by (Seed, object, last
 // reading time) — never by which other objects share the engine — a Sharded
 // engine's answers, Stats, and recovered state are bit-for-bit identical to
-// the bare kernel's at any shard count (DESIGN.md §14).
+// the one-shard engine's at any shard count (DESIGN.md §14).
 //
-// Sharded synchronizes internally (unlike System): ingest, queries, and
-// stats reads may run concurrently. The lock hierarchy is
-// ingestMu > healthMu > shardMu[i]; locks are only ever acquired left to
-// right, and the per-shard locks are never nested with each other.
+// Sharded synchronizes internally (a System is a one-shard Sharded, so it
+// does too): ingest, queries, and stats reads may run concurrently. The lock
+// hierarchy is ingestMu > healthMu > shardMu[i]; locks are only ever
+// acquired left to right, and the per-shard locks are never nested with
+// each other.
 type Sharded struct {
 	// QueryMethods are the classic spellings of Query.
 	QueryMethods
@@ -77,6 +78,10 @@ type Sharded struct {
 	// curTrace is the trace of the in-flight IngestContext call, read by the
 	// reorder sink and the WAL/apply paths it triggers. Guarded by ingestMu.
 	curTrace *trace.Context
+
+	// events is System's ENTER/LEAVE log, set only by New; a router keeps
+	// none. Guarded by ingestMu.
+	events *eventLog
 
 	// Scratch of one flushed second, reused by the next (guarded by
 	// ingestMu): parts are the per-shard subsets partition cuts out of
@@ -192,10 +197,6 @@ func MustNewSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) *Sha
 // NumShards returns the shard count.
 func (e *Sharded) NumShards() int { return e.n }
 
-// SelfSynchronizing reports that Sharded performs its own locking; the HTTP
-// server skips its global mutex when the engine says so.
-func (e *Sharded) SelfSynchronizing() bool { return true }
-
 // Now returns the most recently ingested second.
 func (e *Sharded) Now() model.Time {
 	e.shardMu[0].Lock()
@@ -206,15 +207,20 @@ func (e *Sharded) Now() model.Time {
 // ---------------------------------------------------------------------------
 // Ingestion: one reorder buffer, scatter per second.
 
-// Ingest feeds one delivery through the router's reorder buffer; flushed
-// seconds are partitioned by object and applied to every shard. The typed
-// *ingest.Error contract matches System.Ingest. With durability enabled
-// (OpenSharded), every flushed second is appended to the live shards'
-// write-ahead logs before it is applied, and the logs are fsynced per the
-// configured policy before Ingest returns; readings owed to a quarantined
-// shard come back as a KindQuarantined drop, and a fail-stop (the last live
-// shard's log failing) is sticky: every later Ingest returns the same error
-// rather than silently degrading to memory-only.
+// Ingest feeds one delivery through the router's reorder buffer, which
+// routes each reading to its own second, deduplicates retransmissions, and
+// flushes whole seconds in order once the watermark (Config.Ingest.Horizon)
+// closes them (at once, with the zero-value ingest configuration); flushed
+// seconds are partitioned by object and applied to every shard. Input that
+// is refused or discarded comes back as a typed *ingest.Error, counted in
+// Stats; unless its Rejected flag is set, the rest of the delivery was
+// accepted. With durability enabled (OpenSharded), every flushed second is
+// appended to the live shards' write-ahead logs before it is applied, and
+// the logs are fsynced per the configured policy before Ingest returns;
+// readings owed to a quarantined shard come back as a KindQuarantined drop,
+// and a fail-stop (the last live shard's log failing) is sticky: every later
+// Ingest returns the same error rather than silently degrading to
+// memory-only.
 func (e *Sharded) Ingest(t model.Time, raws []model.RawReading) error {
 	return e.IngestContext(context.Background(), t, raws)
 }
@@ -253,8 +259,8 @@ func (e *Sharded) IngestContext(ctx context.Context, t model.Time, raws []model.
 }
 
 // FlushIngest drains every buffered second regardless of the lateness
-// horizon, like System.FlushIngest; the drained seconds are logged and
-// fsynced like any others.
+// horizon (call it at end of stream when a non-zero horizon is configured);
+// the drained seconds are logged and fsynced like any others.
 func (e *Sharded) FlushIngest() {
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
@@ -339,31 +345,22 @@ func (e *Sharded) applyParts(t model.Time, parts [][]model.RawReading, raws []mo
 	evs := e.evs
 	clear(evs)
 	tr := e.curTrace // captured before the scatter; nil during recovery replay
-	apply := func(i int) {
-		sh := e.shards[i]
-		e.shardMu[i].Lock()
-		defer e.shardMu[i].Unlock()
-		astart := time.Now()
-		evs[i] = sh.collectSecond(t, parts[i])
-		sh.shardTel.step.Observe(time.Since(astart).Seconds())
-		sh.shardTel.queueDepth.Set(float64(len(parts[i])))
-		tr.Since("collect", i, astart)
-	}
 	if e.n == 1 {
-		apply(0)
+		evs[0] = e.applyShard(0, t, parts[0], tr)
 	} else {
 		var wg sync.WaitGroup
 		for i := 0; i < e.n; i++ {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				apply(i)
+				evs[i] = e.applyShard(i, t, parts[i], tr)
 			}(i)
 		}
 		wg.Wait()
 	}
-	// Release is a per-object map delete, so the shards' ENTERs need no
-	// merged order.
+	// An ENTER explains the object's coming silence (rooms are uncovered):
+	// its reader should not expect more detections. Release is a per-object
+	// map delete, so the shards' ENTERs need no merged order.
 	if e.monitor != nil {
 		for _, part := range evs {
 			for _, ev := range part {
@@ -373,6 +370,21 @@ func (e *Sharded) applyParts(t model.Time, parts [][]model.RawReading, raws []mo
 			}
 		}
 	}
+	e.events.record(evs)
+}
+
+// applyShard collects one second's part into shard i under its lock and
+// returns the events its collector drained.
+func (e *Sharded) applyShard(i int, t model.Time, part []model.RawReading, tr *trace.Context) []model.Event {
+	sh := e.shards[i]
+	e.shardMu[i].Lock()
+	defer e.shardMu[i].Unlock()
+	astart := time.Now()
+	evs := sh.collectSecond(t, part)
+	sh.shardTel.step.Observe(time.Since(astart).Seconds())
+	sh.shardTel.queueDepth.Set(float64(len(part)))
+	tr.Since("collect", i, astart)
+	return evs
 }
 
 // ---------------------------------------------------------------------------
@@ -424,7 +436,7 @@ func (p shard) OwnDists(ctx context.Context, q Query, sc Scope) ([]anchor.ObjDis
 }
 
 // Infos merges every live shard's candidate summaries in ascending object
-// order — identical to the kernel's because KnownObjects is sorted and
+// order — identical to one shard's because KnownObjects is sorted and
 // shards hold disjoint objects.
 func (e *Sharded) Infos(ctx context.Context, q Query) ([]query.ObjectInfo, error) {
 	e.healthMu.RLock()
@@ -511,7 +523,8 @@ func (e *Sharded) KnownObjects() []model.ObjectID {
 	return kMerge(per, func(a, b model.ObjectID) bool { return a < b })
 }
 
-// ReaderHealth mirrors System.ReaderHealth from the router's monitor.
+// ReaderHealth returns the router monitor's liveness snapshot of every
+// reader, indexed by ReaderID, or nil when health monitoring is disabled.
 func (e *Sharded) ReaderHealth() []health.ReaderHealth {
 	if e.monitor == nil {
 		return nil
@@ -525,16 +538,16 @@ func (e *Sharded) ReaderHealth() []health.ReaderHealth {
 // HealthMonitorEnabled reports whether the router runs a health monitor.
 func (e *Sharded) HealthMonitorEnabled() bool { return e.monitor != nil }
 
-// NoteOversizedBody accounts one oversized ingest delivery, like
-// System.NoteOversizedBody.
+// NoteOversizedBody accounts one ingest delivery the HTTP layer refused for
+// exceeding its body cap: the loss never reaches the reorder buffer.
 func (e *Sharded) NoteOversizedBody() {
 	e.ingestMu.Lock()
 	e.extraDrops.OversizedBatches++
 	e.ingestMu.Unlock()
 }
 
-// SyncMetrics refreshes the scrape-time mirrors from the merged state,
-// like System.SyncMetrics; metricsMu serializes concurrent scrapes.
+// SyncMetrics refreshes the scrape-time mirrors from the merged state;
+// metricsMu serializes concurrent scrapes.
 func (e *Sharded) SyncMetrics() {
 	e.metricsMu.Lock()
 	defer e.metricsMu.Unlock()

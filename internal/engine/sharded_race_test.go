@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -12,26 +13,53 @@ import (
 
 	"repro/internal/floorplan"
 	"repro/internal/geom"
+	"repro/internal/health"
 	"repro/internal/ingest"
 	"repro/internal/model"
 	"repro/internal/rfid"
 	"repro/internal/sim"
 	"repro/internal/sim/errfs"
 	"repro/internal/wal"
+	"repro/internal/walkgraph"
 )
 
-// TestShardedConcurrentStress hammers a Sharded engine from several
-// goroutines at once — one ingester, live range and kNN queriers, and a
-// stats/metrics scraper — at shard counts 1, 4, and 16. It is primarily a
-// -race target (the router's lock discipline must keep every surface safe),
-// and it re-checks two invariants the concurrency must not break: the final
-// quiesced answers are identical at every shard count, and no goroutines
-// leak once the engine falls idle. stressCachedQueries then repeats the
-// exercise with the cache on, where the query path shares the most state.
+// stressEngine is the surface TestShardedConcurrentStress hammers: every
+// engine's, the one-shard System's as much as a router's.
+type stressEngine interface {
+	Graph() *walkgraph.Graph
+	Ingest(t model.Time, raws []model.RawReading) error
+	FlushIngest()
+	RangeQuery(window geom.Rect) model.ResultSet
+	KNNQuery(p geom.Point, k int) model.ResultSet
+	Occupancy() []RoomOdds
+	Stats() Stats
+	CacheStats() (hits, misses int)
+	SyncMetrics()
+	ReaderHealth() []health.ReaderHealth
+	KnownObjects() []model.ObjectID
+	SetParticleBudget(n int)
+}
+
+// TestShardedConcurrentStress hammers an engine from several goroutines at
+// once — one ingester, live range and kNN queriers, and a stats/metrics
+// scraper — for New's System and for routers of 1, 4, and 16 shards. It is
+// primarily a -race target (the router's lock discipline must keep every
+// surface safe, the System's included), and it re-checks two invariants the
+// concurrency must not break: the final quiesced answers are identical on
+// every engine, and no goroutines leak once the engine falls idle.
+// stressCachedQueries then repeats the exercise with the cache on, where the
+// query path shares the most state.
 func TestShardedConcurrentStress(t *testing.T) {
 	plan := floorplan.DefaultOffice()
 	dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
 	before := runtime.NumGoroutine()
+	// name labels an input: 0 is New's System, n > 0 a router of n shards.
+	name := func(n int) string {
+		if n == 0 {
+			return "System"
+		}
+		return fmt.Sprintf("shards=%d", n)
+	}
 
 	const steps = 60
 	type quiesced struct {
@@ -40,7 +68,7 @@ func TestShardedConcurrentStress(t *testing.T) {
 		known []model.ObjectID
 	}
 	outcomes := make(map[int]quiesced)
-	for _, n := range []int{1, 4, 16} {
+	for _, n := range []int{0, 1, 4, 16} {
 		cfg := DefaultConfig()
 		cfg.Seed = 33
 		cfg.Shards = n
@@ -50,7 +78,12 @@ func TestShardedConcurrentStress(t *testing.T) {
 		// nondeterministic, so pin the stronger cache-off invariant:
 		// quiesced answers are a pure function of the ingested stream.
 		cfg.UseCache = false
-		sh := MustNewSharded(plan, dep, cfg)
+		var sh stressEngine
+		if n == 0 {
+			sh = MustNew(plan, dep, cfg)
+		} else {
+			sh = MustNewSharded(plan, dep, cfg)
+		}
 		tc := sim.DefaultTraceConfig()
 		tc.NumObjects = 40
 		tc.DwellMin, tc.DwellMax = 2, 8
@@ -67,7 +100,7 @@ func TestShardedConcurrentStress(t *testing.T) {
 			for i := 0; i < steps; i++ {
 				tm, raws := world.Step()
 				if err := sh.Ingest(tm, raws); err != nil {
-					t.Errorf("shards=%d: Ingest: %v", n, err)
+					t.Errorf("%s: Ingest: %v", name(n), err)
 					return
 				}
 			}
@@ -129,9 +162,9 @@ func TestShardedConcurrentStress(t *testing.T) {
 	if len(base.known) == 0 || len(base.rng) == 0 {
 		t.Fatalf("stress baseline is vacuous: %d objects, %d range rows", len(base.known), len(base.rng))
 	}
-	for _, n := range []int{4, 16} {
+	for _, n := range []int{0, 4, 16} {
 		if !reflect.DeepEqual(outcomes[n], base) {
-			t.Errorf("shards=%d: quiesced answers diverge from shards=1", n)
+			t.Errorf("%s: quiesced answers diverge from shards=1", name(n))
 		}
 	}
 

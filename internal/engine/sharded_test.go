@@ -47,13 +47,11 @@ type objectState struct {
 	Now     model.Time
 }
 
-// objectStateOf reads the kernel's collector, or merges the router's shards'
-// disjoint ones.
+// objectStateOf merges the router's shards' disjoint collectors.
 func objectStateOf(sys any) objectState {
 	switch s := sys.(type) {
 	case *System:
-		snap := s.col.Snapshot()
-		return objectState{snap.Objects, snap.Now}
+		return objectStateOf(s.Sharded)
 	case *Sharded:
 		per := make([][]collector.ObjectSnapshot, s.n)
 		now := s.Now()

@@ -107,8 +107,7 @@ type shardMetrics struct {
 }
 
 // shardMetrics returns (creating on first use) the cached handles for shard
-// i. The sharded router resolves every shard's handles at construction; a
-// standalone System resolves shard 0.
+// i. The router resolves every shard's handles at construction.
 func (t *Telemetry) shardMetrics(i int) *shardMetrics {
 	t.shardMu.Lock()
 	defer t.shardMu.Unlock()
@@ -265,7 +264,7 @@ func newTelemetry(cfg Config) *Telemetry {
 func (t *Telemetry) Registry() *obs.Registry { return t.reg }
 
 // metricsView is the engine state the scrape-time mirrors are refreshed
-// from. The kernel and the router each fill one from what they own.
+// from, filled by the router's SyncMetrics.
 type metricsView struct {
 	stats            Stats
 	pendingSeconds   int
@@ -312,25 +311,6 @@ func (t *Telemetry) mirror(v metricsView) {
 		t.readerState.With(label).Set(float64(rh.State))
 		t.readerSilence.With(label).Set(float64(rh.SilenceSeconds))
 	}
-}
-
-// SyncMetrics refreshes the scrape-time mirrors from the authoritative
-// engine state. Callers must hold the same exclusion the query API requires;
-// the /metrics handler calls it under the server lock and renders after
-// releasing it.
-func (s *System) SyncMetrics() {
-	v := metricsView{
-		stats:          s.Stats(),
-		pendingSeconds: s.reorder.PendingSeconds(),
-		watermarkLag:   s.reorder.Lag(),
-		now:            s.col.Now(),
-		objects:        s.col.NumObjects(),
-		entries:        s.cache.Len(),
-	}
-	if s.monitor != nil {
-		v.health = s.monitor.Snapshot(v.now)
-	}
-	s.tel.mirror(v)
 }
 
 // recordRun accounts one filter call from its RunStats and the caller's
@@ -386,8 +366,8 @@ func (t *Telemetry) observeQuery(q Query, simTime model.Time, candidates int, st
 
 // countQuery counts one evaluated snapshot range or kNN query — the
 // RangeQueries/KNNQueries of Stats. They live here, beside the histograms,
-// because whoever coordinates a query (kernel, router, cluster node) reaches
-// the telemetry but not the kernel's own counters.
+// because whoever coordinates a query (router, cluster node) reaches the
+// telemetry but not the shards' own counters.
 func (t *Telemetry) countQuery(k QueryKind) {
 	if k != KindOccupancy {
 		t.queries[k].Add(1)

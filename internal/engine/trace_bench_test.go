@@ -57,7 +57,7 @@ func (h *traceStepHarness) step(tr *trace.Context) {
 	h.sys.filter.AdvancePool(h.pool, h.src, h.st, h.entry, next)
 	h.task.advance = time.Since(start)
 	if tr != nil {
-		h.sys.recordSpans(tr, start, &h.task)
+		h.sys.shards[0].recordSpans(tr, start, &h.task)
 	}
 }
 

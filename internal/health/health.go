@@ -182,8 +182,8 @@ type pendingObj struct {
 }
 
 // Monitor infers per-reader health from the observed reading stream. It is
-// not safe for concurrent use; the engine drives it under its own
-// serialization (the same single-writer discipline as the collector).
+// not safe for concurrent use; the engine drives it under its ingest lock
+// (the same single-writer discipline as the collector).
 type Monitor struct {
 	cfg     Config
 	readers []readerState

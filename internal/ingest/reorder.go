@@ -25,7 +25,7 @@ type Config struct {
 	// across deliveries, and ahead-stamped readings are mis-stamped drops
 	// instead of being buffered. With a non-zero horizon the newest Horizon
 	// seconds stay buffered until a later batch closes them, so callers
-	// must drain via FlushAll (engine.System.FlushIngest) at end of stream.
+	// must drain via FlushAll (engine.Sharded.FlushIngest) at end of stream.
 	Horizon model.Time
 	// MaxSkew caps how far a reading's stamp may disagree with its
 	// delivery's batch second: more than MaxSkew ahead is discarded as

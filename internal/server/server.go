@@ -19,13 +19,10 @@
 //	GET  /debug/traces              tail-sampled request traces (?format=chrome)
 //	GET  /debug/pprof/              net/http/pprof (opt-in via HandlerConfig)
 //
-// The single-shard engine.System is not safe for concurrent use; the server
-// serializes access with a mutex, which matches the one-writer reality of a
-// reading stream. An engine that synchronizes internally (engine.Sharded)
-// reports it via SelfSynchronizing and the server skips its lock, letting
-// ingestion and queries overlap. Handlers compute their answer under the
-// lock and encode it to the client after releasing it, so one slow reader
-// cannot head-of-line block the ingestion path.
+// Every Engine synchronizes itself, so handlers call it directly and
+// ingestion and queries overlap; the server holds no lock around engine
+// calls. A handler encodes its answer to the client after the engine call
+// returns, so one slow reader cannot head-of-line block the ingestion path.
 package server
 
 import (
@@ -36,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"runtime/debug"
@@ -61,8 +59,9 @@ import (
 )
 
 // Engine is the query-evaluation surface the server drives: implemented by
-// the router *engine.Sharded (what cmd/server runs), a *cluster.Node wrapping
-// one, and the bare in-memory kernel *engine.System.
+// the router *engine.Sharded (what cmd/server runs), the one-shard
+// *engine.System, and a *cluster.Node wrapping either. Implementations must
+// be safe for concurrent use.
 type Engine interface {
 	IngestContext(ctx context.Context, t model.Time, raws []model.RawReading) error
 	Now() model.Time
@@ -86,12 +85,6 @@ type Engine interface {
 	Close() error
 }
 
-// selfSynchronizing is implemented by engines that do their own locking;
-// the server then skips its serialization mutex.
-type selfSynchronizing interface {
-	SelfSynchronizing() bool
-}
-
 // clusterNode is the optional surface of an Engine that is a cluster node
 // (*cluster.Node): the server mounts its peer RPC endpoint and status
 // document, folds its peer health into /readyz, and hands it the request
@@ -105,12 +98,9 @@ type clusterNode interface {
 
 // Server wraps an Engine with an HTTP API.
 type Server struct {
-	mu sync.Mutex
-	// noLock skips the mutex for engines that synchronize internally.
-	noLock bool
-	sys    Engine
-	plan   *floorplan.Plan
-	dep    *rfid.Deployment
+	sys  Engine
+	plan *floorplan.Plan
+	dep  *rfid.Deployment
 
 	// adm is the query admission controller (nil: admission disabled);
 	// maxIngestBytes caps POST /ingest bodies.
@@ -203,9 +193,6 @@ func NewWith(sys Engine, plan *floorplan.Plan, dep *rfid.Deployment, cfg Config)
 		s.degradedTransitions = r.Counter("repro_degraded_transitions_total",
 			"Degraded-mode enter/leave transitions.")
 	}
-	if ss, ok := sys.(selfSynchronizing); ok && ss.SelfSynchronizing() {
-		s.noLock = true
-	}
 	if cn, ok := sys.(clusterNode); ok {
 		s.clu = cn
 		cn.SetTracer(s.tracer)
@@ -219,39 +206,20 @@ func NewWith(sys Engine, plan *floorplan.Plan, dep *rfid.Deployment, cfg Config)
 // closes.
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
-// lock and unlock serialize engine access, unless the engine synchronizes
-// itself (noLock): then ingest and queries run concurrently and the engine's
-// internal sharding is what provides the parallelism.
-func (s *Server) lock() {
-	if !s.noLock {
-		s.mu.Lock()
-	}
-}
-
-func (s *Server) unlock() {
-	if !s.noLock {
-		s.mu.Unlock()
-	}
-}
-
 // Close drains the server for shutdown: /readyz goes unready, then the
-// engine's durability layer flushes, snapshots, and closes under the
-// serialization lock. Safe to call once in-flight requests finished (i.e.
-// after http.Server.Shutdown returned).
+// engine's durability layer flushes, snapshots, and closes. Safe to call
+// once in-flight requests finished (i.e. after http.Server.Shutdown
+// returned).
 func (s *Server) Close() error {
 	s.ready.Store(false)
-	s.lock()
-	defer s.unlock()
 	return s.sys.Close()
 }
 
 // IngestDirect feeds one delivery of readings bypassing HTTP (used by the
-// demo simulator); it takes the same lock as the handlers. Rejections are
-// logged and land in the same Stats().Ingest.LateBatches counter that backs
-// the HTTP 409 path, so /stats and /metrics agree no matter the entry point.
+// demo simulator). Rejections are logged and land in the same
+// Stats().Ingest.LateBatches counter that backs the HTTP 409 path, so
+// /stats and /metrics agree no matter the entry point.
 func (s *Server) IngestDirect(t model.Time, raws []model.RawReading) error {
-	s.lock()
-	defer s.unlock()
 	err := s.sys.IngestContext(context.Background(), t, raws)
 	var ie *ingest.Error
 	if errors.As(err, &ie) && ie.Rejected {
@@ -439,7 +407,7 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 
 // updateDegraded applies the degraded-mode controller's decision to the
 // engine: entering reduces the per-object particle budget along the Ns
-// ablation knob, leaving restores full fidelity. Called with s.mu NOT held.
+// ablation knob, leaving restores full fidelity.
 func (s *Server) updateDegraded() {
 	degraded, changed := s.adm.degradeDecision(time.Now())
 	if !changed {
@@ -449,9 +417,7 @@ func (s *Server) updateDegraded() {
 	if degraded {
 		budget = s.adm.cfg.DegradedParticles
 	}
-	s.lock()
 	s.sys.SetParticleBudget(budget)
-	s.unlock()
 	if degraded {
 		s.degradedMode.Set(1)
 		log.Printf("server: sustained overload, degrading particle budget to %d", budget)
@@ -466,11 +432,9 @@ func (s *Server) updateDegraded() {
 // maintains: state, silence, smoothed detection rate, and accrued missed
 // evidence per reader.
 func (s *Server) handleReaders(w http.ResponseWriter, r *http.Request) {
-	s.lock()
 	enabled := s.sys.HealthMonitorEnabled()
 	readers := s.sys.ReaderHealth()
 	now := s.sys.Now()
-	s.unlock()
 	if readers == nil {
 		readers = []health.ReaderHealth{}
 	}
@@ -506,11 +470,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(map[string]string{"status": "draining"})
 		return
 	}
-	s.lock()
 	walErr := s.sys.WALError()
 	rec := s.sys.Recovery()
 	degraded := s.sys.DegradedShards()
-	s.unlock()
 	if walErr != nil {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
@@ -672,9 +634,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &mbe) {
 			// Refused undecoded: the loss is counted at batch granularity so
 			// the drop accounting stays complete (Stats().Ingest).
-			s.lock()
 			s.sys.NoteOversizedBody()
-			s.unlock()
 			httpError(w, http.StatusRequestEntityTooLarge,
 				"body exceeds %d-byte ingest cap; split the delivery", s.maxIngestBytes)
 			return
@@ -694,10 +654,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			req.Readings[i].Time = req.Time
 		}
 	}
-	s.lock()
 	err = s.sys.IngestContext(r.Context(), req.Time, req.Readings)
 	now := s.sys.Now()
-	s.unlock()
 	var ie *ingest.Error
 	if errors.As(err, &ie) && ie.Rejected {
 		httpError(w, http.StatusConflict, "%v", ie)
@@ -798,9 +756,7 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request, q engine.Query) (
 		ctx, cancel = context.WithTimeout(ctx, deadline)
 		defer cancel()
 	}
-	s.lock()
 	ans, partial = s.sys.Query(ctx, q)
-	s.unlock()
 	return ans, partial, !relayShed(w, partial)
 }
 
@@ -810,8 +766,8 @@ type arrivalKey struct{}
 
 // queryDeadline parses the optional deadline_ms parameter (0: no deadline).
 // The budget is measured from the request's ARRIVAL, not from the moment the
-// handler finally runs: time spent queued behind the admission gate or the
-// serialization lock is subtracted, so a forwarded cluster query can never
+// handler finally runs: time spent queued behind the admission gate is
+// subtracted, so a forwarded cluster query can never
 // spend more wall time than the client asked for end to end. A budget fully
 // consumed by queueing is clamped to 1ms — the query starts, expires at its
 // first deadline check, and returns a partial, the usual overrun contract.
@@ -885,10 +841,8 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "route needs float params x1, y1, x2, y2")
 		return
 	}
-	s.lock()
 	g := s.sys.Graph()
 	pts, dist := g.Route(g.NearestLocation(geom.Pt(x1, y1)), g.NearestLocation(geom.Pt(x2, y2)))
-	s.unlock()
 	poly := make([][2]float64, len(pts))
 	for i, p := range pts {
 		poly[i] = [2]float64{p.X, p.Y}
@@ -902,9 +856,7 @@ func (s *Server) handleLocalize(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "localize needs integer param object")
 		return
 	}
-	s.lock()
 	loc, ok := s.sys.Localize(model.ObjectID(id))
-	s.unlock()
 	if !ok {
 		httpError(w, http.StatusNotFound, "object %d has no readings", id)
 		return
@@ -946,9 +898,7 @@ func (s *Server) handleOccupancy(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleObjects(w http.ResponseWriter, r *http.Request) {
-	s.lock()
 	objs := s.sys.KnownObjects()
-	s.unlock()
 	if objs == nil {
 		objs = []model.ObjectID{}
 	}
@@ -956,11 +906,9 @@ func (s *Server) handleObjects(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.lock()
 	hits, misses := s.sys.CacheStats()
 	st := s.sys.Stats()
 	now := s.sys.Now()
-	s.unlock()
 	s.writeJSON(w, map[string]any{
 		"now":         now,
 		"work":        st,
@@ -978,7 +926,6 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	s.lock()
 	c := viz.NewCanvas(s.plan, 10)
 	c.DrawPlan(s.plan)
 	c.DrawDeployment(s.dep)
@@ -987,20 +934,15 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	for i, od := range tab.Dists() {
 		c.DrawDistribution(s.sys.AnchorIndex(), od.Dist, colors[i%len(colors)])
 	}
-	svg := c.SVG()
-	s.unlock()
 	w.Header().Set("Content-Type", "image/svg+xml")
-	fmt.Fprint(w, svg)
+	fmt.Fprint(w, c.SVG())
 }
 
 // handleMetrics serves the Prometheus scrape: the scrape-time mirrors are
-// refreshed under the lock, then the lock is dropped and the registry
-// renders into a buffer (atomics need no lock), so a stalled scraper never
-// blocks ingestion.
+// refreshed, then the registry renders into a buffer (atomics need no lock),
+// so a stalled scraper never blocks ingestion.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.lock()
 	s.sys.SyncMetrics()
-	s.unlock()
 	var buf bytes.Buffer
 	if _, err := s.sys.Telemetry().Registry().WriteTo(&buf); err != nil {
 		httpError(w, http.StatusInternalServerError, "render metrics: %v", err)
@@ -1065,8 +1007,14 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// queryFloat parses a float parameter and refuses NaN and ±Inf, which
+// ParseFloat accepts but which name no place in the building.
 func queryFloat(r *http.Request, name string) (float64, error) {
-	return strconv.ParseFloat(r.URL.Query().Get(name), 64)
+	v, err := strconv.ParseFloat(r.URL.Query().Get(name), 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		return 0, fmt.Errorf("%s is not finite", name)
+	}
+	return v, err
 }
 
 // queryTime parses an optional time parameter; ok=false when absent.

@@ -8,8 +8,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/floorplan"
@@ -581,6 +583,58 @@ func TestHealthzAndReadyz(t *testing.T) {
 	}
 	if code := getJSON(t, ts, "/healthz", &health); code != http.StatusOK {
 		t.Fatalf("draining healthz: code=%d", code)
+	}
+}
+
+// TestNonFiniteQueryParamsRejected asks /range, /knn and /route with each
+// float parameter in turn set to NaN, Inf or -Inf — strconv.ParseFloat
+// accepts all three — and wants 400 every time: a non-finite point panics in
+// the walking graph, and a non-finite window leaves a result JSON cannot
+// encode. A valid /range must still answer 200 afterwards.
+func TestNonFiniteQueryParamsRejected(t *testing.T) {
+	ts := httptest.NewServer(lightServer(t).Handler())
+	// Close waits for every handler, so a wedged one would hang the test
+	// instead of failing it.
+	defer func() {
+		if !t.Failed() {
+			ts.Close()
+		}
+	}()
+	client := &http.Client{Timeout: 10 * time.Second}
+	get := func(path string, q url.Values) int {
+		t.Helper()
+		resp, err := client.Get(ts.URL + path + "?" + q.Encode())
+		if err != nil {
+			t.Fatalf("%s?%s: %v", path, q.Encode(), err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	routes := []struct {
+		path   string
+		params url.Values
+		floats []string
+	}{
+		{"/range", url.Values{"x": {"5"}, "y": {"9"}, "w": {"25"}, "h": {"14"}}, []string{"x", "y", "w", "h"}},
+		{"/knn", url.Values{"x": {"20"}, "y": {"12"}, "k": {"2"}}, []string{"x", "y"}},
+		{"/route", url.Values{"x1": {"5"}, "y1": {"9"}, "x2": {"40"}, "y2": {"12"}}, []string{"x1", "y1", "x2", "y2"}},
+	}
+	for _, rt := range routes {
+		for _, name := range rt.floats {
+			for _, bad := range []string{"NaN", "Inf", "-Inf"} {
+				q := url.Values{}
+				for k, v := range rt.params {
+					q[k] = v
+				}
+				q.Set(name, bad)
+				if code := get(rt.path, q); code != http.StatusBadRequest {
+					t.Errorf("%s?%s: code=%d, want 400", rt.path, q.Encode(), code)
+				}
+			}
+		}
+	}
+	if code := get(routes[0].path, routes[0].params); code != http.StatusOK {
+		t.Errorf("valid /range after the non-finite ones: code=%d, want 200", code)
 	}
 }
 

@@ -4,7 +4,7 @@
 // the process state at pseudo-random points (no Close, no flush — exactly
 // what a power cut leaves behind), optionally smears garbage over a WAL tail,
 // and reopens. At the end it verifies the survivor against a memory-only
-// kernel fed the same effective delivery sequence: identical Stats, clock,
+// engine fed the same effective delivery sequence: identical Stats, clock,
 // known objects, and range/kNN/occupancy answers.
 //
 // It lives under internal/sim because it is a simulation tool, but in its own
@@ -160,7 +160,7 @@ func Run(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (Report, error)
 	}
 	sys.FlushIngest()
 
-	// Oracle: the memory-only kernel fed the effective sequence in one
+	// Oracle: a memory-only engine fed the effective sequence in one
 	// uncrashed pass. The survivor must be indistinguishable from it.
 	oracleCfg := cfg.Engine
 	oracleCfg.Durability = engine.DurabilityConfig{}

@@ -269,8 +269,8 @@ func RunShardFaults(plan *floorplan.Plan, dep *rfid.Deployment, cfg ShardFaultCo
 	return rep, nil
 }
 
-// observable is the surface the oracle diff reads; the router and the
-// in-memory kernel both provide it.
+// observable is the surface the oracle diff reads; the durable router and
+// New's in-memory System both provide it.
 type observable interface {
 	Now() model.Time
 	Stats() engine.Stats

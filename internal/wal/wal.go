@@ -156,7 +156,7 @@ type OpenReport struct {
 }
 
 // Log is an open write-ahead log positioned for appending. It is not safe
-// for concurrent use; the engine serializes access under the server lock.
+// for concurrent use; the engine serializes access under its ingest lock.
 type Log struct {
 	dir     string
 	opts    Options
