@@ -117,8 +117,9 @@ bench:
 bench-smoke:
 	go test -run '^$$' -bench . -benchtime=1x ./internal/...
 
-# Run the hot-path, engine-step, query-layer, ingest-layer and peer-RPC benchmarks and
-# record the parsed results plus the speedups over the newest checked-in report:
+# Run the hot-path, engine-step, query-layer, ingest-layer (reader health
+# among them) and peer-RPC benchmarks and record the parsed results plus the
+# speedups over the newest checked-in report:
 # cmd/benchjson finds the highest BENCH_N.json and writes BENCH_<N+1>.json
 # into BENCH_DIR (the repository root by default — a new checked-in record;
 # CI passes a temp dir so the baselines it diffs against stay as committed).
@@ -129,10 +130,11 @@ bench-json:
 	go run ./cmd/benchjson -dir $(BENCH_DIR)
 
 # Regression gate: re-run the benchmarks and fail loudly if the indexed
-# FilterStep, the single-engine 1k-object step, the one-shard router step or
-# the 1000-object cold full-run sweep (ColdRun1k) is more than 20% slower
-# than the newest checked-in BENCH_N.json. Writes nothing; used by CI next
-# to bench-smoke.
+# FilterStep, the single-engine 1k-object step, the one-shard router step,
+# the 1000-object cold full-run sweep (ColdRun1k), the delivery decoder
+# (BatchDecode3500/scanner) or the reader-health monitor (ObserveSecond) is
+# more than 20% slower than the newest checked-in BENCH_N.json. Writes
+# nothing; used by CI next to bench-smoke.
 bench-diff:
 	go run ./cmd/benchjson -out '' -maxregress 0.20
 

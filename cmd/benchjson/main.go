@@ -2,7 +2,7 @@
 // coverage-index kernel's stages), the engine-level 1k-object step
 // benchmarks, the query path's layer benchmarks (prune,
 // snap, table build, warm preprocess), the ingest path's (delivery decode,
-// reorder buffer, collector, durable router ingest) and the peer RPC's (codec
+// reorder buffer, reader health, collector, durable router ingest) and the peer RPC's (codec
 // and loopback round trips), and writes the parsed results as JSON,
 // so speedups can be tracked across revisions without eyeballing
 // `go test -bench` output.
@@ -21,9 +21,9 @@
 // ("baseline_results"), so a report carries both sides of every ratio it
 // states. With -maxregress P, the run exits non-zero if the indexed
 // FilterStep, the 1k-object engine step, the one-shard sharded engine
-// step, or the 1000-object cold full-run sweep is more than P (fraction)
-// slower than the baseline — the loud CI failure mode for hot-path
-// regressions.
+// step, the 1000-object cold full-run sweep, the delivery decoder or the
+// reader-health monitor is more than P (fraction) slower than the baseline —
+// the loud CI failure mode for hot-path regressions.
 //
 // With -count N every benchmark runs N times; a result row carries the
 // median ns/op, the N raw values and the GOMAXPROCS they ran at. With
@@ -67,6 +67,7 @@ const (
 	anchorPattern    = "BenchmarkSnapDistribution|BenchmarkTableBuild300"
 	modelPattern     = "BenchmarkBatchDecode3500"
 	ingestPattern    = "BenchmarkReorderOffer"
+	healthPattern    = "BenchmarkObserveSecond"
 	collectorPattern = "BenchmarkIngestSecond"
 	clusterPattern   = "BenchmarkRPCRoundTrip"
 )
@@ -79,15 +80,18 @@ var patterns = [][2]string{
 	{anchorPattern, "./internal/anchor/"},
 	{modelPattern, "./internal/model/"},
 	{ingestPattern, "./internal/ingest/"},
+	{healthPattern, "./internal/health/"},
 	{collectorPattern, "./internal/collector/"},
 	{clusterPattern, "./internal/cluster/"},
 }
 
 // gates are the results -maxregress holds to the baseline: the filter hot
 // path, the whole-engine step, the sharded router at one shard (the router
-// must stay free when N=1), and the cold full-run sweep.
+// must stay free when N=1), the cold full-run sweep, and the two serial
+// stages of every ingest, the delivery decoder and the reader-health monitor.
 var gates = []string{"FilterStep/indexed", "EngineStep1kObjects",
-	"EngineStepSharded1kObjects/shards=1", "ColdRun1k"}
+	"EngineStepSharded1kObjects/shards=1", "ColdRun1k",
+	"BatchDecode3500/scanner", "ObserveSecond"}
 
 // result is one parsed benchmark line.
 type result struct {
@@ -146,7 +150,7 @@ func main() {
 	dir := flag.String("dir", ".", "directory a discovered output file is written to")
 	benchtime := flag.String("benchtime", "1s", "value passed to -benchtime")
 	baseline := flag.String("baseline", discover, "previous benchjson report to compute speedups_vs_baseline against (default: the highest BENCH_N.json here; empty: none)")
-	maxregress := flag.Float64("maxregress", 0, "fail if a gated benchmark (FilterStep, EngineStep, ColdRun1k) regresses more than this fraction vs -baseline (0 disables)")
+	maxregress := flag.Float64("maxregress", 0, "fail if a gated benchmark (FilterStep, EngineStep, ColdRun1k, BatchDecode3500/scanner, ObserveSecond) regresses more than this fraction vs -baseline (0 disables)")
 	count := flag.Int("count", 1, "runs of every benchmark; rows carry the median")
 	against := flag.String("against", "", "checkout to measure the baseline from, in turns with this tree (overrides -baseline)")
 	flag.Parse()

@@ -358,9 +358,9 @@ func (e *Sharded) applyParts(t model.Time, parts [][]model.RawReading, raws []mo
 		}
 		wg.Wait()
 	}
-	// An ENTER explains the object's coming silence (rooms are uncovered):
-	// its reader should not expect more detections. Release is a per-object
-	// map delete, so the shards' ENTERs need no merged order.
+	// An ENTER (the object entering a reader's range) releases the
+	// expectation the monitor just opened for it. Release acts on one
+	// object alone, so the shards' ENTERs need no merged order.
 	if e.monitor != nil {
 		for _, part := range evs {
 			for _, ev := range part {

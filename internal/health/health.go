@@ -32,7 +32,10 @@
 package health
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -80,7 +83,7 @@ type Config struct {
 	// reader (detected there, then seen nowhere) keeps that reader
 	// "expecting" detections. Past the horizon the object is presumed to
 	// have legitimately left coverage (parked in an uncovered room, left
-	// the building).
+	// the building). At most a day.
 	ExpectHorizon int
 	// SuspectMissed is the accrued expected-but-missing detection count at
 	// which a LIVE reader becomes SUSPECT. It must exceed ExpectHorizon so
@@ -98,6 +101,10 @@ type Config struct {
 	// detection is proof of life, suspicion was only statistical).
 	RecoverSeconds int
 }
+
+// maxExpectHorizon bounds ExpectHorizon (a day, in seconds): the monitor
+// keeps one list head per second of the horizon.
+const maxExpectHorizon = 86400
 
 // DefaultConfig returns the tuned monitor defaults. With ExpectHorizon 6 and
 // SuspectMissed 8, one vanished object accrues at most 6 < 8: flagging a
@@ -123,8 +130,8 @@ func (c Config) Validate() error {
 	if c.RateAlpha <= 0 || c.RateAlpha > 1 {
 		return fmt.Errorf("health: RateAlpha %v out of (0, 1]", c.RateAlpha)
 	}
-	if c.ExpectHorizon <= 0 {
-		return fmt.Errorf("health: ExpectHorizon must be positive, got %d", c.ExpectHorizon)
+	if c.ExpectHorizon <= 0 || c.ExpectHorizon > maxExpectHorizon {
+		return fmt.Errorf("health: ExpectHorizon %d out of [1, %d]", c.ExpectHorizon, maxExpectHorizon)
 	}
 	if c.SuspectMissed <= float64(c.ExpectHorizon) {
 		return fmt.Errorf("health: SuspectMissed %v must exceed ExpectHorizon %d (a single vanished object must not flag a reader)",
@@ -174,11 +181,17 @@ type readerState struct {
 	transitions   int
 }
 
-// pendingObj tracks an object whose most recent detection anywhere was by
-// lastReader and that has not been seen since.
+// pendingObj is an expectation: an object whose most recent detection
+// anywhere was attributed to reader and that has not been seen since. It is
+// linked into the list of that detection's second.
 type pendingObj struct {
-	reader model.ReaderID
-	since  model.Time // second of the last detection
+	obj    model.ObjectID
+	reader int32
+	// n counts reader's samples of the object in the second being observed,
+	// once the object is detected in it (0 until then, and between seconds);
+	// any other reader's samples challenge it when the second is settled.
+	n          int32
+	prev, next int32
 }
 
 // Monitor infers per-reader health from the observed reading stream. It is
@@ -187,11 +200,29 @@ type pendingObj struct {
 type Monitor struct {
 	cfg     Config
 	readers []readerState
-	pending map[model.ObjectID]pendingObj
 	now     model.Time
+	started bool
 
-	// scratch maps reused across ObserveSecond calls.
-	counts map[model.ReaderID]map[model.ObjectID]struct{}
+	// The expectations. index finds an object's entry in objs. The first
+	// ExpectHorizon+1 entries of objs are the heads of a ring of circular
+	// lists, one per second of the horizon (the second modulo the ring's
+	// size), each linking the entries detected in its second, so a second's
+	// expectations expire together when its slot is reused. free heads the
+	// entries a release or an expiry gave back, linked by next. expecting
+	// counts per reader the entries of earlier seconds attributed to it:
+	// the objects that recently vanished from it, the expectation gate.
+	index     map[model.ObjectID]int32
+	objs      []pendingObj
+	slots     int
+	free      int32
+	expecting []int
+
+	// Reused every second: the distinct objects each reader detected,
+	// whether it produced any reading at all, and the readings set aside
+	// because another reader had detected their object first.
+	obs     []int
+	anyRead []bool
+	others  []model.RawReading
 
 	// unhealthy caches the current non-LIVE set as a []bool indexed by
 	// reader, nil when every reader is LIVE — the exact shape the filter
@@ -204,15 +235,22 @@ func NewMonitor(cfg Config, numReaders int) (*Monitor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if numReaders < 0 {
-		return nil, fmt.Errorf("health: negative reader count %d", numReaders)
+	if numReaders < 0 || numReaders > math.MaxInt32 {
+		return nil, fmt.Errorf("health: reader count %d out of range", numReaders)
 	}
-	return &Monitor{
-		cfg:     cfg,
-		readers: make([]readerState, numReaders),
-		pending: make(map[model.ObjectID]pendingObj),
-		counts:  make(map[model.ReaderID]map[model.ObjectID]struct{}),
-	}, nil
+	m := &Monitor{cfg: cfg, readers: make([]readerState, numReaders)}
+	if cfg.Enabled {
+		m.index = make(map[model.ObjectID]int32)
+		m.slots, m.free = cfg.ExpectHorizon+1, -1
+		m.objs = make([]pendingObj, m.slots)
+		for k := range m.objs {
+			m.objs[k].prev, m.objs[k].next = int32(k), int32(k)
+		}
+		m.expecting = make([]int, numReaders)
+		m.obs = make([]int, numReaders)
+		m.anyRead = make([]bool, numReaders)
+	}
+	return m, nil
 }
 
 // Enabled reports whether the monitor is active.
@@ -234,66 +272,59 @@ func (m *Monitor) Unhealthy() []bool { return m.unhealthy }
 // ObserveSecond feeds the monitor the raw readings ingested for stream
 // second t and reports whether any reader changed state. Readings with no
 // reader attached are ignored; a mis-stamped reading still proves its reader
-// alive (its clock is broken, not its radio).
+// alive (its clock is broken, not its radio). An object detected by several
+// readers is attributed as the collector aggregates it: to the reader with
+// the most samples, ties to the lower ID.
 func (m *Monitor) ObserveSecond(t model.Time, raws []model.RawReading) (changed bool) {
 	if !m.cfg.Enabled || len(m.readers) == 0 {
 		return false
 	}
-	if t <= m.now && m.now != 0 {
+	if m.started && t <= m.now {
 		// Replayed or non-advancing second: nothing new to learn.
 		return false
 	}
-	m.now = t
-
-	// Distinct objects per reader this second (the detection counts the
-	// rate EWMA tracks), reusing the scratch maps.
-	for r, set := range m.counts {
-		clear(set)
-		_ = r
+	// Expire the expectations past the horizon: those of the seconds whose
+	// slots the clock's advance reuses, every slot after a jump of more
+	// than the horizon.
+	step := model.Time(m.slots)
+	if d := t - m.now; m.started && d > 0 && d < step {
+		step = d
 	}
-	anyRead := make(map[model.ReaderID]bool, 4)
+	for k := model.Time(0); k < step; k++ {
+		m.expire(m.slot(t - k))
+	}
+	m.now, m.started = t, true
+	cur := m.slot(t)
+
+	// A detection anywhere releases every prior expectation for the object
+	// and opens a new one. Consecutive readings of one object cost one
+	// index lookup between them.
+	nr := uint(len(m.readers))
+	last := int32(-1)
 	for _, r := range raws {
-		if r.Reader == model.NoReader || int(r.Reader) >= len(m.readers) || int(r.Reader) < 0 {
-			continue
+		if uint(r.Reader) >= nr {
+			continue // no reader attached, or not one of this deployment's
 		}
-		anyRead[r.Reader] = true
+		m.anyRead[r.Reader] = true
 		if r.Time != t {
 			continue // mis-stamped: proves liveness, but is not a clean detection
 		}
-		set := m.counts[r.Reader]
-		if set == nil {
-			set = make(map[model.ObjectID]struct{})
-			m.counts[r.Reader] = set
+		if last < 0 || m.objs[last].obj != r.Object {
+			last = m.detect(r.Object, r.Reader, cur)
 		}
-		set[r.Object] = struct{}{}
-	}
-
-	// Re-attribute detected objects: a detection anywhere releases every
-	// prior expectation for the object and opens a new one.
-	for rd, set := range m.counts {
-		for obj := range set {
-			m.pending[obj] = pendingObj{reader: rd, since: t}
+		if e := &m.objs[last]; e.reader == int32(r.Reader) {
+			e.n++
+		} else {
+			m.others = append(m.others, r)
 		}
 	}
-	// Expire objects past the horizon and tally recently vanished objects
-	// per reader (the expectation gate).
-	recent := make(map[model.ReaderID]int, 4)
-	for obj, p := range m.pending {
-		age := t - p.since
-		if age > model.Time(m.cfg.ExpectHorizon) {
-			delete(m.pending, obj)
-			continue
-		}
-		if age > 0 {
-			recent[p.reader]++
-		}
-	}
+	m.settle()
 
 	for id := range m.readers {
 		rs := &m.readers[id]
-		rid := model.ReaderID(id)
-		obs := len(m.counts[rid])
-		if anyRead[rid] {
+		obs, read := m.obs[id], m.anyRead[id]
+		m.obs[id], m.anyRead[id] = 0, false
+		if read {
 			// Proof of life: update the rate, clear the evidence, and walk
 			// the state toward LIVE through the hysteresis band.
 			if obs > 0 {
@@ -324,7 +355,7 @@ func (m *Monitor) ObserveSecond(t model.Time, raws []model.RawReading) (changed 
 		// Silent second: accrue the expected-but-missing detections, gated
 		// by how many objects recently vanished from this reader.
 		expect := rs.rate
-		if g := float64(recent[rid]); g < expect {
+		if g := float64(m.expecting[id]); g < expect {
 			expect = g
 		}
 		rs.missed = rs.missed*m.cfg.MissedDecay + expect
@@ -339,6 +370,12 @@ func (m *Monitor) ObserveSecond(t model.Time, raws []model.RawReading) (changed 
 			changed = true
 		}
 	}
+	// This second's detections gate their readers from the next second on.
+	for i := m.objs[cur].next; i != cur; i = m.objs[i].next {
+		e := &m.objs[i]
+		m.expecting[e.reader]++
+		e.n = 0
+	}
 
 	if changed {
 		m.rebuildUnhealthy()
@@ -346,17 +383,100 @@ func (m *Monitor) ObserveSecond(t model.Time, raws []model.RawReading) (changed 
 	return changed
 }
 
-// Release drops any pending expectation for obj. The engine calls it when
-// the collector explains the object's silence — an ENTER event means the
-// object walked into a room, and rooms are uncovered, so its last reader
-// should not expect further detections. Without this, a handful of objects
-// entering rooms near the same door reader inside the horizon could be
-// mistaken for that reader's range going dark.
+// slot is the head of the list of second t.
+func (m *Monitor) slot(t model.Time) int32 {
+	n := model.Time(m.slots)
+	return int32((t%n + n) % n)
+}
+
+// detect returns the entry of obj, detected by reader rd in the second
+// whose list cur heads, opening one for an object with no expectation. An
+// entry detected for the first time this second moves to cur's list,
+// attributed to rd until settle.
+func (m *Monitor) detect(obj model.ObjectID, rd model.ReaderID, cur int32) int32 {
+	i, ok := m.index[obj]
+	switch {
+	case !ok:
+		if i = m.free; i >= 0 {
+			m.free = m.objs[i].next
+		} else {
+			i = int32(len(m.objs))
+			m.objs = append(m.objs, pendingObj{})
+		}
+		m.index[obj] = i
+		m.objs[i] = pendingObj{obj: obj}
+	case m.objs[i].n > 0:
+		return i
+	default:
+		m.unlink(i)
+	}
+	e, head := &m.objs[i], &m.objs[cur]
+	e.reader, e.prev, e.next = int32(rd), cur, head.next
+	m.objs[head.next].prev, head.next = i, i
+	m.obs[rd]++
+	return i
+}
+
+// settle lets the readings set aside challenge their objects' attribution,
+// by the collector's rule: each other reader's samples of the object against
+// the first reader's, most samples win, ties to the lower ID. It counts the
+// other readers' distinct objects on the way.
+func (m *Monitor) settle() {
+	others := m.others
+	slices.SortFunc(others, func(a, b model.RawReading) int {
+		return cmp.Or(cmp.Compare(a.Object, b.Object), cmp.Compare(a.Reader, b.Reader))
+	})
+	for i := 0; i < len(others); {
+		r, j := others[i], i+1
+		for j < len(others) && others[j].Object == r.Object && others[j].Reader == r.Reader {
+			j++
+		}
+		m.obs[r.Reader]++
+		e := &m.objs[m.index[r.Object]]
+		if n := int32(j - i); n > e.n || (n == e.n && int32(r.Reader) < e.reader) {
+			e.reader, e.n = int32(r.Reader), n
+		}
+		i = j
+	}
+	m.others = others[:0]
+}
+
+// unlink takes entry i off its second's list and out of its reader's gate.
+func (m *Monitor) unlink(i int32) {
+	e := &m.objs[i]
+	m.objs[e.prev].next, m.objs[e.next].prev = e.next, e.prev
+	m.expecting[e.reader]--
+}
+
+// expire ends every expectation of the second whose list k heads.
+func (m *Monitor) expire(k int32) {
+	for i := m.objs[k].next; i != k; {
+		e := &m.objs[i]
+		m.expecting[e.reader]--
+		delete(m.index, e.obj)
+		next := e.next
+		e.next, m.free = m.free, i
+		i = next
+	}
+	m.objs[k].prev, m.objs[k].next = k, k
+}
+
+// Release drops any pending expectation for obj. The engine calls it for
+// every ENTER the collector emits, right after the ObserveSecond of that
+// second. A collector ENTER is the object entering a reader's activation
+// range — the detection ObserveSecond has just attributed — not the object
+// entering a room, so what Release drops is the expectation that detection
+// opened: an object read at a reader for one second and then never again
+// does not count among the objects that vanished from that reader.
 func (m *Monitor) Release(obj model.ObjectID) {
 	if !m.cfg.Enabled {
 		return
 	}
-	delete(m.pending, obj)
+	if i, ok := m.index[obj]; ok {
+		m.unlink(i)
+		delete(m.index, obj)
+		m.objs[i].next, m.free = m.free, i
+	}
 }
 
 // rebuildUnhealthy refreshes the cached non-LIVE set.

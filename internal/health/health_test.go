@@ -150,9 +150,10 @@ func TestHandoffReleasesExpectation(t *testing.T) {
 	}
 }
 
-// TestReleaseSuppressesExpectation: when the engine explains an object's
-// silence (an ENTER event — it walked into an uncovered room), releasing the
-// object must keep its reader LIVE even if several objects vanish together.
+// TestReleaseSuppressesExpectation: a released object (the engine releases
+// every object the collector reports an ENTER for) leaves its reader
+// expecting nothing, so the reader stays LIVE even when several released
+// objects vanish together.
 func TestReleaseSuppressesExpectation(t *testing.T) {
 	m := mustMonitor(t, 1)
 	for sec := model.Time(1); sec <= 20; sec++ {
@@ -301,5 +302,73 @@ func TestReplayedSecondIgnored(t *testing.T) {
 	}
 	if got := m.Snapshot(10)[0].LastRead; got != 10 {
 		t.Fatalf("lastRead = %d after replay, want 10", got)
+	}
+}
+
+// TestGhostReadsAttributeDeterministically: objects read by two readers in
+// the same second, with as many samples each, are attributed to the lower
+// reader ID, as the collector aggregates them — so when they then vanish,
+// that reader and only that reader expects them back. Run repeatedly: an
+// attribution that followed map order would flag one reader in some runs
+// and the other in the rest.
+func TestGhostReadsAttributeDeterministically(t *testing.T) {
+	for run := 0; run < 40; run++ {
+		m := mustMonitor(t, 4)
+		sec := model.Time(0)
+		step := func(raws []model.RawReading) {
+			sec++
+			for i := range raws {
+				raws[i].Time = sec
+			}
+			m.ObserveSecond(sec, raws)
+		}
+		// Readers 1 and 2 each carry ten objects, then hand them all to
+		// reader 3.
+		for i := 0; i < 20; i++ {
+			var raws []model.RawReading
+			for obj := model.ObjectID(1); obj <= 20; obj++ {
+				raws = append(raws, reading(obj, 1+model.ReaderID(obj-1)/10, 0))
+			}
+			step(raws)
+		}
+		handoff := func(from model.ObjectID) []model.RawReading {
+			var raws []model.RawReading
+			for obj := from; obj <= 20; obj++ {
+				raws = append(raws, reading(obj, 3, 0))
+			}
+			return raws
+		}
+		for i := 0; i < 5; i++ {
+			step(handoff(1))
+		}
+		// Objects 1-5 are read by both readers, once each, then vanish.
+		ghost := handoff(6)
+		for obj := model.ObjectID(1); obj <= 5; obj++ {
+			ghost = append(ghost, reading(obj, 2, 0), reading(obj, 1, 0))
+		}
+		step(ghost)
+		for i := 0; i < 10; i++ {
+			step(handoff(6))
+			if got := m.State(2); got != Live {
+				t.Fatalf("run %d, second %d: reader 2 is %v; the tied objects belong to reader 1", run, sec, got)
+			}
+		}
+		if got := m.State(1); got == Live {
+			t.Fatalf("run %d: reader 1 stayed live after its five attributed objects vanished", run)
+		}
+	}
+}
+
+// TestReplayedSecondZeroIgnored: second 0 is a second like any other — once
+// observed, observing it again changes nothing.
+func TestReplayedSecondZeroIgnored(t *testing.T) {
+	m := mustMonitor(t, 1)
+	m.ObserveSecond(0, []model.RawReading{reading(1, 0, 0)})
+	before := m.Snapshot(0)
+	if m.ObserveSecond(0, []model.RawReading{reading(1, 0, 0)}) {
+		t.Fatal("replayed second 0 changed state")
+	}
+	if after := m.Snapshot(0); after[0] != before[0] {
+		t.Fatalf("replaying second 0 moved reader 0 from %+v to %+v", before[0], after[0])
 	}
 }

@@ -22,7 +22,9 @@ import (
 // null leaving a field as it was, a repeated key decoded over the earlier
 // one, integers checked against the field's range. A fraction, an exponent,
 // a string or a boolean where an integer belongs is an error, and so is
-// anything but whitespace after the closing brace. FuzzBatchDecode holds the
+// anything but whitespace after the closing brace. A reading spelled exactly
+// as json.Marshal writes one is decoded by a straight-line pass (canonical)
+// that hands anything else back to the general loop. FuzzBatchDecode holds the
 // scanner and encoding/json equal on a method-less copy of the types; the one
 // thing done differently on purpose is stated at UnmarshalJSON.
 
@@ -367,6 +369,9 @@ func (s *wireScan) readings(b *Batch) error {
 		default:
 			rs = append(rs, RawReading{})
 		}
+		if s.canonical(&rs[n]) {
+			continue
+		}
 		if err := s.reading(&rs[n]); err != nil {
 			return err
 		}
@@ -376,6 +381,58 @@ func (s *wireScan) readings(b *Batch) error {
 	}
 	b.Readings = rs[:n]
 	return nil
+}
+
+// canonical decodes the reading the cursor rests on if it is spelled the
+// way json.Marshal writes one, {"Object":1,"Reader":2,"Time":3}, with no
+// whitespace and no integer longer than 18 digits, and reports whether it
+// was. Everything it accepts, reading accepts and decodes to the same
+// value; on the first byte that differs it returns false with neither the
+// cursor nor r moved, and reading takes the reading from its opening brace,
+// so every other spelling and every error is reading's.
+func (s *wireScan) canonical(r *RawReading) bool {
+	obj, j, ok := canonicalField(s.data, s.i, `{"Object":`)
+	if !ok || int64(int(obj)) != obj {
+		return false
+	}
+	rd, j, ok := canonicalField(s.data, j, `,"Reader":`)
+	if !ok || int64(int(rd)) != rd {
+		return false
+	}
+	t, j, ok := canonicalField(s.data, j, `,"Time":`)
+	if !ok || j == len(s.data) || s.data[j] != '}' {
+		return false
+	}
+	*r = RawReading{Object: ObjectID(obj), Reader: ReaderID(rd), Time: Time(t)}
+	s.i = j + 1
+	return true
+}
+
+// canonicalField matches key at data[j:] and the integer after it, by
+// integer's rules: an optional minus, then 1 to 18 digits without a leading
+// zero. It returns the integer and the offset past it. A longer integer, a
+// fraction or an exponent leaves a digit, '.', 'e' or 'E' after the offset
+// returned, where canonical wants the next key or the closing brace.
+func canonicalField(data []byte, j int, key string) (v int64, next int, ok bool) {
+	if len(data)-j < len(key) || string(data[j:j+len(key)]) != key {
+		return 0, j, false
+	}
+	j += len(key)
+	neg := j < len(data) && data[j] == '-'
+	if neg {
+		j++
+	}
+	first := j
+	for ; j < len(data) && j-first < 18 && data[j]-'0' <= 9; j++ {
+		v = v*10 + int64(data[j]-'0')
+	}
+	if digits := j - first; digits == 0 || digits > 1 && data[first] == '0' {
+		return 0, j, false
+	}
+	if neg {
+		v = -v
+	}
+	return v, j, true
 }
 
 func (s *wireScan) reading(r *RawReading) error {

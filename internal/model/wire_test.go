@@ -73,7 +73,18 @@ var wireSeeds = []string{
 	`{}`,
 	`null`,
 	` { "readings" : [ { "Time" : 9 , "Reader" : 2 , "Object" : 1 } ] , "time" : 9 } `,
-	// Almost canonical readings.
+	// Almost canonical readings: each follows the canonical spelling part
+	// of the way, so the fast path hands it to the general loop.
+	`{"time":5,"readings":[{"Object":1,"Reader":2,"Time":5},{"Object":1.5,"Reader":2,"Time":5}]}`,
+	`{"time":5,"readings":[{"Object":1,"Reader":1e3,"Time":5},{"Object":1,"Reader":2,"Time":5}]}`,
+	`{"time":5,"readings":[{"Object":1234567890123456789,"Reader":2,"Time":5}]}`,
+	`{"time":5,"readings":[{"Object":1,"Reader":2,"Time":-9999999999999999999}]}`,
+	`{"time":5,"readings":[{"Object":999999999999999999,"Reader":-999999999999999999,"Time":-0}]}`,
+	`{"time":5,"readings":[{"Object":1,"Reader":2,"Time":null},{"Object":1,"Reader":2,"Time":5}]}`,
+	`{"time":5,"readings":[{"Object":1,"reader":2,"Time":5}]}`,
+	`{"time":5,"readings":[{"Object":1,"Reader":2,"Time":5,"Time":6}]}`,
+	`{"time":5,"readings":[{"Object":1,"Reader":2,"Time":5},{"Object":1,"Reader":2,"Ti`,
+	`{"time":5,"readings":[{"Object":1,"Rea`,
 	`{"time":5,"readings":[{"Object":1,"Reader":2,"Time":5 },{"Object":1,"Reader":2,"Time":5,"x":1},{"Object":1,"Reader":2}]}`,
 	`{"time":5,"readings":[{"Object":-0,"Reader":-7,"Time":-5},{"Object":1, "Reader":2,"Time":5},{"Reader":2,"Object":1,"Time":5}]}`,
 	`{"time":5,"readings":[{"Object":1,"Reader":2,"Time":05}]}`,
@@ -204,6 +215,53 @@ func TestBatchDecodeCanonical(t *testing.T) {
 	}
 	if std, err := json.Marshal(Batch{Time: now, Readings: raws}); err != nil || !bytes.Equal(std, doc) {
 		t.Fatalf("canonicalDelivery disagrees with json.Marshal (err %v)", err)
+	}
+}
+
+// TestBatchDecodeFallback puts one reading that leaves the canonical
+// spelling part of the way through first, in the middle and last in a
+// canonical 3,500-reading delivery: the scanner must decode the document
+// as encoding/json does wherever the fast path hands over.
+func TestBatchDecodeFallback(t *testing.T) {
+	now, raws := delivery3500()
+	doc := canonicalDelivery(now, raws)
+	// The offset of each reading's opening brace, and the document's end.
+	var starts []int
+	for i := range doc {
+		if doc[i] == '{' && i > 0 {
+			starts = append(starts, i)
+		}
+	}
+	if len(starts) != len(raws) {
+		t.Fatalf("found %d readings in the delivery, want %d", len(starts), len(raws))
+	}
+	readingEnd := func(k int) int {
+		if k+1 < len(starts) {
+			return starts[k+1] - 1 // the comma before the next reading
+		}
+		return len(doc) - 2 // before "]}"
+	}
+	variants := []string{
+		`{"Object":1.5,"Reader":2,"Time":1234}`,
+		`{"Object":1,"Reader":1e3,"Time":1234}`,
+		`{"Object":1,"Reader":2,"Time":1234E0}`,
+		`{"Object":1,"Reader":2,"Time":1234567890123456789}`,
+		`{"Object":1,"Reader":2,"Time":9999999999999999999}`,
+		`{"Object":-1234567890123456789,"Reader":2,"Time":1234}`,
+		`{"Object":1,"Reader":2,"Time":null}`,
+		`{"Object":1,"Reader":2,"Time":1234 }`,
+		`{"Object":1,"Reader":2,"Time":1234,"x":[1]}`,
+	}
+	for _, k := range []int{0, len(raws) / 2, len(raws) - 1} {
+		for _, v := range variants {
+			var d []byte
+			d = append(d, doc[:starts[k]]...)
+			d = append(d, v...)
+			d = append(d, doc[readingEnd(k):]...)
+			diffDecode(t, d)
+		}
+		// Cut off in the middle of a key.
+		diffDecode(t, append(doc[:starts[k]:starts[k]], `{"Object":1,"Reader":2,"Ti`...))
 	}
 }
 
