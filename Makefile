@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test race stress accuracy bench bench-smoke bench-json bench-diff bench-sharded bench-harness-build bench-harness-test chaos cluster-e2e check experiments examples vet vuln profile loc fuzz-smoke server-deps
+.PHONY: build test race stress accuracy bench bench-smoke bench-json bench-diff bench-sharded bench-harness-build bench-harness-test chaos cluster-e2e check experiments examples vet vuln profile loc knobs fuzz-smoke server-deps
 
 build:
 	go build ./...
@@ -154,6 +154,14 @@ loc:
 		[ $$n -gt 0 ] && echo "| $${rel:-.} | $$n |"; \
 	done; \
 	echo "| **internal/engine + internal/server + internal/cluster** | **$$(cat $$(ls internal/engine/*.go internal/server/*.go internal/cluster/*.go | grep -v _test.go) | wc -l)** |"; }
+
+# Settable values per configuration type (exported leaf fields, struct-typed
+# fields recursed into) and their total: engine.Config, server.Config,
+# server.HandlerConfig and cluster.Config. Every PR that adds or removes an
+# option quotes this at its parent and at its change.
+knobs:
+	@out=$$(go test -count=1 -run '^TestKnobs$$' -v ./internal/server/) || { echo "$$out" >&2; exit 1; }; \
+	echo "$$out" | grep '^|'
 
 # Regenerate every paper figure at full scale (~15 minutes).
 experiments:

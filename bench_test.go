@@ -326,35 +326,6 @@ func BenchmarkDijkstra(b *testing.B) {
 	}
 }
 
-// BenchmarkAStarVsDijkstra compares the two network-distance algorithms on
-// the two-story office (the larger built-in graph).
-func BenchmarkAStarVsDijkstra(b *testing.B) {
-	g := walkgraph.MustBuild(floorplan.TwoStoryOffice())
-	src := rng.New(1)
-	type pair struct{ a, z walkgraph.Location }
-	pairs := make([]pair, 256)
-	for i := range pairs {
-		e1 := g.Edge(walkgraph.EdgeID(src.Intn(g.NumEdges())))
-		e2 := g.Edge(walkgraph.EdgeID(src.Intn(g.NumEdges())))
-		pairs[i] = pair{
-			a: walkgraph.Location{Edge: e1.ID, Offset: src.Uniform(0, e1.Length)},
-			z: walkgraph.Location{Edge: e2.ID, Offset: src.Uniform(0, e2.Length)},
-		}
-	}
-	b.Run("astar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			g.AStar(p.a, p.z)
-		}
-	})
-	b.Run("dijkstra", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			g.DistBetween(p.a, p.z)
-		}
-	})
-}
-
 // BenchmarkAnchorSnap measures nearest-anchor assignment.
 func BenchmarkAnchorSnap(b *testing.B) {
 	g := walkgraph.MustBuild(floorplan.DefaultOffice())

@@ -29,8 +29,8 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/wal"
 )
 
@@ -50,7 +50,7 @@ func main() {
 		err = verify(dir)
 	case "truncate":
 		if n := shardCount(dir); n > 0 {
-			err = fmt.Errorf("%s is a sharded data directory (%d shards); truncate one log at a time: walctl truncate %s", dir, n, filepath.Join(dir, "shard-0000"))
+			err = fmt.Errorf("%s is a sharded data directory (%d shards); truncate one log at a time: walctl truncate %s", dir, n, engine.ShardDir(dir, 0))
 			break
 		}
 		err = truncate(dir)
@@ -63,7 +63,7 @@ func main() {
 			}
 		}
 		if sc := shardCount(dir); sc > 0 {
-			err = fmt.Errorf("%s is a sharded data directory (%d shards); dump one log at a time: walctl dump %s", dir, sc, filepath.Join(dir, "shard-0000"))
+			err = fmt.Errorf("%s is a sharded data directory (%d shards); dump one log at a time: walctl dump %s", dir, sc, engine.ShardDir(dir, 0))
 			break
 		}
 		err = dump(dir, n)
@@ -91,14 +91,10 @@ commands:
 `)
 }
 
-// shardCount reads the SHARDS guard file a sharded engine pins its data
-// directory with. 0 means a flat (single-engine) directory.
+// shardCount is the shard count a sharded engine pins its data directory
+// with. 0 means a flat (single-engine) directory.
 func shardCount(dir string) int {
-	data, err := os.ReadFile(filepath.Join(dir, "SHARDS"))
-	if err != nil {
-		return 0
-	}
-	n, err := strconv.Atoi(strings.TrimSpace(string(data)))
+	n, err := engine.ShardCount(wal.OS, dir)
 	if err != nil || n <= 0 {
 		return 0
 	}
@@ -108,13 +104,10 @@ func shardCount(dir string) int {
 // quarantinedShards lists the shard indexes with a quarantine marker, with
 // the seq each marker records.
 func quarantinedShards(dir string, n int) map[int]string {
-	out := make(map[int]string)
-	for i := 0; i < n; i++ {
-		data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("quarantine-%04d", i)))
-		if err != nil {
-			continue
-		}
-		out[i] = strings.TrimSpace(string(data))
+	marks, _ := engine.QuarantineMarkers(wal.OS, dir, n) // unreadable: none shown, as with no marker
+	out := make(map[int]string, len(marks))
+	for i, seq := range marks {
+		out[i] = strconv.FormatUint(seq, 10)
 	}
 	return out
 }
@@ -143,7 +136,7 @@ func inspect(dir string) error {
 			state = fmt.Sprintf("  QUARANTINED at seq %s", seq)
 		}
 		fmt.Printf("shard %d%s\n", i, state)
-		if err := inspectDir(filepath.Join(dir, fmt.Sprintf("shard-%04d", i)), "  "); err != nil {
+		if err := inspectDir(engine.ShardDir(dir, i), "  "); err != nil {
 			return err
 		}
 	}
@@ -210,7 +203,7 @@ func verify(dir string) error {
 	}
 	totalDamage += verifySnapshots(dir, rsnaps, "")
 	for i := 0; i < n; i++ {
-		sub := filepath.Join(dir, fmt.Sprintf("shard-%04d", i))
+		sub := engine.ShardDir(dir, i)
 		segs, snaps, lastSeq, damaged, err := verifyDir(sub, "  ")
 		if err != nil {
 			return err

@@ -32,15 +32,11 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/anchor"
 	"repro/internal/engine"
-	"repro/internal/health"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
-	"repro/internal/query"
 	"repro/internal/shardmap"
-	"repro/internal/walkgraph"
 )
 
 // Transport delivers one request to one peer and returns its response.
@@ -51,36 +47,16 @@ type Transport interface {
 	Send(ctx context.Context, addr string, req *Request) (*Response, error)
 }
 
-// Local is the engine surface a Node wraps: the router *engine.Sharded and
-// the one-shard *engine.System both implement it, and both synchronize
-// themselves, so the node calls them without a lock of its own. The first
-// block is the server-facing API the node delegates; the second is the
-// node's share of the query pipeline — the local engine is one partition of
-// the cluster and lends the coordinator its pruner and evaluator.
+// Local is the engine a Node wraps: the router *engine.Sharded and the
+// one-shard *engine.System both implement it, and both synchronize
+// themselves, so the node calls them without a lock of its own. Beside the
+// serving surface (whose Coordinator half is the node's: clock, pruner,
+// reader health, evaluator), the local engine is one partition of the
+// cluster.
 type Local interface {
-	IngestContext(ctx context.Context, t model.Time, raws []model.RawReading) error
-	FlushIngest()
-	Now() model.Time
-	Localize(obj model.ObjectID) (engine.Localization, bool)
-	DegradedShards() []int
-	Stats() engine.Stats
-	CacheStats() (hits, misses int)
-	Graph() *walkgraph.Graph
-	AnchorIndex() *anchor.Index
-	Telemetry() *engine.Telemetry
-	SyncMetrics()
-	SetParticleBudget(n int)
-	NoteOversizedBody()
-	HealthMonitorEnabled() bool
-	ReaderHealth() []health.ReaderHealth
-	WALError() error
-	Recovery() engine.RecoveryInfo
-	Close() error
-
+	engine.Serving
 	engine.Partition
-	Prune(ctx context.Context, infos []query.ObjectInfo, q engine.Query, now model.Time) ([]model.ObjectID, error)
-	Unhealthy() []bool
-	Evaluator() *query.Evaluator
+	FlushIngest()
 	NoteTransportDrops(n int)
 }
 
@@ -146,12 +122,24 @@ func (c *Config) probeMax() time.Duration {
 // Node wraps a local engine with cluster membership, forwarding, and the
 // distributed query pipeline. It implements the server's Engine interface,
 // so the HTTP layer is unchanged whether it fronts one engine or a fleet.
+//
+// The node defines only what the cluster changes: ingest forwarding
+// (Ingest, IngestContext), the cluster query (Query), Localize on the
+// owner, the cluster-wide KnownObjects, the snapshot Preprocess, the peer
+// gauges in SyncMetrics, and an idempotent Close. Every other method is its
+// local engine's, promoted — among them Infos, Dists and OwnDists, which
+// answer for the node's own objects only (the cluster as a partition is the
+// node's router, never the Node). So Stats counts the readings dropped for
+// an unreachable owner (NoteTransportDrops), ReaderHealth observes only the
+// node's own partition of the stream (DESIGN.md §17), and Now agrees across
+// a healthy cluster because every node ingests every delivered second.
 type Node struct {
+	// Local is the node's own engine.
+	Local
 	// QueryMethods are the classic spellings of Query.
 	engine.QueryMethods
 
 	cfg     Config
-	eng     Local
 	members []string // sorted; index is the jump-hash bucket
 	selfIdx int
 	peers   []*peer // remote members in members order (nil at selfIdx)
@@ -224,8 +212,8 @@ func New(eng Local, cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("cluster: self %q is not in the peer list %v", cfg.Self, members)
 	}
 	n := &Node{
+		Local:   eng,
 		cfg:     cfg,
-		eng:     eng,
 		members: members,
 		selfIdx: selfIdx,
 		peers:   make([]*peer, len(members)),
@@ -233,7 +221,7 @@ func New(eng Local, cfg Config) (*Node, error) {
 	}
 	n.QueryMethods.Of = n
 	n.router = engine.Router{Parts: make([]engine.Partition, len(members)), Owner: n.OwnerIdx}
-	n.router.Parts[selfIdx] = localPart{n}
+	n.router.Parts[selfIdx] = eng
 	if cfg.EvaluateSlots > 0 {
 		n.gate = make(chan struct{}, cfg.EvaluateSlots)
 	}
@@ -297,63 +285,17 @@ func (n *Node) remotePeers() []*peer {
 	return out
 }
 
-// ---------------------------------------------------------------------------
-// Engine delegations: the local engine synchronizes itself.
-
-// Now returns the local engine's stream clock. Every node ingests every
-// delivered second (its own partition, possibly empty), so clocks agree
-// across a healthy cluster.
-func (n *Node) Now() model.Time { return n.eng.Now() }
-
-// Graph exposes the local walk graph (identical on every node).
-func (n *Node) Graph() *walkgraph.Graph { return n.eng.Graph() }
-
-// AnchorIndex exposes the local anchor index (identical on every node).
-func (n *Node) AnchorIndex() *anchor.Index { return n.eng.AnchorIndex() }
-
-// Telemetry exposes the local engine's observability surface.
-func (n *Node) Telemetry() *engine.Telemetry { return n.eng.Telemetry() }
-
-// Stats returns the local engine's counters; readings dropped because their
-// owner was unreachable are already merged in (NoteTransportDrops).
-func (n *Node) Stats() engine.Stats { return n.eng.Stats() }
-
-// CacheStats delegates to the local engine.
-func (n *Node) CacheStats() (hits, misses int) { return n.eng.CacheStats() }
-
-// DegradedShards reports the local engine's quarantined shards.
-func (n *Node) DegradedShards() []int { return n.eng.DegradedShards() }
-
 // SyncMetrics refreshes the local engine's scrape-time mirrors and the
 // per-peer state gauges.
 func (n *Node) SyncMetrics() {
-	n.eng.SyncMetrics()
+	n.Local.SyncMetrics()
 	for _, p := range n.remotePeers() {
 		p.syncGauge()
 	}
 }
 
-// SetParticleBudget delegates to the local engine.
-func (n *Node) SetParticleBudget(k int) { n.eng.SetParticleBudget(k) }
-
-// NoteOversizedBody delegates to the local engine.
-func (n *Node) NoteOversizedBody() { n.eng.NoteOversizedBody() }
-
-// HealthMonitorEnabled delegates to the local engine.
-func (n *Node) HealthMonitorEnabled() bool { return n.eng.HealthMonitorEnabled() }
-
-// ReaderHealth delegates to the local engine. Per-node monitors observe
-// only the local partition of the stream; see DESIGN.md §17.
-func (n *Node) ReaderHealth() []health.ReaderHealth { return n.eng.ReaderHealth() }
-
-// WALError delegates to the local engine.
-func (n *Node) WALError() error { return n.eng.WALError() }
-
-// Recovery delegates to the local engine.
-func (n *Node) Recovery() engine.RecoveryInfo { return n.eng.Recovery() }
-
 // Close shuts the local engine down.
 func (n *Node) Close() error {
-	n.closeOnce.Do(func() { n.closeErr = n.eng.Close() })
+	n.closeOnce.Do(func() { n.closeErr = n.Local.Close() })
 	return n.closeErr
 }

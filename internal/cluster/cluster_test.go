@@ -3,6 +3,8 @@ package cluster_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -190,6 +192,54 @@ func TestDuplicateDeliveryDeduped(t *testing.T) {
 	}
 	if got, want := e1.Stats().ReadingsIngested, len(objs); got != want {
 		t.Errorf("owner ingested %d readings, want %d (duplicate delivery must dedup)", got, want)
+	}
+}
+
+// TestForgedBatchSecondRefused: a batch second below 1, whether a forged
+// peer RPC (the endpoint is unauthenticated) or a library caller's, is a
+// rejected, counted KindInvalid delivery that does not open the stream, so
+// the next real delivery is accepted. A second of math.MinInt64+1 used to
+// open the stream at a watermark wrapped near math.MaxInt64, after which
+// every real delivery was refused as late until restart.
+func TestForgedBatchSecondRefused(t *testing.T) {
+	for _, forged := range []model.Time{0, -5, math.MinInt64 + 1} {
+		for _, via := range []string{"rpc", "ingest"} {
+			t.Run(fmt.Sprintf("%s/%d", via, forged), func(t *testing.T) {
+				_, n0, _, e0, e1 := twoNodes(t, 11, nil)
+				objs := append(objectsOwnedBy(0, 3), objectsOwnedBy(1, 3)...)
+				raws := readingsFor(objs, forged)
+				if via == "rpc" {
+					raws = raws[:3] // node-0's own objects, as a forwarder would send them
+					resp, err := n0.HandleRPC(context.Background(), &cluster.Request{
+						Op: cluster.OpIngest, Time: forged, Readings: raws, Fingerprint: ingest.Fingerprint(raws),
+					})
+					if err != nil {
+						t.Fatalf("HandleRPC: %v", err)
+					}
+					if !resp.Rejected || resp.Dropped != len(raws) {
+						t.Errorf("forged second acked: rejected %v dropped %d, want rejected, %d dropped", resp.Rejected, resp.Dropped, len(raws))
+					}
+				} else {
+					err := n0.Ingest(forged, raws)
+					var ie *ingest.Error
+					if !errors.As(err, &ie) || !ie.Rejected || ie.Kind != ingest.KindInvalid {
+						t.Errorf("Ingest(%d) = %v, want a rejected %v batch", forged, err, ingest.KindInvalid)
+					}
+				}
+				if got := e0.Stats().Ingest.InvalidReadings + e1.Stats().Ingest.InvalidReadings; got != len(raws) {
+					t.Errorf("%d invalid readings counted, want %d", got, len(raws))
+				}
+				if err := n0.Ingest(1, readingsFor(objs, 1)); err != nil {
+					t.Fatalf("real delivery after the forged second: %v", err)
+				}
+				if got := e0.Stats().ReadingsIngested + e1.Stats().ReadingsIngested; got != len(objs) {
+					t.Errorf("%d readings ingested after the forged second, want %d", got, len(objs))
+				}
+				if got := n0.Now(); got != 1 {
+					t.Errorf("clock %d after the first real second, want 1", got)
+				}
+			})
+		}
 	}
 }
 

@@ -41,14 +41,10 @@ func (n *Node) IngestContext(ctx context.Context, t model.Time, raws []model.Raw
 			}
 		}
 	}()
-	lerr := n.eng.IngestContext(ctx, t, parts[n.selfIdx])
+	lerr := n.Local.IngestContext(ctx, t, parts[n.selfIdx])
 	<-forwarded
 	return n.mergeIngestErr(t, lerr, fdrops)
 }
-
-// FlushIngest force-flushes the local reorder buffer (used by harnesses;
-// peers flush their own on their next delivery).
-func (n *Node) FlushIngest() { n.eng.FlushIngest() }
 
 // partition splits a delivery by owning member. Every member gets an entry
 // (possibly empty): empty sub-batches still advance the remote stream
@@ -138,7 +134,7 @@ func (n *Node) dropForward(p *peer, t model.Time, raws []model.RawReading) {
 	p.mu.Lock()
 	p.droppedReadings += int64(len(raws))
 	p.mu.Unlock()
-	n.eng.NoteTransportDrops(len(raws))
+	n.NoteTransportDrops(len(raws))
 }
 
 // mergeIngestErr combines the local engine's ingest report with the

@@ -31,34 +31,6 @@ func (n *Node) Query(ctx context.Context, q engine.Query) (engine.Answer, error)
 	return ans, err
 }
 
-// Prune runs the coordinator-global pruning stage on the local engine.
-func (n *Node) Prune(ctx context.Context, infos []query.ObjectInfo, q engine.Query, now model.Time) ([]model.ObjectID, error) {
-	return n.eng.Prune(ctx, infos, q, now)
-}
-
-// Unhealthy returns the local engine's unhealthy-reader set: the reader
-// health every member prunes its own objects under when this node
-// coordinates.
-func (n *Node) Unhealthy() []bool { return n.eng.Unhealthy() }
-
-// Evaluator exposes the local evaluation module (identical on every node).
-func (n *Node) Evaluator() *query.Evaluator { return n.eng.Evaluator() }
-
-// localPart is the node's own engine as a partition of the cluster.
-type localPart struct{ n *Node }
-
-func (l localPart) Infos(ctx context.Context, q engine.Query) ([]query.ObjectInfo, error) {
-	return l.n.eng.Infos(ctx, q)
-}
-
-func (l localPart) Dists(ctx context.Context, cands []model.ObjectID, q engine.Query) ([]anchor.ObjDist, error) {
-	return l.n.eng.Dists(ctx, cands, q)
-}
-
-func (l localPart) OwnDists(ctx context.Context, q engine.Query, sc engine.Scope) ([]anchor.ObjDist, int, error) {
-	return l.n.eng.OwnDists(ctx, q, sc)
-}
-
 // peerPart is a remote member as a partition: each method is one RPC under
 // the peer's breaker.
 type peerPart struct {
@@ -145,7 +117,7 @@ func (pp peerPart) degraded() error { return &DegradedError{Peers: []string{pp.p
 func (n *Node) Localize(obj model.ObjectID) (engine.Localization, bool) {
 	i := n.OwnerIdx(obj)
 	if i == n.selfIdx {
-		return n.eng.Localize(obj)
+		return n.Local.Localize(obj)
 	}
 	p := n.peers[i]
 	if !p.available(time.Now()) {

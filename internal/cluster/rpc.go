@@ -205,13 +205,13 @@ func (n *Node) HandleRPC(ctx context.Context, req *Request) (*Response, error) {
 	case OpIngest:
 		return n.handleIngestRPC(ctx, req)
 	case OpGather:
-		infos, _ := n.eng.Infos(ctx, req.Query)
-		now := n.eng.Now()
+		infos, _ := n.Local.Infos(ctx, req.Query)
+		now := n.Now()
 		return &Response{Now: now, Infos: infos}, nil
 	case OpDists, OpEvaluate:
 		return n.handleDistsRPC(ctx, req)
 	case OpLocalize:
-		loc, ok := n.eng.Localize(req.Object)
+		loc, ok := n.Local.Localize(req.Object)
 		return &Response{Loc: loc, Found: ok}, nil
 	default:
 		return nil, fmt.Errorf("cluster: unknown op %d", req.Op)
@@ -271,8 +271,8 @@ func (n *Node) handleIngestRPC(ctx context.Context, req *Request) (*Response, er
 // applyIngest hands one forwarded sub-batch to the local engine and turns
 // its typed ingest report into the ack.
 func (n *Node) applyIngest(ctx context.Context, req *Request) (*Response, error) {
-	err := n.eng.IngestContext(ctx, req.Time, req.Readings)
-	now := n.eng.Now()
+	err := n.Local.IngestContext(ctx, req.Time, req.Readings)
+	now := n.Now()
 	resp := &Response{Now: now, Accepted: len(req.Readings)}
 	var ie *ingest.Error
 	if errors.As(err, &ie) {
@@ -307,9 +307,9 @@ func (n *Node) handleDistsRPC(ctx context.Context, req *Request) (*Response, err
 	var err error
 	ncands := len(req.Candidates)
 	if req.Own {
-		dists, ncands, err = localPart{n}.OwnDists(ctx, req.Query, engine.Scope{Now: req.Now, Unhealthy: req.Unhealthy})
+		dists, ncands, err = n.Local.OwnDists(ctx, req.Query, engine.Scope{Now: req.Now, Unhealthy: req.Unhealthy})
 	} else {
-		dists, err = localPart{n}.Dists(ctx, req.Candidates, req.Query)
+		dists, err = n.Local.Dists(ctx, req.Candidates, req.Query)
 	}
 	tr.Add("remote-evaluate", trace.RouterShard, start, time.Since(start),
 		trace.Attr{Key: "from", Value: req.From},

@@ -78,7 +78,7 @@ func crashDir(t *testing.T) (dir, shard0 string) {
 	if err := checkShardGuard(wal.OS, dir, 1); err != nil {
 		t.Fatal(err)
 	}
-	shard0 = shardDir(dir, 0)
+	shard0 = ShardDir(dir, 0)
 	if err := os.Mkdir(shard0, 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestCrashRecoveryAtArbitraryOffsets(t *testing.T) {
 	}
 	// Simulated crash: the process dies here. No Close, no final snapshot;
 	// the fsynced segment bytes are all that survives.
-	segs, err := wal.SegmentInfos(shardDir(dir, 0))
+	segs, err := wal.SegmentInfos(ShardDir(dir, 0))
 	if err != nil || len(segs) != 1 {
 		t.Fatalf("want one segment, got %v (%v)", segs, err)
 	}
@@ -316,11 +316,11 @@ func TestCrashRecoveryWithSnapshots(t *testing.T) {
 	if err != nil || len(snaps) == 0 {
 		t.Fatalf("expected periodic router snapshots, got %v (%v)", snaps, err)
 	}
-	shardSnaps, err := wal.ListSnapshots(shardDir(dir, 0))
+	shardSnaps, err := wal.ListSnapshots(ShardDir(dir, 0))
 	if err != nil || len(shardSnaps) != len(snaps) {
 		t.Fatalf("shard-0000 holds %d snapshots for %d router snapshots (%v)", len(shardSnaps), len(snaps), err)
 	}
-	segs, _ := wal.SegmentInfos(shardDir(dir, 0))
+	segs, _ := wal.SegmentInfos(ShardDir(dir, 0))
 	if len(segs) == 0 {
 		t.Fatal("no segments to copy")
 	}
@@ -488,7 +488,7 @@ func TestRecoveryTornFinalRecord(t *testing.T) {
 	for _, d := range f.deliveries {
 		sys.Ingest(d.t, d.raws)
 	}
-	segs, _ := wal.SegmentInfos(shardDir(dir, 0))
+	segs, _ := wal.SegmentInfos(ShardDir(dir, 0))
 	st, err := os.Stat(segs[0].Path)
 	if err != nil {
 		t.Fatal(err)
@@ -518,7 +518,7 @@ func TestRecoveryCRCCorruptionMidSegment(t *testing.T) {
 	for _, d := range f.deliveries {
 		sys.Ingest(d.t, d.raws)
 	}
-	segs, _ := wal.SegmentInfos(shardDir(dir, 0))
+	segs, _ := wal.SegmentInfos(ShardDir(dir, 0))
 	var target wal.Rec
 	if _, err := wal.ScanSegment(segs[0].Path, func(r wal.Rec) error {
 		if r.Seq == 4 {
@@ -561,7 +561,7 @@ func TestSnapshotWithEmptyWAL(t *testing.T) {
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, _ := wal.SegmentInfos(shardDir(dir, 0))
+	segs, _ := wal.SegmentInfos(ShardDir(dir, 0))
 	for _, seg := range segs {
 		if err := os.Remove(seg.Path); err != nil {
 			t.Fatal(err)

@@ -86,7 +86,7 @@ func TestCrashRecoveryWithTransientSyncFaults(t *testing.T) {
 		t.Fatal("no sync fault fired; raise Prob or the stream length")
 	}
 	// Crash: no Close. Recovery below runs on the real filesystem.
-	segs, err := wal.SegmentInfos(shardDir(dir, 0))
+	segs, err := wal.SegmentInfos(ShardDir(dir, 0))
 	if err != nil || len(segs) != 1 {
 		t.Fatalf("want one segment, got %v (%v)", segs, err)
 	}
@@ -491,7 +491,7 @@ func testQuarantineRestartEvery(t *testing.T, clean bool, every int) {
 		sh.stopHealer()
 	}
 	// Retention did not freeze while the shard was out.
-	for _, d := range []string{dir, shardDir(dir, 0), shardDir(dir, 2), shardDir(dir, 3)} {
+	for _, d := range []string{dir, ShardDir(dir, 0), ShardDir(dir, 2), ShardDir(dir, 3)} {
 		if snaps, err := wal.ListSnapshots(d); err != nil || len(snaps) > keepSnapshots {
 			t.Fatalf("%s holds %d snapshots at restart (%v), want at most %d", d, len(snaps), err, keepSnapshots)
 		}

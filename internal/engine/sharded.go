@@ -19,12 +19,39 @@ import (
 	"repro/internal/rfid"
 	"repro/internal/shardmap"
 	"repro/internal/wal"
+	"repro/internal/walkgraph"
 )
 
 // MaxShards bounds Config.Shards. The cap is generous — shards are
 // in-process and cheap — but a typo like -shards=100000 should fail fast
 // rather than allocate a hundred thousand collectors.
 const MaxShards = 256
+
+// Serving is the surface a front end drives: the HTTP server over any
+// engine shape, and a cluster node over its own engine. The router
+// (*Sharded; a *System is one) and a cluster node implement it, and both
+// synchronize themselves. Each coordinates the queries it answers, so it is
+// a Coordinator too. ReaderHealth is nil when health monitoring is disabled
+// and a non-nil slice when it is enabled.
+type Serving interface {
+	Querier
+	Coordinator
+	IngestContext(ctx context.Context, t model.Time, raws []model.RawReading) error
+	KnownObjects() []model.ObjectID
+	Localize(obj model.ObjectID) (Localization, bool)
+	DegradedShards() []int
+	Preprocess(candidates []model.ObjectID) *anchor.Table
+	Stats() Stats
+	CacheStats() (hits, misses int)
+	Graph() *walkgraph.Graph
+	SyncMetrics()
+	SetParticleBudget(n int)
+	NoteOversizedBody()
+	ReaderHealth() []health.ReaderHealth
+	WALError() error
+	Recovery() RecoveryInfo
+	Close() error
+}
 
 // Sharded partitions object state across N stores over one shared world by
 // consistent hash of the object ID (internal/shardmap) and routes every
@@ -534,9 +561,6 @@ func (e *Sharded) ReaderHealth() []health.ReaderHealth {
 	defer e.ingestMu.Unlock()
 	return e.monitor.Snapshot(now)
 }
-
-// HealthMonitorEnabled reports whether the router runs a health monitor.
-func (e *Sharded) HealthMonitorEnabled() bool { return e.monitor != nil }
 
 // NoteOversizedBody accounts one ingest delivery the HTTP layer refused for
 // exceeding its body cap: the loss never reaches the reorder buffer.

@@ -57,8 +57,25 @@ import (
 // shardGuardFile names the file pinning the directory's shard count.
 const shardGuardFile = "SHARDS"
 
-func shardDir(dir string, i int) string {
+// ShardDir is shard i's subdirectory of a sharded data directory.
+func ShardDir(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%04d", i))
+}
+
+// ShardCount reads the shard count the guard file of the sharded data
+// directory dir pins; it only reads. With no guard file (a new directory, or
+// the flat single-engine layout) the error wraps os.ErrNotExist.
+func ShardCount(fsys wal.FS, dir string) (int, error) {
+	path := filepath.Join(dir, shardGuardFile)
+	data, err := wal.ReadFileFS(fsys, path)
+	if err != nil {
+		return 0, fmt.Errorf("engine: read shard guard: %w", err)
+	}
+	n, err := strconv.Atoi(strings.TrimSpace(string(data)))
+	if err != nil {
+		return 0, fmt.Errorf("engine: unreadable shard guard %s: %q", path, strings.TrimSpace(string(data)))
+	}
+	return n, nil
 }
 
 // checkShardGuard pins dir to one shard count. The shard map is a pure
@@ -69,8 +86,7 @@ func shardDir(dir string, i int) string {
 // that as new would come up empty and ack fresh writes over the old state,
 // so it is refused.
 func checkShardGuard(fsys wal.FS, dir string, n int) error {
-	path := filepath.Join(dir, shardGuardFile)
-	data, err := wal.ReadFileFS(fsys, path)
+	have, err := ShardCount(fsys, dir)
 	if errors.Is(err, os.ErrNotExist) {
 		segs, serr := wal.SegmentInfosFS(fsys, dir)
 		if serr != nil {
@@ -87,17 +103,13 @@ func checkShardGuard(fsys wal.FS, dir string, n int) error {
 		if err := fsys.MkdirAll(dir, 0o755); err != nil {
 			return fmt.Errorf("engine: create data dir: %w", err)
 		}
-		if err := wal.WriteFileFS(fsys, path, []byte(strconv.Itoa(n)+"\n"), 0o644); err != nil {
+		if err := wal.WriteFileFS(fsys, filepath.Join(dir, shardGuardFile), []byte(strconv.Itoa(n)+"\n"), 0o644); err != nil {
 			return fmt.Errorf("engine: write shard guard: %w", err)
 		}
 		return nil
 	}
 	if err != nil {
-		return fmt.Errorf("engine: read shard guard: %w", err)
-	}
-	have, perr := strconv.Atoi(strings.TrimSpace(string(data)))
-	if perr != nil {
-		return fmt.Errorf("engine: unreadable shard guard %s: %q", path, strings.TrimSpace(string(data)))
+		return err
 	}
 	if have != n {
 		return fmt.Errorf("engine: data directory %s was written with %d shards, refusing to open with %d (the shard map would misroute recovered objects)", dir, have, n)
@@ -187,7 +199,7 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 	if err := checkShardGuard(fsys, d.Dir, e.n); err != nil {
 		return nil, err
 	}
-	markers, err := readQuarMarkers(fsys, d.Dir, e.n)
+	markers, err := QuarantineMarkers(fsys, d.Dir, e.n)
 	if err != nil {
 		return nil, err
 	}
@@ -229,7 +241,7 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 	shardSnapLists := make([][]wal.SnapshotInfo, e.n)
 	shardSnapsAt := make([]map[uint64]string, e.n)
 	for i := range shardSnapsAt {
-		infos, err := wal.ListSnapshotsFS(fsys, shardDir(d.Dir, i))
+		infos, err := wal.ListSnapshotsFS(fsys, ShardDir(d.Dir, i))
 		if err != nil {
 			return nil, err
 		}
@@ -355,7 +367,7 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 		}
 		shardBase := base[i]
 		expected := shardBase + 1
-		l, report, oerr := wal.Open(shardDir(d.Dir, i), wal.Options{StreamID: sid, FS: d.FS},
+		l, report, oerr := wal.Open(ShardDir(d.Dir, i), wal.Options{StreamID: sid, FS: d.FS},
 			func(seq uint64, payload []byte) error {
 				if seq <= shardBase {
 					return nil
@@ -776,7 +788,7 @@ func (e *Sharded) writeSnapshots() error {
 			e.snapFailed(err)
 			return err
 		}
-		if _, err := wal.WriteSnapshotFS(fsys, shardDir(d.Dir, i), e.streamID, e.walSeq, buf.Bytes()); err != nil {
+		if _, err := wal.WriteSnapshotFS(fsys, ShardDir(d.Dir, i), e.streamID, e.walSeq, buf.Bytes()); err != nil {
 			err = fmt.Errorf("engine: write shard %d snapshot: %w", i, err)
 			e.snapFailed(err)
 			return err
@@ -793,7 +805,7 @@ func (e *Sharded) writeSnapshots() error {
 		if l == nil {
 			continue
 		}
-		oldest, _, err := wal.PruneSnapshotsFS(fsys, shardDir(d.Dir, i), keepSnapshots)
+		oldest, _, err := wal.PruneSnapshotsFS(fsys, ShardDir(d.Dir, i), keepSnapshots)
 		if err != nil {
 			log.Printf("engine: prune shard %d snapshots: %v", i, err)
 			return nil

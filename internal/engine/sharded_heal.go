@@ -129,10 +129,10 @@ func removeQuarMarker(fsys wal.FS, dir string, i int) error {
 	return err
 }
 
-// readQuarMarkers returns the quarantine markers present in dir as
-// shard → quarantine seq. Unparsable markers are treated as seq 0 (the shard
+// QuarantineMarkers returns the quarantine markers present in the sharded
+// data directory dir as shard → quarantine seq; it only reads. Unparsable markers are treated as seq 0 (the shard
 // restores from scratch — safe, just slower).
-func readQuarMarkers(fsys wal.FS, dir string, n int) (map[int]uint64, error) {
+func QuarantineMarkers(fsys wal.FS, dir string, n int) (map[int]uint64, error) {
 	out := make(map[int]uint64)
 	for i := 0; i < n; i++ {
 		data, err := wal.ReadFileFS(fsys, quarMarkerPath(dir, i))
@@ -304,7 +304,7 @@ func (e *Sharded) tryHeal(i int) error {
 	e.ingestMu.Unlock()
 
 	d := e.cfg.Durability
-	l, _, err := wal.Open(shardDir(d.Dir, i), wal.Options{StreamID: e.streamID, FS: d.FS}, nil)
+	l, _, err := wal.Open(ShardDir(d.Dir, i), wal.Options{StreamID: e.streamID, FS: d.FS}, nil)
 	if err == nil && l.LastSeq() != q.seq {
 		err = fmt.Errorf("engine: shard %d heal: reopened log ends at seq %d, quarantined at %d; refusing to rejoin", i, l.LastSeq(), q.seq)
 		l.Close()

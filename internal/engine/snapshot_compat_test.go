@@ -70,7 +70,7 @@ func rewriteRouterSnapAsParent(t *testing.T, f *durableFixture, dir string, sid 
 		Drops:          rs.Drops,
 		Forced:         rs.Forced,
 	}
-	markers, err := readQuarMarkers(wal.OS, dir, 4)
+	markers, err := QuarantineMarkers(wal.OS, dir, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestRecoverySkipsCorruptNewestSnapshot(t *testing.T) {
 			// Crash: no Close, so the newest barrier is the periodic one at 18.
 			snapDir := dir
 			if target == "shard" {
-				snapDir = shardDir(dir, 2)
+				snapDir = ShardDir(dir, 2)
 			}
 			snaps, err := wal.ListSnapshots(snapDir)
 			if err != nil || len(snaps) != 2 || snaps[0].Seq != 12 || snaps[1].Seq != 18 {

@@ -28,7 +28,8 @@ const (
 	// KindMisstamped marks a reading stamped further ahead of its delivery's
 	// batch second than the configured skew tolerance (a broken clock).
 	KindMisstamped
-	// KindInvalid marks a reading with no reader attached.
+	// KindInvalid marks a reading with no reader attached, or a whole
+	// delivery refused because its batch second is below 1.
 	KindInvalid
 	// KindGap marks a second the watermark passed without any delivery at
 	// all (lost batch). Gaps are observations, not drops: they are counted,
@@ -125,7 +126,8 @@ type Drops struct {
 	// their second (beyond the skew tolerance at the reorder buffer, or
 	// != t at the collector).
 	MisstampedReadings int
-	// InvalidReadings counts readings with no reader attached.
+	// InvalidReadings counts readings with no reader attached, and the
+	// readings of deliveries refused for a batch second below 1.
 	InvalidReadings int
 	// GapSeconds counts seconds the watermark passed with no delivery at
 	// all — batches lost upstream of the system.

@@ -193,6 +193,13 @@ func mix64(x uint64) uint64 {
 // of raws itself (of a compacted scratch copy, when readings were refused or
 // seconds interleaved); only what has to wait for a later call is copied.
 func (b *Reorder) Offer(t model.Time, raws []model.RawReading) error {
+	if t < 1 {
+		// The stream clock starts at second 1. A smaller batch second is
+		// forged or corrupt input, and opening the stream on it would wrap
+		// t-MaxSkew near math.MinInt64 and close every real second.
+		b.drops.InvalidReadings += len(raws)
+		return &Error{Kind: KindInvalid, Time: t, Watermark: b.watermark, Dropped: len(raws), Rejected: true}
+	}
 	if b.started && t <= b.watermark {
 		b.drops.LateBatches++
 		b.drops.LateReadings += len(raws)

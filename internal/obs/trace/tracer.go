@@ -18,8 +18,6 @@ type Config struct {
 	// Slow marks traces at or above this wall time as always kept. Zero
 	// disables the slowness rule.
 	Slow time.Duration
-	// Ring is the completed-trace ring capacity (<= 0: obs.DefaultRingSize).
-	Ring int
 	// Seed keys the splitmix64 trace-ID stream.
 	Seed int64
 }
@@ -49,7 +47,7 @@ func New(cfg Config) *Tracer {
 	return &Tracer{
 		sample: cfg.Sample,
 		slow:   cfg.Slow,
-		ring:   obs.NewRing[Done](cfg.Ring),
+		ring:   obs.NewRing[Done](obs.DefaultRingSize),
 		src:    rng.Derive(cfg.Seed, 0x7ace),
 	}
 }

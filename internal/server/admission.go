@@ -26,21 +26,24 @@ type AdmissionConfig struct {
 	MaxWait time.Duration
 
 	// DegradedParticles, when positive, enables degraded mode: after
-	// DegradeAfter sheds within RestoreAfter of each other the per-object
+	// degradeAfter sheds within restoreAfter of each other the per-object
 	// particle budget is reduced to this value (the documented Ns ablation
 	// knob — cheaper filtering, coarser distributions), and restored once
-	// RestoreAfter passes with no shed. The gap between the enter condition
+	// restoreAfter passes with no shed. The gap between the enter condition
 	// (sustained shedding) and the leave condition (a full calm window) is
 	// the hysteresis band that prevents flapping.
 	DegradedParticles int
-	// DegradeAfter is how many sheds within a RestoreAfter window trip
-	// degraded mode. Values below 1 are treated as 1.
-	DegradeAfter int
-	// RestoreAfter is the calm period (no sheds) after which full fidelity
-	// is restored, and also the window within which sheds accumulate toward
-	// DegradeAfter. 0 means 30s.
-	RestoreAfter time.Duration
 }
+
+const (
+	// degradeAfter is how many sheds within a restoreAfter window trip
+	// degraded mode.
+	degradeAfter = 3
+	// restoreAfter is the calm period (no sheds) after which full fidelity
+	// is restored, and also the window within which sheds accumulate toward
+	// degradeAfter.
+	restoreAfter = 30 * time.Second
+)
 
 // DefaultAdmissionConfig returns admission bounds suited to a single-engine
 // server: a handful of in-flight queries, a short queue, and degraded mode
@@ -51,8 +54,6 @@ func DefaultAdmissionConfig() AdmissionConfig {
 		MaxQueue:          32,
 		MaxWait:           500 * time.Millisecond,
 		DegradedParticles: 32,
-		DegradeAfter:      3,
-		RestoreAfter:      30 * time.Second,
 	}
 }
 
@@ -85,12 +86,6 @@ type admission struct {
 func newAdmission(cfg AdmissionConfig, reg *obs.Registry) *admission {
 	if cfg.MaxInFlight <= 0 {
 		return nil
-	}
-	if cfg.DegradeAfter < 1 {
-		cfg.DegradeAfter = 1
-	}
-	if cfg.RestoreAfter <= 0 {
-		cfg.RestoreAfter = 30 * time.Second
 	}
 	a := &admission{
 		cfg:   cfg,
@@ -214,12 +209,12 @@ func (a *admission) retryAfterHeader() string {
 }
 
 // noteShed records one shed at the given time and reports the running count
-// toward the degrade threshold. Sheds further apart than RestoreAfter start
+// toward the degrade threshold. Sheds further apart than restoreAfter start
 // a fresh count.
 func (a *admission) noteShed(now time.Time) {
 	a.shed.Inc()
 	a.mu.Lock()
-	if !a.lastShed.IsZero() && now.Sub(a.lastShed) > a.cfg.RestoreAfter {
+	if !a.lastShed.IsZero() && now.Sub(a.lastShed) > restoreAfter {
 		a.shedCount = 0
 	}
 	a.shedCount++
@@ -228,8 +223,8 @@ func (a *admission) noteShed(now time.Time) {
 }
 
 // degradeDecision reports whether the server should be in degraded mode as
-// of now, applying the hysteresis band: enter after DegradeAfter sheds
-// within the window, leave only after a full RestoreAfter of calm. It
+// of now, applying the hysteresis band: enter after degradeAfter sheds
+// within the window, leave only after a full restoreAfter of calm. It
 // returns the (possibly new) state and whether it changed.
 func (a *admission) degradeDecision(now time.Time) (degraded, changed bool) {
 	if a == nil || a.cfg.DegradedParticles <= 0 {
@@ -239,10 +234,10 @@ func (a *admission) degradeDecision(now time.Time) (degraded, changed bool) {
 	defer a.mu.Unlock()
 	was := a.degraded
 	if !a.degraded {
-		if a.shedCount >= a.cfg.DegradeAfter {
+		if a.shedCount >= degradeAfter {
 			a.degraded = true
 		}
-	} else if a.lastShed.IsZero() || now.Sub(a.lastShed) >= a.cfg.RestoreAfter {
+	} else if a.lastShed.IsZero() || now.Sub(a.lastShed) >= restoreAfter {
 		a.degraded = false
 		a.shedCount = 0
 	}

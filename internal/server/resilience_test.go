@@ -52,9 +52,7 @@ func TestOverloadShedsWith429(t *testing.T) {
 		MaxInFlight:       1,
 		MaxQueue:          0, // no waiting: a busy slot sheds immediately
 		MaxWait:           time.Millisecond,
-		DegradedParticles: 16,
-		DegradeAfter:      2,
-		RestoreAfter:      time.Hour, // keep degraded mode latched for the test
+		DegradedParticles: 16, // latched for restoreAfter, far longer than the test runs
 	}
 	srv, sys, _ := resilientServer(t, Config{Admission: adm})
 	ts := httptest.NewServer(srv.Handler())
@@ -64,7 +62,7 @@ func TestOverloadShedsWith429(t *testing.T) {
 	srv.adm.slots <- struct{}{}
 
 	full := sys.ParticleBudget()
-	for i := 0; i < adm.DegradeAfter; i++ {
+	for i := 0; i < degradeAfter; i++ {
 		resp, err := ts.Client().Get(ts.URL + "/range?x=0&y=0&w=10&h=10")
 		if err != nil {
 			t.Fatal(err)
@@ -113,46 +111,53 @@ func TestOverloadShedsWith429(t *testing.T) {
 }
 
 // TestDegradedModeHysteresis drives the controller's clock directly: degraded
-// mode enters only after DegradeAfter sheds inside the window, stays latched
-// while sheds keep arriving, and leaves only after a full RestoreAfter of
+// mode enters only after degradeAfter sheds inside the window, stays latched
+// while sheds keep arriving, and leaves only after a full restoreAfter of
 // calm. Sheds further apart than the window never accumulate.
 func TestDegradedModeHysteresis(t *testing.T) {
 	cfg := AdmissionConfig{
 		MaxInFlight:       1,
 		DegradedParticles: 8,
-		DegradeAfter:      2,
-		RestoreAfter:      10 * time.Second,
 	}
 	a := newAdmission(cfg, obs.NewRegistry())
 	base := time.Unix(1000, 0)
+	w := restoreAfter
 
-	a.noteShed(base)
-	if deg, _ := a.degradeDecision(base); deg {
-		t.Fatal("degraded after a single shed")
+	for i := 0; i < degradeAfter-1; i++ {
+		at := base.Add(time.Duration(i) * time.Second)
+		a.noteShed(at)
+		if deg, _ := a.degradeDecision(at); deg {
+			t.Fatalf("degraded after %d sheds", i+1)
+		}
 	}
-	a.noteShed(base.Add(time.Second))
-	deg, changed := a.degradeDecision(base.Add(time.Second))
+	entry := base.Add(time.Duration(degradeAfter-1) * time.Second)
+	a.noteShed(entry)
+	deg, changed := a.degradeDecision(entry)
 	if !deg || !changed {
-		t.Fatalf("deg=%v changed=%v after %d sheds, want entry", deg, changed, cfg.DegradeAfter)
+		t.Fatalf("deg=%v changed=%v after %d sheds, want entry", deg, changed, degradeAfter)
 	}
 	// Mid-window: still degraded, no flapping.
-	if deg, changed = a.degradeDecision(base.Add(5 * time.Second)); !deg || changed {
+	if deg, changed = a.degradeDecision(entry.Add(w / 2)); !deg || changed {
 		t.Fatalf("deg=%v changed=%v mid-window, want latched", deg, changed)
 	}
 	// A shed inside the window extends it.
-	a.noteShed(base.Add(8 * time.Second))
-	if deg, _ = a.degradeDecision(base.Add(12 * time.Second)); !deg {
+	extend := entry.Add(w * 7 / 10)
+	a.noteShed(extend)
+	if deg, _ = a.degradeDecision(entry.Add(w + time.Second)); !deg {
 		t.Fatal("left degraded mode before a full calm window")
 	}
-	// Full RestoreAfter of calm: restore.
-	deg, changed = a.degradeDecision(base.Add(18*time.Second + time.Millisecond))
+	// Full restoreAfter of calm: restore.
+	deg, changed = a.degradeDecision(extend.Add(w + time.Millisecond))
 	if deg || !changed {
 		t.Fatalf("deg=%v changed=%v after calm window, want restore", deg, changed)
 	}
-	// Two sheds separated by more than the window start fresh counts.
-	a.noteShed(base.Add(30 * time.Second))
-	a.noteShed(base.Add(50 * time.Second))
-	if deg, _ = a.degradeDecision(base.Add(50 * time.Second)); deg {
+	// Sheds separated by more than the window start fresh counts.
+	var last time.Time
+	for i := 0; i < degradeAfter; i++ {
+		last = extend.Add(time.Duration(i+2) * 2 * w)
+		a.noteShed(last)
+	}
+	if deg, _ = a.degradeDecision(last); deg {
 		t.Fatal("sheds outside the window accumulated toward degraded mode")
 	}
 }

@@ -43,7 +43,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/anchor"
 	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/floorplan"
@@ -55,35 +54,13 @@ import (
 	"repro/internal/obs/trace"
 	"repro/internal/rfid"
 	"repro/internal/viz"
-	"repro/internal/walkgraph"
 )
 
 // Engine is the query-evaluation surface the server drives: implemented by
 // the router *engine.Sharded (what cmd/server runs), the one-shard
 // *engine.System, and a *cluster.Node wrapping either. Implementations must
 // be safe for concurrent use.
-type Engine interface {
-	IngestContext(ctx context.Context, t model.Time, raws []model.RawReading) error
-	Now() model.Time
-	KnownObjects() []model.ObjectID
-	Query(ctx context.Context, q engine.Query) (engine.Answer, error)
-	Localize(obj model.ObjectID) (engine.Localization, bool)
-	DegradedShards() []int
-	Preprocess(candidates []model.ObjectID) *anchor.Table
-	Stats() engine.Stats
-	CacheStats() (hits, misses int)
-	Graph() *walkgraph.Graph
-	AnchorIndex() *anchor.Index
-	Telemetry() *engine.Telemetry
-	SyncMetrics()
-	SetParticleBudget(n int)
-	NoteOversizedBody()
-	HealthMonitorEnabled() bool
-	ReaderHealth() []health.ReaderHealth
-	WALError() error
-	Recovery() engine.RecoveryInfo
-	Close() error
-}
+type Engine = engine.Serving
 
 // clusterNode is the optional surface of an Engine that is a cluster node
 // (*cluster.Node): the server mounts its peer RPC endpoint and status
@@ -432,10 +409,10 @@ func (s *Server) updateDegraded() {
 // maintains: state, silence, smoothed detection rate, and accrued missed
 // evidence per reader.
 func (s *Server) handleReaders(w http.ResponseWriter, r *http.Request) {
-	enabled := s.sys.HealthMonitorEnabled()
 	readers := s.sys.ReaderHealth()
 	now := s.sys.Now()
-	if readers == nil {
+	enabled := readers != nil
+	if !enabled {
 		readers = []health.ReaderHealth{}
 	}
 	s.writeJSON(w, map[string]any{
