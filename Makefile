@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test race stress accuracy bench bench-smoke bench-json bench-diff bench-sharded bench-harness-build bench-harness-test chaos cluster-e2e check experiments examples vet vuln profile loc knobs fuzz-smoke server-deps
+.PHONY: build test race stress accuracy bench bench-smoke bench-json bench-diff bench-sharded bench-harness-build bench-harness-test chaos cluster-e2e check experiments examples vet vuln profile loc knobs unused fuzz-smoke server-deps
 
 build:
 	go build ./...
@@ -43,9 +43,9 @@ check:
 	$(MAKE) bench-smoke
 
 # The repo packages the server binary links, and a guard: the paper's
-# symbolic-model baseline and the registered-query layer (internal/baseline,
-# with the internal/symbolic and internal/depgraph packages under it) run
-# beside the engine in experiments and examples, never in the server.
+# symbolic-model baseline (internal/baseline, with the internal/symbolic and
+# internal/depgraph packages under it) runs beside the engine in experiments
+# and examples, never in the server.
 SERVER_FORBIDDEN := repro/internal/symbolic repro/internal/depgraph repro/internal/baseline
 server-deps:
 	@deps=$$(go list -deps ./cmd/server | grep '^repro/'); echo "$$deps"; \
@@ -161,6 +161,15 @@ loc:
 # option quotes this at its parent and at its change.
 knobs:
 	@out=$$(go test -count=1 -run '^TestKnobs$$' -v ./internal/server/) || { echo "$$out" >&2; exit 1; }; \
+	echo "$$out" | grep '^|'
+
+# Exported functions and methods that no non-test file of the module or of
+# bench/ references (a method an interface the program uses declares counts
+# as referenced), marked where the repro package promises them, each with the
+# reason it stays. Fails on one that is not on TestUnused's kept list
+# (unused_test.go), and on a kept entry that is referenced again or gone.
+unused:
+	@out=$$(go test -count=1 -run '^TestUnused$$' -v .) || { echo "$$out" >&2; exit 1; }; \
 	echo "$$out" | grep '^|'
 
 # Regenerate every paper figure at full scale (~15 minutes).

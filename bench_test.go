@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"repro/internal/anchor"
-	"repro/internal/baseline"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/floorplan"
@@ -232,28 +231,6 @@ func BenchmarkAblationCache(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sys.RangeQuery(win)
-			}
-		})
-	}
-}
-
-// BenchmarkRegistryEventDriven measures registered-query maintenance with
-// the critical-device optimization on and off, during quiet stretches (no
-// readings): the event-driven registry skips untouched range queries.
-func BenchmarkRegistryEventDriven(b *testing.B) {
-	for _, on := range []bool{true, false} {
-		b.Run(fmt.Sprintf("eventDriven=%v", on), func(b *testing.B) {
-			sys, _ := benchSystem(b, nil)
-			reg := baseline.NewRegistry(sys)
-			reg.SetEventDriven(on)
-			for i := 0; i < 6; i++ {
-				reg.RegisterRange(geom.RectWH(2+float64(i)*10, 11, 8, 2), 0.5)
-			}
-			reg.Evaluate() // the first evaluation always runs
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sys.Ingest(sys.Now()+1, nil) // a quiet second
-				reg.Evaluate()
 			}
 		})
 	}

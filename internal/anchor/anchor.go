@@ -160,9 +160,6 @@ func (idx *Index) add(a Anchor) ID {
 	return a.ID
 }
 
-// Graph returns the walking graph the index was built on.
-func (idx *Index) Graph() *walkgraph.Graph { return idx.g }
-
 // Spacing returns the anchor spacing in meters.
 func (idx *Index) Spacing() float64 { return idx.spacing }
 
@@ -297,12 +294,6 @@ func (idx *Index) Snap(loc walkgraph.Location) ID {
 		}
 	}
 	return best
-}
-
-// SnapPoint snaps an arbitrary plan point: it is located onto the walking
-// graph first, then snapped to the nearest anchor.
-func (idx *Index) SnapPoint(p geom.Point) ID {
-	return idx.Snap(idx.g.NearestLocation(p))
 }
 
 // AnchorsByNetworkDistance returns all anchor IDs sorted by ascending

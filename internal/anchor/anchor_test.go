@@ -34,9 +34,6 @@ func TestBuildIndexCounts(t *testing.T) {
 	if idx.Spacing() != 1.0 {
 		t.Errorf("Spacing = %v", idx.Spacing())
 	}
-	if idx.Graph() != g {
-		t.Error("Graph() identity lost")
-	}
 }
 
 func TestBuildIndexRejectsBadSpacing(t *testing.T) {
@@ -141,7 +138,7 @@ func TestSnapInsideRoomGoesToRoomAnchor(t *testing.T) {
 	idx := MustBuildIndex(g, 1.0)
 	// Deep inside room 0: the nearest anchor by network distance must be the
 	// room's own anchor, never a hallway anchor through the wall.
-	ap := idx.SnapPoint(geom.Pt(6, 15))
+	ap := idx.Snap(g.NearestLocation(geom.Pt(6, 15)))
 	if idx.Anchor(ap).Room != 0 {
 		t.Errorf("room interior snapped to %+v", idx.Anchor(ap))
 	}

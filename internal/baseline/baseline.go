@@ -1,9 +1,8 @@
 // Package baseline holds what the paper's evaluation runs beside the query
 // engine but the engine's queries never need: the symbolic model (SM)
-// baseline of Section 5 and the registered continuous queries with their
-// critical-device optimization. Both are built over an *engine.System's
-// public surface, so a server that only answers queries links neither them
-// nor the symbolic and deployment-graph packages they rest on.
+// baseline of Section 5. It is built over an *engine.System's public
+// surface, so a server that only answers queries links neither it nor the
+// symbolic and deployment-graph packages it rests on.
 package baseline
 
 import (

@@ -115,14 +115,6 @@ func (c *Cache) Invalidate(obj model.ObjectID, newDevice model.ReaderID) {
 	}
 }
 
-// Remove unconditionally drops the object's entry.
-func (c *Cache) Remove(obj model.ObjectID) {
-	if _, ok := c.entries[obj]; ok {
-		delete(c.entries, obj)
-		c.countEviction()
-	}
-}
-
 // EvictExpired drops every entry older than the lifetime.
 func (c *Cache) EvictExpired(now model.Time) {
 	for obj, e := range c.entries {
@@ -138,9 +130,3 @@ func (c *Cache) Len() int { return len(c.entries) }
 
 // Stats returns the cumulative hit and miss counts.
 func (c *Cache) Stats() (hits, misses int) { return c.hits, c.misses }
-
-// Clear empties the cache and resets statistics.
-func (c *Cache) Clear() {
-	c.entries = make(map[model.ObjectID]entry)
-	c.hits, c.misses = 0, 0
-}

@@ -132,24 +132,6 @@ func TestInvalidate(t *testing.T) {
 	c.Invalidate(42, 1) // unknown object: no-op
 }
 
-func TestRemoveAndClear(t *testing.T) {
-	c := New(60)
-	c.Put(state(1, 100), 5)
-	c.Put(state(2, 100), 5)
-	c.Remove(1)
-	if c.Len() != 1 {
-		t.Error("Remove failed")
-	}
-	c.Get(2, 5, 100)
-	c.Clear()
-	if c.Len() != 0 {
-		t.Error("Clear failed")
-	}
-	if h, m := c.Stats(); h != 0 || m != 0 {
-		t.Error("Clear did not reset stats")
-	}
-}
-
 func TestEvictExpired(t *testing.T) {
 	c := New(60)
 	c.Put(state(1, 100), 5)
@@ -192,8 +174,8 @@ func TestInstrumentCounters(t *testing.T) {
 	c.Put(state(3, 100), 5)
 	c.Invalidate(3, 9) // eviction
 	c.Put(state(4, 100), 5)
-	c.Remove(4) // eviction
-	c.Remove(4) // no entry: no eviction
+	c.Invalidate(4, 9) // eviction
+	c.Invalidate(4, 9) // no entry: no eviction
 	c.Put(state(5, 100), 5)
 	c.EvictExpired(1000) // eviction
 
@@ -215,7 +197,8 @@ func TestUninstrumentedCacheSafe(t *testing.T) {
 	c.Put(state(1, 100), 5)
 	c.Get(1, 5, 110)
 	c.Get(1, 7, 110)
-	c.Remove(1)
+	c.Put(state(2, 100), 5)
+	c.Invalidate(2, 9)
 	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
 		t.Errorf("stats = %d, %d", hits, misses)
 	}

@@ -265,14 +265,8 @@ func (n *Node) SetTracer(t *trace.Tracer) { n.tracer = t }
 // owned by Members()[i]).
 func (n *Node) Members() []string { return append([]string(nil), n.members...) }
 
-// Self returns this node's address.
-func (n *Node) Self() string { return n.cfg.Self }
-
 // OwnerIdx returns the membership index owning obj.
 func (n *Node) OwnerIdx(obj model.ObjectID) int { return shardmap.Of(obj, len(n.members)) }
-
-// Owner returns the address of the node owning obj.
-func (n *Node) Owner(obj model.ObjectID) string { return n.members[n.OwnerIdx(obj)] }
 
 // remotePeers iterates the remote peers in membership order.
 func (n *Node) remotePeers() []*peer {

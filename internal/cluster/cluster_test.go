@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -243,6 +244,41 @@ func TestForgedBatchSecondRefused(t *testing.T) {
 	}
 }
 
+// TestForgedDeadlineRefused: a peer request whose DeadlineMillis no
+// time.Duration can hold is refused as malformed — a typed ErrDeadlineRange
+// from HandleRPC, a 400 from the HTTP endpoint — instead of being served
+// under a deadline that wrapped negative and had already expired. The
+// longest representable deadline is still served.
+func TestForgedDeadlineRefused(t *testing.T) {
+	_, n0, _, _, _ := twoNodes(t, 47, nil)
+	if err := n0.Ingest(1, readingsFor(objectsOwnedBy(0, 3), 1)); err != nil {
+		t.Fatal(err)
+	}
+	longest := int64(math.MaxInt64 / time.Millisecond)
+	for _, ms := range []int64{longest + 1, math.MaxInt64} {
+		resp, err := n0.HandleRPC(context.Background(), &cluster.Request{Op: cluster.OpGather, DeadlineMillis: ms})
+		if !errors.Is(err, cluster.ErrDeadlineRange) {
+			t.Errorf("DeadlineMillis %d: response %+v, error %v; want %v", ms, resp, err, cluster.ErrDeadlineRange)
+		}
+	}
+	resp, err := n0.HandleRPC(context.Background(), &cluster.Request{Op: cluster.OpGather, DeadlineMillis: longest})
+	if err != nil || len(resp.Infos) != 3 {
+		t.Errorf("DeadlineMillis %d: %v, %d infos; want the 3 local objects", longest, err, len(resp.Infos))
+	}
+
+	srv := httptest.NewServer(n0.RPCHandler())
+	defer srv.Close()
+	body := (&cluster.Request{Op: cluster.OpPing, DeadlineMillis: math.MaxInt64}).Encode(nil)
+	hresp, err := http.Post(srv.URL, "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hresp.Body.Close()
+	if hresp.StatusCode != http.StatusBadRequest {
+		t.Errorf("forged deadline over HTTP: status %d, want 400", hresp.StatusCode)
+	}
+}
+
 // TestUnreachableOwnerDegrades kills node-1: forwarded ingest becomes a
 // typed unreachable drop, queries answer partial naming the peer, and the
 // breaker walks SUSPECT then DEAD; after heal the peer catches up.
@@ -421,8 +457,8 @@ func TestOwnershipStability(t *testing.T) {
 	a := mkNode("alpha:1", []string{"gamma:3", "alpha:1", "beta:2"})
 	b := mkNode("beta:2", []string{"beta:2", "gamma:3", "alpha:1"})
 	for id := model.ObjectID(0); id < 1000; id++ {
-		if a.Owner(id) != b.Owner(id) {
-			t.Fatalf("object %d: node a says owner %s, node b says %s", id, a.Owner(id), b.Owner(id))
+		if oa, ob := a.Members()[a.OwnerIdx(id)], b.Members()[b.OwnerIdx(id)]; oa != ob {
+			t.Fatalf("object %d: node a says owner %s, node b says %s", id, oa, ob)
 		}
 	}
 }

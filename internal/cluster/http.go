@@ -162,7 +162,11 @@ func (n *Node) RPCHandler() http.Handler {
 		}
 		resp, err := n.HandleRPC(r.Context(), req)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+			code := http.StatusInternalServerError
+			if errors.Is(err, ErrDeadlineRange) {
+				code = http.StatusBadRequest
+			}
+			http.Error(w, err.Error(), code)
 			return
 		}
 		buf = getFrame()

@@ -35,7 +35,7 @@ func TestHarnessOpsOverHTTP(t *testing.T) {
 	tr := cluster.NewHTTPTransport()
 	defer tr.Client.CloseIdleConnections()
 	ctx := context.Background()
-	peer := n1.Self()
+	peer := n1.ClusterStatus().Self
 
 	gathered, err := tr.Send(ctx, peer, &cluster.Request{Op: cluster.OpGather})
 	if err != nil {
@@ -43,7 +43,7 @@ func TestHarnessOpsOverHTTP(t *testing.T) {
 	}
 	var theirs []model.ObjectID // ascending, as objs' halves are
 	for _, o := range append(objectsOwnedBy(0, 4), objectsOwnedBy(1, 4)...) {
-		if n1.Owner(o) == peer { // buckets follow the sorted listener addresses
+		if n1.Members()[n1.OwnerIdx(o)] == peer { // buckets follow the sorted listener addresses
 			theirs = append(theirs, o)
 		}
 	}

@@ -186,10 +186,19 @@ func (n *Node) send(ctx context.Context, p *peer, req *Request) (*Response, erro
 	}
 }
 
+// ErrDeadlineRange refuses a request whose DeadlineMillis is longer than a
+// time.Duration holds. The forwarder never sends one; a forged or corrupt
+// frame would otherwise wrap into an already-expired deadline. The HTTP
+// endpoint answers it 400, as it does a malformed body.
+var ErrDeadlineRange = errors.New("cluster: request deadline out of range")
+
 // HandleRPC serves one peer request against the local engine. It is the
 // single entry point for every transport: the HTTP handler decodes into it,
 // and the in-memory test transport calls it directly.
 func (n *Node) HandleRPC(ctx context.Context, req *Request) (*Response, error) {
+	if req.DeadlineMillis > math.MaxInt64/int64(time.Millisecond) {
+		return nil, fmt.Errorf("%w: %d ms", ErrDeadlineRange, req.DeadlineMillis)
+	}
 	if tc := n.tracer.StartWith(req.TraceID, "rpc-"+req.Op.String()); tc != nil {
 		defer n.tracer.Finish(tc)
 		ctx = trace.With(ctx, tc)

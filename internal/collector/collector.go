@@ -96,9 +96,6 @@ func NewWithHistory() *Collector {
 	return c
 }
 
-// Historic reports whether full history retention is enabled.
-func (c *Collector) Historic() bool { return c.historic }
-
 // Now returns the time of the most recently ingested second.
 func (c *Collector) Now() model.Time { return c.now }
 
@@ -314,23 +311,6 @@ func (c *Collector) LastReading(obj model.ObjectID) (model.AggregatedReading, bo
 	return entries[len(entries)-1], true
 }
 
-// ReadingAt returns the aggregated entry of the object for second t, or an
-// undetected entry (Reader == NoReader) when the object produced no reading
-// that second (the paper's reading.Device = null case).
-func (c *Collector) ReadingAt(obj model.ObjectID, t model.Time) model.AggregatedReading {
-	log := c.objects[obj]
-	if log != nil {
-		for i := len(log.runs) - 1; i >= 0; i-- {
-			entries := log.runs[i].entries
-			j := sort.Search(len(entries), func(k int) bool { return entries[k].Time >= t })
-			if j < len(entries) && entries[j].Time == t {
-				return entries[j]
-			}
-		}
-	}
-	return model.AggregatedReading{Object: obj, Reader: model.NoReader, Time: t}
-}
-
 // AggregatedUpTo returns the aggregated entries the paper's Algorithm 2
 // would use for a historical query at time t: the readings of the object's
 // two most recent consecutive detecting devices as of t, clipped to entries
@@ -370,19 +350,6 @@ func (c *Collector) LastReadingAt(obj model.ObjectID, t model.Time) (model.Aggre
 		return model.AggregatedReading{}, false
 	}
 	return entries[len(entries)-1], true
-}
-
-// RecentDevicesAt returns the object's second-most-recent and most-recent
-// detecting devices as of time t (NoReader when absent).
-func (c *Collector) RecentDevicesAt(obj model.ObjectID, t model.Time) (di, dj model.ReaderID) {
-	di, dj = model.NoReader, model.NoReader
-	entries := c.AggregatedUpTo(obj, t)
-	for _, e := range entries {
-		if e.Reader != dj {
-			di, dj = dj, e.Reader
-		}
-	}
-	return di, dj
 }
 
 // CurrentlyDetectedBy returns the reader currently detecting the object, or

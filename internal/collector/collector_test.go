@@ -144,24 +144,6 @@ func TestLastReading(t *testing.T) {
 	}
 }
 
-func TestReadingAt(t *testing.T) {
-	c := New()
-	c.IngestSecond(1, raw(1, 2, 1, 5))
-	c.IngestSecond(3, raw(1, 3, 3, 5))
-	if r := c.ReadingAt(1, 1); r.Reader != 2 {
-		t.Errorf("ReadingAt(1) = %+v", r)
-	}
-	if r := c.ReadingAt(1, 2); r.Detected() {
-		t.Errorf("gap second reported detected: %+v", r)
-	}
-	if r := c.ReadingAt(1, 3); r.Reader != 3 {
-		t.Errorf("ReadingAt(3) = %+v", r)
-	}
-	if r := c.ReadingAt(99, 3); r.Detected() {
-		t.Error("unknown object detected")
-	}
-}
-
 func TestCurrentlyDetectedBy(t *testing.T) {
 	c := New()
 	if c.CurrentlyDetectedBy(1) != model.NoReader {

@@ -1,15 +1,11 @@
 package collector
 
-import (
-	"testing"
-
-	"repro/internal/model"
-)
+import "testing"
 
 func TestHistoryRetainsAllRuns(t *testing.T) {
 	c := NewWithHistory()
-	if !c.Historic() {
-		t.Fatal("Historic() false")
+	if !c.historic {
+		t.Fatal("NewWithHistory collector not historic")
 	}
 	c.IngestSecond(1, raw(1, 2, 1, 5))
 	c.IngestSecond(5, raw(1, 3, 5, 5))
@@ -28,7 +24,7 @@ func TestHistoryRetainsAllRuns(t *testing.T) {
 
 func TestDefaultCollectorTrimsRuns(t *testing.T) {
 	c := New()
-	if c.Historic() {
+	if c.historic {
 		t.Fatal("default collector historic")
 	}
 	c.IngestSecond(1, raw(1, 2, 1, 5))
@@ -89,12 +85,11 @@ func TestLastReadingAtAndRecentDevicesAt(t *testing.T) {
 	if _, ok := c.LastReadingAt(1, 0); ok {
 		t.Error("LastReadingAt before first reading should miss")
 	}
-	di, dj := c.RecentDevicesAt(1, 3)
-	if di != model.NoReader || dj != 2 {
-		t.Errorf("RecentDevicesAt(3) = %d, %d", di, dj)
+	// The recent devices as of t are the readers of AggregatedUpTo(t).
+	if ag := c.AggregatedUpTo(1, 3); len(ag) != 1 || ag[0].Reader != 2 {
+		t.Errorf("devices as of 3: %+v, want reader 2 alone", ag)
 	}
-	di, dj = c.RecentDevicesAt(1, 10)
-	if di != 2 || dj != 3 {
-		t.Errorf("RecentDevicesAt(10) = %d, %d", di, dj)
+	if ag := c.AggregatedUpTo(1, 10); len(ag) != 2 || ag[0].Reader != 2 || ag[1].Reader != 3 {
+		t.Errorf("devices as of 10: %+v, want readers 2 then 3", ag)
 	}
 }

@@ -8,7 +8,8 @@
 // fragment graph. Fragments covered by partitioning readers cannot be
 // traversed undetected and separate cells; fragments covered by presence
 // readers sense but do not partition. Cells are the connected components of
-// the traversable fragments.
+// the traversable fragments: what ReachableNodeDists explores from a seed,
+// the symbolic model's question. The package does not label them.
 package depgraph
 
 import (
@@ -16,7 +17,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/floorplan"
 	"repro/internal/model"
 	"repro/internal/rfid"
 	"repro/internal/walkgraph"
@@ -46,27 +46,6 @@ type Fragment struct {
 // Length returns the fragment's length in meters.
 func (f Fragment) Length() float64 { return f.Hi - f.Lo }
 
-// CellID identifies a deployment-graph cell.
-type CellID int
-
-// NoCell marks locations inside a blocking fragment (covered space belongs
-// to its device, not to any cell).
-const NoCell CellID = -1
-
-// Cell is one deployment-graph cell: everything reachable without being
-// detected by a partitioning device.
-type Cell struct {
-	ID CellID
-	// Fragments lists the traversable fragments composing the cell.
-	Fragments []FragID
-	// Rooms lists the rooms opening into the cell.
-	Rooms []floorplan.RoomID
-	// HallwayLength is the total free hallway centerline length.
-	HallwayLength float64
-	// Area is the cell's floor area: hallway strips plus room areas.
-	Area float64
-}
-
 // Graph is the deployment graph of a reader deployment over a walking graph.
 type Graph struct {
 	g   *walkgraph.Graph
@@ -75,40 +54,21 @@ type Graph struct {
 	frags    []Fragment
 	incident [][]FragID
 	byReader map[model.ReaderID][]FragID
-	byEdge   [][]FragID
 	numNodes int
-
-	cells      []Cell
-	cellOfFrag []CellID
-	// readerCells maps every reader to the cells its covered fragments
-	// touch (the deployment-graph edges incident to that device).
-	readerCells map[model.ReaderID][]CellID
 }
 
 // Build constructs the deployment graph.
 func Build(g *walkgraph.Graph, dep *rfid.Deployment) (*Graph, error) {
 	dg := &Graph{
-		g:           g,
-		dep:         dep,
-		byReader:    make(map[model.ReaderID][]FragID),
-		byEdge:      make([][]FragID, g.NumEdges()),
-		numNodes:    g.NumNodes(),
-		readerCells: make(map[model.ReaderID][]CellID),
+		g:        g,
+		dep:      dep,
+		byReader: make(map[model.ReaderID][]FragID),
+		numNodes: g.NumNodes(),
 	}
 	if err := dg.buildFragments(); err != nil {
 		return nil, err
 	}
-	dg.buildCells()
 	return dg, nil
-}
-
-// MustBuild is Build for known-valid inputs.
-func MustBuild(g *walkgraph.Graph, dep *rfid.Deployment) *Graph {
-	dg, err := Build(g, dep)
-	if err != nil {
-		panic(err)
-	}
-	return dg
 }
 
 type covered struct {
@@ -152,6 +112,7 @@ func (dg *Graph) buildFragments() error {
 
 		cursor := 0.0
 		prevNode := int(e.A)
+		first := len(dg.frags)
 		for _, cv := range covs {
 			if cv.hi <= cv.lo {
 				continue
@@ -167,7 +128,7 @@ func (dg *Graph) buildFragments() error {
 			prevNode = dg.emit(e.ID, cursor, cv.hi, cv.reader, prevNode, endNode)
 			cursor = cv.hi
 		}
-		if e.Length-cursor > 1e-9 || len(dg.byEdge[e.ID]) == 0 {
+		if e.Length-cursor > 1e-9 || len(dg.frags) == first {
 			dg.emit(e.ID, cursor, e.Length, model.NoReader, prevNode, int(e.B))
 		}
 	}
@@ -202,89 +163,10 @@ func (dg *Graph) emit(e walkgraph.EdgeID, lo, hi float64, reader model.ReaderID,
 		B:        endNode,
 	}
 	dg.frags = append(dg.frags, f)
-	dg.byEdge[e] = append(dg.byEdge[e], f.ID)
 	if reader != model.NoReader {
 		dg.byReader[reader] = append(dg.byReader[reader], f.ID)
 	}
 	return endNode
-}
-
-// buildCells labels the connected components of traversable fragments and
-// computes per-cell geometry, then derives the reader-to-cells adjacency.
-func (dg *Graph) buildCells() {
-	dg.cellOfFrag = make([]CellID, len(dg.frags))
-	for i := range dg.cellOfFrag {
-		dg.cellOfFrag[i] = NoCell
-	}
-	plan := dg.g.Plan()
-	for _, f := range dg.frags {
-		if f.Blocking || dg.cellOfFrag[f.ID] != NoCell {
-			continue
-		}
-		id := CellID(len(dg.cells))
-		cell := Cell{ID: id}
-		roomSeen := make(map[floorplan.RoomID]bool)
-		// BFS over traversable fragments.
-		queue := []FragID{f.ID}
-		dg.cellOfFrag[f.ID] = id
-		for len(queue) > 0 {
-			cur := dg.frags[queue[0]]
-			queue = queue[1:]
-			cell.Fragments = append(cell.Fragments, cur.ID)
-			e := dg.g.Edge(cur.Edge)
-			switch e.Kind {
-			case walkgraph.HallwayEdge:
-				cell.HallwayLength += cur.Length()
-				cell.Area += cur.Length() * plan.Hallway(e.Hallway).Width
-			case walkgraph.DoorEdge:
-				if cur.Hi >= e.DoorAt && !roomSeen[e.Room] {
-					roomSeen[e.Room] = true
-					cell.Rooms = append(cell.Rooms, e.Room)
-					cell.Area += plan.Room(e.Room).Area()
-				}
-			}
-			for _, n := range []int{cur.A, cur.B} {
-				for _, next := range dg.incident[n] {
-					nf := dg.frags[next]
-					if nf.Blocking || dg.cellOfFrag[next] != NoCell {
-						continue
-					}
-					dg.cellOfFrag[next] = id
-					queue = append(queue, next)
-				}
-			}
-		}
-		sort.Slice(cell.Rooms, func(i, j int) bool { return cell.Rooms[i] < cell.Rooms[j] })
-		dg.cells = append(dg.cells, cell)
-	}
-
-	// Reader adjacency: the cells touched by each reader's fragments.
-	for reader, fids := range dg.byReader {
-		seen := make(map[CellID]bool)
-		for _, fid := range fids {
-			f := dg.frags[fid]
-			if !f.Blocking {
-				// Presence fragments belong to a cell themselves.
-				if c := dg.cellOfFrag[fid]; c != NoCell && !seen[c] {
-					seen[c] = true
-				}
-				continue
-			}
-			for _, n := range []int{f.A, f.B} {
-				for _, next := range dg.incident[n] {
-					if c := dg.cellOfFrag[next]; c != NoCell && !seen[c] {
-						seen[c] = true
-					}
-				}
-			}
-		}
-		cells := make([]CellID, 0, len(seen))
-		for c := range seen {
-			cells = append(cells, c)
-		}
-		sort.Slice(cells, func(i, j int) bool { return cells[i] < cells[j] })
-		dg.readerCells[reader] = cells
-	}
 }
 
 // WalkGraph returns the underlying walking graph.
@@ -299,45 +181,8 @@ func (dg *Graph) Fragments() []Fragment { return dg.frags }
 // Fragment returns one fragment.
 func (dg *Graph) Fragment(id FragID) Fragment { return dg.frags[id] }
 
-// OnEdge returns the fragments of a walking-graph edge, ordered by Lo.
-func (dg *Graph) OnEdge(e walkgraph.EdgeID) []FragID { return dg.byEdge[e] }
-
 // OfReader returns the fragments covered by a reader.
 func (dg *Graph) OfReader(r model.ReaderID) []FragID { return dg.byReader[r] }
-
-// Incident returns the fragments touching a fragment-graph node.
-func (dg *Graph) Incident(node int) []FragID { return dg.incident[node] }
-
-// NumNodes returns the fragment-graph node count.
-func (dg *Graph) NumNodes() int { return dg.numNodes }
-
-// Cells returns all cells indexed by CellID. Must not be modified.
-func (dg *Graph) Cells() []Cell { return dg.cells }
-
-// Cell returns one cell.
-func (dg *Graph) Cell(id CellID) Cell { return dg.cells[id] }
-
-// CellOfFragment returns the cell containing a fragment (NoCell for
-// blocking fragments).
-func (dg *Graph) CellOfFragment(f FragID) CellID { return dg.cellOfFrag[f] }
-
-// CellAt returns the cell containing a walking-graph location, or NoCell
-// when the location is inside a partitioning reader's covered interval.
-func (dg *Graph) CellAt(loc walkgraph.Location) CellID {
-	loc = dg.g.Clamp(loc)
-	for _, fid := range dg.byEdge[loc.Edge] {
-		f := dg.frags[fid]
-		if loc.Offset >= f.Lo-1e-9 && loc.Offset <= f.Hi+1e-9 {
-			return dg.cellOfFrag[fid]
-		}
-	}
-	return NoCell
-}
-
-// CellsAdjacentTo returns the cells separated or sensed by a reader: for a
-// partitioning device, the cells on its sides; for a presence device, the
-// cell containing it.
-func (dg *Graph) CellsAdjacentTo(r model.ReaderID) []CellID { return dg.readerCells[r] }
 
 // ReachableNodeDists runs Dijkstra over traversable fragments from the given
 // seed nodes (with initial distances), returning per-node shortest distances.

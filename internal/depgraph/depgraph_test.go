@@ -32,17 +32,93 @@ func corridor(t *testing.T) (*walkgraph.Graph, *rfid.Deployment) {
 	return g, dep
 }
 
+func mustBuild(t *testing.T, g *walkgraph.Graph, dep *rfid.Deployment) *Graph {
+	t.Helper()
+	dg, err := Build(g, dep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dg
+}
+
+// cells labels the deployment graph's cells — the connected components of
+// the traversable fragments — by flooding ReachableNodeDists from every
+// traversable fragment no earlier flood reached: the cell of each fragment
+// (-1 for a blocking one) and the number of cells.
+func cells(dg *Graph) (cellOf []int, n int) {
+	cellOf = make([]int, len(dg.frags))
+	for i := range cellOf {
+		cellOf[i] = -1
+	}
+	for _, f := range dg.frags {
+		if f.Blocking || cellOf[f.ID] >= 0 {
+			continue
+		}
+		dist := dg.ReachableNodeDists(map[int]float64{f.A: 0})
+		for _, o := range dg.frags {
+			if !o.Blocking && !math.IsInf(dist[o.A], 1) {
+				cellOf[o.ID] = n
+			}
+		}
+		n++
+	}
+	return cellOf, n
+}
+
+// cellAt returns the cell containing a walking-graph location, or -1 when
+// the location is inside a partitioning reader's covered interval.
+func cellAt(dg *Graph, cellOf []int, loc walkgraph.Location) int {
+	for _, f := range dg.frags {
+		if f.Edge == loc.Edge && loc.Offset >= f.Lo-1e-9 && loc.Offset <= f.Hi+1e-9 {
+			return cellOf[f.ID]
+		}
+	}
+	return -1
+}
+
+// adjacentCells returns the cells a reader separates or senses: those of
+// the traversable fragments touching its covered fragments.
+func adjacentCells(dg *Graph, cellOf []int, r model.ReaderID) map[int]bool {
+	out := map[int]bool{}
+	for _, fid := range dg.OfReader(r) {
+		f := dg.Fragment(fid)
+		for _, node := range []int{f.A, f.B} {
+			for _, o := range dg.incident[node] {
+				if c := cellOf[o]; c >= 0 {
+					out[c] = true
+				}
+			}
+		}
+	}
+	return out
+}
+
+// roomCell returns the cell of the named room's interior.
+func roomCell(t *testing.T, dg *Graph, cellOf []int, name string) int {
+	t.Helper()
+	for _, n := range dg.g.Nodes() {
+		if n.Kind == walkgraph.RoomCenter && dg.g.Plan().Room(n.Room).Name == name {
+			return cellOf[dg.incident[n.ID][0]]
+		}
+	}
+	t.Fatalf("no room %q", name)
+	return -1
+}
+
 func TestFragmentsTileEveryEdge(t *testing.T) {
 	g, dep := corridor(t)
-	dg := MustBuild(g, dep)
+	dg := mustBuild(t, g, dep)
+	onEdge := make([][]Fragment, g.NumEdges())
+	for _, f := range dg.Fragments() {
+		onEdge[f.Edge] = append(onEdge[f.Edge], f)
+	}
 	for _, e := range g.Edges() {
-		ids := dg.OnEdge(e.ID)
-		if len(ids) == 0 {
+		frags := onEdge[e.ID]
+		if len(frags) == 0 {
 			t.Fatalf("edge %d has no fragments", e.ID)
 		}
 		cursor := 0.0
-		for _, fid := range ids {
-			f := dg.Fragment(fid)
+		for _, f := range frags {
 			if math.Abs(f.Lo-cursor) > 1e-6 {
 				t.Fatalf("edge %d fragment gap at %v", e.ID, cursor)
 			}
@@ -56,7 +132,7 @@ func TestFragmentsTileEveryEdge(t *testing.T) {
 
 func TestEveryReaderHasFragments(t *testing.T) {
 	g, dep := corridor(t)
-	dg := MustBuild(g, dep)
+	dg := mustBuild(t, g, dep)
 	for _, r := range dep.Readers() {
 		if len(dg.OfReader(r.ID)) == 0 {
 			t.Errorf("reader %d has no covered fragments", r.ID)
@@ -71,61 +147,46 @@ func TestEveryReaderHasFragments(t *testing.T) {
 
 func TestCellPartition(t *testing.T) {
 	g, dep := corridor(t)
-	dg := MustBuild(g, dep)
+	dg := mustBuild(t, g, dep)
 	// Three readers cut the single hallway into four cells.
-	if got := len(dg.Cells()); got != 4 {
-		t.Fatalf("cells = %d, want 4", got)
+	cellOf, n := cells(dg)
+	if n != 4 {
+		t.Fatalf("cells = %d, want 4", n)
 	}
 	// The two rooms belong to the cells of their door sections: room 0's
 	// door is at x=15 (between readers 0 and 1), room 1's at x=27 (between
 	// readers 1 and 2).
-	var roomCell [2]CellID
-	for _, c := range dg.Cells() {
-		for _, r := range c.Rooms {
-			roomCell[r] = c.ID
-		}
-	}
-	if roomCell[0] == roomCell[1] {
+	if roomCell(t, dg, cellOf, "R0") == roomCell(t, dg, cellOf, "R1") {
 		t.Errorf("rooms in the same cell despite reader between their doors")
-	}
-	// Total cell area: free hallway (40 - 3*~4 covered) * 2 wide + rooms.
-	total := 0.0
-	for _, c := range dg.Cells() {
-		total += c.Area
-	}
-	want := (40-12)*2.0 + 36 + 36
-	if math.Abs(total-want) > 1.0 {
-		t.Errorf("total cell area = %v, want ~%v", total, want)
 	}
 }
 
 func TestCellAt(t *testing.T) {
 	g, dep := corridor(t)
-	dg := MustBuild(g, dep)
+	dg := mustBuild(t, g, dep)
+	cellOf, _ := cells(dg)
 	// Points in different sections land in different cells.
-	locA := g.NearestLocation(geom.Pt(5, 10))
-	locB := g.NearestLocation(geom.Pt(15, 10))
-	ca, cb := dg.CellAt(locA), dg.CellAt(locB)
-	if ca == NoCell || cb == NoCell || ca == cb {
+	ca := cellAt(dg, cellOf, g.NearestLocation(geom.Pt(5, 10)))
+	cb := cellAt(dg, cellOf, g.NearestLocation(geom.Pt(15, 10)))
+	if ca < 0 || cb < 0 || ca == cb {
 		t.Errorf("cells: %d vs %d", ca, cb)
 	}
 	// A point inside a reader's range belongs to no cell.
-	locR := g.NearestLocation(geom.Pt(10, 10))
-	if got := dg.CellAt(locR); got != NoCell {
+	if got := cellAt(dg, cellOf, g.NearestLocation(geom.Pt(10, 10))); got >= 0 {
 		t.Errorf("covered point in cell %d", got)
 	}
 }
 
 func TestCellsAdjacentToPartitioningReader(t *testing.T) {
 	g, dep := corridor(t)
-	dg := MustBuild(g, dep)
+	dg := mustBuild(t, g, dep)
+	cellOf, _ := cells(dg)
 	// The middle reader separates the second and third hallway sections.
-	cells := dg.CellsAdjacentTo(model.ReaderID(1))
-	if len(cells) != 2 {
-		t.Fatalf("adjacent cells = %v, want 2", cells)
+	if got := adjacentCells(dg, cellOf, 1); len(got) != 2 {
+		t.Fatalf("adjacent cells = %v, want 2", got)
 	}
 	// End readers also separate two cells each.
-	if got := dg.CellsAdjacentTo(model.ReaderID(0)); len(got) != 2 {
+	if got := adjacentCells(dg, cellOf, 0); len(got) != 2 {
 		t.Errorf("reader 0 adjacent cells = %v", got)
 	}
 }
@@ -145,21 +206,22 @@ func TestPresenceDeviceDoesNotPartition(t *testing.T) {
 	dep := rfid.NewDeployment([]rfid.Reader{
 		{Pos: geom.Pt(20, 10), Range: 2, Kind: rfid.Presence},
 	})
-	dg := MustBuild(g, dep)
-	if got := len(dg.Cells()); got != 1 {
-		t.Fatalf("cells with a single presence device = %d, want 1", got)
+	dg := mustBuild(t, g, dep)
+	cellOf, n := cells(dg)
+	if n != 1 {
+		t.Fatalf("cells with a single presence device = %d, want 1", n)
 	}
 	// Its fragments are sensed but not blocking.
 	for _, fid := range dg.OfReader(0) {
 		if dg.Fragment(fid).Blocking {
 			t.Error("presence fragment marked blocking")
 		}
-		if dg.CellOfFragment(fid) == NoCell {
+		if cellOf[fid] < 0 {
 			t.Error("presence fragment outside any cell")
 		}
 	}
 	// The presence device is adjacent to exactly the one cell containing it.
-	if got := dg.CellsAdjacentTo(0); len(got) != 1 {
+	if got := adjacentCells(dg, cellOf, 0); len(got) != 1 {
 		t.Errorf("presence adjacency = %v", got)
 	}
 }
@@ -188,38 +250,28 @@ func TestFigure2Deployment(t *testing.T) {
 	if err := dep.AddDirectedPair(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	dg := MustBuild(g, dep)
+	dg := mustBuild(t, g, dep)
 	// Cells: west end (left of reader4), the large middle cell with both
 	// rooms and the presence reader, the small gap between the pair, and the
 	// staircase cell east of reader1'.
-	if got := len(dg.Cells()); got != 4 {
-		t.Fatalf("cells = %d, want 4", got)
+	cellOf, n := cells(dg)
+	if n != 4 {
+		t.Fatalf("cells = %d, want 4", n)
 	}
 	// Both mid rooms share the middle cell.
-	var midCell CellID = NoCell
-	for _, c := range dg.Cells() {
-		for _, r := range c.Rooms {
-			if plan.Room(r).Name == "roomA" {
-				midCell = c.ID
-			}
-		}
-	}
-	if midCell == NoCell {
+	midCell := roomCell(t, dg, cellOf, "roomA")
+	if midCell < 0 {
 		t.Fatal("roomA not in any cell")
 	}
-	foundB := false
-	for _, r := range dg.Cell(midCell).Rooms {
-		if plan.Room(r).Name == "roomB" {
-			foundB = true
-		}
-	}
-	if !foundB {
+	if roomCell(t, dg, cellOf, "roomB") != midCell {
 		t.Error("roomA and roomB should share a cell (reachable undetected)")
 	}
+	if roomCell(t, dg, cellOf, "stair") == midCell {
+		t.Error("the staircase is reachable from the middle cell undetected")
+	}
 	// The presence reader lives inside the middle cell.
-	adj := dg.CellsAdjacentTo(3)
-	if len(adj) != 1 || adj[0] != midCell {
-		t.Errorf("presence reader adjacency = %v, want [%d]", adj, midCell)
+	if adj := adjacentCells(dg, cellOf, 3); len(adj) != 1 || !adj[midCell] {
+		t.Errorf("presence reader adjacency = %v, want {%d}", adj, midCell)
 	}
 	// The directed pair is registered and resolvable in both orders.
 	if _, ok := dep.PairFor(0, 1); !ok {
@@ -252,7 +304,7 @@ func TestAddDirectedPairValidation(t *testing.T) {
 
 func TestReachableNodeDistsBlocked(t *testing.T) {
 	g, dep := corridor(t)
-	dg := MustBuild(g, dep)
+	dg := mustBuild(t, g, dep)
 	// Seed at the west end: distances east of reader 0 must be unreachable.
 	westLoc := g.NearestLocation(geom.Pt(0, 10))
 	e := g.Edge(westLoc.Edge)

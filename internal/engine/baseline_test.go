@@ -1,9 +1,8 @@
 package engine_test
 
 // The particle-filter engine side by side with what runs over it from
-// internal/baseline: the paper's symbolic-model comparator and the registered
-// continuous queries. An external test package, because baseline imports
-// engine.
+// internal/baseline: the paper's symbolic-model comparator. An external test
+// package, because baseline imports engine.
 
 import (
 	"testing"
@@ -97,176 +96,4 @@ func geomRects() []geom.Rect {
 		}
 	}
 	return out
-}
-
-func TestRegistryRangeEvents(t *testing.T) {
-	sys, world := warmSystem(t, 15, 100, 61)
-	reg := baseline.NewRegistry(sys)
-	zone := geom.RectWH(2, 11, 30, 14)
-	id := reg.RegisterRange(zone, 0.5)
-	if reg.Len() != 1 {
-		t.Fatalf("Len = %d", reg.Len())
-	}
-
-	sawEnter, sawLeave := false, false
-	members := map[model.ObjectID]bool{}
-	for round := 0; round < 12; round++ {
-		for i := 0; i < 10; i++ {
-			tm, raws := world.Step()
-			sys.Ingest(tm, raws)
-		}
-		for _, ev := range reg.Evaluate() {
-			if ev.Query != id {
-				t.Errorf("event for unknown query %d", ev.Query)
-			}
-			switch ev.Kind {
-			case baseline.Entered:
-				if members[ev.Object] {
-					t.Errorf("double enter for o%d", ev.Object)
-				}
-				members[ev.Object] = true
-				sawEnter = true
-			case baseline.Left:
-				if !members[ev.Object] {
-					t.Errorf("leave without enter for o%d", ev.Object)
-				}
-				delete(members, ev.Object)
-				sawLeave = true
-			}
-		}
-		// The registry's view matches the accumulated membership.
-		res := reg.Result(id)
-		if len(res) != len(members) {
-			t.Fatalf("round %d: result %v vs accumulated %v", round, res, members)
-		}
-	}
-	if !sawEnter || !sawLeave {
-		t.Errorf("expected both enter and leave events over 120 s (enter=%v leave=%v)", sawEnter, sawLeave)
-	}
-}
-
-func TestRegistryKNNEvents(t *testing.T) {
-	sys, world := warmSystem(t, 12, 100, 62)
-	reg := baseline.NewRegistry(sys)
-	id := reg.RegisterKNN(geom.Pt(35, 12), 3)
-	changes := 0
-	for round := 0; round < 10; round++ {
-		for i := 0; i < 10; i++ {
-			tm, raws := world.Step()
-			sys.Ingest(tm, raws)
-		}
-		for _, ev := range reg.Evaluate() {
-			if ev.Kind != baseline.Added && ev.Kind != baseline.Removed {
-				t.Errorf("kNN query produced %v event", ev.Kind)
-			}
-			changes++
-		}
-		if got := len(reg.Result(id)); got > 3 {
-			t.Fatalf("kNN result tracks %d > k objects", got)
-		}
-	}
-	if changes == 0 {
-		t.Error("no membership changes in 100 s of movement")
-	}
-}
-
-func TestRegistryDeregister(t *testing.T) {
-	sys, _ := warmSystem(t, 5, 60, 63)
-	reg := baseline.NewRegistry(sys)
-	a := reg.RegisterRange(geom.RectWH(0, 0, 10, 10), 0.5)
-	b := reg.RegisterKNN(geom.Pt(10, 12), 2)
-	if reg.Len() != 2 {
-		t.Fatalf("Len = %d", reg.Len())
-	}
-	if !reg.Deregister(a) || reg.Deregister(a) {
-		t.Error("range deregistration wrong")
-	}
-	if !reg.Deregister(b) {
-		t.Error("knn deregistration wrong")
-	}
-	if reg.Len() != 0 {
-		t.Errorf("Len after deregister = %d", reg.Len())
-	}
-	if reg.Evaluate() != nil {
-		t.Error("empty registry produced events")
-	}
-	if reg.Result(a) != nil {
-		t.Error("deregistered query still has results")
-	}
-}
-
-func TestEventKindStrings(t *testing.T) {
-	for kind, want := range map[baseline.EventKind]string{
-		baseline.Entered: "entered", baseline.Left: "left", baseline.Added: "added", baseline.Removed: "removed",
-	} {
-		if kind.String() != want {
-			t.Errorf("%d.String() = %q", kind, kind.String())
-		}
-	}
-	if baseline.EventKind(9).String() == "" {
-		t.Error("unknown kind empty")
-	}
-	ev := baseline.QueryEvent{Query: 1, Kind: baseline.Entered, Object: 4, Time: 9}
-	if ev.String() != "q1: o4 entered (t=9)" {
-		t.Errorf("event string = %q", ev.String())
-	}
-}
-
-func TestEventDrivenRegistrySkipsQuietQueries(t *testing.T) {
-	sys, world := warmSystem(t, 10, 100, 83)
-	reg := baseline.NewRegistry(sys)
-	reg.SetEventDriven(true)
-	id := reg.RegisterRange(geom.RectWH(2, 11, 12, 2), 0.5)
-
-	// The first evaluation always runs. The silent seconds before it let
-	// every object still inside a reader's range LEAVE it, so the stretch
-	// measured below carries no event at all.
-	quiet := func() {
-		for i := 0; i < 5; i++ {
-			sys.Ingest(sys.Now()+1, nil)
-		}
-	}
-	quiet()
-	reg.Evaluate()
-	statsAfterBaseline := sys.Stats()
-
-	// Advance time with NO readings at all: no events anywhere, so the
-	// event-driven registry must skip the query entirely.
-	_, seq, _ := sys.EventsSince(0)
-	quiet()
-	if evs, _, _ := sys.EventsSince(seq); len(evs) != 0 {
-		t.Fatalf("the silent stretch recorded %d ENTER/LEAVE events", len(evs))
-	}
-	evs := reg.Evaluate()
-	if len(evs) != 0 {
-		t.Errorf("quiet evaluation produced events: %v", evs)
-	}
-	statsAfterQuiet := sys.Stats()
-	if statsAfterQuiet.FiltersRun != statsAfterBaseline.FiltersRun ||
-		statsAfterQuiet.FiltersResumed != statsAfterBaseline.FiltersResumed {
-		t.Error("quiet evaluation still ran filters")
-	}
-	if statsAfterQuiet.RangeQueries != statsAfterBaseline.RangeQueries {
-		t.Error("quiet evaluation still evaluated the range query")
-	}
-
-	// Resume the world: events eventually touch critical devices and the
-	// query gets refreshed again.
-	refreshed := false
-	for round := 0; round < 15 && !refreshed; round++ {
-		for i := 0; i < 10; i++ {
-			tm, raws := world.Step()
-			sys.Ingest(tm, raws)
-		}
-		before := sys.Stats()
-		reg.Evaluate()
-		after := sys.Stats()
-		if after.RangeQueries > before.RangeQueries {
-			refreshed = true
-		}
-	}
-	if !refreshed {
-		t.Error("event-driven registry never refreshed despite movement")
-	}
-	_ = id
 }

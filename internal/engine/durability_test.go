@@ -122,8 +122,8 @@ func mustMatchOracle(t *testing.T, label string, got *Sharded, want *System, que
 	if got.Now() != want.Now() {
 		t.Fatalf("%s: Now %d != %d", label, got.Now(), want.Now())
 	}
-	if got.NumShards() != 1 {
-		t.Fatalf("%s: mustMatchOracle compares one shard's collector, engine has %d", label, got.NumShards())
+	if got.n != 1 {
+		t.Fatalf("%s: mustMatchOracle compares one shard's collector, engine has %d", label, got.n)
 	}
 	if gc, wc := got.shards[0].col.Snapshot(), want.Collector().Snapshot(); !reflect.DeepEqual(gc, wc) {
 		for i := range wc.Objects {

@@ -164,36 +164,14 @@ type Stats struct {
 
 // System is the assembled query evaluation system: the one-shard router,
 // whose ingestion, queries, stats and locking are all Sharded's, plus what
-// only a single shard can offer — its collector (Collector), Expire, the
-// Monte Carlo source of PTKNNQuery, and the ENTER/LEAVE log behind
-// EventsSince. It is safe for concurrent use.
+// only a single shard can offer — its collector (Collector), Expire and the
+// Monte Carlo source of PTKNNQuery. It is safe for concurrent use.
 type System struct {
 	*Sharded
 
 	// srcMu serializes PTKNNQuery's draws from src.
 	srcMu sync.Mutex
 	src   *rng.Source
-}
-
-// eventLog is the bounded ENTER/LEAVE log behind System.EventsSince: off is
-// the sequence number of evs[0]. The router fills it, under ingestMu, from
-// the events its shards drain.
-type eventLog struct {
-	evs []model.Event
-	off int
-}
-
-// record appends one flushed second's drained events, per shard. Only New
-// sets a log, on a one-shard router, so the events are in (Time, Object)
-// order; a nil log records nothing.
-func (l *eventLog) record(perShard [][]model.Event) {
-	if l == nil {
-		return
-	}
-	for _, evs := range perShard {
-		l.evs = append(l.evs, evs...)
-	}
-	l.evs, l.off = boundEventLog(l.evs, l.off)
 }
 
 // world is what a deployment builds once, whatever the number of shards:
@@ -308,15 +286,14 @@ func (w *world) newStore(id, workers int) *store {
 }
 
 // New assembles a System over a floor plan and reader deployment: a
-// one-shard router, whatever cfg.Shards says, that keeps the ENTER/LEAVE
-// log. It touches no disk (cfg.Durability is ignored).
+// one-shard router, whatever cfg.Shards says. It touches no disk
+// (cfg.Durability is ignored).
 func New(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*System, error) {
 	cfg.Shards = 1
 	e, err := NewSharded(plan, dep, cfg)
 	if err != nil {
 		return nil, err
 	}
-	e.events = new(eventLog)
 	return &System{Sharded: e, src: rng.New(cfg.Seed)}, nil
 }
 
@@ -392,29 +369,6 @@ func (s *store) restore(ss *shardSnap) {
 	s.cache.RestoreStats(ss.CacheHits, ss.CacheMisses)
 }
 
-// maxEventLog bounds the retained ENTER/LEAVE event log, and eventLogChunk
-// is the granularity it is cut at. Consumers that fall further behind simply
-// see a truncated prefix (and, safely, re-evaluate everything).
-const (
-	maxEventLog   = 65536
-	eventLogChunk = maxEventLog / 4
-)
-
-// boundEventLog cuts a retained event log, whose first event has sequence
-// number off, back to its newest maxEventLog events and up to a chunk more:
-// the cut is made once a whole chunk lies before them, at that chunk's
-// boundary and into a fresh array. Cutting at multiples of the chunk keeps the
-// retained window a function of the event count alone — the same whenever the
-// events arrived — while the copy is paid once per chunk of events instead of
-// once per flushed second; the fresh array keeps the slices EventsSince
-// handed out valid.
-func boundEventLog(log []model.Event, off int) ([]model.Event, int) {
-	if cut := (off + len(log) - maxEventLog) / eventLogChunk * eventLogChunk; cut > off {
-		return append(log[:0:0], log[cut-off:]...), cut
-	}
-	return log, off
-}
-
 // Expire drops collector state and cached particle states for objects whose
 // last reading is older than t. Pair it with population churn: objects that
 // left the building stop producing readings and age out of the system
@@ -425,23 +379,6 @@ func (s *System) Expire(olderThan model.Time) {
 	sh := s.shards[0]
 	sh.col.ForgetBefore(olderThan)
 	sh.cache.EvictExpired(sh.col.Now())
-}
-
-// EventsSince returns the ENTER/LEAVE events recorded at or after the given
-// sequence number, plus the next sequence number to pass. A consumer that
-// fell behind the bounded log receives truncated=true and should treat the
-// state as fully dirty. The events are the log's own, capped so that an
-// append to them cannot reach what later seconds record.
-func (s *System) EventsSince(seq int) (events []model.Event, next int, truncated bool) {
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	l := s.events
-	evs := l.evs[:len(l.evs):len(l.evs)]
-	next = l.off + len(evs)
-	if seq < l.off {
-		return evs, next, true
-	}
-	return evs[seq-l.off:], next, false
 }
 
 // Infos summarizes every known object for the pruning module, ascending —

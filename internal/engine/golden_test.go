@@ -40,7 +40,7 @@ func goldenSummaries(t *testing.T) string {
 	for _, ro := range sys.Occupancy() {
 		fmt.Fprintf(&b, "occupancy room=%d %s\n", ro.Room, hex(ro.P))
 	}
-	for _, l := range sys.LocalizeAll() {
+	for _, l := range localizeAll(sys) {
 		fmt.Fprintf(&b, "localize o%d mean=%s,%s mode=%d %s room=%d %s entropy=%s\n", l.Object,
 			hex(l.Mean.X), hex(l.Mean.Y), l.Mode, hex(l.ModeProb), l.Room, hex(l.RoomProb), hex(l.Entropy))
 	}

@@ -50,16 +50,6 @@ func (s *store) Localize(obj model.ObjectID) (Localization, bool) {
 	return s.summarize(obj, dists[0].Dist), true
 }
 
-// LocalizeAll localizes every known object, sorted by object ID.
-func (e *Sharded) LocalizeAll() []Localization {
-	tab := e.Preprocess(e.KnownObjects())
-	out := make([]Localization, 0, len(tab.Dists()))
-	for _, od := range tab.Dists() {
-		out = append(out, e.summarize(od.Object, od.Dist))
-	}
-	return out
-}
-
 // RoomDistribution returns the object's room-level distribution, ranked by
 // descending probability; the hallway share appears as a single NoRoom
 // entry. ok is false when the object cannot be localized.

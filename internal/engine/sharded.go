@@ -106,10 +106,6 @@ type Sharded struct {
 	// reorder sink and the WAL/apply paths it triggers. Guarded by ingestMu.
 	curTrace *trace.Context
 
-	// events is System's ENTER/LEAVE log, set only by New; a router keeps
-	// none. Guarded by ingestMu.
-	events *eventLog
-
 	// Scratch of one flushed second, reused by the next (guarded by
 	// ingestMu): parts are the per-shard subsets partition cuts out of
 	// partBuf, owners each reading's shard, partCounts the subset sizes, and
@@ -220,9 +216,6 @@ func MustNewSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) *Sha
 	}
 	return e
 }
-
-// NumShards returns the shard count.
-func (e *Sharded) NumShards() int { return e.n }
 
 // Now returns the most recently ingested second.
 func (e *Sharded) Now() model.Time {
@@ -397,7 +390,6 @@ func (e *Sharded) applyParts(t model.Time, parts [][]model.RawReading, raws []mo
 			}
 		}
 	}
-	e.events.record(evs)
 }
 
 // applyShard collects one second's part into shard i under its lock and

@@ -100,16 +100,6 @@ func Fig12(base Params) (Figure, error) {
 		func(p *Params, x float64) { p.Objects = int(x) })
 }
 
-// Fig12Scaled is Fig12 with the object counts scaled down by the base
-// parameter ratio, for quick runs: it keeps the 1x..5x progression.
-func Fig12Scaled(base Params) (Figure, error) {
-	n := base.Objects
-	return sweep(base, "12", "Impact of the number of moving objects", "objects",
-		[]string{"PF_KL", "SM_KL", "PF_hit", "SM_hit", "top1", "top2"},
-		[]float64{float64(n), float64(2 * n), float64(3 * n), float64(4 * n), float64(5 * n)},
-		func(p *Params, x float64) { p.Objects = int(x) })
-}
-
 // Fig13 regenerates Figure 13: impact of the activation range, 0.5 m to
 // 2.5 m.
 func Fig13(base Params) (Figure, error) {

@@ -57,23 +57,6 @@ func TestAllFigureRunnersExecute(t *testing.T) {
 	}
 }
 
-func TestFig12ScaledUsesBaseMultiples(t *testing.T) {
-	base := micro()
-	fig, err := Fig12Scaled(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Points) != 5 {
-		t.Fatalf("points = %d", len(fig.Points))
-	}
-	for i, pt := range fig.Points {
-		want := float64((i + 1) * base.Objects)
-		if pt.X != want {
-			t.Errorf("point %d x = %v, want %v", i, pt.X, want)
-		}
-	}
-}
-
 func TestTweakHookApplies(t *testing.T) {
 	p := micro()
 	applied := false

@@ -253,17 +253,6 @@ func NewMonitor(cfg Config, numReaders int) (*Monitor, error) {
 	return m, nil
 }
 
-// Enabled reports whether the monitor is active.
-func (m *Monitor) Enabled() bool { return m.cfg.Enabled }
-
-// State returns the reader's current health state.
-func (m *Monitor) State(id model.ReaderID) State {
-	if int(id) < 0 || int(id) >= len(m.readers) {
-		return Live
-	}
-	return m.readers[id].state
-}
-
 // Unhealthy returns the non-LIVE set as a []bool indexed by ReaderID, or nil
 // when every reader is LIVE. The slice is owned by the monitor and replaced
 // wholesale on change; callers must treat it as read-only.

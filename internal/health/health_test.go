@@ -61,10 +61,10 @@ func TestSteadyTrafficStaysLive(t *testing.T) {
 	for sec := model.Time(1); sec <= 100; sec++ {
 		m.ObserveSecond(sec, []model.RawReading{reading(1, 0, sec)})
 	}
-	if got := m.State(0); got != Live {
+	if got := m.readers[0].state; got != Live {
 		t.Fatalf("steady reader state = %v, want live", got)
 	}
-	if got := m.State(1); got != Live {
+	if got := m.readers[1].state; got != Live {
 		t.Fatalf("silent-forever reader state = %v, want live", got)
 	}
 	if m.Unhealthy() != nil {
@@ -84,7 +84,7 @@ func TestSingleVanishDoesNotFlag(t *testing.T) {
 	for sec := model.Time(31); sec <= 120; sec++ {
 		m.ObserveSecond(sec, nil)
 	}
-	if got := m.State(0); got != Live {
+	if got := m.readers[0].state; got != Live {
 		t.Fatalf("reader flagged %v after a single object vanished, want live", got)
 	}
 }
@@ -107,7 +107,7 @@ func TestMassVanishGoesSuspectThenDead(t *testing.T) {
 	var deadAt model.Time
 	for sec := model.Time(31); sec <= 60 && deadAt == 0; sec++ {
 		m.ObserveSecond(sec, []model.RawReading{reading(9, 1, sec)})
-		switch m.State(0) {
+		switch m.readers[0].state {
 		case Suspect:
 			sawSuspect = true
 		case Dead:
@@ -118,9 +118,9 @@ func TestMassVanishGoesSuspectThenDead(t *testing.T) {
 		t.Error("reader never passed through SUSPECT")
 	}
 	if deadAt == 0 {
-		t.Fatalf("reader never declared DEAD; state=%v missed=%v", m.State(0), m.Snapshot(60)[0].Missed)
+		t.Fatalf("reader never declared DEAD; state=%v missed=%v", m.readers[0].state, m.Snapshot(60)[0].Missed)
 	}
-	if got := m.State(1); got != Live {
+	if got := m.readers[1].state; got != Live {
 		t.Fatalf("control reader state = %v, want live", got)
 	}
 	un := m.Unhealthy()
@@ -145,7 +145,7 @@ func TestHandoffReleasesExpectation(t *testing.T) {
 			reading(1, 1, sec), reading(2, 1, sec), reading(3, 1, sec),
 		})
 	}
-	if got := m.State(0); got != Live {
+	if got := m.readers[0].state; got != Live {
 		t.Fatalf("handed-off reader state = %v, want live", got)
 	}
 }
@@ -168,7 +168,7 @@ func TestReleaseSuppressesExpectation(t *testing.T) {
 	for sec := model.Time(21); sec <= 120; sec++ {
 		m.ObserveSecond(sec, nil)
 	}
-	if got := m.State(0); got != Live {
+	if got := m.readers[0].state; got != Live {
 		t.Fatalf("reader flagged %v after explained vanishes, want live", got)
 	}
 }
@@ -197,23 +197,23 @@ func TestRecoveryHysteresis(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		step(nil)
 	}
-	if got := m.State(0); got != Dead {
+	if got := m.readers[0].state; got != Dead {
 		t.Fatalf("state after mass vanish = %v, want dead", got)
 	}
 	// One flap second, then silence again: still not LIVE.
 	step(traffic(sec + 1))
-	if got := m.State(0); got != Dead {
+	if got := m.readers[0].state; got != Dead {
 		t.Fatalf("state after a single flap = %v, want dead (hysteresis)", got)
 	}
 	step(nil)
 	step(traffic(sec + 1))
 	step(traffic(sec + 1))
-	if got := m.State(0); got != Live {
+	if got := m.readers[0].state; got != Live {
 		// Streak broke at the silent second; two more make 2 < 3.
 		t.Logf("state after broken streak = %v (expected not yet live)", got)
 	}
 	step(traffic(sec + 1))
-	if got := m.State(0); got != Live {
+	if got := m.readers[0].state; got != Live {
 		t.Fatalf("state after %d consecutive reading seconds = %v, want live", cfg.RecoverSeconds, got)
 	}
 	if m.Unhealthy() != nil {
@@ -230,19 +230,19 @@ func TestSuspectRecoversOnFirstReading(t *testing.T) {
 		sec++
 		m.ObserveSecond(sec, []model.RawReading{reading(1, 0, sec), reading(2, 0, sec)})
 	}
-	for m.State(0) == Live {
+	for m.readers[0].state == Live {
 		sec++
 		m.ObserveSecond(sec, nil)
 		if sec > 200 {
 			t.Fatal("two vanished objects never drove the reader to SUSPECT")
 		}
 	}
-	if got := m.State(0); got != Suspect {
+	if got := m.readers[0].state; got != Suspect {
 		t.Fatalf("state = %v, want suspect", got)
 	}
 	sec++
 	m.ObserveSecond(sec, []model.RawReading{reading(5, 0, sec)})
-	if got := m.State(0); got != Live {
+	if got := m.readers[0].state; got != Live {
 		t.Fatalf("state after reading = %v, want live", got)
 	}
 }
@@ -261,7 +261,7 @@ func TestMisstampedReadingProvesLiveness(t *testing.T) {
 		sec++
 		m.ObserveSecond(sec, []model.RawReading{{Object: 1, Reader: 0, Time: sec + 3}})
 	}
-	if got := m.State(0); got != Live {
+	if got := m.readers[0].state; got != Live {
 		t.Fatalf("state = %v, want live (mis-stamped readings prove liveness)", got)
 	}
 }
@@ -349,11 +349,11 @@ func TestGhostReadsAttributeDeterministically(t *testing.T) {
 		step(ghost)
 		for i := 0; i < 10; i++ {
 			step(handoff(6))
-			if got := m.State(2); got != Live {
+			if got := m.readers[2].state; got != Live {
 				t.Fatalf("run %d, second %d: reader 2 is %v; the tied objects belong to reader 1", run, sec, got)
 			}
 		}
-		if got := m.State(1); got == Live {
+		if got := m.readers[1].state; got == Live {
 			t.Fatalf("run %d: reader 1 stayed live after its five attributed objects vanished", run)
 		}
 	}

@@ -125,15 +125,6 @@ func SilentLoss(offered, accepted, dropped, pending int) int {
 	return offered - accepted - dropped - pending
 }
 
-// DropRate returns the fraction of non-pending input that was dropped,
-// dropped/(accepted+dropped), or 0 when there was no input.
-func DropRate(accepted, dropped int) float64 {
-	if accepted+dropped == 0 {
-		return 0
-	}
-	return float64(dropped) / float64(accepted+dropped)
-}
-
 // Mean returns the arithmetic mean of the values, or NaN when empty.
 func Mean(vs []float64) float64 {
 	if len(vs) == 0 {
@@ -144,18 +135,4 @@ func Mean(vs []float64) float64 {
 		total += v
 	}
 	return total / float64(len(vs))
-}
-
-// Stddev returns the sample standard deviation, or 0 for fewer than two
-// values.
-func Stddev(vs []float64) float64 {
-	if len(vs) < 2 {
-		return 0
-	}
-	m := Mean(vs)
-	sq := 0.0
-	for _, v := range vs {
-		sq += (v - m) * (v - m)
-	}
-	return math.Sqrt(sq / float64(len(vs)-1))
 }

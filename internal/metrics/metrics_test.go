@@ -122,19 +122,13 @@ func TestTopKSuccess(t *testing.T) {
 	}
 }
 
-func TestMeanAndStddev(t *testing.T) {
+func TestMean(t *testing.T) {
 	vs := []float64{1, 2, 3, 4}
 	if m := Mean(vs); math.Abs(m-2.5) > 1e-12 {
 		t.Errorf("Mean = %v", m)
 	}
 	if !math.IsNaN(Mean(nil)) {
 		t.Error("Mean(nil) should be NaN")
-	}
-	if s := Stddev(vs); math.Abs(s-1.2909944487) > 1e-6 {
-		t.Errorf("Stddev = %v", s)
-	}
-	if Stddev([]float64{5}) != 0 {
-		t.Error("Stddev of singleton should be 0")
 	}
 }
 
@@ -147,17 +141,5 @@ func TestSilentLoss(t *testing.T) {
 	}
 	if got := SilentLoss(0, 0, 0, 0); got != 0 {
 		t.Errorf("empty pipeline: silent loss %d", got)
-	}
-}
-
-func TestDropRate(t *testing.T) {
-	if got := DropRate(0, 0); got != 0 {
-		t.Errorf("no input: drop rate %v", got)
-	}
-	if got := DropRate(90, 10); got != 0.1 {
-		t.Errorf("drop rate %v, want 0.1", got)
-	}
-	if got := DropRate(0, 5); got != 1 {
-		t.Errorf("all dropped: drop rate %v, want 1", got)
 	}
 }

@@ -112,9 +112,6 @@ func (s ResultSet) Add(other ResultSet) {
 	}
 }
 
-// AddPair merges a single object/probability pair into s.
-func (s ResultSet) AddPair(o ObjectID, p float64) { s[o] += p }
-
 // Scale multiplies every probability by ratio (the paper's resultSet "*"
 // operation used for the hallway-width and room-area compensation).
 func (s ResultSet) Scale(ratio float64) {

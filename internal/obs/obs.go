@@ -17,7 +17,6 @@ import (
 	"bufio"
 	"io"
 	"math"
-	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -301,16 +300,6 @@ type Gauge struct {
 // Set stores the value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add adds d (atomically, via CAS).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -497,12 +486,3 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 // ContentType is the Prometheus text exposition format media type.
 const ContentType = "text/plain; version=0.0.4; charset=utf-8"
-
-// Handler returns an http.Handler serving the registry as a Prometheus
-// scrape target.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", ContentType)
-		r.WriteTo(w)
-	})
-}

@@ -106,15 +106,16 @@ func TestIndexedFilterMatchesGeometricBitForBit(t *testing.T) {
 				}
 				f.Instrument(Metrics{})
 				src := rng.New(int64(5000 + 4*trial + variant))
+				var un []bool // nil: every reader healthy
 				if sick {
-					un := make([]bool, dep.NumReaders())
+					un = make([]bool, dep.NumReaders())
 					un[src.Intn(len(un))] = true
 					for i := range un {
 						un[i] = un[i] || src.Bool(0.2)
 					}
 					f.SetUnhealthy(un)
 				}
-				o := &oracle{cfg: cfg, g: g, dep: dep, unhealthy: f.Unhealthy()}
+				o := &oracle{cfg: cfg, g: g, dep: dep, unhealthy: un}
 				seed := int64(4*trial + variant)
 
 				entries := randomEntries(src, dep, 40+trial)

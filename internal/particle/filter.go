@@ -123,18 +123,12 @@ func MustNew(cfg Config, g *walkgraph.Graph, dep *rfid.Deployment) *Filter {
 	return f
 }
 
-// Config returns the filter's configuration.
-func (f *Filter) Config() Config { return f.cfg }
-
 // SetUnhealthy installs the set of readers whose silence must be ignored by
 // the negative update (indexed by ReaderID; nil or all-false restores the
 // uncompensated behavior), building the silence table for it. The caller
 // must not mutate the slice afterwards and must not call this concurrently
 // with RunPool/AdvancePool.
 func (f *Filter) SetUnhealthy(un []bool) { f.silence = f.cov.Silence(un) }
-
-// Unhealthy returns the installed unhealthy-reader set (nil when none).
-func (f *Filter) Unhealthy() []bool { return f.silence.Unhealthy() }
 
 // SetParticleBudget caps the particle count of newly initialized states at n
 // (degraded-mode operation under overload); n <= 0 or n >= Ns restores the

@@ -9,7 +9,6 @@ package particle
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/anchor"
 	"repro/internal/model"
@@ -260,31 +259,4 @@ func (s *State) snap(idx *anchor.Index, acc *anchor.Accumulator) anchor.Dist {
 func (s *State) AnchorDistribution(idx *anchor.Index) map[anchor.ID]float64 {
 	var acc anchor.Accumulator
 	return s.AnchorDist(idx, &acc).Map()
-}
-
-// MeanPoint returns the weighted mean of particle positions, a crude point
-// estimate used by diagnostics.
-func (s *State) MeanPoint(g *walkgraph.Graph) (x, y float64) {
-	if len(s.Particles) == 0 {
-		return math.NaN(), math.NaN()
-	}
-	total := 0.0
-	for i := range s.Particles {
-		total += s.Particles[i].Weight
-	}
-	if total <= 0 {
-		total = float64(len(s.Particles))
-		for i := range s.Particles {
-			p := g.Point(s.Particles[i].Loc)
-			x += p.X / total
-			y += p.Y / total
-		}
-		return x, y
-	}
-	for i := range s.Particles {
-		p := g.Point(s.Particles[i].Loc)
-		x += p.X * s.Particles[i].Weight / total
-		y += p.Y * s.Particles[i].Weight / total
-	}
-	return x, y
 }

@@ -669,19 +669,3 @@ func TestAnchorDistMatchesOracle(t *testing.T) {
 		}
 	}
 }
-
-func TestMeanPoint(t *testing.T) {
-	g, dep := corridor(t)
-	f := MustNew(DefaultConfig(), g, dep)
-	src := rng.New(16)
-	st := f.InitAt(src, 1, 1, 0)
-	x, y := st.MeanPoint(g)
-	// Initial particles are centered on reader d2 at (20, 10).
-	if math.Abs(x-20) > 1 || math.Abs(y-10) > 1 {
-		t.Errorf("mean point = (%v, %v), want ~(20, 10)", x, y)
-	}
-	empty := &State{}
-	if mx, _ := empty.MeanPoint(g); !math.IsNaN(mx) {
-		t.Error("empty state mean should be NaN")
-	}
-}

@@ -224,7 +224,7 @@ func BenchmarkPruneKNN1k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := geom.Pt(src.Uniform(bd.Min.X, bd.Max.X), src.Uniform(bd.Min.Y, bd.Max.Y))
-		benchSink = p.KNNCandidates(infos, q, 3, 100)
+		benchSink = knnCandidates(p, infos, q, 3, 100)
 	}
 }
 
@@ -236,6 +236,6 @@ func BenchmarkPruneRange1k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w := geom.RectWH(src.Uniform(bd.Min.X, bd.Max.X-6), src.Uniform(bd.Min.Y, bd.Max.Y-4), 6, 4)
-		benchSink = p.RangeCandidates(infos, []geom.Rect{w}, 100)
+		benchSink = rangeCandidates(p, infos, []geom.Rect{w}, 100)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"repro/internal/anchor"
-	"repro/internal/floorplan"
 	"repro/internal/geom"
 	"repro/internal/model"
 	"repro/internal/rfid"
@@ -301,16 +300,10 @@ func (p *Pruner) uncertainRegion(info ObjectInfo, now model.Time, unhealthy []bo
 	return geom.Circle{C: r.Pos, R: rad}
 }
 
-// RangeCandidates returns the objects whose uncertain regions overlap at
-// least one of the query windows; all others are non-candidates whose
-// filtering cost is saved.
-func (p *Pruner) RangeCandidates(infos []ObjectInfo, windows []geom.Rect, now model.Time) []model.ObjectID {
-	out, _ := p.rangeCandidatesCtx(nil, infos, windows, now, p.unhealthy)
-	return out
-}
-
-// RangeCandidatesContext is RangeCandidates with a per-request deadline,
-// checked once per object. On expiry it fails conservatively: the remaining
+// RangeCandidatesContext returns the objects whose uncertain regions overlap
+// at least one of the query windows; all others are non-candidates whose
+// filtering cost is saved. The per-request deadline is checked once per
+// object. On expiry it fails conservatively: the remaining
 // unexamined objects are all admitted as candidates (pruning is an
 // optimization; an incomplete prune must never drop a possible answer), and
 // the *DeadlineError is returned so the caller can account for the overrun.
@@ -321,10 +314,6 @@ func (p *Pruner) RangeCandidates(infos []ObjectInfo, windows []geom.Rect, now mo
 // its own; unhealthy is an argument (not the installed set) so a remote
 // holder can prune under its coordinator's reader health.
 func (p *Pruner) RangeCandidatesContext(ctx context.Context, infos []ObjectInfo, windows []geom.Rect, now model.Time, unhealthy []bool) ([]model.ObjectID, error) {
-	return p.rangeCandidatesCtx(ctx, infos, windows, now, unhealthy)
-}
-
-func (p *Pruner) rangeCandidatesCtx(ctx context.Context, infos []ObjectInfo, windows []geom.Rect, now model.Time, unhealthy []bool) ([]model.ObjectID, error) {
 	var out []model.ObjectID
 	for n, info := range infos {
 		if err := expired(ctx, "prune/range"); err != nil {
@@ -344,25 +333,15 @@ func (p *Pruner) rangeCandidatesCtx(ctx context.Context, infos []ObjectInfo, win
 	return out, nil
 }
 
-// KNNCandidates implements the paper's distance-based pruning: with
+// KNNCandidatesContext implements the paper's distance-based pruning: with
 // s_i (l_i) the minimum (maximum) shortest network distance from the query
 // point to UR(o_i), and f the k-th smallest l_i, every object with s_i > f
-// is pruned — at least k objects are certainly closer.
-func (p *Pruner) KNNCandidates(infos []ObjectInfo, q geom.Point, k int, now model.Time) []model.ObjectID {
-	out, _ := p.knnCandidatesCtx(nil, infos, q, k, now)
-	return out
-}
-
-// KNNCandidatesContext is KNNCandidates with a per-request deadline, checked
-// per referenced reader and every deadlineStride objects during bound
-// computation. On expiry every object is
-// admitted (the distance threshold cannot be established from partial
-// bounds, and pruning must stay sound) and the *DeadlineError is returned.
+// is pruned — at least k objects are certainly closer. The per-request
+// deadline is checked per referenced reader and every deadlineStride objects
+// during bound computation. On expiry every object is admitted (the distance
+// threshold cannot be established from partial bounds, and pruning must stay
+// sound) and the *DeadlineError is returned.
 func (p *Pruner) KNNCandidatesContext(ctx context.Context, infos []ObjectInfo, q geom.Point, k int, now model.Time) ([]model.ObjectID, error) {
-	return p.knnCandidatesCtx(ctx, infos, q, k, now)
-}
-
-func (p *Pruner) knnCandidatesCtx(ctx context.Context, infos []ObjectInfo, q geom.Point, k int, now model.Time) ([]model.ObjectID, error) {
 	if len(infos) == 0 {
 		return nil, nil
 	}
@@ -518,10 +497,4 @@ func kthSmallest(vs []float64, k int) float64 {
 		}
 	}
 	return h[0]
-}
-
-// RoomOf exposes the plan lookup used by ground-truth helpers: the room
-// containing pt, or floorplan.NoRoom.
-func (e *Evaluator) RoomOf(pt geom.Point) floorplan.RoomID {
-	return e.g.Plan().RoomAt(pt)
 }

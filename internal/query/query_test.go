@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -215,6 +216,17 @@ func TestUncertainRegionGrowsWithTime(t *testing.T) {
 	}
 }
 
+// rangeCandidates and knnCandidates prune without a deadline.
+func rangeCandidates(p *Pruner, infos []ObjectInfo, windows []geom.Rect, now model.Time) []model.ObjectID {
+	out, _ := p.RangeCandidatesContext(context.Background(), infos, windows, now, p.Unhealthy())
+	return out
+}
+
+func knnCandidates(p *Pruner, infos []ObjectInfo, q geom.Point, k int, now model.Time) []model.ObjectID {
+	out, _ := p.KNNCandidatesContext(context.Background(), infos, q, k, now)
+	return out
+}
+
 func TestRangeCandidatesFiltering(t *testing.T) {
 	g, idx, dep := corridor(t)
 	p := NewPruner(g, idx, dep, 1.5)
@@ -223,17 +235,17 @@ func TestRangeCandidatesFiltering(t *testing.T) {
 		{Object: 2, Reader: 2, LastSeen: 100}, // near x=30
 	}
 	windows := []geom.Rect{geom.RectFromCorners(geom.Pt(8, 9), geom.Pt(12, 11))}
-	got := p.RangeCandidates(infos, windows, 100)
+	got := rangeCandidates(p, infos, windows, 100)
 	if len(got) != 1 || got[0] != 1 {
 		t.Errorf("candidates = %v, want [1]", got)
 	}
 	// Later, object 2's uncertain region reaches the window too.
-	got = p.RangeCandidates(infos, windows, 112)
+	got = rangeCandidates(p, infos, windows, 112)
 	if len(got) != 2 {
 		t.Errorf("grown candidates = %v, want both", got)
 	}
 	// No windows -> no candidates.
-	if got := p.RangeCandidates(infos, nil, 100); len(got) != 0 {
+	if got := rangeCandidates(p, infos, nil, 100); len(got) != 0 {
 		t.Errorf("no-window candidates = %v", got)
 	}
 }
@@ -248,17 +260,17 @@ func TestKNNCandidatesPruning(t *testing.T) {
 	}
 	// 2NN at x=12: objects 1 and 2 suffice; object 3's minimum distance
 	// (~16) exceeds the 2nd smallest maximum (~10).
-	got := p.KNNCandidates(infos, geom.Pt(12, 10), 2, 100)
+	got := knnCandidates(p, infos, geom.Pt(12, 10), 2, 100)
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("candidates = %v, want [1 2]", got)
 	}
 	// k=3 keeps everyone.
-	got = p.KNNCandidates(infos, geom.Pt(12, 10), 3, 100)
+	got = knnCandidates(p, infos, geom.Pt(12, 10), 3, 100)
 	if len(got) != 3 {
 		t.Errorf("k=3 candidates = %v", got)
 	}
 	// Empty input.
-	if got := p.KNNCandidates(nil, geom.Pt(12, 10), 2, 100); got != nil {
+	if got := knnCandidates(p, nil, geom.Pt(12, 10), 2, 100); got != nil {
 		t.Errorf("empty input candidates = %v", got)
 	}
 }
@@ -274,19 +286,8 @@ func TestKNNCandidatesNeverPrunesTrueNeighbors(t *testing.T) {
 		{Object: 2, Reader: 1, LastSeen: 95},
 		{Object: 3, Reader: 2, LastSeen: 99},
 	}
-	got := p.KNNCandidates(infos, geom.Pt(20, 10), 3, 100)
+	got := knnCandidates(p, infos, geom.Pt(20, 10), 3, 100)
 	if len(got) != 3 {
 		t.Errorf("with k = n, candidates = %v", got)
-	}
-}
-
-func TestRoomOf(t *testing.T) {
-	g, idx, _ := corridor(t)
-	e := NewEvaluator(g, idx)
-	if r := e.RoomOf(geom.Pt(14, 5)); r != 0 {
-		t.Errorf("RoomOf(room interior) = %d", r)
-	}
-	if r := e.RoomOf(geom.Pt(5, 10)); r != floorplan.NoRoom {
-		t.Errorf("RoomOf(hallway) = %d", r)
 	}
 }

@@ -57,7 +57,6 @@ func bit(b bool) uint8 {
 // given set.
 type SilenceTable struct {
 	cov  *Coverage
-	un   []bool
 	rows []silenceRow
 	// start/spans are the CSR span table restricted to healthy readers:
 	// what the exact scan walks for a fringe offset or an overfull row.
@@ -82,7 +81,7 @@ func (c *Coverage) Silence(un []bool) *SilenceTable {
 // buildSilence builds the table for un (nil: every reader healthy).
 func (c *Coverage) buildSilence(un []bool) *SilenceTable {
 	fs := c.flat
-	t := &SilenceTable{cov: c, un: un, rows: make([]silenceRow, len(c.edges))}
+	t := &SilenceTable{cov: c, rows: make([]silenceRow, len(c.edges))}
 	if un == nil {
 		t.start, t.spans = fs.start, fs.spans
 	} else {
@@ -138,10 +137,6 @@ func foldBounds(lo, hi, length float64) (float64, float64) {
 	}
 	return lo, hi
 }
-
-// Unhealthy returns the reader-health set the table was built for (nil
-// when every reader is healthy). The slice must not be modified.
-func (t *SilenceTable) Unhealthy() []bool { return t.un }
 
 // Detectable fills out[i] with whether a particle on edge[i] at offset
 // off[i] sits inside the activation range of a healthy reader, outside

@@ -40,15 +40,6 @@ func (s *Source) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Int63 returns a uniform 63-bit non-negative integer.
-func (s *Source) Int63() int64 { return int64(s.Uint64() >> 1) }
-
-// Split derives a new, independently seeded Source from s. The derived
-// source is deterministic given s's current state.
-func (s *Source) Split() *Source {
-	return New(s.Int63())
-}
-
 // Derive returns a Source deterministically keyed by a base seed and a list
 // of identifiers (object IDs, time stamps). Equal inputs always yield the
 // same stream, independent of call order — the property that makes parallel
@@ -180,12 +171,6 @@ func (s *Source) normSlow(j int32, i uint64) float64 {
 	}
 }
 
-// Gaussian returns a normal sample with the given mean and standard
-// deviation.
-func (s *Source) Gaussian(mean, stddev float64) float64 {
-	return mean + stddev*s.NormFloat64()
-}
-
 // TruncGaussian returns a normal sample truncated to [lo, hi] by rejection.
 // It is used for walking speeds, which must stay positive. If the window is
 // more than a few standard deviations away from the mean the loop falls back
@@ -305,17 +290,6 @@ func (s *Source) Categorical(weights []float64) int {
 		}
 	}
 	return len(weights) - 1
-}
-
-// Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := 1; i < n; i++ {
-		j := s.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }
 
 // Shuffle randomizes the order of n elements using swap.

@@ -15,16 +15,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestSplitIndependentButDeterministic(t *testing.T) {
-	a, b := New(7), New(7)
-	sa, sb := a.Split(), b.Split()
-	for i := 0; i < 100; i++ {
-		if sa.Float64() != sb.Float64() {
-			t.Fatalf("split sources from equal parents diverged at draw %d", i)
-		}
-	}
-}
-
 func TestUniformRange(t *testing.T) {
 	s := New(1)
 	for i := 0; i < 10000; i++ {
@@ -40,7 +30,7 @@ func TestGaussianMoments(t *testing.T) {
 	const n = 200000
 	sum, sumSq := 0.0, 0.0
 	for i := 0; i < n; i++ {
-		v := s.Gaussian(1.0, 0.1)
+		v := 1.0 + 0.1*s.NormFloat64()
 		sum += v
 		sumSq += v * v
 	}
@@ -155,18 +145,6 @@ func TestBoolProbability(t *testing.T) {
 	p := float64(hits) / n
 	if math.Abs(p-0.1) > 0.01 {
 		t.Errorf("Bool(0.1) hit rate = %v", p)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	s := New(30)
-	p := s.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("Perm produced invalid permutation: %v", p)
-		}
-		seen[v] = true
 	}
 }
 

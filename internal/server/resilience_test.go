@@ -338,12 +338,14 @@ func TestGracefulDrainUnderLoad(t *testing.T) {
 	}
 }
 
-// TestDeadlineParamValidation: deadline_ms must be a positive integer.
+// TestDeadlineParamValidation: deadline_ms must be a positive integer no
+// longer than a time.Duration holds (10000000000000 ms used to wrap negative
+// and run as a 1 ms budget).
 func TestDeadlineParamValidation(t *testing.T) {
 	srv, _, _ := resilientServer(t, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	for _, bad := range []string{"0", "-5", "soon"} {
+	for _, bad := range []string{"0", "-5", "soon", "10000000000000"} {
 		resp, err := ts.Client().Get(ts.URL + "/range?x=0&y=0&w=10&h=10&deadline_ms=" + bad)
 		if err != nil {
 			t.Fatal(err)

@@ -760,6 +760,9 @@ func queryDeadline(r *http.Request) (time.Duration, error) {
 	if ms <= 0 {
 		return 0, fmt.Errorf("deadline_ms must be positive, got %d", ms)
 	}
+	if ms > math.MaxInt64/int(time.Millisecond) {
+		return 0, fmt.Errorf("deadline_ms %d exceeds the longest duration, %d ms", ms, math.MaxInt64/int(time.Millisecond))
+	}
 	d := time.Duration(ms) * time.Millisecond
 	if arrival, ok := r.Context().Value(arrivalKey{}).(time.Time); ok {
 		d -= time.Since(arrival)

@@ -82,22 +82,10 @@ func (r *Rule) matches(from, to string) bool {
 	return true
 }
 
-// Handle names an installed rule so tests can observe and remove it.
+// Handle names an installed rule so tests can remove it.
 type Handle struct {
 	net *Network
 	id  int
-}
-
-// Fired returns how many deliveries the rule has fired on.
-func (h *Handle) Fired() int {
-	h.net.mu.Lock()
-	defer h.net.mu.Unlock()
-	for _, ir := range h.net.rules {
-		if ir.id == h.id {
-			return ir.fired
-		}
-	}
-	return 0
 }
 
 // Clear removes the rule.
@@ -128,9 +116,6 @@ type Network struct {
 	rules  []*installedRule
 	nextID int
 	seed   uint64
-	// deliveries counts every Send in arrival order; rules arm off their own
-	// per-rule match counters derived from it.
-	deliveries int
 }
 
 // New builds an empty network; seed keys the Prob decision stream.
@@ -175,13 +160,6 @@ func (n *Network) Clear() {
 	n.rules = nil
 }
 
-// Deliveries returns the total Send count so far (the fault clock).
-func (n *Network) Deliveries() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.deliveries
-}
-
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x ^= x >> 30
@@ -206,7 +184,6 @@ type plan struct {
 func (n *Network) planDelivery(from, to string) plan {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.deliveries++
 	pl := plan{target: n.nodes[to], to: to}
 	for _, ir := range n.rules {
 		if !ir.matches(from, to) {

@@ -16,21 +16,9 @@ type EdgeInterval struct {
 	Lo, Hi float64
 }
 
-// Length returns the interval's length.
-func (iv EdgeInterval) Length() float64 { return iv.Hi - iv.Lo }
-
 // Region is a set of edge intervals: the locations an object may occupy.
 type Region struct {
 	Intervals []EdgeInterval
-}
-
-// TotalLength returns the summed interval length.
-func (r Region) TotalLength() float64 {
-	total := 0.0
-	for _, iv := range r.Intervals {
-		total += iv.Length()
-	}
-	return total
 }
 
 // coveredRegion returns the region of a reader's covered fragments.

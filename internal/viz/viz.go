@@ -102,11 +102,6 @@ func (c *Canvas) DrawMarker(p geom.Point, label, color string) {
 	}
 }
 
-// DrawWindow outlines a query window.
-func (c *Canvas) DrawWindow(w geom.Rect, color string) {
-	c.rect(w, "none", color, 2)
-}
-
 // DrawObjects draws true object positions from a position map.
 func (c *Canvas) DrawObjects(positions map[model.ObjectID]geom.Point, color string) {
 	ids := make([]model.ObjectID, 0, len(positions))

@@ -25,7 +25,6 @@ func TestCanvasProducesWellFormedSVG(t *testing.T) {
 		idx.RoomAnchor(0): 0.7,
 		anchor.ID(5):      0.3,
 	}), "#d62728")
-	c.DrawWindow(geom.RectWH(10, 9, 20, 8), "#ff7f0e")
 	c.DrawMarker(geom.Pt(35, 12), "truth", "#2ca02c")
 	c.DrawObjects(map[model.ObjectID]geom.Point{1: geom.Pt(5, 12)}, "#333333")
 

@@ -33,9 +33,6 @@ type Batch struct {
 	Readings []model.RawReading
 }
 
-// EncodedSize returns the encoded payload length in bytes.
-func (b *Batch) EncodedSize() int { return 1 + 8*10 + 4 + 24*len(b.Readings) }
-
 // Encode appends the batch's binary encoding (the record payload) to dst.
 func (b *Batch) Encode(dst []byte) []byte {
 	dst = append(dst, recBatch)

@@ -160,15 +160,10 @@ func ReadSnapshotFileFS(fsys FS, path string, streamID uint64) (seq uint64, payl
 // maxSnapshotPayload bounds snapshot payloads against corrupt length fields.
 const maxSnapshotPayload = 1 << 31
 
-// PruneSnapshots removes all but the newest keep snapshots. It returns the
-// covered seq of the oldest snapshot kept (0 when none remain), which is the
-// safe bound for Log.PruneSegments: segments below it are redundant for
-// every retained snapshot.
-func PruneSnapshots(dir string, keep int) (oldestKept uint64, removed int, err error) {
-	return PruneSnapshotsFS(OS, dir, keep)
-}
-
-// PruneSnapshotsFS is PruneSnapshots through an injectable filesystem.
+// PruneSnapshotsFS removes all but the newest keep snapshots through an
+// injectable filesystem. It returns the covered seq of the oldest snapshot
+// kept (0 when none remain), which is the safe bound for Log.PruneSegments:
+// segments below it are redundant for every retained snapshot.
 func PruneSnapshotsFS(fsys FS, dir string, keep int) (oldestKept uint64, removed int, err error) {
 	fsys = fsOrOS(fsys)
 	if keep < 1 {

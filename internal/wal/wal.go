@@ -288,9 +288,6 @@ func Open(dir string, opts Options, replay func(seq uint64, payload []byte) erro
 	return l, rep, nil
 }
 
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
-
 // LastSeq returns the sequence number of the newest record (0 when empty).
 func (l *Log) LastSeq() uint64 { return l.lastSeq }
 

@@ -322,9 +322,9 @@ func TestSnapshotStore(t *testing.T) {
 	if _, err := WriteSnapshot(dir, 9, 300, []byte("third")); err != nil {
 		t.Fatal(err)
 	}
-	oldest, removed, err := PruneSnapshots(dir, 2)
+	oldest, removed, err := PruneSnapshotsFS(OS, dir, 2)
 	if err != nil {
-		t.Fatalf("PruneSnapshots: %v", err)
+		t.Fatalf("PruneSnapshotsFS: %v", err)
 	}
 	if removed != 1 || oldest != 200 {
 		t.Fatalf("prune removed=%d oldest=%d", removed, oldest)
@@ -346,8 +346,9 @@ func TestBatchCodecRoundtrip(t *testing.T) {
 		},
 	}
 	enc := b.Encode(nil)
-	if len(enc) != b.EncodedSize() {
-		t.Fatalf("encoded %d bytes, EncodedSize says %d", len(enc), b.EncodedSize())
+	// A version byte, ten 8-byte fields, a 4-byte count, 24 bytes a reading.
+	if want := 1 + 8*10 + 4 + 24*len(b.Readings); len(enc) != want {
+		t.Fatalf("encoded %d bytes, want %d", len(enc), want)
 	}
 	got, err := DecodeBatch(enc)
 	if err != nil {

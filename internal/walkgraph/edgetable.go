@@ -19,8 +19,8 @@ type EdgeTable struct {
 	Length []float64
 	// DoorAt is the room-interval start: offsets at or beyond DoorAt[e] are
 	// inside Room[e]. For non-door edges it is +Inf so the comparison
-	// `off >= DoorAt[e]` is false for every finite offset, making RoomAt a
-	// single branch-free compare on the hot path.
+	// `off >= DoorAt[e]` is false for every finite offset, making the
+	// in-room test a single branch-free compare on the hot path.
 	DoorAt []float64
 	// Room mirrors Edge.Room (floorplan.NoRoom for non-door edges).
 	Room []floorplan.RoomID
@@ -81,21 +81,4 @@ func (g *Graph) EdgeTable() *EdgeTable {
 		g.table = t
 	})
 	return g.table
-}
-
-// RoomAt is the EdgeTable equivalent of Graph.RoomAt: the room a location
-// lies in (a DoorEdge offset at or past the door position), or
-// floorplan.NoRoom. The two are exactly interchangeable; this one avoids the
-// Edge struct copy.
-func (t *EdgeTable) RoomAt(l Location) floorplan.RoomID {
-	if l.Offset >= t.DoorAt[l.Edge] {
-		return t.Room[l.Edge]
-	}
-	return floorplan.NoRoom
-}
-
-// InRoom reports whether a location lies inside a room (equivalent to
-// RoomAt(l) != floorplan.NoRoom).
-func (t *EdgeTable) InRoom(l Location) bool {
-	return l.Offset >= t.DoorAt[l.Edge]
 }

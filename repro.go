@@ -8,8 +8,8 @@
 // distributions on anchor points, and answers probabilistic indoor range and
 // k-nearest-neighbor queries. A symbolic model baseline (uniform over
 // reachable locations, MustNewBaseline) is included for comparison, together
-// with registered continuous queries (NewRegistry), a full simulator and the
-// benchmark harness regenerating every figure of the paper's evaluation.
+// with a full simulator and the benchmark harness regenerating every figure
+// of the paper's evaluation.
 //
 // Quick start:
 //
@@ -240,19 +240,6 @@ type Baseline = baseline.SM
 
 // MustNewBaseline builds the symbolic model baseline over a system.
 func MustNewBaseline(sys *System) *Baseline { return baseline.MustNew(sys) }
-
-// Registry tracks registered continuous queries and emits result-set change
-// events on each evaluation — the paper's "registered queries" flow.
-type Registry = baseline.Registry
-
-// NewRegistry creates a query registry over a system.
-func NewRegistry(sys *System) *Registry { return baseline.NewRegistry(sys) }
-
-// QueryID identifies a registered query; QueryEvent is a result change.
-type QueryID = baseline.QueryID
-
-// QueryEvent is one result-set change of a registered query.
-type QueryEvent = baseline.QueryEvent
 
 // Serialization.
 

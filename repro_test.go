@@ -88,12 +88,15 @@ func TestPublicLocalizationAndPairs(t *testing.T) {
 		tm, raws := sim.Step()
 		sys.Ingest(tm, raws)
 	}
-	locs := sys.LocalizeAll()
-	if len(locs) == 0 {
+	objs := sys.KnownObjects()
+	if len(objs) == 0 {
 		t.Fatal("no localizations")
 	}
-	for _, l := range locs {
-		_ = l.Mean
+	for _, o := range objs {
+		l, ok := sys.Localize(o)
+		if !ok {
+			t.Fatalf("o%d not localized", o)
+		}
 		if l.Entropy < 0 {
 			t.Errorf("entropy %v", l.Entropy)
 		}
