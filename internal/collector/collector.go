@@ -15,20 +15,23 @@ import (
 	"repro/internal/model"
 )
 
-// run is a maximal period during which one device was the object's detecting
-// device (re-entries to the same device extend the run).
-type run struct {
-	reader  model.ReaderID
-	entries []model.AggregatedReading
+// streak is a stretch of consecutive detected seconds, from through to, in
+// which reader won the object every second: the one-second entries the
+// paper's collector produces, held as a range. A device run — a maximal
+// period during which one device was the object's detecting device, with
+// re-entries to the same device extending it — is a maximal sequence of
+// streaks that share a reader.
+type streak struct {
+	from, to model.Time
+	reader   model.ReaderID
 }
 
 // objectLog is the retained state for one object.
 type objectLog struct {
-	runs []run
+	// streaks holds the retained entries, oldest first; it is never empty.
+	streaks []streak
 	// in is the reader currently detecting the object, or NoReader.
 	in model.ReaderID
-	// lastSeen is the time of the most recent detected entry.
-	lastSeen model.Time
 
 	// IngestSecond's tally of the second in progress, valid while epoch is
 	// the collector's: lead is the reader winning the object so far and
@@ -36,6 +39,79 @@ type objectLog struct {
 	epoch uint64
 	lead  model.ReaderID
 	leadN int
+}
+
+// runStart returns the index of the first streak of the run that ends with
+// s[end-1].
+func runStart(s []streak, end int) int {
+	i := end - 1
+	for i > 0 && s[i-1].reader == s[end-1].reader {
+		i--
+	}
+	return i
+}
+
+// runEnd returns the index after the last streak of the run that begins
+// with s[i].
+func runEnd(s []streak, i int) int {
+	end := i + 1
+	for end < len(s) && s[end].reader == s[i].reader {
+		end++
+	}
+	return end
+}
+
+// lastTwoRuns returns the index of the first streak of the last two runs in
+// s[:end] (of the last run alone when there is one).
+func lastTwoRuns(s []streak, end int) int {
+	i := runStart(s, end)
+	if i > 0 {
+		i = runStart(s, i)
+	}
+	return i
+}
+
+// appendEntries appends one entry per second of the streaks s, the last of
+// them clipped to entries no later than upTo. dst grows once.
+func appendEntries(dst []model.AggregatedReading, obj model.ObjectID, s []streak, upTo model.Time) []model.AggregatedReading {
+	n := 0
+	for _, st := range s {
+		n += int(min(st.to, upTo) - st.from + 1)
+	}
+	dst = slices.Grow(dst, n)
+	for _, st := range s {
+		for t := st.from; t <= min(st.to, upTo); t++ {
+			dst = append(dst, model.AggregatedReading{Object: obj, Reader: st.reader, Time: t})
+		}
+	}
+	return dst
+}
+
+// upTo returns how many of the object's streaks begin at or before t.
+func (log *objectLog) upTo(t model.Time) int {
+	return sort.Search(len(log.streaks), func(i int) bool { return log.streaks[i].from > t })
+}
+
+// record adds second t, won by reader rd: it extends the last streak, or
+// opens a streak in the device run, or opens a run. Only the two most recent
+// consecutive detecting devices are retained unless historic, so a new run
+// first drops every run before the last, in place.
+func (log *objectLog) record(t model.Time, rd model.ReaderID, historic bool) {
+	n := len(log.streaks)
+	switch {
+	case n > 0 && log.streaks[n-1].reader == rd && log.streaks[n-1].to == t-1:
+		log.streaks[n-1].to = t
+		return
+	case n > 0 && log.streaks[n-1].reader != rd && !historic:
+		log.streaks = slices.Delete(log.streaks, 0, runStart(log.streaks, n))
+	}
+	log.streaks = append(log.streaks, streak{from: t, to: t, reader: rd})
+}
+
+// last returns the object's most recent entry.
+func (log *objectLog) last(obj model.ObjectID) model.AggregatedReading {
+	st := log.streaks[len(log.streaks)-1]
+	return model.AggregatedReading{Object: obj, Reader: st.reader, Time: st.to}
 }
 
 // tracked is an object together with its log, so the lists below are walked
@@ -192,18 +268,7 @@ func (c *Collector) IngestSecond(t model.Time, raws []model.RawReading) error {
 			c.events = append(c.events, model.Event{Kind: model.Enter, Object: obj, Reader: rd, Time: t})
 		}
 		log.in = rd
-		log.lastSeen = t
-		// Extend or open the device run.
-		if len(log.runs) == 0 || log.runs[len(log.runs)-1].reader != rd {
-			log.runs = append(log.runs, run{reader: rd})
-			// Retain only the two most recent consecutive detecting devices,
-			// unless full history is kept for historical queries.
-			if !c.historic && len(log.runs) > 2 {
-				log.runs = log.runs[len(log.runs)-2:]
-			}
-		}
-		last := &log.runs[len(log.runs)-1]
-		last.entries = append(last.entries, model.AggregatedReading{Object: obj, Reader: rd, Time: t})
+		log.record(t, rd, c.historic)
 	}
 
 	// Emit LEAVE for objects that were in a range but got no reading this
@@ -267,22 +332,16 @@ func (c *Collector) Aggregated(obj model.ObjectID) []model.AggregatedReading {
 }
 
 // AppendAggregated appends what Aggregated returns to dst, for callers that
-// gather many objects' entries into one buffer.
+// gather many objects' entries into one buffer. With full history retention
+// the live view still presents only the two most recent detecting devices,
+// as Algorithm 2 expects.
 func (c *Collector) AppendAggregated(dst []model.AggregatedReading, obj model.ObjectID) []model.AggregatedReading {
 	log := c.objects[obj]
 	if log == nil {
 		return dst
 	}
-	runs := log.runs
-	if len(runs) > 2 {
-		// With full history retention the live view still presents only the
-		// two most recent detecting devices, as Algorithm 2 expects.
-		runs = runs[len(runs)-2:]
-	}
-	for _, r := range runs {
-		dst = append(dst, r.entries...)
-	}
-	return dst
+	s := log.streaks
+	return appendEntries(dst, obj, s[lastTwoRuns(s, len(s)):], s[len(s)-1].to)
 }
 
 // RecentDevices returns the object's second-most-recent and most-recent
@@ -291,24 +350,24 @@ func (c *Collector) AppendAggregated(dst []model.AggregatedReading, obj model.Ob
 // for unknown objects.
 func (c *Collector) RecentDevices(obj model.ObjectID) (di, dj model.ReaderID) {
 	log := c.objects[obj]
-	if log == nil || len(log.runs) == 0 {
+	if log == nil {
 		return model.NoReader, model.NoReader
 	}
-	if len(log.runs) == 1 {
-		return model.NoReader, log.runs[0].reader
+	s := log.streaks
+	di, dj = model.NoReader, s[len(s)-1].reader
+	if i := runStart(s, len(s)); i > 0 {
+		di = s[i-1].reader
 	}
-	last := len(log.runs) - 1
-	return log.runs[last-1].reader, log.runs[last].reader
+	return di, dj
 }
 
 // LastReading returns the most recent aggregated entry for the object.
 func (c *Collector) LastReading(obj model.ObjectID) (model.AggregatedReading, bool) {
 	log := c.objects[obj]
-	if log == nil || len(log.runs) == 0 {
+	if log == nil {
 		return model.AggregatedReading{}, false
 	}
-	entries := log.runs[len(log.runs)-1].entries
-	return entries[len(entries)-1], true
+	return log.last(obj), true
 }
 
 // AggregatedUpTo returns the aggregated entries the paper's Algorithm 2
@@ -322,34 +381,25 @@ func (c *Collector) AggregatedUpTo(obj model.ObjectID, t model.Time) []model.Agg
 	if log == nil {
 		return nil
 	}
-	// Collect runs that have at least one entry at or before t, clipped.
-	type clipped struct {
-		entries []model.AggregatedReading
+	n := log.upTo(t)
+	if n == 0 {
+		return nil
 	}
-	var kept []clipped
-	for _, r := range log.runs {
-		n := sort.Search(len(r.entries), func(i int) bool { return r.entries[i].Time > t })
-		if n > 0 {
-			kept = append(kept, clipped{entries: r.entries[:n]})
-		}
-	}
-	if len(kept) > 2 {
-		kept = kept[len(kept)-2:]
-	}
-	var out []model.AggregatedReading
-	for _, r := range kept {
-		out = append(out, r.entries...)
-	}
-	return out
+	return appendEntries(nil, obj, log.streaks[lastTwoRuns(log.streaks, n):n], t)
 }
 
 // LastReadingAt returns the most recent aggregated entry at or before t.
 func (c *Collector) LastReadingAt(obj model.ObjectID, t model.Time) (model.AggregatedReading, bool) {
-	entries := c.AggregatedUpTo(obj, t)
-	if len(entries) == 0 {
+	log := c.objects[obj]
+	if log == nil {
 		return model.AggregatedReading{}, false
 	}
-	return entries[len(entries)-1], true
+	n := log.upTo(t)
+	if n == 0 {
+		return model.AggregatedReading{}, false
+	}
+	st := log.streaks[n-1]
+	return model.AggregatedReading{Object: obj, Reader: st.reader, Time: min(st.to, t)}, true
 }
 
 // CurrentlyDetectedBy returns the reader currently detecting the object, or
@@ -376,10 +426,7 @@ func (c *Collector) KnownObjects() []model.ObjectID {
 // KnownObjects, in one pass.
 func (c *Collector) AppendLatest(dst []model.AggregatedReading) []model.AggregatedReading {
 	for _, tr := range c.all {
-		if runs := tr.log.runs; len(runs) > 0 {
-			entries := runs[len(runs)-1].entries
-			dst = append(dst, entries[len(entries)-1])
-		}
+		dst = append(dst, tr.log.last(tr.obj))
 	}
 	return dst
 }
@@ -391,20 +438,14 @@ func (c *Collector) ForgetBefore(t model.Time) {
 	kept := c.all[:0]
 	for _, tr := range c.all {
 		log := tr.log
-		for len(log.runs) > 1 {
-			entries := log.runs[0].entries
-			if len(entries) == 0 || entries[len(entries)-1].Time < t {
-				log.runs = log.runs[1:]
-			} else {
-				break
-			}
+		drop := 0
+		for end := runEnd(log.streaks, 0); end < len(log.streaks) && log.streaks[end-1].to < t; end = runEnd(log.streaks, end) {
+			drop = end
 		}
-		if len(log.runs) == 1 {
-			entries := log.runs[0].entries
-			if len(entries) > 0 && entries[len(entries)-1].Time < t && log.in == model.NoReader {
-				delete(c.objects, tr.obj)
-				continue
-			}
+		log.streaks = slices.Delete(log.streaks, 0, drop)
+		if log.streaks[len(log.streaks)-1].to < t && log.in == model.NoReader {
+			delete(c.objects, tr.obj)
+			continue
 		}
 		kept = append(kept, tr)
 	}

@@ -49,14 +49,17 @@ func (c *Collector) Snapshot() Snapshot {
 		os := ObjectSnapshot{
 			Object:   tr.obj,
 			In:       log.in,
-			LastSeen: log.lastSeen,
-			Runs:     make([]RunSnapshot, len(log.runs)),
+			LastSeen: log.streaks[len(log.streaks)-1].to,
 		}
-		for i, r := range log.runs {
-			os.Runs[i] = RunSnapshot{
-				Reader:  r.reader,
-				Entries: append([]model.AggregatedReading(nil), r.entries...),
-			}
+		// The snapshot format: one run per maximal sequence of streaks
+		// sharing a reader, one entry per detected second.
+		for i := 0; i < len(log.streaks); {
+			end := runEnd(log.streaks, i)
+			os.Runs = append(os.Runs, RunSnapshot{
+				Reader:  log.streaks[i].reader,
+				Entries: appendEntries(nil, tr.obj, log.streaks[i:end], log.streaks[end-1].to),
+			})
+			i = end
 		}
 		s.Objects = append(s.Objects, os)
 	}
@@ -75,12 +78,14 @@ func (c *Collector) Restore(s Snapshot) {
 	c.objects = make(map[model.ObjectID]*objectLog, len(s.Objects))
 	c.all = make([]tracked, 0, len(s.Objects))
 	for _, os := range s.Objects {
-		log := &objectLog{in: os.In, lastSeen: os.LastSeen, runs: make([]run, len(os.Runs))}
-		for i, r := range os.Runs {
-			log.runs[i] = run{
-				reader:  r.Reader,
-				entries: append([]model.AggregatedReading(nil), r.Entries...),
+		log := &objectLog{in: os.In}
+		for _, r := range os.Runs {
+			for _, e := range r.Entries {
+				log.record(e.Time, r.Reader, c.historic)
 			}
+		}
+		if len(log.streaks) == 0 {
+			continue // Snapshot never writes an object without entries
 		}
 		c.objects[os.Object] = log
 		c.all = append(c.all, tracked{os.Object, log})

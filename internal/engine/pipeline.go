@@ -59,7 +59,11 @@ func KNNQuery(p geom.Point, k int) Query { return Query{Kind: KindKNN, Point: p,
 // OccupancyQuery asks for the expected number of objects per room.
 func OccupancyQuery() Query { return Query{Kind: KindOccupancy} }
 
-// AsOf returns q asked as of the past second t.
+// AsOf returns q asked as of the past second t. t must not be after the
+// engine's Now(): a question about a second not yet ingested has no fixed
+// answer, because the readings that decide it are still to come, so the
+// same question would answer differently later. The HTTP API refuses such
+// an at= with a 400; a library caller keeps t at or before Now().
 func (q Query) AsOf(t model.Time) Query {
 	q.Historical, q.At = true, t
 	return q

@@ -720,6 +720,12 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request, q engine.Query) (
 		return ans, nil, false
 	}
 	if atOK {
+		// A second this engine has not ingested yet has no fixed answer:
+		// the readings that decide it are still to come.
+		if now := s.sys.Now(); at > now {
+			httpError(w, http.StatusBadRequest, "bad at: second %d is after the stream clock (now %d)", at, now)
+			return ans, nil, false
+		}
 		q = q.AsOf(at)
 	}
 	deadline, err := queryDeadline(r)

@@ -123,6 +123,32 @@ func TestHistoricalQueryParam(t *testing.T) {
 	}
 }
 
+// TestHistoricalQueryAfterStreamClockRefused: a question about a second not
+// yet ingested would answer differently once that second arrives, so at=
+// after the stream clock is a 400 naming the clock, on every query route;
+// at= the clock itself is still a historical question with a fixed answer.
+func TestHistoricalQueryAfterStreamClockRefused(t *testing.T) {
+	ts, world := testServer(t)
+	now := world.Now()
+	for _, route := range []string{"/range?x=1&y=2&w=140&h=32", "/knn?x=35&y=12&k=3", "/occupancy?"} {
+		var out any
+		if code := getJSON(t, ts, fmt.Sprintf("%s&at=%d", route, now), &out); code != http.StatusOK {
+			t.Errorf("%s at the stream clock: status %d, want 200", route, code)
+		}
+		for _, at := range []model.Time{now + 1, now + 20} {
+			resp, err := ts.Client().Get(ts.URL + fmt.Sprintf("%s&at=%d", route, at))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "stream clock") {
+				t.Errorf("%s at=%d (now %d): status %d %q, want 400 naming the stream clock", route, at, now, resp.StatusCode, body)
+			}
+		}
+	}
+}
+
 func TestLocalizeEndpoint(t *testing.T) {
 	ts, _ := testServer(t)
 	var objects []int
