@@ -53,12 +53,14 @@ const benchPattern = "BenchmarkFilterStep|BenchmarkNegativeUpdate|BenchmarkInitA
 // enginePattern selects the engine-level population benchmarks: the
 // single-engine 1k-object step (no sub-benchmark path), its sharded-router
 // variant (shards=N sub-benchmarks showing scaling with the shard count), the
-// 1000-object sweep of full filter runs a cold query pays, the
-// tracing-overhead pair (enabled/disabled sub-benchmarks pinning the cost of
-// the request tracer on the filter step), the query's evaluate stage on a
-// warm cache — the first query of a stream second and a repeat in the same
-// second, the memoized-snap path — and the durable sharded ingest.
-const enginePattern = "BenchmarkEngineStep|BenchmarkColdRun1k|BenchmarkFilterStepTraced|BenchmarkPreprocessWarm300|BenchmarkPreprocessRepeat300|BenchmarkShardedIngestDurable"
+// 1000-object sweep of full filter runs a cold query pays and the one-second
+// advance of 1000 cached states a warm query pays (both also report ns per
+// particle-step), the tracing-overhead pair (enabled/disabled sub-benchmarks
+// pinning the cost of the request tracer on the filter step), the query's
+// evaluate stage on a warm cache — the first query of a stream second and a
+// repeat in the same second, the memoized-snap path — and the durable
+// sharded ingest.
+const enginePattern = "BenchmarkEngineStep|BenchmarkColdRun1k|BenchmarkAdvance1s1k|BenchmarkFilterStepTraced|BenchmarkPreprocessWarm300|BenchmarkPreprocessRepeat300|BenchmarkShardedIngestDurable"
 
 // The query path's, the ingest path's and the cluster's layer benchmarks
 // outside the engine package.
@@ -102,6 +104,9 @@ type result struct {
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
 	ObjsPerSec  float64 `json:"objs_per_sec,omitempty"`
+	// NsPerParticleStep is the time per particle moved through one
+	// simulated second, for the benchmarks that count them.
+	NsPerParticleStep float64 `json:"ns_per_particle_step,omitempty"`
 	// GoMaxProcs is the GOMAXPROCS the benchmark ran at (the -N suffix).
 	GoMaxProcs int `json:"gomaxprocs,omitempty"`
 	// Runs holds every run's ns/op when the benchmark ran more than once;
@@ -398,6 +403,8 @@ func parseLine(line string) (result, bool) {
 			r.AllocsPerOp, _ = strconv.ParseInt(v, 10, 64)
 		case "objs/s":
 			r.ObjsPerSec, _ = strconv.ParseFloat(v, 64)
+		case "ns/particle-step":
+			r.NsPerParticleStep, _ = strconv.ParseFloat(v, 64)
 		}
 	}
 	if r.NsPerOp == 0 {

@@ -50,7 +50,7 @@ func BenchmarkSnapDistribution(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := particle.State{Particles: states[i%len(states)].Particles}
+		st := *states[i%len(states)] // shares the columns, carries no memo
 		benchLen += st.AnchorDist(idx, &acc).Len()
 	}
 }

@@ -10,13 +10,11 @@ import (
 )
 
 func state(obj model.ObjectID, t model.Time) *particle.State {
-	return &particle.State{
-		Object: obj,
-		Time:   t,
-		Particles: []particle.Particle{
-			{Loc: walkgraph.Location{Edge: 1, Offset: 2}, Speed: 1, Weight: 1},
-		},
-	}
+	st := particle.FromParticles(obj, []particle.Particle{
+		{Loc: walkgraph.Location{Edge: 1, Offset: 2}, Speed: 1, Weight: 1},
+	})
+	st.Time = t
+	return st
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -84,11 +82,11 @@ func TestOwnershipPassing(t *testing.T) {
 	if !ok || got != st {
 		t.Fatalf("Get = %p, %v; want the Put pointer %p", got, ok, st)
 	}
-	got.Particles[0].Speed = 99
+	got.LastReadingTime = 99
 	got.Time = 101
 	c.Put(got, 5)
 	again, _ := c.Get(1, 5, 101)
-	if again != st || again.Particles[0].Speed != 99 || again.Time != 101 || c.Len() != 1 {
+	if again != st || again.LastReadingTime != 99 || again.Time != 101 || c.Len() != 1 {
 		t.Errorf("in-place advance lost: %+v (len %d)", again, c.Len())
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
@@ -100,20 +98,22 @@ func TestOwnershipPassing(t *testing.T) {
 }
 
 // TestDumpIsolatedFromLiveStates: a snapshot must not alias states the
-// engine keeps advancing in place after the dump.
+// engine keeps advancing in place after the dump, and a restore must not
+// alias the snapshot it read.
 func TestDumpIsolatedFromLiveStates(t *testing.T) {
 	c := New(60)
 	st := state(1, 100)
 	c.Put(st, 5)
 	dump := c.Dump()
-	st.Particles[0].Speed = 42
+	dump[0].State.Particles[0].Speed = 42
 	st.Time = 200
-	if dump[0].State.Particles[0].Speed != 1 || dump[0].State.Time != 100 {
+	if st.Particles()[0].Speed != 1 || dump[0].State.Time != 100 {
 		t.Error("Dump aliases the live state")
 	}
+	dump[0].State.Particles[0].Speed = 1
 	c.RestoreEntries(dump)
 	dump[0].State.Particles[0].Speed = 7
-	if got, _ := c.Get(1, 5, 100); got.Particles[0].Speed != 1 {
+	if got, _ := c.Get(1, 5, 100); got.Particles()[0].Speed != 1 {
 		t.Error("RestoreEntries aliases the dump")
 	}
 }

@@ -61,14 +61,14 @@ func TestMemoizedDistMatchesFreshSnap(t *testing.T) {
 			var acc anchor.Accumulator
 			cached := 0
 			for _, k := range stores {
-				for _, e := range k.cache.Dump() {
-					memo, ok := e.State.MemoDist(k.idx)
+				for _, st := range k.cache.States() {
+					memo, ok := st.MemoDist(k.idx)
 					if !ok {
-						t.Fatalf("shards=%d %s: cached object %d has no memoized distribution", shards, what, e.State.Object)
+						t.Fatalf("shards=%d %s: cached object %d has no memoized distribution", shards, what, st.Object)
 					}
-					fresh := (&particle.State{Particles: e.State.Particles}).AnchorDist(k.idx, &acc)
+					fresh := particle.FromParticles(0, st.Particles()).AnchorDist(k.idx, &acc)
 					if !sameDist(memo, fresh) {
-						t.Fatalf("shards=%d %s: object %d's memo %v differs from a fresh snap %v", shards, what, e.State.Object, memo, fresh)
+						t.Fatalf("shards=%d %s: object %d's memo %v differs from a fresh snap %v", shards, what, st.Object, memo, fresh)
 					}
 					cached++
 				}
@@ -94,14 +94,14 @@ func TestMemoizedDistMatchesFreshSnap(t *testing.T) {
 		other := anchor.MustBuildIndex(k.Graph(), cfg.AnchorSpacing)
 		var acc anchor.Accumulator
 		probed := 0
-		for _, e := range k.cache.Dump() {
-			st := e.State
+		for _, live := range k.cache.States() {
+			st := live.Clone() // carries the memo; snapping it leaves the cache alone
 			memo, _ := st.MemoDist(k.idx)
 			got := st.AnchorDist(other, &acc)
 			if got.Len() > 0 && &got.IDs[0] == &memo.IDs[0] {
 				t.Fatalf("shards=%d: a snap to a second index returned the first index's memo", shards)
 			}
-			if want := (&particle.State{Particles: st.Particles}).AnchorDist(other, &acc); !sameDist(got, want) {
+			if want := particle.FromParticles(0, st.Particles()).AnchorDist(other, &acc); !sameDist(got, want) {
 				t.Fatalf("shards=%d: snap to a second index = %v, fresh %v", shards, got, want)
 			}
 			if _, ok := st.MemoDist(k.idx); ok {

@@ -9,8 +9,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/collector"
 	"repro/internal/ingest"
 	"repro/internal/model"
+	"repro/internal/particle"
 	"repro/internal/sim/errfs"
 	"repro/internal/wal"
 )
@@ -278,4 +280,104 @@ func TestRecoverySkipsCorruptNewestSnapshot(t *testing.T) {
 			}
 		})
 	}
+}
+
+// parentCachedState, parentCacheEntry and parentShardSnap are the shard
+// snapshot's layout from when particle.State kept its particles one struct
+// each: the cached state was encoded as itself, its exported fields the
+// object, the particles, both time stamps and LastRun.
+type parentCachedState struct {
+	Object          model.ObjectID
+	Particles       []particle.Particle
+	Time            model.Time
+	LastReadingTime model.Time
+	LastRun         particle.RunStats
+}
+
+type parentCacheEntry struct {
+	State  parentCachedState
+	Device model.ReaderID
+}
+
+type parentShardSnap struct {
+	Stats        Stats
+	Collector    collector.Snapshot
+	CacheEntries []parentCacheEntry
+	CacheHits    int
+	CacheMisses  int
+}
+
+// TestRecoversParentLayoutShardSnapshot pins that moving cached particle
+// states to column form strands no data directory: an engine that cached
+// kernel-produced states is closed, its shard snapshot re-encoded in the
+// earlier layout, and the reopened engine must match the uninterrupted one —
+// Stats, collector, every anchor distribution and the range and kNN answers
+// bit for bit. A state the decoder dropped would be re-run from its first
+// reading instead of resumed, which moves both the Stats and the answers.
+func TestRecoversParentLayoutShardSnapshot(t *testing.T) {
+	f := newDurableFixture(t, 24)
+	dir := t.TempDir()
+	sys, err := OpenSharded(f.plan, f.dep, f.config(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := MustNew(f.plan, f.dep, f.cfg)
+	for i, d := range f.deliveries {
+		if err := sys.Ingest(d.t, clone(d.raws)); err != nil {
+			t.Fatalf("Ingest: %v", err)
+		}
+		oracle.Ingest(d.t, clone(d.raws))
+		if (i+1)%6 == 0 {
+			sys.Preprocess(sys.KnownObjects())
+			oracle.Preprocess(oracle.Collector().KnownObjects())
+		}
+	}
+	sid := sys.streamID
+	if err := sys.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	shardDir := ShardDir(dir, 0)
+	snaps, err := wal.ListSnapshots(shardDir)
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("shard snapshots: %v (%v)", snaps, err)
+	}
+	seq, payload, err := wal.ReadSnapshotFile(snaps[len(snaps)-1].Path, sid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cur shardSnap
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&cur); err != nil {
+		t.Fatal(err)
+	}
+	if len(cur.CacheEntries) == 0 {
+		t.Fatal("vacuous: the shard snapshot caches no particle state")
+	}
+	old := parentShardSnap{Stats: cur.Stats, Collector: cur.Collector, CacheHits: cur.CacheHits, CacheMisses: cur.CacheMisses}
+	for _, e := range cur.CacheEntries {
+		old.CacheEntries = append(old.CacheEntries, parentCacheEntry{Device: e.Device, State: parentCachedState{
+			Object:          e.State.Object,
+			Particles:       e.State.Particles,
+			Time:            e.State.Time,
+			LastReadingTime: e.State.LastReadingTime,
+			LastRun:         e.State.LastRun,
+		}})
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wal.WriteSnapshot(shardDir, sid, seq, buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+
+	recovered, err := OpenSharded(f.plan, f.dep, f.config(dir))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer recovered.Close()
+	if rec := recovered.Recovery(); !rec.SnapshotRestored || rec.SnapshotSeq != seq || rec.RecordsReplayed != 0 {
+		t.Fatalf("the earlier-layout barrier at seq %d was not restored alone: %+v", seq, rec)
+	}
+	mustMatchOracle(t, "earlier-layout shard snapshot", recovered, oracle, true)
 }

@@ -318,7 +318,7 @@ func (t *Telemetry) mirror(v metricsView) {
 // entry (snap is zero when the state's memo answered).
 func (t *Telemetry) recordRun(shard int, st *particle.State, advance, snap time.Duration, resumed bool) {
 	rs := st.LastRun
-	t.particleSteps.Add(uint64(rs.Steps) * uint64(len(st.Particles)))
+	t.particleSteps.Add(uint64(rs.Steps) * uint64(st.Len()))
 	t.Trace.Add(obs.FilterTrace{
 		Object:        int64(st.Object),
 		Shard:         shard,
@@ -327,7 +327,7 @@ func (t *Telemetry) recordRun(shard int, st *particle.State, advance, snap time.
 		Steps:         rs.Steps,
 		Detections:    rs.Detections,
 		Resamples:     rs.Resamples,
-		Particles:     len(st.Particles),
+		Particles:     st.Len(),
 		ESS:           rs.ESS,
 		Resumed:       resumed,
 		AdvanceMicros: advance.Microseconds(),

@@ -3,6 +3,7 @@ package particle
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/floorplan"
 	"repro/internal/model"
@@ -51,14 +52,17 @@ func randomEntries(src *rng.Source, dep *rfid.Deployment, seconds int) []model.A
 	return entries
 }
 
-// statesEqual compares the observable filter output bit-for-bit.
-func statesEqual(a, b *State) bool {
+// statesEqual compares the observable filter output bit-for-bit: a kernel
+// state against the oracle's, or, through view, against another kernel
+// state.
+func statesEqual(a *State, b *aosState) bool {
+	ps := a.Particles()
 	if a.Object != b.Object || a.Time != b.Time || a.LastReadingTime != b.LastReadingTime ||
-		len(a.Particles) != len(b.Particles) {
+		len(ps) != len(b.Particles) {
 		return false
 	}
-	for i := range a.Particles {
-		if a.Particles[i] != b.Particles[i] {
+	for i := range ps {
+		if ps[i] != b.Particles[i] {
 			return false
 		}
 	}
@@ -68,10 +72,10 @@ func statesEqual(a, b *State) bool {
 // matchOracle fails unless the kernel's state and run statistics equal the
 // oracle's: particles to the last bit, and every RunStats field but the
 // stage durations.
-func matchOracle(t *testing.T, what string, got, want *State, gotRS, wantRS RunStats) {
+func matchOracle(t *testing.T, what string, got *State, want *aosState, gotRS, wantRS RunStats) {
 	t.Helper()
 	if !statesEqual(got, want) {
-		t.Fatalf("%s: kernel and geometric oracle diverged\nkernel: %+v\noracle: %+v", what, got, want)
+		t.Fatalf("%s: kernel and geometric oracle diverged\nkernel: %+v\noracle: %+v", what, view(got), want)
 	}
 	if gotRS.From != wantRS.From || gotRS.To != wantRS.To || gotRS.Steps != wantRS.Steps ||
 		gotRS.Detections != wantRS.Detections || gotRS.Resamples != wantRS.Resamples || gotRS.ESS != wantRS.ESS {
@@ -205,14 +209,13 @@ func TestHealthFlipsMidStreamMatchOracle(t *testing.T) {
 	}
 }
 
-// TestSoAKernelMatchesAoSBitForBit holds the kernel's load/store boundary —
-// State.Particles (array of structs) into and out of the Pool's flat arrays
-// (structure of arrays) — to the oracle when one pool serves several states
-// in turn, as an engine worker's does: two objects advanced alternately, then
-// a clone advanced apart from its original, must each match the oracle bit
-// for bit under both resamplers. Every switch of state leaves the pool's
-// residency stamp stale, so each advance reloads from the particles the
-// previous store wrote back.
+// TestSoAKernelMatchesAoSBitForBit holds the kernel's columns (structure of
+// arrays) to the oracle's particles (array of structs) when one pool serves
+// several states in turn, as an engine worker's does: two objects advanced
+// alternately, then a clone advanced apart from its original, must each
+// match the oracle bit for bit under both resamplers. Every resampling swaps
+// blocks between the state it serves and the pool, so the next state's
+// resampling permutes into blocks another state owned a moment before.
 func TestSoAKernelMatchesAoSBitForBit(t *testing.T) {
 	pool := NewPool()
 	for trial := 0; trial < 50; trial++ {
@@ -226,7 +229,8 @@ func TestSoAKernelMatchesAoSBitForBit(t *testing.T) {
 			seed := int64(2*trial + int(resample))
 			what := fmt.Sprintf("trial %d, resampler %d", trial, resample)
 
-			var got, want [2]*State
+			var got [2]*State
+			var want [2]*aosState
 			now := model.Time(32)
 			for i := range got {
 				obj := model.ObjectID(i + 1)
@@ -261,13 +265,14 @@ func TestSoAKernelMatchesAoSBitForBit(t *testing.T) {
 				now = later
 			}
 
-			// A clone carries no stamp: advancing it and then its original
-			// on the same pool reloads both.
-			gotClone, wantClone := got[0].Clone(), want[0].Clone()
-			for k, pair := range [][2]*State{{gotClone, wantClone}, {got[0], want[0]}} {
-				f.AdvancePool(pool, rng.Derive(9, seed, int64(k)), pair[0], nil, now+5)
-				o.advance(rng.Derive(9, seed, int64(k)), pair[1], nil, now+5, true)
-				if !statesEqual(pair[0], pair[1]) {
+			// A clone owns its own columns: advancing it and then its
+			// original on the same pool moves each alone.
+			gots := []*State{got[0].Clone(), got[0]}
+			wants := []*aosState{want[0].Clone(), want[0]}
+			for k := range gots {
+				f.AdvancePool(pool, rng.Derive(9, seed, int64(k)), gots[k], nil, now+5)
+				o.advance(rng.Derive(9, seed, int64(k)), wants[k], nil, now+5, true)
+				if !statesEqual(gots[k], wants[k]) {
 					t.Fatalf("%s: advance %d after Clone diverged from the oracle", what, k)
 				}
 			}
@@ -275,13 +280,153 @@ func TestSoAKernelMatchesAoSBitForBit(t *testing.T) {
 	}
 }
 
+// span is the address range of one array a state or a pool holds.
+type span struct{ lo, hi uintptr }
+
+func spanOf[T any](s []T) span {
+	if cap(s) == 0 {
+		return span{}
+	}
+	var zero T
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+	return span{lo, lo + uintptr(cap(s))*unsafe.Sizeof(zero)}
+}
+
+func stateSpans(st *State) []span { return []span{spanOf(st.ints), spanOf(st.floats)} }
+
+func poolSpans(p *Pool) []span {
+	return []span{spanOf(p.bints), spanOf(p.bfloats), spanOf(p.covered), spanOf(p.cum), spanOf(p.sched)}
+}
+
+// disjoint reports whether no two non-empty spans overlap.
+func disjoint(ss []span) bool {
+	for i, a := range ss {
+		for _, b := range ss[i+1:] {
+			if a.lo < a.hi && b.lo < b.hi && a.lo < b.hi && b.lo < a.hi {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestKernelResizeAndOwnership: one pool serves states of different
+// particle counts in turn — a 64-particle state, a 16-particle one run under
+// SetParticleBudget(16), the first advanced again, and then, the budget
+// restored, the second kidnapped back to 64 particles by a detection no
+// particle is consistent with and advanced further — and each state must
+// match the oracle bit for bit after every call. After every call, too, no
+// array may be shared between the pool and a state or between the two
+// states: resampling swaps blocks between a state and the pool, it never
+// leaves one block with two owners.
+func TestKernelResizeAndOwnership(t *testing.T) {
+	pool := NewPool()
+	kidnapped := 0
+	for trial := 0; trial < 30; trial++ {
+		g, dep := randomSetup(t, trial)
+		for _, resample := range []Resampler{Systematic, Multinomial} {
+			cfg := DefaultConfig()
+			cfg.Resample = resample
+			f := MustNew(cfg, g, dep)
+			o := &oracle{cfg: cfg, g: g, dep: dep}
+			src := rng.New(int64(18000 + 2*trial + int(resample)))
+			seed := int64(2*trial + int(resample))
+			var got []*State
+			var want []*aosState
+			check := func(step string, wantLens ...int) {
+				t.Helper()
+				what := fmt.Sprintf("trial %d, resampler %d, %s", trial, resample, step)
+				owned := poolSpans(pool)
+				for i := range got {
+					if !statesEqual(got[i], want[i]) {
+						t.Fatalf("%s: object %d diverged from the oracle", what, i+1)
+					}
+					if got[i].Len() != wantLens[i] {
+						t.Fatalf("%s: object %d has %d particles, want %d", what, i+1, got[i].Len(), wantLens[i])
+					}
+					owned = append(owned, stateSpans(got[i])...)
+				}
+				if !disjoint(owned) {
+					t.Fatalf("%s: an array is shared between the pool and a state or between states", what)
+				}
+			}
+			run := func(obj model.ObjectID, now model.Time) {
+				entries := randomEntries(src, dep, 30)
+				for j := range entries {
+					entries[j].Object = obj
+				}
+				st, err := f.RunPool(pool, rng.Derive(7, seed, int64(obj)), obj, entries, now)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ost, _, err := o.run(rng.Derive(7, seed, int64(obj)), obj, entries, now)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, want = append(got, st), append(want, ost)
+			}
+			advance := func(i int, round int64, more []model.AggregatedReading, now model.Time) {
+				f.AdvancePool(pool, rng.Derive(8, seed, round, int64(i)), got[i], more, now)
+				o.advance(rng.Derive(8, seed, round, int64(i)), want[i], more, now, true)
+			}
+
+			run(1, 32)
+			check("64-particle RunPool", 64)
+			f.SetParticleBudget(16)
+			o.cfg.Ns = 16
+			run(2, 32)
+			check("16-particle RunPool", 64, 16)
+			advance(0, 0, nil, 40)
+			check("64-particle advance after a 16-particle run", 64, 16)
+
+			f.SetParticleBudget(0)
+			o.cfg.Ns = cfg.Ns
+			// A reader whose range no particle of the second state can reach
+			// in one second (MaxSpeed, plus a metre): its detection is the
+			// kidnapped-robot recovery.
+			far := model.NoReader
+			for _, r := range dep.Readers() {
+				away := true
+				for _, p := range got[1].Particles() {
+					if r.Pos.Dist(g.Point(p.Loc)) <= r.Range+cfg.MaxSpeed+1 {
+						away = false
+						break
+					}
+				}
+				if away {
+					far = r.ID
+					break
+				}
+			}
+			if far == model.NoReader {
+				continue
+			}
+			kidnapped++
+			at := got[1].Time + 1
+			advance(1, 1, []model.AggregatedReading{{Object: 2, Reader: far, Time: at}}, at)
+			check("kidnap reinit at 64", 64, 64)
+			more := make([]model.AggregatedReading, 0, 8)
+			for k := model.Time(1); k <= 8; k += 2 {
+				more = append(more, model.AggregatedReading{Object: 2, Reader: far, Time: at + k})
+			}
+			advance(1, 2, more, at+10)
+			check("64-particle advance after the reinit", 64, 64)
+			advance(0, 3, nil, at+10)
+			check("first state advanced after the reinit", 64, 64)
+		}
+	}
+	t.Logf("%d of 60 runs kidnapped the 16-particle state back to 64", kidnapped)
+	if kidnapped == 0 {
+		t.Fatal("vacuous: no trial found a reader to kidnap the 16-particle state with")
+	}
+}
+
 // TestSoAKernelMatchesAoSInstrumented follows the engine's steady state: one
-// object advanced a second at a time on the same pool, so every load after
-// the first is elided and the kernel resumes from the arrays its last store
-// left behind. With stage timing on, each second's particles and RunStats
-// (step, detection and resample counts, ESS) must equal the oracle's. The
-// object starts with a zero-step RunPool, which is a no-op: the first
-// advance loads from the particles, every later one from the pool.
+// object advanced a second at a time on the same pool, each advance resuming
+// from the columns the previous one left in the state. With stage timing on,
+// each second's particles and RunStats (step, detection and resample counts,
+// ESS) must equal the oracle's. The object starts with a zero-step RunPool,
+// which steps nothing.
 func TestSoAKernelMatchesAoSInstrumented(t *testing.T) {
 	pool := NewPool()
 	for trial := 0; trial < 8; trial++ {
@@ -306,11 +451,6 @@ func TestSoAKernelMatchesAoSInstrumented(t *testing.T) {
 			if len(rest) > 0 && rest[0].Time == now {
 				second, rest = rest[:1], rest[1:]
 			}
-			// The RunPool above stepped nothing, so it stored nothing and
-			// left no stamp; every advance after it does.
-			if now > first.Time+1 && (got.soaPool != pool || pool.owner != got) {
-				t.Fatalf("trial %d, second %d: residency stamp lost between consecutive advances", trial, now)
-			}
 			f.AdvancePool(pool, rng.Derive(10, int64(trial), int64(now)), got, second, now)
 			wantRS := o.advance(rng.Derive(10, int64(trial), int64(now)), want, second, now, true)
 			matchOracle(t, fmt.Sprintf("trial %d, second %d", trial, now), got, want, got.LastRun, wantRS)
@@ -329,7 +469,7 @@ func TestIndexedInitAtMatchesGeometric(t *testing.T) {
 		o := &oracle{cfg: DefaultConfig(), g: g, dep: dep}
 		for _, r := range dep.Readers() {
 			got := f.InitAt(rng.Derive(11, int64(trial), int64(r.ID)), 1, r.ID, 0)
-			want := &State{Object: 1, Particles: o.initParticles(rng.Derive(11, int64(trial), int64(r.ID)), r.ID)}
+			want := &aosState{Object: 1, Particles: o.initParticles(rng.Derive(11, int64(trial), int64(r.ID)), r.ID)}
 			if !statesEqual(got, want) {
 				t.Fatalf("trial %d reader %d: InitAt diverged", trial, r.ID)
 			}
@@ -338,8 +478,8 @@ func TestIndexedInitAtMatchesGeometric(t *testing.T) {
 }
 
 // TestNilPoolRunsOnThrowawayPool pins the one dispatch rule left: a nil pool
-// runs the same kernel on a throwaway Pool — output identical to a pooled
-// run — and the state keeps no reference to that pool.
+// runs the same kernel on a throwaway Pool, with output identical to a
+// pooled run.
 func TestNilPoolRunsOnThrowawayPool(t *testing.T) {
 	g, dep := randomSetup(t, 3)
 	f := MustNew(DefaultConfig(), g, dep)
@@ -356,16 +496,13 @@ func TestNilPoolRunsOnThrowawayPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !statesEqual(got, want) {
+	if !statesEqual(got, view(want)) {
 		t.Fatal("nil-pool RunPool diverged from the pooled run")
 	}
 	f.AdvancePool(pool, rng.Derive(2), want, nil, now+10)
 	f.AdvancePool(nil, rng.Derive(2), got, nil, now+10)
-	if !statesEqual(got, want) {
+	if !statesEqual(got, view(want)) {
 		t.Fatal("nil-pool AdvancePool diverged from the pooled advance")
-	}
-	if got.soaPool != nil {
-		t.Fatal("state keeps the throwaway pool alive")
 	}
 }
 

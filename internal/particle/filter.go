@@ -154,20 +154,10 @@ func (f *Filter) ParticleBudget() int {
 // particle with a random direction and a Gaussian walking speed. Its LastRun
 // is the empty window at t, with the fresh set's ESS.
 func (f *Filter) InitAt(src *rng.Source, obj model.ObjectID, reader model.ReaderID, t model.Time) *State {
-	ivs, total := f.cov.InitIntervals(reader)
-	ps := make([]Particle, f.ParticleBudget())
-	w := 1.0 / float64(len(ps))
-	for i := range ps {
-		e, off, tw, speed := f.initOne(src, reader, ivs, total)
-		ps[i] = Particle{
-			Loc:    walkgraph.Location{Edge: walkgraph.EdgeID(e), Offset: off},
-			Toward: walkgraph.NodeID(tw),
-			Speed:  speed,
-			Weight: w,
-		}
-	}
-	return &State{Object: obj, Particles: ps, Time: t, LastReadingTime: t,
-		LastRun: RunStats{From: t, To: t, ESS: essOf(ps)}}
+	st := &State{Object: obj, Time: t, LastReadingTime: t}
+	f.initSoA(st, src, reader)
+	st.LastRun = RunStats{From: t, To: t, ESS: essOf(st.cols().weight)}
+	return st
 }
 
 // initOne draws one particle of InitAt's distribution: a location uniform
@@ -226,12 +216,11 @@ func errNoReadings(obj model.ObjectID) error {
 
 // essOf is the effective sample size for possibly unnormalized weights:
 // (sum w)^2 / sum w^2.
-func essOf(ps []Particle) float64 {
+func essOf(w []float64) float64 {
 	var sum, sq float64
-	for i := range ps {
-		w := ps[i].Weight
-		sum += w
-		sq += w * w
+	for _, x := range w {
+		sum += x
+		sq += x * x
 	}
 	if sq == 0 {
 		return 0

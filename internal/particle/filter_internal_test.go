@@ -50,7 +50,7 @@ func TestRecoveryOnInconsistentObservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	reader := dep.Reader(6)
-	for _, p := range st.Particles {
+	for _, p := range st.Particles() {
 		if !reader.Covers(g.Point(p.Loc)) {
 			t.Fatalf("particle at %v outside the recovering reader's range", g.Point(p.Loc))
 		}
@@ -75,7 +75,7 @@ func TestNegativeUpdatePushesMassOutOfRanges(t *testing.T) {
 	}
 	inRange := 0.0
 	total := 0.0
-	for _, p := range st.Particles {
+	for _, p := range st.Particles() {
 		total += p.Weight
 		pos := g.Point(p.Loc)
 		if _, covered := dep.CoveringReader(pos); covered && g.RoomAt(p.Loc) == floorplan.NoRoom {
@@ -103,7 +103,7 @@ func TestNegativeInfoOffMatchesPaperAlgorithm(t *testing.T) {
 	}
 	// All weights remain the uniform initial value.
 	want := 1.0 / float64(cfg.Ns)
-	for _, p := range st.Particles {
+	for _, p := range st.Particles() {
 		if math.Abs(p.Weight-want) > 1e-12 {
 			t.Fatalf("weight %v changed despite disabled negative info", p.Weight)
 		}
@@ -127,7 +127,7 @@ func TestRougheningPreservesSpeedBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range st.Particles {
+	for _, p := range st.Particles() {
 		if p.Speed < cfg.MinSpeed || p.Speed > cfg.MaxSpeed {
 			t.Fatalf("speed %v escaped [%v, %v]", p.Speed, cfg.MinSpeed, cfg.MaxSpeed)
 		}
@@ -145,14 +145,14 @@ func TestZeroJitterKeepsCloneSpeeds(t *testing.T) {
 	src := rng.New(7)
 	st := f.InitAt(src, 1, 3, 0)
 	speeds := make(map[float64]bool)
-	for _, p := range st.Particles {
+	for _, p := range st.Particles() {
 		speeds[p.Speed] = true
 	}
 	// One detected second: predict, reweight, resample, and roughening (a
 	// no-op at zero jitter). All surviving speeds must come from the initial
 	// set.
 	f.AdvancePool(NewPool(), src, st, []model.AggregatedReading{{Object: 1, Reader: 3, Time: 1}}, 1)
-	for _, p := range st.Particles {
+	for _, p := range st.Particles() {
 		if !speeds[p.Speed] {
 			t.Fatalf("speed %v not inherited from a parent", p.Speed)
 		}
@@ -180,12 +180,12 @@ func TestAdvanceIsIncrementallyConsistent(t *testing.T) {
 	}
 	reader := dep.Reader(3)
 	near := 0
-	for _, p := range st.Particles {
+	for _, p := range st.Particles() {
 		if g.Point(p.Loc).Dist(reader.Pos) < reader.Range+3 {
 			near++
 		}
 	}
-	if near < len(st.Particles)/2 {
-		t.Errorf("staged advance did not track the new reading: %d/%d near", near, len(st.Particles))
+	if near < len(st.Particles())/2 {
+		t.Errorf("staged advance did not track the new reading: %d/%d near", near, len(st.Particles()))
 	}
 }

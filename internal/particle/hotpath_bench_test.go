@@ -1,6 +1,7 @@
 package particle
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/anchor"
@@ -33,8 +34,8 @@ func benchFilter(tb testing.TB) *Filter {
 }
 
 // spreadState initializes a particle set covering a realistic spread — the
-// cloud of a reader detection after a few seconds of coasting — and leaves
-// it loaded in the returned pool.
+// cloud of a reader detection after a few seconds of coasting — and returns
+// it with the pool that stepped it.
 func spreadState(f *Filter, seed int64) (*State, *Pool, *rng.Source) {
 	src := rng.Derive(seed)
 	st := f.InitAt(src, 1, 3, 0)
@@ -68,11 +69,11 @@ func BenchmarkFilterStep(b *testing.B) {
 func BenchmarkNegativeUpdate(b *testing.B) {
 	f := benchFilter(b)
 	b.Run("indexed", func(b *testing.B) {
-		_, pool, src := spreadState(f, 43)
+		st, pool, src := spreadState(f, 43)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			f.negativeUpdateSoA(pool, src)
+			f.negativeUpdateSoA(pool, st, src)
 		}
 	})
 }
@@ -94,16 +95,17 @@ func BenchmarkInitAt(b *testing.B) {
 
 // BenchmarkReweight isolates the positive-observation predicate (covered by
 // the detecting reader, outside rooms and stairwells) as the kernel asks it:
-// one batch question over the pool's arrays, without the resampling that
+// one batch question over the state's columns, without the resampling that
 // follows.
 func BenchmarkReweight(b *testing.B) {
 	f := benchFilter(b)
 	b.Run("indexed", func(b *testing.B) {
-		_, pool, _ := spreadState(f, 45)
+		st, pool, _ := spreadState(f, 45)
+		c := st.cols()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			f.cov.BatchDetectableBy(3, pool.edge, pool.offset, pool.covered)
+			f.cov.BatchDetectableBy(3, c.edge, c.offset, pool.covered)
 		}
 	})
 }
@@ -131,8 +133,8 @@ func requireAllocFreeSeconds(t *testing.T, f *Filter, src *rng.Source, st *State
 		entry[0].Time, entry[0].Reader = next, far
 		f.AdvancePool(pool, src, st, entry, next)
 	}
-	// Warm up: size the pool's arrays and schedule, and cover a silent
-	// second once.
+	// Warm up: size the pool's scratch, back blocks and schedule, and cover
+	// a silent second once.
 	detected()
 	silent()
 	for _, c := range []struct {
@@ -147,7 +149,7 @@ func requireAllocFreeSeconds(t *testing.T, f *Filter, src *rng.Source, st *State
 }
 
 // TestSteadyStateAdvanceZeroAllocs pins the per-second filter loop: once the
-// pool's arrays exist, the pooled advance performs zero heap allocations.
+// pool's scratch exists, the pooled advance performs zero heap allocations.
 func TestSteadyStateAdvanceZeroAllocs(t *testing.T) {
 	f := benchFilter(t)
 	src := rng.Derive(46)
@@ -234,16 +236,16 @@ func TestZeroStepAdvanceIsNoop(t *testing.T) {
 		want := st.Clone()
 		memo := st.AnchorDist(idx, &acc)
 		src := rng.Derive(54)
-		wantSrc, wantGen := *src, pool.gen
+		wantSrc, wantArrays := *src, append(stateSpans(st), poolSpans(pool)...)
 		c.call(st, src)
-		if !statesEqual(st, want) {
+		if !statesEqual(st, view(want)) {
 			t.Fatalf("%s: the no-op advance moved the state", c.name)
 		}
 		if got, ok := st.MemoDist(idx); !ok || &got.IDs[0] != &memo.IDs[0] {
 			t.Fatalf("%s: the no-op advance dropped the memoized distribution", c.name)
 		}
-		if *src != wantSrc || pool.gen != wantGen {
-			t.Fatalf("%s: the no-op advance drew randomness or stored into the pool", c.name)
+		if *src != wantSrc || !slices.Equal(wantArrays, append(stateSpans(st), poolSpans(pool)...)) {
+			t.Fatalf("%s: the no-op advance drew randomness or swapped blocks with the pool", c.name)
 		}
 		if rs := st.LastRun; rs.From != st.Time || rs.To != st.Time || rs.Steps+rs.Detections+rs.Resamples != 0 || rs.ESS != want.LastRun.ESS {
 			t.Fatalf("%s: LastRun = %+v, want an empty window at %d with the ESS kept", c.name, rs, st.Time)

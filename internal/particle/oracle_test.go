@@ -20,6 +20,27 @@ import (
 // and the deployment. TestIndexedFilterMatchesGeometricBitForBit holds the
 // kernel's output to it bit for bit.
 
+// aosState is the oracle's particle set: a State's time stamps with the
+// particles one struct each, the form the paper's formulation steps.
+type aosState struct {
+	Object          model.ObjectID
+	Particles       []Particle
+	Time            model.Time
+	LastReadingTime model.Time
+}
+
+// view returns a kernel state in the oracle's form.
+func view(s *State) *aosState {
+	return &aosState{Object: s.Object, Particles: s.Particles(), Time: s.Time, LastReadingTime: s.LastReadingTime}
+}
+
+// Clone returns a deep copy.
+func (s *aosState) Clone() *aosState {
+	c := *s
+	c.Particles = append([]Particle(nil), s.Particles...)
+	return &c
+}
+
 // oracle runs Algorithm 2 for one configuration. unhealthy is the
 // negative-update exclusion set (Filter.SetUnhealthy's argument).
 type oracle struct {
@@ -31,12 +52,12 @@ type oracle struct {
 
 // run is RunPool: initialize at the first entry's reader, then advance over
 // every later entry.
-func (o *oracle) run(src *rng.Source, obj model.ObjectID, entries []model.AggregatedReading, now model.Time) (*State, RunStats, error) {
+func (o *oracle) run(src *rng.Source, obj model.ObjectID, entries []model.AggregatedReading, now model.Time) (*aosState, RunStats, error) {
 	if len(entries) == 0 {
 		return nil, RunStats{}, errNoReadings(obj)
 	}
 	first := entries[0]
-	st := &State{Object: obj, Time: first.Time, LastReadingTime: first.Time,
+	st := &aosState{Object: obj, Time: first.Time, LastReadingTime: first.Time,
 		Particles: o.initParticles(src, first.Reader)}
 	rs := o.advance(src, st, entries[1:], now, false)
 	return st, rs, nil
@@ -47,7 +68,7 @@ func (o *oracle) run(src *rng.Source, obj model.ObjectID, entries []model.Aggreg
 // With skipStale set, entries at or before st.Time are ignored (the
 // AdvancePool contract); run passes every entry through. The returned
 // RunStats carry everything but the stage durations.
-func (o *oracle) advance(src *rng.Source, st *State, entries []model.AggregatedReading, now model.Time, skipStale bool) RunStats {
+func (o *oracle) advance(src *rng.Source, st *aosState, entries []model.AggregatedReading, now model.Time, skipStale bool) RunStats {
 	byTime := make(map[model.Time]model.ReaderID, len(entries))
 	td := st.LastReadingTime
 	for _, e := range entries {
@@ -94,7 +115,11 @@ func (o *oracle) advance(src *rng.Source, st *State, entries []model.AggregatedR
 	}
 	st.LastReadingTime = td
 	rs.To = st.Time
-	rs.ESS = essOf(st.Particles)
+	w := make([]float64, len(st.Particles))
+	for i := range st.Particles {
+		w[i] = st.Particles[i].Weight
+	}
+	rs.ESS = essOf(w)
 	return rs
 }
 
@@ -240,7 +265,7 @@ func (o *oracle) reweight(ps []Particle, reader model.ReaderID) bool {
 // negativeUpdate multiplies the weights of particles inside a healthy
 // reader's range (outside rooms and stairwells) by NegativeWeight and
 // resamples only when the effective sample size drops below Ns/2.
-func (o *oracle) negativeUpdate(src *rng.Source, st *State) {
+func (o *oracle) negativeUpdate(src *rng.Source, st *aosState) {
 	ps := st.Particles
 	inside := 0
 	for i := range ps {

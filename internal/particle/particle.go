@@ -17,7 +17,9 @@ import (
 
 // Particle is one hypothesis of an object's state: a location on the walking
 // graph, a movement direction (the edge endpoint it is heading toward), a
-// constant walking speed, and an importance weight.
+// constant walking speed, and an importance weight. A State keeps its
+// particles as columns; Particle is their one-struct-each form, in which
+// snapshots store them (State.Particles, FromParticles).
 type Particle struct {
 	Loc walkgraph.Location
 	// Toward is the endpoint of Loc.Edge the particle moves toward.
@@ -131,9 +133,13 @@ func (c Config) Validate() error {
 
 // State is a filtered particle set for one object at a point in time. It is
 // the unit stored by the cache management module.
+//
+// The state owns the kernel's columns (see cols): the kernel steps them in
+// place, and resampling swaps them with its pool's back buffers, so no array
+// is ever shared between a state and a pool. Particles and FromParticles
+// convert to and from the one-struct-per-particle form.
 type State struct {
-	Object    model.ObjectID
-	Particles []Particle
+	Object model.ObjectID
 	// Time is the simulation second the particle set describes.
 	Time model.Time
 	// LastReadingTime is the time of the newest reading incorporated.
@@ -143,32 +149,106 @@ type State struct {
 	// instrumented (Filter.Instrument).
 	LastRun RunStats
 
-	// soaPool/soaGen stamp the last kernel store into this state: when
-	// soaPool's arrays still hold exactly this state's particles
-	// (generation match), the kernel skips re-loading them. Clones don't
-	// carry the stamp.
-	soaPool *Pool
-	soaGen  uint64
+	// ints and floats are the two blocks the particle columns are sliced
+	// from, each allocated at exactly blockLens' length.
+	ints   []int32
+	floats []float64
 
 	// memoIdx/memo hold the distribution AnchorDist last computed, for the
-	// index it snapped to. Every kernel store clears them, so a memo always
-	// describes the current particles; callers outside the kernel must not
-	// rewrite Particles of a state they snap.
+	// index it snapped to. Every kernel step clears them, so a memo always
+	// describes the current particles.
 	memoIdx *anchor.Index
 	memo    anchor.Dist
 }
 
-// Clone returns a deep copy of the state, without the kernel's residency
-// stamp, so a state and its clone can be advanced independently. The
-// memoized distribution is shared: a Dist is immutable, and advancing either
-// copy clears only its own. The query path no longer clones (the cache hands
-// states over by ownership); snapshots and the benchmark harness do.
+// cols is a state's particles as the kernel's columns. The int32 block holds
+// n edge indices, n headings (Particle.Toward) and the resting bitset in
+// 32-bit words, bit i&31 of word i>>5 for particle i; the float64 block holds
+// n offsets, n speeds and n weights. That is 32 bytes and one bit per
+// particle, in two allocations.
+type cols struct {
+	edge, toward, resting []int32
+	offset, speed, weight []float64
+}
+
+// blockLens returns the lengths of the int32 and float64 blocks of n
+// particles.
+func blockLens(n int) (ints, floats int) { return 2*n + (n+31)/32, 3 * n }
+
+// newBlocks allocates zeroed blocks for n particles.
+func newBlocks(n int) ([]int32, []float64) {
+	li, lf := blockLens(n)
+	return make([]int32, li), make([]float64, lf)
+}
+
+// carve slices the columns out of two blocks.
+func carve(ints []int32, floats []float64) cols {
+	n := len(floats) / 3
+	return cols{
+		edge: ints[:n:n], toward: ints[n : 2*n : 2*n], resting: ints[2*n:],
+		offset: floats[:n:n], speed: floats[n : 2*n : 2*n], weight: floats[2*n:],
+	}
+}
+
+// cols returns the state's columns.
+func (s *State) cols() cols { return carve(s.ints, s.floats) }
+
+// restingBit returns the resting-word index and mask of particle i.
+func restingBit(i int) (word int, bit int32) { return i >> 5, 1 << uint(i&31) }
+
+// Len returns the number of particles.
+func (s *State) Len() int { return len(s.floats) / 3 }
+
+// Particles returns the particles one struct each, in a fresh slice: the
+// form snapshots store.
+func (s *State) Particles() []Particle {
+	c := s.cols()
+	ps := make([]Particle, len(c.edge))
+	for i := range ps {
+		word, bit := restingBit(i)
+		ps[i] = Particle{
+			Loc:     walkgraph.Location{Edge: walkgraph.EdgeID(c.edge[i]), Offset: c.offset[i]},
+			Toward:  walkgraph.NodeID(c.toward[i]),
+			Speed:   c.speed[i],
+			Resting: c.resting[word]&bit != 0,
+			Weight:  c.weight[i],
+		}
+	}
+	return ps
+}
+
+// FromParticles returns object obj's state holding ps in column form, with
+// zero time stamps and LastRun: the inverse of Particles.
+func FromParticles(obj model.ObjectID, ps []Particle) *State {
+	st := &State{Object: obj}
+	st.ints, st.floats = newBlocks(len(ps))
+	c := st.cols()
+	for i := range ps {
+		p := &ps[i]
+		c.edge[i] = int32(p.Loc.Edge)
+		c.offset[i] = p.Loc.Offset
+		c.toward[i] = int32(p.Toward)
+		c.speed[i] = p.Speed
+		c.weight[i] = p.Weight
+		if p.Resting {
+			word, bit := restingBit(i)
+			c.resting[word] |= bit
+		}
+	}
+	return st
+}
+
+// Clone returns a deep copy of the state, so a state and its clone can be
+// advanced independently. The memoized distribution is shared: a Dist is
+// immutable, and advancing either copy clears only its own. The query path
+// does not clone (the cache hands states over by ownership); the benchmark
+// harness does.
 func (s *State) Clone() *State {
 	c := *s
-	c.Particles = make([]Particle, len(s.Particles))
-	copy(c.Particles, s.Particles)
-	c.soaPool = nil
-	c.soaGen = 0
+	c.ints = make([]int32, len(s.ints))
+	copy(c.ints, s.ints)
+	c.floats = make([]float64, len(s.floats))
+	copy(c.floats, s.floats)
 	return &c
 }
 
@@ -218,7 +298,7 @@ func (s *State) AnchorDist(idx *anchor.Index, acc *anchor.Accumulator) anchor.Di
 	if d, ok := s.MemoDist(idx); ok {
 		return d
 	}
-	if len(s.Particles) == 0 {
+	if s.Len() == 0 {
 		return anchor.Dist{}
 	}
 	s.memoIdx, s.memo = idx, s.snap(idx, acc)
@@ -236,19 +316,20 @@ func (s *State) snap(idx *anchor.Index, acc *anchor.Accumulator) anchor.Dist {
 	// Normalize on the fly without mutating the particle weights, so
 	// repeated calls on the same (possibly cached) state are bit-for-bit
 	// identical.
+	c := s.cols()
 	total := 0.0
-	for i := range s.Particles {
-		total += s.Particles[i].Weight
+	for _, w := range c.weight {
+		total += w
 	}
 	if total <= 0 {
-		u := 1.0 / float64(len(s.Particles))
-		for i := range s.Particles {
-			acc.Add(idx.Snap(s.Particles[i].Loc), u)
+		u := 1.0 / float64(len(c.weight))
+		for i, e := range c.edge {
+			acc.Add(idx.Snap(walkgraph.Location{Edge: walkgraph.EdgeID(e), Offset: c.offset[i]}), u)
 		}
 		return acc.Dist()
 	}
-	for i := range s.Particles {
-		acc.Add(idx.Snap(s.Particles[i].Loc), s.Particles[i].Weight/total)
+	for i, e := range c.edge {
+		acc.Add(idx.Snap(walkgraph.Location{Edge: walkgraph.EdgeID(e), Offset: c.offset[i]}), c.weight[i]/total)
 	}
 	return acc.Dist()
 }

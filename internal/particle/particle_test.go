@@ -110,11 +110,10 @@ func TestEffectiveSampleSize(t *testing.T) {
 func resampleParticles(r Resampler, src *rng.Source, ps []Particle) []Particle {
 	f := &Filter{cfg: Config{Resample: r}}
 	var pool Pool
-	pool.load(&State{Particles: ps})
-	f.resampleSoA(&pool, src, nil)
-	out := &State{}
-	pool.store(out)
-	return out.Particles
+	st := FromParticles(0, ps)
+	pool.ensure(st.Len())
+	f.resampleSoA(&pool, st, src, nil)
+	return st.Particles()
 }
 
 // normalized returns ps with weights scaled to sum to one.
@@ -213,11 +212,12 @@ func TestMultinomialResample(t *testing.T) {
 }
 
 func TestStateClone(t *testing.T) {
-	st := &State{Object: 1, Time: 5, Particles: []Particle{{Speed: 1}}}
+	st := FromParticles(1, []Particle{{Speed: 1}})
+	st.Time = 5
 	c := st.Clone()
-	c.Particles[0].Speed = 9
+	c.cols().speed[0] = 9
 	c.Time = 99
-	if st.Particles[0].Speed != 1 || st.Time != 5 {
+	if st.Particles()[0].Speed != 1 || st.Time != 5 {
 		t.Error("Clone aliases original")
 	}
 }
@@ -248,11 +248,11 @@ func TestInitAtPlacesParticlesInRange(t *testing.T) {
 	f := MustNew(DefaultConfig(), g, dep)
 	src := rng.New(5)
 	st := f.InitAt(src, 1, 1, 0)
-	if len(st.Particles) != 64 {
-		t.Fatalf("particles = %d", len(st.Particles))
+	if len(st.Particles()) != 64 {
+		t.Fatalf("particles = %d", len(st.Particles()))
 	}
 	reader := dep.Reader(1)
-	for _, p := range st.Particles {
+	for _, p := range st.Particles() {
 		if !reader.Covers(g.Point(p.Loc)) {
 			t.Fatalf("particle at %v outside reader range", g.Point(p.Loc))
 		}
@@ -267,12 +267,9 @@ func TestInitAtPlacesParticlesInRange(t *testing.T) {
 
 // stepOne moves one particle one second through the kernel's motion model.
 func stepOne(f *Filter, src *rng.Source, p *Particle) {
-	st := &State{Particles: []Particle{*p}}
-	var pool Pool
-	pool.load(st)
-	f.predictSoA(&pool, src)
-	pool.store(st)
-	*p = st.Particles[0]
+	st := FromParticles(0, []Particle{*p})
+	f.predictSoA(st, src)
+	*p = st.Particles()[0]
 }
 
 func TestStepMovesAtSpeed(t *testing.T) {
@@ -449,7 +446,7 @@ func TestFilterLearnsDirection(t *testing.T) {
 		t.Errorf("state time = %d, want 16", st.Time)
 	}
 	ahead, behind := 0, 0
-	for _, p := range st.Particles {
+	for _, p := range st.Particles() {
 		x := g.Point(p.Loc).X
 		if x > 30 {
 			ahead++
@@ -478,8 +475,8 @@ func TestFilterDeterministicGivenSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range st1.Particles {
-		if st1.Particles[i] != st2.Particles[i] {
+	for i := range st1.Particles() {
+		if st1.Particles()[i] != st2.Particles()[i] {
 			t.Fatalf("particle %d differs between equal-seed runs", i)
 		}
 	}
@@ -529,13 +526,13 @@ func TestFilterResamplesOnReadings(t *testing.T) {
 	// should be inside (or very near) d3's activation range.
 	reader := dep.Reader(2)
 	near := 0
-	for _, p := range st.Particles {
+	for _, p := range st.Particles() {
 		if g.Point(p.Loc).Dist(reader.Pos) < reader.Range+1.5 {
 			near++
 		}
 	}
-	if near < len(st.Particles)*3/4 {
-		t.Errorf("only %d/%d particles near the detecting reader", near, len(st.Particles))
+	if near < len(st.Particles())*3/4 {
+		t.Errorf("only %d/%d particles near the detecting reader", near, len(st.Particles()))
 	}
 }
 
@@ -566,12 +563,12 @@ func TestAdvanceIncorporatesNewReadings(t *testing.T) {
 	}
 	reader := dep.Reader(2)
 	near := 0
-	for _, p := range st.Particles {
+	for _, p := range st.Particles() {
 		if g.Point(p.Loc).Dist(reader.Pos) < reader.Range+1.5 {
 			near++
 		}
 	}
-	if near < len(st.Particles)*3/4 {
+	if near < len(st.Particles())*3/4 {
 		t.Errorf("Advance did not concentrate particles: %d near", near)
 	}
 }
@@ -608,7 +605,8 @@ func TestAnchorDistributionSumsToOne(t *testing.T) {
 }
 
 // anchorDistributionOracle is the former map-accumulating AnchorDistribution.
-func anchorDistributionOracle(s *State, idx *anchor.Index) map[anchor.ID]float64 {
+func anchorDistributionOracle(st *State, idx *anchor.Index) map[anchor.ID]float64 {
+	s := view(st)
 	total := 0.0
 	for i := range s.Particles {
 		total += s.Particles[i].Weight
@@ -644,15 +642,13 @@ func TestAnchorDistMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		switch seed % 3 {
+		switch w := st.cols().weight; seed % 3 {
 		case 1:
-			for i := range st.Particles {
-				st.Particles[i].Weight = []float64{0.01, 1, 0}[src.Intn(3)]
+			for i := range w {
+				w[i] = []float64{0.01, 1, 0}[src.Intn(3)]
 			}
 		case 2:
-			for i := range st.Particles {
-				st.Particles[i].Weight = 0
-			}
+			clear(w)
 		}
 		want := anchorDistributionOracle(st, idx)
 		for ap, p := range want {

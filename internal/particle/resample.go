@@ -23,24 +23,28 @@ const (
 	Multinomial
 )
 
-// resampleSoA replaces the pool's particles with Ns draws in proportion to
-// their normalized weights, by Config.Resample, permuting the flat arrays
-// into the back buffers and swapping them in; every output weight is 1/Ns.
+// resampleSoA replaces st's particles with Ns draws in proportion to their
+// normalized weights, by Config.Resample: it permutes the state's columns
+// into the pool's back blocks, sets every weight there to 1/Ns, and swaps the
+// blocks, so the state owns the resampled particles and the pool keeps the
+// state's old blocks as its next back buffers.
 //
 // On a detected second the normalized weights take exactly two values,
 // selected by the covered flags: two holds them ({low, high} over the
 // total), and Systematic never materializes per-particle weights. A nil two
-// means the normalized weights are in p.weight.
-func (f *Filter) resampleSoA(p *Pool, src *rng.Source, two *[2]float64) {
-	ns := p.n
+// means the normalized weights are in the state's weight column.
+func (f *Filter) resampleSoA(p *Pool, st *State, src *rng.Source, two *[2]float64) {
+	ns := st.Len()
 	if ns == 0 {
 		return
 	}
-	weight, covered := p.weight[:ns], p.covered[:ns]
-	inv := 1.0 / float64(ns)
-	for k := range p.bresting {
-		p.bresting[k] = 0
+	if li, lf := blockLens(ns); len(p.bints) != li || len(p.bfloats) != lf {
+		p.bints, p.bfloats = newBlocks(ns)
 	}
+	from, to := st.cols(), carve(p.bints, p.bfloats)
+	weight, covered := from.weight[:ns], p.covered[:ns]
+	inv := 1.0 / float64(ns)
+	clear(to.resting)
 	if f.cfg.Resample == Multinomial {
 		// Categorical reads the normalized weights themselves.
 		if two != nil {
@@ -53,7 +57,7 @@ func (f *Filter) resampleSoA(p *Pool, src *rng.Source, two *[2]float64) {
 			}
 		}
 		for j := 0; j < ns; j++ {
-			p.copyTo(j, src.Categorical(weight))
+			from.copyTo(&to, j, src.Categorical(weight))
 		}
 	} else {
 		u1 := src.Uniform(0, inv)
@@ -97,26 +101,23 @@ func (f *Filter) resampleSoA(p *Pool, src *rng.Source, two *[2]float64) {
 			for u > cum[i] {
 				i++
 			}
-			p.copyTo(j, i)
+			from.copyTo(&to, j, i)
 		}
 	}
-	p.edge, p.bedge = p.bedge, p.edge
-	p.offset, p.boffset = p.boffset, p.offset
-	p.toward, p.btoward = p.btoward, p.toward
-	p.speed, p.bspeed = p.bspeed, p.speed
-	p.resting, p.bresting = p.bresting, p.resting
-	for j := range weight {
-		weight[j] = inv
+	for j := range to.weight {
+		to.weight[j] = inv
 	}
+	st.ints, p.bints = p.bints, st.ints
+	st.floats, p.bfloats = p.bfloats, st.floats
 }
 
-// copyTo copies live particle i into back-buffer slot j.
-func (p *Pool) copyTo(j, i int) {
-	p.bedge[j] = p.edge[i]
-	p.boffset[j] = p.offset[i]
-	p.btoward[j] = p.toward[i]
-	p.bspeed[j] = p.speed[i]
-	if p.resting[i>>6]&(1<<uint(i&63)) != 0 {
-		p.bresting[j>>6] |= 1 << uint(j&63)
+// copyTo copies particle i of c into slot j of dst.
+func (c *cols) copyTo(dst *cols, j, i int) {
+	dst.edge[j] = c.edge[i]
+	dst.offset[j] = c.offset[i]
+	dst.toward[j] = c.toward[i]
+	dst.speed[j] = c.speed[i]
+	if c.resting[i>>5]&(1<<uint(i&31)) != 0 {
+		dst.resting[j>>5] |= 1 << uint(j&31)
 	}
 }

@@ -7,65 +7,46 @@ import (
 	"repro/internal/anchor"
 	"repro/internal/model"
 	"repro/internal/rng"
-	"repro/internal/walkgraph"
 )
 
 // This file is the structure-of-arrays particle kernel, the filter's only
-// implementation of Algorithm 2: its inner loops run over flat parallel
-// arrays (edge index, offset, heading, speed, resting bitset, weight) owned
-// by a Pool, instead of a []Particle of 56-byte structs. Predict streams
-// through five flat arrays, reweight hands whole batches to the coverage
+// implementation of Algorithm 2: its inner loops run over the flat parallel
+// columns a State owns (edge index, offset, heading, speed, resting bitset,
+// weight; see cols), not over 48-byte Particle structs. Predict streams
+// through the columns in place, reweight hands whole batches to the coverage
 // index (rfid.Coverage.BatchDetectableBy) and the negative update to the
 // silence table of the installed reader-health set
-// (rfid.SilenceTable.Detectable), resampling
-// permutes arrays instead of structs, and roughening draws all speeds in one
-// call. The arithmetic is bit-for-bit that of the paper's geometric,
-// particle-by-particle formulation — same float operations in the same
-// order, same random draws in the same order — which the package tests keep
-// as the oracle (TestIndexedFilterMatchesGeometricBitForBit).
+// (rfid.SilenceTable.Detectable), resampling permutes columns instead of
+// structs, and roughening draws all speeds in one call. The arithmetic is
+// bit-for-bit that of the paper's geometric, particle-by-particle
+// formulation — same float operations in the same order, same random draws
+// in the same order — which the package tests keep as the oracle
+// (TestIndexedFilterMatchesGeometricBitForBit).
 //
-// The Pool is the reusable scratch for one object-at-a-time stepping. It is
+// The Pool is the per-call scratch for one object-at-a-time stepping. It is
 // not safe for concurrent use; the engine keeps one per worker and reuses it
-// across all objects the worker steps, so the arrays stay hot in cache and
-// steady-state processing allocates nothing.
+// across all objects the worker steps, so steady-state processing allocates
+// nothing.
 
-// Pool holds the flat particle arrays the SoA kernel steps, plus the back
-// buffers resampling permutes into and the scratch the batch coverage
-// predicates fill. A zero Pool is ready to use; arrays grow on demand and are
-// retained across calls.
+// Pool holds the kernel's per-call scratch: the back blocks resampling
+// permutes a state's particles into, the output of the batch coverage
+// predicates, the resampler's prefix sums and the detection schedule. It
+// never holds a state's particles once a call returns. A zero Pool is ready
+// to use; its slices grow on demand and are retained across calls.
 type Pool struct {
-	// n is the live particle count; every array below is sliced to it.
-	n int
-
-	edge   []int32   // Particle.Loc.Edge
-	offset []float64 // Particle.Loc.Offset
-	toward []int32   // Particle.Toward
-	speed  []float64 // Particle.Speed
-	weight []float64 // Particle.Weight
-	// resting packs Particle.Resting as a bitset, bit i = particle i.
-	resting []uint64
-
-	// Back buffers: resampling permutes the arrays above into these and
-	// swaps. Weights need no back buffer — every resampled weight is the
-	// same 1/Ns, so the live array is overwritten after the permutation.
-	bedge    []int32
-	boffset  []float64
-	btoward  []int32
-	bspeed   []float64
-	bresting []uint64
+	// bints and bfloats are the back blocks: resampling permutes a state's
+	// particles into them and swaps them with the state's blocks, so the
+	// state takes these and the pool keeps the state's old ones. They are
+	// sized on their own, to the state being resampled, at exactly
+	// blockLens' length, so a block a state takes carries no slack.
+	bints   []int32
+	bfloats []float64
 
 	// covered is the output of the batch coverage predicates.
 	covered []bool
 	// cum is the resampler's prefix-sum scratch (cumulative weights with a
 	// +Inf sentinel in the last slot, so the CDF walk needs one compare).
 	cum []float64
-
-	// owner/gen implement load elision: store stamps the state it wrote
-	// with (pool, generation), and a later load for the same state with a
-	// matching stamp finds the arrays already in sync. The generation
-	// guards against the pool having served another state in between.
-	owner *State
-	gen   uint64
 
 	// sched is the recycled detection schedule: (time, reader) pairs sorted
 	// by time, deduplicated last-wins.
@@ -77,107 +58,16 @@ type soaSched struct {
 	reader model.ReaderID
 }
 
-// NewPool returns an empty Pool. Arrays are allocated lazily on first use.
+// NewPool returns an empty Pool. Its scratch is allocated lazily on first use.
 func NewPool() *Pool { return &Pool{} }
 
-// ensure sizes every array for n particles, reusing capacity, and sets the
-// live count.
+// ensure sizes the per-particle scratch for n particles, reusing capacity.
 func (p *Pool) ensure(n int) {
-	if n == p.n && len(p.edge) == n {
-		return
-	}
-	if cap(p.edge) < n {
-		p.edge = make([]int32, n)
-		p.offset = make([]float64, n)
-		p.toward = make([]int32, n)
-		p.speed = make([]float64, n)
-		p.weight = make([]float64, n)
-		p.bedge = make([]int32, n)
-		p.boffset = make([]float64, n)
-		p.btoward = make([]int32, n)
-		p.bspeed = make([]float64, n)
+	if cap(p.covered) < n {
 		p.covered = make([]bool, n)
 		p.cum = make([]float64, n)
-	} else {
-		p.edge = p.edge[:n]
-		p.offset = p.offset[:n]
-		p.toward = p.toward[:n]
-		p.speed = p.speed[:n]
-		p.weight = p.weight[:n]
-		p.bedge = p.bedge[:n]
-		p.boffset = p.boffset[:n]
-		p.btoward = p.btoward[:n]
-		p.bspeed = p.bspeed[:n]
-		p.covered = p.covered[:n]
-		p.cum = p.cum[:n]
 	}
-	words := (n + 63) / 64
-	if cap(p.resting) < words {
-		p.resting = make([]uint64, words)
-		p.bresting = make([]uint64, words)
-	} else {
-		p.resting = p.resting[:words]
-		p.bresting = p.bresting[:words]
-	}
-	p.n = n
-}
-
-// load copies a State's particles into the flat arrays. When the state's
-// residency stamp shows this pool already holds exactly these particles
-// (the previous store wrote them and nothing else used the pool since), the
-// copy is skipped.
-func (p *Pool) load(st *State) {
-	n := len(st.Particles)
-	if st.soaPool == p && p.owner == st && st.soaGen == p.gen && p.n == n {
-		return
-	}
-	p.ensure(n)
-	resting := p.resting
-	for i := range resting {
-		resting[i] = 0
-	}
-	ps := st.Particles
-	edge, offset, toward, speed, weight := p.edge[:n], p.offset[:n], p.toward[:n], p.speed[:n], p.weight[:n]
-	for i := range ps {
-		pt := &ps[i]
-		edge[i] = int32(pt.Loc.Edge)
-		offset[i] = pt.Loc.Offset
-		toward[i] = int32(pt.Toward)
-		speed[i] = pt.Speed
-		weight[i] = pt.Weight
-		if pt.Resting {
-			resting[i>>6] |= 1 << uint(i&63)
-		}
-	}
-}
-
-// store copies the flat arrays back into the State's particle slice, reusing
-// its capacity (the count can change when a recovery reinitialization ran
-// under a different particle budget), and drops the state's memoized
-// distribution, which described the particles before.
-func (p *Pool) store(st *State) {
-	n := p.n
-	if cap(st.Particles) < n {
-		st.Particles = make([]Particle, n)
-	} else {
-		st.Particles = st.Particles[:n]
-	}
-	ps := st.Particles
-	edge, offset, toward, speed, weight, resting := p.edge[:n], p.offset[:n], p.toward[:n], p.speed[:n], p.weight[:n], p.resting
-	for i := range ps {
-		pt := &ps[i]
-		pt.Loc.Edge = walkgraph.EdgeID(edge[i])
-		pt.Loc.Offset = offset[i]
-		pt.Toward = walkgraph.NodeID(toward[i])
-		pt.Speed = speed[i]
-		pt.Resting = resting[i>>6]&(1<<uint(i&63)) != 0
-		pt.Weight = weight[i]
-	}
-	p.gen++
-	p.owner = st
-	st.soaPool = p
-	st.soaGen = p.gen
-	st.memoIdx, st.memo = nil, anchor.Dist{}
+	p.covered, p.cum = p.covered[:n], p.cum[:n]
 }
 
 // RunPool executes the full Algorithm 2 for one object on the kernel, with
@@ -205,17 +95,15 @@ func (f *Filter) RunPool(pool *Pool, src *rng.Source, obj model.ObjectID, entrie
 // memoized distribution. A nil pool runs on a throwaway one.
 func (f *Filter) AdvancePool(pool *Pool, src *rng.Source, st *State, entries []model.AggregatedReading, now model.Time) {
 	if pool == nil {
-		f.advanceSoA(new(Pool), src, st, entries, now)
-		st.soaPool = nil // the throwaway pool must not outlive the call
-		return
+		pool = new(Pool)
 	}
 	f.advanceSoA(pool, src, st, entries, now)
 }
 
 // advanceSoA steps st second by second to min(td + coast, now), where td is
 // the newest reading time, reweighting and resampling at every detected
-// second: the paper's Algorithm 2, one stage at a time over the pool's flat
-// arrays.
+// second: the paper's Algorithm 2, one stage at a time over the state's
+// columns.
 func (f *Filter) advanceSoA(p *Pool, src *rng.Source, st *State, entries []model.AggregatedReading, now model.Time) {
 	// Build the detection schedule: (time, reader) pairs kept sorted by time
 	// with last-write-wins on duplicates, read off in time order without a
@@ -262,13 +150,13 @@ func (f *Filter) advanceSoA(p *Pool, src *rng.Source, st *State, entries []model
 	timed := f.timed
 	rs := RunStats{From: st.Time}
 	var t0 time.Time
-	p.load(st)
+	p.ensure(st.Len())
 	cursor := 0
 	for tj := st.Time + 1; tj <= tmin; tj++ {
 		if timed {
 			t0 = time.Now()
 		}
-		f.predictSoA(p, src)
+		f.predictSoA(st, src)
 		rs.Steps++
 		if timed {
 			rs.Predict += time.Since(t0)
@@ -291,7 +179,7 @@ func (f *Filter) advanceSoA(p *Pool, src *rng.Source, st *State, entries []model
 				if timed {
 					t0 = time.Now()
 				}
-				f.negativeUpdateSoA(p, src)
+				f.negativeUpdateSoA(p, st, src)
 				if timed {
 					rs.Reweight += time.Since(t0)
 				}
@@ -309,7 +197,8 @@ func (f *Filter) advanceSoA(p *Pool, src *rng.Source, st *State, entries []model
 		// themselves are never materialized — normalization needs only their
 		// sum, accumulated in index order, and the two normalized values go
 		// straight to the resampler.
-		f.cov.BatchDetectableBy(reader, p.edge, p.offset, p.covered)
+		c := st.cols()
+		f.cov.BatchDetectableBy(reader, c.edge, c.offset, p.covered)
 		hw, lw := f.cfg.HighWeight, f.cfg.LowWeight
 		// Select the addend by table index rather than by branch: the
 		// covered flags are close to a coin flip here, so a branch would
@@ -334,26 +223,27 @@ func (f *Filter) advanceSoA(p *Pool, src *rng.Source, st *State, entries []model
 			// cloud forever (all weights equally low), so recover by
 			// reinitializing within the detecting reader's range — the
 			// standard kidnapped-robot recovery, in place and allocation-free.
-			f.initSoA(p, src, reader)
+			f.initSoA(st, src, reader)
+			p.ensure(st.Len())
 			continue
 		}
 		if timed {
 			t0 = time.Now()
 		}
-		f.resampleSoA(p, src, &[2]float64{lw / total, hw / total})
-		f.roughenSoA(p, src)
+		f.resampleSoA(p, st, src, &[2]float64{lw / total, hw / total})
+		f.roughenSoA(st, src)
 		rs.Resamples++
 		if timed {
 			rs.Resample += time.Since(t0)
 		}
 	}
-	p.store(st)
+	st.memoIdx, st.memo = nil, anchor.Dist{}
 	if tmin > st.Time {
 		st.Time = tmin
 	}
 	st.LastReadingTime = td
 	rs.To = st.Time
-	rs.ESS = essOf(st.Particles)
+	rs.ESS = essOf(st.cols().weight)
 	st.LastRun = rs
 	if timed {
 		if f.met.Predict != nil {
@@ -395,18 +285,18 @@ func fneg(x float64) float64 {
 // pick a random direction at intersections (never an immediate U-turn unless
 // at a dead end), enter rooms when their walk reaches a room node, and once
 // resting in a room leave it with probability RoomExitProb per second.
-func (f *Filter) predictSoA(p *Pool, src *rng.Source) {
+func (f *Filter) predictSoA(st *State, src *rng.Source) {
 	et := f.et
 	nt := f.nt
 	rows, eRoom := et.Walk, et.RoomEnd
 	isRoom := nt.IsRoom
 	exitP := f.cfg.RoomExitProb // per-second probability; a step is one second
-	n := p.n
-	pedge, poffset, ptoward, pspeed, presting := p.edge[:n], p.offset[:n], p.toward[:n], p.speed[:n], p.resting
-	for i := 0; i < n; i++ {
+	c := st.cols()
+	pedge, poffset, ptoward, pspeed, presting := c.edge, c.offset[:len(c.edge)], c.toward[:len(c.edge)], c.speed[:len(c.edge)], c.resting
+	for i := range pedge {
 		off, e, tw := poffset[i], pedge[i], ptoward[i]
 		row := &rows[e]
-		word, bit := i>>6, uint64(1)<<uint(i&63)
+		word, bit := restingBit(i)
 		if presting[word]&bit != 0 {
 			if !src.Bool(exitP) {
 				continue
@@ -499,10 +389,11 @@ func (f *Filter) predictSoA(p *Pool, src *rng.Source) {
 // readers (Filter.SetUnhealthy) are excluded: silence from a reader that may
 // not be reporting carries no information, so the penalty there would push
 // mass away from where the object plausibly is.
-func (f *Filter) negativeUpdateSoA(p *Pool, src *rng.Source) {
-	n := p.n
-	covered, w := p.covered[:n], p.weight[:n]
-	f.silence.Detectable(p.edge, p.offset, covered)
+func (f *Filter) negativeUpdateSoA(p *Pool, st *State, src *rng.Source) {
+	c := st.cols()
+	n := len(c.edge)
+	covered, w := p.covered[:n], c.weight[:n]
+	f.silence.Detectable(c.edge, c.offset, covered)
 	// Multiply every weight by its factor, selected by table index rather
 	// than by branch (the covered flags are close to a coin flip): the
 	// penalty inside a range, and outside it 1, which leaves the weight's
@@ -521,34 +412,37 @@ func (f *Filter) negativeUpdateSoA(p *Pool, src *rng.Source) {
 		return
 	}
 	if normalize(w) < float64(n)/2 {
-		f.resampleSoA(p, src, nil)
-		f.roughenSoA(p, src)
+		f.resampleSoA(p, st, src, nil)
+		f.roughenSoA(st, src)
 	}
 }
 
 // roughenSoA perturbs resampled particle speeds with small Gaussian noise,
 // all in one batched draw, so cloned particles diverge again instead of
 // moving in lock-step.
-func (f *Filter) roughenSoA(p *Pool, src *rng.Source) {
+func (f *Filter) roughenSoA(st *State, src *rng.Source) {
 	if f.cfg.SpeedJitter <= 0 {
 		return
 	}
-	src.TruncGaussianFill(p.speed, f.cfg.SpeedJitter, f.cfg.MinSpeed, f.cfg.MaxSpeed)
+	src.TruncGaussianFill(st.cols().speed, f.cfg.SpeedJitter, f.cfg.MinSpeed, f.cfg.MaxSpeed)
 }
 
-// initSoA reinitializes the pool's particles within the detecting reader's
-// activation range: InitAt's distribution, drawn in place with no
-// allocation.
-func (f *Filter) initSoA(p *Pool, src *rng.Source, reader model.ReaderID) {
+// initSoA (re)initializes st's particles within the detecting reader's
+// activation range: InitAt's distribution, drawn into the state's columns
+// at the current particle budget. The kidnapped-robot recovery calls it mid
+// advance; at an unchanged particle count it writes in place and allocates
+// nothing, at another it gives the state new blocks of the budget's size.
+func (f *Filter) initSoA(st *State, src *rng.Source, reader model.ReaderID) {
 	ivs, total := f.cov.InitIntervals(reader)
 	ns := f.ParticleBudget()
-	p.ensure(ns)
-	for k := range p.resting {
-		p.resting[k] = 0
+	if st.Len() != ns {
+		st.ints, st.floats = newBlocks(ns)
 	}
+	c := st.cols()
+	clear(c.resting)
 	w := 1.0 / float64(ns)
 	for i := 0; i < ns; i++ {
-		p.edge[i], p.offset[i], p.toward[i], p.speed[i] = f.initOne(src, reader, ivs, total)
-		p.weight[i] = w
+		c.edge[i], c.offset[i], c.toward[i], c.speed[i] = f.initOne(src, reader, ivs, total)
+		c.weight[i] = w
 	}
 }

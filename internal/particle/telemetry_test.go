@@ -84,8 +84,8 @@ func TestStageTimingsRecorded(t *testing.T) {
 	if rs.Predict <= 0 {
 		t.Errorf("Predict duration = %v", rs.Predict)
 	}
-	if rs.ESS <= 0 || rs.ESS > float64(len(st.Particles))+1e-9 {
-		t.Errorf("ESS = %v with Ns = %d", rs.ESS, len(st.Particles))
+	if rs.ESS <= 0 || rs.ESS > float64(len(st.Particles()))+1e-9 {
+		t.Errorf("ESS = %v with Ns = %d", rs.ESS, len(st.Particles()))
 	}
 	if got := m.Predict.Count(); got != 1 {
 		t.Errorf("predict histogram observations = %d, want 1", got)
@@ -120,11 +120,12 @@ func TestInstrumentationPreservesResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Particles) != len(b.Particles) {
-		t.Fatalf("particle counts differ: %d vs %d", len(a.Particles), len(b.Particles))
+	pas, pbs := a.Particles(), b.Particles()
+	if len(pas) != len(pbs) {
+		t.Fatalf("particle counts differ: %d vs %d", len(pas), len(pbs))
 	}
-	for i := range a.Particles {
-		pa, pb := a.Particles[i], b.Particles[i]
+	for i := range pas {
+		pa, pb := pas[i], pbs[i]
 		if pa != pb {
 			t.Fatalf("particle %d differs: %+v vs %+v", i, pa, pb)
 		}

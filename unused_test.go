@@ -25,6 +25,7 @@ import (
 var unusedKept = map[string]string{
 	// Test helpers.
 	"anchor.MustBuildIndex":    "test helper: BuildIndex for known-valid graphs",
+	"cache.Cache.States":       "test helper: the engine's memo and footprint tests read the live cached states",
 	"engine.MustNewSharded":    "test helper: NewSharded for known-valid inputs",
 	"obs.Counter.Value":        "test helper: reads a counter without rendering the registry",
 	"obs.Histogram.Count":      "test helper: reads a histogram's count without rendering the registry",
