@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test race stress accuracy bench bench-smoke bench-json bench-diff bench-sharded bench-harness-build bench-harness-test chaos cluster-e2e check experiments examples vet vuln profile loc knobs unused fuzz-smoke server-deps
+.PHONY: build test race stress accuracy bench bench-smoke bench-json bench-diff bench-sharded bench-harness-build bench-harness-test chaos cluster-e2e check experiments examples vet vuln profile loc knobs unused fuzz-smoke server-deps cmd-smoke
 
 build:
 	go build ./...
@@ -180,6 +180,18 @@ experiments:
 # metrics at :8080/metrics.
 profile:
 	go run ./cmd/server -demo -pprof
+
+# Smoke-run of the commands that have no tests of their own and of the
+# examples: simulate records a short trace, replay answers a range and a kNN
+# query over it, floorplan prints the default office, and each example runs
+# to its end. Any non-zero exit fails the target; the recording lives in a
+# temporary directory removed afterwards.
+cmd-smoke:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	go run ./cmd/simulate -objects 20 -seconds 20 -warmup 30 -record "$$tmp/rec" >/dev/null && \
+	go run ./cmd/replay -prefix "$$tmp/rec" -range 0,0,20,20 -knn 10,10,3 >/dev/null && \
+	go run ./cmd/floorplan >/dev/null
+	$(MAKE) examples
 
 examples:
 	go run ./examples/quickstart

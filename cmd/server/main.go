@@ -79,7 +79,6 @@ func run() error {
 		maxInFlight = flag.Int("max-inflight", 4, "concurrent queries admitted (0 disables admission control and overload shedding)")
 		maxQueue    = flag.Int("max-queue", 32, "queries allowed to wait for an admission slot before shedding with 429")
 		maxWait     = flag.Duration("max-wait", 500*time.Millisecond, "longest a query waits for an admission slot before 429")
-		degradedNs  = flag.Int("degraded-particles", 32, "per-object particle budget under sustained overload (0 disables degraded mode)")
 		ingestBytes = flag.Int64("ingest-max-bytes", server.DefaultMaxIngestBytes, "POST /ingest body cap in bytes (negative disables)")
 
 		peersFlag = flag.String("peers", "", "comma-separated cluster membership host:port list, including this node (empty: single-node)")
@@ -159,7 +158,6 @@ func run() error {
 	adm.MaxInFlight = *maxInFlight
 	adm.MaxQueue = *maxQueue
 	adm.MaxWait = *maxWait
-	adm.DegradedParticles = *degradedNs
 	srv := server.NewWith(sys, plan, dep, server.Config{
 		Admission:      adm,
 		MaxIngestBytes: *ingestBytes,

@@ -189,9 +189,8 @@ type world struct {
 	tel    *Telemetry
 
 	// healthMu fences the filter's and the pruner's sensing model (the
-	// unhealthy-reader set, the particle budget): a router's query stages
-	// hold it for read so a concurrent flush cannot swap the model
-	// mid-scatter.
+	// unhealthy-reader set): a router's query stages hold it for read so a
+	// concurrent flush cannot swap the model mid-scatter.
 	healthMu sync.RWMutex
 
 	// pools recycles per-worker scratch (the SoA kernel's flat arrays and the

@@ -1,8 +1,9 @@
 package engine
 
 // This file is the engine's resilience surface: the reader-health monitor's
-// coupling to the sensing model and the degraded-mode particle budget
-// (DESIGN.md §12). Query deadlines are the pipeline's (pipeline.go).
+// coupling to the sensing model (DESIGN.md §12). Query deadlines are the
+// pipeline's (pipeline.go); overload is shed at the server's admission, and
+// the particle count Ns never moves at run time.
 
 // refreshHealth pushes the monitor's unhealthy-reader set into the
 // sensing-model consumers, the world's one filter and one pruner. Called only
@@ -24,25 +25,4 @@ func (w *world) Unhealthy() []bool {
 	w.healthMu.RLock()
 	defer w.healthMu.RUnlock()
 	return w.pruner.Unhealthy()
-}
-
-// SetParticleBudget caps the per-object particle count of newly initialized
-// filter states — the degraded-mode knob the server's overload controller
-// turns (the documented Ns ablation axis). n <= 0 or n >= the configured Ns
-// restores full fidelity. The router's queries read the budget under
-// healthMu.
-func (w *world) SetParticleBudget(n int) {
-	w.healthMu.Lock()
-	w.filter.SetParticleBudget(n)
-	budget := w.filter.ParticleBudget()
-	w.healthMu.Unlock()
-	w.tel.particleBudget.Set(float64(budget))
-}
-
-// ParticleBudget returns the effective per-object particle count for new
-// filter states.
-func (w *world) ParticleBudget() int {
-	w.healthMu.RLock()
-	defer w.healthMu.RUnlock()
-	return w.filter.ParticleBudget()
 }

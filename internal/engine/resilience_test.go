@@ -356,31 +356,3 @@ func TestDeadlineReturnsTypedPartial(t *testing.T) {
 		t.Fatal("completed deadline query diverges from plain query")
 	}
 }
-
-// TestParticleBudgetDegradesAndRestores: the degraded-mode knob caps the
-// particle count of newly initialized filter states and restores full
-// fidelity when cleared.
-func TestParticleBudgetDegradesAndRestores(t *testing.T) {
-	plan := floorplan.DefaultOffice()
-	dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
-	cfg := DefaultConfig()
-	cfg.Seed = 4
-	sys := MustNew(plan, dep, cfg)
-	if got := sys.ParticleBudget(); got != cfg.Particle.Ns {
-		t.Fatalf("initial particle budget %d, want configured Ns %d", got, cfg.Particle.Ns)
-	}
-	sys.SetParticleBudget(16)
-	if got := sys.ParticleBudget(); got != 16 {
-		t.Fatalf("degraded particle budget %d, want 16", got)
-	}
-	sys.SetParticleBudget(0)
-	if got := sys.ParticleBudget(); got != cfg.Particle.Ns {
-		t.Fatalf("restored particle budget %d, want %d", got, cfg.Particle.Ns)
-	}
-	// Budgets beyond the configured Ns clamp to it (degraded mode can only
-	// reduce fidelity, never inflate cost).
-	sys.SetParticleBudget(cfg.Particle.Ns * 10)
-	if got := sys.ParticleBudget(); got != cfg.Particle.Ns {
-		t.Fatalf("over-budget %d, want clamp to %d", got, cfg.Particle.Ns)
-	}
-}

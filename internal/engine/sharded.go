@@ -45,7 +45,6 @@ type Serving interface {
 	CacheStats() (hits, misses int)
 	Graph() *walkgraph.Graph
 	SyncMetrics()
-	SetParticleBudget(n int)
 	NoteOversizedBody()
 	ReaderHealth() []health.ReaderHealth
 	WALError() error

@@ -37,7 +37,6 @@ type stressEngine interface {
 	SyncMetrics()
 	ReaderHealth() []health.ReaderHealth
 	KnownObjects() []model.ObjectID
-	SetParticleBudget(n int)
 }
 
 // TestShardedConcurrentStress hammers an engine from several goroutines at
@@ -140,9 +139,6 @@ func TestShardedConcurrentStress(t *testing.T) {
 					sh.SyncMetrics()
 					sh.ReaderHealth()
 					sh.KnownObjects()
-					// A full-fidelity budget write: it races every shard's
-					// filter reads on the one shared filter, answers unchanged.
-					sh.SetParticleBudget(0)
 				}
 			}
 		}()

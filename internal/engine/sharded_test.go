@@ -78,13 +78,12 @@ const equivOutageReader = 16
 // exposing the System/Sharded query surface. Both engine kinds must execute
 // the exact same sequence — Stats counts queries and filter runs. The stream
 // changes the sensing model the preprocessing reads under it: a scheduled
-// outage flips a reader out of LIVE (a health refresh), and the particle
-// budget drops to 16 and is restored later, with queries asked in between.
+// outage flips a reader out of LIVE (a health refresh), with queries asked
+// before, during and after it.
 func observe[E interface {
 	Ingest(t model.Time, raws []model.RawReading) error
 	FlushIngest()
 	Deployment() *rfid.Deployment
-	SetParticleBudget(n int)
 	Unhealthy() []bool
 	RangeQuery(window geom.Rect) model.ResultSet
 	KNNQuery(q geom.Point, k int) model.ResultSet
@@ -105,12 +104,6 @@ func observe[E interface {
 			if err := sys.Ingest(b.Time, b.Readings); err != nil {
 				t.Fatalf("Ingest: %v", err)
 			}
-		}
-		switch i {
-		case 30:
-			sys.SetParticleBudget(16)
-		case 55:
-			sys.SetParticleBudget(0)
 		}
 		if i%12 == 11 {
 			out.mid = append(out.mid, sys.RangeQuery(geom.RectWH(5, 9, 25, 14)), sys.KNNQuery(geom.Pt(20, 12), 10))

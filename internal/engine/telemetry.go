@@ -43,11 +43,10 @@ type Telemetry struct {
 	cacheHits, cacheMisses, cacheEvictions *obs.Counter
 
 	// Resilience metrics. deadlineExceeded and healthTransitions are
-	// inline-recorded; particleBudget is set by SetParticleBudget; the
-	// per-reader state/silence gauges are scrape-time mirrors.
+	// inline-recorded; the per-reader state/silence gauges are scrape-time
+	// mirrors.
 	deadlineExceeded  *obs.Counter
 	healthTransitions *obs.Counter
-	particleBudget    *obs.Gauge
 	readerState       *obs.GaugeVec
 	readerSilence     *obs.GaugeVec
 	readerLabels      []string
@@ -193,8 +192,6 @@ func newTelemetry(cfg Config) *Telemetry {
 			"Queries that ran out of their per-request deadline and returned a partial result."),
 		healthTransitions: r.Counter("repro_reader_health_transitions_total",
 			"Unhealthy-set refreshes pushed from the reader-health monitor into the sensing model."),
-		particleBudget: r.Gauge("repro_particle_budget",
-			"Effective per-object particle count for new filter states (reduced in degraded mode)."),
 		readerState: r.GaugeVec("repro_reader_state",
 			"Reader liveness state: 0 live, 1 suspect, 2 dead.", "reader"),
 		readerSilence: r.GaugeVec("repro_reader_silence_seconds",
@@ -255,7 +252,6 @@ func newTelemetry(cfg Config) *Telemetry {
 			"Stream seconds the flushed second trailed the newest delivered one (router-owned reorder buffer, so no shard label).",
 			[]float64{0, 1, 2, 3, 5, 8, 13, 21}),
 	}
-	t.particleBudget.Set(float64(cfg.Particle.Ns))
 	return t
 }
 

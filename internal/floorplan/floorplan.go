@@ -63,8 +63,10 @@ func (r Room) Area() float64 {
 	return a
 }
 
-// Contains reports whether the point lies inside the room's footprint.
-func (r Room) Contains(p geom.Point) bool {
+// Contains reports whether the point lies inside the room's footprint. Its
+// pointer receiver lets RoomAt test a plan's rooms in place, without
+// copying each Room struct per call.
+func (r *Room) Contains(p geom.Point) bool {
 	for _, part := range r.AllParts() {
 		if part.Contains(p) {
 			return true
@@ -238,8 +240,8 @@ func (p *Plan) TotalHallwayLength() float64 {
 
 // RoomAt returns the room whose footprint contains p, or NoRoom.
 func (pl *Plan) RoomAt(pt geom.Point) RoomID {
-	for _, r := range pl.rooms {
-		if r.Contains(pt) {
+	for i := range pl.rooms {
+		if r := &pl.rooms[i]; r.Contains(pt) {
 			return r.ID
 		}
 	}

@@ -246,3 +246,30 @@ func TestDefaultOfficeDoorsWithinHallwayWidth(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkRoomAt measures the simulator's per-object, per-second room
+// lookup: a 16×16 grid of points over the default office's bounds, rooms and
+// hallways alike, one RoomAt per point.
+func BenchmarkRoomAt(b *testing.B) {
+	p := DefaultOffice()
+	bb := p.Bounds()
+	var pts []geom.Point
+	for i := 0; i < 16; i++ {
+		for j := 0; j < 16; j++ {
+			pts = append(pts, geom.Pt(
+				bb.Min.X+(float64(i)+0.5)*bb.Width()/16,
+				bb.Min.Y+(float64(j)+0.5)*bb.Height()/16))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		if p.RoomAt(pts[i%len(pts)]) != NoRoom {
+			n++
+		}
+	}
+	if n == 0 && b.N >= len(pts) {
+		b.Fatal("no grid point fell in a room")
+	}
+}

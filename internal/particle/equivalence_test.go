@@ -311,10 +311,12 @@ func disjoint(ss []span) bool {
 }
 
 // TestKernelResizeAndOwnership: one pool serves states of different
-// particle counts in turn — a 64-particle state, a 16-particle one run under
-// SetParticleBudget(16), the first advanced again, and then, the budget
-// restored, the second kidnapped back to 64 particles by a detection no
-// particle is consistent with and advanced further — and each state must
+// particle counts in turn — a 64-particle state, a 16-particle one run by a
+// second filter configured with Ns 16, the first advanced again, and then
+// the second, advanced by the 64-particle filter, kidnapped back to 64
+// particles by a detection no particle is consistent with and advanced
+// further (a state restored from a snapshot may hold another count than the
+// filter's Ns) — and each state must
 // match the oracle bit for bit after every call. After every call, too, no
 // array may be shared between the pool and a state or between the two
 // states: resampling swaps blocks between a state and the pool, it never
@@ -328,6 +330,9 @@ func TestKernelResizeAndOwnership(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Resample = resample
 			f := MustNew(cfg, g, dep)
+			cfg16 := cfg
+			cfg16.Ns = 16
+			f16 := MustNew(cfg16, g, dep)
 			o := &oracle{cfg: cfg, g: g, dep: dep}
 			src := rng.New(int64(18000 + 2*trial + int(resample)))
 			seed := int64(2*trial + int(resample))
@@ -350,7 +355,7 @@ func TestKernelResizeAndOwnership(t *testing.T) {
 					t.Fatalf("%s: an array is shared between the pool and a state or between states", what)
 				}
 			}
-			run := func(obj model.ObjectID, now model.Time) {
+			run := func(f *Filter, obj model.ObjectID, now model.Time) {
 				entries := randomEntries(src, dep, 30)
 				for j := range entries {
 					entries[j].Object = obj
@@ -370,16 +375,14 @@ func TestKernelResizeAndOwnership(t *testing.T) {
 				o.advance(rng.Derive(8, seed, round, int64(i)), want[i], more, now, true)
 			}
 
-			run(1, 32)
+			run(f, 1, 32)
 			check("64-particle RunPool", 64)
-			f.SetParticleBudget(16)
 			o.cfg.Ns = 16
-			run(2, 32)
+			run(f16, 2, 32)
 			check("16-particle RunPool", 64, 16)
 			advance(0, 0, nil, 40)
 			check("64-particle advance after a 16-particle run", 64, 16)
 
-			f.SetParticleBudget(0)
 			o.cfg.Ns = cfg.Ns
 			// A reader whose range no particle of the second state can reach
 			// in one second (MaxSpeed, plus a metre): its detection is the

@@ -24,6 +24,9 @@ import (
 // precomputed edge-coverage index (rfid.Coverage) instead of per-particle
 // 2-D geometry. The results are bit-for-bit those of the paper's geometric
 // formulation, which the package tests keep as the oracle.
+//
+// Every state the filter initializes holds cfg.Ns particles: the count is a
+// configuration of the filter, never a run-time input such as server load.
 type Filter struct {
 	cfg Config
 	g   *walkgraph.Graph
@@ -44,10 +47,6 @@ type Filter struct {
 	// reader's silence says nothing about the object). With every reader
 	// healthy it is the index's shared all-healthy table.
 	silence *rfid.SilenceTable
-	// maxNs, when positive, caps the particle count of newly initialized
-	// states below cfg.Ns: the degraded-mode budget under overload. Cached
-	// states keep their existing particle count.
-	maxNs int
 }
 
 // Metrics are the filter's optional stage-timing sinks. Every field may be
@@ -129,25 +128,6 @@ func MustNew(cfg Config, g *walkgraph.Graph, dep *rfid.Deployment) *Filter {
 // must not mutate the slice afterwards and must not call this concurrently
 // with RunPool/AdvancePool.
 func (f *Filter) SetUnhealthy(un []bool) { f.silence = f.cov.Silence(un) }
-
-// SetParticleBudget caps the particle count of newly initialized states at n
-// (degraded-mode operation under overload); n <= 0 or n >= Ns restores the
-// configured count. Already-cached states are not resized.
-func (f *Filter) SetParticleBudget(n int) {
-	if n <= 0 || n >= f.cfg.Ns {
-		n = 0
-	}
-	f.maxNs = n
-}
-
-// ParticleBudget returns the effective per-object particle count for new
-// states: the configured Ns, or the degraded-mode cap when one is set.
-func (f *Filter) ParticleBudget() int {
-	if f.maxNs > 0 {
-		return f.maxNs
-	}
-	return f.cfg.Ns
-}
 
 // InitAt creates a fresh particle set for an object uniformly distributed on
 // the graph edges within the detection range of the given reader, each

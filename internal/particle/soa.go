@@ -429,12 +429,13 @@ func (f *Filter) roughenSoA(st *State, src *rng.Source) {
 
 // initSoA (re)initializes st's particles within the detecting reader's
 // activation range: InitAt's distribution, drawn into the state's columns
-// at the current particle budget. The kidnapped-robot recovery calls it mid
-// advance; at an unchanged particle count it writes in place and allocates
-// nothing, at another it gives the state new blocks of the budget's size.
+// at the configured Ns. The kidnapped-robot recovery calls it mid advance;
+// at Ns particles it writes in place and allocates nothing. A state holding
+// another count (restored from a snapshot or built by FromParticles) gets
+// new blocks of Ns particles, so a reinit always brings it back to Ns.
 func (f *Filter) initSoA(st *State, src *rng.Source, reader model.ReaderID) {
 	ivs, total := f.cov.InitIntervals(reader)
-	ns := f.ParticleBudget()
+	ns := f.cfg.Ns
 	if st.Len() != ns {
 		st.ints, st.floats = newBlocks(ns)
 	}

@@ -3,7 +3,6 @@ package server
 import (
 	"math"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -24,42 +23,21 @@ type AdmissionConfig struct {
 	// MaxWait is the longest a queued request waits for a slot before being
 	// shed with 429. 0 means shed immediately when no slot is free.
 	MaxWait time.Duration
-
-	// DegradedParticles, when positive, enables degraded mode: after
-	// degradeAfter sheds within restoreAfter of each other the per-object
-	// particle budget is reduced to this value (the documented Ns ablation
-	// knob — cheaper filtering, coarser distributions), and restored once
-	// restoreAfter passes with no shed. The gap between the enter condition
-	// (sustained shedding) and the leave condition (a full calm window) is
-	// the hysteresis band that prevents flapping.
-	DegradedParticles int
 }
 
-const (
-	// degradeAfter is how many sheds within a restoreAfter window trip
-	// degraded mode.
-	degradeAfter = 3
-	// restoreAfter is the calm period (no sheds) after which full fidelity
-	// is restored, and also the window within which sheds accumulate toward
-	// degradeAfter.
-	restoreAfter = 30 * time.Second
-)
-
 // DefaultAdmissionConfig returns admission bounds suited to a single-engine
-// server: a handful of in-flight queries, a short queue, and degraded mode
-// halving the default particle count.
+// server: a handful of in-flight queries and a short queue.
 func DefaultAdmissionConfig() AdmissionConfig {
 	return AdmissionConfig{
-		MaxInFlight:       4,
-		MaxQueue:          32,
-		MaxWait:           500 * time.Millisecond,
-		DegradedParticles: 32,
+		MaxInFlight: 4,
+		MaxQueue:    32,
+		MaxWait:     500 * time.Millisecond,
 	}
 }
 
 // admission is the query admission controller: a slot semaphore with a
-// bounded, deadline-bounded wait queue, plus the degraded-mode hysteresis
-// tracker. A nil *admission admits everything (admission disabled).
+// bounded, deadline-bounded wait queue. A nil *admission admits everything
+// (admission disabled).
 type admission struct {
 	cfg   AdmissionConfig
 	slots chan struct{}
@@ -72,13 +50,6 @@ type admission struct {
 	shed     *obs.Counter
 	inflight *obs.Gauge
 	queuedG  *obs.Gauge
-
-	// Degraded-mode state, guarded by mu. Time flows in via the now
-	// parameters so tests drive it deterministically.
-	mu        sync.Mutex
-	degraded  bool
-	shedCount int
-	lastShed  time.Time
 }
 
 // newAdmission builds the controller, registering its metrics; returns nil
@@ -117,7 +88,7 @@ func (a *admission) acquire() (release func(), ok bool) {
 	// No free slot: join the bounded wait queue.
 	if q := a.queued.Add(1); q > int64(a.cfg.MaxQueue) {
 		a.queued.Add(-1)
-		a.noteShed(time.Now())
+		a.shed.Inc()
 		return nil, false
 	}
 	a.queuedG.Set(float64(a.queued.Load()))
@@ -130,7 +101,7 @@ func (a *admission) acquire() (release func(), ok bool) {
 	if a.awaitSlot(timer.C) {
 		return a.admit(), true
 	}
-	a.noteShed(time.Now())
+	a.shed.Inc()
 	return nil, false
 }
 
@@ -206,40 +177,4 @@ func (a *admission) retryAfterSeconds() int {
 // retryAfterHeader is retryAfterSeconds as a header value.
 func (a *admission) retryAfterHeader() string {
 	return strconv.Itoa(a.retryAfterSeconds())
-}
-
-// noteShed records one shed at the given time and reports the running count
-// toward the degrade threshold. Sheds further apart than restoreAfter start
-// a fresh count.
-func (a *admission) noteShed(now time.Time) {
-	a.shed.Inc()
-	a.mu.Lock()
-	if !a.lastShed.IsZero() && now.Sub(a.lastShed) > restoreAfter {
-		a.shedCount = 0
-	}
-	a.shedCount++
-	a.lastShed = now
-	a.mu.Unlock()
-}
-
-// degradeDecision reports whether the server should be in degraded mode as
-// of now, applying the hysteresis band: enter after degradeAfter sheds
-// within the window, leave only after a full restoreAfter of calm. It
-// returns the (possibly new) state and whether it changed.
-func (a *admission) degradeDecision(now time.Time) (degraded, changed bool) {
-	if a == nil || a.cfg.DegradedParticles <= 0 {
-		return false, false
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	was := a.degraded
-	if !a.degraded {
-		if a.shedCount >= degradeAfter {
-			a.degraded = true
-		}
-	} else if a.lastShed.IsZero() || now.Sub(a.lastShed) >= restoreAfter {
-		a.degraded = false
-		a.shedCount = 0
-	}
-	return a.degraded, a.degraded != was
 }

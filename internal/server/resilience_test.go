@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -15,7 +16,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/floorplan"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/rfid"
 	"repro/internal/sim"
 )
@@ -43,57 +43,45 @@ func resilientServer(t *testing.T, cfg Config) (*Server, *engine.System, *sim.Si
 }
 
 // TestOverloadShedsWith429: when every admission slot is held and the queue
-// is full, queries are shed with 429 plus a Retry-After estimate; sustained
-// shedding trips degraded mode (reduced particle budget); freeing a slot
-// admits queries again, and an admitted query with a generous deadline
-// completes fully (no partial marker).
+// is full, queries are shed with 429 plus a Retry-After estimate; freeing a
+// slot admits queries again, and an admitted query with a generous deadline
+// completes fully (no partial marker). Shedding exports no degraded-mode or
+// particle-budget series: overload never changes the filter.
 func TestOverloadShedsWith429(t *testing.T) {
 	adm := AdmissionConfig{
-		MaxInFlight:       1,
-		MaxQueue:          0, // no waiting: a busy slot sheds immediately
-		MaxWait:           time.Millisecond,
-		DegradedParticles: 16, // latched for restoreAfter, far longer than the test runs
+		MaxInFlight: 1,
+		MaxQueue:    0, // no waiting: a busy slot sheds immediately
+		MaxWait:     time.Millisecond,
 	}
-	srv, sys, _ := resilientServer(t, Config{Admission: adm})
+	srv, _, _ := resilientServer(t, Config{Admission: adm})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	// Occupy the only slot, as a long-running query would.
 	srv.adm.slots <- struct{}{}
 
-	full := sys.ParticleBudget()
-	for i := 0; i < degradeAfter; i++ {
-		resp, err := ts.Client().Get(ts.URL + "/range?x=0&y=0&w=10&h=10")
+	for _, path := range []string{
+		"/range?x=0&y=0&w=10&h=10", "/range?x=0&y=0&w=10&h=10", "/range?x=0&y=0&w=10&h=10",
+		"/knn?x=1&y=1&k=3",
+	} {
+		resp, err := ts.Client().Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusTooManyRequests {
-			t.Fatalf("overloaded query status %d, want 429", resp.StatusCode)
+			t.Fatalf("overloaded %s status %d, want 429", path, resp.StatusCode)
 		}
 		ra, err := strconv.Atoi(resp.Header.Get("Retry-After"))
 		if err != nil || ra < 1 {
 			t.Fatalf("Retry-After %q, want integer >= 1", resp.Header.Get("Retry-After"))
 		}
 	}
-	// The next shed observes the accumulated count and enters degraded mode.
-	resp, err := ts.Client().Get(ts.URL + "/knn?x=1&y=1&k=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429", resp.StatusCode)
-	}
-	if got := sys.ParticleBudget(); got != adm.DegradedParticles {
-		t.Fatalf("particle budget %d after sustained shedding, want degraded %d (full %d)",
-			got, adm.DegradedParticles, full)
-	}
 
 	// Free the slot: queries are admitted again, and one with a generous
 	// deadline completes without the partial marker.
 	<-srv.adm.slots
-	resp, err = ts.Client().Get(ts.URL + "/range?x=0&y=0&w=40&h=30&deadline_ms=5000")
+	resp, err := ts.Client().Get(ts.URL + "/range?x=0&y=0&w=40&h=30&deadline_ms=5000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,57 +96,66 @@ func TestOverloadShedsWith429(t *testing.T) {
 	if _, partial := out["partial"]; partial {
 		t.Fatal("admitted query with a generous deadline returned a partial result")
 	}
-}
 
-// TestDegradedModeHysteresis drives the controller's clock directly: degraded
-// mode enters only after degradeAfter sheds inside the window, stays latched
-// while sheds keep arriving, and leaves only after a full restoreAfter of
-// calm. Sheds further apart than the window never accumulate.
-func TestDegradedModeHysteresis(t *testing.T) {
-	cfg := AdmissionConfig{
-		MaxInFlight:       1,
-		DegradedParticles: 8,
+	mresp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
-	a := newAdmission(cfg, obs.NewRegistry())
-	base := time.Unix(1000, 0)
-	w := restoreAfter
-
-	for i := 0; i < degradeAfter-1; i++ {
-		at := base.Add(time.Duration(i) * time.Second)
-		a.noteShed(at)
-		if deg, _ := a.degradeDecision(at); deg {
-			t.Fatalf("degraded after %d sheds", i+1)
+	defer mresp.Body.Close()
+	metrics, err := io.ReadAll(mresp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"repro_degraded_", "repro_particle_budget"} {
+		if bytes.Contains(metrics, []byte(name)) {
+			t.Errorf("/metrics still names %s", name)
 		}
 	}
-	entry := base.Add(time.Duration(degradeAfter-1) * time.Second)
-	a.noteShed(entry)
-	deg, changed := a.degradeDecision(entry)
-	if !deg || !changed {
-		t.Fatalf("deg=%v changed=%v after %d sheds, want entry", deg, changed, degradeAfter)
+}
+
+// TestSheddingDoesNotChangeAnswers: two servers fed the same stream give
+// byte-identical answers whether or not one of them shed queries on the
+// way. A shed request touches no engine state, and overload never changes
+// the particle count, so a shed leaves every later answer as it was.
+func TestSheddingDoesNotChangeAnswers(t *testing.T) {
+	adm := DefaultAdmissionConfig()
+	adm.MaxInFlight = 1
+	adm.MaxQueue = 0
+	adm.MaxWait = time.Millisecond
+	calm, _, calmWorld := resilientServer(t, Config{Admission: adm})
+	loaded, _, loadedWorld := resilientServer(t, Config{Admission: adm})
+	serve := func(srv *Server, path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec
 	}
-	// Mid-window: still degraded, no flapping.
-	if deg, changed = a.degradeDecision(entry.Add(w / 2)); !deg || changed {
-		t.Fatalf("deg=%v changed=%v mid-window, want latched", deg, changed)
+
+	loaded.adm.slots <- struct{}{}
+	for i := 0; i < 5; i++ {
+		if rec := serve(loaded, "/knn?x=20&y=12&k=5"); rec.Code != http.StatusTooManyRequests {
+			t.Fatalf("shed query %d: status %d, want 429", i, rec.Code)
+		}
 	}
-	// A shed inside the window extends it.
-	extend := entry.Add(w * 7 / 10)
-	a.noteShed(extend)
-	if deg, _ = a.degradeDecision(entry.Add(w + time.Second)); !deg {
-		t.Fatal("left degraded mode before a full calm window")
+	<-loaded.adm.slots
+
+	feed := func(srv *Server, world *sim.Simulator) {
+		for i := 0; i < 20; i++ {
+			tm, raws := world.Step()
+			if err := srv.IngestDirect(tm, raws); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	// Full restoreAfter of calm: restore.
-	deg, changed = a.degradeDecision(extend.Add(w + time.Millisecond))
-	if deg || !changed {
-		t.Fatalf("deg=%v changed=%v after calm window, want restore", deg, changed)
-	}
-	// Sheds separated by more than the window start fresh counts.
-	var last time.Time
-	for i := 0; i < degradeAfter; i++ {
-		last = extend.Add(time.Duration(i+2) * 2 * w)
-		a.noteShed(last)
-	}
-	if deg, _ = a.degradeDecision(last); deg {
-		t.Fatal("sheds outside the window accumulated toward degraded mode")
+	feed(calm, calmWorld)
+	feed(loaded, loadedWorld)
+	for _, path := range []string{"/range?x=0&y=0&w=40&h=30", "/knn?x=20&y=12&k=5"} {
+		want, got := serve(calm, path), serve(loaded, path)
+		if want.Code != http.StatusOK || got.Code != http.StatusOK {
+			t.Fatalf("%s: status %d calm, %d loaded, want 200", path, want.Code, got.Code)
+		}
+		if !bytes.Equal(want.Body.Bytes(), got.Body.Bytes()) {
+			t.Errorf("%s: answer after shedding differs\ncalm:   %s\nloaded: %s", path, want.Body, got.Body)
+		}
 	}
 }
 

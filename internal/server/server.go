@@ -104,16 +104,12 @@ type Server struct {
 	httpLatency  *obs.HistogramVec
 	encodeErrors *obs.CounterVec
 	httpPanics   *obs.CounterVec
-
-	// Degraded-mode telemetry (registered only with admission control on).
-	degradedMode        *obs.Gauge
-	degradedTransitions *obs.Counter
 }
 
 // Config selects the server's resilience posture.
 type Config struct {
-	// Admission bounds concurrent queries and enables degraded mode under
-	// sustained overload. The zero value disables admission control.
+	// Admission bounds concurrent queries; a request it cannot admit is
+	// shed with 429. The zero value disables admission control.
 	Admission AdmissionConfig
 	// MaxIngestBytes caps the POST /ingest request body; oversized bodies
 	// get 413 and are counted in the ingest drop accounting. 0 selects
@@ -164,12 +160,6 @@ func NewWith(sys Engine, plan *floorplan.Plan, dep *rfid.Deployment, cfg Config)
 			"Handler panics converted to 500 responses by the recovery middleware, by route pattern.", "path"),
 	}
 	obs.RegisterRuntimeMetrics(r)
-	if s.adm != nil {
-		s.degradedMode = r.Gauge("repro_degraded_mode",
-			"1 while the server runs with a reduced particle budget under overload.")
-		s.degradedTransitions = r.Counter("repro_degraded_transitions_total",
-			"Degraded-mode enter/leave transitions.")
-	}
 	if cn, ok := sys.(clusterNode); ok {
 		s.clu = cn
 		cn.SetTracer(s.tracer)
@@ -351,8 +341,8 @@ func (s *Server) traced(kind string, h http.HandlerFunc) http.HandlerFunc {
 
 // admit gates a query handler behind the admission controller: shed
 // requests get 429 with a Retry-After estimated from the current backlog
-// and recent query latency. Admission state also drives the degraded-mode
-// controller. With admission disabled this is a transparent wrapper.
+// and recent query latency. With admission disabled this is a transparent
+// wrapper.
 func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		tc := trace.From(r.Context())
@@ -368,41 +358,14 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 		tc.Since("admission", trace.RouterShard, astart)
 		if !ok {
 			tc.SetShed()
-			s.updateDegraded()
 			retry := s.adm.retryAfterHeader()
 			w.Header().Set("Retry-After", retry)
 			httpError(w, http.StatusTooManyRequests, "overloaded: query shed, retry in %ss", retry)
 			return
 		}
-		defer func() {
-			release()
-			s.updateDegraded()
-		}()
+		defer release()
 		h(w, r)
 	}
-}
-
-// updateDegraded applies the degraded-mode controller's decision to the
-// engine: entering reduces the per-object particle budget along the Ns
-// ablation knob, leaving restores full fidelity.
-func (s *Server) updateDegraded() {
-	degraded, changed := s.adm.degradeDecision(time.Now())
-	if !changed {
-		return
-	}
-	budget := 0
-	if degraded {
-		budget = s.adm.cfg.DegradedParticles
-	}
-	s.sys.SetParticleBudget(budget)
-	if degraded {
-		s.degradedMode.Set(1)
-		log.Printf("server: sustained overload, degrading particle budget to %d", budget)
-	} else {
-		s.degradedMode.Set(0)
-		log.Printf("server: load cleared, restoring full particle budget")
-	}
-	s.degradedTransitions.Inc()
 }
 
 // handleReaders serves the per-reader liveness snapshot the health monitor

@@ -52,7 +52,6 @@ var unusedKept = map[string]string{
 	"engine.Sharded.Trajectory":    "repro.System: an object's past track under KeepHistory (repro.TrajectoryPoint)",
 	"engine.System.Expire":         "repro.System: ages out objects that left the building (population churn)",
 	"engine.System.PTKNNQuery":     "repro.System: probabilistic threshold kNN, pinned by the summaries golden",
-	"engine.world.ParticleBudget":  "repro.System: the read side of SetParticleBudget",
 	"floorplan.Plan.Door":          "repro.FloorPlan: lookup by ID, beside Room and Hallway",
 	"floorplan.Plan.Link":          "repro.FloorPlan: lookup by ID, beside Room and Hallway",
 	"geom.Circle.OverlapsSegment":  "repro.Circle: geometry vocabulary",
